@@ -34,7 +34,13 @@ from ..perf.stages import active_recorder
 from ..streams import build_stats
 from ..types import CompressedField
 
-__all__ = ["PipelineContext", "Stage", "StagePipeline", "PipelineCompressor"]
+__all__ = [
+    "PipelineContext",
+    "Stage",
+    "StagePipeline",
+    "Compressor",
+    "PipelineCompressor",
+]
 
 
 @dataclass
@@ -167,6 +173,19 @@ class StagePipeline:
                 with recorder.stage(stage.name):
                     stage.inverse(ctx)
         return ctx
+
+
+class Compressor(Protocol):
+    """The compressor contract every consumer codes against (tiling,
+    archives, the selector, measurement, rate-distortion sweeps):
+    anything with a wire ``name`` and a ``compress`` / ``decompress``
+    pair — a :class:`PipelineCompressor` or not."""
+
+    name: str
+
+    def compress(self, data: np.ndarray, eb: float, mode: Any) -> CompressedField: ...
+
+    def decompress(self, compressed: Any) -> np.ndarray: ...
 
 
 class PipelineCompressor:

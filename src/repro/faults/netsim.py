@@ -12,7 +12,7 @@ three ways a TCP peer actually hurts you:
   loops; the drip proves it).
 
 :class:`FlakySocketFactory` plugs into
-:class:`~repro.service.server.ServiceClient`'s ``socket_factory`` hook
+:class:`~repro.service.client.ServiceClient`'s ``socket_factory`` hook
 and draws a seeded fault for each of the first ``faulty_connections``
 connections, then hands out clean sockets — so a client with retries
 always converges, and a client without them demonstrably does not.

@@ -10,22 +10,17 @@ the artifact's per-field ``*.sz`` files imply, made explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
 from ..errors import ContainerError, ReproError, decode_guard
 from .container import Container
 
+if TYPE_CHECKING:  # annotation-only: the codec layer imports this package
+    from ..codec.pipeline import Compressor
+
 __all__ = ["Archive", "ArchiveEntry", "FieldDamage", "ExtractionResult"]
-
-
-class _Compressor(Protocol):
-    name: str
-
-    def compress(self, data: np.ndarray, eb: float, mode: Any) -> Any: ...
-
-    def decompress(self, compressed: Any) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ class Archive:
         """Raw compressed payload of one field (random access)."""
         return self._container.get(f"field:{name}")
 
-    def extract(self, name: str, compressor: _Compressor) -> np.ndarray:
+    def extract(self, name: str, compressor: Compressor) -> np.ndarray:
         """Decompress one field without touching the others."""
         entry = next((e for e in self.entries if e.name == name), None)
         if entry is None:
@@ -155,7 +150,7 @@ class Archive:
 
     def extract_all(
         self,
-        resolver: Callable[[str], _Compressor] | None = None,
+        resolver: Callable[[str], Compressor] | None = None,
         *,
         strict: bool = True,
     ) -> ExtractionResult:
@@ -227,7 +222,7 @@ class Archive:
     def build(
         cls,
         fields: Mapping[str, np.ndarray],
-        compressor: _Compressor,
+        compressor: Compressor,
         eb: float = 1e-3,
         mode: str = "vr_rel",
     ) -> "Archive":

@@ -11,22 +11,17 @@ scalar summary "X needs N % fewer bits than Y at equal quality").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
 from .error import psnr
 
+if TYPE_CHECKING:  # annotation-only: the codec layer imports this package
+    from ..codec.pipeline import Compressor
+
 __all__ = ["RDPoint", "rd_sweep", "bd_rate_like"]
-
-
-class _Compressor(Protocol):
-    name: str
-
-    def compress(self, data: np.ndarray, eb: float, mode: Any) -> Any: ...
-
-    def decompress(self, compressed: Any) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class RDPoint:
 
 
 def rd_sweep(
-    compressor: _Compressor,
+    compressor: Compressor,
     data: np.ndarray,
     bounds: Sequence[float],
     mode: str = "vr_rel",

@@ -18,7 +18,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any, Protocol, TypeVar
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .io.container import Container
 from .streams import header_dtype, header_int, header_shape
 from .tiling import TileGrid
 from .types import CompressedField, CompressionStats
+
+if TYPE_CHECKING:  # annotation-only: the codec layer imports this package
+    from .codec.pipeline import Compressor
 
 __all__ = [
     "TiledResult",
@@ -78,14 +81,6 @@ def prefetch_map(
                 pending.append(pool.submit(fn, item))
                 break
             yield fut.result()
-
-
-class _Compressor(Protocol):
-    name: str
-
-    def compress(self, data: np.ndarray, eb: float, mode: Any) -> CompressedField: ...
-
-    def decompress(self, compressed: Any) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def assemble_tiles(
 
 
 def tile_compress(
-    compressor: _Compressor,
+    compressor: Compressor,
     data: np.ndarray,
     eb: float = 1e-3,
     mode: str = "vr_rel",
@@ -191,9 +186,9 @@ def tile_compress(
 ) -> TiledResult:
     """Compress ``data`` as ``n_tiles`` independent bands along axis 0.
 
-    This is the serial reference path; :func:`repro.service.workers.
-    tile_compress_parallel` fans the same bands out across a process pool
-    and produces a byte-identical payload.
+    This is the serial reference path; the service scheduler
+    (``BatchScheduler._run_tiled``) fans the same bands out across its
+    worker pool and produces a byte-identical payload.
     """
     data = np.ascontiguousarray(data)
     bound, slices = plan_bands(data, eb, mode, n_tiles)
@@ -205,8 +200,8 @@ def tile_compress(
 
 
 def _parse(
-    payload: bytes, compressor: _Compressor | None
-) -> tuple[Container, _Compressor]:
+    payload: bytes, compressor: Compressor | None
+) -> tuple[Container, Compressor]:
     """Open a tiled payload and pick its band decompressor.
 
     With an explicit ``compressor`` the payload must match it; with
@@ -246,7 +241,7 @@ def _grid_from_header(h: dict) -> TileGrid:
 
 
 def decompress_tile(
-    compressor: _Compressor | None, payload: bytes, index: int
+    compressor: Compressor | None, payload: bytes, index: int
 ) -> np.ndarray:
     """Random access: reconstruct band ``index`` only.
 
@@ -263,7 +258,7 @@ def decompress_tile(
 
 
 def tile_decompress(
-    compressor: _Compressor | None, payload: bytes
+    compressor: Compressor | None, payload: bytes
 ) -> np.ndarray:
     """Reconstruct the full field from a tiled payload.
 

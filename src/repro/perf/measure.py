@@ -8,21 +8,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .stages import recording_stages
 
+if TYPE_CHECKING:  # annotation-only: the codec layer imports this package
+    from ..codec.pipeline import Compressor
+
 __all__ = ["MeasuredThroughput", "measure_compressor"]
-
-
-class _Compressor(Protocol):
-    name: str
-
-    def compress(self, data: np.ndarray, eb: float, mode: Any) -> Any: ...
-
-    def decompress(self, compressed: Any) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class MeasuredThroughput:
 
 
 def measure_compressor(
-    compressor: _Compressor,
+    compressor: Compressor,
     data: np.ndarray,
     eb: float = 1e-3,
     mode: str = "vr_rel",

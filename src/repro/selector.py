@@ -16,23 +16,16 @@ variant header, so a selected archive needs no side channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .codec.pipeline import Compressor
 from .codec.registry import get_codec
 from .errors import ConfigError, ContainerError, DTypeError, ShapeError
 from .types import CompressedField
 
 __all__ = ["SelectionResult", "OnlineSelector"]
-
-
-class _Compressor(Protocol):
-    name: str
-
-    def compress(self, data: np.ndarray, eb: float, mode: Any) -> CompressedField: ...
-
-    def decompress(self, compressed: Any) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class SelectionResult:
 class OnlineSelector:
     """Pick the bestfit compressor per field, à la ref [53]."""
 
-    def __init__(self, compressors: Sequence[_Compressor | str]) -> None:
+    def __init__(self, compressors: Sequence[Compressor | str]) -> None:
         """Build a selector over compressor instances and/or registry names.
 
         Strings are resolved through the central codec registry (any

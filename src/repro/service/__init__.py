@@ -34,7 +34,7 @@ from .resilience import CircuitBreaker, RetryPolicy
 from .scheduler import BatchScheduler, run_batch
 from .server import CompressionServer, ServiceClient, serve
 from .shm import FieldRef, PickleTransport, ShmArena, ShmTransport
-from .workers import WorkerPool, tile_compress_parallel
+from .workers import WorkerPool
 
 __all__ = [
     "FieldRef",
@@ -58,5 +58,4 @@ __all__ = [
     "ServiceClient",
     "serve",
     "WorkerPool",
-    "tile_compress_parallel",
 ]

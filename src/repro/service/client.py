@@ -1,0 +1,295 @@
+"""The blocking client of the service protocol.
+
+:class:`ServiceClient` is what the CLI, the shard gateway, the CI smoke
+test and anything else without an event loop speaks the wire with: one
+socket, one typed method per op (the op table is in ``docs/API.md``).
+"""
+
+from __future__ import annotations
+
+import socket
+import time
+import uuid
+from typing import Any, Callable
+
+import numpy as np
+
+from ..errors import ServiceError, ServiceTimeoutError, TransportError
+from . import wire
+from .ops import lookup
+from .resilience import CircuitBreaker, RetryPolicy
+
+__all__ = ["ServiceClient"]
+
+
+def _default_socket_factory(
+    host: str, port: int, timeout: float | None
+) -> Any:
+    return socket.create_connection((host, port), timeout=timeout)
+
+
+class ServiceClient:
+    """Blocking client for the service protocol (one socket, many ops).
+
+    Resilient by default: every op runs under a per-request deadline
+    (``timeout`` seconds of wall clock covering all socket reads, not
+    just connect), wire failures retry with seeded jittered backoff on a
+    fresh connection, and a :class:`CircuitBreaker` refuses calls fast
+    once the server looks down.  Every op the table marks ``idempotent``
+    carries a generated request id; the server executes each id at most
+    once, so a retry after a lost ack replays the cached response
+    instead of double-running the job.
+
+    ``socket_factory`` is the chaos seam: anything callable as
+    ``(host, port, timeout) -> socket-like`` (see
+    :class:`repro.faults.netsim.FlakySocketFactory`).
+    """
+
+    def __init__(
+        self, host: str = "127.0.0.1", port: int = 8123,
+        timeout: float = 60.0,
+        *,
+        retry: RetryPolicy | None = None,
+        breaker: CircuitBreaker | None = None,
+        socket_factory: Callable[..., Any] | None = None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.retries = 0  # wire-level retries performed (telemetry)
+        self._socket_factory = (
+            socket_factory if socket_factory is not None
+            else _default_socket_factory
+        )
+        self._sock: Any = None
+        self._connect()  # eager: surface a dead server at construction
+
+    def _connect(self) -> None:
+        if self._sock is None:
+            self._sock = self._socket_factory(
+                self.host, self.port, self.timeout
+            )
+
+    def _drop_connection(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:  # pragma: no cover - close races
+                pass
+            self._sock = None
+
+    def close(self) -> None:
+        self._drop_connection()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    # -- framing ---------------------------------------------------------
+
+    def _once(
+        self, header: dict, body: bytes, deadline: float
+    ) -> tuple[dict, bytes]:
+        """One wire attempt: connect if needed, send, read the response."""
+        self._connect()
+        self._sock.sendall(wire.pack(header, body))
+        return wire.recv_frame(self._sock, deadline)
+
+    def _roundtrip(
+        self, header: dict, body: bytes = b""
+    ) -> tuple[dict, bytes]:
+        op = str(header.get("op"))
+        row = lookup(header)
+        if row is not None and row.idempotent:
+            header = {**header, "req_id": uuid.uuid4().hex}
+        req_id = header.get("req_id", "-")
+        attempt = 0
+        while True:
+            attempt += 1
+            self.breaker.allow()  # raises CircuitOpenError when open
+            deadline = time.monotonic() + self.timeout
+            try:
+                resp, rbody = self._once(header, body, deadline)
+            except (socket.timeout, TimeoutError) as exc:
+                err: ServiceError = ServiceTimeoutError(
+                    f"{op} (request {req_id}) hit its {self.timeout:g}s "
+                    f"deadline on attempt {attempt}: {exc}"
+                )
+                cause: BaseException = exc
+            except (ConnectionError, OSError) as exc:
+                err = TransportError(
+                    f"{op} (request {req_id}) wire failure on attempt "
+                    f"{attempt}: {type(exc).__name__}: {exc}"
+                )
+                cause = exc
+            except ServiceError:
+                # unreadable response frame: the stream position is lost
+                self._drop_connection()
+                raise
+            else:
+                # an application-level error still proves the server is
+                # alive — the breaker only tracks transport outcomes.
+                self.breaker.record_success()
+                return resp, rbody
+            self.breaker.record_failure()
+            self._drop_connection()
+            if not self.retry.should_retry(attempt):
+                raise err from cause
+            self.retries += 1
+            time.sleep(self.retry.delay(attempt))
+
+    _check = staticmethod(wire.check_response)
+
+    def _call(
+        self, op: str, body: bytes = b"", **fields: Any
+    ) -> tuple[dict, bytes]:
+        """One checked round trip: the ``ok`` response header and body."""
+        resp, rbody = self._roundtrip({"op": op, **fields}, body)
+        return self._check(resp), rbody
+
+    # -- ops -------------------------------------------------------------
+
+    def ping(self) -> dict:
+        return self._call("ping")[0]
+
+    def health(self) -> dict:
+        """Liveness + readiness: status, queue depth, pool restarts."""
+        return self._call("health")[0]
+
+    def codecs(self) -> dict:
+        return self._call("codecs")[0]
+
+    def stats(self) -> dict:
+        return self._call("stats")[0]["stats"]
+
+    def compress(
+        self,
+        data: np.ndarray,
+        codec: str = "wavesz",
+        eb: float = 1e-3,
+        mode: str = "vr_rel",
+        *,
+        priority: int = 0,
+        deadline_s: float | None = None,
+        tiles: int = 1,
+    ) -> tuple[bytes, dict]:
+        """Compress one field; returns (payload, response header).
+
+        ``tiles > 1`` requests a tiled compression; dp-capable codecs
+        spread the bands across the server's worker pool.
+        """
+        data = np.ascontiguousarray(data)
+        resp, payload = self._call(
+            "compress", wire.encode_field(data),
+            codec=codec, eb=eb, mode=mode,
+            shape=list(data.shape), dtype=str(data.dtype),
+            priority=priority, deadline_s=deadline_s, tiles=tiles,
+        )
+        return payload, resp
+
+    def decompress(self, payload: bytes) -> np.ndarray:
+        return wire.decode_field(*self._call("decompress", payload))
+
+    # -- store ops --------------------------------------------------------
+
+    def store_put(
+        self,
+        name: str,
+        data: np.ndarray,
+        codec: str = "wavesz",
+        eb: float = 1e-3,
+        mode: str = "vr_rel",
+        *,
+        n_tiles: int = 4,
+    ) -> dict:
+        """Persist one field in the server's store; returns the put report."""
+        data = np.ascontiguousarray(data)
+        return self._call(
+            "store_put", wire.encode_field(data),
+            name=name, codec=codec, eb=eb, mode=mode, n_tiles=n_tiles,
+            shape=list(data.shape), dtype=str(data.dtype),
+        )[0]
+
+    def store_read(
+        self, name: str, *, strict: bool = True
+    ) -> tuple[np.ndarray, dict]:
+        """Read a full stored field; returns (field, response header).
+
+        With ``strict=False`` the header's ``"damaged"`` list names any
+        tile indices that were lost (their rows come back zero-filled).
+        """
+        resp, body = self._call("store_read", name=name, strict=strict)
+        return wire.decode_field(resp, body), resp
+
+    def store_slice(
+        self, name: str, slices, *, strict: bool = True
+    ) -> tuple[np.ndarray, dict]:
+        """Read a sub-window of a stored field, decoding only its tiles.
+
+        ``slices`` is a per-axis sequence of ``slice`` objects,
+        ``(start, stop)`` pairs or ``None`` (full axis); trailing axes
+        default to their full extent.
+        """
+        window = [
+            None if s is None
+            else [s.start, s.stop] if isinstance(s, slice)
+            else [s[0], s[1]]
+            for s in slices
+        ]
+        resp, body = self._call(
+            "store_slice", name=name, slices=window, strict=strict
+        )
+        return wire.decode_field(resp, body), resp
+
+    # -- shard-facing store primitives ------------------------------------
+    # Raw object / manifest transfer: what the gateway speaks to each
+    # shard.  All of these re-raise typed store errors (see
+    # wire.check_response).
+
+    def store_ls(self) -> list[dict]:
+        rows = self._call("store_ls")[0]["datasets"]
+        for r in rows:
+            r["shape"] = tuple(r["shape"])
+        return rows
+
+    def store_gc(self, refs=()) -> dict:
+        """Garbage-collect the remote store, keeping ``refs`` digests too.
+
+        A sharded deployment must pass the cluster-wide referenced set:
+        this shard may hold tiles whose manifests live on other shards.
+        """
+        return self._call("store_gc", refs=[str(r) for r in refs])[0]
+
+    def store_get_object(self, digest: str) -> bytes:
+        return self._call("store_get_object", digest=digest)[1]
+
+    def store_put_object(
+        self, blob: bytes, digest: str | None = None, *,
+        overwrite: bool = False,
+    ) -> tuple[str, bool]:
+        """Store one content-addressed blob; returns (digest, stored)."""
+        fields: dict = {"overwrite": overwrite}
+        if digest is not None:
+            fields["digest"] = digest
+        resp = self._call("store_put_object", blob, **fields)[0]
+        return str(resp["digest"]), bool(resp["stored"])
+
+    def store_has_objects(self, digests) -> dict[str, bool]:
+        resp = self._call(
+            "store_has_objects", digests=[str(d) for d in digests]
+        )[0]
+        return {str(k): bool(v) for k, v in resp["have"].items()}
+
+    def store_get_manifest(self, name: str) -> dict:
+        return self._call("store_get_manifest", name=name)[0]["manifest"]
+
+    def store_put_manifest(self, name: str, manifest: dict) -> None:
+        self._call("store_put_manifest", name=name, manifest=manifest)
+
+    def shard_map(self) -> dict:
+        """The cluster topology this server belongs to (gateway op)."""
+        return self._call("shard_map")[0]["shard_map"]

@@ -445,10 +445,9 @@ class BatchScheduler:
 
         Same plan (:func:`plan_bands`), same band unit
         (:func:`compress_band`), same deterministic assembly
-        (:func:`assemble_tiles`) as the serial path and
-        :func:`~repro.service.workers.tile_compress_parallel` — gathered
-        in band order, so the payload is byte-identical to a single
-        worker running :func:`run_job` on the same job.
+        (:func:`assemble_tiles`) as the serial path — gathered in band
+        order, so the payload is byte-identical to a single worker
+        running :func:`run_job` on the same job.
         """
         assert job.data is not None
         bound, slices = plan_bands(job.data, job.eb, job.mode, job.n_tiles)

@@ -1,191 +1,59 @@
-"""TCP front end: length-prefixed frames over a long-lived connection.
+"""TCP front end: one connection loop over the op table.
 
-Wire format (both directions)::
+:class:`WireServer` is the whole server side of the protocol — listener
+lifecycle, frame reading (:mod:`repro.service.wire`), one dict lookup in
+the op table (:mod:`repro.service.ops`), request-id dedup, drain
+refusals, typed error frames, sever-on-stop.  What a server *can*
+answer follows from what it holds: :class:`CompressionServer` brings a
+:class:`BatchScheduler` (and optionally an
+:class:`~repro.store.ArrayStore`), the shard gateway's server
+(:class:`repro.shard.GatewayServer`) brings a sharded store and no
+scheduler; an op whose ``needs`` is absent gets a typed refusal.
 
-    4 bytes  big-endian uint32   JSON header length
-    N bytes  UTF-8 JSON          the op / response header
-    M bytes  raw body            present iff header["body_len"] == M
-
-Requests carry ``{"op": ...}`` plus op-specific fields; responses carry
-``{"ok": true/false, ...}``.  Ops:
-
-``ping``
-    liveness → ``{"ok": true, "version": ...}``
-``health``
-    readiness: status ("ok" / "draining"), queue depth, in-flight count,
-    worker count and pool restarts — the supervisor's probe op
-``codecs``
-    registry listing (canonical names, aliases, profiles)
-``stats``
-    a :class:`~repro.service.metrics.ServiceStats` snapshot
-``compress``
-    header: codec, eb, mode, shape, dtype, priority?, deadline_s?;
-    body: the raw little-endian field.  Response body: the payload.
-    A full queue answers ``{"ok": false, "error": "queue-full"}`` —
-    the client sees backpressure explicitly and may retry.
-``decompress``
-    body: a compressed payload.  Response: shape/dtype header + raw field.
-``store_put`` / ``store_read`` / ``store_slice``
-    the :class:`~repro.store.ArrayStore` over the wire (requires the
-    server to be started with a store root).  ``store_put`` takes the
-    raw field as body plus name/codec/eb/mode/n_tiles; ``store_read``
-    and ``store_slice`` return the (sub-)field as body, with any
-    damaged-tile indices in the header when ``strict`` is off.  A server
-    without a store answers ``{"ok": false, "error": "store-not-
-    configured"}``.
-``store_ls`` / ``store_gc`` / ``store_get_object`` / ``store_put_object``
-/ ``store_has_objects`` / ``store_get_manifest`` / ``store_put_manifest``
-    the shard-facing primitives: raw content-addressed blob and manifest
-    transfer, listing, and a gc that honours cluster-wide ``refs``.  The
-    :mod:`repro.shard` gateway speaks these to each shard.
-``shard_map``
-    the cluster topology (shards, addresses, replication factor) when
-    the server was started with one; how clients bootstrap failover.
-
-Store failures cross the wire typed: error responses carry the exception
+Failures cross the wire typed: error responses carry the exception
 class name plus op and request id, and :class:`ServiceClient` re-raises
 ``StoreError`` / ``ChecksumError`` / ``ContainerError`` locally so retry
 and failover classification work end-to-end.
-
-:class:`ServiceClient` is the blocking counterpart used by the CLI, the
-CI smoke test and anything else that wants the service without asyncio.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import socket
-import struct
 import sys
-import time
-import uuid
 from collections import OrderedDict
 from typing import Any, Callable
 
-import numpy as np
-
 from .. import __version__
-from ..codec.registry import REGISTRY
-from ..errors import (
-    ChecksumError,
-    ContainerError,
-    QueueFullError,
-    ReproError,
-    ServiceError,
-    ServiceTimeoutError,
-    StoreError,
-    TransportError,
-)
-from ..streams import MAX_FIELD_POINTS
-from .jobs import make_job
-from .resilience import CircuitBreaker, RetryPolicy
+from ..errors import QueueFullError, ReproError, ServiceError
+from . import wire
+from .client import ServiceClient
+from .metrics import MetricsRegistry
+from .ops import Op, lookup
 from .scheduler import BatchScheduler
 
-__all__ = ["CompressionServer", "ServiceClient", "serve"]
+__all__ = ["WireServer", "CompressionServer", "ServiceClient", "serve", "run_until_sigterm"]
 
 #: Completed responses remembered per request id — big enough that any
 #: sane retry window replays from cache, small enough to never matter.
 _IDEM_CACHE = 512
 
-#: Ops whose effect must not double-execute when a client retries after
-#: a wire failure: the request may have run even though the ack was lost.
-#: (The object/manifest ops are naturally idempotent — content-addressed
-#: writes — but dedup still saves the replayed work.)
-_IDEMPOTENT_OPS = frozenset({
-    "compress", "decompress", "store_put",
-    "store_put_object", "store_put_manifest",
-})
 
-#: Store ops a server without a store root refuses in one place.
-_STORE_OPS = frozenset({
-    "store_put", "store_read", "store_slice", "store_ls", "store_gc",
-    "store_get_object", "store_put_object", "store_has_objects",
-    "store_get_manifest", "store_put_manifest",
-})
+class WireServer:
+    """The asyncio connection loop; subclasses bring what the ops need."""
 
-_LEN = struct.Struct(">I")
-#: Largest accepted frame header/body (a full float64 field at the
-#: library's point cap) — anything bigger is a protocol error, not a job.
-_MAX_BODY = MAX_FIELD_POINTS * 8
-_MAX_HEADER = 1 << 20
-
-
-def _pack(header: dict, body: bytes = b"") -> bytes:
-    if body:
-        header = {**header, "body_len": len(body)}
-    j = json.dumps(header).encode()
-    return _LEN.pack(len(j)) + j + body
-
-
-async def _read_header(reader: asyncio.StreamReader) -> tuple[dict, int]:
-    """Read one frame's header and validated body length (body not read)."""
-    raw = await reader.readexactly(_LEN.size)
-    (hlen,) = _LEN.unpack(raw)
-    if not 0 < hlen <= _MAX_HEADER:
-        raise ServiceError(f"frame header length {hlen} out of range")
-    header = json.loads(await reader.readexactly(hlen))
-    if not isinstance(header, dict):
-        raise ServiceError("frame header is not a JSON object")
-    body_len = header.get("body_len", 0)
-    if body_len and (
-        not isinstance(body_len, int) or not 0 < body_len <= _MAX_BODY
-    ):
-        raise ServiceError(f"frame body length {body_len!r} out of range")
-    return header, int(body_len or 0)
-
-
-async def _read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes]:
-    header, body_len = await _read_header(reader)
-    body = await reader.readexactly(body_len) if body_len else b""
-    return header, body
-
-
-class CompressionServer:
-    """The asyncio TCP server wrapping a :class:`BatchScheduler`."""
+    scheduler: BatchScheduler | None = None
+    #: anything with the ``put`` / ``read`` / ``read_slice`` / ``ls``
+    #: surface of an :class:`~repro.store.ArrayStore`
+    store: Any = None
+    #: cluster topology served on the ``shard_map`` op
+    shard_map: dict | None = None
 
     def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        workers: int | None = None,
-        pool_kind: str = "process",
-        queue_size: int = 128,
-        max_retries: int = 2,
-        hang_timeout_s: float | None = None,
-        transport: str = "auto",
-        batch_bytes: int = 0,
-        store_root: str | None = None,
-        store_cache_bytes: int | None = None,
-        shard_map: dict | None = None,
+        self, host: str, port: int, metrics: MetricsRegistry
     ) -> None:
         self.host = host
         self.port = port
-        #: Cluster topology served on the ``shard_map`` op when this
-        #: server is one shard of a sharded store (``wavesz shard``).
-        self.shard_map = shard_map
-        self.scheduler = BatchScheduler(
-            workers=workers,
-            pool_kind=pool_kind,
-            queue_size=queue_size,
-            max_retries=max_retries,
-            hang_timeout_s=hang_timeout_s,
-            transport=transport,
-            batch_bytes=batch_bytes,
-        )
-        self.store = None
-        if store_root is not None:
-            from ..store import DEFAULT_CACHE_BYTES, ArrayStore
-
-            self.store = ArrayStore(
-                store_root,
-                cache_bytes=(
-                    DEFAULT_CACHE_BYTES if store_cache_bytes is None
-                    else store_cache_bytes
-                ),
-                metrics=self.scheduler.metrics,
-            )
+        self.metrics = metrics
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[asyncio.StreamWriter] = set()
         self._draining = False
@@ -194,7 +62,6 @@ class CompressionServer:
         self._idem: OrderedDict[str, asyncio.Future] = OrderedDict()
 
     async def start(self) -> None:
-        self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port
         )
@@ -218,19 +85,38 @@ class CompressionServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.scheduler.stop(
-            deadline_s=0 if not drain else deadline_s
-        )
+        await self._shutdown(0 if not drain else deadline_s)
         # Sever surviving connections: a stopped server must look *down*
         # to its peers (shard failover depends on this), not like a
         # zombie that keeps answering store reads on old sockets.
         for w in list(self._conns):
             w.close()
 
+    async def _shutdown(self, deadline_s: float | None) -> None:
+        """Release what the ops ran on (scheduler, shard clients)."""
+
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         async with self._server:
             await self._server.serve_forever()
+
+    # -- what the ops ask of the server -----------------------------------
+
+    async def blocking(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Run one blocking store call off the event loop."""
+        return await asyncio.to_thread(fn, *args, **kwargs)
+
+    def ping(self) -> dict:
+        return {"ok": True, "version": __version__}
+
+    async def health(self) -> dict:
+        return {
+            "status": "draining" if self._draining else "ok",
+            "version": __version__,
+        }
+
+    async def store_gc(self, refs: list[str]) -> Any:
+        return await self.blocking(self.store.gc, extra_refs=refs)
 
     # -- request handling ------------------------------------------------
 
@@ -243,6 +129,12 @@ class CompressionServer:
                 try:
                     header, body, done = await self._read_request(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
+                    break
+                except ServiceError as exc:
+                    # malformed frame: where the next one starts is
+                    # unknowable, so say why and hang up
+                    writer.write(wire.refusal_frame("protocol", str(exc)))
+                    await writer.drain()
                     break
                 try:
                     response = await self._dispatch(header, body)
@@ -263,33 +155,173 @@ class CompressionServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[dict, Any, Callable[[], None]]:
+        """One request as ``(header, body, done)``; ``done()`` runs once
+        the response is built."""
+        header, body = await wire.read_frame(reader)
+        return header, body, lambda: None
+
+    async def _dispatch(self, header: dict, body: Any) -> bytes:
+        op = lookup(header)
+        req_id = header.get("req_id")
+        if (
+            op is None
+            or not op.idempotent
+            or not isinstance(req_id, str)
+            or not req_id
+        ):
+            return await self._answer(op, header, body)
+        # At-most-once execution per request id.  A retry that lands
+        # while the original is still running awaits the *same* future;
+        # one that lands after completion replays the cached response
+        # frame.  Either way the job executes exactly once — the client
+        # may retry as aggressively as it likes.
+        fut = self._idem.get(req_id)
+        if fut is not None:
+            self.metrics.incr("server.idem_hits")
+            return await asyncio.shield(fut)
+        fut = asyncio.get_running_loop().create_future()
+        self._idem[req_id] = fut
+        while len(self._idem) > _IDEM_CACHE:
+            self._idem.popitem(last=False)
+        try:
+            response = await self._answer(op, header, body)
+        except BaseException as exc:
+            self._idem.pop(req_id, None)  # do not cache a non-answer
+            if not fut.done():
+                fut.set_exception(exc)
+                fut.exception()  # consumed: avoid the never-retrieved log
+            raise
+        if not fut.done():
+            fut.set_result(response)
+        return response
+
+    async def _answer(self, op: Op | None, header: dict, body: Any) -> bytes:
+        name = header.get("op")
+        if op is None:
+            return wire.pack({"ok": False, "error": f"unknown op {name!r}"})
+        if op.needs is not None and getattr(self, op.needs) is None:
+            return wire.refusal_frame(
+                f"{op.needs}-not-configured",
+                f"this server has no {op.needs} to run {name} on",
+            )
+        if self._draining and op.refused_while_draining:
+            return wire.refusal_frame(
+                "shutting-down", "server is draining; submit elsewhere"
+            )
+        try:
+            return await op.handler(self, header, body)
+        except QueueFullError as exc:
+            return wire.refusal_frame(
+                "queue-full", str(exc),
+                queue_depth=self.scheduler.queue.depth,
+            )
+        except ReproError as exc:
+            return wire.error_frame(exc, name, header.get("req_id", "-"))
+
+
+class CompressionServer(WireServer):
+    """The asyncio TCP server wrapping a :class:`BatchScheduler`."""
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        workers: int | None = None,
+        pool_kind: str = "process",
+        queue_size: int = 128,
+        max_retries: int = 2,
+        hang_timeout_s: float | None = None,
+        transport: str = "auto",
+        batch_bytes: int = 0,
+        store_root: str | None = None,
+        store_cache_bytes: int | None = None,
+        shard_map: dict | None = None,
+    ) -> None:
+        self.scheduler = BatchScheduler(
+            workers=workers,
+            pool_kind=pool_kind,
+            queue_size=queue_size,
+            max_retries=max_retries,
+            hang_timeout_s=hang_timeout_s,
+            transport=transport,
+            batch_bytes=batch_bytes,
+        )
+        super().__init__(host, port, self.scheduler.metrics)
+        #: set when this server is one shard of a sharded store
+        self.shard_map = shard_map
+        if store_root is not None:
+            from ..store import DEFAULT_CACHE_BYTES, ArrayStore
+
+            self.store = ArrayStore(
+                store_root,
+                cache_bytes=(
+                    DEFAULT_CACHE_BYTES if store_cache_bytes is None
+                    else store_cache_bytes
+                ),
+                metrics=self.metrics,
+            )
+
+    async def start(self) -> None:
+        self.scheduler.start()
+        await super().start()
+
+    async def _shutdown(self, deadline_s: float | None) -> None:
+        await self.scheduler.stop(deadline_s=deadline_s)
+
+    async def health(self) -> dict:
+        s = self.scheduler
+        return {
+            **await super().health(),
+            "queue_depth": s.queue.depth,
+            "in_flight": s._in_flight,
+            "workers": s.pool.size,
+            "pool_restarts": s.pool.restarts,
+            "transport": s.transport.name,
+            "batch_bytes": s.batch_bytes,
+            "store": (
+                "absent" if self.store is None
+                else f"{len(self.store.names())} dataset(s)"
+            ),
+        }
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[dict, Any, Callable[[], None]]:
         """Read one request, routing large compress bodies socket→shm.
 
         The classic path copies a field three times before the worker
         sees it: ``readexactly`` joins chunks into ``bytes``,
-        ``_parse_field`` materialises an array, and the pool pickles it
+        ``decode_field`` materialises an array, and the pool pickles it
         through a pipe.  When the scheduler runs the shm transport, a
         compress body streams chunk-by-chunk *directly into an arena
         segment* instead — one copy, after which the job's `FieldRef`
-        crosses the pool by name.  Returns ``(header, body, done)``
-        where ``body`` is ``bytes`` (classic) or the adopted ``ndarray``
-        view (shm) and ``done()`` releases the server's segment lease
-        once the response is built.
+        crosses the pool by name.  ``body`` is then the adopted
+        ``ndarray`` view and ``done()`` releases the server's segment
+        lease once the response is built.
         """
-        header, body_len = await _read_header(reader)
+        header, body_len = await wire.read_header(reader)
         arena = getattr(self.scheduler.transport, "arena", None)
         min_bytes = getattr(self.scheduler.transport, "min_bytes", 0)
+        spec = None
         if (
-            arena is None
-            or header.get("op") != "compress"
-            or body_len < max(min_bytes, 1)
-            or sys.byteorder != "little"  # wire is LE; BE needs the copy
+            arena is not None
+            and body_len >= max(min_bytes, 1)
+            and sys.byteorder == "little"  # wire is LE; BE needs the copy
+            and getattr(lookup(header), "ingest_to_arena", False)
         ):
+            try:
+                spec = wire.check_field(header, body_len)
+            except ServiceError:
+                # The header does not describe this body.  Read it the
+                # classic way so the stream stays in sync; the handler
+                # then refuses it with the same typed frame the pickle
+                # transport answers.
+                pass
+        if spec is None:
             body = await reader.readexactly(body_len) if body_len else b""
             return header, body, lambda: None
-        shape = tuple(header.get("shape", ()))
-        dtype = np.dtype(str(header.get("dtype", "float32")))
-        self._check_field(shape, dtype, body_len)
+        shape, dtype = spec
         name = arena.allocate(body_len)
         buf = arena.buffer(name, body_len)
         filled = 0
@@ -306,374 +338,12 @@ class CompressionServer:
         view = arena.adopt_view(name, dtype, shape)
         return header, view, lambda: arena.release(name)
 
-    async def _dispatch(self, header: dict, body: bytes) -> bytes:
-        op = header.get("op")
-        req_id = header.get("req_id")
-        if (
-            op in _IDEMPOTENT_OPS
-            and isinstance(req_id, str)
-            and req_id
-        ):
-            return await self._dispatch_idempotent(req_id, header, body)
-        return await self._dispatch_inner(header, body)
 
-    async def _dispatch_idempotent(
-        self, req_id: str, header: dict, body: bytes
-    ) -> bytes:
-        """At-most-once execution per request id.
-
-        A retry that lands while the original is still running awaits the
-        *same* future; one that lands after completion replays the cached
-        response frame.  Either way the job executes exactly once — the
-        client may retry as aggressively as it likes.
-        """
-        fut = self._idem.get(req_id)
-        if fut is not None:
-            self.scheduler.metrics.incr("server.idem_hits")
-            return await asyncio.shield(fut)
-        fut = asyncio.get_running_loop().create_future()
-        self._idem[req_id] = fut
-        while len(self._idem) > _IDEM_CACHE:
-            self._idem.popitem(last=False)
-        try:
-            response = await self._dispatch_inner(header, body)
-        except BaseException as exc:
-            self._idem.pop(req_id, None)  # do not cache a non-answer
-            if not fut.done():
-                fut.set_exception(exc)
-                fut.exception()  # consumed: avoid the never-retrieved log
-            raise
-        if not fut.done():
-            fut.set_result(response)
-        return response
-
-    async def _dispatch_inner(self, header: dict, body: bytes) -> bytes:
-        op = header.get("op")
-        try:
-            if op == "ping":
-                return _pack({"ok": True, "version": __version__})
-            if op == "health":
-                s = self.scheduler
-                return _pack({
-                    "ok": True,
-                    "status": "draining" if self._draining else "ok",
-                    "version": __version__,
-                    "queue_depth": s.queue.depth,
-                    "in_flight": s._in_flight,
-                    "workers": s.pool.size,
-                    "pool_restarts": s.pool.restarts,
-                    "transport": s.transport.name,
-                    "batch_bytes": s.batch_bytes,
-                    "store": (
-                        "absent" if self.store is None
-                        else f"{len(self.store.names())} dataset(s)"
-                    ),
-                })
-            if self._draining and op in (
-                "compress", "decompress", "store_put",
-                "store_put_object", "store_put_manifest", "store_gc",
-            ):
-                return _pack({
-                    "ok": False,
-                    "error": "shutting-down",
-                    "detail": "server is draining; submit elsewhere",
-                })
-            if op == "codecs":
-                return _pack({"ok": True, "codecs": REGISTRY.describe(),
-                              "short_names": list(REGISTRY.short_names())})
-            if op == "stats":
-                return _pack(
-                    {"ok": True, "stats": self.scheduler.stats().to_dict()}
-                )
-            if op == "shard_map":
-                if self.shard_map is None:
-                    return _pack({
-                        "ok": False,
-                        "error": "shard-map-not-configured",
-                        "detail": "server is not part of a sharded store",
-                    })
-                return _pack({"ok": True, "shard_map": self.shard_map})
-            if op == "compress":
-                return await self._op_compress(header, body)
-            if op == "decompress":
-                return await self._op_decompress(body)
-            if op in _STORE_OPS:
-                if self.store is None:
-                    return _pack({
-                        "ok": False,
-                        "error": "store-not-configured",
-                        "detail": "server was started without a store root",
-                    })
-                return await self._op_store(op, header, body)
-            return _pack({"ok": False, "error": f"unknown op {op!r}"})
-        except QueueFullError as exc:
-            return _pack({
-                "ok": False,
-                "error": "queue-full",
-                "detail": str(exc),
-                "queue_depth": self.scheduler.queue.depth,
-            })
-        except ReproError as exc:
-            # typed failure: the client re-raises the same taxonomy
-            # (StoreError, ChecksumError, ...) with op + request id kept,
-            # so retry/failover classification works end to end.
-            return _pack({
-                "ok": False,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-                "op": str(op),
-                "req_id": str(header.get("req_id", "-")),
-            })
-
-    async def _op_store(self, op: str, header: dict, body: bytes) -> bytes:
-        if op == "store_put":
-            return await self._op_store_put(header, body)
-        if op == "store_read":
-            return await self._op_store_read(header)
-        if op == "store_slice":
-            return await self._op_store_slice(header)
-        if op == "store_ls":
-            rows = await asyncio.to_thread(self.store.ls)
-            for r in rows:
-                r["shape"] = list(r["shape"])
-            return _pack({"ok": True, "datasets": rows})
-        if op == "store_gc":
-            refs = header.get("refs", [])
-            if not isinstance(refs, list):
-                raise ServiceError(f"store_gc refs must be a list, got {refs!r}")
-            result = await asyncio.to_thread(
-                lambda: self.store.gc(extra_refs=[str(r) for r in refs])
-            )
-            return _pack({
-                "ok": True,
-                "removed": result.n_removed,
-                "reclaimed_bytes": result.reclaimed_bytes,
-                "kept": result.kept,
-                "tmp_removed": len(result.tmp_removed),
-            })
-        if op == "store_get_object":
-            blob = await asyncio.to_thread(
-                self.store.get_object, str(header.get("digest", ""))
-            )
-            return _pack({"ok": True}, blob)
-        if op == "store_put_object":
-            digest, stored = await asyncio.to_thread(
-                lambda: self.store.put_object(
-                    body,
-                    (str(header["digest"])
-                     if header.get("digest") is not None else None),
-                    overwrite=bool(header.get("overwrite", False)),
-                )
-            )
-            return _pack({"ok": True, "digest": digest, "stored": stored})
-        if op == "store_has_objects":
-            digests = header.get("digests", [])
-            if not isinstance(digests, list):
-                raise ServiceError(
-                    f"store_has_objects digests must be a list, got {digests!r}"
-                )
-            have = await asyncio.to_thread(
-                self.store.has_objects, [str(d) for d in digests]
-            )
-            return _pack({"ok": True, "have": have})
-        if op == "store_get_manifest":
-            m = await asyncio.to_thread(
-                self.store.manifest, str(header.get("name", ""))
-            )
-            return _pack({"ok": True, "manifest": m})
-        assert op == "store_put_manifest"
-        manifest = header.get("manifest")
-        if not isinstance(manifest, dict):
-            raise ServiceError(
-                "store_put_manifest needs a manifest object in the header"
-            )
-        await asyncio.to_thread(
-            self.store.put_manifest, str(header.get("name", "")), manifest
-        )
-        return _pack({"ok": True, "name": str(header.get("name", ""))})
-
-    @staticmethod
-    def _check_field(
-        shape: tuple[int, ...], dtype: np.dtype, body_len: int
-    ) -> int:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 0
-        if n <= 0 or n > MAX_FIELD_POINTS:
-            raise ServiceError(f"bad field shape {shape!r}")
-        if body_len != n * dtype.itemsize:
-            raise ServiceError(
-                f"body holds {body_len} bytes, shape {shape} needs "
-                f"{n * dtype.itemsize}"
-            )
-        return n
-
-    @classmethod
-    def _parse_field(cls, header: dict, body: Any) -> np.ndarray:
-        """Decode a raw little-endian field body against its shape header.
-
-        ``body`` may already be the adopted shared-memory view built by
-        :meth:`_read_request` — it was validated and shaped there, so it
-        passes straight through to the job (zero additional copies).
-        """
-        if isinstance(body, np.ndarray):
-            return body
-        shape = tuple(header.get("shape", ()))
-        dtype = np.dtype(str(header.get("dtype", "float32")))
-        cls._check_field(shape, dtype, len(body))
-        data = np.frombuffer(body, dtype=dtype.newbyteorder("<"))
-        return data.astype(dtype).reshape(shape)
-
-    async def _op_compress(self, header: dict, body: bytes) -> bytes:
-        data = self._parse_field(header, body)
-        job = make_job(
-            str(header.get("codec", "wavesz")),
-            data,
-            eb=float(header.get("eb", 1e-3)),
-            mode=str(header.get("mode", "vr_rel")),
-            priority=int(header.get("priority", 0)),
-            deadline_s=(
-                float(header["deadline_s"])
-                if header.get("deadline_s") is not None else None
-            ),
-            n_tiles=int(header.get("tiles", 1)),
-        )
-        handle = await self.scheduler.submit(job)  # raises QueueFullError
-        result = await self.scheduler.wait(handle)
-        assert isinstance(result.output, bytes)
-        s = result.stats
-        return _pack(
-            {
-                "ok": True,
-                "job_id": result.job_id,
-                "codec": result.codec,
-                "attempts": result.attempts,
-                "latency_s": result.total_s,
-                "ratio": s.ratio if s is not None else None,
-            },
-            result.output,
-        )
-
-    async def _op_decompress(self, body: bytes) -> bytes:
-        if not body:
-            raise ServiceError("decompress needs a payload body")
-        job = make_job("auto", op="decompress", payload=body)
-        handle = await self.scheduler.submit(job)
-        result = await self.scheduler.wait(handle)
-        out = result.output
-        assert isinstance(out, np.ndarray)
-        return _pack(
-            {
-                "ok": True,
-                "job_id": result.job_id,
-                "shape": list(out.shape),
-                "dtype": str(out.dtype),
-                "latency_s": result.total_s,
-            },
-            np.ascontiguousarray(out).astype(
-                out.dtype.newbyteorder("<")
-            ).tobytes(),
-        )
-
-    # -- store ops --------------------------------------------------------
-
-    async def _op_store_put(self, header: dict, body: bytes) -> bytes:
-        data = self._parse_field(header, body)
-        assert self.store is not None
-        result = await asyncio.to_thread(
-            self.store.put,
-            str(header.get("name", "")),
-            data,
-            str(header.get("codec", "wavesz")),
-            float(header.get("eb", 1e-3)),
-            str(header.get("mode", "vr_rel")),
-            n_tiles=int(header.get("n_tiles", 4)),
-        )
-        return _pack({
-            "ok": True,
-            "name": result.name,
-            "codec": result.codec,
-            "n_tiles": result.n_tiles,
-            "new_objects": result.new_objects,
-            "dedup_objects": result.dedup_objects,
-            "stored_bytes": result.stored_bytes,
-            "dedup_bytes": result.dedup_bytes,
-            "ratio": result.ratio,
-        })
-
-    @staticmethod
-    def _pack_read(result: Any) -> bytes:
-        out = result.data
-        return _pack(
-            {
-                "ok": True,
-                "shape": list(out.shape),
-                "dtype": str(out.dtype),
-                "tiles": list(result.tile_indices),
-                "damaged": list(result.damaged_tiles),
-            },
-            np.ascontiguousarray(out).astype(
-                out.dtype.newbyteorder("<")
-            ).tobytes(),
-        )
-
-    async def _op_store_read(self, header: dict) -> bytes:
-        assert self.store is not None
-        result = await asyncio.to_thread(
-            self.store.read,
-            str(header.get("name", "")),
-            strict=bool(header.get("strict", True)),
-        )
-        return self._pack_read(result)
-
-    async def _op_store_slice(self, header: dict) -> bytes:
-        assert self.store is not None
-        raw = header.get("slices")
-        if not isinstance(raw, list):
-            raise ServiceError(
-                f"store_slice needs a per-axis slices list, got {raw!r}"
-            )
-        window = tuple(
-            None if s is None else (s[0], s[1])
-            if isinstance(s, list) and len(s) == 2 else s
-            for s in raw
-        )
-        result = await asyncio.to_thread(
-            self.store.read_slice,
-            str(header.get("name", "")),
-            window,
-            strict=bool(header.get("strict", True)),
-        )
-        return self._pack_read(result)
-
-
-async def serve(
-    host: str = "127.0.0.1",
-    port: int = 8123,
-    *,
-    drain_deadline_s: float | None = 30.0,
-    **kwargs: Any,
-) -> None:
-    """Start a server and run until cancelled (the ``wavesz serve`` body).
-
-    SIGTERM triggers the graceful path: stop accepting, drain in-flight
-    jobs for up to ``drain_deadline_s``, then exit — so a supervisor's
-    ordinary terminate never drops an acked job.
-    """
+async def run_until_sigterm(server: WireServer, **stop_kwargs: Any) -> None:
+    """Serve a started server until cancelled or SIGTERM, then stop it —
+    so a supervisor's ordinary terminate takes the graceful path."""
     import signal
 
-    server = CompressionServer(host, port, **kwargs)
-    await server.start()
-    store_note = (
-        f", store at {server.store.root}" if server.store is not None else ""
-    )
-    batch_note = (
-        f", batch<{server.scheduler.batch_bytes}B"
-        if server.scheduler.batch_bytes else ""
-    )
-    print(f"wavesz service listening on {server.host}:{server.port} "
-          f"({server.scheduler.pool.kind} pool, "
-          f"{server.scheduler.pool.size} workers, "
-          f"{server.scheduler.transport.name} transport{batch_note}, "
-          f"queue {server.scheduler.queue.maxsize}{store_note})", flush=True)
     stop_requested = asyncio.Event()
     loop = asyncio.get_running_loop()
     try:
@@ -693,377 +363,34 @@ async def serve(
     except asyncio.CancelledError:  # pragma: no cover - SIGINT path
         pass
     finally:
-        await server.stop(drain=True, deadline_s=drain_deadline_s)
+        await server.stop(**stop_kwargs)
 
 
-def _default_socket_factory(
-    host: str, port: int, timeout: float | None
-) -> Any:
-    return socket.create_connection((host, port), timeout=timeout)
+async def serve(
+    host: str = "127.0.0.1",
+    port: int = 8123,
+    *,
+    drain_deadline_s: float | None = 30.0,
+    **kwargs: Any,
+) -> None:
+    """Start a server and run until cancelled (the ``wavesz serve`` body).
 
-
-class ServiceClient:
-    """Blocking client for the service protocol (one socket, many ops).
-
-    Resilient by default: every op runs under a per-request deadline
-    (``timeout`` seconds of wall clock covering all socket reads, not
-    just connect), wire failures retry with seeded jittered backoff on a
-    fresh connection, and a :class:`CircuitBreaker` refuses calls fast
-    once the server looks down.  Work ops (``compress``, ``decompress``,
-    ``store_put``) carry a generated request id; the server executes
-    each id at most once, so a retry after a lost ack replays the cached
-    response instead of double-running the job.
-
-    ``socket_factory`` is the chaos seam: anything callable as
-    ``(host, port, timeout) -> socket-like`` (see
-    :class:`repro.faults.netsim.FlakySocketFactory`).
+    SIGTERM triggers the graceful path: stop accepting, drain in-flight
+    jobs for up to ``drain_deadline_s``, then exit — so a supervisor's
+    ordinary terminate never drops an acked job.
     """
-
-    def __init__(
-        self, host: str = "127.0.0.1", port: int = 8123,
-        timeout: float = 60.0,
-        *,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        socket_factory: Callable[..., Any] | None = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.retries = 0  # wire-level retries performed (telemetry)
-        self._socket_factory = (
-            socket_factory if socket_factory is not None
-            else _default_socket_factory
-        )
-        self._sock: Any = None
-        self._connect()  # eager: surface a dead server at construction
-
-    def _connect(self) -> None:
-        if self._sock is None:
-            self._sock = self._socket_factory(
-                self.host, self.port, self.timeout
-            )
-
-    def _drop_connection(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close races
-                pass
-            self._sock = None
-
-    def close(self) -> None:
-        self._drop_connection()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- framing ---------------------------------------------------------
-
-    def _recv_exact(self, n: int, deadline: float) -> bytes:
-        """Read exactly ``n`` bytes, spending at most the time left until
-        ``deadline`` — the timeout is re-armed before *every* recv so a
-        byte-dripping peer cannot stretch one request past its budget.
-
-        Uses ``recv_into`` against one preallocated buffer, so a large
-        response body lands in place instead of accumulating per-chunk
-        ``bytes`` objects joined at the end.  Socket doubles without
-        ``recv_into`` (the chaos seam's :class:`FlakyConnection`) fall
-        back to plain ``recv``.
-        """
-        buf = bytearray(n)
-        view = memoryview(buf)
-        # Resolved on the *type*: fault-injection wrappers (FlakyConnection)
-        # delegate unknown attributes to the real socket, and an instance
-        # getattr would sidestep their seam entirely.
-        recv_into = (
-            self._sock.recv_into
-            if hasattr(type(self._sock), "recv_into") else None
-        )
-        got = 0
-        while got < n:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("request deadline expired mid-read")
-            self._sock.settimeout(remaining)
-            want = min(n - got, 1 << 20)
-            if recv_into is not None:
-                k = recv_into(view[got:got + want])
-            else:
-                chunk = self._sock.recv(want)
-                k = len(chunk)
-                view[got:got + k] = chunk
-            if not k:
-                raise ConnectionResetError(
-                    "server closed the connection mid-frame"
-                )
-            got += k
-        return bytes(buf)
-
-    def _once(
-        self, header: dict, body: bytes, deadline: float
-    ) -> tuple[dict, bytes]:
-        """One wire attempt: connect if needed, send, read the response."""
-        self._connect()
-        self._sock.sendall(_pack(header, body))
-        (hlen,) = _LEN.unpack(self._recv_exact(_LEN.size, deadline))
-        resp = json.loads(self._recv_exact(hlen, deadline))
-        rbody = self._recv_exact(resp.get("body_len", 0), deadline)
-        return resp, rbody
-
-    def _roundtrip(
-        self, header: dict, body: bytes = b""
-    ) -> tuple[dict, bytes]:
-        op = str(header.get("op"))
-        if op in _IDEMPOTENT_OPS:
-            header = {**header, "req_id": uuid.uuid4().hex}
-        req_id = header.get("req_id", "-")
-        attempt = 0
-        while True:
-            attempt += 1
-            self.breaker.allow()  # raises CircuitOpenError when open
-            deadline = time.monotonic() + self.timeout
-            try:
-                resp, rbody = self._once(header, body, deadline)
-            except (socket.timeout, TimeoutError) as exc:
-                err: ServiceError = ServiceTimeoutError(
-                    f"{op} (request {req_id}) hit its {self.timeout:g}s "
-                    f"deadline on attempt {attempt}: {exc}"
-                )
-                cause: BaseException = exc
-            except (ConnectionError, OSError) as exc:
-                err = TransportError(
-                    f"{op} (request {req_id}) wire failure on attempt "
-                    f"{attempt}: {type(exc).__name__}: {exc}"
-                )
-                cause = exc
-            else:
-                # an application-level error still proves the server is
-                # alive — the breaker only tracks transport outcomes.
-                self.breaker.record_success()
-                return resp, rbody
-            self.breaker.record_failure()
-            self._drop_connection()
-            if not self.retry.should_retry(attempt):
-                raise err from cause
-            self.retries += 1
-            time.sleep(self.retry.delay(attempt))
-
-    #: Wire error names that re-raise as their local exception type, so a
-    #: caller (gateway, CLI) classifies a remote store failure exactly
-    #: like a local one.  Anything unlisted stays a generic ServiceError.
-    _WIRE_ERRORS: dict[str, type[ReproError]] = {
-        "StoreError": StoreError,
-        "ChecksumError": ChecksumError,
-        "ContainerError": ContainerError,
-    }
-
-    @classmethod
-    def _check(cls, resp: dict) -> dict:
-        if not resp.get("ok"):
-            name = resp.get("error", "error")
-            if name == "queue-full":
-                raise QueueFullError(resp.get("detail", "queue full"))
-            context = ""
-            if resp.get("op"):
-                context = f" [op {resp['op']}, request {resp.get('req_id', '-')}]"
-            exc_type = cls._WIRE_ERRORS.get(str(name))
-            if exc_type is not None:
-                raise exc_type(f"{resp.get('detail', '')}{context}")
-            raise ServiceError(
-                f"{name}: {resp.get('detail', '')}{context}"
-            )
-        return resp
-
-    # -- ops -------------------------------------------------------------
-
-    def ping(self) -> dict:
-        return self._check(self._roundtrip({"op": "ping"})[0])
-
-    def health(self) -> dict:
-        """Liveness + readiness: status, queue depth, pool restarts."""
-        return self._check(self._roundtrip({"op": "health"})[0])
-
-    def codecs(self) -> dict:
-        return self._check(self._roundtrip({"op": "codecs"})[0])
-
-    def stats(self) -> dict:
-        return self._check(self._roundtrip({"op": "stats"})[0])["stats"]
-
-    def compress(
-        self,
-        data: np.ndarray,
-        codec: str = "wavesz",
-        eb: float = 1e-3,
-        mode: str = "vr_rel",
-        *,
-        priority: int = 0,
-        deadline_s: float | None = None,
-        tiles: int = 1,
-    ) -> tuple[bytes, dict]:
-        """Compress one field; returns (payload, response header).
-
-        ``tiles > 1`` requests a tiled compression; dp-capable codecs
-        spread the bands across the server's worker pool.
-        """
-        data = np.ascontiguousarray(data)
-        resp, body = self._roundtrip(
-            {
-                "op": "compress",
-                "codec": codec,
-                "eb": eb,
-                "mode": mode,
-                "shape": list(data.shape),
-                "dtype": str(data.dtype),
-                "priority": priority,
-                "deadline_s": deadline_s,
-                "tiles": tiles,
-            },
-            data.astype(data.dtype.newbyteorder("<")).tobytes(),
-        )
-        self._check(resp)
-        return body, resp
-
-    def decompress(self, payload: bytes) -> np.ndarray:
-        resp, body = self._roundtrip({"op": "decompress"}, payload)
-        resp = self._check(resp)
-        dtype = np.dtype(str(resp["dtype"]))
-        return np.frombuffer(body, dtype=dtype.newbyteorder("<")).astype(
-            dtype
-        ).reshape(resp["shape"])
-
-    # -- store ops --------------------------------------------------------
-
-    def store_put(
-        self,
-        name: str,
-        data: np.ndarray,
-        codec: str = "wavesz",
-        eb: float = 1e-3,
-        mode: str = "vr_rel",
-        *,
-        n_tiles: int = 4,
-    ) -> dict:
-        """Persist one field in the server's store; returns the put report."""
-        data = np.ascontiguousarray(data)
-        resp, _ = self._roundtrip(
-            {
-                "op": "store_put",
-                "name": name,
-                "codec": codec,
-                "eb": eb,
-                "mode": mode,
-                "n_tiles": n_tiles,
-                "shape": list(data.shape),
-                "dtype": str(data.dtype),
-            },
-            data.astype(data.dtype.newbyteorder("<")).tobytes(),
-        )
-        return self._check(resp)
-
-    @staticmethod
-    def _unpack_read(resp: dict, body: bytes) -> tuple[np.ndarray, dict]:
-        dtype = np.dtype(str(resp["dtype"]))
-        out = np.frombuffer(body, dtype=dtype.newbyteorder("<")).astype(
-            dtype
-        ).reshape(resp["shape"])
-        return out, resp
-
-    def store_read(
-        self, name: str, *, strict: bool = True
-    ) -> tuple[np.ndarray, dict]:
-        """Read a full stored field; returns (field, response header).
-
-        With ``strict=False`` the header's ``"damaged"`` list names any
-        tile indices that were lost (their rows come back zero-filled).
-        """
-        resp, body = self._roundtrip(
-            {"op": "store_read", "name": name, "strict": strict}
-        )
-        return self._unpack_read(self._check(resp), body)
-
-    def store_slice(
-        self, name: str, slices, *, strict: bool = True
-    ) -> tuple[np.ndarray, dict]:
-        """Read a sub-window of a stored field, decoding only its tiles.
-
-        ``slices`` is a per-axis sequence of ``slice`` objects,
-        ``(start, stop)`` pairs or ``None`` (full axis); trailing axes
-        default to their full extent.
-        """
-        wire = [
-            None if s is None
-            else [s.start, s.stop] if isinstance(s, slice)
-            else [s[0], s[1]]
-            for s in slices
-        ]
-        resp, body = self._roundtrip(
-            {"op": "store_slice", "name": name, "slices": wire,
-             "strict": strict}
-        )
-        return self._unpack_read(self._check(resp), body)
-
-    # -- shard-facing store primitives ------------------------------------
-    # Raw object / manifest transfer: what the gateway speaks to each
-    # shard.  All of these re-raise typed store errors (see _WIRE_ERRORS).
-
-    def store_ls(self) -> list[dict]:
-        rows = self._check(self._roundtrip({"op": "store_ls"})[0])["datasets"]
-        for r in rows:
-            r["shape"] = tuple(r["shape"])
-        return rows
-
-    def store_gc(self, refs=()) -> dict:
-        """Garbage-collect the remote store, keeping ``refs`` digests too.
-
-        A sharded deployment must pass the cluster-wide referenced set:
-        this shard may hold tiles whose manifests live on other shards.
-        """
-        return self._check(self._roundtrip(
-            {"op": "store_gc", "refs": [str(r) for r in refs]}
-        )[0])
-
-    def store_get_object(self, digest: str) -> bytes:
-        resp, body = self._roundtrip(
-            {"op": "store_get_object", "digest": digest}
-        )
-        self._check(resp)
-        return body
-
-    def store_put_object(
-        self, blob: bytes, digest: str | None = None, *,
-        overwrite: bool = False,
-    ) -> tuple[str, bool]:
-        """Store one content-addressed blob; returns (digest, stored)."""
-        header: dict = {"op": "store_put_object", "overwrite": overwrite}
-        if digest is not None:
-            header["digest"] = digest
-        resp = self._check(self._roundtrip(header, blob)[0])
-        return str(resp["digest"]), bool(resp["stored"])
-
-    def store_has_objects(self, digests) -> dict[str, bool]:
-        resp = self._check(self._roundtrip(
-            {"op": "store_has_objects", "digests": [str(d) for d in digests]}
-        )[0])
-        return {str(k): bool(v) for k, v in resp["have"].items()}
-
-    def store_get_manifest(self, name: str) -> dict:
-        return self._check(self._roundtrip(
-            {"op": "store_get_manifest", "name": name}
-        )[0])["manifest"]
-
-    def store_put_manifest(self, name: str, manifest: dict) -> None:
-        self._check(self._roundtrip(
-            {"op": "store_put_manifest", "name": name, "manifest": manifest}
-        )[0])
-
-    def shard_map(self) -> dict:
-        """The cluster topology this server belongs to (gateway op)."""
-        return self._check(
-            self._roundtrip({"op": "shard_map"})[0]
-        )["shard_map"]
+    server = CompressionServer(host, port, **kwargs)
+    await server.start()
+    store_note = (
+        f", store at {server.store.root}" if server.store is not None else ""
+    )
+    batch_note = (
+        f", batch<{server.scheduler.batch_bytes}B"
+        if server.scheduler.batch_bytes else ""
+    )
+    print(f"wavesz service listening on {server.host}:{server.port} "
+          f"({server.scheduler.pool.kind} pool, "
+          f"{server.scheduler.pool.size} workers, "
+          f"{server.scheduler.transport.name} transport{batch_note}, "
+          f"queue {server.scheduler.queue.maxsize}{store_note})", flush=True)
+    await run_until_sigterm(server, drain=True, deadline_s=drain_deadline_s)

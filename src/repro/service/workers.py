@@ -36,7 +36,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ServiceError
-from ..parallel import TiledResult, assemble_tiles, plan_bands
 from ..types import CompressedField
 from .jobs import CompressionJob
 
@@ -45,7 +44,6 @@ __all__ = [
     "compress_band",
     "resolve_codec",
     "WorkerPool",
-    "tile_compress_parallel",
 ]
 
 #: Per-process codec instances, keyed by registry name.  Codecs are
@@ -115,15 +113,7 @@ class WorkerPool:
         max_workers: int | None = None,
         *,
         kind: str = "process",
-        executor: Executor | None = None,
     ) -> None:
-        if executor is not None:
-            self._executor: Executor | None = executor
-            self._owned = False
-            self.size = getattr(executor, "_max_workers", 1)
-            self.kind = "external"
-            self.restarts = 0
-            return
         import os
 
         if max_workers is None:
@@ -134,8 +124,7 @@ class WorkerPool:
             raise ServiceError(f"unknown pool kind {kind!r}")
         self.kind = "inline" if (max_workers == 0 or kind == "inline") else kind
         self.size = max(1, max_workers)
-        self._executor = None
-        self._owned = True
+        self._executor: Executor | None = None
         self.restarts = 0  # times kill_hung() tore down the executor
 
     @property
@@ -180,7 +169,7 @@ class WorkerPool:
             # the executor down with it.  Respawn so the retry that this
             # *transient* error triggers lands on a healthy pool instead
             # of failing the same way instantly.
-            if self._owned and self.kind == "process":
+            if self.kind == "process":
                 broken, self._executor = self._executor, None
                 self.restarts += 1
                 if broken is not None:
@@ -196,9 +185,9 @@ class WorkerPool:
         thread pools cannot kill threads, so the stuck thread is leaked
         and a replacement executor takes over — bounded by the watchdog's
         hang budget, not by luck.  Returns the number of restarts so far.
-        External and inline pools are left alone (we do not own them).
+        Inline pools have no executor to tear down.
         """
-        if not self._owned or self.kind == "inline":
+        if self.kind == "inline":
             return self.restarts
         executor = self._executor
         self._executor = None
@@ -218,7 +207,7 @@ class WorkerPool:
     def shutdown(self, *, wait: bool = True) -> None:
         """Tear the pool down; ``wait=False`` abandons stuck workers
         instead of blocking on them (used when a stop deadline blew)."""
-        if self._owned and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown(wait=wait, cancel_futures=not wait)
             self._executor = None
 
@@ -227,43 +216,3 @@ class WorkerPool:
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
-
-
-def tile_compress_parallel(
-    codec: str,
-    data: np.ndarray,
-    eb: float = 1e-3,
-    mode: str = "vr_rel",
-    *,
-    n_tiles: int = 4,
-    pool: WorkerPool | None = None,
-) -> TiledResult:
-    """:func:`repro.parallel.tile_compress` with bands fanned across a pool.
-
-    Bands are submitted together and gathered *in band order*, so the
-    assembled container is byte-identical to the serial path regardless
-    of completion order.  ``codec`` is a registry name (resolved inside
-    each worker); ``pool=None`` uses a throwaway process pool.
-    """
-    data = np.ascontiguousarray(data)
-    bound, slices = plan_bands(data, eb, mode, n_tiles)
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(kind="process")
-    try:
-        futures = [
-            pool.submit(
-                compress_band,
-                codec,
-                np.ascontiguousarray(data[sl]),
-                bound.absolute,
-            )
-            for sl in slices
-        ]
-        compressed = [f.result() for f in futures]
-    finally:
-        if own_pool:
-            pool.shutdown()
-    from ..codec.registry import REGISTRY
-
-    return assemble_tiles(REGISTRY.canonical(codec), data, bound, slices, compressed)

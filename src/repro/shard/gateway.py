@@ -62,7 +62,7 @@ from ..errors import (
 )
 from ..service.metrics import MetricsRegistry
 from ..service.resilience import CircuitBreaker, RetryPolicy
-from ..service.server import ServiceClient
+from ..service.client import ServiceClient
 from ..store import TileCache, assemble_tiles, compress_field_tiles, decode_tile_blob
 from ..store.cache import DEFAULT_CACHE_BYTES
 from ..store.store import ArrayStore, StoreReadResult
@@ -229,15 +229,12 @@ class ShardGateway:
         breaker = self._breakers[sid]
         breaker.allow()  # raises CircuitOpenError while cooling down
         info = self.map.shard(sid)
-        kwargs: dict[str, Any] = {}
-        if self._socket_factory is not None:
-            kwargs["socket_factory"] = self._socket_factory
         try:
             c = ServiceClient(
                 info.host, info.port, self.timeout,
                 retry=self._retry_factory(sid),
                 breaker=breaker,
-                **kwargs,
+                socket_factory=self._socket_factory,
             )
         except (ConnectionError, OSError) as exc:
             breaker.record_failure()

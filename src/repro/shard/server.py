@@ -1,15 +1,16 @@
 """A TCP front for one :class:`~repro.shard.gateway.ShardGateway`.
 
-``GatewayServer`` speaks the same length-prefixed frame protocol as the
-compression service, so a plain
-:class:`~repro.service.server.ServiceClient` works against it unchanged:
-``store_put`` / ``store_read`` / ``store_slice`` / ``store_ls`` /
-``store_gc`` hit the replicated sharded store, ``shard_map`` hands out
-the cluster topology (how shard-aware clients bootstrap), and ``health``
-aggregates per-shard liveness, latency and failover counters.
+``GatewayServer`` is the service's connection loop
+(:class:`~repro.service.server.WireServer`) with the gateway as its
+store and no scheduler, so a plain
+:class:`~repro.service.client.ServiceClient` works against it unchanged:
+the dataset-level store ops hit the replicated sharded store, the
+topology op hands out the cluster map (how shard-aware clients
+bootstrap), and the health op aggregates per-shard liveness, latency and
+failover counters.
 
 The gateway object is blocking and single-threaded by contract, so the
-server funnels every op through one ``asyncio.Lock`` + ``to_thread`` —
+server funnels every store call through one ``asyncio.Lock`` —
 concurrency across shards happens *inside* the gateway's own fan-out,
 not across requests.  ``wavesz shard serve`` is the CLI entry point.
 """
@@ -17,19 +18,15 @@ not across requests.  ``wavesz shard serve`` is the CLI entry point.
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+from typing import Any, Callable
 
-import numpy as np
-
-from .. import __version__
-from ..errors import ReproError, ServiceError
-from ..service.server import CompressionServer, _pack, _read_frame
-from .gateway import ShardGateway
+from ..service.server import WireServer, run_until_sigterm
+from .gateway import GatewayGCResult, ShardGateway
 
 __all__ = ["GatewayServer", "serve_gateway"]
 
 
-class GatewayServer:
+class GatewayServer(WireServer):
     """Asyncio TCP server delegating the store ops to a shard gateway."""
 
     def __init__(
@@ -38,176 +35,38 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.gateway = gateway
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
+        super().__init__(host, port, gateway.metrics)
+        self.gateway = self.store = gateway
+        self.shard_map = gateway.map.to_dict()
         self._lock = asyncio.Lock()
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _shutdown(self, deadline_s: float | None) -> None:
         self.gateway.close()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    header, body = await _read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                response = await self._dispatch(header, body)
-                writer.write(response)
-                await writer.drain()
-        except ServiceError as exc:
-            try:
-                writer.write(_pack({
-                    "ok": False, "error": "protocol", "detail": str(exc),
-                }))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - races
-                pass
-
-    async def _gw(self, fn, *args: Any, **kwargs: Any) -> Any:
+    async def blocking(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         async with self._lock:
-            return await asyncio.to_thread(fn, *args, **kwargs)
+            return await super().blocking(fn, *args, **kwargs)
 
-    async def _dispatch(self, header: dict, body: bytes) -> bytes:
-        op = header.get("op")
-        try:
-            if op == "ping":
-                return _pack({"ok": True, "version": __version__,
-                              "role": "shard-gateway"})
-            if op == "shard_map":
-                return _pack({
-                    "ok": True, "shard_map": self.gateway.map.to_dict(),
-                })
-            if op == "health":
-                status = await self._gw(self.gateway.status)
-                snap = self.gateway.metrics.snapshot()
-                return _pack({
-                    "ok": True,
-                    "status": (
-                        "ok" if status["shards_up"] == status["n_shards"]
-                        else "degraded" if status["shards_up"] else "down"
-                    ),
-                    "version": __version__,
-                    "gauges": snap.gauges,
-                    "events": snap.events,
-                    **status,
-                })
-            if op == "store_put":
-                data = CompressionServer._parse_field(header, body)
-                r = await self._gw(
-                    self.gateway.put,
-                    str(header.get("name", "")),
-                    data,
-                    str(header.get("codec", "wavesz")),
-                    float(header.get("eb", 1e-3)),
-                    str(header.get("mode", "vr_rel")),
-                    n_tiles=int(header.get("n_tiles", 4)),
-                )
-                return _pack({
-                    "ok": True,
-                    "name": r.name,
-                    "codec": r.codec,
-                    "n_tiles": r.n_tiles,
-                    "new_objects": r.new_objects,
-                    "dedup_objects": r.dedup_objects,
-                    "stored_bytes": r.stored_bytes,
-                    "dedup_bytes": r.dedup_bytes,
-                    "ratio": r.ratio,
-                    "version": r.version,
-                    "replicas": r.replicas,
-                    "degraded": r.degraded,
-                    "per_shard": r.per_shard,
-                })
-            if op == "store_read":
-                result = await self._gw(
-                    self.gateway.read,
-                    str(header.get("name", "")),
-                    strict=bool(header.get("strict", True)),
-                )
-                return self._pack_read(result)
-            if op == "store_slice":
-                raw = header.get("slices")
-                if not isinstance(raw, list):
-                    raise ServiceError(
-                        f"store_slice needs a per-axis slices list, got {raw!r}"
-                    )
-                window = tuple(
-                    None if s is None else (s[0], s[1])
-                    if isinstance(s, list) and len(s) == 2 else s
-                    for s in raw
-                )
-                result = await self._gw(
-                    self.gateway.read_slice,
-                    str(header.get("name", "")),
-                    window,
-                    strict=bool(header.get("strict", True)),
-                )
-                return self._pack_read(result)
-            if op == "store_ls":
-                rows = await self._gw(self.gateway.ls)
-                for r in rows:
-                    r["shape"] = list(r["shape"])
-                return _pack({"ok": True, "datasets": rows})
-            if op == "store_gc":
-                r = await self._gw(self.gateway.gc)
-                return _pack({
-                    "ok": True,
-                    "removed": r.n_removed,
-                    "reclaimed_bytes": r.reclaimed_bytes,
-                    "kept": r.kept,
-                    "tmp_removed": 0,
-                    "per_shard": r.per_shard,
-                })
-            return _pack({"ok": False, "error": f"unknown op {op!r}"})
-        except ReproError as exc:
-            return _pack({
-                "ok": False,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-                "op": str(op),
-                "req_id": str(header.get("req_id", "-")),
-            })
+    def ping(self) -> dict:
+        return {**super().ping(), "role": "shard-gateway"}
 
-    @staticmethod
-    def _pack_read(result: Any) -> bytes:
-        out = result.data
-        return _pack(
-            {
-                "ok": True,
-                "shape": list(out.shape),
-                "dtype": str(out.dtype),
-                "tiles": list(result.tile_indices),
-                "damaged": list(result.damaged_tiles),
-            },
-            np.ascontiguousarray(out).astype(
-                out.dtype.newbyteorder("<")
-            ).tobytes(),
-        )
+    async def health(self) -> dict:
+        status = await self.blocking(self.gateway.status)
+        snap = self.metrics.snapshot()
+        return {
+            **await super().health(),
+            "status": (
+                "ok" if status["shards_up"] == status["n_shards"]
+                else "degraded" if status["shards_up"] else "down"
+            ),
+            "gauges": snap.gauges,
+            "events": snap.events,
+            **status,
+        }
+
+    async def store_gc(self, refs: list[str]) -> GatewayGCResult:
+        # a cluster-wide gc gathers the referenced set itself
+        return await self.blocking(self.gateway.gc)
 
 
 async def serve_gateway(
@@ -215,8 +74,6 @@ async def serve_gateway(
 ) -> None:
     """Run a gateway server until cancelled (the ``wavesz shard serve``
     body); SIGTERM closes the listener and the per-shard clients."""
-    import signal
-
     server = GatewayServer(gateway, host, port)
     await server.start()
     print(
@@ -225,21 +82,4 @@ async def serve_gateway(
         f"replicas={gateway.map.replicas})",
         flush=True,
     )
-    stop_requested = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, stop_requested.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover - win
-        pass
-    serve_task = asyncio.create_task(server.serve_forever())
-    stop_task = asyncio.create_task(stop_requested.wait())
-    try:
-        done, _ = await asyncio.wait(
-            {serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if stop_task in done:
-            serve_task.cancel()
-    finally:
-        for t in (serve_task, stop_task):
-            t.cancel()
-        await server.stop()
+    await run_until_sigterm(server)

@@ -188,7 +188,9 @@ def decode_codes_raw(container: Container) -> np.ndarray:
 
 def values_to_bytes(values: np.ndarray) -> bytes:
     """Verbatim little-endian float stream (waveSZ border/outlier path)."""
-    return np.ascontiguousarray(values).astype(values.dtype.newbyteorder("<")).tobytes()
+    return np.ascontiguousarray(values).astype(
+        values.dtype.newbyteorder("<"), copy=False
+    ).tobytes()
 
 
 def values_from_bytes(payload: bytes, n: int, dtype: np.dtype) -> np.ndarray:

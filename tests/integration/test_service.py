@@ -13,12 +13,7 @@ import pytest
 from repro.codec.registry import get_codec
 from repro.data.fields import gaussian_random_field
 from repro.parallel import tile_compress
-from repro.service import (
-    WorkerPool,
-    make_job,
-    run_batch,
-    tile_compress_parallel,
-)
+from repro.service import make_job, run_batch
 
 CODECS = ("sz14", "wavesz", "zfp-like", "ghostsz")
 QUEUE_SIZE = 8
@@ -84,27 +79,33 @@ class TestMixedCodecBatch:
 
 
 class TestParallelTiling:
+    """A tiled job through the scheduler is byte-equal to the serial
+    :func:`tile_compress` (classic codecs tile inside one worker, dp
+    codecs fan their bands across the pool — same bytes either way)."""
+
+    @staticmethod
+    def _scheduled(codec, field, n_tiles, pool_kind):
+        (result,), _ = run_batch(
+            [make_job(codec, field, n_tiles=n_tiles)],
+            workers=2, pool_kind=pool_kind,
+        )
+        return result
+
     def test_band_fanout_bit_exact(self, smooth2d):
-        with WorkerPool(2, kind="process") as pool:
-            for codec in ("sz14", "wavesz"):
-                serial = tile_compress(
-                    get_codec(codec), smooth2d, 1e-3, n_tiles=4
-                )
-                par = tile_compress_parallel(
-                    codec, smooth2d, 1e-3, n_tiles=4, pool=pool
-                )
-                assert par.payload == serial.payload
-                assert par.tile_ratios == serial.tile_ratios
+        for codec in ("sz14", "wavesz", "wavesz-dp"):
+            serial = tile_compress(
+                get_codec(codec), smooth2d, 1e-3, n_tiles=4
+            )
+            par = self._scheduled(codec, smooth2d, 4, "process")
+            assert par.output == serial.payload
+            assert par.stats == serial.stats
 
     def test_profile_fanout_uses_profile_factory(self, smooth2d):
-        with WorkerPool(2, kind="thread") as pool:
-            serial = tile_compress(
-                get_codec("wavesz-g"), smooth2d, 1e-3, n_tiles=3
-            )
-            par = tile_compress_parallel(
-                "wavesz-g", smooth2d, 1e-3, n_tiles=3, pool=pool
-            )
-            assert par.payload == serial.payload
+        serial = tile_compress(
+            get_codec("wavesz-g"), smooth2d, 1e-3, n_tiles=3
+        )
+        par = self._scheduled("wavesz-g", smooth2d, 3, "thread")
+        assert par.output == serial.payload
 
 
 class TestPoolKindsAgree:

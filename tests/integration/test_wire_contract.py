@@ -1,0 +1,391 @@
+"""The wire contract: one op table, one frame format, one server loop.
+
+Three things are pinned here, as literals, against *both* servers that
+speak the protocol (a :class:`CompressionServer` with a store and a
+:class:`GatewayServer` over a 2-shard cluster):
+
+* every op in :data:`repro.service.ops.OPS` — its response header key
+  set, and the typed refusal when what the op ``needs`` is absent;
+* malformed frames — each ends in one typed ``protocol`` error frame and
+  a closed connection within a deadline, never a silent close or a
+  hung read, with no shm segment left resident;
+* the field codec — ``encode_field`` / ``decode_field`` round trips.
+"""
+
+import asyncio
+import json
+import re
+import socket
+import struct
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.errors import ServiceError
+from repro.service import CompressionServer, ServiceClient
+from repro.service import wire
+from repro.service.ops import OPS
+from repro.service.shm import ShmArena
+from repro.shard import GatewayServer, LocalShardCluster
+
+DEADLINE_S = 5.0
+RNG = np.random.default_rng(1402)
+FIELD = RNG.normal(size=(24, 32)).astype(np.float32)
+#: crosses the shm transport's 64 KB floor, so a compress body of this
+#: field is ingested socket → segment on the shm server
+BIG = RNG.normal(size=(192, 128)).astype(np.float32)
+
+
+class _Running:
+    """Any wire server, started on a background event loop."""
+
+    def __init__(self, srv):
+        self.srv = srv
+        self.loop = asyncio.new_event_loop()
+        started = threading.Event()
+
+        def runner():
+            asyncio.set_event_loop(self.loop)
+            self.loop.run_until_complete(srv.start())
+            started.set()
+            self.loop.run_forever()
+
+        self.thread = threading.Thread(target=runner, daemon=True)
+        self.thread.start()
+        assert started.wait(10), "server failed to start"
+
+    def stop(self):
+        asyncio.run_coroutine_threadsafe(
+            self.srv.stop(), self.loop
+        ).result(10)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def compression(tmp_path_factory):
+    """Scheduler + store + a shard map: every op has what it needs."""
+    fx = _Running(CompressionServer(
+        port=0, workers=1, pool_kind="thread",
+        store_root=str(tmp_path_factory.mktemp("wire-store")),
+        shard_map={"shards": [], "replicas": 1},
+    ))
+    yield fx.srv
+    fx.stop()
+
+
+@pytest.fixture(scope="module")
+def storeless():
+    fx = _Running(CompressionServer(port=0, workers=0))
+    yield fx.srv
+    fx.stop()
+
+
+@pytest.fixture(scope="module")
+def gateway(tmp_path_factory):
+    roots = [tmp_path_factory.mktemp(f"wire-shard{i}") for i in range(2)]
+    with LocalShardCluster(roots, replicas=2) as cluster:
+        fx = _Running(GatewayServer(cluster.gateway()))
+        yield fx.srv
+        fx.stop()
+
+
+def _field_header(op, data, **extra):
+    return {"op": op, "shape": list(data.shape), "dtype": str(data.dtype),
+            **extra}
+
+
+def _ask(srv, header, body=b""):
+    with ServiceClient(port=srv.port, timeout=DEADLINE_S) as c:
+        resp, rbody = c._roundtrip(header, body)
+    return resp, rbody
+
+
+def _key_sets(srv):
+    """Drive one valid request per op; the response header's key set,
+    or ``(error, key set)`` for a refusal, by op name."""
+    seen = {}
+
+    def ask(header, body=b""):
+        resp, rbody = _ask(srv, header, body)
+        seen[header["op"]] = (
+            set(resp) if resp["ok"] else (resp["error"], set(resp))
+        )
+        return resp, rbody
+
+    body = wire.encode_field(FIELD)
+    for op in ("ping", "health", "codecs", "stats", "shard_map"):
+        ask({"op": op})
+    _, payload = ask(_field_header("compress", FIELD, codec="sz14"), body)
+    # a server without a scheduler refuses before looking at the bytes
+    ask({"op": "decompress"}, payload or b"\x00" * 16)
+    ask(_field_header("store_put", FIELD, name="wire.ts", codec="sz14",
+                      n_tiles=2), body)
+    ask({"op": "store_read", "name": "wire.ts"})
+    ask({"op": "store_slice", "name": "wire.ts", "slices": [[2, 6]]})
+    ask({"op": "store_ls"})
+    ask({"op": "store_gc", "refs": []})
+    resp, _ = ask({"op": "store_get_manifest", "name": "wire.ts"})
+    manifest = resp.get("manifest", {"tiles": ["0" * 64]})
+    digest = manifest["tiles"][0]
+    ask({"op": "store_get_object", "digest": digest})
+    ask({"op": "store_put_object"}, b"raw object")
+    ask({"op": "store_has_objects", "digests": [digest]})
+    ask({"op": "store_put_manifest", "name": "wire.ts",
+         "manifest": manifest})
+    return seen
+
+
+_READ = {"ok", "shape", "dtype", "tiles", "damaged", "body_len"}
+_PUT = {"ok", "name", "codec", "n_tiles", "new_objects", "dedup_objects",
+        "stored_bytes", "dedup_bytes", "ratio"}
+_GC = {"ok", "removed", "reclaimed_bytes", "kept", "tmp_removed"}
+_REFUSED = {"ok", "error", "detail"}
+_TYPED = {"ok", "error", "detail", "op", "req_id"}
+
+COMPRESSION_KEYS = {
+    "ping": {"ok", "version"},
+    "health": {"ok", "status", "version", "queue_depth", "in_flight",
+               "workers", "pool_restarts", "transport", "batch_bytes",
+               "store"},
+    "codecs": {"ok", "codecs", "short_names"},
+    "stats": {"ok", "stats"},
+    "shard_map": {"ok", "shard_map"},
+    "compress": {"ok", "job_id", "codec", "attempts", "latency_s", "ratio",
+                 "body_len"},
+    "decompress": {"ok", "job_id", "shape", "dtype", "latency_s",
+                   "body_len"},
+    "store_put": _PUT,
+    "store_read": _READ,
+    "store_slice": _READ,
+    "store_ls": {"ok", "datasets"},
+    "store_gc": _GC,
+    "store_get_object": {"ok", "body_len"},
+    "store_put_object": {"ok", "digest", "stored"},
+    "store_has_objects": {"ok", "have"},
+    "store_get_manifest": {"ok", "manifest"},
+    "store_put_manifest": {"ok", "name"},
+}
+
+_NO_SCHEDULER = ("scheduler-not-configured", _REFUSED)
+#: the raw object/manifest ops are what a gateway *sends* to its shards
+_SHARD_FACING = ("ServiceError", _TYPED)
+
+GATEWAY_KEYS = {
+    "ping": {"ok", "version", "role"},
+    "health": {"ok", "status", "version", "gauges", "events", "replicas",
+               "n_shards", "shards_up", "shards"},
+    "codecs": {"ok", "codecs", "short_names"},
+    "stats": _NO_SCHEDULER,
+    "shard_map": {"ok", "shard_map"},
+    "compress": _NO_SCHEDULER,
+    "decompress": _NO_SCHEDULER,
+    "store_put": _PUT | {"version", "replicas", "degraded", "per_shard"},
+    "store_read": _READ,
+    "store_slice": _READ,
+    "store_ls": {"ok", "datasets"},
+    "store_gc": _GC | {"per_shard"},
+    "store_get_object": _SHARD_FACING,
+    "store_put_object": _SHARD_FACING,
+    "store_has_objects": _SHARD_FACING,
+    "store_get_manifest": _SHARD_FACING,
+    "store_put_manifest": _SHARD_FACING,
+}
+
+
+class TestOpTable:
+    def test_contract_covers_exactly_the_table(self):
+        assert set(COMPRESSION_KEYS) == set(GATEWAY_KEYS) == set(OPS)
+
+    def test_compression_server_response_keys(self, compression):
+        assert _key_sets(compression) == COMPRESSION_KEYS
+
+    def test_gateway_server_response_keys(self, gateway):
+        assert _key_sets(gateway) == GATEWAY_KEYS
+
+    def test_store_ops_refused_without_a_store(self, storeless):
+        got = _key_sets(storeless)
+        for name, op in OPS.items():
+            if op.needs == "store":
+                assert got[name] == ("store-not-configured", _REFUSED), name
+            elif name == "shard_map":
+                assert got[name] == ("shard-map-not-configured", _REFUSED)
+            else:
+                assert got[name] == COMPRESSION_KEYS[name], name
+
+    def test_table_flags(self):
+        def flagged(attr):
+            return {n for n, op in OPS.items() if getattr(op, attr)}
+
+        assert flagged("idempotent") == {
+            "compress", "decompress", "store_put", "store_put_object",
+            "store_put_manifest",
+        }
+        assert flagged("refused_while_draining") == (
+            flagged("idempotent") | {"store_gc"}
+        )
+        assert flagged("ingest_to_arena") == {"compress"}
+        assert {n for n, op in OPS.items() if op.needs == "scheduler"} == {
+            "stats", "compress", "decompress",
+        }
+
+    def test_every_op_is_documented(self):
+        api = (Path(__file__).parents[2] / "docs" / "API.md").read_text()
+        rows = dict(re.findall(r"^\| `(\w+)` \| (\w+|—) \|", api, re.M))
+        assert set(rows) == set(OPS)
+        for name, op in OPS.items():
+            assert rows[name] == (op.needs or "—"), name
+
+    def test_gateway_dedups_a_replayed_store_put(self, gateway):
+        header = _field_header("store_put", FIELD, name="replay.ts",
+                               codec="sz14", n_tiles=2, req_id="replay-1")
+        body = wire.encode_field(FIELD)
+        with ServiceClient(port=gateway.port, timeout=DEADLINE_S) as c:
+            # raw frames: _roundtrip would mint a fresh id per call
+            first = c._once(header, body, _deadline())
+            again = c._once(header, body, _deadline())
+        assert first == again and first[0]["ok"]
+        assert gateway.metrics.snapshot().events["server.idem_hits"] >= 1
+
+
+def _deadline():
+    return time.monotonic() + DEADLINE_S
+
+
+# -- malformed frames ----------------------------------------------------------
+
+_LEN = struct.Struct(">I")
+
+
+def _framed(raw_header: bytes) -> bytes:
+    return _LEN.pack(len(raw_header)) + raw_header
+
+
+MALFORMED = {
+    "header-length-zero": _LEN.pack(0),
+    "header-length-over-1MiB": _LEN.pack((1 << 20) + 1),
+    "non-json-header": _framed(b"\xff\xfe not json"),
+    "non-object-header": _framed(b"[1, 2, 3]"),
+    "negative-body-len": _framed(
+        json.dumps({"op": "ping", "body_len": -1}).encode()),
+    "string-body-len": _framed(
+        json.dumps({"op": "ping", "body_len": "many"}).encode()),
+    "oversized-body-len": _framed(
+        json.dumps({"op": "compress", "body_len": 1 << 40}).encode()),
+}
+
+
+def _resident(srv):
+    arena = getattr(getattr(srv.scheduler, "transport", None), "arena", None)
+    return 0 if arena is None else arena.resident_bytes
+
+
+@pytest.fixture(scope="module")
+def ingesting():
+    """A process-pool server: shm transport wherever segments work."""
+    fx = _Running(CompressionServer(
+        port=0, workers=1, pool_kind="process", transport="auto"
+    ))
+    yield fx.srv
+    fx.stop()
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("which", ["ingesting", "gateway"])
+    def test_typed_protocol_error_then_close(self, which, case, request):
+        srv = request.getfixturevalue(which)
+        with socket.create_connection(
+            ("127.0.0.1", srv.port), timeout=DEADLINE_S
+        ) as sock:
+            sock.sendall(MALFORMED[case])
+            resp, body = wire.recv_frame(sock, _deadline())
+            assert resp["ok"] is False and resp["error"] == "protocol"
+            assert resp["detail"] and body == b""
+            sock.settimeout(DEADLINE_S)
+            assert sock.recv(1) == b"", "server must hang up after the frame"
+        assert _resident(srv) == 0
+        with ServiceClient(port=srv.port, timeout=DEADLINE_S) as c:
+            assert c.ping()["ok"]  # and the server itself is unharmed
+
+
+class TestBadShapeIsAnsweredOnEveryTransport:
+    """A ≥ 64 KB compress body its shape/dtype header does not describe."""
+
+    HEADERS = {
+        "wrong-shape": {"shape": [10, 10], "dtype": "float32"},
+        "wrong-dtype": {"shape": list(BIG.shape), "dtype": "float64"},
+        "unknown-dtype": {"shape": list(BIG.shape), "dtype": "float33"},
+        "shape-not-a-list": {"shape": 7, "dtype": "float32"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(HEADERS))
+    def test_same_typed_frame_zero_retries(self, case):
+        answers = []
+        for transport in ("auto", "pickle"):
+            fx = _Running(CompressionServer(
+                port=0, workers=1, pool_kind="process", transport=transport
+            ))
+            try:
+                if transport == "auto" and ShmArena.available():
+                    assert fx.srv.scheduler.transport.name == "shm"
+                with ServiceClient(
+                    port=fx.srv.port, timeout=DEADLINE_S
+                ) as c:
+                    resp, _ = c._roundtrip(
+                        {"op": "compress", "codec": "sz14",
+                         **self.HEADERS[case]},
+                        wire.encode_field(BIG),
+                    )
+                    with pytest.raises(ServiceError):
+                        c._check(resp)
+                    assert c.retries == 0
+                    assert _resident(fx.srv) == 0
+                    # the body was consumed: the connection is in sync
+                    payload, _ = c.compress(BIG, "sz14")
+                    assert payload
+            finally:
+                fx.stop()
+            assert resp["error"] == "ServiceError" and resp["op"] == "compress"
+            resp.pop("req_id")
+            answers.append(resp)
+        assert answers[0] == answers[1]
+
+
+# -- the field codec -----------------------------------------------------------
+
+
+class TestFieldCodec:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    def test_round_trip(self, dtype, order, byteorder):
+        base = RNG.normal(size=(6, 5, 4)).astype(dtype)
+        data = np.asarray(
+            base, dtype=np.dtype(dtype).newbyteorder(byteorder), order=order
+        )
+        body = wire.encode_field(data)
+        # the wire is always little-endian C order, whatever came in
+        assert body == np.ascontiguousarray(base).astype(
+            np.dtype(dtype).newbyteorder("<")).tobytes()
+        header = {"shape": list(data.shape), "dtype": str(data.dtype)}
+        back = wire.decode_field(header, body)
+        assert back.dtype == data.dtype and back.shape == data.shape
+        assert back.flags.c_contiguous
+        np.testing.assert_array_equal(back, base)
+
+    def test_body_must_match_its_header(self):
+        body = wire.encode_field(FIELD)
+        for header in (
+            {"shape": [24, 31], "dtype": "float32"},
+            {"shape": [24, 32], "dtype": "float64"},
+            {"shape": [], "dtype": "float32"},
+            {"shape": [24, 32], "dtype": "no-such-dtype"},
+            {"shape": "24x32", "dtype": "float32"},
+        ):
+            with pytest.raises(ServiceError):
+                wire.decode_field(header, body)
