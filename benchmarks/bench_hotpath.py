@@ -9,13 +9,17 @@ shares):
 * **stage micro-benchmarks** on the real intermediate streams of the 2D
   smoke field (the Huffman code payload, its gzip input) — Huffman
   encode/decode, LZ77 parse, DEFLATE inflate, timed under both modes;
+* **lane decode vs chain walk**: the fast ``huffman.decode`` kernel on the
+  same >= 50 K-symbol stream with its lane path on and off (a ratio
+  inside one run, so it holds on a 1-CPU runner);
 * **end-to-end** compress/decompress of 1D/2D/3D fields with per-stage
   attribution from ``measure_compressor(stage_timing=True)``.
 
 Results land in ``benchmarks/results/BENCH_kernels.json`` (the perf
 trajectory baseline) and a human table.  ``--smoke`` runs only the 2D
 field with byte-equality checks and **fails if the fast path regresses
-below 1.0x of reference** — the CI perf gate.
+below 1.0x of reference or the lane decode below 1.5x of the chain
+walk** — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro import load_field
 from repro.codec.registry import get_codec
 from repro.config import QuantizerConfig, resolve_error_bound
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
-from repro.kernels import forced
+from repro.kernels import forced, huffman_fast
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
@@ -43,6 +47,7 @@ EB = 1e-3
 MODE = "vr_rel"
 CODEC = "sz14"
 SMOKE_FIELD = "2d CESM.CLDLOW"
+LANE_GATE = 1.5  # lane decode vs chain-walk fallback, same stream, same run
 
 FIELDS = {
     "1d CESM.TS.flat": lambda: load_field("CESM-ATM", "TS").reshape(-1),
@@ -71,12 +76,16 @@ def _both_modes(fn, repeats: int) -> dict:
     return out
 
 
+def _quant_codes(field: np.ndarray) -> np.ndarray:
+    """The field's quantization-code stream, as sz14 would Huffman-code it."""
+    bound = resolve_error_bound(field, EB, MODE)
+    pqd = pqd_compress(field, bound.absolute, QuantizerConfig(), border="truncate")
+    return pqd.codes.reshape(-1)
+
+
 def _stage_micro(field: np.ndarray, repeats: int) -> dict:
     """Micro-time each kernel on the field's real intermediate streams."""
-    bound = resolve_error_bound(field, EB, MODE)
-    quant = QuantizerConfig()
-    pqd = pqd_compress(field, bound.absolute, quant, border="truncate")
-    syms = pqd.codes.reshape(-1)
+    syms = _quant_codes(field)
     codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
     with forced("reference"):
         payload, _ = codec.encode(syms)
@@ -113,6 +122,37 @@ def _stage_micro(field: np.ndarray, repeats: int) -> dict:
     if not np.array_equal(dec_ref, dec_fast) or body_fast != payload:
         raise AssertionError("fast kernels changed decoded values")
     return results
+
+
+def _lanes_vs_chain_walk(field: np.ndarray, repeats: int) -> dict:
+    """The fast Huffman decode of the field's code stream, lanes on and off."""
+    syms = _quant_codes(field)
+    if syms.size < 50_000:
+        raise AssertionError(f"lane row needs >= 50 K symbols, got {syms.size}")
+    codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+    payload, _ = codec.encode(syms)
+
+    def decode() -> np.ndarray:
+        return HuffmanCodec(codec.table).decode(payload, syms.size)
+
+    lanes_on = huffman_fast._LANE_MIN_SYMBOLS
+    with forced("fast"):
+        decoded = decode()
+        lanes = _best(decode, repeats + 3)
+        huffman_fast._LANE_MIN_SYMBOLS = syms.size + 1  # chain walk only
+        try:
+            same = np.array_equal(decode(), decoded)
+            chain = _best(decode, repeats + 3)
+        finally:
+            huffman_fast._LANE_MIN_SYMBOLS = lanes_on
+    if not same or not np.array_equal(decoded, syms):
+        raise AssertionError("lane decode and chain walk disagree")
+    return {
+        "symbols": int(syms.size),
+        "chain_walk": chain,
+        "lanes": lanes,
+        "speedup": chain / max(lanes, 1e-12),
+    }
 
 
 def _end_to_end(field: np.ndarray, repeats: int) -> dict:
@@ -154,6 +194,9 @@ def run(smoke: bool = False) -> dict:
 
     smoke_field = FIELDS[SMOKE_FIELD]()
     stage_micro = _stage_micro(smoke_field, repeats)
+    lane_decode = _lanes_vs_chain_walk(
+        load_field("CESM-ATM", "CLDLOW", scale=2), repeats
+    )
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
 
     report = {
@@ -162,6 +205,7 @@ def run(smoke: bool = False) -> dict:
         "workload": {"codec": CODEC, "eb": EB, "mode": MODE},
         "smoke_field": SMOKE_FIELD,
         "stage_micro": stage_micro,
+        "lane_decode": lane_decode,
         "end_to_end": e2e,
     }
 
@@ -178,6 +222,13 @@ def run(smoke: bool = False) -> dict:
              f"{r['speedup']:.1f}x"),
             widths,
         ))
+    lines += [
+        "",
+        f"huffman.decode fast kernel, {lane_decode['symbols']} symbols: "
+        f"chain walk {lane_decode['chain_walk'] * 1e3:.2f} ms, "
+        f"lanes {lane_decode['lanes'] * 1e3:.2f} ms "
+        f"({lane_decode['speedup']:.1f}x, gate {LANE_GATE}x)",
+    ]
     lines += ["", "end to end (byte-identical payloads verified)"]
     widths_e = (24, 10, 10, 8, 10, 10, 8)
     lines.append(fmt_row(
@@ -228,10 +279,13 @@ def run(smoke: bool = False) -> dict:
         for stage, r in stage_micro.items():
             if r["speedup"] < 1.0:
                 failures.append(f"{stage} regressed: {r['speedup']:.2f}x")
-        if failures:
-            raise AssertionError(
-                "fast kernels below 1.0x of reference: " + "; ".join(failures)
+        if lane_decode["speedup"] < LANE_GATE:
+            failures.append(
+                f"lane decode {lane_decode['speedup']:.2f}x of the chain walk "
+                f"(gate {LANE_GATE}x)"
             )
+        if failures:
+            raise AssertionError("perf gate: " + "; ".join(failures))
     return report
 
 
@@ -244,7 +298,8 @@ if __name__ == "__main__":
     ap.add_argument(
         "--smoke",
         action="store_true",
-        help="2D field only; exit nonzero if fast < 1.0x of reference",
+        help="2D field only; exit nonzero if fast < 1.0x of reference "
+        "or lanes < 1.5x of the chain walk",
     )
     args = ap.parse_args()
     try:

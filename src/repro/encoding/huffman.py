@@ -197,18 +197,82 @@ class HuffmanTable:
         return cls(symbols, lengths), pos
 
 
+def _window_entries(t: HuffmanTable, bits: int) -> np.ndarray:
+    """Decode entry ``(symbol << 6) | length`` per ``bits``-wide window.
+
+    Canonical codes in (length, symbol) order tile the window space left
+    to right — a code of length ``l`` owns the next ``2**(bits - l)``
+    windows — so the table is one ``np.repeat``.  Windows whose code is
+    longer than ``bits`` (or that no code covers) hold ``-1``.
+    """
+    out = np.full(1 << bits, -1, dtype=np.int64)
+    lens = t.lengths[: np.searchsorted(t.lengths, bits, side="right")]
+    reps = 1 << (bits - lens)
+    # An over-subscribed hand-built table runs off the end; keep what fits.
+    fit = int(np.searchsorted(np.cumsum(reps), out.size, side="right"))
+    entries = (t.symbols[:fit].astype(np.int64) << 6) | lens[:fit]
+    tiled = np.repeat(entries, reps[:fit])
+    out[: tiled.size] = tiled
+    return out
+
+
+@dataclass(frozen=True)
+class _DecodeTables:
+    """Decode lookups for one table: the first-level fast window plus the
+    canonical per-length bounds the slow path sweeps."""
+
+    fast_bits: int
+    fast_sym: np.ndarray  # symbol per fast-window slot, -1 on escape
+    fast_len: np.ndarray
+    fast_entry: np.ndarray  # fused (symbol << 6) | length, -1 on escape
+    first_code: np.ndarray  # canonical first code of each length
+    first_idx: np.ndarray  # its index into table.symbols
+    len_count: np.ndarray  # codes per length
+
+    @classmethod
+    def build(cls, t: HuffmanTable) -> "_DecodeTables":
+        maxlen = t.max_length
+        fast_bits = min(_FAST_BITS, max(maxlen, 1))
+        fast_entry = _window_entries(t, fast_bits)
+        hit = fast_entry >= 0
+        count = np.bincount(t.lengths, minlength=maxlen + 2)
+        first_code = np.zeros(maxlen + 2, dtype=np.int64)
+        first_idx = np.zeros(maxlen + 2, dtype=np.int64)
+        code = 0
+        idx = 0
+        for length in range(1, maxlen + 1):
+            first_code[length] = code
+            first_idx[length] = idx
+            c = int(count[length])
+            code = (code + c) << 1
+            idx += c
+        return cls(
+            fast_bits,
+            np.where(hit, fast_entry >> 6, -1),
+            np.where(hit, fast_entry & 63, 0),
+            fast_entry,
+            first_code,
+            first_idx,
+            count,
+        )
+
+
 class HuffmanCodec:
     """Encode/decode symbol streams against a :class:`HuffmanTable`."""
 
     def __init__(self, table: HuffmanTable) -> None:
         self.table = table
-        self._codes = table.assign_codes()
-        # Dense symbol -> (code, length) encode lookups are built lazily:
-        # a decode-only codec over a corrupt table claiming symbol 2**32-1
-        # must not allocate a multi-gigabyte array it will never use.
+        # Both table sets are built lazily, on first use.  A compress
+        # builds two or three codecs and never decodes, so it must not
+        # pay the per-code fast-table loop; a decode-only codec over a
+        # corrupt table claiming symbol 2**32-1 must not allocate a
+        # multi-gigabyte dense encode array it will never use.
         self._enc_len: np.ndarray | None = None
         self._enc_code: np.ndarray | None = None
-        self._build_decode_tables()
+        self._dec: _DecodeTables | None = None
+        # The lane decoder's wide LUT (kernels.huffman_fast), cached here
+        # so repeated decodes against one codec build it once.
+        self._lane_lut: np.ndarray | None = None
 
     def _encode_tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self._enc_len is None:
@@ -223,50 +287,18 @@ class HuffmanCodec:
                 self._enc_len = np.zeros(hi, dtype=np.int64)
                 self._enc_code = np.zeros(hi, dtype=np.uint64)
                 self._enc_len[table.symbols] = table.lengths
-                self._enc_code[table.symbols] = self._codes
+                self._enc_code[table.symbols] = table.assign_codes()
             else:
                 self._enc_len = np.zeros(0, dtype=np.int64)
                 self._enc_code = np.zeros(0, dtype=np.uint64)
         return self._enc_len, self._enc_code
 
-    def _build_decode_tables(self) -> None:
-        t = self.table
-        maxlen = t.max_length
-        fast_bits = min(_FAST_BITS, max(maxlen, 1))
-        fast_sym = np.full(1 << fast_bits, -1, dtype=np.int64)
-        fast_len = np.zeros(1 << fast_bits, dtype=np.int64)
-        # Canonical per-length bounds for the slow path.
-        first_code = np.zeros(maxlen + 2, dtype=np.int64)
-        first_idx = np.zeros(maxlen + 2, dtype=np.int64)
-        count = np.bincount(t.lengths, minlength=maxlen + 2) if t.symbols.size else (
-            np.zeros(maxlen + 2, dtype=np.int64)
-        )
-        code = 0
-        idx = 0
-        for length in range(1, maxlen + 1):
-            first_code[length] = code
-            first_idx[length] = idx
-            c = int(count[length]) if length < len(count) else 0
-            if length <= fast_bits and c:
-                # Fill all fast-table slots whose top `length` bits match.
-                span = 1 << (fast_bits - length)
-                for j in range(c):
-                    base = (code + j) << (fast_bits - length)
-                    fast_sym[base : base + span] = t.symbols[idx + j]
-                    fast_len[base : base + span] = length
-            code = (code + c) << 1
-            idx += c
-        self._fast_bits = fast_bits
-        self._fast_sym = fast_sym
-        self._fast_len = fast_len
-        self._first_code = first_code
-        self._first_idx = first_idx
-        self._len_count = count
-        # Fused (symbol << 6) | length entry per fast-table slot, -1 on
-        # escape — the chain-walk kernel gathers these in one shot.
-        self._fast_entry = np.where(
-            fast_sym >= 0, (fast_sym << 6) | fast_len, np.int64(-1)
-        )
+    def _decode_tables(self) -> "_DecodeTables":
+        """The decode lookups, built on first use (both kernels read
+        them through this accessor)."""
+        if self._dec is None:
+            self._dec = _DecodeTables.build(self.table)
+        return self._dec
 
     # -- encode ------------------------------------------------------------
 
@@ -336,12 +368,13 @@ def _decode_reference(
     """Per-symbol peek/skip decode loop — the ``huffman.decode`` reference."""
     out = np.empty(n_symbols, dtype=np.int64)
     reader = BitReader(payload)
-    fast_bits = codec._fast_bits
-    fast_sym = codec._fast_sym
-    fast_len = codec._fast_len
-    first_code = codec._first_code
-    first_idx = codec._first_idx
-    len_count = codec._len_count
+    dec = codec._decode_tables()
+    fast_bits = dec.fast_bits
+    fast_sym = dec.fast_sym
+    fast_len = dec.fast_len
+    first_code = dec.first_code
+    first_idx = dec.first_idx
+    len_count = dec.len_count
     symbols = codec.table.symbols
     maxlen = codec.table.max_length
     peek = reader.peek

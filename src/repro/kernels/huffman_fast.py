@@ -1,45 +1,78 @@
-"""Chunked chain-walk Huffman decoder — the ``huffman.decode`` fast kernel.
+"""Lane-parallel Huffman decoder — the ``huffman.decode`` fast kernel.
 
 The reference decoder costs two Python method calls (``peek``/``skip``)
-plus a table probe *per symbol*.  This kernel inverts the loop: it first
-builds, for **every bit position** of the payload, the decode *entry*
-``(symbol << 6) | code_length`` with a vectorized fast-table gather —
-then "chain-walks" the entries: start at bit 0, emit the symbol, jump
-ahead by the code length, repeat.  The walk is a pure-Python loop but
-does one list index and two integer ops per symbol, an order of
-magnitude less work than the reference loop.
+plus a table probe *per symbol*.  This kernel decodes a large payload
+the way :func:`repro.kernels.rans_fast.decode_stream` steps its lanes:
+many decoders in lock-step, a handful of in-place NumPy ops per step.
 
-Codes longer than the fast window stay as ``-1`` escapes in the entry
-table and are resolved **lazily**, one scalar canonical sweep per
-*visited* escape.  Only one bit position per symbol is ever walked, and
-long codes are by construction the rare symbols, so resolving every
-escape bit position eagerly (most of which the walk jumps over) would
-cost far more than the handful of scalar sweeps ever executed.
+**Lanes.**  A segment of the payload (at most ``CHUNK_BITS``) is cut
+into equal bit regions and one lane starts at every region boundary.
+Each step gathers every lane's code window from a precomputed
+32-bit-window-per-byte array, looks the window up in a wide table of
+``(symbol << 6) | length`` entries, records the entry and advances the
+lane by the length.  Only lane 0 starts on a true code boundary; the
+others are speculative.  Huffman codes self-synchronize: a lane started
+off-boundary falls, after a few symbols, onto a bit position the true
+decode also visits, and is right from there on.
 
-Entries are built in chunks (so a multi-MB payload never materializes a
-per-bit table all at once), and chunk construction overlaps the walk
-through :func:`repro.parallel.prefetch_map` once a payload is large
-enough to amortize thread hand-off.
+**Marks and links.**  While a lane decodes its own region it marks every
+bit position it visits with the slot of the entry it recorded there.
+Once every lane has crossed into its neighbour's region the marks are
+complete, and each lane keeps stepping until it lands on a marked
+position — from that bit on its trajectory and the marking lane's are
+the same, so it *links* to that lane's entry and stops.  Lanes that are
+done leave the active set, so the cost follows the work left, not
+``lanes x slowest lane`` (a region of 1-bit codes holds several times
+the mean symbol count).  The true symbol sequence is then lane 0's
+entries up to its link, the linked lane's entries from the linked slot
+up to *its* link, and so on: one pointer chase over the lanes and one
+ragged gather over the entry matrix.
 
-The ``-2`` sentinel marks a fast-table hit whose code runs past the end
-of the payload, so the walk raises ``BitstreamError`` exactly where the
-reference ``skip`` would fail after a zero-padded ``peek``; the lazy
-escape sweep performs the same exhaustion check (and raises
-``HuffmanError`` when no canonical range matches, like the reference
-slow path exhausting ``maxlen``).
+**Chain walk.**  Everything the lanes do not cover goes through the
+chunked chain walk this module has always had — per-bit decode entries
+for a chunk, then a scalar walk that jumps from code to code: streams
+under ``_LANE_MIN_SYMBOLS``; tables that cannot synchronize (fixed-length
+codes), are not a complete prefix code (hostile, so a window may have no
+code at all) or keep too much of their code space beyond the wide
+table; and whatever is left when a lane fails to link within
+``_SYNC_BUDGET`` steps.  It is also where every failure is raised, so
+the messages have one source: the lanes stop in front of a code that
+runs past the payload and hand the position over.
+
+Codes longer than a table's window are ``-1`` escapes, resolved by one
+scalar canonical sweep per *visited* escape (long codes are by
+construction the rare symbols).  In the chain walk's per-bit entries
+``-2`` marks a hit whose code runs past the end of the payload, so the
+walk raises ``BitstreamError`` exactly where the reference ``skip``
+would fail after a zero-padded ``peek``; an escape that matches no
+canonical range raises ``HuffmanError`` like the reference slow path
+exhausting ``maxlen``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..encoding.huffman import _window_entries
 from ..errors import BitstreamError, HuffmanError
 
 __all__ = ["decode_payload", "CHUNK_BITS"]
 
-CHUNK_BITS = 1 << 19  # entry-table chunk: 64 KiB of payload per build
-_PARALLEL_MIN_CHUNKS = 8  # prefetch chunk builds on threads beyond this
+CHUNK_BITS = 1 << 19  # 64 KiB of payload per chain-walk chunk / lane segment
 _STEP_MASK = 63  # low 6 bits of an entry hold the code length
+
+_LANE_MIN_SYMBOLS = 1 << 14  # shorter streams stay on the chain walk
+_LANES = 2048  # lanes per segment, at most
+_LANE_SYMBOLS = 64  # codes a lane is sized to decode in its own region
+_MIN_REGION_BITS = 64  # never cut a segment into regions shorter than this
+_LUT_BITS = 16  # window width of the lanes' decode table
+_MAX_ESCAPE_SHARE = 64  # lane-decode only if escapes own < 1/64 of the windows
+_CHECK_EVERY = 8  # own-region steps between looks at who has crossed
+_SYNC_BUDGET = 256  # steps a lane may take beyond its region to link
+_PAD = 8 + (_CHECK_EVERY * 57 + 7) // 8  # bytes a lane may read past the end
+
+
+# -- chain walk ----------------------------------------------------------------
 
 
 def _chunk_entries(
@@ -47,8 +80,9 @@ def _chunk_entries(
     lo: int,
     hi: int,
     total_bits: int,
-    codec,
-) -> tuple[int, int, np.ndarray, list[int]]:
+    dec,
+    maxlen: int,
+) -> tuple[np.ndarray, list[int]]:
     """Decode entries for bit positions ``[lo, hi)`` of the padded buffer.
 
     Returns the entry array plus the per-position step list the walk
@@ -56,7 +90,7 @@ def _chunk_entries(
     sentinels surface as steps ``63`` (``-1 & 63``, escape) and ``62``
     (``-2 & 63``, exhausted), which no real code length can reach.
     """
-    fast_bits = codec._fast_bits
+    fast_bits = dec.fast_bits
     nbits = hi - lo
     b0 = lo >> 3
     nb = nbits >> 3  # lo/hi are byte-aligned by construction
@@ -68,9 +102,8 @@ def _chunk_entries(
     mask = (1 << fast_bits) - 1
     for r in range(8):
         win[r::8] = (w24 >> (24 - fast_bits - r)) & mask
-    entry = codec._fast_entry[win]
+    entry = dec.fast_entry[win]
 
-    maxlen = codec.table.max_length
     if hi + maxlen > total_bits:
         # Codes starting near the end may run past the payload; mark them
         # with the exhaustion sentinel so the walk raises BitstreamError
@@ -82,14 +115,14 @@ def _chunk_entries(
             > total_bits
         )
         tail[over] = -2
-    return lo, hi, entry, (entry & _STEP_MASK).tolist()
+    return entry, (entry & _STEP_MASK).tolist()
 
 
-def _resolve_one(pb: bytes, pos: int, codec, total_bits: int) -> int:
-    """Resolve one long code (beyond the fast window) at bit position ``pos``.
+def _resolve_one(pb: bytes, pos: int, dec, table, first: int) -> int:
+    """Resolve one long code (``first`` bits or more) at bit position ``pos``.
 
     Reads a 64-bit big-endian window (bit offset r <= 7 plus code length
-    <= 57 always fits, and ``pb`` carries 8 padding bytes reproducing the
+    <= 57 always fits, and ``pb`` carries padding bytes reproducing the
     reference ``peek``'s zero-fill) and sweeps the canonical per-length
     ranges, exactly like the reference slow path.  Returns the decode
     entry ``(symbol << 6) | length``.
@@ -97,67 +130,49 @@ def _resolve_one(pb: bytes, pos: int, codec, total_bits: int) -> int:
     q = pos >> 3
     r = pos & 7
     w = int.from_bytes(pb[q : q + 8], "big")
-
-    first_code = codec._first_code
-    first_idx = codec._first_idx
-    len_count = codec._len_count
-    symbols = codec.table.symbols
-
-    for length in range(codec._fast_bits + 1, codec.table.max_length + 1):
-        c = int(len_count[length]) if length < len(len_count) else 0
+    first_code = dec.first_code
+    len_count = dec.len_count
+    for length in range(first, table.max_length + 1):
+        c = int(len_count[length])
         if not c:
             continue
         fc = int(first_code[length])
         code = (w >> (64 - length - r)) & ((1 << length) - 1)
         if fc <= code < fc + c:
-            if pos + length > total_bits:
-                raise BitstreamError(
-                    f"bitstream exhausted: code at bit {pos} runs past "
-                    f"the {total_bits}-bit payload"
-                )
-            sym = int(symbols[int(first_idx[length]) + code - fc])
+            sym = int(table.symbols[int(dec.first_idx[length]) + code - fc])
             return (sym << 6) | length
     raise HuffmanError("invalid code in bitstream")
 
 
-def decode_payload(codec, payload: bytes, n_symbols: int) -> np.ndarray:
-    """Decode ``n_symbols`` from ``payload`` against ``codec``'s table.
+def _exhausted(pos: int, total_bits: int) -> BitstreamError:
+    return BitstreamError(
+        f"bitstream exhausted: code at bit {pos} runs past "
+        f"the {total_bits}-bit payload"
+    )
 
-    Bit-identical to ``HuffmanCodec.decode``'s reference loop for every
-    input; the host has already run its validations (positive count,
-    non-degenerate table, payload long enough for the minimum lengths).
-    """
-    total_bits = 8 * len(payload)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    # Pad so every 24-bit window gather and 64-bit escape read stays in
-    # bounds; the zero padding reproduces BitReader.peek's zero-fill
-    # past the end.
-    buf = np.zeros(raw.size + 8, dtype=np.uint8)
-    buf[: raw.size] = raw
-    pb = payload + b"\x00" * 8
 
-    spans = [
-        (lo, min(lo + CHUNK_BITS, total_bits))
-        for lo in range(0, total_bits, CHUNK_BITS)
-    ]
-
-    def build(span: tuple[int, int]) -> tuple[int, int, np.ndarray, list[int]]:
-        return _chunk_entries(buf, span[0], span[1], total_bits, codec)
-
-    if len(spans) > _PARALLEL_MIN_CHUNKS:
-        from ..parallel import prefetch_map
-
-        chunks = prefetch_map(build, spans)
-    else:
-        chunks = map(build, spans)
-
+def _chain_walk(
+    codec,
+    buf: np.ndarray,
+    pb: bytes,
+    total_bits: int,
+    out: np.ndarray,
+    pos: int,
+    i: int,
+) -> None:
+    """Decode ``out[i:]`` starting at bit ``pos``, one chunk at a time."""
+    n_symbols = out.size
+    dec = codec._decode_tables()
+    table = codec.table
+    maxlen = table.max_length
     # The walk records only *positions*; symbols are gathered from the
     # entry array in one vector op per chunk.  That keeps the per-symbol
     # loop body down to a list index, a step compare, and two adds.
-    out = np.empty(n_symbols, dtype=np.int64)
-    pos = 0
-    i = 0
-    for lo, hi, entry, steps in chunks:
+    for lo in range(pos - pos % CHUNK_BITS, total_bits, CHUNK_BITS):
+        if i == n_symbols:
+            return
+        hi = min(lo + CHUNK_BITS, total_bits)
+        entry, steps = _chunk_entries(buf, lo, hi, total_bits, dec, maxlen)
         rel = pos - lo
         span = hi - lo
         plist = [0] * (n_symbols - i)
@@ -169,16 +184,15 @@ def decode_payload(codec, payload: bytes, n_symbols: int) -> np.ndarray:
             except IndexError:
                 break  # all requested symbols decoded
             if s > 57:  # sentinel: no valid code length exceeds 57
-                if s == 63:  # -1 escape: resolve lazily, patch for gather
-                    e = _resolve_one(pb, lo + rel, codec, total_bits)
-                    s = e & _STEP_MASK
-                    entry[rel] = e
-                    steps[rel] = s
-                else:  # 62 is -2: the code runs past the payload
-                    raise BitstreamError(
-                        f"bitstream exhausted: code at bit {lo + rel} runs "
-                        f"past the {total_bits}-bit payload"
-                    )
+                if s == 62:  # -2: the code runs past the payload
+                    raise _exhausted(lo + rel, total_bits)
+                # -1 escape: resolve lazily, patch for the gather
+                e = _resolve_one(pb, lo + rel, dec, table, dec.fast_bits + 1)
+                s = e & _STEP_MASK
+                if lo + rel + s > total_bits:
+                    raise _exhausted(lo + rel, total_bits)
+                entry[rel] = e
+                steps[rel] = s
             j += 1
             rel += s
         if j:
@@ -186,11 +200,229 @@ def decode_payload(codec, payload: bytes, n_symbols: int) -> np.ndarray:
             out[i : i + j] = entry[p] >> 6
             i += j
         pos = lo + rel
-        if i == n_symbols:
-            break
     if i < n_symbols:
         raise BitstreamError(
             f"bitstream exhausted: {n_symbols - i} of {n_symbols} symbols "
             f"undecoded at the end of the {total_bits}-bit payload"
         )
+
+
+# -- lanes ---------------------------------------------------------------------
+
+
+def _lane_lut(codec) -> np.ndarray:
+    """The lanes' ``_LUT_BITS``-wide decode table, built on the first lane
+    decode and cached on the codec; empty when the table is one the lanes
+    cannot decode (see the module docstring)."""
+    lut = codec._lane_lut
+    if lut is None:
+        table = codec.table
+        lengths = table.lengths
+        maxlen = table.max_length
+        per_len = codec._decode_tables().len_count
+        # Exact: one missing 57-bit code is below any float tolerance, and
+        # a speculative lane would find the window no code covers.
+        kraft = sum(int(per_len[l]) << (maxlen - l) for l in range(1, maxlen + 1))
+        lut = np.empty(0, dtype=np.int64)
+        if lengths[0] != lengths[-1] and kraft == 1 << maxlen:
+            full = _window_entries(table, min(maxlen, _LUT_BITS))
+            if np.count_nonzero(full < 0) * _MAX_ESCAPE_SHARE < full.size:
+                lut = full
+        codec._lane_lut = lut
+    return lut
+
+
+class _Stepper:
+    """The lock-step: window gather, table gather, record, advance."""
+
+    def __init__(self, codec, lut, w32, pb, base, entries, n_lanes) -> None:
+        self.codec = codec
+        self.lut = lut
+        self.w32 = w32
+        self.pb = pb
+        self.base = base
+        self.entries = entries  # flat view of the [rows, lanes] matrix
+        self.n_lanes = n_lanes
+        bits = lut.size.bit_length() - 1
+        self.shift0 = 32 - bits
+        self.mask = lut.size - 1
+        self.escapes = codec.table.max_length > bits
+        self.first_long = bits + 1
+        self.scratch = np.empty((3, n_lanes), dtype=np.int64)
+
+    def run(self, pos, slot, steps, marks=None) -> None:
+        """Advance the lanes at ``pos`` (in place) by ``steps`` symbols,
+        recording each entry at the lane's ``slot`` (advanced in place)."""
+        w32, lut, entries = self.w32, self.lut, self.entries
+        shift0, mask, n_lanes = self.shift0, self.mask, self.n_lanes
+        q, w, e = self.scratch[:, : pos.size]
+        for _ in range(steps):
+            if marks is not None:
+                marks[pos] = slot
+            np.right_shift(pos, 3, out=q)
+            w32.take(q, out=w, mode="clip")
+            np.bitwise_and(pos, 7, out=q)
+            np.subtract(shift0, q, out=q)
+            np.right_shift(w, q, out=w)
+            np.bitwise_and(w, mask, out=w)
+            lut.take(w, out=e, mode="clip")
+            if self.escapes and e.min() < 0:
+                self._resolve(pos, e)
+            entries[slot] = e
+            np.bitwise_and(e, _STEP_MASK, out=q)
+            np.add(pos, q, out=pos)
+            np.add(slot, n_lanes, out=slot)
+
+    def _resolve(self, pos, e) -> None:
+        dec = self.codec._decode_tables()
+        for k in np.flatnonzero(e < 0).tolist():
+            e[k] = _resolve_one(
+                self.pb, self.base + int(pos[k]), dec, self.codec.table,
+                self.first_long,
+            )
+
+
+def _lane_segment(
+    codec, lut, w32, pb, start, seg_end, region_bits, total_bits, out, i
+):
+    """Lane-decode the true code sequence from bit ``start`` up to the first
+    code boundary at or past ``seg_end`` into ``out[i:]``.
+
+    Returns ``(pos, i)`` after the last symbol written, or ``None`` when
+    the segment is too short to cut or a lane on the true path found no
+    link.  Entries past the end of the payload are left out, a final
+    code that runs past it too: ``pos`` then points at that code.
+    """
+    base = start & ~7
+    span = seg_end - start
+    n_lanes = span // region_bits
+    if n_lanes < 2:
+        return None
+    bounds = (start - base) + (
+        span * np.arange(n_lanes + 1, dtype=np.int64) // n_lanes
+    )
+    end = seg_end - base
+    min_len = int(codec.table.lengths[0])
+    region = -(-span // n_lanes)
+    rows = -(-region // min_len) + _CHECK_EVERY + _SYNC_BUDGET + 1
+    entries = np.empty(rows * n_lanes, dtype=np.int64)
+    # marks[p] = slot of the entry some lane recorded at bit p; everything
+    # at or past the segment end counts as marked (a lane there is done).
+    marks = np.full(end + 8 * _PAD, -1, dtype=np.int64)
+    marks[end:] = 0
+    stepper = _Stepper(codec, lut, w32[base >> 3 :], pb, base, entries, n_lanes)
+
+    # Own regions: step until every lane has crossed into the next one.
+    # Lanes that have leave the set at the next look, so none strays more
+    # than _CHECK_EVERY - 1 codes past its region.  State rows: position,
+    # entry slot, lane, region end.
+    lanes = np.arange(n_lanes, dtype=np.int64)
+    st = np.stack((bounds[:-1], lanes, lanes, bounds[1:]))
+    left_at = np.empty((2, n_lanes), dtype=np.int64)
+    while st.shape[1]:
+        stepper.run(st[0], st[1], _CHECK_EVERY, marks)
+        live = st[0] < st[3]
+        if live.all():
+            continue
+        gone = st.compress(~live, axis=1)
+        left_at[:, gone[2]] = gone[:2]
+        st = st.compress(live, axis=1)
+
+    # Links: step every lane until it lands on a marked position.
+    link = np.full((2, n_lanes), -1, dtype=np.int64)
+    st = np.vstack((left_at, lanes))
+    for _ in range(_SYNC_BUDGET):
+        hit = marks[st[0]] >= 0
+        if hit.any():
+            done = st.compress(hit, axis=1)
+            link[:, done[2]] = done[:2]
+            st = st.compress(~hit, axis=1)
+            if not st.shape[1]:
+                break
+        stepper.run(st[0], st[1], 1)
+
+    # The true path: lane 0 from slot 0 to its link, the lane it links to
+    # from the linked slot to that lane's link, ... until a link leaves
+    # the segment.
+    target = marks[np.maximum(link[0], 0)].tolist()
+    links = link[0].tolist()
+    path = []
+    first = []
+    lane = 0
+    at = 0
+    while True:
+        x = links[lane]
+        if x < 0:
+            return None  # this lane never linked
+        path.append(lane)
+        first.append(at)
+        if x >= end:
+            break
+        at = target[lane]
+        lane = at % n_lanes
+    first = np.array(first, dtype=np.int64)
+    counts = (link[1, path] - first) // n_lanes
+    total = int(counts.sum())
+    # Ragged gather: entry j of path lane m sits at first[m] + j * n_lanes.
+    starts = np.cumsum(counts) - counts
+    idx = np.arange(total, dtype=np.int64)
+    idx *= n_lanes
+    idx += np.repeat(first - starts * n_lanes, counts)
+    ent = entries[idx]
+    pos = base + x
+    while pos > total_bits:  # decoded from the padding, or running into it
+        pos -= int(ent[-1]) & _STEP_MASK
+        ent = ent[:-1]
+    ent = ent[: out.size - i]
+    np.right_shift(ent, 6, out=out[i : i + ent.size])
+    return pos, i + ent.size
+
+
+def _lane_decode(codec, lut, buf, pb, total_bits, out) -> tuple[int, int]:
+    """Lane-decode segment after segment; returns the ``(pos, i)`` reached —
+    short of the end only if a segment could not be lane-decoded."""
+    a = buf.astype(np.int64)
+    w32 = (a[:-3] << 24) | (a[1:-2] << 16) | (a[2:-1] << 8) | a[3:]
+    # Regions sized for _LANE_SYMBOLS codes each at the stream's mean code
+    # length, segments for at most _LANES of them.
+    region_bits = max(_MIN_REGION_BITS, _LANE_SYMBOLS * total_bits // out.size)
+    n_seg = -(-total_bits // min(CHUNK_BITS, _LANES * region_bits))
+    seg_bits = -(-total_bits // n_seg)
+    pos = i = 0
+    for s in range(1, n_seg + 1):
+        seg_end = min(s * seg_bits, total_bits)
+        if pos >= seg_end:
+            continue
+        done = _lane_segment(
+            codec, lut, w32, pb, pos, seg_end, region_bits, total_bits, out, i
+        )
+        if done is None:
+            break
+        pos, i = done
+        if i == out.size:
+            break
+    return pos, i
+
+
+def decode_payload(codec, payload: bytes, n_symbols: int) -> np.ndarray:
+    """Decode ``n_symbols`` from ``payload`` against ``codec``'s table.
+
+    Bit-identical to ``HuffmanCodec.decode``'s reference loop for every
+    input; the host has already run its validations (positive count,
+    non-degenerate table, payload long enough for the minimum lengths).
+    """
+    total_bits = 8 * len(payload)
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    # Pad so every window gather and 64-bit escape read stays in bounds;
+    # the zero padding reproduces BitReader.peek's zero-fill past the end.
+    buf = np.zeros(raw.size + _PAD, dtype=np.uint8)
+    buf[: raw.size] = raw
+    pb = payload + b"\x00" * _PAD
+    out = np.empty(n_symbols, dtype=np.int64)
+    pos = i = 0
+    if n_symbols >= _LANE_MIN_SYMBOLS:
+        lut = _lane_lut(codec)
+        if lut.size:
+            pos, i = _lane_decode(codec, lut, buf, pb, total_bits, out)
+    _chain_walk(codec, buf, pb, total_bits, out, pos, i)
     return out

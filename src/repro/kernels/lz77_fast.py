@@ -17,13 +17,16 @@ costs stripped out of the Python loop:
   reject (``data[cand + best_len] != data[i + best_len]`` implies the
   candidate cannot beat the current best) skips most extensions
   entirely, exactly preserving the greedy choice.
-* **Precomputed chains for the thorough level.**  With ``insert_all``
-  every position below the hash limit enters its chain exactly once, in
-  increasing order — so the whole mutable head/prev structure collapses
-  into a static ``prev_same`` array ("previous position with my hash"),
-  computed wholesale with a two-pass radix argsort.  The fast level
-  (``insert_all=False``) keeps a live head/prev pair, as flat lists
-  indexed by the 18-bit hash.
+* **Static chains, candidate positions only.**  Every position a parse
+  can insert enters its hash chain once, in increasing order — so the
+  mutable head/prev structure collapses into a static ``prev_same``
+  array ("previous position with my hash"), computed wholesale with a
+  two-pass radix argsort.  A position whose ``prev_same`` is missing or
+  outside the window can never see a candidate, so the loop iterates
+  over the others only.  The fast level (``insert_all=False``) never
+  inserts positions inside a match: those are flagged in a ``bytearray``
+  and the chain walk steps over them without spending ``max_chain``,
+  which is exactly the chain the reference would have built.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["parse_tokens"]
-
-_HASH_SLOTS = 1 << 18  # (b0 << 10) ^ (b1 << 5) ^ b2 < 2**18
 
 
 def _hash_all(buf: np.ndarray) -> np.ndarray:
@@ -44,7 +45,7 @@ def _hash_all(buf: np.ndarray) -> np.ndarray:
     )
 
 
-def _prev_same(h: np.ndarray) -> list[int]:
+def _prev_same(h: np.ndarray) -> np.ndarray:
     """For each position, the nearest earlier position with the same hash.
 
     Stable-sorts positions by hash value — two radix passes (uint16 low
@@ -60,7 +61,7 @@ def _prev_same(h: np.ndarray) -> list[int]:
     prev = np.full(h.size, -1, dtype=np.int64)
     same = sh[1:] == sh[:-1]
     prev[order[1:][same]] = order[:-1][same]
-    return prev.tolist()
+    return prev
 
 
 def parse_tokens(encoder, data: bytes):
@@ -78,15 +79,13 @@ def parse_tokens(encoder, data: bytes):
     insert_all = encoder.insert_all
     hash_limit = n - 2
 
-    h = _hash_all(buf)
-    hl = h.tolist()
-    if insert_all:
-        # Static chains: every position < hash_limit is inserted once,
-        # in order, so "previous with same hash" is the whole structure.
-        prev_s = _prev_same(h[:hash_limit])
-    else:
-        head = [-1] * _HASH_SLOTS
-        prev = [-1] * hash_limit
+    prev = _prev_same(_hash_all(buf))
+    at = np.arange(hash_limit, dtype=np.int64)
+    starts = np.flatnonzero((prev >= 0) & (at - prev <= window)).tolist()
+    prev_s = prev.tolist()
+    # Positions inside a match, which the fast level keeps out of the chains.
+    swallowed = bytearray(hash_limit)
+    ones = b"\x01" * MAX_MATCH
 
     match_pos: list[int] = []
     match_len: list[int] = []
@@ -95,53 +94,45 @@ def parse_tokens(encoder, data: bytes):
     add_len = match_len.append
     add_dist = match_dist.append
 
-    i = 0
-    while i < hash_limit:
-        if insert_all:
-            cand = prev_s[i]
-        else:
-            hv = hl[i]
-            cand = c0 = head[hv]
+    nxt = 0  # first position no match has covered yet
+    for i in starts:
+        if i < nxt:
+            continue
+        cand = prev_s[i]
         best_len = 0
         best_dist = 0
-        if cand >= 0:
-            limit = MAX_MATCH if n - i > MAX_MATCH else n - i
-            target = None
-            chain = max_chain
-            lo = i - window
-            if lo < 0:
-                lo = 0
-            while cand >= lo and chain:
-                # Quick reject: a candidate that differs at best_len
-                # cannot produce a strictly longer match.
-                if data[cand + best_len] == data[i + best_len]:
-                    if target is None:
-                        target = int.from_bytes(data[i : i + limit], "big")
-                    x = target ^ int.from_bytes(
-                        data[cand : cand + limit], "big"
-                    )
-                    ml = (
-                        limit
-                        if x == 0
-                        else limit - ((x.bit_length() + 7) >> 3)
-                    )
-                    if ml > best_len:
-                        best_len = ml
-                        best_dist = i - cand
-                        if ml >= good_len or ml == limit:
-                            break
-                cand = prev_s[cand] if insert_all else prev[cand]
-                chain -= 1
-        if not insert_all:
-            prev[i] = c0
-            head[hv] = i
+        limit = MAX_MATCH if n - i > MAX_MATCH else n - i
+        target = None
+        chain = max_chain
+        lo = i - window
+        if lo < 0:
+            lo = 0
+        while cand >= lo and chain:
+            if swallowed[cand]:
+                cand = prev_s[cand]
+                continue
+            # Quick reject: a candidate that differs at best_len
+            # cannot produce a strictly longer match.
+            if data[cand + best_len] == data[i + best_len]:
+                if target is None:
+                    target = int.from_bytes(data[i : i + limit], "big")
+                x = target ^ int.from_bytes(data[cand : cand + limit], "big")
+                ml = limit if x == 0 else limit - ((x.bit_length() + 7) >> 3)
+                if ml > best_len:
+                    best_len = ml
+                    best_dist = i - cand
+                    if ml >= good_len or ml == limit:
+                        break
+            cand = prev_s[cand]
+            chain -= 1
         if best_len >= MIN_MATCH:
             add_pos(i)
             add_len(best_len)
             add_dist(best_dist)
-            i += best_len
-        else:
-            i += 1
+            nxt = i + best_len
+            if not insert_all:
+                stop = nxt if nxt < hash_limit else hash_limit
+                swallowed[i + 1 : stop] = ones[: stop - i - 1]
 
     nm = len(match_pos)
     if nm == 0:

@@ -14,11 +14,8 @@ snapshots.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -38,49 +35,7 @@ __all__ = [
     "decompress_tile",
     "plan_bands",
     "assemble_tiles",
-    "prefetch_map",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def prefetch_map(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    *,
-    workers: int | None = None,
-) -> Iterator[_R]:
-    """Ordered ``map`` with a bounded thread-pool prefetch pipeline.
-
-    Yields ``fn(item)`` in input order while up to ``workers + 1``
-    following items are computed on background threads — the
-    producer/consumer overlap the chunk-parallel Huffman kernel uses to
-    hide entry-table construction behind the decode walk.  With one
-    worker (or one item) it degrades to a plain serial ``map``.  A
-    failing ``fn`` raises at the yield for its item, preserving order.
-    """
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        it = iter(items)
-        for item in it:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > workers:
-                break
-        while pending:
-            fut = pending.popleft()
-            for item in it:  # keep the pipeline full while we wait
-                pending.append(pool.submit(fn, item))
-                break
-            yield fut.result()
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ can split "compress took 54 ms" into PQD / Huffman / gzip shares instead
 of guessing from whole-pipeline numbers.
 
 The active recorder is a :class:`contextvars.ContextVar`, so concurrent
-measurements (the service's thread pools, ``prefetch_map`` workers)
-never write into each other's profiles.  With no recorder installed the
-runner's overhead is a single context-variable read per stage.
+measurements (the service's thread pools) never write into each
+other's profiles.  With no recorder installed the runner's overhead is
+a single context-variable read per stage.
 """
 
 from __future__ import annotations

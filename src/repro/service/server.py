@@ -35,7 +35,11 @@ __all__ = ["WireServer", "CompressionServer", "ServiceClient", "serve", "run_unt
 
 #: Completed responses remembered per request id — big enough that any
 #: sane retry window replays from cache, small enough to never matter.
+#: The byte cap is what keeps that true for field-sized responses: 512
+#: decompressed 2 MB fields would be a gigabyte, growing with every
+#: request served.
 _IDEM_CACHE = 512
+_IDEM_CACHE_BYTES = 64 << 20
 
 
 class WireServer:
@@ -60,6 +64,7 @@ class WireServer:
         # request-id → Future[response frame]; in-flight entries dedup
         # concurrent replays, completed entries answer late ones.
         self._idem: OrderedDict[str, asyncio.Future] = OrderedDict()
+        self._idem_bytes = 0  # response bytes the completed entries hold
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -181,8 +186,6 @@ class WireServer:
             return await asyncio.shield(fut)
         fut = asyncio.get_running_loop().create_future()
         self._idem[req_id] = fut
-        while len(self._idem) > _IDEM_CACHE:
-            self._idem.popitem(last=False)
         try:
             response = await self._answer(op, header, body)
         except BaseException as exc:
@@ -193,6 +196,15 @@ class WireServer:
             raise
         if not fut.done():
             fut.set_result(response)
+            if self._idem.get(req_id) is fut:
+                self._idem_bytes += len(response)
+        while self._idem and (
+            len(self._idem) > _IDEM_CACHE
+            or self._idem_bytes > _IDEM_CACHE_BYTES
+        ):
+            _, old = self._idem.popitem(last=False)
+            if old.done() and not old.cancelled() and old.exception() is None:
+                self._idem_bytes -= len(old.result())
         return response
 
     async def _answer(self, op: Op | None, header: dict, body: Any) -> bytes:

@@ -19,10 +19,17 @@ from repro.config import QuantizerConfig
 from repro.encoding.bitio import pack_codes, unpack_codes
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
 from repro.errors import ReproError
-from repro.kernels import forced
+from repro.kernels import forced, huffman_fast
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.sz.pqd import pqd_compress, pqd_decompress
+from tests.lanes import (
+    CHAIN_WALK_ONLY,
+    TINY_LANES,
+    lane_constants,
+    matches_reference,
+    outcome,
+)
 
 Q = QuantizerConfig()
 
@@ -85,6 +92,41 @@ def test_huffman_decode_corrupt_same_taxonomy(symbols, seed):
         with forced("fast"):
             fast = _outcome(lambda: codec.decode(bad, symbols.size).tolist())
         assert ref == fast
+
+
+@given(
+    symbol_arrays,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["clean", "flip", "truncate", "append", "lower"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_huffman_lanes_same_outcome_as_chain_walk(symbols, seed, damage):
+    """With the lane constants shrunk, every example crosses many lanes:
+    value, exception class and message equal the chain walk's, value and
+    class the reference twin's."""
+    codec = HuffmanCodec(HuffmanTable.from_symbols(symbols))
+    payload, _ = codec.encode(symbols)
+    rng = np.random.default_rng(seed)
+    n = symbols.size
+    bad = bytearray(payload)
+    if damage == "flip":
+        for _ in range(min(3, len(bad))):
+            bad[rng.integers(len(bad))] ^= 1 << rng.integers(8)
+    elif damage == "truncate":
+        bad = bad[: max(1, len(bad) - int(rng.integers(1, 6)))]
+    elif damage == "append":
+        bad += rng.integers(0, 256, 5, dtype=np.uint8).tobytes()
+        n += int(rng.integers(0, 12))
+    elif damage == "lower":
+        n = max(1, n - int(rng.integers(1, n + 1)))
+    bad = bytes(bad)
+    with forced("fast"):
+        with lane_constants(**TINY_LANES):
+            lanes = outcome(lambda: codec.decode(bad, n))
+        with lane_constants(**CHAIN_WALK_ONLY):
+            chain = outcome(lambda: codec.decode(bad, n))
+    assert lanes == chain
+    matches_reference(codec, bad, n, lanes)
 
 
 @given(
@@ -152,6 +194,59 @@ def test_inflate_corrupt_same_taxonomy(data, seed):
     with forced("fast"):
         fast = _outcome(lambda: inflate(bad))
     assert ref == fast
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["text", "bytes", "runs"]),
+)
+@settings(max_examples=9, deadline=None)
+def test_inflate_corrupt_same_taxonomy_large(seed, flavor):
+    """>= 64 KB inputs whose litlen section is long enough for the lane
+    decode, so damage lands in lanes, not only in the chain walk."""
+    rng = np.random.default_rng(seed)
+    if flavor == "text":
+        n = 131072 + int(rng.integers(0, 4096))
+        words = [
+            bytes(rng.integers(97, 123, int(k), dtype=np.uint8))
+            for k in rng.integers(2, 9, 200)
+        ]
+        data = b" ".join(words[i] for i in rng.integers(0, 200, n // 5))[:n]
+    elif flavor == "bytes":
+        n = 65536 + int(rng.integers(0, 4096))
+        data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+    else:
+        n = 196608 + int(rng.integers(0, 4096))
+        data = np.repeat(
+            rng.integers(0, 8, n // 3, dtype=np.uint8), rng.integers(1, 6, n // 3)
+        )[:n].tobytes()
+    blob = deflate(data)
+    with forced("reference"):
+        assert inflate(blob) == data
+    lane_decodes = []
+    lane_decode = huffman_fast._lane_decode
+
+    def spy(*args):
+        lane_decodes.append(args[-1].size)
+        return lane_decode(*args)
+
+    huffman_fast._lane_decode = spy
+    try:
+        with forced("fast"):
+            assert inflate(blob) == data
+    finally:
+        huffman_fast._lane_decode = lane_decode
+    assert lane_decodes, "input too small to reach the lane decode"
+    for _ in range(4):
+        bad = bytearray(blob)
+        for _ in range(3):
+            bad[rng.integers(len(bad))] ^= 1 << rng.integers(8)
+        bad = bytes(bad)
+        with forced("reference"):
+            ref = _outcome(lambda: inflate(bad))
+        with forced("fast"):
+            fast = _outcome(lambda: inflate(bad))
+        assert ref == fast
 
 
 pqd_fields = st.tuples(

@@ -2,11 +2,18 @@
 
 Covers the mode-selection contract (env var / set_mode / forced
 priority), the registry's failure modes, the ``encoded_size_bits``
-bounds checks, the cached Lorenzo stencil helpers, ``prefetch_map``
-ordering, and ``measure_compressor``'s warmup / per-stage timing.
-The bit-exactness of the fast kernels themselves is enforced by the
-differential suite in ``tests/property/test_prop_kernels.py``.
+bounds checks, the cached Lorenzo stencil helpers,
+``measure_compressor``'s warmup / per-stage timing, the lazy Huffman
+tables, what ``import repro.cli`` may load, and the lane-parallel
+Huffman decode on streams long enough to cross many lanes (values,
+exception class and message against the chain-walk fallback and the
+reference twin).  The bit-exactness of the other fast kernels is
+enforced by the differential suite in
+``tests/property/test_prop_kernels.py``.
 """
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from repro.codec.registry import get_codec
 from repro.config import QuantizerConfig
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
 from repro.errors import BitstreamError, ConfigError, HuffmanError
+from repro.kernels import huffman_fast
 from repro.kernels import (
     ENV_VAR,
     active_mode,
@@ -23,10 +31,15 @@ from repro.kernels import (
     resolve,
     set_mode,
 )
-from repro.parallel import prefetch_map
 from repro.perf import measure_compressor
 from repro.sz.lorenzo import neighbor_offsets, stencil_predict
 from repro.sz.pqd import pqd_compress, pqd_decompress
+from tests.lanes import (
+    TINY_LANES,
+    lane_constants,
+    lanes_match_chain_walk,
+    matches_reference,
+)
 
 Q = QuantizerConfig()
 
@@ -159,26 +172,6 @@ class TestLorenzoHelpers:
         assert np.array_equal(got, want)
 
 
-class TestPrefetchMap:
-    def test_preserves_order(self):
-        items = list(range(40))
-        assert list(prefetch_map(lambda x: x * x, items)) == [
-            x * x for x in items
-        ]
-
-    def test_exception_surfaces_at_its_item(self):
-        def fn(x):
-            if x == 5:
-                raise ValueError("boom at five")
-            return x
-
-        it = prefetch_map(fn, list(range(10)))
-        got = [next(it) for _ in range(5)]
-        assert got == [0, 1, 2, 3, 4]
-        with pytest.raises(ValueError, match="boom at five"):
-            next(it)
-
-
 class TestMeasureCompressor:
     def test_stage_timing_and_warmup(self):
         rng = np.random.default_rng(3)
@@ -266,3 +259,194 @@ class TestHuffmanLazyEscapes:
         with forced("fast"):
             with pytest.raises(BitstreamError):
                 codec.decode(bad, syms.size)
+
+
+class TestHuffmanLazyTables:
+    def test_encode_only_codec_never_builds_decode_tables(self):
+        syms = np.random.default_rng(5).geometric(0.2, 4000).astype(np.int64)
+        codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+        payload, nbits = codec.encode(syms)
+        assert codec.encoded_size_bits(syms) == nbits
+        assert codec._dec is None and codec._lane_lut is None
+        # ... and a decode builds them on demand, on either kernel.
+        for mode in ("reference", "fast"):
+            fresh = HuffmanCodec(codec.table)
+            with forced(mode):
+                assert np.array_equal(fresh.decode(payload, syms.size), syms)
+            assert fresh._dec is not None
+
+    def test_decode_only_codec_over_hostile_table_never_builds_encode_tables(
+        self,
+    ):
+        # A corrupt table may claim symbol 2**32-1; its dense encode
+        # lookup would be 32 GiB.
+        table = HuffmanTable(
+            np.array([3, 2**32 - 1, 7], dtype=np.int64),
+            np.array([1, 2, 2], dtype=np.int64),
+        )
+        for mode in ("reference", "fast"):
+            codec = HuffmanCodec(table)
+            with forced(mode):
+                out = codec.decode(bytes([0b01011000]), 4)
+            assert out.tolist() == [3, 2**32 - 1, 7, 3]
+            assert codec._enc_len is None and codec._enc_code is None
+        with pytest.raises(HuffmanError, match="alphabet too large"):
+            HuffmanCodec(table).encode(np.array([3]))
+
+
+class TestImportFootprint:
+    def test_import_cli_loads_no_kernel_module_and_no_scipy(self):
+        # What sank the first lane decoder was start-up cost: nothing
+        # under repro.kernels but the dispatch registry may load before
+        # the first decode, and scipy never.
+        code = (
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('repro.kernels')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == str(
+            ["repro.kernels", "repro.kernels.dispatch"]
+        )
+
+
+def _long_streams():
+    """>= 50 K-symbol streams, one per way the lanes can be stressed."""
+    rng = np.random.default_rng(23)
+    n = 60_000
+    uniform = np.tile(np.arange(256), n // 256 + 1)[:n]
+    rng.shuffle(uniform)
+    half = rng.geometric(0.2, n).clip(0, 100)
+    half[: n // 2] = 0
+    fib = [1, 1]
+    while len(fib) < 23:
+        fib.append(fib[-1] + fib[-2])
+    return {
+        "geometric": rng.geometric(0.05, n).clip(0, 400),
+        # Fibonacci counts (75 024 symbols): a 22-level tree whose rare
+        # symbols have codes beyond the lanes' 16-bit table -> escapes
+        "peaked": rng.permutation(np.repeat(np.arange(23), fib)),
+        # equal counts, power-of-two alphabet: a fixed-length code, which
+        # never synchronizes -> chain walk
+        "uniform": uniform,
+        # 30 K one-bit codes, then ordinary ones: the first regions hold
+        # several times the mean symbol count
+        "half_constant": half,
+    }
+
+
+LONG_STREAMS = {k: v.astype(np.int64) for k, v in _long_streams().items()}
+
+
+def _encoded(name):
+    syms = LONG_STREAMS[name]
+    codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+    payload, _ = codec.encode(syms)
+    return codec, syms, payload
+
+
+class TestHuffmanLaneDecode:
+    @pytest.mark.parametrize("name", sorted(LONG_STREAMS))
+    def test_clean_stream_matches_chain_walk_and_reference(self, name):
+        codec, syms, payload = _encoded(name)
+        got = lanes_match_chain_walk(codec, payload, syms.size)
+        assert got == ("ok", syms.tobytes())
+        matches_reference(codec, payload, syms.size, got)
+
+    def test_premises_of_the_stream_mix(self):
+        # Each stream must still stress what it was built to stress.
+        assert _encoded("peaked")[0].table.max_length > huffman_fast._LUT_BITS
+        fixed = _encoded("uniform")[0]
+        assert huffman_fast._lane_lut(fixed).size == 0
+        assert huffman_fast._lane_lut(_encoded("geometric")[0]).size
+
+    @pytest.mark.parametrize("name", ["geometric", "peaked", "half_constant"])
+    def test_lanes_decode_the_whole_stream(self, name, monkeypatch):
+        codec, syms, payload = _encoded(name)
+        handed_over = []
+        chain_walk = huffman_fast._chain_walk
+
+        def spy(codec, buf, pb, total_bits, out, pos, i):
+            handed_over.append(i)
+            return chain_walk(codec, buf, pb, total_bits, out, pos, i)
+
+        monkeypatch.setattr(huffman_fast, "_chain_walk", spy)
+        with forced("fast"):
+            assert np.array_equal(codec.decode(payload, syms.size), syms)
+        assert handed_over == [syms.size]
+
+    @pytest.mark.parametrize("name", ["geometric", "peaked", "half_constant"])
+    def test_bit_flips_around_region_boundaries(self, name):
+        codec, syms, payload = _encoded(name)
+        total_bits = 8 * len(payload)
+        region = max(
+            huffman_fast._MIN_REGION_BITS,
+            huffman_fast._LANE_SYMBOLS * total_bits // syms.size,
+        )
+        outcomes = set()
+        for k in (1, 2, 57, 400, total_bits // region - 1):
+            edge = (k * region) >> 3  # first byte of region k
+            for at in (edge - 1, edge):
+                for bit in (0, 3, 7):
+                    bad = bytearray(payload)
+                    bad[at] ^= 1 << bit
+                    got = lanes_match_chain_walk(codec, bytes(bad), syms.size)
+                    outcomes.add(got[0])
+                    if bit == 0:
+                        matches_reference(codec, bytes(bad), syms.size, got)
+        assert outcomes <= {"ok", "BitstreamError", "HuffmanError"}
+
+    @pytest.mark.parametrize("name", ["geometric", "peaked", "half_constant"])
+    def test_truncation_by_1_to_50_bytes(self, name):
+        codec, syms, payload = _encoded(name)
+        for cut in range(1, 51):
+            got = lanes_match_chain_walk(codec, payload[:-cut], syms.size)
+            assert got[0] == "BitstreamError"
+            if cut in (1, 17, 50):
+                matches_reference(codec, payload[:-cut], syms.size, got)
+
+    @pytest.mark.parametrize("name", ["geometric", "peaked", "half_constant"])
+    def test_appended_garbage_with_count_raised(self, name):
+        codec, syms, payload = _encoded(name)
+        rng = np.random.default_rng(31)
+        for extra_bytes, extra_syms in ((1, 1), (9, 4), (40, 12), (40, 400)):
+            tail = rng.integers(0, 256, extra_bytes, dtype=np.uint8).tobytes()
+            got = lanes_match_chain_walk(
+                codec, payload + tail, syms.size + extra_syms
+            )
+            matches_reference(
+                codec, payload + tail, syms.size + extra_syms, got
+            )
+            if got[0] == "ok":
+                decoded = np.frombuffer(got[1], dtype=np.int64)
+                assert np.array_equal(decoded[: syms.size], syms)
+
+    @pytest.mark.parametrize("name", ["geometric", "peaked", "half_constant"])
+    def test_count_lowered_below_the_stream_content(self, name):
+        codec, syms, payload = _encoded(name)
+        floor = huffman_fast._LANE_MIN_SYMBOLS
+        for n in (floor, floor + 1, syms.size // 2, syms.size - 1):
+            got = lanes_match_chain_walk(codec, payload, n)
+            assert got == ("ok", syms[:n].tobytes())
+
+    @pytest.mark.parametrize("name", sorted(LONG_STREAMS))
+    def test_tiny_lanes_cross_many_segments(self, name):
+        # The same streams cut to 2000 symbols, decoded with the lane
+        # constants shrunk so even these cross hundreds of lanes.
+        syms = LONG_STREAMS[name][29_000:31_000]
+        codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+        payload, _ = codec.encode(syms)
+        rng = np.random.default_rng(41)
+        with lane_constants(**TINY_LANES):
+            got = lanes_match_chain_walk(codec, payload, syms.size)
+            assert got == ("ok", syms.tobytes())
+            for _ in range(40):
+                bad = bytearray(payload)
+                bad[rng.integers(len(bad))] ^= 1 << rng.integers(8)
+                cut = int(rng.integers(0, 4))
+                bad = bytes(bad[: len(bad) - cut])
+                got = lanes_match_chain_walk(codec, bad, syms.size)
+                matches_reference(codec, bad, syms.size, got)
