@@ -216,7 +216,10 @@ def compress_sweep(
         ok_ = ok[:n]
         np.logical_and(qm_, ib_, out=ok_)
         ci_ = ci[:n]
-        ci_[...] = hs_  # trunc-toward-zero cast: exact on ±half
+        # trunc-toward-zero cast: exact on ±half.  Only the ok_ lanes are
+        # cast — NaN/Inf/huge halves live on lanes qm_ (hence ok_)
+        # rejects, and every lane outside ok_ is zeroed below.
+        np.copyto(ci_, hs_, casting="unsafe", where=ok_)
         np.add(ci_, r, out=ci_)  # code_dot
         if np.count_nonzero(ok_) == n:
             codes_flat[idx] = ci_

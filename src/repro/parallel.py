@@ -58,7 +58,7 @@ def plan_bands(
     """Resolve the global bound and band slices for a tiled compression.
 
     Shared by the serial path below, the worker-pool fan-out in
-    :mod:`repro.service.workers` and the array store's tile writer, so all
+    :mod:`repro.service.scheduler` and the array store's tile writer, so all
     three produce identical plans.  The error bound is resolved *globally*
     (VR-REL against the full field's range, as SZ's OpenMP mode does) and
     later applied per band as an absolute bound, so the guarantee is
@@ -142,7 +142,7 @@ def tile_compress(
     """Compress ``data`` as ``n_tiles`` independent bands along axis 0.
 
     This is the serial reference path; the service scheduler
-    (``BatchScheduler._run_tiled``) fans the same bands out across its
+    (``BatchScheduler._fan_out``) fans the same bands out across its
     worker pool and produces a byte-identical payload.
     """
     data = np.ascontiguousarray(data)

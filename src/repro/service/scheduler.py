@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import asyncio
 import time
+from dataclasses import replace
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ..codec.registry import REGISTRY
 from ..errors import (
@@ -187,7 +190,7 @@ class BatchScheduler:
             self._in_flight += 1
             group = [handle]
             try:
-                if self._batchable(handle.job):
+                if self._route(handle.job) == "batch":
                     group = await self._collect_group(handle)
                 if len(group) == 1:
                     await self._run_one(handle)
@@ -213,14 +216,36 @@ class BatchScheduler:
                 if not self._in_flight and not self.queue.depth:
                     self._idle.set()
 
-    def _batchable(self, job: CompressionJob) -> bool:
-        """Whether a job may join a coalesced dispatch."""
-        return (
+    def _route(self, job: CompressionJob) -> str:
+        """How a job reaches a worker — decided once, here.
+
+        ``"seam"``: a substituted ``_worker_fn`` always sees the whole
+        job, so it opts out of the transport, the micro-batcher and the
+        fan-out alike.  ``"fanout"``: multi-tile compress jobs of
+        data-parallel codecs spread their bands across the pool.
+        Classic wavefront codecs still tile, but serially inside one
+        worker (:func:`run_job`): their per-band sweeps hog a core each,
+        so spreading one job's bands buys nothing a second *job* would
+        not use better.  Dual-quant codecs have no wavefront — their
+        bands are the intra-job parallel axis the registry flag
+        advertises.  ``"batch"``: small single-tile jobs may share one
+        coalesced dispatch.  ``"single"``: everything else.
+        """
+        if self._worker_fn is not run_job:
+            return "seam"
+        if (
+            job.op == "compress"
+            and job.n_tiles > 1
+            and REGISTRY.entry(job.codec).data_parallel
+        ):
+            return "fanout"
+        if (
             self.batch_bytes > 0
-            and self._worker_fn is run_job
             and job.batch_eligible
             and job.input_bytes < self.batch_bytes
-        )
+        ):
+            return "batch"
+        return "single"
 
     async def _collect_group(self, first: JobHandle) -> list[JobHandle]:
         """Greedily coalesce small jobs behind ``first``.
@@ -237,7 +262,7 @@ class BatchScheduler:
         while len(group) < self.batch_max_jobs:
             nxt = self.queue.peek()
             if nxt is not None:
-                if not self._batchable(nxt.job):
+                if self._route(nxt.job) != "batch":
                     break
                 self.queue.get_nowait()
                 self._in_flight += 1
@@ -249,53 +274,45 @@ class BatchScheduler:
             await asyncio.sleep(self.batch_wait_s)
         return group
 
+    def _start(self, handle: JobHandle) -> bool:
+        """Leave the queue: ``RUNNING``, or ``EXPIRED`` past the deadline."""
+        job = handle.job
+        if handle.expired:
+            handle.finish(
+                JobState.EXPIRED,
+                error=DeadlineExpiredError(
+                    f"job {job.job_id!r} missed its {job.deadline_s:g}s "
+                    "deadline while queued"
+                ),
+            )
+            self.metrics.count(job.metrics_key, "expired")
+            return False
+        handle.state = JobState.RUNNING
+        handle.started_at = time.monotonic()
+        handle.attempts = 1
+        return True
+
     async def _run_group(self, group: list[JobHandle]) -> None:
         """One coalesced dispatch: N small jobs, one pool round-trip.
 
-        The whole group runs as a single worker call (the transport
-        packs shm-bound inputs into one segment).  Any group-level
-        failure falls back to dispatching each member individually
-        through :meth:`_run_one` — every job keeps its full retry
-        budget, so batching can never *reduce* a job's chances.
+        Any group-level failure falls back to dispatching each member
+        individually through :meth:`_run_one` — every job keeps its full
+        retry budget, so batching can never *reduce* a job's chances.
         """
-        live: list[JobHandle] = []
-        for h in group:
-            if h.expired:
-                h.finish(
-                    JobState.EXPIRED,
-                    error=DeadlineExpiredError(
-                        f"job {h.job.job_id!r} missed its "
-                        f"{h.job.deadline_s:g}s deadline while queued"
-                    ),
-                )
-                self.metrics.count(h.job.metrics_key, "expired")
-                continue
-            h.state = JobState.RUNNING
-            h.started_at = time.monotonic()
-            h.attempts = 1
-            live.append(h)
+        live = [h for h in group if self._start(h)]
         if not live:
             return
-        envelope = self.transport.encode_group([h.job for h in live])
         t0 = time.monotonic()
         try:
             outputs = await self._guard_hang(
-                self.pool.run(envelope.fn, *envelope.args),
+                self._cross_pool([h.job for h in live]),
                 f"batch of {len(live)} jobs",
             )
-            if not isinstance(outputs, list) or len(outputs) != len(live):
-                raise ServiceError(
-                    f"batched dispatch returned {type(outputs).__name__} "
-                    f"for {len(live)} jobs"
-                )
         except Exception:  # noqa: BLE001 - group fails over to singles
             self.metrics.incr("batch.fallbacks")
             for h in live:
-                h.state = JobState.QUEUED
                 await self._run_one(h)
             return
-        finally:
-            envelope.release()
         run_s = time.monotonic() - t0
         self._batch_dispatches += 1
         self._batch_jobs += len(live)
@@ -305,41 +322,21 @@ class BatchScheduler:
             "batch.occupancy", self._batch_jobs / self._batch_dispatches
         )
         for h, output in zip(live, outputs):
-            result = self._to_result(h, output, run_s=run_s)
-            h.finish(JobState.DONE, result=result)
-            self.metrics.observe_completion(
-                h.job.metrics_key,
-                latency_s=result.total_s,
-                bytes_in=h.job.input_bytes,
-                bytes_out=(
-                    len(result.output)
-                    if isinstance(result.output, (bytes, bytearray))
-                    else 0
-                ),
-            )
+            self._settle(h, output, run_s=run_s)
 
     async def _run_one(self, handle: JobHandle) -> None:
+        if not self._start(handle):
+            return
         job = handle.job
         key = job.metrics_key
-        if handle.expired:
-            handle.finish(
-                JobState.EXPIRED,
-                error=DeadlineExpiredError(
-                    f"job {job.job_id!r} missed its {job.deadline_s:g}s "
-                    "deadline while queued"
-                ),
-            )
-            self.metrics.count(key, "expired")
-            return
-
-        handle.state = JobState.RUNNING
-        handle.started_at = time.monotonic()
         attempts = self.max_retries + 1
         for attempt in range(1, attempts + 1):
             handle.attempts = attempt
             t0 = time.monotonic()
             try:
-                output = await self._run_worker(job)
+                output = await self._guard_hang(
+                    self._attempt(job), f"job {job.job_id!r}"
+                )
             except Exception as exc:  # noqa: BLE001 - classified below
                 if is_transient(exc) and attempt < attempts:
                     self.metrics.count(key, "retried")
@@ -360,41 +357,21 @@ class BatchScheduler:
                 handle.error.__cause__ = exc
                 self.metrics.count(key, "failed")
                 return
-            now = time.monotonic()
-            result = self._to_result(handle, output, run_s=now - t0)
-            handle.finish(JobState.DONE, result=result)
-            self.metrics.observe_completion(
-                key,
-                latency_s=result.total_s,
-                bytes_in=job.input_bytes,
-                bytes_out=(
-                    len(result.output)
-                    if isinstance(result.output, (bytes, bytearray))
-                    else 0
-                ),
-            )
+            self._settle(handle, output, run_s=time.monotonic() - t0)
             return
 
-    def _wants_fanout(self, job: CompressionJob) -> bool:
-        """Multi-tile compress jobs of data-parallel codecs fan out.
+    async def _attempt(self, job: CompressionJob) -> object:
+        """One execution of one job, by its route."""
+        route = self._route(job)
+        if route == "seam":
+            return await self.pool.run(self._worker_fn, job)
+        if route == "fanout":
+            return await self._fan_out(job)
+        [output] = await self._cross_pool([job])
+        return output
 
-        Classic wavefront codecs still tile, but serially inside one
-        worker (:func:`run_job`): their per-band sweeps hog a core each,
-        so spreading one job's bands buys nothing a second *job* would
-        not use better.  Dual-quant codecs have no wavefront — their
-        bands are the intra-job parallel axis the registry flag
-        advertises.  The test seam (`_worker_fn`) opts out of routing so
-        substituted work functions always see the whole job.
-        """
-        return (
-            job.op == "compress"
-            and job.n_tiles > 1
-            and self._worker_fn is run_job
-            and REGISTRY.entry(job.codec).data_parallel
-        )
-
-    async def _run_worker(self, job: CompressionJob) -> object:
-        """One pool execution under the watchdog's hang budget.
+    async def _guard_hang(self, work, label: str) -> object:
+        """Await pool work under the watchdog's hang budget.
 
         With ``hang_timeout_s`` set, a worker that does not come back in
         time is killed (:meth:`WorkerPool.kill_hung` respawns the
@@ -402,16 +379,6 @@ class BatchScheduler:
         a *transient* error, so the normal retry loop gets the next
         attempt on a fresh worker.
         """
-        if self._wants_fanout(job):
-            work = self._run_tiled(job)
-        elif self._worker_fn is run_job:
-            work = self._run_via_transport(job)
-        else:
-            work = self.pool.run(self._worker_fn, job)
-        return await self._guard_hang(work, f"job {job.job_id!r}")
-
-    async def _guard_hang(self, work, label: str) -> object:
-        """Await pool work under the watchdog's hang budget."""
         if self.hang_timeout_s is None:
             return await work
         try:
@@ -424,71 +391,77 @@ class BatchScheduler:
                 "hang budget; worker killed and pool respawned"
             ) from None
 
-    async def _run_via_transport(self, job: CompressionJob) -> object:
-        """One pool execution with the field crossing by the transport's
-        channel (a `FieldRef` under shm, the job itself under pickle).
+    async def _cross_pool(self, jobs: list[CompressionJob]) -> list:
+        """The one place work crosses the pool: the jobs of one dispatch
+        go out through the transport, their outputs come back aligned.
 
-        The input lease is released in ``finally`` — parent-owned, so a
-        worker SIGKILLed mid-job cannot leak the input segment — and
-        large worker-shipped outputs are reattached (and their one-shot
+        The input leases are released in ``finally`` — parent-owned, so
+        a worker SIGKILLed mid-job cannot leak an input segment — and
+        large worker-shipped outputs are refilled (and their one-shot
         segments unlinked) in ``decode_result``.
         """
-        envelope = self.transport.encode_job(job)
+        envelope = self.transport.encode_job(*jobs)
         try:
-            output = await self.pool.run(envelope.fn, *envelope.args)
+            outputs = await self.pool.run(envelope.fn, *envelope.args)
         finally:
             envelope.release()
-        return self.transport.decode_result(output)
+        return [self.transport.decode_result(out) for out in outputs]
 
-    async def _run_tiled(self, job: CompressionJob) -> TiledResult:
-        """Fan one dp job's tile bands across the pool (satellite wiring).
+    async def _fan_out(self, job: CompressionJob) -> TiledResult:
+        """Fan one dp job's tile bands across the pool.
 
-        Same plan (:func:`plan_bands`), same band unit
-        (:func:`compress_band`), same deterministic assembly
-        (:func:`assemble_tiles`) as the serial path — gathered in band
-        order, so the payload is byte-identical to a single worker
-        running :func:`run_job` on the same job.
+        Each band is a job of its own — the band's rows under the
+        globally resolved bound as an absolute one — so it crosses the
+        pool like any other.  Same plan (:func:`plan_bands`) and same
+        deterministic assembly (:func:`assemble_tiles`) as the serial
+        path, gathered in band order, so the payload is byte-identical
+        to a single worker running :func:`run_job` on the same job.
         """
         assert job.data is not None
         bound, slices = plan_bands(job.data, job.eb, job.mode, job.n_tiles)
-        envelopes = [
-            self.transport.encode_band(job, job.data[sl], bound.absolute)
+        bands = await asyncio.gather(*(
+            self._cross_pool([replace(
+                job, data=np.ascontiguousarray(job.data[sl]),
+                eb=bound.absolute, mode="abs", n_tiles=1,
+            )])
             for sl in slices
-        ]
-        try:
-            compressed = await asyncio.gather(*(
-                self.pool.run(env.fn, *env.args) for env in envelopes
-            ))
-        finally:
-            for env in envelopes:
-                env.release()
+        ))
         self.metrics.incr("scheduler.tile_fanouts")
         return assemble_tiles(
-            REGISTRY.canonical(job.codec), job.data, bound, slices, compressed
+            REGISTRY.canonical(job.codec), job.data, bound, slices,
+            [compressed for [compressed] in bands],
         )
 
-    def _to_result(
+    def _settle(
         self, handle: JobHandle, output: object, *, run_s: float
-    ) -> JobResult:
+    ) -> None:
+        """Finish a handle with its worker output and record the job."""
         job = handle.job
         stats = None
         if isinstance(output, (CompressedField, TiledResult)):
             stats = output.stats
-            payload: object = output.payload
-        else:
-            payload = output
+            output = output.payload
         now = time.monotonic()
         started = handle.started_at or now
-        return JobResult(
+        result = JobResult(
             job_id=job.job_id,
             codec=job.codec,
             op=job.op,
-            output=payload,
+            output=output,
             stats=stats,
             attempts=handle.attempts,
             queued_s=started - handle.submitted_at,
             run_s=run_s,
             total_s=now - handle.submitted_at,
+        )
+        handle.finish(JobState.DONE, result=result)
+        self.metrics.observe_completion(
+            job.metrics_key,
+            latency_s=result.total_s,
+            bytes_in=job.input_bytes,
+            bytes_out=(
+                len(output) if isinstance(output, (bytes, bytearray)) else 0
+            ),
         )
 
     # -- observation -----------------------------------------------------

@@ -1,11 +1,10 @@
 """Zero-copy shared-memory field transport for the worker pool.
 
-The service's dispatch chain used to move every field by value: the
-scheduler pickles the full ``ndarray`` into the process-pool pipe, the
-OS copies it through a socketpair, and the worker unpickles it again —
-three full-field copies per job *before* any compression happens, which
-is why ``BENCH_service.json`` showed throughput flat from 1→4 workers.
-This module replaces the value channel with a name channel:
+Moving a field to a process-pool worker by value costs three full-field
+copies *before* any compression happens: the scheduler pickles the
+``ndarray`` into the executor pipe, the OS copies it through a
+socketpair, and the worker unpickles it again.  This module replaces the
+value channel with a name channel:
 
 :class:`ShmArena`
     A registry of refcounted ``multiprocessing.shared_memory`` segments
@@ -19,22 +18,26 @@ This module replaces the value channel with a name channel:
     The picklable descriptor that crosses the pool instead of the array:
     segment name, dtype, shape, offset, byte length.  A worker attaches
     the segment by name and maps a read-only ``ndarray`` view over it —
-    no bytes move.  Offsets let many small fields (micro-batches) or the
-    contiguous tile bands of one field share a single segment.
+    no bytes move.  Offsets let the contiguous tile bands of one field
+    share the segment the field already lives in.
 
 :class:`ShmTransport` / :class:`PickleTransport`
-    The scheduler-facing seam.  ``shm`` rewrites jobs into
-    :class:`_JobMessage` envelopes (inputs *and* large outputs ride
-    segments); ``pickle`` passes jobs through unchanged — the transparent
+    The scheduler-facing seam: one encoder, ``encode_job(*jobs)``, turns
+    the jobs of one dispatch — a lone job, a micro-batch, one tile band —
+    into a picklable call of :func:`run_jobs`.  ``shm`` places each
+    job's bulk input by one rule (memory the arena already holds → an
+    offset ref into it; at least ``min_bytes`` → one leased segment;
+    else by value) and has large outputs ride worker-created segments
+    back; ``pickle`` passes jobs through unchanged — the transparent
     fallback for ``thread``/``inline`` pools (same address space, a copy
-    channel would only add work) and for platforms without usable shared
-    memory.  Both run the exact same :func:`~repro.service.workers.
-    run_job` in the worker, so results are byte-identical across
-    transports by construction.
+    channel would only add work), for platforms without usable shared
+    memory, and the reference the parity matrix compares against.
 
-Worker-side module functions (:func:`run_job_message`,
-:func:`run_job_group`, :func:`run_band_message`) live here at module
-level so process pools can pickle them.
+:func:`run_jobs`
+    The one worker entry, at module level so process pools can pickle
+    it.  It resolves refs and runs :func:`~repro.service.workers.
+    run_job` per item on both transports, so results are byte-identical
+    across transports by construction.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ import secrets
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from ..errors import ServiceError
 from .jobs import CompressionJob
+from .workers import run_job
 
 __all__ = [
     "SHM_MIN_BYTES",
@@ -58,9 +62,7 @@ __all__ = [
     "ShmArena",
     "PickleTransport",
     "ShmTransport",
-    "run_job_message",
-    "run_job_group",
-    "run_band_message",
+    "run_jobs",
     "resolve_transport",
 ]
 
@@ -69,10 +71,6 @@ __all__ = [
 #: attach in the worker) costs more than pickling the bytes.  Micro-
 #: batching is the tool for small jobs, not shared memory.
 SHM_MIN_BYTES = 64 * 1024
-
-#: Segment payloads are packed at cache-line alignment so every view in a
-#: shared segment starts on an aligned address.
-_ALIGN = 64
 
 #: Largest segment the arena keeps in its free pool for reuse, and the
 #: pool's total byte budget.  Reusing a warm segment turns dispatch into
@@ -83,10 +81,6 @@ _POOL_MAX_BYTES = 256 * 1024 * 1024
 #: Worker-side attachment cache (name → SharedMemory).  Pooled segments
 #: keep their names across jobs, so workers re-map the same segment once.
 _ATTACH_CACHE_SLOTS = 16
-
-
-def _round_up(n: int, align: int = _ALIGN) -> int:
-    return (n + align - 1) // align * align
 
 
 def _size_class(nbytes: int) -> int:
@@ -113,19 +107,22 @@ class FieldRef:
     shape: tuple[int, ...] = ()
 
 
+def _address(data: np.ndarray) -> int:
+    return data.__array_interface__["data"][0]
+
+
 class _Segment:
     """One tracked segment: the mapping plus its lease count."""
 
-    __slots__ = ("shm", "size", "refs", "views")
+    __slots__ = ("shm", "size", "refs", "base")
 
     def __init__(self, shm: Any, size: int) -> None:
         self.shm = shm
         self.size = size
         self.refs = 0
-        #: Arrays we handed out over this segment (zero-copy adoption);
-        #: pinned so ``id()`` stays unambiguous for the lifetime of the
-        #: lease and the buffer cannot outlive its mapping.
-        self.views: list[np.ndarray] = []
+        #: Address the mapping starts at: what :meth:`ShmArena.ref_of`
+        #: measures an array's own address against.
+        self.base = _address(np.frombuffer(shm.buf, dtype=np.uint8))
 
 
 class ShmArena:
@@ -150,7 +147,6 @@ class ShmArena:
         self._pool: dict[int, list[str]] = {}
         self._pool_bytes = 0
         self._seq = 0
-        self._adopted: dict[int, tuple[str, FieldRef]] = {}
         self.leaks_reclaimed = 0
         atexit.register(self.close)
 
@@ -251,9 +247,6 @@ class ShmArena:
             seg.refs -= n
             if seg.refs > 0:
                 return
-            for view in seg.views:
-                self._adopted.pop(id(view), None)
-            seg.views.clear()
             if (
                 seg.size <= _POOL_MAX_SEGMENT
                 and self._pool_bytes + seg.size <= _POOL_MAX_BYTES
@@ -289,7 +282,7 @@ class ShmArena:
         dst[...] = data
         return FieldRef(
             segment=name, kind="array", nbytes=data.nbytes,
-            dtype=str(data.dtype), shape=tuple(data.shape),
+            dtype=data.dtype.str, shape=tuple(data.shape),
         )
 
     def put_bytes(self, payload: bytes) -> FieldRef:
@@ -302,33 +295,43 @@ class ShmArena:
         self, name: str, dtype: np.dtype, shape: tuple[int, ...],
         offset: int = 0,
     ) -> np.ndarray:
-        """Map an ndarray over a leased segment and remember the mapping.
+        """Map an ndarray over a leased segment.
 
         The zero-copy ingest path: the server streams a request body
-        straight into a segment, adopts a view, and hands that array to
+        straight into a segment, maps a view, and hands that array to
         ``make_job``.  When the scheduler later encodes the job,
-        :meth:`ref_of` recognises the array and ships a :class:`FieldRef`
-        instead of copying the field a second time.
+        :meth:`ref_of` finds the array's memory inside the segment and
+        ships a :class:`FieldRef` instead of copying the field again.
         """
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        view = np.ndarray(shape, dtype=dtype,
+        return np.ndarray(shape, dtype=dtype,
                           buffer=self.buffer(name, nbytes, offset))
-        ref = FieldRef(
-            segment=name, kind="array", nbytes=nbytes, offset=offset,
-            dtype=str(dtype), shape=tuple(shape),
-        )
-        with self._lock:
-            seg = self._segments[name]
-            seg.views.append(view)
-            self._adopted[id(view)] = (name, ref)
-        return view
 
     def ref_of(self, data: np.ndarray) -> FieldRef | None:
-        """The adopted :class:`FieldRef` backing ``data``, if any."""
+        """Where ``data`` lives in this arena, or ``None`` if it does not.
+
+        Answers by address, so a whole adopted field and a contiguous
+        row-slab of one (a tile band) both resolve — to the same segment
+        at their own offsets.  Only leased segments count: a view into a
+        released (pooled) segment is no longer the caller's memory.
+        """
+        if not data.flags.c_contiguous:
+            return None
+        addr = _address(data)
         with self._lock:
-            hit = self._adopted.get(id(data))
-        return hit[1] if hit is not None else None
+            for name, seg in self._segments.items():
+                if (
+                    seg.refs > 0
+                    and seg.base <= addr
+                    and addr + data.nbytes <= seg.base + seg.size
+                ):
+                    return FieldRef(
+                        segment=name, kind="array", nbytes=data.nbytes,
+                        offset=addr - seg.base, dtype=data.dtype.str,
+                        shape=tuple(data.shape),
+                    )
+        return None
 
     # -- reclamation ------------------------------------------------------
 
@@ -379,9 +382,7 @@ class ShmArena:
             self._segments.clear()
             self._pool.clear()
             self._pool_bytes = 0
-            self._adopted.clear()
         for seg in segments:
-            seg.views.clear()
             self._unlink(seg.shm)
         if leaked:
             self.leaks_reclaimed += leaked
@@ -474,121 +475,84 @@ def _ref_bytes(ref: FieldRef) -> bytes:
 
 
 @dataclass(frozen=True)
-class _JobMessage:
-    """A :class:`CompressionJob` with its bulk fields swapped for refs."""
+class _Shipped:
+    """An object whose bulk field stayed behind in a segment.
 
-    job_id: str
-    codec: str
-    op: str
-    eb: float
-    mode: str
-    priority: int
-    deadline_s: float | None
-    n_tiles: int
-    data_ref: FieldRef | None = None
-    payload_ref: FieldRef | None = None
-    payload: bytes | None = None
-    #: Worker-created output segments are named under this namespace so
-    #: the parent arena can reclaim them if the worker dies mid-return.
-    out_prefix: str = ""
-    out_min_bytes: int = 0
-
-
-@dataclass(frozen=True)
-class _ShmResult:
-    """A job output whose payload rides a worker-created segment.
-
-    ``shell`` is the original result object with its bulk field blanked
-    (``payload=b""`` for compress results); the parent reattaches the
-    bytes and reconstructs the exact object the pickle path would have
-    returned — byte-identical by construction.
+    ``shell`` is the object with that field blanked — on the way in a
+    job's fields without ``data``/``payload`` (as a dict: a job cannot
+    exist without its input), on the way out a compress result with an
+    empty ``payload`` (``None`` for a bare decompressed array) — and
+    ``ref`` says where the bulk is.  Refilling the shell yields the
+    exact object the pickle path would have carried.
     """
 
-    ref: FieldRef
     shell: Any
-    kind: str  # "payload" (CompressedField/TiledResult) | "array"
+    ref: FieldRef
+
+
+def _resolve(item: CompressionJob | _Shipped) -> CompressionJob:
+    if isinstance(item, CompressionJob):
+        return item
+    if item.ref.kind == "array":
+        return CompressionJob(**{**item.shell, "data": _view(item.ref)})
+    return CompressionJob(**{**item.shell, "payload": _ref_bytes(item.ref)})
 
 
 _out_seq = 0
 
 
-def _ship_bytes(payload: bytes, out_prefix: str) -> FieldRef:
-    """Create a one-shot output segment in the worker and fill it.
+def _ship_output(out: Any, out_prefix: str, out_min_bytes: int) -> Any:
+    """Leave a large output in a one-shot segment (small ones pickle).
 
-    Untracked: the *parent* unlinks it (in ``decode_result``, or via the
-    orphan scan if this worker dies first) — this worker's exit must not.
+    The segment is untracked: the *parent* unlinks it (in
+    ``decode_result``, or via the orphan scan if this worker dies
+    first) — this worker's exit must not.
     """
     global _out_seq
+    payload = getattr(out, "payload", None)
+    if isinstance(payload, bytes):
+        nbytes = len(payload)
+    elif isinstance(out, np.ndarray):
+        nbytes = out.nbytes
+    else:
+        return out
+    if not out_prefix or nbytes < max(out_min_bytes, 1):
+        return out
     _out_seq += 1
     name = f"{out_prefix}o{os.getpid()}x{_out_seq}"
-    shm = _open_untracked(name, create=True, size=len(payload))
-    shm.buf[:len(payload)] = payload
-    shm.close()
-    return FieldRef(segment=name, kind="bytes", nbytes=len(payload))
-
-
-def _encode_output(out: Any, msg: _JobMessage) -> Any:
-    """Route large outputs through shared memory (small ones pickle)."""
-    if not msg.out_prefix or msg.out_min_bytes <= 0:
-        return out
-    payload = getattr(out, "payload", None)
-    if isinstance(payload, bytes) and len(payload) >= msg.out_min_bytes:
-        ref = _ship_bytes(payload, msg.out_prefix)
-        return _ShmResult(ref=ref, shell=replace(out, payload=b""),
-                          kind="payload")
-    if isinstance(out, np.ndarray) and out.nbytes >= msg.out_min_bytes:
-        contig = np.ascontiguousarray(out)
-        ref = FieldRef(
-            segment=_ship_bytes(contig.tobytes(), msg.out_prefix).segment,
-            kind="array", nbytes=contig.nbytes,
-            dtype=str(contig.dtype), shape=tuple(contig.shape),
+    shm = _open_untracked(name, create=True, size=nbytes)
+    if isinstance(out, np.ndarray):
+        np.ndarray(out.shape, dtype=out.dtype, buffer=shm.buf)[...] = out
+        shipped = _Shipped(None, FieldRef(
+            segment=name, kind="array", nbytes=nbytes,
+            dtype=out.dtype.str, shape=tuple(out.shape),
+        ))
+    else:
+        shm.buf[:nbytes] = payload
+        shipped = _Shipped(
+            replace(out, payload=b""),
+            FieldRef(segment=name, kind="bytes", nbytes=nbytes),
         )
-        return _ShmResult(ref=ref, shell=None, kind="array")
-    return out
+    shm.close()
+    return shipped
 
 
-def _job_of(msg: _JobMessage) -> CompressionJob:
-    data = _view(msg.data_ref) if msg.data_ref is not None else None
-    payload = msg.payload
-    if msg.payload_ref is not None:
-        payload = _ref_bytes(msg.payload_ref)
-    return CompressionJob(
-        job_id=msg.job_id, codec=msg.codec, op=msg.op,
-        data=data, payload=payload, eb=msg.eb, mode=msg.mode,
-        priority=msg.priority, deadline_s=msg.deadline_s,
-        n_tiles=msg.n_tiles,
-    )
+def run_jobs(
+    items: list[CompressionJob | _Shipped],
+    out_prefix: str = "", out_min_bytes: int = 0,
+) -> list[Any]:
+    """The worker entry: every dispatch that crosses the pool lands here.
 
-
-def run_job_message(msg: _JobMessage) -> Any:
-    """Worker entry for one shm-encoded job (the zero-copy twin of
-    :func:`~repro.service.workers.run_job`)."""
-    from .workers import run_job
-
-    return _encode_output(run_job(_job_of(msg)), msg)
-
-
-def run_job_group(msgs: Sequence[Any]) -> list[Any]:
-    """Worker entry for one micro-batched dispatch.
-
-    ``msgs`` holds :class:`_JobMessage` envelopes (shm transport) or
-    plain :class:`CompressionJob` objects (pickle transport); outputs
-    align with inputs.  Batched jobs are small by contract, so their
-    outputs return by value.
+    ``items`` are the jobs of one dispatch — by value, or as
+    :class:`_Shipped` shells whose field waits in a segment; outputs
+    align with inputs.  With an ``out_prefix`` (the parent arena's
+    namespace, so it can reclaim them if this worker dies mid-return),
+    outputs of at least ``out_min_bytes`` return through segments too.
+    Every output exists before the first one ships, so a failing job
+    never strands its neighbours' segments.
     """
-    from .workers import run_job
-
-    return [
-        run_job(m if isinstance(m, CompressionJob) else _job_of(m))
-        for m in msgs
-    ]
-
-
-def run_band_message(codec: str, ref: FieldRef, eb_abs: float) -> Any:
-    """Worker entry for one tile band referenced inside a shared field."""
-    from .workers import compress_band
-
-    return compress_band(codec, np.ascontiguousarray(_view(ref)), eb_abs)
+    outputs = [run_job(_resolve(item)) for item in items]
+    return [_ship_output(out, out_prefix, out_min_bytes) for out in outputs]
 
 
 # -- transports -----------------------------------------------------------
@@ -618,23 +582,8 @@ class PickleTransport:
 
     name = "pickle"
 
-    def encode_job(self, job: CompressionJob) -> _Envelope:
-        from .workers import run_job
-
-        return _Envelope(fn=run_job, args=(job,))
-
-    def encode_group(self, jobs: Sequence[CompressionJob]) -> _Envelope:
-        return _Envelope(fn=run_job_group, args=(list(jobs),))
-
-    def encode_band(
-        self, job: CompressionJob, band: np.ndarray, eb_abs: float
-    ) -> _Envelope:
-        from .workers import compress_band
-
-        return _Envelope(
-            fn=compress_band,
-            args=(job.codec, np.ascontiguousarray(band), eb_abs),
-        )
+    def encode_job(self, *jobs: CompressionJob) -> _Envelope:
+        return _Envelope(fn=run_jobs, args=(list(jobs),))
 
     def decode_result(self, out: Any) -> Any:
         return out
@@ -646,8 +595,9 @@ class PickleTransport:
 class ShmTransport:
     """Move fields by :class:`FieldRef`; copy only what must move.
 
-    Small jobs (< ``min_bytes``) still pickle — see :data:`SHM_MIN_BYTES`
-    — so the transport is strictly no-worse than pickling at every size.
+    Small inputs the arena does not already hold (< ``min_bytes``, see
+    :data:`SHM_MIN_BYTES`) still pickle, so the transport is strictly
+    no-worse than pickling at every size.
     """
 
     name = "shm"
@@ -658,156 +608,82 @@ class ShmTransport:
     ) -> None:
         self.arena = arena if arena is not None else ShmArena(metrics=metrics)
         self.min_bytes = min_bytes
-        self._pickle = PickleTransport()
 
-    # -- single job -------------------------------------------------------
+    def _place(self, job: CompressionJob) -> FieldRef | None:
+        """Where one job's bulk input crosses: a leased ref, or by value.
 
-    def _field_ref(self, data: np.ndarray) -> tuple[FieldRef, bool]:
-        """(ref, owns_lease): adopt a server-ingested view or copy once."""
-        adopted = self.arena.ref_of(data)
-        if adopted is not None:
-            self.arena.lease(adopted.segment)
-            return adopted, True
-        return self.arena.put_array(data), True
-
-    def encode_job(self, job: CompressionJob) -> _Envelope:
-        if job.input_bytes < self.min_bytes:
-            return self._pickle.encode_job(job)
-        data_ref = payload_ref = None
+        Memory the arena already holds (a socket-ingested field, or a
+        row-slab of one) ships as an offset ref into it — zero bytes
+        move; anything else of at least ``min_bytes`` is copied once
+        into a leased segment; smaller inputs ride the pickle channel.
+        """
         if job.op == "compress":
             assert job.data is not None
-            data_ref, _ = self._field_ref(job.data)
-            segment = data_ref.segment
-        else:
+            ref = self.arena.ref_of(job.data)
+            if ref is not None:
+                self.arena.lease(ref.segment)
+                return ref
+            if job.input_bytes >= self.min_bytes:
+                return self.arena.put_array(job.data)
+        elif job.input_bytes >= self.min_bytes:
             assert job.payload is not None
-            payload_ref = self.arena.put_bytes(bytes(job.payload))
-            segment = payload_ref.segment
-        msg = _JobMessage(
-            job_id=job.job_id, codec=job.codec, op=job.op,
-            eb=job.eb, mode=job.mode, priority=job.priority,
-            deadline_s=job.deadline_s, n_tiles=job.n_tiles,
-            data_ref=data_ref, payload_ref=payload_ref,
-            out_prefix=self.arena.prefix, out_min_bytes=self.min_bytes,
-        )
-        return _Envelope(
-            fn=run_job_message, args=(msg,),
-            _cleanup=lambda: self.arena.release(segment),
-        )
+            return self.arena.put_bytes(bytes(job.payload))
+        return None
 
-    # -- micro-batch ------------------------------------------------------
+    def encode_job(self, *jobs: CompressionJob) -> _Envelope:
+        """Encode the jobs of one dispatch; the envelope owns the leases.
 
-    def encode_group(self, jobs: Sequence[CompressionJob]) -> _Envelope:
-        """Pack every small job of one dispatch into a single segment."""
-        sizes = [_round_up(j.input_bytes) for j in jobs]
-        total = sum(sizes)
-        if total < self.min_bytes:
-            return self._pickle.encode_group(jobs)
-        name = self.arena.allocate(total)
-        msgs = []
-        offset = 0
-        for job, size in zip(jobs, sizes):
-            data_ref = payload_ref = None
-            if job.op == "compress":
-                assert job.data is not None
-                data = np.ascontiguousarray(job.data)
-                dst = np.ndarray(
-                    data.shape, dtype=data.dtype,
-                    buffer=self.arena.buffer(name, data.nbytes, offset),
-                )
-                dst[...] = data
-                data_ref = FieldRef(
-                    segment=name, kind="array", nbytes=data.nbytes,
-                    offset=offset, dtype=str(data.dtype),
-                    shape=tuple(data.shape),
-                )
-            else:
-                assert job.payload is not None
-                payload = bytes(job.payload)
-                self.arena.buffer(name, len(payload), offset)[:] = payload
-                payload_ref = FieldRef(
-                    segment=name, kind="bytes", nbytes=len(payload),
-                    offset=offset,
-                )
-            msgs.append(_JobMessage(
-                job_id=job.job_id, codec=job.codec, op=job.op,
-                eb=job.eb, mode=job.mode, priority=job.priority,
-                deadline_s=job.deadline_s, n_tiles=job.n_tiles,
-                data_ref=data_ref, payload_ref=payload_ref,
-            ))
-            offset += size
-        return _Envelope(
-            fn=run_job_group, args=(msgs,),
-            _cleanup=lambda: self.arena.release(name),
-        )
-
-    # -- tile bands -------------------------------------------------------
-
-    def encode_band(
-        self, job: CompressionJob, band: np.ndarray, eb_abs: float
-    ) -> _Envelope:
-        """One band of a fanned-out dp job, shipped by reference.
-
-        When the band is a contiguous row-slab of a field the arena
-        already holds (the common case: ``plan_bands`` slices axis 0 of
-        a C-contiguous array), the ref points into the *existing*
-        segment at an offset — the fan-out moves zero bytes.
+        Leases are parent-owned, so a worker SIGKILLed mid-job cannot
+        leak an input segment — and if placing job k raises (a full
+        ``/dev/shm``), the leases of jobs 0..k-1 are released here.
         """
-        if band.nbytes < self.min_bytes:
-            return self._pickle.encode_band(job, band, eb_abs)
-        parent = (
-            self.arena.ref_of(job.data) if job.data is not None else None
-        )
-        ref = None
-        if (
-            parent is not None
-            and band.flags.c_contiguous
-            and job.data is not None
-            and job.data.flags.c_contiguous
-        ):
-            span = np.byte_bounds(band) if hasattr(np, "byte_bounds") else (
-                band.__array_interface__["data"][0],
-                band.__array_interface__["data"][0] + band.nbytes,
-            )
-            base = (
-                job.data.__array_interface__["data"][0],
-                job.data.__array_interface__["data"][0] + job.data.nbytes,
-            )
-            if base[0] <= span[0] and span[1] <= base[1]:
-                self.arena.lease(parent.segment)
-                ref = FieldRef(
-                    segment=parent.segment, kind="array", nbytes=band.nbytes,
-                    offset=parent.offset + (span[0] - base[0]),
-                    dtype=str(band.dtype), shape=tuple(band.shape),
-                )
-        if ref is None:
-            ref = self.arena.put_array(band)
-        segment = ref.segment
-        return _Envelope(
-            fn=run_band_message, args=(job.codec, ref, eb_abs),
-            _cleanup=lambda: self.arena.release(segment),
-        )
+        items: list[CompressionJob | _Shipped] = []
+        leased: list[str] = []
 
-    # -- results ----------------------------------------------------------
+        def release() -> None:
+            for name in leased:
+                self.arena.release(name)
+
+        try:
+            for job in jobs:
+                ref = self._place(job)
+                if ref is None:
+                    items.append(job)
+                    continue
+                leased.append(ref.segment)
+                items.append(_Shipped(
+                    dict(vars(job), data=None, payload=None), ref
+                ))
+        except BaseException:
+            release()
+            raise
+        return _Envelope(
+            fn=run_jobs, args=(items, self.arena.prefix, self.min_bytes),
+            _cleanup=release,
+        )
 
     def decode_result(self, out: Any) -> Any:
-        """Reattach a worker-shipped output (one copy, then unlink)."""
-        if not isinstance(out, _ShmResult):
+        """Refill a worker-shipped output (one copy, then unlink).
+
+        A *tracked* attach, as in :meth:`ShmArena.reclaim_orphans`: the
+        ``unlink`` below unregisters the name, which only balances in
+        the resource tracker if this attach registered it.
+        """
+        if not isinstance(out, _Shipped):
             return out
         from multiprocessing import shared_memory
 
+        ref = out.ref
+        shm = shared_memory.SharedMemory(name=ref.segment)
         try:
-            shm = shared_memory.SharedMemory(name=out.ref.segment, track=False)
-        except TypeError:
-            shm = shared_memory.SharedMemory(name=out.ref.segment)
-        try:
-            raw = bytes(shm.buf[:out.ref.nbytes])
+            if ref.kind == "array":
+                return np.ndarray(
+                    ref.shape, dtype=np.dtype(ref.dtype),
+                    buffer=shm.buf[:ref.nbytes],
+                ).copy()
+            return replace(out.shell, payload=bytes(shm.buf[:ref.nbytes]))
         finally:
             ShmArena._unlink(shm)
-        if out.kind == "array":
-            return np.frombuffer(
-                raw, dtype=np.dtype(out.ref.dtype)
-            ).reshape(out.ref.shape).copy()
-        return replace(out.shell, payload=raw)
 
     def close(self) -> None:
         self.arena.close()
@@ -832,18 +708,3 @@ def resolve_transport(
     if want_shm and pool_kind == "process" and ShmArena.available():
         return ShmTransport(metrics=metrics)
     return PickleTransport()
-
-
-def _field_fingerprint(data: np.ndarray) -> float:  # pragma: no cover
-    """Touch a shared field (bench helper: forces a real page access)."""
-    return float(np.asarray(data).ravel()[0])
-
-
-def touch_ref(ref: FieldRef) -> float:
-    """Bench worker: attach a ref and touch its first element."""
-    return _field_fingerprint(_view(ref))
-
-
-def touch_array(data: np.ndarray) -> float:
-    """Bench worker: receive a pickled array and touch its first element."""
-    return _field_fingerprint(data)

@@ -33,15 +33,11 @@ from concurrent.futures import (
 )
 from typing import Any, Callable
 
-import numpy as np
-
 from ..errors import ServiceError
-from ..types import CompressedField
 from .jobs import CompressionJob
 
 __all__ = [
     "run_job",
-    "compress_band",
     "resolve_codec",
     "WorkerPool",
 ]
@@ -80,9 +76,9 @@ def run_job(job: CompressionJob) -> Any:
     restored ``np.ndarray`` for decompress jobs — the exact objects the
     direct library calls produce, which is what keeps the service
     bit-exact with the single-threaded path.  A multi-tile job landing
-    here runs the *serial* band loop inside this one worker; the
-    scheduler only routes past this function — to the band fan-out — for
-    data-parallel codecs.
+    here runs the *serial* band loop inside this one worker; for
+    data-parallel codecs the scheduler splits it into one single-tile
+    job per band instead, and those land here too.
     """
     from ..streams import decompress_auto
 
@@ -98,11 +94,6 @@ def run_job(job: CompressionJob) -> Any:
         return resolve_codec(job.codec).compress(job.data, job.eb, job.mode)
     assert job.payload is not None
     return decompress_auto(bytes(job.payload))
-
-
-def compress_band(codec: str, band: np.ndarray, eb_abs: float) -> CompressedField:
-    """Compress one tile band under an absolute bound (fan-out unit)."""
-    return resolve_codec(codec).compress(band, eb_abs, "abs")
 
 
 class WorkerPool:

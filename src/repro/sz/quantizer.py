@@ -75,7 +75,11 @@ def quantize_vector(
     capacity = quant.capacity
     r = quant.radius
     diff = d - pred
-    code0 = np.floor(np.abs(diff) / precision).astype(np.int64) + 1
+    # A NaN/Inf/beyond-int64 quotient casts to garbage, but such a lane
+    # can never pass ``in_bound`` below (its d_re is NaN or astronomically
+    # far from d), so ``ok`` masks it to code 0 — the cast is unused.
+    with np.errstate(invalid="ignore"):
+        code0 = np.floor(np.abs(diff) / precision).astype(np.int64) + 1
     quantizable = code0 < capacity
     signed = np.where(diff > 0, code0, -code0)
     code_dot = np.sign(signed) * (np.abs(signed) // 2) + r  # trunc toward 0

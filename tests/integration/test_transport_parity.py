@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.codec.registry import get_codec
+from repro.errors import JobFailedError
 from repro.parallel import tile_compress
 from repro.service import BatchScheduler, CompressionServer, ServiceClient
 from repro.service.jobs import make_job
@@ -54,6 +55,43 @@ class TestParityMatrix:
         )
         assert results[0].output == _direct(codec, FIELD, n_tiles)
         assert results[1].output == _direct(codec, SMALL)
+
+    @needs_shm
+    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    def test_micro_batched_and_constant_fanout_rows(self, transport):
+        """Batched small jobs and a constant 2-tile dp field: same bytes.
+
+        The constant field is the fan-out's corner: its global VR-REL
+        bound resolves against a unit range, which each band job must
+        inherit as an absolute bound instead of re-resolving its own.
+        """
+        flat = np.full((48, 64), 3.25, dtype=np.float32)
+        smalls = [SMALL + np.float32(i) for i in range(8)]
+
+        async def main():
+            sched = BatchScheduler(
+                workers=2, pool_kind="process", transport=transport,
+                batch_bytes=1 << 20,
+            )
+            if transport == "shm":
+                sched.transport.min_bytes = 1
+            async with sched:
+                handles = [
+                    await sched.submit(make_job("sz14", a, eb=1e-3))
+                    for a in smalls
+                ]
+                handles.append(await sched.submit(
+                    make_job("wavesz-dp", flat, eb=1e-3, n_tiles=2)
+                ))
+                outs = [(await sched.wait(h)).output for h in handles]
+            return outs, sched.stats()
+
+        outs, stats = asyncio.run(main())
+        assert outs[:8] == [_direct("sz14", a) for a in smalls]
+        assert outs[8] == _direct("wavesz-dp", flat, 2)
+        assert stats.events["batch.jobs"] == 8
+        assert stats.events["batch.dispatches"] < 8
+        assert stats.events["scheduler.tile_fanouts"] == 1
 
     @needs_shm
     def test_forced_shm_ships_large_fields_by_ref(self):
@@ -166,6 +204,81 @@ class TestLeakHygiene:
         assert not [
             e for e in os.listdir("/dev/shm") if e.startswith(arena.prefix)
         ]
+
+
+    @pytest.mark.parametrize("resident", [True, False])
+    def test_fanout_input_segments_by_count(self, resident):
+        """Bands of a field the arena already holds move zero bytes; a
+        field it does not hold costs exactly one segment per band."""
+        big = RNG.normal(size=(256, 128)).astype(np.float32)  # 2 x 64 KB
+
+        async def main():
+            sched = BatchScheduler(
+                workers=2, pool_kind="process", transport="shm"
+            )
+            arena = sched.transport.arena
+            data = big
+            if resident:  # what the server's socket ingest does
+                name = arena.allocate(big.nbytes)
+                data = arena.adopt_view(name, big.dtype, big.shape)
+                data[...] = big
+            allocate, allocated = arena.allocate, []
+            arena.allocate = lambda n: allocated.append(n) or allocate(n)
+            before = arena.resident_bytes
+            async with sched:
+                handle = await sched.submit(
+                    make_job("wavesz-dp", data, eb=1e-3, n_tiles=2)
+                )
+                result = await sched.wait(handle)
+                grown = arena.resident_bytes - before
+                if resident:  # the ingest lease is the only one left
+                    arena.release(name)
+                assert arena.leased_segments == 0
+            return result.output, allocated, grown
+
+        output, allocated, grown = asyncio.run(main())
+        assert output == _direct("wavesz-dp", big, 2)
+        if resident:
+            assert allocated == [] and grown == 0
+        else:
+            assert allocated == [big.nbytes // 2] * 2
+
+    def test_failed_band_encode_leaves_no_lease_behind(self):
+        """Band 1's segment cannot be had: band 0's lease must not wait
+        for ``close()`` (it goes when band 0's own crossing ends)."""
+        big = RNG.normal(size=(256, 128)).astype(np.float32)
+
+        async def main():
+            sched = BatchScheduler(
+                workers=2, pool_kind="process", transport="shm",
+                max_retries=0,
+            )
+            arena = sched.transport.arena
+            allocate, calls = arena.allocate, []
+
+            def full_on_second(nbytes):
+                calls.append(nbytes)
+                if len(calls) == 2:
+                    raise OSError(28, "No space left on device")
+                return allocate(nbytes)
+
+            arena.allocate = full_on_second
+            sched.start()
+            try:
+                handle = await sched.submit(
+                    make_job("wavesz-dp", big, eb=1e-3, n_tiles=2)
+                )
+                with pytest.raises(JobFailedError):
+                    await sched.wait(handle)
+                for _ in range(200):
+                    if not arena.leased_segments:
+                        break
+                    await asyncio.sleep(0.05)
+                return arena.leased_segments
+            finally:
+                await sched.stop()
+
+        assert asyncio.run(main()) == 0
 
 
 class _ServerFixture:

@@ -22,7 +22,7 @@ from repro.service.shm import (
     ShmTransport,
     _view,
     resolve_transport,
-    run_job_group,
+    run_jobs,
 )
 from repro.service.workers import run_job
 
@@ -146,6 +146,18 @@ class TestFieldRefs:
         arena.release(name)
         assert arena.ref_of(view) is None
 
+    def test_ref_of_locates_row_slabs_at_their_offset(self, arena, field):
+        name = arena.allocate(field.nbytes)
+        view = arena.adopt_view(name, field.dtype, field.shape)
+        view[...] = field
+        slab = view[5:12]
+        ref = arena.ref_of(slab)
+        assert ref.segment == name and ref.shape == slab.shape
+        assert ref.offset == 5 * field.shape[1] * field.itemsize
+        np.testing.assert_array_equal(_view(ref), field[5:12])
+        assert arena.ref_of(view[:, 3:9]) is None  # not one run of bytes
+        arena.release(name)
+
 
 class TestTransports:
     def test_resolution_matrix(self):
@@ -161,7 +173,8 @@ class TestTransports:
         transport = ShmTransport()
         job = make_job("sz10", field)  # 2.4 KB << SHM_MIN_BYTES
         env = transport.encode_job(job)
-        assert env.fn is run_job
+        assert env.args[0][0] is job  # by value: the item is the job itself
+        assert transport.arena.leased_segments == 0
         env.release()
         transport.close()
 
@@ -170,7 +183,7 @@ class TestTransports:
         job = make_job("sz10", field)
         env = transport.encode_job(job)
         try:
-            out = transport.decode_result(env.fn(*env.args))
+            [out] = map(transport.decode_result, env.fn(*env.args))
         finally:
             env.release()
         assert out.payload == run_job(job).payload
@@ -183,9 +196,10 @@ class TestTransports:
             make_job("sz10", field + np.float32(i), eb=1e-3)
             for i in range(3)
         ]
-        env = transport.encode_group(jobs)
+        env = transport.encode_job(*jobs)
+        assert transport.arena.leased_segments == 3  # one segment per job
         try:
-            outs = env.fn(*env.args)
+            outs = map(transport.decode_result, env.fn(*env.args))
         finally:
             env.release()
         for job, out in zip(jobs, outs):
@@ -193,11 +207,30 @@ class TestTransports:
         assert transport.arena.leased_segments == 0
         transport.close()
 
+    def test_partial_encode_releases_every_lease(self, field, monkeypatch):
+        transport = ShmTransport(min_bytes=1)
+        allocate, calls = transport.arena.allocate, []
+
+        def full_on_second(nbytes):
+            calls.append(nbytes)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return allocate(nbytes)
+
+        monkeypatch.setattr(transport.arena, "allocate", full_on_second)
+        jobs = [make_job("sz10", field + np.float32(i)) for i in range(3)]
+        with pytest.raises(OSError):
+            transport.encode_job(*jobs)
+        assert len(calls) == 2
+        assert transport.arena.leased_segments == 0
+        transport.close()
+
     def test_pickle_group_runs_plain_jobs(self, field):
         transport = PickleTransport()
         jobs = [make_job("sz10", field), make_job("sz10", field * 2)]
-        env = transport.encode_group(jobs)
-        outs = run_job_group(env.args[0])
+        env = transport.encode_job(*jobs)
+        assert env.fn is run_jobs
+        outs = env.fn(*env.args)
         assert [o.payload for o in outs] == [
             run_job(j).payload for j in jobs
         ]
