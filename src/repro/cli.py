@@ -28,7 +28,7 @@ from .codec.registry import REGISTRY, get_codec
 from .config import ErrorBoundMode
 from .data import DATASETS, load_field
 from .errors import ReproError
-from .io import Archive, Container, read_raw_field, write_raw_field
+from .io import Container, read_raw_field, write_raw_field
 from .metrics import max_abs_error, psnr
 
 __all__ = ["main", "build_parser"]
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", type=Path, required=True)
 
     a = sub.add_parser("archive",
-                       help="compress a whole synthetic snapshot")
+                       help="put a whole synthetic snapshot into a store")
     a.add_argument("dataset", choices=sorted(DATASETS))
     a.add_argument("--variant", choices=REGISTRY.short_names(),
                    default="wavesz")
@@ -336,35 +336,29 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_archive(args: argparse.Namespace) -> int:
-    from .data import DATASETS as _D
+    from .store import ArrayStore
 
-    spec = _D[args.dataset]
-    comp = get_codec(args.variant)
-    fields = {f: load_field(args.dataset, f) for f in spec.field_names}
-    arch = Archive.build(fields, comp, args.eb, "vr_rel")
-    args.output.write_bytes(arch.to_bytes())
-    total_raw = sum(f.nbytes for f in fields.values())
-    print(f"{args.dataset} snapshot ({len(fields)} fields, {total_raw} B) "
-          f"-> {args.output} ({args.output.stat().st_size} B)")
-    for entry in arch.entries:
-        print(f"  {entry.name:<22} {entry.variant:<9} "
-              f"ratio {entry.ratio:6.1f}x  {entry.compressed_bytes} B")
+    store = ArrayStore(args.output)
+    print(f"{args.dataset} snapshot -> {args.output}")
+    for f in DATASETS[args.dataset].field_names:
+        r = store.put(f, load_field(args.dataset, f), args.variant, args.eb)
+        print(f"  {r.name:<22} {r.codec:<9} ratio {r.ratio:6.1f}x  "
+              f"{r.stored_bytes + r.dedup_bytes} B")
     return 0
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    arch = Archive.from_bytes(args.input.read_bytes())
-    entry = next((e for e in arch.entries if e.name == args.field), None)
-    if entry is None:
+    from .store import ArrayStore
+
+    store = ArrayStore(args.input)
+    names = store.names()
+    if args.field not in names:
         print(f"error: archive has no field {args.field!r}; "
-              f"available: {arch.field_names}", file=sys.stderr)
+              f"available: {list(names)}", file=sys.stderr)
         return 1
-    if entry.variant not in REGISTRY:
-        print(f"error: unknown variant {entry.variant!r}", file=sys.stderr)
-        return 2
-    out = arch.extract(args.field, get_codec(entry.variant))
+    out = store.read(args.field).data
     write_raw_field(args.output, out)
-    print(f"{args.field} {entry.shape} -> {args.output}")
+    print(f"{args.field} {out.shape} -> {args.output}")
     return 0
 
 

@@ -177,7 +177,7 @@ class StagePipeline:
 
 class Compressor(Protocol):
     """The compressor contract every consumer codes against (tiling,
-    archives, the selector, measurement, rate-distortion sweeps):
+    the array store, the selector, measurement, rate-distortion sweeps):
     anything with a wire ``name`` and a ``compress`` / ``decompress``
     pair — a :class:`PipelineCompressor` or not."""
 

@@ -1,8 +1,8 @@
 """Central codec registry: canonical variant names, aliases, dispatch.
 
 Compressor classes register themselves with the :func:`register_codec`
-decorator; consumers (archives, the CLI, the online selector, the tiled
-runner) resolve names and payloads through the singleton
+decorator; consumers (the array store, the CLI, the online selector, the
+tiled runner) resolve names and payloads through the singleton
 :data:`REGISTRY` instead of hard-coded factory dicts.
 
 Three kinds of names resolve:

@@ -1,24 +1,17 @@
 """Binary IO: SDRB-style raw field files and the compressed container."""
 
-from .archive import Archive, ArchiveEntry, ExtractionResult, FieldDamage
 from .container import (
     Container,
     ContainerReport,
     ContainerSection,
-    SalvageResult,
     SectionStatus,
 )
 from .sdrb import read_raw_field, write_raw_field
 
 __all__ = [
-    "Archive",
-    "ArchiveEntry",
     "Container",
     "ContainerReport",
     "ContainerSection",
-    "ExtractionResult",
-    "FieldDamage",
-    "SalvageResult",
     "SectionStatus",
     "read_raw_field",
     "write_raw_field",

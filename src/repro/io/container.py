@@ -35,9 +35,7 @@ stream_crc u32           v2 only: CRC32 of every byte above
 trailing garbage, and raises only :class:`ContainerError` (or its
 :class:`ChecksumError` subtype) — never ``struct.error`` / ``IndexError``
 / ``UnicodeDecodeError``.  :meth:`Container.scan` is the non-raising
-variant that produces a structured damage report, and
-:meth:`Container.salvage` recovers the intact sections of a partially
-damaged stream.
+variant that produces a structured damage report.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ __all__ = [
     "ContainerSection",
     "ContainerReport",
     "SectionStatus",
-    "SalvageResult",
 ]
 
 _MAGIC = b"WSZC"
@@ -92,19 +89,6 @@ class ContainerReport:
     n_sections: int
     sections: tuple[SectionStatus, ...]
     problems: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SalvageResult:
-    """Best-effort parse of a damaged stream: what survived, what did not."""
-
-    container: "Container"
-    damaged: frozenset[str]
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.damaged and not self.problems
 
 
 class _Cursor:
@@ -156,28 +140,23 @@ class Container:
         """Total size of section payloads (excludes header/framing)."""
         return sum(len(s.payload) for s in self.sections)
 
-    def to_bytes(self, version: int | None = None) -> bytes:
-        v = self.version if version is None else version
-        if v not in _SUPPORTED_VERSIONS:
-            raise ContainerError(f"cannot write container version {v}")
+    def to_bytes(self) -> bytes:
+        """Serialize as format v2, whatever version the stream was read from."""
         header_json = json.dumps(self.header, sort_keys=True).encode()
         out = bytearray(_MAGIC)
-        out += struct.pack("<HI", v, len(header_json))
+        out += struct.pack("<HI", _VERSION, len(header_json))
         out += header_json
         out += struct.pack("<H", len(self.sections))
-        if v >= 2:
-            out += struct.pack("<I", zlib.crc32(out))
+        out += struct.pack("<I", zlib.crc32(out))
         for s in self.sections:
             name_b = s.name.encode()
             out += struct.pack("<B", len(name_b))
             out += name_b
             out += struct.pack("<Q", len(s.payload))
-            if v >= 2:
-                out += struct.pack("<I", zlib.crc32(s.payload, zlib.crc32(name_b)))
+            out += struct.pack("<I", zlib.crc32(s.payload, zlib.crc32(name_b)))
             out += s.payload
-        if v >= 2:
-            out += _SENTINEL
-            out += struct.pack("<I", zlib.crc32(out))
+        out += _SENTINEL
+        out += struct.pack("<I", zlib.crc32(out))
         return bytes(out)
 
     # -- reading -----------------------------------------------------------
@@ -188,22 +167,6 @@ class Container:
         container, damaged, problems = cls._parse(blob, strict=True)
         assert not damaged and not problems  # strict mode raises instead
         return container
-
-    @classmethod
-    def salvage(cls, blob: bytes) -> SalvageResult:
-        """Best-effort parse: keep intact sections, report the damage.
-
-        Header framing must still be readable (magic, version, JSON header);
-        per-section checksum failures are recorded in ``damaged`` instead of
-        raising, and a framing breakdown mid-stream keeps every section
-        recovered up to that point.
-        """
-        container, damaged, problems = cls._parse(blob, strict=False)
-        return SalvageResult(
-            container=container,
-            damaged=frozenset(damaged),
-            problems=tuple(problems),
-        )
 
     @classmethod
     def scan(cls, blob: bytes) -> ContainerReport:
@@ -242,7 +205,7 @@ class Container:
         """Shared parser.  ``strict`` raises at the first problem; lenient
         mode records checksum problems (continuing) and framing problems
         (terminal) instead.  Framing/structure errors before the header is
-        decoded always raise — there is nothing to salvage.
+        decoded always raise — there is nothing left to report on.
         """
         damaged: list[str] = []
         problems: list[str] = []

@@ -291,6 +291,9 @@ class CompressionServer(WireServer):
             "pool_restarts": s.pool.restarts,
             "transport": s.transport.name,
             "batch_bytes": s.batch_bytes,
+            # names() lists the manifest directory and parses nothing:
+            # a probe stays cheap on the loop and cannot fail on a
+            # corrupt manifest (store_ls is where that surfaces, typed).
             "store": (
                 "absent" if self.store is None
                 else f"{len(self.store.names())} dataset(s)"

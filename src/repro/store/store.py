@@ -34,6 +34,11 @@ rolling interrupted puts back so the invariant holds: **an acked put is
 durable, an interrupted put is invisible**.  :meth:`ArrayStore.fsck`
 audits (and optionally repairs) the whole layout; :meth:`ArrayStore.gc`
 also sweeps stale ``.tmp-*`` files left by crashed writers.
+
+Concurrency: **one process per store root, any number of threads** —
+every mutation of the directory runs under one lock per
+:class:`ArrayStore` (compression, the slow part of a put, stays outside
+it), so a second handle or process on the same root is not supported.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import itertools
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -345,7 +351,11 @@ class RecoveryResult:
 
 
 class ArrayStore:
-    """A directory of compressed, tiled, content-addressed arrays."""
+    """A directory of compressed, tiled, content-addressed arrays.
+
+    One process per root; one handle may be shared by any number of
+    threads (the service runs every store op in a worker thread).
+    """
 
     def __init__(
         self,
@@ -364,6 +374,10 @@ class ArrayStore:
         #: the counter the "slice decodes only overlapping tiles" and
         #: "warm reads decode nothing" guarantees are asserted against.
         self.decode_calls = 0
+        # Serializes everything that mutates the directory.  Without it
+        # two threads putting tiles that dedup against each other race:
+        # one put's rollback deletes objects the other has counted on.
+        self._lock = threading.Lock()
         #: what the opening recovery pass found (empty on a clean store)
         self.recovery = RecoveryResult()
         if recover:
@@ -470,57 +484,58 @@ class ArrayStore:
         digests = list(manifest["tiles"])
         tile_bytes = list(manifest["tile_bytes"])
 
-        self.fs.mkdir(self._manifest_dir)
-        self.fs.mkdir(self._object_dir)
-        self.fs.mkdir(self._journal_dir)
+        with self._lock:
+            self.fs.mkdir(self._manifest_dir)
+            self.fs.mkdir(self._object_dir)
+            self.fs.mkdir(self._journal_dir)
 
-        new_digests = [
-            d for d in dict.fromkeys(digests)
-            if not self._object_path(d).exists()
-        ]
-        mpath = self._manifest_path(name)
-        prior_text = mpath.read_text() if mpath.exists() else None
+            new_digests = [
+                d for d in dict.fromkeys(digests)
+                if not self._object_path(d).exists()
+            ]
+            mpath = self._manifest_path(name)
+            prior_text = mpath.read_text() if mpath.exists() else None
 
-        # Phase 1: the write-ahead journal entry — durable before any
-        # other byte moves, so recovery always knows how to undo us.
-        entry = {
-            "format": JOURNAL_FORMAT,
-            "txid": f"{os.getpid()}-{next(_TX_SEQ)}",
-            "name": name,
-            "prior_manifest": prior_text,
-            "new_tiles": new_digests,
-        }
-        jpath = self._journal_dir / f"tx-{entry['txid']}.json"
-        try:
-            self._atomic_write(jpath, json.dumps(entry, indent=2).encode())
-        except OSError as exc:
-            # nothing was written yet — the put simply never happened.
-            raise StoreError(
-                f"put {name!r} could not journal its transaction: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-
-        # Phase 2: tiles, then manifest — each individually atomic.
-        try:
-            for digest in new_digests:
-                self._atomic_write(self._object_path(digest), payloads[digest])
-            self._atomic_write(
-                mpath, json.dumps(manifest, indent=2, sort_keys=True).encode()
-            )
-        except OSError as exc:
-            self._rollback(entry)
+            # Phase 1: the write-ahead journal entry — durable before any
+            # other byte moves, so recovery always knows how to undo us.
+            entry = {
+                "format": JOURNAL_FORMAT,
+                "txid": f"{os.getpid()}-{next(_TX_SEQ)}",
+                "name": name,
+                "prior_manifest": prior_text,
+                "new_tiles": new_digests,
+            }
+            jpath = self._journal_dir / f"tx-{entry['txid']}.json"
             try:
-                self._durable_unlink(jpath)
-            except OSError:  # pragma: no cover - sweep catches it later
-                pass
-            self._incr("store.put_rollbacks")
-            raise StoreError(
-                f"put {name!r} failed and was rolled back: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+                self._atomic_write(jpath, json.dumps(entry, indent=2).encode())
+            except OSError as exc:
+                # nothing was written yet — the put simply never happened.
+                raise StoreError(
+                    f"put {name!r} could not journal its transaction: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
 
-        # Phase 3: commit — the journal entry disappears, then we ack.
-        self._durable_unlink(jpath)
+            # Phase 2: tiles, then manifest — each individually atomic.
+            try:
+                for digest in new_digests:
+                    self._atomic_write(self._object_path(digest), payloads[digest])
+                self._atomic_write(
+                    mpath, json.dumps(manifest, indent=2, sort_keys=True).encode()
+                )
+            except OSError as exc:
+                self._rollback(entry)
+                try:
+                    self._durable_unlink(jpath)
+                except OSError:  # pragma: no cover - sweep catches it later
+                    pass
+                self._incr("store.put_rollbacks")
+                raise StoreError(
+                    f"put {name!r} failed and was rolled back: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+
+            # Phase 3: commit — the journal entry disappears, then we ack.
+            self._durable_unlink(jpath)
 
         new_objects = len(new_digests)
         stored_bytes = sum(len(payloads[d]) for d in new_digests)
@@ -585,38 +600,47 @@ class ArrayStore:
     def _grid(self, m: dict[str, Any]) -> TileGrid:
         return TileGrid.from_starts(m["shape"], m["band_starts"])
 
+    def names(self) -> tuple[str, ...]:
+        """Dataset names, sorted — read off the manifest file names.
+
+        Nothing is parsed, so a corrupt manifest cannot fail the listing
+        (the server's liveness probe counts datasets with it), and a
+        writer's ``.tmp-*`` file is never taken for a dataset.
+        """
+        return tuple(sorted(  # globbing a directory not yet made is empty
+            p.stem for p in self._manifest_dir.glob("*.json")
+            if not p.name.startswith(".tmp-")
+        ))
+
     def ls(self) -> list[dict[str, Any]]:
         """One summary row per dataset, sorted by name."""
         rows = []
-        if self._manifest_dir.is_dir():
-            for path in sorted(self._manifest_dir.glob("*.json")):
-                m = self.manifest(path.stem)
-                rows.append(
-                    {
-                        "name": m["name"],
-                        "shape": tuple(m["shape"]),
-                        "dtype": m["dtype"],
-                        "codec": m["codec"],
-                        "eb": m.get("eb"),
-                        "mode": m.get("mode"),
-                        "n_tiles": len(m["tiles"]),
-                        "entropy": summarize_entropy(m.get("tile_entropy")),
-                        "original_bytes": m.get("original_bytes", 0),
-                        "compressed_bytes": sum(m.get("tile_bytes", [])),
-                    }
-                )
+        for name in self.names():
+            m = self.manifest(name)
+            rows.append(
+                {
+                    "name": m["name"],
+                    "shape": tuple(m["shape"]),
+                    "dtype": m["dtype"],
+                    "codec": m["codec"],
+                    "eb": m.get("eb"),
+                    "mode": m.get("mode"),
+                    "n_tiles": len(m["tiles"]),
+                    "entropy": summarize_entropy(m.get("tile_entropy")),
+                    "original_bytes": m.get("original_bytes", 0),
+                    "compressed_bytes": sum(m.get("tile_bytes", [])),
+                }
+            )
         return rows
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(r["name"] for r in self.ls())
 
     def delete(self, name: str) -> None:
         """Drop a dataset's manifest (its objects reclaim on :meth:`gc`)."""
         self._check_name(name)
         path = self._manifest_path(name)
-        if not path.exists():
-            raise StoreError(f"store at {self.root} has no dataset {name!r}")
-        self._durable_unlink(path)
+        with self._lock:
+            if not path.exists():
+                raise StoreError(f"store at {self.root} has no dataset {name!r}")
+            self._durable_unlink(path)
 
     # -- shard-facing primitives -------------------------------------------
     #
@@ -644,17 +668,18 @@ class ArrayStore:
                 f"digest {digest}"
             )
         path = self._object_path(actual)
-        if path.exists() and not overwrite:
-            return actual, False
-        self.fs.mkdir(self._object_dir)
-        try:
-            self._atomic_write(path, blob)
-        except OSError as exc:
-            raise StoreError(
-                f"object {actual} could not be stored: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        self.cache.discard(actual)
+        with self._lock:
+            if path.exists() and not overwrite:
+                return actual, False
+            self.fs.mkdir(self._object_dir)
+            try:
+                self._atomic_write(path, blob)
+            except OSError as exc:
+                raise StoreError(
+                    f"object {actual} could not be stored: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            self.cache.discard(actual)
         return actual, True
 
     def get_object(self, digest: str) -> bytes:
@@ -690,29 +715,27 @@ class ArrayStore:
         """
         self._check_name(name)
         m = self._validate_manifest(name, manifest)
-        self.fs.mkdir(self._manifest_dir)
-        try:
-            self._atomic_write(
-                self._manifest_path(name),
-                json.dumps(m, indent=2, sort_keys=True).encode(),
-            )
-        except OSError as exc:
-            raise StoreError(
-                f"manifest for {name!r} could not be stored: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+        blob = json.dumps(m, indent=2, sort_keys=True).encode()
+        with self._lock:
+            self.fs.mkdir(self._manifest_dir)
+            try:
+                self._atomic_write(self._manifest_path(name), blob)
+            except OSError as exc:
+                raise StoreError(
+                    f"manifest for {name!r} could not be stored: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
 
     # -- recovery ----------------------------------------------------------
 
     def _referenced_tolerant(self) -> frozenset[str]:
         """Referenced digests, skipping manifests recovery can't read yet."""
         refs: set[str] = set()
-        if self._manifest_dir.is_dir():
-            for path in self._manifest_dir.glob("*.json"):
-                try:
-                    refs.update(self.manifest(path.stem)["tiles"])
-                except ReproError:
-                    continue
+        for name in self.names():
+            try:
+                refs.update(self.manifest(name)["tiles"])
+            except ReproError:
+                continue
         return frozenset(refs)
 
     def _rollback(self, entry: dict[str, Any]) -> None:
@@ -747,37 +770,38 @@ class ArrayStore:
         the entry itself was being written — write-ahead ordering
         guarantees nothing else moved, so it is simply dropped.
         """
-        actions: list[tuple[str, str]] = []
-        jdir = self._journal_dir
-        if jdir.is_dir():
-            for jpath in sorted(jdir.glob("*.json")):
-                try:
-                    entry = json.loads(jpath.read_text())
-                    if (
-                        not isinstance(entry, dict)
-                        or entry.get("format") != JOURNAL_FORMAT
-                        or not isinstance(entry.get("name"), str)
-                    ):
-                        raise ValueError("bad journal entry")
-                except (OSError, ValueError):
+        with self._lock:
+            actions: list[tuple[str, str]] = []
+            jdir = self._journal_dir
+            if jdir.is_dir():
+                for jpath in sorted(jdir.glob("*.json")):
+                    try:
+                        entry = json.loads(jpath.read_text())
+                        if (
+                            not isinstance(entry, dict)
+                            or entry.get("format") != JOURNAL_FORMAT
+                            or not isinstance(entry.get("name"), str)
+                        ):
+                            raise ValueError("bad journal entry")
+                    except (OSError, ValueError):
+                        self._durable_unlink(jpath)
+                        actions.append(("torn-journal", jpath.name))
+                        continue
+                    self._rollback(entry)
                     self._durable_unlink(jpath)
-                    actions.append(("torn-journal", jpath.name))
+                    actions.append(("rolled-back", str(entry["name"])))
+            for d in (self._manifest_dir, self._object_dir, jdir):
+                if not d.is_dir():
                     continue
-                self._rollback(entry)
-                self._durable_unlink(jpath)
-                actions.append(("rolled-back", str(entry["name"])))
-        for d in (self._manifest_dir, self._object_dir, jdir):
-            if not d.is_dir():
-                continue
-            for tmp in sorted(d.glob(".tmp-*")):
-                try:
-                    self._durable_unlink(tmp)
-                except OSError:  # pragma: no cover - racing writer
-                    continue
-                actions.append(("stale-tmp", tmp.name))
-        self._incr("store.rollbacks", sum(
-            1 for k, _ in actions if k == "rolled-back"
-        ))
+                for tmp in sorted(d.glob(".tmp-*")):
+                    try:
+                        self._durable_unlink(tmp)
+                    except OSError:  # pragma: no cover - racing writer
+                        continue
+                    actions.append(("stale-tmp", tmp.name))
+            self._incr("store.rollbacks", sum(
+                1 for k, _ in actions if k == "rolled-back"
+            ))
         return RecoveryResult(tuple(actions))
 
     def fsck(self, *, repair: bool = False, deep: bool = False) -> "FsckReport":
@@ -790,7 +814,8 @@ class ArrayStore:
         """
         from .fsck import run_fsck
 
-        return run_fsck(self, repair=repair, deep=deep)
+        with self._lock:  # audits too: an in-flight put is not a finding
+            return run_fsck(self, repair=repair, deep=deep)
 
     # -- reading ----------------------------------------------------------
 
@@ -862,11 +887,8 @@ class ArrayStore:
     def referenced_digests(self) -> frozenset[str]:
         """Every object digest some manifest currently points at."""
         refs: set[str] = set()
-        if self._manifest_dir.is_dir():
-            for path in self._manifest_dir.glob("*.json"):
-                if path.name.startswith(".tmp-"):
-                    continue  # crashed writer leftovers, swept by gc
-                refs.update(self.manifest(path.stem)["tiles"])
+        for name in self.names():
+            refs.update(self.manifest(name)["tiles"])
         return frozenset(refs)
 
     def gc(self, *, extra_refs=()) -> GCResult:
@@ -882,33 +904,34 @@ class ArrayStore:
         ``gc()`` on one shard of a sharded deployment would sweep those,
         so shard gc must go through the gateway.
         """
-        refs = self.referenced_digests() | frozenset(extra_refs)
-        removed: list[str] = []
-        tmp_removed: list[str] = []
-        reclaimed = 0
-        kept = 0
-        if self._object_dir.is_dir():
-            for path in sorted(self._object_dir.iterdir()):
-                if not _DIGEST_RE.match(path.name):
-                    continue  # temp files / foreign junk handled below
-                if path.name in refs:
-                    kept += 1
+        with self._lock:
+            refs = self.referenced_digests() | frozenset(extra_refs)
+            removed: list[str] = []
+            tmp_removed: list[str] = []
+            reclaimed = 0
+            kept = 0
+            if self._object_dir.is_dir():
+                for path in sorted(self._object_dir.iterdir()):
+                    if not _DIGEST_RE.match(path.name):
+                        continue  # temp files / foreign junk handled below
+                    if path.name in refs:
+                        kept += 1
+                        continue
+                    reclaimed += path.stat().st_size
+                    self.fs.unlink(path)
+                    self.cache.discard(path.name)
+                    removed.append(path.name)
+                self.fs.fsync_dir(self._object_dir)
+            for d in (self._manifest_dir, self._object_dir, self._journal_dir):
+                if not d.is_dir():
                     continue
-                reclaimed += path.stat().st_size
-                self.fs.unlink(path)
-                self.cache.discard(path.name)
-                removed.append(path.name)
-            self.fs.fsync_dir(self._object_dir)
-        for d in (self._manifest_dir, self._object_dir, self._journal_dir):
-            if not d.is_dir():
-                continue
-            for path in sorted(d.glob(".tmp-*")):
-                reclaimed += path.stat().st_size
-                try:
-                    self._durable_unlink(path)
-                except OSError:  # pragma: no cover - racing writer
-                    continue
-                tmp_removed.append(path.name)
+                for path in sorted(d.glob(".tmp-*")):
+                    reclaimed += path.stat().st_size
+                    try:
+                        self._durable_unlink(path)
+                    except OSError:  # pragma: no cover - racing writer
+                        continue
+                    tmp_removed.append(path.name)
         return GCResult(
             removed=tuple(removed), reclaimed_bytes=reclaimed, kept=kept,
             tmp_removed=tuple(tmp_removed),

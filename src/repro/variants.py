@@ -18,7 +18,6 @@ __all__ = [
     "VariantSpec",
     "VARIANTS",
     "feature_matrix",
-    "compressor_for",
 ]
 
 
@@ -139,22 +138,6 @@ VARIANTS: dict[str, VariantSpec] = {
         optional=frozenset({Feature.CUSTOM_HUFFMAN}),
     ),
 }
-
-
-def compressor_for(variant: str):
-    """Instantiate the compressor registered under a payload variant name.
-
-    The name is the ``variant`` field a payload header carries (e.g.
-    ``"SZ-1.4"``, ``"waveSZ"``); this is the resolver archives and the CLI
-    use to pick a decoder for stored streams.  Thin shim over the central
-    :data:`repro.codec.registry.REGISTRY` kept for existing callers; the
-    registry also resolves aliases (``"SZ-2.0+"``, CLI short names) that
-    this function historically rejected.  Import is local so this leaf
-    module stays cycle-free.
-    """
-    from .codec.registry import get_codec
-
-    return get_codec(variant)
 
 
 def feature_matrix() -> list[dict[str, object]]:

@@ -143,32 +143,54 @@ GOLDEN_PARAMS: dict[str, tuple[float, str]] = {
     "wavesz_dp_auto": (1e-3, "vr_rel"),
 }
 
+#: tiled golden -> (codec golden whose input, compressor and bound it
+#: reuses, registry name a service job reaches that compressor by, band
+#: count).  ``tiled[...]`` is a wire and at-rest format of its own: the
+#: service answers ``tiles=`` requests with it.
+TILED_PARAMS: dict[str, tuple[str, str, int]] = {
+    "tiled_wavesz_dp": ("wavesz_dp", "wavesz-dp", 3),
+}
+
 
 def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
 def main() -> None:
+    from repro.parallel import tile_compress, tile_decompress
+
     manifest: dict[str, dict] = {}
-    for key, (eb, mode) in GOLDEN_PARAMS.items():
-        data = make_input(key)
-        comp = make_compressor(key)
-        cf = comp.compress(data, eb, mode)
-        out = comp.decompress(cf.payload)
-        path = DATA_DIR / f"golden_{key}.bin"
-        path.write_bytes(cf.payload)
+
+    def record(key, variant, eb, mode, data, payload, out, ratio, **extra):
+        (DATA_DIR / f"golden_{key}.bin").write_bytes(payload)
         manifest[key] = {
-            "variant": cf.variant,
+            "variant": variant,
             "eb": eb,
             "mode": mode,
             "shape": list(data.shape),
             "dtype": str(data.dtype),
-            "payload_bytes": len(cf.payload),
-            "payload_sha256": sha256(cf.payload),
+            "payload_bytes": len(payload),
+            "payload_sha256": sha256(payload),
             "output_sha256": sha256(np.ascontiguousarray(out).tobytes()),
+            **extra,
         }
-        print(f"{key:<12} {cf.variant:<9} {len(cf.payload):>7} B  "
-              f"ratio {cf.stats.ratio:.2f}x")
+        print(f"{key:<16} {variant:<16} {len(payload):>7} B  "
+              f"ratio {ratio:.2f}x")
+
+    for key, (eb, mode) in GOLDEN_PARAMS.items():
+        data = make_input(key)
+        comp = make_compressor(key)
+        cf = comp.compress(data, eb, mode)
+        record(key, cf.variant, eb, mode, data, cf.payload,
+               comp.decompress(cf.payload), cf.stats.ratio)
+    for key, (base, _, n_tiles) in TILED_PARAMS.items():
+        data = make_input(base)
+        comp = make_compressor(base)
+        eb, mode = GOLDEN_PARAMS[base]
+        tiled = tile_compress(comp, data, eb, mode, n_tiles=n_tiles)
+        record(key, f"tiled[{comp.name}]", eb, mode, data, tiled.payload,
+               tile_decompress(comp, tiled.payload), tiled.ratio,
+               n_tiles=n_tiles)
     (DATA_DIR / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

@@ -12,9 +12,9 @@ reproduces the failure exactly.
 import numpy as np
 import pytest
 
+from repro.codec.registry import get_codec
 from repro.data.fields import gaussian_random_field
 from repro.faults import FaultOutcome, corruption_sweep
-from repro.variants import compressor_for
 
 VARIANTS = ["SZ-1.4", "SZ-1.0", "GhostSZ", "waveSZ", "ZFP-like"]
 
@@ -30,7 +30,7 @@ def field() -> np.ndarray:
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_corruption_sweep_contract(field, variant):
-    comp = compressor_for(variant)
+    comp = get_codec(variant)
     cf = comp.compress(field, EB, "vr_rel")
     result = corruption_sweep(
         comp, cf.payload, field, cf.bound.absolute, n=N_FAULTS, seed=1234
@@ -45,7 +45,7 @@ def test_corruption_sweep_contract(field, variant):
 
 
 def test_sweep_result_bookkeeping(field):
-    comp = compressor_for("SZ-1.4")
+    comp = get_codec("SZ-1.4")
     cf = comp.compress(field, EB, "vr_rel")
     result = corruption_sweep(
         comp, cf.payload, field, cf.bound.absolute, n=40, seed=7
@@ -58,7 +58,7 @@ def test_sweep_result_bookkeeping(field):
 
 def test_sweep_rejects_broken_baseline(field):
     """A payload that cannot decode pristinely aborts the sweep upfront."""
-    comp = compressor_for("SZ-1.4")
+    comp = get_codec("SZ-1.4")
     cf = comp.compress(field, EB, "vr_rel")
     from repro.errors import ReproError
 

@@ -11,6 +11,11 @@ asserted per golden:
 
 Plus a registry-dispatch pass: every golden decodes through
 :func:`repro.codec.registry.decode_payload` with no compressor in hand.
+
+The ``tiled[...]`` container is a wire format of its own (the service
+answers ``tiles=`` requests with it); its golden pins the serial
+:func:`repro.parallel.tile_compress` and both scheduler fan-outs to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ import numpy as np
 import pytest
 
 from repro.codec.registry import decode_payload, peek_variant
+from repro.parallel import tile_compress
+from repro.service import make_job, run_batch
+from repro.streams import decompress_auto
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -34,7 +42,8 @@ goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(goldens)
 
 MANIFEST = json.loads((DATA_DIR / "manifest.json").read_text())
-KEYS = sorted(MANIFEST)
+KEYS = sorted(goldens.GOLDEN_PARAMS)
+TILED_KEYS = sorted(goldens.TILED_PARAMS)
 
 
 def _sha(blob: bytes) -> str:
@@ -46,15 +55,15 @@ def _payload(key: str) -> bytes:
 
 
 def test_manifest_covers_every_variant():
-    assert set(MANIFEST) == set(goldens.GOLDEN_PARAMS)
-    variants = {m["variant"] for m in MANIFEST.values()}
+    assert set(MANIFEST) == set(KEYS) | set(TILED_KEYS)
+    variants = {MANIFEST[k]["variant"] for k in KEYS}
     assert variants == {
         "SZ-1.0", "SZ-1.4", "SZ-2.0", "GhostSZ", "waveSZ", "waveSZ-dp",
         "ZFP-like",
     }
 
 
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", KEYS + TILED_KEYS)
 def test_stored_payload_matches_manifest(key):
     entry = MANIFEST[key]
     blob = _payload(key)
@@ -88,3 +97,31 @@ def test_registry_dispatch_decodes_golden(key):
     assert peek_variant(blob) == entry["variant"]
     out = decode_payload(blob)
     assert _sha(np.ascontiguousarray(out).tobytes()) == entry["output_sha256"]
+
+
+@pytest.mark.parametrize("key", TILED_KEYS)
+def test_tiled_golden_decodes_bit_exactly(key):
+    out = decompress_auto(_payload(key))
+    assert _sha(np.ascontiguousarray(out).tobytes()) == (
+        MANIFEST[key]["output_sha256"]
+    )
+
+
+@pytest.mark.parametrize("key", TILED_KEYS)
+def test_every_tiled_writer_reproduces_the_golden(key):
+    """Serial tiling, the inline fan-out and a process-pool fan-out."""
+    base, codec, n_tiles = goldens.TILED_PARAMS[key]
+    eb, mode = goldens.GOLDEN_PARAMS[base]
+    data = goldens.make_input(base)
+    golden = _payload(key)
+    serial = tile_compress(
+        goldens.make_compressor(base), data, eb, mode, n_tiles=n_tiles
+    )
+    assert serial.payload == golden
+    for pool_kind in ("inline", "process"):
+        (result,), stats = run_batch(
+            [make_job(codec, data, eb=eb, mode=mode, n_tiles=n_tiles)],
+            workers=2, pool_kind=pool_kind,
+        )
+        assert result.output == golden, pool_kind
+        assert stats.events["scheduler.tile_fanouts"] == 1

@@ -12,7 +12,7 @@ loopback form a 3-shard / replicas=2 cluster behind a
 * aggregate cold-slice latency through the sharded gateway stays within
   a generous factor of a single-server baseline — a structural "the
   fan-out isn't pathological" floor, not a benchmark (CI boxes jitter;
-  ``benchmarks/bench_store_sharded.py`` measures properly).
+  the ``store_sharded`` workload of ``benchmarks/e2e`` measures properly).
 """
 
 import os

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.fields import gaussian_random_field
-from repro.errors import ServiceError, StoreError
+from repro.errors import ReproError, ServiceError, StoreError
 from repro.service import CompressionServer, ServiceClient
 
 
@@ -96,6 +96,79 @@ class TestStoreOverTcp:
             })
             assert not resp["ok"]
             assert "list" in resp["error"] or "list" in resp.get("detail", "")
+
+
+class TestConcurrentClients:
+    def test_two_clients_putting_fields_that_share_a_band(self, server):
+        """Store ops run in worker threads, so two connections drive one
+        ``ArrayStore`` at once.  The tile both fields share is new to the
+        store in every round: it must be written once, and neither ack
+        may be lost to the other put's rollback."""
+        rounds = 12
+        rng = np.random.default_rng(5)
+        fields = {}
+        for r in range(rounds):
+            for k in range(2):
+                f = rng.standard_normal((64, 48)).astype(np.float32)
+                f[:16] = float(r + 1)  # band 0 of 4: same bytes for both
+                fields[f"cc.r{r}.c{k}"] = f
+        barrier = threading.Barrier(2)
+        failed: list[tuple[str, Exception]] = []
+
+        def client(k):
+            with ServiceClient(port=server.port) as c:
+                for r in range(rounds):
+                    name = f"cc.r{r}.c{k}"
+                    barrier.wait(30)
+                    try:
+                        # an absolute bound, so the constant band
+                        # compresses to the same bytes in both fields
+                        report = c.store_put(name, fields[name], "sz14",
+                                             eb=1e-3, mode="abs", n_tiles=4)
+                        assert report["n_tiles"] == 4
+                    except (ReproError, AssertionError) as exc:
+                        failed.append((name, exc))
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive()
+        assert failed == []
+
+        server.store.cache.clear()
+        with ServiceClient(port=server.port) as c:
+            for name, f in fields.items():
+                out, resp = c.store_read(name)
+                assert resp["damaged"] == []
+                assert np.abs(out.astype(np.float64) - f).max() <= 1e-3
+        shared = {
+            server.store.manifest(f"cc.r0.c{k}")["tiles"][0] for k in (0, 1)
+        }
+        assert len(shared) == 1  # the schedule did collide on one digest
+        server.store.fsck().assert_clean()
+
+
+class TestHealthProbe:
+    def test_health_survives_a_corrupt_manifest(self, server, field):
+        """A liveness probe counts manifests, it does not parse them:
+        one rotten manifest must not make a live shard look DOWN."""
+        bad = server.store.root / "manifests" / "rotten.json"
+        with ServiceClient(port=server.port) as c:
+            c.store_put("health.ts", field, "sz14", eb=1e-3, n_tiles=2)
+            before = c.health()
+            bad.write_text("{not json")
+            try:
+                after = c.health()
+                with pytest.raises(StoreError, match="unreadable"):
+                    c.store_ls()
+            finally:
+                bad.unlink()
+        assert after["status"] == "ok"
+        n = int(before["store"].split()[0])
+        assert before["store"] == f"{n} dataset(s)"
+        assert after["store"] == f"{n + 1} dataset(s)"
 
 
 class TestStoreNotConfigured:

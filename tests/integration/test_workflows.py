@@ -6,46 +6,52 @@ import pytest
 from repro import (
     OnlineSelector,
     SZ14Compressor,
-    WaveSZCompressor,
     ZFPCompressor,
     load_field,
 )
 from repro.cli import main
-from repro.io import Archive, read_raw_field
+from repro.io import read_raw_field
 from repro.parallel import tile_compress, tile_decompress
+from repro.store import ArrayStore
 
 
 class TestSnapshotWorkflow:
-    def test_archive_whole_dataset_and_extract(self):
-        """Compress a snapshot, ship one blob, extract one field."""
-        comp = WaveSZCompressor(use_huffman=True)
+    def test_archive_whole_dataset_and_extract(self, tmp_path):
+        """Compress a snapshot, ship one directory, extract one field."""
         fields = {
             f: load_field("CESM-ATM", f)[:60, :120]
             for f in ("CLDLOW", "TS", "PSL")
         }
-        arch = Archive.build(fields, comp, 1e-3, "vr_rel")
-        blob = arch.to_bytes()
-        assert len(blob) < sum(f.nbytes for f in fields.values())
+        store = ArrayStore(tmp_path / "snapshot")
+        stored = sum(
+            store.put(name, data, "wavesz", 1e-3, "vr_rel").stored_bytes
+            for name, data in fields.items()
+        )
+        assert stored < sum(f.nbytes for f in fields.values())
 
-        back = Archive.from_bytes(blob)
-        ts = back.extract("TS", comp)
+        back = ArrayStore(store.root)
+        assert back.names() == ("CLDLOW", "PSL", "TS")
+        ts = back.read("TS").data
         vr = float(fields["TS"].max() - fields["TS"].min())
         assert np.abs(ts.astype(np.float64) - fields["TS"]).max() <= 1e-3 * vr
 
-    def test_selector_feeds_archive(self):
+    def test_selector_feeds_archive(self, tmp_path):
         """Per-field bestfit selection, archived together."""
         selector = OnlineSelector([SZ14Compressor(), ZFPCompressor()])
-        arch = Archive()
+        store = ArrayStore(tmp_path / "snapshot")
         fields = {
             "TS": load_field("CESM-ATM", "TS")[:48, :96],
             "FLNS": load_field("CESM-ATM", "FLNS")[:48, :96],
         }
+        chosen = {}
         for name, data in fields.items():
             res = selector.select(data, 1e-3, "vr_rel")
-            arch.add_field(name, res.compressed)
-        back = Archive.from_bytes(arch.to_bytes())
+            chosen[name] = res.compressed.variant
+            store.put(name, data, codec=chosen[name], eb=1e-3, mode="vr_rel")
+        back = ArrayStore(store.root)
+        assert {r["name"]: r["codec"] for r in back.ls()} == chosen
         for name, data in fields.items():
-            out = selector.decompress(back.payload(name))
+            out = back.read(name).data
             vr = float(data.max() - data.min())
             assert np.abs(out.astype(np.float64) - data).max() <= 1e-3 * vr
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec.registry import get_codec
 from repro.data.fields import gaussian_random_field
 from repro.errors import ReproError
-from repro.variants import compressor_for
 
 VARIANTS = ["SZ-1.4", "SZ-1.0", "GhostSZ", "waveSZ", "ZFP-like"]
 
@@ -26,7 +26,7 @@ VARIANTS = ["SZ-1.4", "SZ-1.0", "GhostSZ", "waveSZ", "ZFP-like"]
 def payload_and_field(request):
     g = gaussian_random_field((24, 40), beta=3.5, seed=77)
     x = (g / np.abs(g).max()).astype(np.float32)
-    comp = compressor_for(request.param)
+    comp = get_codec(request.param)
     cf = comp.compress(x, 1e-3, "vr_rel")
     return comp, cf.payload, x
 

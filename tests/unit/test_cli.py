@@ -99,6 +99,22 @@ class TestArchiveCommands:
         assert main(["extract", str(ar), "bogus",
                      "-o", str(tmp_path / "x.f32")]) == 1
 
+    def test_archive_is_a_store_directory(self, tmp_path, capsys):
+        """What `archive` wrote, every `store` subcommand operates on."""
+        ar = tmp_path / "nyx.wszar"
+        assert main(["archive", "NYX", "--variant", "sz14",
+                     "-o", str(ar)]) == 0
+        raw, part = tmp_path / "v.f32", tmp_path / "part.f32"
+        assert main(["extract", str(ar), "velocity_x", "-o", str(raw)]) == 0
+        assert main(["store", "--root", str(ar), "slice", "velocity_x",
+                     "--window", "20:40,0:8", "-o", str(part)]) == 0
+        assert "2 tile(s) touched" in capsys.readouterr().out
+        whole = read_raw_field(raw, (64, 64, 64), np.float32)
+        window = read_raw_field(part, (20, 8, 64), np.float32)
+        np.testing.assert_array_equal(window, whole[20:40, 0:8])
+        assert main(["store", "--root", str(ar), "fsck", "--deep"]) == 0
+        assert "6 manifest(s)" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     @pytest.fixture()

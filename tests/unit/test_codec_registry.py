@@ -15,14 +15,14 @@ from repro.codec.registry import (
 from repro.codec.spec import PipelineSpec, StageSpec, validate_spec
 from repro.errors import ConfigError, ContainerError
 from repro.io.container import Container
-from repro.variants import VARIANTS, Feature, compressor_for
+from repro.variants import VARIANTS, Feature
 
 
 class TestNameResolution:
     def test_every_variants_row_resolves_to_a_compressor(self):
         """Satellite: each Table 2 key (incl. "SZ-2.0+") finds a codec."""
         for key in VARIANTS:
-            comp = compressor_for(key)
+            comp = get_codec(key)
             assert hasattr(comp, "compress") and hasattr(comp, "decompress")
 
     def test_every_sz_family_codec_maps_back_to_a_variants_row(self):
@@ -40,8 +40,8 @@ class TestNameResolution:
     def test_sz20_alias_bridges_the_historic_name_mismatch(self):
         """"SZ-2.0+" (Table 2) and "SZ-2.0" (wire name) are one codec."""
         assert REGISTRY.canonical("SZ-2.0+") == "SZ-2.0"
-        assert compressor_for("SZ-2.0+").name == "SZ-2.0"
-        assert compressor_for("SZ-2.0").name == "SZ-2.0"
+        assert get_codec("SZ-2.0+").name == "SZ-2.0"
+        assert get_codec("SZ-2.0").name == "SZ-2.0"
 
     def test_cli_short_names(self):
         assert REGISTRY.short_names() == (

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.codec.registry import get_codec
-from repro.errors import ChecksumError, ShapeError, StoreError
+from repro.errors import ChecksumError, ReproError, ShapeError, StoreError
 from repro.parallel import tile_compress, tile_decompress
 from repro.service.metrics import MetricsRegistry
 from repro.store import ArrayStore, TileCache
@@ -75,6 +77,63 @@ class TestPut:
     def test_1d_field_rejected(self, store, ramp1d):
         with pytest.raises(ShapeError, match="2 dimensions"):
             store.put("ramp", ramp1d)
+
+
+class TestConcurrentPuts:
+    """One handle, many threads (the service runs every store op in a
+    worker thread): every put acks, every acked put is durable."""
+
+    def test_threads_putting_the_same_tiles_under_different_names(
+        self, tmp_path
+    ):
+        n_threads, rounds = 4, 10
+        rng = np.random.default_rng(17)
+        fields = [
+            rng.standard_normal((64, 64)).astype(np.float32)
+            for _ in range(rounds)
+        ]
+        store = ArrayStore(tmp_path / "store")
+        acked: list[tuple[str, int]] = []
+        failed: list[tuple[str, Exception]] = []
+
+        def put(name, r, barrier):
+            barrier.wait(30)  # all threads hit the same digests at once
+            try:
+                store.put(name, fields[r], "sz14", 1e-3, n_tiles=4)
+            except ReproError as exc:
+                failed.append((name, exc))
+            else:
+                acked.append((name, r))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for r in range(rounds):
+                barrier = threading.Barrier(n_threads)
+                threads = [
+                    threading.Thread(target=put, args=(f"r{r}.t{k}", r, barrier))
+                    for k in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert failed == []
+        assert len(acked) == n_threads * rounds
+        reference = ArrayStore(tmp_path / "reference")  # single-threaded
+        for r in range(rounds):
+            reference.put(f"r{r}", fields[r], "sz14", 1e-3, n_tiles=4)
+        fresh = ArrayStore(store.root)
+        assert fresh.recovery.clean
+        for name, r in acked:
+            np.testing.assert_array_equal(
+                fresh.read(name).data, reference.read(f"r{r}").data
+            )
+        fresh.fsck().assert_clean()
 
 
 class TestRead:
@@ -239,6 +298,16 @@ class TestLs:
 
     def test_empty_store(self, store):
         assert store.ls() == []
+
+    def test_listing_ignores_a_writers_temp_file(self, store, smooth2d):
+        """pathlib's ``*.json`` matches dot-files: a manifest write in
+        flight (or crashed) must not fail or show up in a listing."""
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=2)
+        tmp = store.root / "manifests" / ".tmp-1-other.json"
+        tmp.write_text("{torn")
+        assert store.names() == ("ts",)
+        assert [r["name"] for r in store.ls()] == ["ts"]
+        assert len(store.referenced_digests()) == 2
 
     def test_corrupt_manifest_is_a_store_error(self, store, smooth2d):
         store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=2)
