@@ -156,8 +156,12 @@ class StagePipeline:
                     stage.forward(ctx)
         return ctx
 
-    def run_inverse(self, payload: bytes) -> PipelineContext:
-        container = Container.from_bytes(payload)
+    def run_inverse(self, payload: bytes | Container) -> PipelineContext:
+        container = (
+            payload
+            if isinstance(payload, Container)
+            else Container.from_bytes(payload)
+        )
         h = container.header
         if h.get("variant") != self.variant:
             raise ContainerError(
@@ -244,8 +248,11 @@ class PipelineCompressor:
             meta=dict(ctx.meta),
         )
 
-    def decompress(self, compressed: CompressedField | bytes) -> np.ndarray:
-        """Reconstruct the field from a compressed payload."""
+    def decompress(
+        self, compressed: CompressedField | bytes | Container
+    ) -> np.ndarray:
+        """Reconstruct the field from a compressed payload (or from its
+        already parsed and verified :class:`Container`)."""
         payload = (
             compressed.payload
             if isinstance(compressed, CompressedField)

@@ -21,12 +21,15 @@ Three kinds of names resolve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
 from ..errors import ContainerError, decode_guard
 from .spec import PipelineSpec, validate_spec
+
+if TYPE_CHECKING:
+    from ..io.container import Container
 
 __all__ = [
     "CodecEntry",
@@ -196,22 +199,28 @@ class CodecRegistry:
 
     # -- payload dispatch -----------------------------------------------
 
-    def peek_variant(self, payload: bytes) -> str:
-        """Read the wire variant name out of a container payload."""
+    def open(self, payload: bytes) -> tuple["Container", str]:
+        """Parse and verify a container payload once; returns it with
+        its wire variant name, for decoders that take the parsed form."""
         from ..io.container import Container
 
         with decode_guard("container header"):
-            h = Container.from_bytes(payload).header
-        variant = h.get("variant")
+            container = Container.from_bytes(payload)
+        variant = container.header.get("variant")
         if not isinstance(variant, str):
             raise ContainerError(
                 f"container header carries no variant name: {variant!r}"
             )
-        return variant
+        return container, variant
+
+    def peek_variant(self, payload: bytes) -> str:
+        """Read the wire variant name out of a container payload."""
+        return self.open(payload)[1]
 
     def decode(self, payload: bytes) -> np.ndarray:
         """Decompress a payload, dispatching on its header variant."""
-        return self.create(self.peek_variant(payload)).decompress(payload)
+        container, variant = self.open(payload)
+        return self.create(variant).decompress(container)
 
 
 #: The process-wide registry every consumer dispatches through.

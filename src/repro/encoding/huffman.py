@@ -4,7 +4,8 @@ SZ-1.4's "customized variable-length encoding" is a Huffman code whose
 alphabet is the 16-bit linear-scaling quantization codes (paper §2.1,
 Table 7's H⋆ stage).  This module implements it from scratch:
 
-* tree construction with a binary heap over the non-zero-frequency symbols,
+* tree construction by a two-queue merge over the sorted non-zero-frequency
+  symbols,
 * canonicalization (codes assigned in (length, symbol) order) so the table
   serializes as just *lengths + symbols in canonical order*,
 * a fully vectorized encoder built on :func:`repro.encoding.bitio.pack_codes`,
@@ -18,7 +19,6 @@ than 2**57 input symbols, so depths always fit the bit-IO buffer.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -38,32 +38,51 @@ _MAX_ENC_ALPHABET = 1 << 26  # dense encode-table slots (plenty for 16-bit codes
 
 
 def _code_lengths(counts: np.ndarray) -> np.ndarray:
-    """Huffman code length per (non-zero-count) symbol, by heap merging."""
+    """Huffman code length per (non-zero-count) symbol, by two-queue merge.
+
+    Leaves wait in one queue, stably sorted by count; merged nodes join
+    a second queue in creation order, which is weight order because
+    merge weights never decrease.  Each merge takes the two lightest
+    heads, a leaf before an internal node of equal weight — the order a
+    heap keyed ``(weight, node_id)`` pops them in, so ties resolve to
+    the same tree and the wire format is unchanged.
+    """
     n = counts.size
     if n == 1:
         return np.array([1], dtype=np.int64)
-    # Heap entries: (weight, tiebreak, node_id). Internal nodes get ids >= n;
-    # parent[] lets us recover each leaf's depth after the merge.
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    heap = [(int(c), i, i) for i, c in enumerate(counts)]
-    heapq.heapify(heap)
-    next_id = n
-    while len(heap) > 1:
-        w1, _, a = heapq.heappop(heap)
-        w2, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (w1 + w2, next_id, next_id))
-        next_id += 1
-    depths = np.zeros(n, dtype=np.int64)
-    for leaf in range(n):
-        d = 0
-        node = leaf
-        while parent[node] != -1:
-            node = parent[node]
-            d += 1
-        depths[leaf] = d
-    return depths
+    order = np.argsort(counts, kind="stable")
+    # Node ids: 0..n-1 the sorted leaves, n an infinite sentinel that
+    # closes the leaf queue, n+1..2n-1 the merges in creation order.
+    weight = counts[order].tolist()
+    weight.append(float("inf"))
+    left: list[int] = []
+    right: list[int] = []
+    leaf, internal = 0, n + 1
+    for new in range(n + 1, 2 * n):
+        if internal == new or weight[leaf] <= weight[internal]:
+            a = leaf
+            leaf += 1
+        else:
+            a = internal
+            internal += 1
+        if internal == new or weight[leaf] <= weight[internal]:
+            b = leaf
+            leaf += 1
+        else:
+            b = internal
+            internal += 1
+        weight.append(weight[a] + weight[b])
+        left.append(a)
+        right.append(b)
+    # Top-down: the root is the last merge; children sit one level deeper.
+    depth = [0] * (2 * n)
+    for node, a, b in zip(
+        range(2 * n - 1, n, -1), reversed(left), reversed(right)
+    ):
+        depth[a] = depth[b] = depth[node] + 1
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = depth[:n]
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -108,19 +127,16 @@ class HuffmanTable:
 
     def assign_codes(self) -> np.ndarray:
         """Return the canonical code value for each table entry (uint64)."""
-        n = self.symbols.size
-        codes = np.zeros(n, dtype=np.uint64)
-        if n == 0:
-            return codes
-        code = 0
-        prev_len = int(self.lengths[0])
-        for i in range(n):
-            li = int(self.lengths[i])
-            code <<= li - prev_len
-            codes[i] = code
-            code += 1
-            prev_len = li
-        return codes
+        if self.symbols.size == 0:
+            return np.zeros(0, dtype=np.uint64)
+        # Left-aligned to the deepest length, entry i starts where the
+        # entries before it end: at the sum of their 2**(maxlen - length)
+        # spans.  Shifting that back down is the canonical code.  The sum
+        # stays below 2**maxlen (Kraft), so uint64 holds it at any depth
+        # the table format allows.
+        pad = (self.max_length - self.lengths).astype(np.uint64)
+        span = np.uint64(1) << pad
+        return (np.cumsum(span) - span) >> pad
 
     def is_prefix_free_and_complete(self) -> bool:
         """Kraft sum == 1 exactly (true for any Huffman code with >= 1 symbol)."""

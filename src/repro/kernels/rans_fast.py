@@ -11,11 +11,11 @@ lane, and after the decode transform the number of bytes a lane needs
 is a pure function of its state (``0`` if ``x >= 2^23``, ``1`` if
 ``x >= 2^15``, else ``2``).  So each step vectorizes across all lanes:
 
-* **encode** — build an ``(lanes, 2)`` byte/emit matrix per step,
-  reverse the lane axis (the reference walks lanes high-to-low), and
-  masked-ravel it into the step's chunk; the final stream is the
-  concatenation of the reversed chunks, each byte-reversed (the
-  reference reverses one flat buffer at the end).
+* **encode** — frequencies, offsets and renorm limits are gathered
+  once into step-major ``(steps, lanes)`` matrices; the step loop only
+  advances the states and records which lanes emitted; the stream is
+  one masked ravel of ``(steps, lanes, 2)`` byte/flag matrices (the
+  reference's reversed flat buffer read in forward order).
 * **decode** — gather each lane's slot/symbol, apply the transform,
   compute the per-lane byte need from the thresholds above, and turn
   ``cumsum(need)`` into gather offsets into the byte stream — no data
@@ -38,44 +38,47 @@ def encode_stream(
 ) -> tuple[np.ndarray, bytes]:
     """Interleaved rANS encode, vectorized across lanes per step."""
     m = idx.size
-    x = np.full(n_lanes, RANS_L, dtype=np.int64)
-    chunks: list[np.ndarray] = []
     n_steps = -(-m // n_lanes)
-    # one gather over the whole stream; steps take contiguous slices
-    f_all = freqs[idx]
-    c_all = cum[idx]
-    bytes_mat = np.zeros((n_lanes, 2), dtype=np.uint8)
-    emit_mat = np.zeros((n_lanes, 2), dtype=bool)
+    # Everything that does not depend on the lane states is computed
+    # once, step-major.  The tail of the last step is padded with a
+    # whole-scale symbol (f = 2^12, cum = 0): it never renormalizes and
+    # its transform is the identity, so idle lanes need no slicing.
+    f = np.full((n_steps, n_lanes), PROB_SCALE, dtype=np.uint32)
+    c = np.zeros((n_steps, n_lanes), dtype=np.uint32)
+    f.reshape(-1)[:m] = freqs[idx]
+    c.reshape(-1)[:m] = cum[idx]
+    # A lane emits one byte when x >= f << 19 and a second when the
+    # shifted state still is, i.e. x >= f << 27 (never a third).  From
+    # f = 16 up that limit is 2^31, above every state, so it clamps
+    # there and stays in uint32.
+    limit = f << np.uint32(19)
+    limit2 = np.minimum(f, 16) << np.uint32(27)
+    # Row s + 1 is the state step s starts from, row s the one it
+    # leaves, so every pre-renorm state survives the loop and the byte
+    # stream is cut out of them afterwards in one pass.
+    x = np.empty((n_steps + 1, n_lanes), dtype=np.uint32)
+    x[n_steps] = RANS_L
+    emit = np.empty((n_steps, n_lanes, 2), dtype=bool)
+    n_bytes = emit.view(np.uint8)
+    shift = np.empty(n_lanes, dtype=np.uint8)
+    xs = np.empty(n_lanes, dtype=np.uint32)
     for step in range(n_steps - 1, -1, -1):
-        base = step * n_lanes
-        hi = min(n_lanes, m - base)
-        f = f_all[base:base + hi]
-        c = c_all[base:base + hi]
-        xs = x[:hi]
-        limit = f << 19
-        emit = xs >= limit
-        if emit.any():
-            bm = bytes_mat[:hi]
-            em = emit_mat[:hi]
-            np.bitwise_and(xs, 0xFF, out=bm[:, 0], casting="unsafe")
-            em[:, 0] = emit
-            xs = np.where(emit, xs >> 8, xs)
-            emit2 = xs >= limit  # second renorm byte (never a third)
-            em[:, 1] = emit2
-            if emit2.any():
-                np.bitwise_and(xs, 0xFF, out=bm[:, 1], casting="unsafe")
-                xs = np.where(emit2, xs >> 8, xs)
-            # lanes high-to-low, each lane low byte first
-            chunks.append(bm[::-1].reshape(-1)[em[::-1].reshape(-1)])
-        q, r = np.divmod(xs, f)
-        x[:hi] = (q << PROB_BITS) + r + c
-    if chunks:
-        stream = np.concatenate(
-            [ch[::-1] for ch in reversed(chunks)]
-        ).tobytes()
-    else:
-        stream = b""
-    return x.astype(np.uint32), stream
+        x_in = x[step + 1]
+        np.greater_equal(x_in, limit[step], out=emit[step, :, 1])
+        np.greater_equal(x_in, limit2[step], out=emit[step, :, 0])
+        np.add(n_bytes[step, :, 0], n_bytes[step, :, 1], out=shift)
+        np.left_shift(shift, 3, out=shift)
+        np.right_shift(x_in, shift, out=xs)
+        q, r = np.divmod(xs, f[step])
+        q <<= PROB_BITS
+        r += c[step]
+        np.add(q, r, out=x[step])
+    # The reference appends steps last-to-first, lanes high-to-low, low
+    # byte first, then reverses the buffer: steps first-to-last, lanes
+    # low-to-high, second byte before first -- each state's low 16 bits
+    # big-endian, in C order, under the mask.
+    low16 = x[1:].astype(">u2").view(np.uint8).reshape(-1)
+    return x[0], low16[np.flatnonzero(emit)].tobytes()
 
 
 def decode_stream(

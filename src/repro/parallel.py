@@ -155,7 +155,7 @@ def tile_compress(
 
 
 def _parse(
-    payload: bytes, compressor: Compressor | None
+    payload: bytes | Container, compressor: Compressor | None
 ) -> tuple[Container, Compressor]:
     """Open a tiled payload and pick its band decompressor.
 
@@ -163,7 +163,11 @@ def _parse(
     ``None`` the band codec is resolved from the ``inner_variant`` header
     through the central codec registry.
     """
-    container = Container.from_bytes(payload)
+    container = (
+        payload
+        if isinstance(payload, Container)
+        else Container.from_bytes(payload)
+    )
     h = container.header
     if compressor is None:
         inner = h.get("inner_variant")
@@ -213,9 +217,10 @@ def decompress_tile(
 
 
 def tile_decompress(
-    compressor: Compressor | None, payload: bytes
+    compressor: Compressor | None, payload: bytes | Container
 ) -> np.ndarray:
-    """Reconstruct the full field from a tiled payload.
+    """Reconstruct the full field from a tiled payload (or from its
+    already parsed :class:`Container`).
 
     ``compressor=None`` dispatches on the payload's ``inner_variant``
     header via the codec registry.

@@ -57,10 +57,6 @@ class BoundedJobQueue:
     def full(self) -> bool:
         return len(self._heap) >= self.maxsize
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def _push(self, handle: JobHandle) -> None:
         heapq.heappush(
             self._heap, (-handle.job.priority, next(self._seq), handle)

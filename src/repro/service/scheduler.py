@@ -58,7 +58,6 @@ class BatchScheduler:
         metrics: MetricsRegistry | None = None,
         transport: str = "auto",
         batch_bytes: int = 0,
-        batch_wait_s: float = 0.002,
         batch_max_jobs: int = 16,
     ) -> None:
         self.pool = pool if pool is not None else WorkerPool(
@@ -76,16 +75,17 @@ class BatchScheduler:
         self.transport = resolve_transport(
             transport, self.pool.kind, metrics=self.metrics
         )
-        #: Micro-batching: jobs smaller than ``batch_bytes`` coalesce
-        #: into one worker dispatch (at most ``batch_max_jobs``, waiting
-        #: at most ``batch_wait_s`` for company), so tiny fields stop
+        #: Micro-batching: jobs smaller than ``batch_bytes`` that queued
+        #: while every worker slot was busy leave as one worker dispatch
+        #: (at most ``batch_max_jobs``), so tiny fields under load stop
         #: paying a full pool round-trip each.  ``0`` disables batching.
         self.batch_bytes = batch_bytes
-        self.batch_wait_s = batch_wait_s
         self.batch_max_jobs = max(1, batch_max_jobs)
         self._batch_dispatches = 0
         self._batch_jobs = 0
         self._dispatchers: list[asyncio.Task] = []
+        #: Dispatchers waiting on the queue, i.e. idle worker slots.
+        self._parked = 0
         self._in_flight = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -183,15 +183,18 @@ class BatchScheduler:
 
     async def _dispatch_loop(self) -> None:
         while True:
+            self._parked += 1
             try:
                 handle = await self.queue.get()
             except ServiceError:
                 return  # queue closed and drained
+            finally:
+                self._parked -= 1
             self._in_flight += 1
             group = [handle]
             try:
                 if self._route(handle.job) == "batch":
-                    group = await self._collect_group(handle)
+                    group = self._collect_group(handle)
                 if len(group) == 1:
                     await self._run_one(handle)
                 else:
@@ -247,31 +250,25 @@ class BatchScheduler:
             return "batch"
         return "single"
 
-    async def _collect_group(self, first: JobHandle) -> list[JobHandle]:
-        """Greedily coalesce small jobs behind ``first``.
+    def _collect_group(self, first: JobHandle) -> list[JobHandle]:
+        """Coalesce the small jobs that queued behind ``first`` while
+        every worker slot was busy.
 
-        Drains every immediately-available batchable job (peek +
-        ``get_nowait`` is atomic between awaits — one event loop), then
-        waits at most ``batch_wait_s`` once for company before giving
-        up, so a lone small job's latency is bounded by design, not by
-        arrival luck.  A non-batchable head stops collection and stays
-        queued for another dispatcher.
+        The dispatcher holding ``first`` owns an idle slot, so it never
+        waits for company, and while another dispatcher is parked on
+        the queue the next job is that idle slot's to take.  What is
+        left — the backlog of a saturated pool — is the batch: no
+        timer, the queue decides.  A non-batchable head stops
+        collection and stays queued for another dispatcher.
         """
         group = [first]
-        waited = False
-        while len(group) < self.batch_max_jobs:
+        while len(group) < self.batch_max_jobs and not self._parked:
             nxt = self.queue.peek()
-            if nxt is not None:
-                if self._route(nxt.job) != "batch":
-                    break
-                self.queue.get_nowait()
-                self._in_flight += 1
-                group.append(nxt)
-                continue
-            if waited or self.batch_wait_s <= 0 or self.queue.closed:
+            if nxt is None or self._route(nxt.job) != "batch":
                 break
-            waited = True
-            await asyncio.sleep(self.batch_wait_s)
+            self.queue.get_nowait()
+            self._in_flight += 1
+            group.append(nxt)
         return group
 
     def _start(self, handle: JobHandle) -> bool:

@@ -234,20 +234,22 @@ def decompress_auto(payload: bytes) -> np.ndarray:
     """Decode any field payload by its ``variant`` header.
 
     This is the single decode path: plain payloads dispatch through the
-    central codec registry (:func:`repro.codec.registry.decode_payload`);
-    tiled containers (``variant = "tiled[...]"``) reassemble through
-    :func:`repro.parallel.tile_decompress`, which itself resolves the band
-    codec from the ``inner_variant`` header.  Callers holding an opaque
-    payload need neither the producing compressor nor its name.  Imports
-    are local because the codec layer builds on this module.
+    central codec registry; tiled containers (``variant = "tiled[...]"``)
+    reassemble through :func:`repro.parallel.tile_decompress`, which
+    itself resolves the band codec from the ``inner_variant`` header.
+    The container is parsed and checksummed once, here, and handed down
+    parsed.  Callers holding an opaque payload need neither the
+    producing compressor nor its name.  Imports are local because the
+    codec layer builds on this module.
     """
-    from .codec.registry import REGISTRY, decode_payload
+    from .codec.registry import REGISTRY
 
-    if REGISTRY.peek_variant(payload).startswith("tiled["):
+    container, variant = REGISTRY.open(payload)
+    if variant.startswith("tiled["):
         from .parallel import tile_decompress
 
-        return tile_decompress(None, payload)
-    return decode_payload(payload)
+        return tile_decompress(None, container)
+    return REGISTRY.create(variant).decompress(container)
 
 
 def build_stats(

@@ -66,6 +66,35 @@ class TestTiledDispatch:
         )
 
 
+class TestParsedOnce:
+    """Each container is parsed and CRC-checked once per decode."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.io.container import Container
+
+        seen = []
+        real = Container.from_bytes.__func__
+
+        def counting(cls, blob):
+            seen.append(len(blob))
+            return real(cls, blob)
+
+        monkeypatch.setattr(Container, "from_bytes", classmethod(counting))
+        return seen
+
+    def test_plain_payload(self, smooth2d, parses):
+        cf = get_codec("wavesz-dp-rans").compress(smooth2d, 1e-3, "vr_rel")
+        decompress_auto(cf.payload)
+        assert parses == [len(cf.payload)]
+
+    def test_tiled_payload(self, smooth2d, parses):
+        tiled = tile_compress(get_codec("sz14"), smooth2d, 1e-3, n_tiles=3)
+        decompress_auto(tiled.payload)
+        # the outer container once, then each band's own
+        assert len(parses) == 1 + 3 and parses[0] == len(tiled.payload)
+
+
 class TestRejection:
     def test_garbage_rejected(self):
         with pytest.raises(ContainerError):

@@ -22,8 +22,9 @@ from repro.codec.spec import ENTROPY_BACKENDS
 from repro.codec.stages import EntropyCodesStage, HuffmanGzipCodesStage
 from repro.errors import ConfigError, ContainerError, RansError
 from repro.io.container import Container
-from repro.kernels import forced
+from repro.kernels import forced, rans_fast
 from repro.lossless import GzipStage, LosslessMode
+from repro.rans import coder
 from repro.rans import (
     MAX_SYMBOLS,
     PROB_SCALE,
@@ -135,6 +136,51 @@ class TestCoder:
         assert blob_ref == blob_fast
         assert (back_ref == tokens).all()
         assert (back_fast == tokens).all()
+
+    @pytest.mark.parametrize(
+        "n_lanes,m",
+        [
+            (lanes, m)
+            for lanes in (1, 5, 64)
+            for m in sorted({1, 63, 64, 65, 2 * lanes - 1})
+        ],
+    )
+    def test_small_stream_kernel_parity(self, n_lanes, m):
+        # Short streams leave lanes of the last step idle (at one token,
+        # every lane but one): the fast kernel pads them, the reference
+        # skips them.
+        rng = np.random.default_rng(m * 131 + n_lanes)
+        table = RansTable.from_counts(
+            np.arange(6), np.array([4000, 600, 90, 9, 2, 1])
+        )
+        idx = rng.choice(6, size=m, p=[0.5, 0.2, 0.1, 0.1, 0.05, 0.05])
+        args = (idx, table.freqs, table.cum(), n_lanes)
+        states_ref, stream_ref = coder._encode_reference(*args)
+        states, stream = rans_fast.encode_stream(*args)
+        assert stream == stream_ref
+        assert states.dtype == states_ref.dtype
+        assert (states == states_ref).all()
+        back = rans_fast.decode_stream(
+            stream, states.astype(np.int64), m,
+            table.freqs, table.cum(), table.slot_map(),
+        )
+        assert (back == idx).all()
+
+    def test_step_where_every_lane_emits_two_bytes(self):
+        # A frequency-1 symbol shifts 12 bits into the state per token;
+        # back to back it alternates one- and two-byte renorms, so on a
+        # stream of nothing else every other step moves 2 * lanes bytes.
+        n_lanes, n_steps = 8, 4
+        table = RansTable(
+            symbols=np.arange(2), freqs=np.array([PROB_SCALE - 1, 1])
+        )
+        idx = np.ones(n_lanes * n_steps, dtype=np.int64)
+        args = (idx, table.freqs, table.cum(), n_lanes)
+        states_ref, stream_ref = coder._encode_reference(*args)
+        states, stream = rans_fast.encode_stream(*args)
+        assert len(stream_ref) == n_lanes * (1 + 2 + 1 + 2)
+        assert stream == stream_ref
+        assert (states == states_ref).all()
 
     def test_empty_stream(self):
         table = _table_for(np.array([5]))

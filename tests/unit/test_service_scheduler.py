@@ -234,6 +234,85 @@ class TestTileFanout:
         assert stats.events["scheduler.tile_fanouts"] == 1
 
 
+class TestMicroBatching:
+    """A batch is what queued while every worker slot was busy."""
+
+    def test_lone_small_job_is_dispatched_at_once(
+        self, smooth2d, monkeypatch
+    ):
+        real_sleep = asyncio.sleep
+
+        async def no_timed_sleep(delay, *args, **kw):
+            assert delay <= 0, f"scheduler slept {delay}s in front of a job"
+            return await real_sleep(delay, *args, **kw)
+
+        monkeypatch.setattr(
+            "repro.service.scheduler.asyncio.sleep", no_timed_sleep
+        )
+
+        async def main():
+            sched = _sched(batch_bytes=1 << 20)
+            sched.start()
+            job = make_job("wavesz-dp", smooth2d)
+            assert sched._route(job) == "batch"
+            handle = await sched.submit(job)
+            result = await asyncio.wait_for(sched.wait(handle), 30)
+            await sched.stop()
+            return result, sched.stats()
+
+        result, stats = asyncio.run(main())
+        assert result.queued_s < 1e-3
+        assert "batch.dispatches" not in stats.events
+
+    def test_simultaneous_arrivals_go_to_the_idle_slots(self, smooth2d):
+        async def main():
+            sched = _sched(
+                workers=2, pool_kind="thread", batch_bytes=1 << 20
+            )
+            sched.start()
+            await asyncio.sleep(0)  # both dispatchers park on the queue
+            handles = [
+                await sched.submit(make_job("wavesz-dp", smooth2d))
+                for _ in range(2)
+            ]
+            for h in handles:
+                await asyncio.wait_for(sched.wait(h), 30)
+            await sched.stop()
+            return sched.stats()
+
+        assert "batch.dispatches" not in asyncio.run(main()).events
+
+    def test_jobs_queued_behind_a_busy_slot_leave_as_one_group(
+        self, smooth2d
+    ):
+        async def main():
+            sched = _sched(
+                workers=1, pool_kind="thread", batch_bytes=1 << 20
+            )
+            sched.start()
+            first = await sched.submit(make_job("wavesz-dp", smooth2d))
+            while first.state is not JobState.RUNNING:
+                await asyncio.sleep(0)
+            # No await yields between these submits, so the one
+            # dispatcher cannot come back for any of them before all
+            # five are queued.
+            rest = [
+                await sched.submit(make_job("wavesz-dp", smooth2d))
+                for _ in range(5)
+            ]
+            results = [
+                await asyncio.wait_for(sched.wait(h), 30)
+                for h in [first, *rest]
+            ]
+            await sched.stop()
+            return results, sched.stats()
+
+        results, stats = asyncio.run(main())
+        assert len({r.output for r in results}) == 1
+        assert stats.events["batch.dispatches"] == 1
+        assert stats.events["batch.jobs"] == 5
+
+
 class TestPriority:
     def test_high_priority_dispatched_first(self, smooth2d):
         async def main():
