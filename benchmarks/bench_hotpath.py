@@ -12,14 +12,24 @@ shares):
 * **lane decode vs chain walk**: the fast ``huffman.decode`` kernel on the
   same >= 50 K-symbol stream with its lane path on and off (a ratio
   inside one run, so it holds on a 1-CPU runner);
+* **``lz77.parse`` by size and kind**: 2 KB / 16 KB / 100 KB prefixes of
+  two Huffman-coded streams, one nearly incompressible (few, short
+  matches) and one run-heavy (zero runs, maximal matches) — the 2 KB rows
+  are the guard for the small-request path, whose gzip inputs are that
+  size;
+* **speculative sweep vs its own checked path**: the fast
+  ``pqd.compress_sweep`` on waveSZ's 20 x 10 000 view of Hurricane
+  ``CLOUDf48`` (10 017 fronts of <= 19 points), clean and with 20 % of the
+  points spiked, with speculation on and forced off (``_SPEC_FRONTS = 1``);
 * **end-to-end** compress/decompress of 1D/2D/3D fields with per-stage
   attribution from ``measure_compressor(stage_timing=True)``.
 
 Results land in ``benchmarks/results/BENCH_kernels.json`` (the perf
 trajectory baseline) and a human table.  ``--smoke`` runs only the 2D
 field with byte-equality checks and **fails if the fast path regresses
-below 1.0x of reference or the lane decode below 1.5x of the chain
-walk** — the CI perf gate.
+below 1.0x of reference, the lane decode below 1.5x of the chain walk or
+the clean speculative sweep below 1.3x of its checked path** — the CI
+perf gate.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from repro import load_field
 from repro.codec.registry import get_codec
 from repro.config import QuantizerConfig, resolve_error_bound
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
-from repro.kernels import forced, huffman_fast
+from repro.kernels import forced, huffman_fast, pqd_fast
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
@@ -48,6 +58,8 @@ MODE = "vr_rel"
 CODEC = "sz14"
 SMOKE_FIELD = "2d CESM.CLDLOW"
 LANE_GATE = 1.5  # lane decode vs chain-walk fallback, same stream, same run
+SPEC_GATE = 1.3  # clean narrow-view sweep, speculation on vs forced off
+PARSE_SIZES = (2048, 16384, 100_000)
 
 FIELDS = {
     "1d CESM.TS.flat": lambda: load_field("CESM-ATM", "TS").reshape(-1),
@@ -155,6 +167,84 @@ def _lanes_vs_chain_walk(field: np.ndarray, repeats: int) -> dict:
     }
 
 
+def _parse_by_size(repeats: int) -> dict:
+    """``lz77.parse`` under both modes on prefixes of two kinds of stream.
+
+    Both are Huffman-coded quant codes, as every ledger workload gzips
+    them: CESM ``TS`` (nearly incompressible: few, short matches) and
+    ``CLDLOW`` (a dominant one-bit code: zero runs and maximal matches).
+    """
+    streams = {}
+    for kind, name in (("sparse", "TS"), ("runs", "CLDLOW")):
+        syms = _quant_codes(load_field("CESM-ATM", name, scale=3))
+        codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+        streams[kind] = codec.encode(syms)[0]
+    rows = {}
+    for kind, stream in streams.items():
+        if len(stream) < PARSE_SIZES[-1]:
+            raise AssertionError(f"{kind} stream is only {len(stream)} bytes")
+        for size in PARSE_SIZES:
+            data = stream[:size]
+            row = _both_modes(
+                lambda: LZ77Encoder.best_speed().parse(data), repeats + 2
+            )
+            with forced("reference"):
+                ref = deflate(data, LZ77Encoder.best_speed())
+            with forced("fast"):
+                fast = deflate(data, LZ77Encoder.best_speed())
+            if ref != fast or inflate(fast) != data:
+                raise AssertionError(f"lz77.parse diverged on {kind}[:{size}]")
+            rows[f"{kind}_{size}"] = row
+    return rows
+
+
+def _speculation_on_and_off(repeats: int) -> dict:
+    """The fast compress sweep on a narrow view, checked vs speculative."""
+    view = FIELDS["3d Hurricane.CLOUDf48"]()[:20].reshape(20, -1)
+    bound = resolve_error_bound(view, EB, MODE).absolute
+    spiked = view.copy()
+    rng = np.random.default_rng(19)
+    hit = rng.random(view.shape) < 0.2
+    spiked[hit] += (1e6 * bound * rng.normal(size=int(hit.sum()))).astype(view.dtype)
+    quant = QuantizerConfig()
+    rows = {}
+    for name, field in (("clean", view), ("spiked_20pct", spiked)):
+
+        def sweep():
+            return pqd_compress(field, bound, quant, border="verbatim")
+
+        def checked():
+            longest = pqd_fast._SPEC_FRONTS
+            pqd_fast._SPEC_FRONTS = 1  # checked per-front path only
+            try:
+                return sweep()
+            finally:
+                pqd_fast._SPEC_FRONTS = longest
+
+        row = _both_modes(sweep, repeats)
+        with forced("fast"):
+            out = sweep()
+            checked_out = checked()
+            # Alternate the two, so a slow spell of the host hits both.
+            row["fast"] = row["checked"] = float("inf")
+            for _ in range(repeats + 2):
+                row["checked"] = min(row["checked"], _best(checked, 1))
+                row["fast"] = min(row["fast"], _best(sweep, 1))
+        row["speedup"] = row["reference"] / max(row["fast"], 1e-12)
+        with forced("reference"):
+            ref_out = sweep()
+        for other in (checked_out, ref_out):
+            if (
+                other.codes.tobytes() != out.codes.tobytes()
+                or other.decompressed.tobytes() != out.decompressed.tobytes()
+            ):
+                raise AssertionError(f"sweeps disagree on the {name} view")
+        row["outliers"] = out.n_outliers
+        row["vs_checked"] = row["checked"] / max(row["fast"], 1e-12)
+        rows[name] = row
+    return rows
+
+
 def _end_to_end(field: np.ndarray, repeats: int) -> dict:
     codec = get_codec(CODEC)
     out: dict = {}
@@ -197,6 +287,8 @@ def run(smoke: bool = False) -> dict:
     lane_decode = _lanes_vs_chain_walk(
         load_field("CESM-ATM", "CLDLOW", scale=2), repeats
     )
+    parse_rows = _parse_by_size(repeats)
+    sweep_rows = _speculation_on_and_off(repeats)
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
 
     report = {
@@ -206,6 +298,8 @@ def run(smoke: bool = False) -> dict:
         "smoke_field": SMOKE_FIELD,
         "stage_micro": stage_micro,
         "lane_decode": lane_decode,
+        "lz77_parse": parse_rows,
+        "narrow_sweep": sweep_rows,
         "end_to_end": e2e,
     }
 
@@ -229,6 +323,30 @@ def run(smoke: bool = False) -> dict:
         f"lanes {lane_decode['lanes'] * 1e3:.2f} ms "
         f"({lane_decode['speedup']:.1f}x, gate {LANE_GATE}x)",
     ]
+    lines += [
+        "",
+        "lz77.parse at best_speed, by stream kind and size",
+        fmt_row(("stream", "ref ms", "fast ms", "speedup"), widths),
+    ]
+    for name, r in parse_rows.items():
+        lines.append(fmt_row(
+            (name, r["reference"] * 1e3, r["fast"] * 1e3,
+             f"{r['speedup']:.1f}x"),
+            widths,
+        ))
+    widths_s = (14, 10, 10, 10, 10, 12)
+    lines += [
+        "",
+        "pqd.compress_sweep, 20 x 10000 view: speculation on vs forced off",
+        fmt_row(("view", "outliers", "ref ms", "checked ms", "fast ms",
+                 "vs checked"), widths_s),
+    ]
+    for name, r in sweep_rows.items():
+        lines.append(fmt_row(
+            (name, r["outliers"], r["reference"] * 1e3, r["checked"] * 1e3,
+             r["fast"] * 1e3, f"{r['vs_checked']:.2f}x"),
+            widths_s,
+        ))
     lines += ["", "end to end (byte-identical payloads verified)"]
     widths_e = (24, 10, 10, 8, 10, 10, 8)
     lines.append(fmt_row(
@@ -276,9 +394,14 @@ def run(smoke: bool = False) -> dict:
             failures.append(
                 f"decompress regressed: {smoke_e2e['decompress_speedup']:.2f}x"
             )
-        for stage, r in stage_micro.items():
+        for stage, r in {**stage_micro, **parse_rows, **sweep_rows}.items():
             if r["speedup"] < 1.0:
                 failures.append(f"{stage} regressed: {r['speedup']:.2f}x")
+        if sweep_rows["clean"]["vs_checked"] < SPEC_GATE:
+            failures.append(
+                f"speculative sweep {sweep_rows['clean']['vs_checked']:.2f}x "
+                f"of its checked path (gate {SPEC_GATE}x)"
+            )
         if lane_decode["speedup"] < LANE_GATE:
             failures.append(
                 f"lane decode {lane_decode['speedup']:.2f}x of the chain walk "
@@ -298,8 +421,9 @@ if __name__ == "__main__":
     ap.add_argument(
         "--smoke",
         action="store_true",
-        help="2D field only; exit nonzero if fast < 1.0x of reference "
-        "or lanes < 1.5x of the chain walk",
+        help="2D field only; exit nonzero if fast < 1.0x of reference, "
+        "lanes < 1.5x of the chain walk or the speculative sweep < 1.3x "
+        "of its checked path",
     )
     args = ap.parse_args()
     try:

@@ -446,13 +446,13 @@ class PwRelMasksStage:
             return
         container = ctx.container
         neg, zero = transform.masks_to_bytes()
-        neg_gz = self.lossless.compress(neg)
-        zero_gz = self.lossless.compress(zero)
-        container.add("pw_negative", neg_gz if len(neg_gz) < len(neg) else neg)
-        container.add("pw_zero", zero_gz if len(zero_gz) < len(zero) else zero)
-        container.header["pw_neg_gz"] = len(neg_gz) < len(neg)
-        container.header["pw_zero_gz"] = len(zero_gz) < len(zero)
-        ctx.extra_bytes += min(len(neg_gz), len(neg)) + min(len(zero_gz), len(zero))
+        neg_stored, neg_gz = gzip_if_smaller(self.lossless, neg)
+        zero_stored, zero_gz = gzip_if_smaller(self.lossless, zero)
+        container.add("pw_negative", neg_stored)
+        container.add("pw_zero", zero_stored)
+        container.header["pw_neg_gz"] = neg_gz
+        container.header["pw_zero_gz"] = zero_gz
+        ctx.extra_bytes += len(neg_stored) + len(zero_stored)
 
     def inverse(self, ctx: "PipelineContext") -> None:
         pass
@@ -532,22 +532,13 @@ class EntropyCodesStage:
             table_blob = table.to_bytes()
         with _substage("codes_entropy.stream"):
             payload, nbits = HuffmanCodec(table).encode(codes_flat)
+            stored, use_gz = gzip_if_smaller(self.lossless, payload)
             container.add("huffman_table", table_blob)
-            container.add("huffman_codes", payload)
+            container.add("huffman_codes_gz" if use_gz else "huffman_codes", stored)
             container.header["n_codes"] = int(codes_flat.size)
             container.header["huffman_bits"] = int(nbits)
-            gz = self.lossless.compress(payload)
-            if len(gz) < len(payload):
-                container.sections[:] = [
-                    s for s in container.sections if s.name != "huffman_codes"
-                ]
-                container.add("huffman_codes_gz", gz)
-                container.header["codes_gzipped"] = True
-                code_stream_bytes = len(gz)
-            else:
-                container.header["codes_gzipped"] = False
-                code_stream_bytes = len(payload)
-        ctx.encoded_code_bytes = len(table_blob) + code_stream_bytes
+            container.header["codes_gzipped"] = use_gz
+        ctx.encoded_code_bytes = len(table_blob) + len(stored)
         if self.meta_bits:
             ctx.meta["huffman_bits"] = container.header["huffman_bits"]
 

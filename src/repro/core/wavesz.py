@@ -165,8 +165,9 @@ class _WaveCodesStage:
         if self.use_huffman:
             table = HuffmanTable.from_symbols(codes_stream)
             pre_gzip, _ = HuffmanCodec(table).encode(codes_stream)
-            container.add("huffman_table", table.to_bytes())
-            table_bytes = len(table.to_bytes())
+            table_blob = table.to_bytes()
+            container.add("huffman_table", table_blob)
+            table_bytes = len(table_blob)
         else:
             pre_gzip = codes_stream.astype("<u2").tobytes()
             table_bytes = 0

@@ -285,29 +285,57 @@ class HuffmanCodec:
         # multi-gigabyte dense encode array it will never use.
         self._enc_len: np.ndarray | None = None
         self._enc_code: np.ndarray | None = None
+        self._enc_base = 0
         self._dec: _DecodeTables | None = None
         # The lane decoder's wide LUT (kernels.huffman_fast), cached here
         # so repeated decodes against one codec build it once.
         self._lane_lut: np.ndarray | None = None
 
-    def _encode_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _encode_tables(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Dense ``symbol - self._enc_base`` lookups of length and code,
+        built for a first stream of ``n`` symbols.
+
+        Quant codes cluster around the quantizer radius, so a 57-symbol
+        table centred on 32768 spans 57 slots but would zero 32 K dense
+        ones per codec.  Indexing from the smallest symbol costs one
+        subtraction over the stream instead, so it is chosen when the
+        stream is the shorter of the two (a 2 K-symbol job), and long
+        streams keep indexing from 0.
+        """
         if self._enc_len is None:
             table = self.table
-            n = table.symbols.size
-            if n:
+            if table.symbols.size:
                 hi = int(table.symbols.max()) + 1
-                if hi > _MAX_ENC_ALPHABET:
+                # A (hand-built) negative symbol keeps indexing from 0.
+                lo = max(int(table.symbols.min()), 0) if hi > n else 0
+                if hi - lo > _MAX_ENC_ALPHABET:
                     raise HuffmanError(
-                        f"encode alphabet too large ({hi} dense slots)"
+                        f"encode alphabet too large ({hi - lo} dense slots)"
                     )
-                self._enc_len = np.zeros(hi, dtype=np.int64)
-                self._enc_code = np.zeros(hi, dtype=np.uint64)
-                self._enc_len[table.symbols] = table.lengths
-                self._enc_code[table.symbols] = table.assign_codes()
+                self._enc_base = lo
+                self._enc_len = np.zeros(hi - lo, dtype=np.int64)
+                self._enc_code = np.zeros(hi - lo, dtype=np.uint64)
+                self._enc_len[table.symbols - lo] = table.lengths
+                self._enc_code[table.symbols - lo] = table.assign_codes()
             else:
                 self._enc_len = np.zeros(0, dtype=np.int64)
                 self._enc_code = np.zeros(0, dtype=np.uint64)
         return self._enc_len, self._enc_code
+
+    def _slots(self, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(lookup slots, code lengths)`` of a symbol stream."""
+        enc_len = self._encode_tables(symbols.size)[0]
+        lo = self._enc_base
+        low = symbols.min()
+        if low < 0 or symbols.max() >= lo + enc_len.size:
+            raise HuffmanError("symbol outside table alphabet")
+        if low < lo:  # inside the alphabet, below every coded symbol
+            raise HuffmanError("symbol with zero frequency in table")
+        slots = symbols - lo if lo else symbols
+        lengths = enc_len[slots]
+        if (lengths == 0).any():
+            raise HuffmanError("symbol with zero frequency in table")
+        return slots, lengths
 
     def _decode_tables(self) -> "_DecodeTables":
         """The decode lookups, built on first use (both kernels read
@@ -323,13 +351,8 @@ class HuffmanCodec:
         symbols = np.asarray(symbols).reshape(-1)
         if symbols.size == 0:
             return b"", 0
-        enc_len, enc_code = self._encode_tables()
-        if symbols.min() < 0 or symbols.max() >= enc_len.size:
-            raise HuffmanError("symbol outside table alphabet")
-        lengths = enc_len[symbols]
-        if (lengths == 0).any():
-            raise HuffmanError("symbol with zero frequency in table")
-        return pack_codes(enc_code[symbols], lengths)
+        slots, lengths = self._slots(symbols)
+        return pack_codes(self._enc_code[slots], lengths)
 
     # -- decode ------------------------------------------------------------
 
@@ -369,13 +392,7 @@ class HuffmanCodec:
         symbols = np.asarray(symbols).reshape(-1)
         if symbols.size == 0:
             return 0
-        enc_len = self._encode_tables()[0]
-        if symbols.min() < 0 or symbols.max() >= enc_len.size:
-            raise HuffmanError("symbol outside table alphabet")
-        lengths = enc_len[symbols]
-        if (lengths == 0).any():
-            raise HuffmanError("symbol with zero frequency in table")
-        return int(lengths.sum())
+        return int(self._slots(symbols)[1].sum())
 
 
 def _decode_reference(

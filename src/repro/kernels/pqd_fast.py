@@ -14,13 +14,30 @@ restructures the loop around it:
   (``out=`` everywhere; no ``np.where`` / ``.all()``, which cost ~3x a
   basic ufunc call at wavefront sizes);
 * the quantizer's integer pipeline is evaluated in the float domain:
-  ``floor((floor(q) + 1) / 2)`` over floats equals the reference
-  ``code0 // 2`` exactly for every quantizable point (``code0 <
-  capacity <= 2**32`` keeps all intermediates exact), and every point
-  the float-domain capacity test rejects is one the reference also
-  codes 0 — including NaN and the ``>= 2**63`` int64-overflow inputs,
-  which the reference's post-reconstruction bound / code-range checks
-  reject after the fact;
+  with ``t = trunc(diff / p)`` (``±fq``, where ``code0 = fq + 1``),
+  ``t - trunc(t / 2) = ±ceil(fq / 2)`` over floats is the reference's
+  ``trunc(±code0 / 2)`` exactly for every quantizable point (``code0 <
+  capacity <= 2**32`` keeps all intermediates exact), and ``|half| <
+  radius`` is its capacity test and its code-range test in one
+  (``capacity == 2 * radius``) — every point that fails
+  it is one the reference also codes 0, including NaN and the ``>=
+  2**63`` int64-overflow inputs, which the reference's
+  post-reconstruction bound / code-range checks reject after the fact;
+* the compress sweep *speculates*: the paper's pipeline never stalls on
+  the over-bound check (§3.2 — an unpredictable point just leaves the
+  pipe verbatim), and on real fields the check almost never fires, so
+  fronts are issued without it (14 dispatches instead of ~25), their
+  signed halves and widened reconstructions land in front-order scratch
+  sized by the chunk, and a whole chunk of fronts is verified with the
+  reference's two comparisons in one pass.  Codes are committed up to the
+  first failing front, that front is finished with the masked path (its
+  inputs were final, so only its failing lanes change), and the sweep
+  resumes behind it.  The chunk length follows what the data shows:
+  ``_SPEC_START`` fronts at first, doubling up to ``_SPEC_FRONTS`` while
+  chunks verify clean; a failure drops to the checked per-front path
+  (a chunk of one: nothing is ever issued past a failure), which re-arms
+  speculation only after ``_SPEC_REARM`` clean fronts in a row — a field
+  with an outlier in most fronts pays for one short chunk and no more;
 * fields whose wavefronts are all single points (1D chains) switch to
   a pure-scalar Python loop carrying the feedback value in a local —
   a Python float op costs ~20ns where a 1-element ufunc costs ~400.
@@ -36,6 +53,7 @@ fast path's preconditions (multi-layer stencils, quantizers with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from struct import pack, unpack
 
@@ -45,6 +63,15 @@ from ..sz.lorenzo import neighbor_offsets
 from ..sz.wavefront_index import interior_wavefronts
 
 __all__ = ["compress_sweep", "decompress_sweep"]
+
+# Speculation policy of the multi-D compress sweep (module docstring).
+# Fixed by the cost model, not knobs: verifying a chunk costs about one
+# front, a failure wastes half a chunk on average, so chunks past ~32
+# fronts gain nothing and a clean run shorter than ~16 does not pay.
+_SPEC_START = 8  # fronts in the first chunk after (re-)arming
+_SPEC_FRONTS = 32  # longest chunk; 1 turns speculation off (bench, tests)
+_SPEC_REARM = 16  # clean checked fronts in a row before speculating again
+_SPEC_POINTS = 1 << 15  # scratch bound: points per chunk
 
 
 @lru_cache(maxsize=8)
@@ -109,9 +136,8 @@ def compress_sweep(
     skip_first: bool,
 ) -> None:
     """Fused closed-loop PQD sweep; mutates ``work_flat``/``codes_flat``."""
-    offsets, signs, fronts, all_idx, bounds, gblocks, max_n = _sweep_plan(
-        eff_shape, margin, layers
-    )
+    plan = _sweep_plan(eff_shape, margin, layers)
+    signs, max_n = plan[1], plan[-1]
     if not _fast_path_ok(signs, quant):
         from ..sz.pqd import _compress_sweep_reference
 
@@ -148,35 +174,82 @@ def compress_sweep(
         )
         return
 
-    capm1 = float(quant.capacity - 1)
+    _speculative_sweep(
+        work_flat,
+        orig_flat,
+        codes_flat,
+        plan=plan,
+        precision=precision,
+        quant=quant,
+        dtype=dtype,
+        transform=transform,
+        skip_first=skip_first,
+    )
+
+
+def _speculative_sweep(
+    work_flat: np.ndarray,
+    orig_flat: np.ndarray,
+    codes_flat: np.ndarray,
+    *,
+    plan,
+    precision: float,
+    quant,
+    dtype: np.dtype,
+    transform,
+    skip_first: bool,
+) -> int:
+    """The multi-D sweep: issue a chunk of fronts, verify it in one pass.
+
+    Returns the number of front evaluations issued: the number of fronts
+    plus whatever failed chunks had issued past their failing front.
+    """
+    offsets, signs, fronts, all_idx, bounds, gblocks, max_n = plan
     r = quant.radius
+    rf = float(r)
     twop = 2.0 * precision
     d_all = orig_flat[all_idx]
+    nf = len(fronts)
+    n_off = offsets.size
+    # Scratch holds one chunk: never less than the widest front, never
+    # more than the field (a 33 x 64 job must not map megabytes).
+    room = max(max_n, min(_SPEC_POINTS, bounds[-1]))
 
     pred = np.empty(max_n)
-    diff = np.empty(max_n)
-    qbuf = np.empty(max_n)
-    hs = np.empty(max_n)
-    e64 = np.empty(max_n)
-    w64 = np.empty(max_n)
+    tq = np.empty(max_n)
+    th = np.empty(max_n)
     r32 = np.empty(max_n, dtype=dtype)
-    ci = np.empty(max_n, dtype=np.int64)
-    qm = np.empty(max_n, dtype=bool)
-    ib = np.empty(max_n, dtype=bool)
-    ok = np.empty(max_n, dtype=bool)
+    # Front-order scratch of one chunk: signed halves and widened
+    # reconstructions, plus the verification temporaries.
+    hs_c = np.empty(room)
+    w_c = np.empty(room)
+    tmp = np.empty(room)
+    ok_c = np.empty(room, dtype=bool)
+    ib_c = np.empty(room, dtype=bool)
+    ci_c = np.empty(room, dtype=np.int64)
 
-    n_off = offsets.size
-    a = 0
-    for k, idx in enumerate(fronts):
-        n = idx.size
-        b = a + n
-        if skip_first and k == 0:
-            work_flat[idx] = transform(orig_flat[idx]).astype(np.float64)
-            a = b
-            continue
-        db = d_all[a:b]
-        g = work_flat[gblocks[k]]
-        p_ = pred[:n]
+    # Views are made once per length: slicing ten arrays per front costs
+    # more than two of its ufuncs.
+    front_views: dict[int, tuple] = {}
+    chunk_views: dict[int, tuple] = {}
+
+    def scratch(m: int) -> tuple:
+        """The first ``m`` points of the chunk scratch."""
+        v = chunk_views.get(m)
+        if v is None:
+            v = chunk_views[m] = (
+                hs_c[:m], w_c[:m], tmp[:m], ok_c[:m], ib_c[:m], ci_c[:m]
+            )
+        return v
+
+    def issue(j: int, a: int, b: int, hs_: np.ndarray, w_: np.ndarray) -> None:
+        """Front ``j`` without any check: halves -> hs_, feedback -> w_."""
+        n = b - a
+        v = front_views.get(n)
+        if v is None:
+            v = front_views[n] = (pred[:n], tq[:n], th[:n], r32[:n])
+        p_, t_, h_, r32_ = v
+        g = work_flat[gblocks[j]]
         if n_off == 1:
             np.copyto(p_, g[:, 0])  # signs[0] == +1 checked above
         else:
@@ -186,51 +259,105 @@ def compress_sweep(
                     np.add(p_, g[:, m], out=p_)
                 else:
                     np.subtract(p_, g[:, m], out=p_)
-        df = diff[:n]
-        np.subtract(db, p_, out=df)
-        q_ = qbuf[:n]
-        np.abs(df, out=q_)
-        np.divide(q_, precision, out=q_)
-        np.floor(q_, out=q_)  # fq = floor(|diff| / p)
-        qm_ = qm[:n]
-        np.less(q_, capm1, out=qm_)  # quantizable: code0 = fq+1 < capacity
-        np.multiply(q_, 0.5, out=q_)
-        np.ceil(q_, out=q_)  # h = ceil(fq/2) == (fq+1) // 2, exact in float
-        hs_ = hs[:n]
-        np.copysign(q_, df, out=hs_)  # signed half = code_dot - r
-        e_ = e64[:n]
-        np.multiply(hs_, twop, out=e_)
-        # The reference derives this term from *integers*, so a zero is
-        # always +0.0; copysign can make hs a -0.0.  x + 0.0 normalizes
-        # the sign of zero and is the identity on every other float.
-        np.add(e_, 0.0, out=e_)
-        np.add(e_, p_, out=e_)  # d_re = pred + 2*(code_dot - r)*p
-        r32_ = r32[:n]
-        r32_[...] = e_  # round to storage dtype, like astype
-        w_ = w64[:n]
+        np.subtract(d_all[a:b], p_, out=t_)
+        np.divide(t_, precision, out=t_)
+        np.trunc(t_, out=t_)  # t = ±fq, fq = floor(|diff| / p)
+        np.multiply(t_, 0.5, out=h_)
+        np.trunc(h_, out=h_)
+        # signed half = ±ceil(fq/2) = code_dot - r, exact in float; a
+        # zero comes out +0.0 (x - x), like the reference's integer zero.
+        np.subtract(t_, h_, out=hs_)
+        np.multiply(hs_, twop, out=t_)
+        np.add(t_, p_, out=t_)  # d_re = pred + 2*(code_dot - r)*p
+        r32_[...] = t_  # round to storage dtype, like astype
         w_[...] = r32_  # widen back: the feedback / overbound value
-        np.subtract(w_, db, out=e_)
-        np.abs(e_, out=e_)
-        ib_ = ib[:n]
-        np.less_equal(e_, precision, out=ib_)
-        ok_ = ok[:n]
-        np.logical_and(qm_, ib_, out=ok_)
-        ci_ = ci[:n]
-        # trunc-toward-zero cast: exact on ±half.  Only the ok_ lanes are
-        # cast — NaN/Inf/huge halves live on lanes qm_ (hence ok_)
-        # rejects, and every lane outside ok_ is zeroed below.
-        np.copyto(ci_, hs_, casting="unsafe", where=ok_)
-        np.add(ci_, r, out=ci_)  # code_dot
-        if np.count_nonzero(ok_) == n:
-            codes_flat[idx] = ci_
-            work_flat[idx] = w_
+
+    def verify(m: int, at: int) -> bool:
+        """The reference's two comparisons over ``m`` issued points.
+
+        ``|half| < r`` is ``code0 < capacity`` and ``0 < code_dot <
+        capacity`` in one (capacity == 2r); NaN, Inf and >= 2**63
+        quotients fail it, as they fail the reference's checks.
+        """
+        hs_m, w_m, t_m, ok_m, ib_m, _ = scratch(m)
+        np.abs(hs_m, out=t_m)
+        np.less(t_m, rf, out=ok_m)
+        np.subtract(w_m, d_all[at : at + m], out=t_m)
+        np.abs(t_m, out=t_m)
+        np.less_equal(t_m, precision, out=ib_m)
+        np.logical_and(ok_m, ib_m, out=ok_m)
+        return np.count_nonzero(ok_m) == m
+
+    def patch(j: int, o: int) -> np.ndarray:
+        """Masked path for front ``j`` (scratch offset ``o``): failing
+        lanes get code 0 and feed their stored value back.  The front's
+        inputs were final, so its other lanes stand."""
+        at = bounds[j]
+        e = o + bounds[j + 1] - at
+        fail = np.logical_not(ok_c[o:e])
+        hs_c[o:e][fail] = -rf  # code_dot 0; also clears NaN/Inf halves
+        w_ = w_c[o:e]
+        w_[fail] = transform(d_all[at : at + e - o][fail])
+        return w_
+
+    def commit(m: int, idx: np.ndarray) -> None:
+        """Codes of the first ``m`` scratch points, all settled, to ``idx``."""
+        hs_m, _, _, _, _, ci = scratch(m)
+        np.copyto(ci, hs_m, casting="unsafe")  # exact on ±half
+        np.add(ci, r, out=ci)  # code_dot
+        codes_flat[idx] = ci
+
+    k = 0
+    if skip_first:
+        idx = fronts[0]
+        work_flat[idx] = transform(orig_flat[idx]).astype(np.float64)
+        k = 1
+    chunk = min(_SPEC_START, _SPEC_FRONTS)
+    streak = 0  # clean fronts in a row on the checked path
+    issued = nf - k
+    while k < nf:
+        a = bounds[k]
+        if chunk == 1:
+            # Checked per-front path: nothing is issued past a failure.
+            n = bounds[k + 1] - a
+            hs_, w_ = scratch(n)[:2]
+            issue(k, a, a + n, hs_, w_)
+            if verify(n, a):
+                streak += 1
+                if streak >= _SPEC_REARM:
+                    chunk = min(_SPEC_START, _SPEC_FRONTS)
+            else:
+                patch(k, 0)
+                streak = 0
+            work_flat[fronts[k]] = w_
+            commit(n, fronts[k])
+            k += 1
+            continue
+        k1 = min(k + chunk, nf)
+        while bounds[k1] - a > room:
+            k1 -= 1
+        for j in range(k, k1):
+            o = bounds[j] - a
+            e = bounds[j + 1] - a
+            w_ = w_c[o:e]
+            issue(j, a + o, a + e, hs_c[o:e], w_)
+            work_flat[fronts[j]] = w_
+        m = bounds[k1] - a
+        if verify(m, a):
+            chunk = min(2 * chunk, _SPEC_FRONTS)
         else:
-            np.logical_not(ok_, out=ok_)  # ok_ is now the fail mask
-            ci_[ok_] = 0
-            w_[ok_] = transform(db[ok_])
-            codes_flat[idx] = ci_
-            work_flat[idx] = w_
-        a = b
+            # Fronts before the first failing one are final; the ones
+            # after it were issued on feedback that is about to change.
+            f = bisect_right(bounds, a + int(np.argmin(ok_c[:m]))) - 1
+            work_flat[fronts[f]] = patch(f, bounds[f] - a)
+            issued += k1 - f - 1
+            k1 = f + 1
+            m = bounds[k1] - a
+            chunk = 1
+            streak = 0
+        commit(m, all_idx[a : a + m])
+        k = k1
+    return issued
 
 
 def _compress_scalar_chain(

@@ -10,6 +10,7 @@ across ``forced("reference")`` / ``forced("fast")``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,10 +20,11 @@ from repro.config import QuantizerConfig
 from repro.encoding.bitio import pack_codes, unpack_codes
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
 from repro.errors import ReproError
-from repro.kernels import forced, huffman_fast
+from repro.kernels import forced, huffman_fast, lz77_fast, pqd_fast
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.sz.pqd import pqd_compress, pqd_decompress
+from repro.sz.wavefront_index import interior_wavefronts
 from tests.lanes import (
     CHAIN_WALK_ONLY,
     TINY_LANES,
@@ -49,7 +51,8 @@ def _outcome(fn):
 
 
 def _same_outcome(fn, compare=lambda a, b: a == b):
-    ref = _outcome(lambda: fn())
+    with forced("reference"):  # the ambient mode defaults to fast
+        ref = _outcome(lambda: fn())
     with forced("fast"):
         fast = _outcome(lambda: fn())
     if isinstance(ref, tuple) and isinstance(fast, tuple):
@@ -249,6 +252,133 @@ def test_inflate_corrupt_same_taxonomy_large(seed, flavor):
         assert ref == fast
 
 
+def _colliding_trigrams(rng, k):
+    """``k`` distinct 3-byte strings with one 18-bit reference hash
+    ``(b0 << 10) ^ (b1 << 5) ^ b2``: flipping ``x`` into the low bits of
+    ``b1`` and ``x << 5`` into ``b2`` cancels, as does ``y`` into ``b0``
+    against ``y << 5`` into ``b1``."""
+    b0, b1, b2 = (int(v) for v in rng.integers(0, 256, 3))
+    out = {
+        bytes([b0 ^ y, b1 ^ x ^ ((y << 5) & 0xFF), b2 ^ ((x << 5) & 0xFF)])
+        for x in range(8)
+        for y in range(8)
+    }
+    hashes = {(t[0] << 10) ^ (t[1] << 5) ^ t[2] for t in out}
+    assert len(out) == 64 and len(hashes) == 1
+    return [out.pop() for _ in range(k)]
+
+
+def _structured_bytes(flavor, rng):
+    """Inputs with the structure ``st.binary`` never has: a full window,
+    maximal matches, long swallowed chains, colliding chains."""
+    def noise(n):
+        return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+
+    if flavor == "zero_runs":
+        parts = []
+        for _ in range(int(rng.integers(2, 5))):
+            parts += [noise(int(rng.integers(1, 40))),
+                      bytes(int(rng.integers(3 * 258 + 1, 6 * 258)))]
+        return b"".join(parts) + noise(int(rng.integers(0, 4)))
+    if flavor == "periodic":
+        parts = []
+        for period in (2, 3, 300):
+            unit = noise(period)
+            parts += [unit * (int(rng.integers(900, 2400)) // period + 2),
+                      noise(int(rng.integers(0, 9)))]
+        return b"".join(parts)
+    if flavor == "far_copy":
+        # a block again at distance 32767 / 32768 / 32769: just inside,
+        # exactly at and just outside the window
+        parts = []
+        for dist in (32767, 32768, 32769):
+            block = noise(int(rng.integers(12, 60)))
+            parts += [block, noise(dist - len(block)), block]
+        return b"".join(parts)
+    if flavor == "collisions":
+        grams = _colliding_trigrams(rng, int(rng.integers(2, 7)))
+        picks = rng.integers(0, len(grams), int(rng.integers(300, 900)))
+        return b"".join(grams[i] for i in picks)
+    if flavor == "tail_match":
+        block = noise(int(rng.integers(260, 700)))
+        tail = noise(int(rng.integers(0, 3)))  # the match ends 1-3 from the end
+        return block + noise(int(rng.integers(5, 50))) + block + tail
+    assert flavor == "huffman"
+    # quant codes of a smooth field: geometric around the radius, with the
+    # runs of the dominant code that make the coded stream run-heavy
+    n = int(rng.integers(20_000, 260_000))
+    steps = rng.geometric(float(rng.uniform(0.2, 0.9)), n) - 1
+    syms = 32768 + steps * rng.choice([-1, 1], n)
+    syms[rng.random(n) < 0.3] = 32768
+    payload, _ = HuffmanCodec(HuffmanTable.from_symbols(syms)).encode(syms)
+    return payload[:100_000]
+
+
+def _exact_starts(data, window):
+    """Positions with an equal trigram at most ``window`` back (brute force)."""
+    last = {}
+    count = 0
+    for p in range(len(data) - 2):
+        gram = data[p : p + 3]
+        if p - last.get(gram, -window - 1) <= window:
+            count += 1
+        last[gram] = p
+    return count
+
+
+@pytest.mark.parametrize(
+    "flavor",
+    ["zero_runs", "periodic", "far_copy", "collisions", "tail_match", "huffman"],
+)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=3, deadline=None)
+def test_lz77_structured_identical_and_work_bounded(flavor, seed):
+    data = _structured_bytes(flavor, np.random.default_rng(seed))
+    for encoder in (LZ77Encoder.best_speed(), LZ77Encoder.best_compression()):
+        with forced("reference"):
+            tok_ref = encoder.parse(data)
+            blob_ref = deflate(data, encoder)
+        with forced("fast"):
+            tok_fast = encoder.parse(data)
+            blob_fast = deflate(data, encoder)
+        assert np.array_equal(tok_ref.kinds, tok_fast.kinds)
+        assert np.array_equal(tok_ref.values, tok_fast.values)
+        assert np.array_equal(tok_ref.dists, tok_fast.dists)
+        assert blob_ref == blob_fast
+        for mode in ("reference", "fast"):
+            with forced(mode):
+                assert inflate(blob_ref) == data
+        # Work, as counts that repeat exactly: the loop visits exactly the
+        # positions where a match can start, walks a chain at most once
+        # per visit, and steps over a swallowed entry at most once ever.
+        counts = lz77_fast._parse(encoder, data)[1]
+        matches = tok_ref.kinds == 1
+        if flavor == "zero_runs":
+            assert tok_ref.values[matches].max() == 258
+        if flavor == "far_copy":
+            far = np.isin([32767, 32768, 32769], tok_ref.dists[matches])
+            assert far.tolist() == [True, True, False]
+        assert counts["starts"] == _exact_starts(data, encoder.window)
+        assert counts["walks"] <= counts["starts"]
+        assert counts["walks"] >= int(matches.sum())
+        assert counts["skipped"] <= int((tok_ref.values[matches] - 1).sum())
+        if encoder.insert_all:
+            assert counts["skipped"] == 0
+
+
+def _sweep_outcome(field, precision, border):
+    def run():
+        res = pqd_compress(field, precision, Q, border=border)
+        return (
+            res.codes.tobytes(),
+            res.decompressed.tobytes(),
+            res.border_values.tobytes(),
+            res.outlier_values.tobytes(),
+        )
+
+    return _same_outcome(run)
+
+
 pqd_fields = st.tuples(
     st.integers(min_value=0, max_value=2**31),
     st.sampled_from([(40,), (2, 24), (2, 2), (9, 11), (3, 4, 6)]),
@@ -277,16 +407,7 @@ def test_pqd_sweeps_identical(params):
         field[rng.random(shape) < 0.1] = np.nan
     field = field.astype(dtype)
 
-    def run_compress():
-        res = pqd_compress(field, precision, Q, border=border)
-        return (
-            res.codes.tobytes(),
-            res.decompressed.tobytes(),
-            res.border_values.tobytes(),
-            res.outlier_values.tobytes(),
-        )
-
-    ref = _same_outcome(run_compress)
+    ref = _sweep_outcome(field, precision, border)
     if not isinstance(ref, tuple):
         return
     res = pqd_compress(field, precision, Q, border=border)
@@ -303,6 +424,145 @@ def test_pqd_sweeps_identical(params):
         ).tobytes()
 
     _same_outcome(run_decompress)
+
+
+# Shapes with more fronts than any speculative chunk of the fast compress
+# sweep (702, 127 and 49 interior fronts; the longest chunk is 32).
+LONG_SWEEPS = [(6, 700), (40, 90), (5, 9, 40)]
+
+
+def _front_corners(shape, border):
+    """Field coordinates of the first point of each interior front."""
+    if border == "padded":
+        ext = tuple(n + 1 for n in shape)
+        first = np.array([f[0] for f in interior_wavefronts(ext, 1)])
+        return np.array(np.unravel_index(first, ext)).T - 1
+    first = np.array([f[0] for f in interior_wavefronts(shape, 1)])
+    return np.array(np.unravel_index(first, shape)).T
+
+
+def _smooth(shape, dtype, rng):
+    axes = np.meshgrid(*(np.linspace(0, 3, n) for n in shape), indexing="ij")
+    waves = sum(np.sin(a + i) for i, a in enumerate(axes))
+    return (waves + 1e-3 * rng.normal(size=shape)).astype(dtype)
+
+
+def _step(field, corner, height):
+    """Raise the orthant behind ``corner``.  The Lorenzo stencil predicts
+    a separable step exactly everywhere but at its corner, so exactly
+    that point fails — and its *stored* value feeds predictable
+    neighbours, which a spike (whose neighbours all fail too) never
+    tests."""
+    field[tuple(slice(int(c), None) for c in corner)] += height
+
+
+def _counting_sweep(monkeypatch):
+    """Record ``(fronts issued, fronts)`` of every speculative sweep."""
+    issued = []
+    sweep = pqd_fast._speculative_sweep
+
+    def spy(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        issued.append((out, len(kwargs["plan"][2]) - kwargs["skip_first"]))
+        return out
+
+    monkeypatch.setattr(pqd_fast, "_speculative_sweep", spy)
+    return issued
+
+
+@pytest.mark.parametrize("border", ["truncate", "verbatim", "padded"])
+@pytest.mark.parametrize("shape", LONG_SWEEPS)
+def test_pqd_long_sweep_failures_by_construction(shape, border, monkeypatch):
+    """One failing point per placement: first front, last front, and the
+    fronts on both sides of every chunk boundary — of the clean schedule
+    (8, 24, 56, 88, ...) and, with an earlier failure in front 3, of the
+    schedule after the re-arm."""
+    issued = _counting_sweep(monkeypatch)
+    rng = np.random.default_rng(7)
+    corners = _front_corners(shape, border)
+    nf = len(corners)
+
+    def around_boundaries(start):
+        # fronts next to each boundary of an all-clean run from ``start``
+        # (+-1 more: a padded sweep skips its first front)
+        k, chunk, out = start, pqd_fast._SPEC_START, {start - 1, start, start + 1}
+        while k < min(nf, start + 130):
+            k += chunk
+            chunk = min(2 * chunk, pqd_fast._SPEC_FRONTS)
+            out |= {k - 2, k - 1, k, k + 1}
+        return sorted(j for j in out if 0 <= j < nf)
+
+    singles = [(j,) for j in sorted({*around_boundaries(0), nf - 1})]
+    rearmed = 3 + 1 + pqd_fast._SPEC_REARM
+    doubles = [(3, j) for j in around_boundaries(rearmed) if j > 3]
+    for dtype, placements in (
+        (np.float32, singles + doubles),
+        (np.float64, singles[::3] + doubles[::3]),
+    ):
+        base = _smooth(shape, dtype, rng)
+        assert isinstance(_sweep_outcome(base, 1e-3, border), tuple)
+        assert issued[-1][0] == issued[-1][1], "clean: each front issued once"
+        for fronts in placements:
+            field = base.copy()
+            for j in fronts:
+                _step(field, corners[j], 1e4)
+            _sweep_outcome(field, 1e-3, border)
+            assert issued[-1][0] >= issued[-1][1]
+
+
+@pytest.mark.parametrize("border", ["truncate", "verbatim", "padded"])
+@pytest.mark.parametrize("shape", LONG_SWEEPS)
+def test_pqd_every_front_outlier_work_bound(shape, border, monkeypatch):
+    """An outlier in every front: one short chunk is all speculation costs."""
+    issued = _counting_sweep(monkeypatch)
+    field = _smooth(shape, np.float32, np.random.default_rng(9))
+    for corner in _front_corners(shape, border):
+        _step(field, corner, 100.0)
+    ref = _sweep_outcome(field, 1e-3, border)
+    n_outliers = len(ref[1][3]) // field.itemsize
+    got, fronts = issued[-1]
+    assert n_outliers >= fronts
+    assert fronts <= got <= 1.25 * fronts
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(LONG_SWEEPS),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from(["truncate", "verbatim", "padded"]),
+    st.sampled_from(["nan", "inf", "huge", "capacity", "mixed"]),
+    st.sampled_from([0.0005, 0.005, 0.05]),
+)
+@settings(max_examples=40, deadline=None)
+@pytest.mark.filterwarnings(  # Inf - Inf in both twins' stencil sums
+    "ignore:invalid value encountered in (add|subtract):RuntimeWarning"
+)
+def test_pqd_long_sweep_hostile_lanes(seed, shape, dtype, border, flavor, density):
+    """NaN / Inf / >= 2**63 quotient lanes and steps that land on both
+    sides of the capacity limit, scattered over sweeps long enough to be
+    speculated: same bytes as the reference (and no invalid cast —
+    pyproject.toml makes that warning an error)."""
+    rng = np.random.default_rng(seed)
+    field = _smooth(shape, dtype, rng)
+    precision = 1e-3
+    where = np.argwhere(rng.random(shape) < density)
+    if flavor in ("capacity", "mixed"):
+        # |diff| / p within a few bins of capacity - 1 at each corner
+        for corner in where[: len(where) // (1 if flavor == "capacity" else 2)]:
+            height = (Q.capacity + rng.uniform(-3, 3)) * precision
+            _step(field, corner, height * rng.choice([-1, 1]))
+    if flavor != "capacity":
+        values = {
+            "nan": [np.nan],
+            "inf": [np.inf, -np.inf],
+            "huge": [1e30, -1e30],  # |diff| / p >= 2**63
+            "mixed": [np.nan, np.inf, -np.inf, 1e30, -1e30],
+        }[flavor]
+        if border == "truncate":  # non-finite input never reaches the kernel
+            values = [v for v in values if np.isfinite(v)]
+        for point in where[len(where) // 2 :] if values else ():
+            field[tuple(point)] = rng.choice(values)
+    _sweep_outcome(field, precision, border)
 
 
 @given(

@@ -151,6 +151,51 @@ class TestEncodedSizeBits:
             codec.encoded_size_bits(np.array([3], dtype=np.int64))
 
 
+class TestEncodeLookupSpan:
+    """The dense encode lookups span the alphabet, not ``[0, max]``, for a
+    stream shorter than that — with the errors of the dense layout."""
+
+    def _codec(self):
+        syms = np.array([32760, 32768, 32768, 32770], dtype=np.int64)
+        return HuffmanCodec(HuffmanTable.from_symbols(syms)), syms
+
+    def test_short_stream_indexes_from_the_smallest_symbol(self):
+        codec, syms = self._codec()
+        payload, nbits = codec.encode(syms)
+        assert codec._enc_base == 32760 and codec._enc_len.size == 11
+        assert codec.encoded_size_bits(syms) == nbits
+        assert np.array_equal(codec.decode(payload, syms.size), syms)
+
+    def test_long_stream_keeps_indexing_from_zero_and_the_same_bytes(self):
+        codec, syms = self._codec()
+        long = np.tile(syms, 10_000)
+        codec.encode(syms)  # builds the offset layout, which then stays
+        dense = HuffmanCodec(codec.table)
+        assert dense.encode(long) == codec.encode(long)
+        assert codec._enc_base == 32760
+        assert dense._enc_base == 0 and dense._enc_len.size == 32771
+
+    @pytest.mark.parametrize(
+        "symbol, message",
+        [
+            (-1, "outside table alphabet"),
+            (32771, "outside table alphabet"),
+            (0, "zero frequency"),  # inside [0, max], below the span
+            (32759, "zero frequency"),
+            (32761, "zero frequency"),  # inside the span, not coded
+        ],
+    )
+    def test_rejections_do_not_depend_on_the_layout(self, symbol, message):
+        bad = np.array([symbol], dtype=np.int64)
+        for n in (1, 40_000):  # offset layout, dense layout
+            codec, syms = self._codec()
+            codec.encode(np.tile(syms, n))
+            with pytest.raises(HuffmanError, match=message):
+                codec.encode(bad)
+            with pytest.raises(HuffmanError, match=message):
+                codec.encoded_size_bits(bad)
+
+
 class TestLorenzoHelpers:
     def test_neighbor_offsets_cached_and_readonly(self):
         a = neighbor_offsets((7, 9), 1)
