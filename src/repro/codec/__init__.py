@@ -12,14 +12,18 @@ lossless).  This package makes that framing executable:
   from the original hand-rolled compressors: error-bound resolution
   (incl. base-2 tightening), the PW_REL logarithmic transform with
   sign/zero side channels, the PQD closed loop, quantizer-code entropy
-  coding (customized Huffman → gzip), unpredictable-value packing
-  (truncation vs. verbatim), and container header/section assembly.
-* :mod:`repro.codec.spec` — :class:`PipelineSpec`, the declarative stage
-  list per variant, validated against the Table 2 feature matrix in
-  :mod:`repro.variants` so spec and implementation cannot drift.
+  coding (customized Huffman → gzip, or rANS), unpredictable-value
+  packing (truncation vs. verbatim), container header assembly, and the
+  ``put_section`` / ``take_section`` pair behind every gzip-if-smaller
+  section.
+* :mod:`repro.codec.spec` — :class:`PipelineSpec`, the stage list of a
+  variant with the Table 2 modules each stage realizes.  It is *derived*
+  from the stages a compressor builds and its ``realizes`` mapping, and
+  validated against the feature matrix in :mod:`repro.variants`.
 * :mod:`repro.codec.registry` — the central :class:`CodecRegistry`
-  (decorator-registered) that resolves canonical variant names and
-  aliases to compressor factories and dispatches decode on a payload's
+  (decorator-registered): derives and checks each codec's spec once, at
+  import, resolves canonical variant names, aliases and profiles to one
+  shared compressor instance each, and dispatches decode on a payload's
   ``variant`` header.
 
 Variant modules keep only their genuinely variant-specific stages

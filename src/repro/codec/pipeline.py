@@ -23,16 +23,19 @@ inverse stage uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence, runtime_checkable
+from functools import cached_property
+from typing import Any, Collection, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ..config import ErrorBound, ErrorBoundMode, QuantizerConfig
-from ..errors import ContainerError, decode_guard
+from ..errors import ConfigError, ContainerError, decode_guard
 from ..io.container import Container
 from ..perf.stages import active_recorder
 from ..streams import build_stats
 from ..types import CompressedField
+from ..variants import Feature
+from .spec import PipelineSpec, StageSpec
 
 __all__ = [
     "PipelineContext",
@@ -134,26 +137,26 @@ class StagePipeline:
     def __init__(self, variant: str, stages: Sequence[Stage]) -> None:
         self.variant = variant
         self.stages = tuple(stages)
-        names = [s.name for s in self.stages]
-        if len(set(names)) != len(names):
-            raise ContainerError(
-                f"{variant} pipeline has duplicate stage names: {names}"
-            )
 
     @property
     def stage_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.stages)
 
+    def _run(self, stages: Iterable[Stage], direction: str, ctx: PipelineContext) -> None:
+        """The one stage loop: each stage's ``direction`` method, timed
+        under the stage's name when a recorder is installed."""
+        recorder = active_recorder()
+        for stage in stages:
+            step = getattr(stage, direction)
+            if recorder is None:  # the hot path: no context manager per stage
+                step(ctx)
+            else:
+                with recorder.stage(stage.name):
+                    step(ctx)
+
     def run_forward(self, ctx: PipelineContext) -> PipelineContext:
         ctx.container = Container(header={"variant": self.variant})
-        recorder = active_recorder()
-        if recorder is None:
-            for stage in self.stages:
-                stage.forward(ctx)
-        else:
-            for stage in self.stages:
-                with recorder.stage(stage.name):
-                    stage.forward(ctx)
+        self._run(self.stages, "forward", ctx)
         return ctx
 
     def run_inverse(self, payload: bytes | Container) -> PipelineContext:
@@ -168,14 +171,7 @@ class StagePipeline:
                 f"payload was produced by {h.get('variant')!r}, not {self.variant}"
             )
         ctx = PipelineContext(container=container)
-        recorder = active_recorder()
-        if recorder is None:
-            for stage in reversed(self.stages):
-                stage.inverse(ctx)
-        else:
-            for stage in reversed(self.stages):
-                with recorder.stage(stage.name):
-                    stage.inverse(ctx)
+        self._run(reversed(self.stages), "inverse", ctx)
         return ctx
 
 
@@ -195,26 +191,52 @@ class Compressor(Protocol):
 class PipelineCompressor:
     """Base class driving compress/decompress through a stage pipeline.
 
-    Concrete compressors provide ``name`` (the canonical wire variant
-    name), ``spec`` (their :class:`~repro.codec.spec.PipelineSpec`) and
-    :meth:`build_stages`; everything else — running the stages, stats
-    assembly, the decode guard, the variant check — is shared here.
+    A concrete compressor is declared once: ``name`` (the canonical wire
+    variant name), :meth:`build_stages` (the stage order) and
+    ``realizes`` (which Table 2 modules those stages stand for).
+    Everything else — the :class:`~repro.codec.spec.PipelineSpec`,
+    running the stages, stats assembly, the decode guard, the variant
+    check — is derived or shared here.
     """
 
     name: str
+    #: Stage name -> the Table 2 functionality modules that stage
+    #: realizes; stages that realize none are left out.
+    realizes: Mapping[str, Collection[Feature]] = {}
+    #: Required Table 2 features the software reproduction deliberately
+    #: does not realize / features it provides beyond its Table 2 row.
+    unmodeled: Collection[Feature] = ()
+    extra: Collection[Feature] = ()
 
     def build_stages(self) -> Sequence[Stage]:
         raise NotImplementedError
 
+    @cached_property
     def _pipeline(self) -> StagePipeline:
-        pipeline = StagePipeline(self.name, self.build_stages())
-        spec = getattr(self, "spec", None)
-        if spec is not None and pipeline.stage_names != spec.stage_names:
-            raise ContainerError(
-                f"{self.name} stages {pipeline.stage_names} do not match "
-                f"spec {spec.stage_names}"
+        # Stages keep no per-call state and compressors are frozen, so
+        # one pipeline serves every call on the instance, from any thread.
+        return StagePipeline(self.name, self.build_stages())
+
+    def pipeline_spec(self, table2: str | None = None) -> PipelineSpec:
+        """The declarative spec of this instance: its built stage names,
+        in order, zipped with ``realizes``.  A ``realizes`` key naming a
+        stage the pipeline does not build is drift and raises."""
+        names = self._pipeline.stage_names
+        unknown = sorted(set(self.realizes) - set(names))
+        if unknown:
+            raise ConfigError(
+                f"{self.name} realizes names stages {unknown} that "
+                f"build_stages() does not build: {list(names)}"
             )
-        return pipeline
+        return PipelineSpec(
+            variant=self.name,
+            table2=table2,
+            stages=tuple(
+                StageSpec(n, frozenset(self.realizes.get(n, ()))) for n in names
+            ),
+            unmodeled=frozenset(self.unmodeled),
+            extra=frozenset(self.extra),
+        )
 
     def compress(
         self,
@@ -226,7 +248,7 @@ class PipelineCompressor:
         data = np.ascontiguousarray(data)
         ctx = PipelineContext(data=data, eb=eb, mode=mode)
         ctx.work = data
-        self._pipeline().run_forward(ctx)
+        self._pipeline.run_forward(ctx)
         stats = build_stats(
             data=data,
             encoded_code_bytes=ctx.encoded_code_bytes,
@@ -259,7 +281,7 @@ class PipelineCompressor:
             else compressed
         )
         with decode_guard(f"{self.name} payload"):
-            ctx = self._pipeline().run_inverse(payload)
+            ctx = self._pipeline.run_inverse(payload)
             if ctx.out is None:
                 raise ContainerError(
                     f"{self.name} pipeline produced no reconstruction"

@@ -16,17 +16,26 @@ Three kinds of names resolve:
   ``"wavesz-g"`` builds waveSZ without the Huffman pass).  A profile's
   payloads still carry the canonical wire name, so decode dispatch is
   unaffected.
+
+Registration is where a codec's declaration is checked, once: the
+registry builds the canonical and every profile instance, derives the
+:class:`~repro.codec.spec.PipelineSpec` from the stages they build and
+validates it against Table 2.  Those instances are the ones
+:meth:`CodecRegistry.create` hands out — compressors are frozen and
+their stages stateless, so one per name serves every caller and thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from ..errors import ContainerError, decode_guard
-from .spec import PipelineSpec, validate_spec
+from ..errors import ConfigError, ContainerError, decode_guard
+from .pipeline import PipelineCompressor
+from .spec import ENTROPY_BACKENDS, PipelineSpec, validate_spec
 
 if TYPE_CHECKING:
     from ..io.container import Container
@@ -54,14 +63,17 @@ class CodecEntry:
     aliases: tuple[str, ...] = ()
     profiles: dict[str, Factory] = field(default_factory=dict)
     table2: str | None = None  # VARIANTS row this variant implements
+    #: Derived at registration from the stages a
+    #: :class:`PipelineCompressor` builds; other compressors may pass one.
     spec: PipelineSpec | None = None
     #: True when the codec's sweeps carry no cross-point feedback loop
     #: (dual-quant family), so one field's tile bands may legally fan out
     #: across a worker pool; the scheduler keys its tile routing on this.
     data_parallel: bool = False
-    #: ``codes_entropy`` backends this codec's pipeline accepts (empty for
-    #: codecs without the stage).  Informational: surfaced by
-    #: :meth:`CodecRegistry.describe` for the CLI and service listings.
+    #: ``codes_entropy`` backends this codec's pipeline accepts — all of
+    #: them when it holds that stage, none otherwise (derived likewise).
+    #: Informational: surfaced by :meth:`CodecRegistry.describe` for the
+    #: CLI and service listings.
     entropy_backends: tuple[str, ...] = ()
 
 
@@ -70,26 +82,52 @@ class CodecRegistry:
 
     def __init__(self) -> None:
         self._entries: dict[str, CodecEntry] = {}
-        self._aliases: dict[str, str] = {}
-        self._profiles: dict[str, tuple[str, Factory]] = {}
+        #: every resolvable name (canonical, alias, profile) -> canonical
+        self._canonical: dict[str, str] = {}
+        #: every resolvable name -> its shared compressor instance
+        self._instances: dict[str, Any] = {}
         self._populated = False
 
     # -- registration ---------------------------------------------------
 
     def register(self, entry: CodecEntry) -> None:
-        if entry.spec is not None:
-            validate_spec(entry.spec)
-        for taken in (entry.name, *entry.aliases, *entry.profiles):
-            if taken in self._entries or taken in self._aliases \
-                    or taken in self._profiles:
+        """Check a codec's declaration and make its names resolvable.
+
+        Every drift between what a compressor declares and what it
+        builds fails here — at import — not on a first ``compress``.
+        """
+        names = (entry.name, *entry.aliases, *entry.profiles)
+        for taken in names:
+            if taken in self._canonical:
                 raise ContainerError(
                     f"codec name {taken!r} registered twice"
                 )
+        codec = entry.factory()
+        profiles = {p: factory() for p, factory in entry.profiles.items()}
+        if isinstance(codec, PipelineCompressor):
+            spec = codec.pipeline_spec(entry.table2)
+            for profile, instance in profiles.items():
+                # a profile's payloads carry the canonical wire name, so
+                # the canonical instance must be able to decode them
+                if instance.pipeline_spec(entry.table2) != spec:
+                    raise ConfigError(
+                        f"profile {profile!r} builds different stages than "
+                        f"{entry.name}: {spec.stage_names}"
+                    )
+            entry = replace(
+                entry,
+                spec=spec,
+                entropy_backends=(
+                    ENTROPY_BACKENDS if "codes_entropy" in spec.stage_names
+                    else ()
+                ),
+            )
+        if entry.spec is not None:
+            validate_spec(entry.spec)
         self._entries[entry.name] = entry
-        for alias in entry.aliases:
-            self._aliases[alias] = entry.name
-        for profile, factory in entry.profiles.items():
-            self._profiles[profile] = (entry.name, factory)
+        for name in names:
+            self._canonical[name] = entry.name
+            self._instances[name] = profiles.get(name, codec)
 
     def _ensure_populated(self) -> None:
         """Import the compressor packages so their decorators have run.
@@ -108,27 +146,20 @@ class CodecRegistry:
     def canonical(self, name: str) -> str:
         """Resolve any registered name to its canonical wire name."""
         self._ensure_populated()
-        if name in self._entries:
-            return name
-        if name in self._aliases:
-            return self._aliases[name]
-        if name in self._profiles:
-            return self._profiles[name][0]
-        raise ContainerError(f"no compressor registered for variant {name!r}")
+        try:
+            return self._canonical[name]
+        except KeyError:
+            raise ContainerError(
+                f"no compressor registered for variant {name!r}"
+            ) from None
 
     def entry(self, name: str) -> CodecEntry:
         return self._entries[self.canonical(name)]
 
-    def is_data_parallel(self, name: str) -> bool:
-        """Whether ``name`` resolves to a wavefront-free (dp) codec."""
-        return self.entry(name).data_parallel
-
     def create(self, name: str) -> Any:
-        """Instantiate the compressor registered under any known name."""
-        self._ensure_populated()
-        if name in self._profiles:
-            return self._profiles[name][1]()
-        return self._entries[self.canonical(name)].factory()
+        """The shared compressor instance registered under any known name."""
+        self.canonical(name)  # unknown names raise the registry's error
+        return self._instances[name]
 
     def __contains__(self, name: str) -> bool:
         try:
@@ -149,9 +180,7 @@ class CodecRegistry:
     def all_names(self) -> tuple[str, ...]:
         """Every resolvable name: canonical + aliases + profiles, sorted."""
         self._ensure_populated()
-        return tuple(
-            sorted({*self._entries, *self._aliases, *self._profiles})
-        )
+        return tuple(sorted(self._canonical))
 
     def short_names(self) -> tuple[str, ...]:
         """The lowercase aliases and profiles — the CLI vocabulary.
@@ -165,8 +194,8 @@ class CodecRegistry:
         return tuple(
             sorted(
                 n
-                for n in {*self._aliases, *self._profiles}
-                if n == n.lower()
+                for n in self._canonical
+                if n not in self._entries and n == n.lower()
             )
         )
 
@@ -229,35 +258,33 @@ REGISTRY = CodecRegistry()
 
 def register_codec(
     *,
-    name: str,
     aliases: tuple[str, ...] = (),
-    profiles: dict[str, Factory] | None = None,
+    config: dict[str, Any] | None = None,
+    profiles: dict[str, dict[str, Any]] | None = None,
     table2: str | None = None,
-    spec: PipelineSpec | None = None,
-    factory: Factory | None = None,
     data_parallel: bool = False,
-    entropy_backends: tuple[str, ...] = (),
     registry: CodecRegistry = REGISTRY,
 ):
-    """Class decorator registering a compressor variant.
+    """Class decorator registering a compressor variant under ``cls.name``.
 
-    ``factory`` defaults to the class itself (zero-arg construction);
-    pass an explicit factory when the canonical configuration needs
-    arguments.  Registration happens at class-definition time, so any
+    ``config`` holds the constructor arguments of the canonical
+    configuration (default: none) and ``profiles`` those of each named
+    profile.  Registration happens at class-definition time, so any
     import of the variant module populates the registry.
     """
 
     def wrap(cls):
         registry.register(
             CodecEntry(
-                name=name,
-                factory=factory if factory is not None else cls,
+                name=cls.name,
+                factory=partial(cls, **(config or {})),
                 aliases=aliases,
-                profiles=dict(profiles or {}),
+                profiles={
+                    profile: partial(cls, **kwargs)
+                    for profile, kwargs in (profiles or {}).items()
+                },
                 table2=table2,
-                spec=spec,
                 data_parallel=data_parallel,
-                entropy_backends=entropy_backends,
             )
         )
         return cls
@@ -266,7 +293,7 @@ def register_codec(
 
 
 def get_codec(name: str) -> Any:
-    """Instantiate the compressor registered under ``name`` (any alias)."""
+    """The shared compressor registered under ``name`` (any alias)."""
     return REGISTRY.create(name)
 
 

@@ -1,10 +1,13 @@
-"""Declarative per-variant pipeline specs, validated against Table 2.
+"""Per-variant pipeline specs, validated against Table 2.
 
 A :class:`PipelineSpec` says *which stages a variant assembles and which
-Table 2 functionality modules each stage realizes*.  It is validated
-against the corresponding :class:`~repro.variants.VariantSpec` row, so
-the feature matrix in :mod:`repro.variants` actually constrains the
-implementation instead of being documentation:
+Table 2 functionality modules each stage realizes*.  Nobody writes one
+by hand: :meth:`~repro.codec.pipeline.PipelineCompressor.pipeline_spec`
+derives it from the stages the compressor builds and the class's
+``realizes`` mapping.  It is validated against the corresponding
+:class:`~repro.variants.VariantSpec` row, so the feature matrix in
+:mod:`repro.variants` actually constrains the implementation instead of
+being documentation:
 
 * every feature a stage claims must appear in the variant's
   ``required``/``optional`` set (or be declared an implementation
@@ -13,8 +16,8 @@ implementation instead of being documentation:
   explicitly declared ``unmodeled`` (e.g. FPGA pipelining in a software
   reproduction, Zstandard when the repro ships gzip).
 
-``validate_spec`` runs at registration time, so a drifting spec fails at
-import, not in production decode paths.
+``validate_spec`` runs at registration time, so a drifting declaration
+fails at import, not in production decode paths.
 """
 
 from __future__ import annotations

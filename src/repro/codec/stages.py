@@ -3,7 +3,10 @@
 Each class here used to exist as near-identical inline code in two or more
 of the six ``compress``/``decompress`` pairs; the wire behaviour of every
 stage is bit-identical to the code it replaced (guarded by the golden
-streams under ``tests/data/``).
+streams under ``tests/data/``).  A wire layout has one owner: the
+sections and flag keys a stage's ``forward`` writes are read back by the
+same stage's ``inverse`` (by the paired stage, for the PW_REL masks) —
+no helper module knows them.
 
 Artifact keys published on :attr:`PipelineContext.artifacts`:
 
@@ -34,7 +37,14 @@ from ..encoding.huffman import HuffmanCodec, HuffmanTable
 from ..errors import ConfigError, ContainerError, ShapeError
 from ..kernels import resolve as resolve_kernel
 from ..perf.stages import active_recorder
-from ..rans import RansTable, encode_tokens, probe_codes, rle_collapse
+from ..rans import (
+    RansTable,
+    decode_tokens,
+    encode_tokens,
+    probe_codes,
+    rle_collapse,
+    rle_expand,
+)
 from ..sz.dualquant import (
     codes_to_deltas,
     lattice_to_values,
@@ -48,15 +58,16 @@ from ..streams import (
     MAX_FIELD_POINTS,
     bound_from_header,
     bound_to_header,
-    decode_codes_huffman,
-    decode_codes_rans,
     header_dtype,
     header_int,
     header_shape,
+    values_from_bytes,
     values_to_bytes,
 )
+from .spec import ENTROPY_BACKENDS
 
 if TYPE_CHECKING:
+    from ..io.container import Container
     from ..lossless import GzipStage
     from .pipeline import PipelineContext
 
@@ -71,10 +82,10 @@ __all__ = [
     "PwRelForwardStage",
     "PwRelMasksStage",
     "EntropyCodesStage",
-    "HuffmanGzipCodesStage",
     "TruncatedValuesStage",
     "VerbatimValuesStage",
-    "gzip_if_smaller",
+    "put_section",
+    "take_section",
 ]
 
 
@@ -90,14 +101,51 @@ def _substage(name: str) -> "ContextManager[None]":
     return recorder.stage(name) if recorder is not None else nullcontext()
 
 
-def gzip_if_smaller(lossless: "GzipStage", raw: bytes) -> tuple[bytes, bool]:
-    """The ubiquitous "store gzipped only when that wins" decision."""
-    if not raw:
-        return raw, False
-    gz = lossless.compress(raw)
-    if len(gz) < len(raw):
-        return gz, True
-    return raw, False
+def put_section(
+    container: "Container",
+    lossless: "GzipStage",
+    name: str,
+    raw: bytes,
+    flag: str,
+    *,
+    gz_name: str | None = None,
+) -> int:
+    """Store ``raw`` as a section, gzipped only when that wins.
+
+    The decision travels in the header under ``flag``; a section that
+    also changes its name when gzipped passes ``gz_name``.  Returns the
+    stored size for the ratio accounting.  :func:`take_section` is the
+    one reader of what this writes.
+    """
+    gz = lossless.compress(raw) if raw else raw
+    use_gz = len(gz) < len(raw)
+    stored = gz if use_gz else raw
+    container.add(gz_name if use_gz and gz_name else name, stored)
+    container.header[flag] = use_gz
+    return len(stored)
+
+
+def take_section(
+    container: "Container",
+    lossless: "GzipStage",
+    name: str,
+    flag: str,
+    *,
+    gz_name: str | None = None,
+    required: bool = False,
+) -> bytes:
+    """Read back a :func:`put_section` section, inflated if flagged.
+
+    A header without the flag means "stored raw" — payloads older than
+    the flag lack it — unless the section wrote its flag from its first
+    format on (``required``), where absence is damage and raises.  The
+    container is left as parsed: one ``Container`` decodes any number of
+    times.
+    """
+    h = container.header
+    use_gz = h[flag] if required else h.get(flag)
+    stored = container.get(gz_name if use_gz and gz_name else name)
+    return lossless.decompress(stored) if use_gz else stored
 
 
 class ValidateInputStage:
@@ -333,39 +381,31 @@ class DualQuantValuesStage:
     def __init__(self, lossless: "GzipStage") -> None:
         self.lossless = lossless
 
-    def _pack(self, ctx: "PipelineContext", name: str, raw: bytes) -> tuple[int, bool]:
-        stored, use_gz = gzip_if_smaller(self.lossless, raw)
-        ctx.container.add(name, stored)
-        return len(stored), use_gz
-
     def forward(self, ctx: "PipelineContext") -> None:
         pre = ctx.require("dq_pre")
         outlier_deltas = ctx.require("dq_outlier_deltas")
-        h = ctx.header
-        out_bytes, out_gz = self._pack(
-            ctx, "outliers", outlier_deltas.astype("<i8").tobytes()
+        ctx.outlier_bytes = put_section(
+            ctx.container, self.lossless, "outliers",
+            outlier_deltas.astype("<i8").tobytes(), "outliers_gzipped",
         )
         raw_stream = (
             pre.raw_idx.astype("<i8").tobytes()
             + values_to_bytes(pre.raw_values)
         )
-        raw_bytes, raw_gz = self._pack(ctx, "raw_points", raw_stream)
-        h["outliers_gzipped"] = out_gz
-        h["raw_gzipped"] = raw_gz
-        ctx.outlier_bytes = out_bytes
-        ctx.extra_bytes += raw_bytes
+        ctx.extra_bytes += put_section(
+            ctx.container, self.lossless, "raw_points", raw_stream, "raw_gzipped"
+        )
         ctx.n_unpredictable = int(outlier_deltas.size) + pre.n_raw
         ctx.n_border = 0
 
     def inverse(self, ctx: "PipelineContext") -> None:
         h = ctx.header
-        container = ctx.container
         n_out = header_int(h, "n_outliers", hi=MAX_FIELD_POINTS)
         n_raw = header_int(h, "n_raw", hi=MAX_FIELD_POINTS)
         dtype = header_dtype(h)
-        out_raw = container.get("outliers")
-        if h.get("outliers_gzipped"):
-            out_raw = self.lossless.decompress(out_raw)
+        out_raw = take_section(
+            ctx.container, self.lossless, "outliers", "outliers_gzipped"
+        )
         if len(out_raw) < n_out * 8:
             raise ContainerError(
                 f"outlier-delta stream holds {len(out_raw)} bytes, "
@@ -374,9 +414,9 @@ class DualQuantValuesStage:
         ctx.artifacts["dq_outlier_deltas"] = np.frombuffer(
             out_raw, dtype="<i8", count=n_out
         ).astype(np.int64)
-        raw_stream = container.get("raw_points")
-        if h.get("raw_gzipped"):
-            raw_stream = self.lossless.decompress(raw_stream)
+        raw_stream = take_section(
+            ctx.container, self.lossless, "raw_points", "raw_gzipped"
+        )
         need = n_raw * (8 + np.dtype(dtype).itemsize)
         if len(raw_stream) < need:
             raise ContainerError(
@@ -414,14 +454,8 @@ class PwRelForwardStage:
     def inverse(self, ctx: "PipelineContext") -> None:
         if ctx.bound.mode is not ErrorBoundMode.PW_REL:
             return
-        h = ctx.header
-        container = ctx.container
-        neg = container.get("pw_negative")
-        zero = container.get("pw_zero")
-        if h.get("pw_neg_gz"):
-            neg = self.lossless.decompress(neg)
-        if h.get("pw_zero_gz"):
-            zero = self.lossless.decompress(zero)
+        neg = take_section(ctx.container, self.lossless, "pw_negative", "pw_neg_gz")
+        zero = take_section(ctx.container, self.lossless, "pw_zero", "pw_zero_gz")
         negative, zeros = LogTransform.masks_from_bytes(neg, zero, ctx.shape)
         ctx.out = inverse_log2(ctx.out, negative, zeros)
 
@@ -444,15 +478,10 @@ class PwRelMasksStage:
         transform = ctx.artifacts.get("log_transform")
         if transform is None:
             return
-        container = ctx.container
         neg, zero = transform.masks_to_bytes()
-        neg_stored, neg_gz = gzip_if_smaller(self.lossless, neg)
-        zero_stored, zero_gz = gzip_if_smaller(self.lossless, zero)
-        container.add("pw_negative", neg_stored)
-        container.add("pw_zero", zero_stored)
-        container.header["pw_neg_gz"] = neg_gz
-        container.header["pw_zero_gz"] = zero_gz
-        ctx.extra_bytes += len(neg_stored) + len(zero_stored)
+        c, gz = ctx.container, self.lossless
+        ctx.extra_bytes += put_section(c, gz, "pw_negative", neg, "pw_neg_gz")
+        ctx.extra_bytes += put_section(c, gz, "pw_zero", zero, "pw_zero_gz")
 
     def inverse(self, ctx: "PipelineContext") -> None:
         pass
@@ -498,8 +527,6 @@ class EntropyCodesStage:
         backend: str = "huffman",
         meta_bits: bool = True,
     ) -> None:
-        from .spec import ENTROPY_BACKENDS
-
         if backend not in ENTROPY_BACKENDS:
             raise ConfigError(
                 f"unknown entropy backend {backend!r}; "
@@ -532,13 +559,14 @@ class EntropyCodesStage:
             table_blob = table.to_bytes()
         with _substage("codes_entropy.stream"):
             payload, nbits = HuffmanCodec(table).encode(codes_flat)
-            stored, use_gz = gzip_if_smaller(self.lossless, payload)
             container.add("huffman_table", table_blob)
-            container.add("huffman_codes_gz" if use_gz else "huffman_codes", stored)
+            stored = put_section(
+                container, self.lossless, "huffman_codes", payload,
+                "codes_gzipped", gz_name="huffman_codes_gz",
+            )
             container.header["n_codes"] = int(codes_flat.size)
             container.header["huffman_bits"] = int(nbits)
-            container.header["codes_gzipped"] = use_gz
-        ctx.encoded_code_bytes = len(table_blob) + len(stored)
+        ctx.encoded_code_bytes = len(table_blob) + stored
         if self.meta_bits:
             ctx.meta["huffman_bits"] = container.header["huffman_bits"]
 
@@ -563,41 +591,62 @@ class EntropyCodesStage:
             h["rans_tokens"] = int(tokens.size)
             runs_bytes = 0
             if runs is not None:
-                stored, use_gz = gzip_if_smaller(self.lossless, runs.tobytes())
-                container.add("rle_runs", stored)
+                runs_bytes = put_section(
+                    container, self.lossless, "rle_runs", runs.tobytes(),
+                    "rle_runs_gz",
+                )
                 h["rle_symbol"] = int(probe.run_symbol)
-                h["rle_runs_gz"] = use_gz
-                runs_bytes = len(stored)
         ctx.encoded_code_bytes = len(table_blob) + len(blob) + runs_bytes
         if self.meta_bits:
             ctx.meta["rans_tokens"] = int(tokens.size)
 
     def inverse(self, ctx: "PipelineContext") -> None:
-        container = ctx.container
-        backend = container.header.get("entropy", "huffman")
+        h = ctx.header
+        backend = h.get("entropy", "huffman")
+        n = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
         if backend == "huffman":
-            if container.header.get("codes_gzipped"):
-                container.add(
-                    "huffman_codes",
-                    self.lossless.decompress(container.get("huffman_codes_gz")),
-                )
-            ctx.codes = decode_codes_huffman(container)
+            ctx.codes = self._inverse_huffman(ctx.container, n)
         elif backend == "rans":
-            ctx.codes = decode_codes_rans(container, self.lossless)
+            ctx.codes = self._inverse_rans(ctx.container, n)
         else:
             raise ContainerError(f"unknown entropy backend {backend!r} in header")
 
+    def _inverse_huffman(self, container: "Container", n: int) -> np.ndarray:
+        stream = take_section(
+            container, self.lossless, "huffman_codes", "codes_gzipped",
+            gz_name="huffman_codes_gz",
+        )
+        table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
+        return HuffmanCodec(table).decode(stream, n)
 
-class HuffmanGzipCodesStage(EntropyCodesStage):
-    """The original hardwired Huffman + gzip tail, kept as a pinned alias.
-
-    Construction-compatible with the pre-rANS stage; decoding still
-    dispatches on the ``entropy`` header key, so a pipeline built with
-    this class reads rANS payloads too.
-    """
-
-    def __init__(self, lossless: "GzipStage", *, meta_bits: bool = True) -> None:
-        super().__init__(lossless, backend="huffman", meta_bits=meta_bits)
+    def _inverse_rans(self, container: "Container", n: int) -> np.ndarray:
+        """Wire layout: a ``rans_table`` section (2^12-normalized frequency
+        table), a ``rans_codes`` section (interleaved-lane byte stream) and,
+        when the zero-run pre-pass fired, a ``rle_runs`` side stream of u8
+        run lengths (gzipped when that wins, ``rle_runs_gz`` flag) with the
+        collapsed symbol in the ``rle_symbol`` header field."""
+        h = container.header
+        m = header_int(h, "rans_tokens", hi=MAX_FIELD_POINTS)
+        table = RansTable.from_bytes(container.get("rans_table"))
+        tokens = decode_tokens(container.get("rans_codes"), table, m)
+        if container.has("rle_runs"):
+            run_symbol = header_int(h, "rle_symbol")
+            runs = np.frombuffer(
+                take_section(container, self.lossless, "rle_runs", "rle_runs_gz"),
+                dtype=np.uint8,
+            )
+            codes = rle_expand(tokens, runs, run_symbol)
+        else:
+            if m != n:
+                raise ContainerError(
+                    f"rANS header declares {m} tokens for {n} codes without RLE"
+                )
+            codes = tokens
+        if codes.size != n:
+            raise ContainerError(
+                f"rANS stream expands to {codes.size} codes, header says {n}"
+            )
+        return codes
 
 
 class TruncatedValuesStage:
@@ -670,38 +719,29 @@ class VerbatimValuesStage:
     def __init__(self, lossless: "GzipStage") -> None:
         self.lossless = lossless
 
-    def _pack(self, ctx: "PipelineContext", name: str, values: np.ndarray) -> tuple[int, bool]:
-        raw = values_to_bytes(values)
-        stored, use_gz = gzip_if_smaller(self.lossless, raw)
-        ctx.container.add(name, stored)
-        return len(stored), use_gz
-
     def forward(self, ctx: "PipelineContext") -> None:
         res = ctx.require("pqd")
-        h = ctx.header
-        border_bytes, border_gz = self._pack(ctx, "border", res.border_values)
-        outlier_bytes, outlier_gz = self._pack(ctx, "outliers", res.outlier_values)
-        h["border_gzipped"] = border_gz
-        h["outliers_gzipped"] = outlier_gz
-        ctx.border_bytes = border_bytes
-        ctx.outlier_bytes = outlier_bytes
+        ctx.border_bytes = put_section(
+            ctx.container, self.lossless, "border",
+            values_to_bytes(res.border_values), "border_gzipped",
+        )
+        ctx.outlier_bytes = put_section(
+            ctx.container, self.lossless, "outliers",
+            values_to_bytes(res.outlier_values), "outliers_gzipped",
+        )
         ctx.n_border = res.n_border
         ctx.n_unpredictable = res.n_outliers + res.n_border
 
     def inverse(self, ctx: "PipelineContext") -> None:
         h = ctx.header
-        container = ctx.container
         dtype = header_dtype(h)
-        lt = np.dtype(dtype).newbyteorder("<")
-        border_raw = container.get("border")
-        if h.get("border_gzipped"):
-            border_raw = self.lossless.decompress(border_raw)
-        outlier_raw = container.get("outliers")
-        if h.get("outliers_gzipped"):
-            outlier_raw = self.lossless.decompress(outlier_raw)
-        ctx.artifacts["border_values"] = np.frombuffer(
-            border_raw, dtype=lt, count=header_int(h, "n_border", hi=MAX_FIELD_POINTS)
-        ).astype(dtype)
-        ctx.artifacts["outlier_values"] = np.frombuffer(
-            outlier_raw, dtype=lt, count=header_int(h, "n_outliers", hi=MAX_FIELD_POINTS)
-        ).astype(dtype)
+        border = take_section(ctx.container, self.lossless, "border", "border_gzipped")
+        outliers = take_section(
+            ctx.container, self.lossless, "outliers", "outliers_gzipped"
+        )
+        ctx.artifacts["border_values"] = values_from_bytes(
+            border, header_int(h, "n_border", hi=MAX_FIELD_POINTS), dtype
+        )
+        ctx.artifacts["outlier_values"] = values_from_bytes(
+            outliers, header_int(h, "n_outliers", hi=MAX_FIELD_POINTS), dtype
+        )

@@ -27,13 +27,13 @@ import numpy as np
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
 from ..codec.stages import (
     HeaderStage,
     PQDStage,
     ResolveBoundStage,
     VerbatimValuesStage,
-    gzip_if_smaller,
+    put_section,
+    take_section,
 )
 from ..config import QuantizerConfig
 from ..encoding.huffman import HuffmanCodec, HuffmanTable
@@ -43,7 +43,7 @@ from ..streams import MAX_FIELD_POINTS, header_int, header_shape
 from ..variants import Feature
 from .wavefront import build_layout
 
-__all__ = ["WaveSZCompressor", "WAVESZ_SPEC"]
+__all__ = ["WaveSZCompressor"]
 
 
 def _as_2d(data: np.ndarray) -> np.ndarray:
@@ -55,35 +55,6 @@ def _as_2d(data: np.ndarray) -> np.ndarray:
     if data.ndim == 1:
         raise ShapeError("waveSZ operates on 2D/3D fields (wavefront needs 2 dims)")
     raise ShapeError(f"waveSZ supports 2D/3D fields, got {data.ndim}D")
-
-
-WAVESZ_SPEC = PipelineSpec(
-    variant="waveSZ",
-    table2="waveSZ",
-    stages=(
-        StageSpec("view2d"),
-        StageSpec("bound", frozenset({Feature.BASE2_MAPPING})),
-        StageSpec(
-            "pqd",
-            frozenset(
-                {
-                    Feature.LORENZO,
-                    Feature.QUANTIZATION,
-                    Feature.DECOMPRESSION_WRITEBACK,
-                    Feature.OVERFLOW_CHECK_HW,
-                }
-            ),
-        ),
-        StageSpec(
-            "wavefront_order", frozenset({Feature.MEMORY_LAYOUT_TRANSFORM})
-        ),
-        StageSpec("header"),
-        StageSpec("codes", frozenset({Feature.CUSTOM_HUFFMAN, Feature.GZIP})),
-        StageSpec("values", frozenset({Feature.GZIP})),
-    ),
-    # hardware-only execution features of the FPGA design
-    unmodeled=frozenset({Feature.EXPLICIT_PIPELINING, Feature.LINE_BUFFER}),
-)
 
 
 class _View2DStage:
@@ -171,10 +142,9 @@ class _WaveCodesStage:
         else:
             pre_gzip = codes_stream.astype("<u2").tobytes()
             table_bytes = 0
-        stored, use_gz = gzip_if_smaller(self.lossless, pre_gzip)
-        container.header["codes_gzipped"] = use_gz
-        container.add("codes", stored)
-        ctx.encoded_code_bytes = table_bytes + len(stored)
+        ctx.encoded_code_bytes = table_bytes + put_section(
+            container, self.lossless, "codes", pre_gzip, "codes_gzipped"
+        )
 
     def inverse(self, ctx: PipelineContext) -> None:
         container = ctx.container
@@ -188,9 +158,9 @@ class _WaveCodesStage:
             raise ContainerError(
                 f"header declares {n_codes} codes for view shape {view_shape}"
             )
-        stream = container.get("codes")
-        if h["codes_gzipped"]:
-            stream = self.lossless.decompress(stream)
+        stream = take_section(
+            container, self.lossless, "codes", "codes_gzipped", required=True
+        )
         if h["use_huffman"]:
             table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
             ctx.codes = HuffmanCodec(table).decode(stream, n_codes)
@@ -201,12 +171,10 @@ class _WaveCodesStage:
 
 
 @register_codec(
-    name="waveSZ",
     aliases=("wavesz",),
-    profiles={"wavesz-g": lambda: WaveSZCompressor(use_huffman=False)},
+    config={"use_huffman": True},
+    profiles={"wavesz-g": {"use_huffman": False}},
     table2="waveSZ",
-    spec=WAVESZ_SPEC,
-    factory=lambda: WaveSZCompressor(use_huffman=True),
 )
 @dataclass(frozen=True)
 class WaveSZCompressor(PipelineCompressor):
@@ -225,7 +193,20 @@ class WaveSZCompressor(PipelineCompressor):
     base2: bool = True
 
     name = "waveSZ"
-    spec = WAVESZ_SPEC
+    realizes = {
+        "bound": {Feature.BASE2_MAPPING},
+        "pqd": {
+            Feature.LORENZO,
+            Feature.QUANTIZATION,
+            Feature.DECOMPRESSION_WRITEBACK,
+            Feature.OVERFLOW_CHECK_HW,
+        },
+        "wavefront_order": {Feature.MEMORY_LAYOUT_TRANSFORM},
+        "codes": {Feature.CUSTOM_HUFFMAN, Feature.GZIP},
+        "values": {Feature.GZIP},
+    }
+    # hardware-only execution features of the FPGA design
+    unmodeled = {Feature.EXPLICIT_PIPELINING, Feature.LINE_BUFFER}
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
 from ..codec.stages import (
     DualQuantStage,
     DualQuantValuesStage,
@@ -50,28 +49,7 @@ from ..lossless import GzipStage, LosslessMode
 from ..sz.dualquant import _check_input
 from ..variants import Feature
 
-__all__ = ["WaveSZDPCompressor", "WAVESZ_DP_SPEC"]
-
-#: Not a Table 2 row (``table2=None``): the dual-quant decomposition is
-#: the cuSZ-style extension of the waveSZ design space, so the spec is
-#: documented but not validated against the paper's feature matrix.
-WAVESZ_DP_SPEC = PipelineSpec(
-    variant="waveSZ-dp",
-    table2=None,
-    stages=(
-        StageSpec("checks"),
-        StageSpec("bound", frozenset({Feature.BASE2_MAPPING})),
-        StageSpec("pw_rel_log", frozenset({Feature.LOG_TRANSFORM})),
-        StageSpec("prequant", frozenset({Feature.QUANTIZATION})),
-        StageSpec("predict_quant", frozenset({Feature.LORENZO})),
-        StageSpec("header"),
-        StageSpec(
-            "codes_entropy", frozenset({Feature.CUSTOM_HUFFMAN, Feature.GZIP})
-        ),
-        StageSpec("values", frozenset({Feature.GZIP})),
-        StageSpec("pw_rel_masks"),
-    ),
-)
+__all__ = ["WaveSZDPCompressor"]
 
 
 class _DPHeaderStage(HeaderStage):
@@ -88,15 +66,12 @@ class _DPHeaderStage(HeaderStage):
 
 
 @register_codec(
-    name="waveSZ-dp",
     aliases=("wavesz-dp",),
     profiles={
-        "wavesz-dp-rans": lambda: WaveSZDPCompressor(entropy="rans"),
-        "wavesz-dp-auto": lambda: WaveSZDPCompressor(entropy="auto"),
+        "wavesz-dp-rans": {"entropy": "rans"},
+        "wavesz-dp-auto": {"entropy": "auto"},
     },
-    spec=WAVESZ_DP_SPEC,
     data_parallel=True,
-    entropy_backends=("huffman", "rans", "auto"),
 )
 @dataclass(frozen=True)
 class WaveSZDPCompressor(PipelineCompressor):
@@ -120,7 +95,18 @@ class WaveSZDPCompressor(PipelineCompressor):
     entropy: str = "huffman"
 
     name = "waveSZ-dp"
-    spec = WAVESZ_DP_SPEC
+    # Not a Table 2 row (registered without ``table2``): the dual-quant
+    # decomposition is the cuSZ-style extension of the waveSZ design
+    # space, so this mapping is documented but not validated against
+    # the paper's feature matrix.
+    realizes = {
+        "bound": {Feature.BASE2_MAPPING},
+        "pw_rel_log": {Feature.LOG_TRANSFORM},
+        "prequant": {Feature.QUANTIZATION},
+        "predict_quant": {Feature.LORENZO},
+        "codes_entropy": {Feature.CUSTOM_HUFFMAN, Feature.GZIP},
+        "values": {Feature.GZIP},
+    }
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

@@ -21,8 +21,12 @@ import numpy as np
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
-from ..codec.stages import HeaderStage, ResolveBoundStage, gzip_if_smaller
+from ..codec.stages import (
+    HeaderStage,
+    ResolveBoundStage,
+    put_section,
+    take_section,
+)
 from ..config import QuantizerConfig
 from ..errors import ShapeError
 from ..lossless import GzipStage, LosslessMode
@@ -30,34 +34,9 @@ from ..streams import MAX_FIELD_POINTS, header_dtype, header_int, values_to_byte
 from ..variants import Feature
 from .predictor import ghost_row_decode, ghost_row_loop
 
-__all__ = ["GhostSZCompressor", "GHOSTSZ_SPEC"]
+__all__ = ["GhostSZCompressor"]
 
 _TYPE_SHIFT = 14
-
-GHOSTSZ_SPEC = PipelineSpec(
-    variant="GhostSZ",
-    table2="GhostSZ",
-    stages=(
-        StageSpec("bound"),
-        StageSpec("rows"),
-        StageSpec(
-            "ghost_predict",
-            frozenset(
-                {
-                    Feature.ORDER012,
-                    Feature.QUANTIZATION,
-                    Feature.PREDICTION_WRITEBACK,
-                    Feature.OVERFLOW_CHECK_HW,
-                }
-            ),
-        ),
-        StageSpec("header"),
-        StageSpec("ghost_words", frozenset({Feature.GZIP})),
-        StageSpec("verbatim"),
-    ),
-    # hardware-only execution features of the FPGA design
-    unmodeled=frozenset({Feature.EXPLICIT_PIPELINING, Feature.LINE_BUFFER}),
-)
 
 
 def _as_rows(data: np.ndarray) -> np.ndarray:
@@ -134,17 +113,17 @@ class _GhostWordsStage:
         self.lossless = lossless
 
     def forward(self, ctx: PipelineContext) -> None:
-        raw = ctx.codes.astype("<u2").tobytes()
-        stored, use_gz = gzip_if_smaller(self.lossless, raw)
-        ctx.header["codes_gzipped"] = use_gz
-        ctx.container.add("ghost_words", stored)
-        ctx.encoded_code_bytes = len(stored)
+        ctx.encoded_code_bytes = put_section(
+            ctx.container, self.lossless, "ghost_words",
+            ctx.codes.astype("<u2").tobytes(), "codes_gzipped",
+        )
 
     def inverse(self, ctx: PipelineContext) -> None:
         h = ctx.header
-        raw = ctx.container.get("ghost_words")
-        if h["codes_gzipped"]:
-            raw = self.lossless.decompress(raw)
+        raw = take_section(
+            ctx.container, self.lossless, "ghost_words", "codes_gzipped",
+            required=True,
+        )
         ctx.codes = np.frombuffer(
             raw, dtype="<u2", count=header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
         ).astype(np.int64)
@@ -174,12 +153,7 @@ class _GhostVerbatimStage:
         ).astype(dtype)
 
 
-@register_codec(
-    name="GhostSZ",
-    aliases=("ghostsz",),
-    table2="GhostSZ",
-    spec=GHOSTSZ_SPEC,
-)
+@register_codec(aliases=("ghostsz",), table2="GhostSZ")
 @dataclass(frozen=True)
 class GhostSZCompressor(PipelineCompressor):
     """The prior FPGA baseline: CF prediction, 14-bit bins, gzip-only."""
@@ -192,7 +166,17 @@ class GhostSZCompressor(PipelineCompressor):
     )
 
     name = "GhostSZ"
-    spec = GHOSTSZ_SPEC
+    realizes = {
+        "ghost_predict": {
+            Feature.ORDER012,
+            Feature.QUANTIZATION,
+            Feature.PREDICTION_WRITEBACK,
+            Feature.OVERFLOW_CHECK_HW,
+        },
+        "ghost_words": {Feature.GZIP},
+    }
+    # hardware-only execution features of the FPGA design
+    unmodeled = {Feature.EXPLICIT_PIPELINING, Feature.LINE_BUFFER}
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

@@ -40,6 +40,16 @@ from .workers import WorkerPool, run_job
 
 __all__ = ["BatchScheduler", "run_batch"]
 
+#: Ceiling of the exponential retry backoff.  From the default 20 ms
+#: base it is first reached at the seventh attempt; it keeps a generous
+#: ``max_retries`` from parking one job for longer than a second a try.
+_BACKOFF_CAP_S = 1.0
+
+#: Most jobs one micro-batch carries.  A batch is one worker round trip
+#: whose jobs all finish together, so its size bounds how long the first
+#: job waits on the rest while other workers may fall idle.
+_BATCH_MAX_JOBS = 16
+
 
 class BatchScheduler:
     """Accepts jobs, schedules them over a worker pool, tracks outcomes."""
@@ -53,12 +63,10 @@ class BatchScheduler:
         queue_size: int = 128,
         max_retries: int = 2,
         backoff_base_s: float = 0.02,
-        backoff_cap_s: float = 1.0,
         hang_timeout_s: float | None = None,
         metrics: MetricsRegistry | None = None,
         transport: str = "auto",
         batch_bytes: int = 0,
-        batch_max_jobs: int = 16,
     ) -> None:
         self.pool = pool if pool is not None else WorkerPool(
             workers, kind=pool_kind
@@ -67,7 +75,6 @@ class BatchScheduler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.hang_timeout_s = hang_timeout_s
         #: How fields cross the pool boundary.  ``"auto"`` resolves to
         #: shared memory for process pools (zero-copy `FieldRef`s) and
@@ -77,10 +84,9 @@ class BatchScheduler:
         )
         #: Micro-batching: jobs smaller than ``batch_bytes`` that queued
         #: while every worker slot was busy leave as one worker dispatch
-        #: (at most ``batch_max_jobs``), so tiny fields under load stop
+        #: (at most ``_BATCH_MAX_JOBS``), so tiny fields under load stop
         #: paying a full pool round-trip each.  ``0`` disables batching.
         self.batch_bytes = batch_bytes
-        self.batch_max_jobs = max(1, batch_max_jobs)
         self._batch_dispatches = 0
         self._batch_jobs = 0
         self._dispatchers: list[asyncio.Task] = []
@@ -262,7 +268,7 @@ class BatchScheduler:
         collection and stays queued for another dispatcher.
         """
         group = [first]
-        while len(group) < self.batch_max_jobs and not self._parked:
+        while len(group) < _BATCH_MAX_JOBS and not self._parked:
             nxt = self.queue.peek()
             if nxt is None or self._route(nxt.job) != "batch":
                 break
@@ -338,7 +344,7 @@ class BatchScheduler:
                 if is_transient(exc) and attempt < attempts:
                     self.metrics.count(key, "retried")
                     delay = min(
-                        self.backoff_cap_s,
+                        _BACKOFF_CAP_S,
                         self.backoff_base_s * (2 ** (attempt - 1)),
                     )
                     await asyncio.sleep(delay)

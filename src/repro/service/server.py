@@ -247,7 +247,6 @@ class CompressionServer(WireServer):
         transport: str = "auto",
         batch_bytes: int = 0,
         store_root: str | None = None,
-        store_cache_bytes: int | None = None,
         shard_map: dict | None = None,
     ) -> None:
         self.scheduler = BatchScheduler(
@@ -263,16 +262,9 @@ class CompressionServer(WireServer):
         #: set when this server is one shard of a sharded store
         self.shard_map = shard_map
         if store_root is not None:
-            from ..store import DEFAULT_CACHE_BYTES, ArrayStore
+            from ..store import ArrayStore
 
-            self.store = ArrayStore(
-                store_root,
-                cache_bytes=(
-                    DEFAULT_CACHE_BYTES if store_cache_bytes is None
-                    else store_cache_bytes
-                ),
-                metrics=self.metrics,
-            )
+            self.store = ArrayStore(store_root, metrics=self.metrics)
 
     async def start(self) -> None:
         self.scheduler.start()
@@ -381,17 +373,18 @@ async def run_until_sigterm(server: WireServer, **stop_kwargs: Any) -> None:
         await server.stop(**stop_kwargs)
 
 
-async def serve(
-    host: str = "127.0.0.1",
-    port: int = 8123,
-    *,
-    drain_deadline_s: float | None = 30.0,
-    **kwargs: Any,
-) -> None:
+#: How long ``serve`` lets in-flight jobs finish after SIGTERM before it
+#: fails the stragglers: a supervisor follows its terminate with a kill
+#: after a grace period (30 s is the common default), and a drain that
+#: ends on its own first answers every waiter instead of dropping them.
+_DRAIN_DEADLINE_S = 30.0
+
+
+async def serve(host: str = "127.0.0.1", port: int = 8123, **kwargs: Any) -> None:
     """Start a server and run until cancelled (the ``wavesz serve`` body).
 
     SIGTERM triggers the graceful path: stop accepting, drain in-flight
-    jobs for up to ``drain_deadline_s``, then exit — so a supervisor's
+    jobs for up to ``_DRAIN_DEADLINE_S``, then exit — so a supervisor's
     ordinary terminate never drops an acked job.
     """
     server = CompressionServer(host, port, **kwargs)
@@ -408,4 +401,4 @@ async def serve(
           f"{server.scheduler.pool.size} workers, "
           f"{server.scheduler.transport.name} transport{batch_note}, "
           f"queue {server.scheduler.queue.maxsize}{store_note})", flush=True)
-    await run_until_sigterm(server, drain=True, deadline_s=drain_deadline_s)
+    await run_until_sigterm(server, drain=True, deadline_s=_DRAIN_DEADLINE_S)

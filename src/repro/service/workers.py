@@ -33,30 +33,14 @@ from concurrent.futures import (
 )
 from typing import Any, Callable
 
+from ..codec.registry import get_codec
 from ..errors import ServiceError
 from .jobs import CompressionJob
 
 __all__ = [
     "run_job",
-    "resolve_codec",
     "WorkerPool",
 ]
-
-#: Per-process codec instances, keyed by registry name.  Codecs are
-#: stateless between ``compress``/``decompress`` calls (each call builds
-#: its own pipeline), so one instance per worker process serves every job
-#: for that codec — the registry lookup leaves the hot path.
-_CODEC_CACHE: dict[str, Any] = {}
-
-
-def resolve_codec(name: str) -> Any:
-    """The process-local cached codec instance for a registry name."""
-    codec = _CODEC_CACHE.get(name)
-    if codec is None:
-        from ..codec.registry import get_codec
-
-        codec = _CODEC_CACHE[name] = get_codec(name)
-    return codec
 
 
 def _warm_worker() -> None:
@@ -88,10 +72,10 @@ def run_job(job: CompressionJob) -> Any:
             from ..parallel import tile_compress
 
             return tile_compress(
-                resolve_codec(job.codec), job.data, job.eb, job.mode,
+                get_codec(job.codec), job.data, job.eb, job.mode,
                 n_tiles=job.n_tiles,
             )
-        return resolve_codec(job.codec).compress(job.data, job.eb, job.mode)
+        return get_codec(job.codec).compress(job.data, job.eb, job.mode)
     assert job.payload is not None
     return decompress_auto(bytes(job.payload))
 

@@ -75,6 +75,16 @@ __all__ = ["ShardGateway", "ShardPutResult", "GatewayGCResult", "manifest_key"]
 #: alive-but-missing-data.  ServiceTimeoutError subclasses TransportError.
 _DOWN = (TransportError, CircuitOpenError, ConnectionError, OSError)
 
+#: Per-shard retry policy: fail over to a replica quickly instead of
+#: retrying one shard for seconds — 2 tries, short jittered pause.
+_SHARD_RETRY = {"attempts": 2, "base_s": 0.02, "cap_s": 0.2}
+
+#: Per-shard circuit breaker, tighter than a lone client's 5 failures /
+#: 5 s: a replica can answer instead, so a sick shard should trip after
+#: two exhausted retry pairs rather than keep costing every read its
+#: timeout, and be probed again soon since reads heal it on return.
+_SHARD_BREAKER = {"failure_threshold": 3, "reset_after_s": 2.0}
+
 
 def manifest_key(name: str) -> str:
     """The ring key a dataset's manifest replicas are placed by.
@@ -147,8 +157,6 @@ class ShardGateway:
         vnodes: int = DEFAULT_VNODES,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         metrics: MetricsRegistry | None = None,
-        retry_factory: Callable[[str], RetryPolicy] | None = None,
-        breaker_factory: Callable[[str], CircuitBreaker] | None = None,
         socket_factory: Callable[..., Any] | None = None,
     ) -> None:
         self.map = shard_map
@@ -159,18 +167,10 @@ class ShardGateway:
             cache_bytes, metrics=self.metrics, gauge_prefix="gateway.cache"
         )
         self._socket_factory = socket_factory
-        self._retry_factory = retry_factory or (
-            # fail over to a replica quickly instead of retrying one
-            # shard for seconds: 2 tries, short jittered pause.
-            lambda sid: RetryPolicy(attempts=2, base_s=0.02, cap_s=0.2)
-        )
-        self._breaker_factory = breaker_factory or (
-            lambda sid: CircuitBreaker(failure_threshold=3, reset_after_s=2.0)
-        )
         # Breakers outlive client objects: a shard whose *connection*
         # cannot even be built must still trip and cool down.
         self._breakers = {
-            sid: self._breaker_factory(sid) for sid in self.map.shard_ids
+            sid: CircuitBreaker(**_SHARD_BREAKER) for sid in self.map.shard_ids
         }
         self._clients: dict[str, ServiceClient] = {}
         self._latency_ms: dict[str, float] = {}
@@ -207,7 +207,7 @@ class ShardGateway:
             try:
                 with ServiceClient(
                     info.host, info.port,
-                    retry=RetryPolicy(attempts=2, base_s=0.02, cap_s=0.2),
+                    retry=RetryPolicy(**_SHARD_RETRY),
                 ) as probe:
                     fetched = probe.shard_map()
             except _DOWN as exc:
@@ -232,7 +232,7 @@ class ShardGateway:
         try:
             c = ServiceClient(
                 info.host, info.port, self.timeout,
-                retry=self._retry_factory(sid),
+                retry=RetryPolicy(**_SHARD_RETRY),
                 breaker=breaker,
                 socket_factory=self._socket_factory,
             )

@@ -1,33 +1,21 @@
 """Shared serialization helpers used by the compressor front-ends.
 
-SZ-1.4, GhostSZ and waveSZ all shuttle the same kinds of byte streams into
-the container — quantization codes (raw 16-bit or Huffman-coded),
-truncated/verbatim value streams — differing only in which combination the
-variant uses (paper Table 2).  Centralizing the encodings here keeps the
-variants byte-compatible where the paper says they are.
+Validated header reads, verbatim value streams, the error-bound header
+form and the size accounting every variant shares, plus
+:func:`decompress_auto`, the single decode entry point.  The section
+layouts themselves belong to the stages that write them
+(:mod:`repro.codec.stages` and the variant modules).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .config import ErrorBound, ErrorBoundMode
-from .encoding.huffman import HuffmanCodec, HuffmanTable
 from .errors import ContainerError
-from .io.container import Container
 from .types import CompressionStats
 
-if TYPE_CHECKING:
-    from .lossless import GzipStage
-
 __all__ = [
-    "encode_codes_huffman",
-    "decode_codes_huffman",
-    "decode_codes_rans",
-    "encode_codes_raw",
-    "decode_codes_raw",
     "values_to_bytes",
     "values_from_bytes",
     "bound_to_header",
@@ -94,96 +82,6 @@ def header_dtype(h: dict, key: str = "dtype") -> np.dtype:
     if raw not in ("float32", "float64"):
         raise ContainerError(f"header field {key!r} is not a float dtype: {raw!r}")
     return np.dtype(raw)
-
-
-def encode_codes_huffman(container: Container, codes_flat: np.ndarray) -> int:
-    """Add the customized-Huffman sections for a code stream.
-
-    Returns the payload size in bytes (table + bitstream) for accounting.
-    """
-    table = HuffmanTable.from_symbols(codes_flat)
-    codec = HuffmanCodec(table)
-    payload, nbits = codec.encode(codes_flat)
-    container.add("huffman_table", table.to_bytes())
-    container.add("huffman_codes", payload)
-    container.header["n_codes"] = int(codes_flat.size)
-    container.header["huffman_bits"] = int(nbits)
-    return len(payload) + len(table.to_bytes())
-
-
-def decode_codes_huffman(container: Container) -> np.ndarray:
-    table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
-    n = header_int(container.header, "n_codes", hi=MAX_FIELD_POINTS)
-    return HuffmanCodec(table).decode(container.get("huffman_codes"), n)
-
-
-def decode_codes_rans(container: Container, lossless: "GzipStage") -> np.ndarray:
-    """Decode the RLE+rANS sections written by ``EntropyCodesStage``.
-
-    Wire layout: a ``rans_table`` section (2^12-normalized frequency
-    table), a ``rans_codes`` section (interleaved-lane byte stream) and,
-    when the zero-run pre-pass fired, a ``rle_runs`` side stream of u8
-    run lengths (gzipped when that wins, ``rle_runs_gz`` flag) with the
-    collapsed symbol in the ``rle_symbol`` header field.
-    """
-    from .rans import RansTable, decode_tokens, rle_expand
-
-    h = container.header
-    n = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
-    m = header_int(h, "rans_tokens", hi=MAX_FIELD_POINTS)
-    table = RansTable.from_bytes(container.get("rans_table"))
-    tokens = decode_tokens(container.get("rans_codes"), table, m)
-    if container.has("rle_runs"):
-        run_symbol = header_int(h, "rle_symbol")
-        runs_raw = container.get("rle_runs")
-        if h.get("rle_runs_gz"):
-            runs_raw = lossless.decompress(runs_raw)
-        runs = np.frombuffer(runs_raw, dtype=np.uint8)
-        codes = rle_expand(tokens, runs, run_symbol)
-    else:
-        if m != n:
-            raise ContainerError(
-                f"rANS header declares {m} tokens for {n} codes without RLE"
-            )
-        codes = tokens
-    if codes.size != n:
-        raise ContainerError(
-            f"rANS stream expands to {codes.size} codes, header says {n}"
-        )
-    return codes
-
-
-def encode_codes_raw(container: Container, codes_flat: np.ndarray, bits: int) -> int:
-    """Add a raw fixed-width little-endian code stream (the FPGA format).
-
-    Both GhostSZ and waveSZ emit 16-bit codes straight into the FPGA gzip
-    IP; raw packing is that wire format.
-    """
-    if bits <= 16:
-        payload = codes_flat.astype("<u2").tobytes()
-    elif bits <= 32:
-        payload = codes_flat.astype("<u4").tobytes()
-    else:
-        raise ContainerError(f"raw code width {bits} unsupported")
-    container.add("raw_codes", payload)
-    container.header["n_codes"] = int(codes_flat.size)
-    container.header["raw_code_bits"] = 16 if bits <= 16 else 32
-    return len(payload)
-
-
-def decode_codes_raw(container: Container) -> np.ndarray:
-    n = header_int(container.header, "n_codes", hi=MAX_FIELD_POINTS)
-    width = header_int(container.header, "raw_code_bits")
-    if width not in (16, 32):
-        raise ContainerError(f"raw code width {width} unsupported")
-    dt = "<u2" if width == 16 else "<u4"
-    payload = container.get("raw_codes")
-    if len(payload) < n * (width // 8):
-        raise ContainerError(
-            f"raw code stream holds {len(payload)} bytes, "
-            f"needs {n * (width // 8)}"
-        )
-    return np.frombuffer(payload, dtype=dt, count=n).astype(np.int64)
 
 
 def values_to_bytes(values: np.ndarray) -> bytes:

@@ -24,43 +24,21 @@ import numpy as np
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
-from ..codec.stages import HeaderStage, ResolveBoundStage, gzip_if_smaller
+from ..codec.stages import (
+    HeaderStage,
+    ResolveBoundStage,
+    put_section,
+    take_section,
+)
 from ..encoding.huffman import HuffmanCodec, HuffmanTable
 from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, bound_from_header, header_dtype, header_int
 from ..variants import Feature
 from .unpredictable import decode_truncated, encode_truncated, truncate_roundtrip
 
-__all__ = ["SZ10Compressor", "SZ10_SPEC", "sz10_predict_loop"]
+__all__ = ["SZ10Compressor", "sz10_predict_loop"]
 
 _UNPRED = 0  # fit-type symbols: 0 unpredictable, 1..3 = order 0..2
-
-SZ10_SPEC = PipelineSpec(
-    variant="SZ-1.0",
-    table2="SZ-0.1-1.0",
-    stages=(
-        StageSpec("bound"),
-        StageSpec(
-            "curvefit",
-            frozenset(
-                {
-                    Feature.ORDER012,
-                    Feature.OVERBOUND_CHECK_SW,
-                    Feature.DECOMPRESSION_WRITEBACK,
-                }
-            ),
-        ),
-        StageSpec("header"),
-        StageSpec(
-            "type_entropy", frozenset({Feature.CUSTOM_HUFFMAN, Feature.GZIP})
-        ),
-        StageSpec("unpredictable"),
-    ),
-    # the repro Huffman-codes the 2-bit fit types (the original packed
-    # them raw before gzip)
-    extra=frozenset({Feature.CUSTOM_HUFFMAN}),
-)
 
 
 def sz10_predict_loop(
@@ -166,21 +144,20 @@ class _TypeEntropyStage:
         types = ctx.codes
         table = HuffmanTable.from_symbols(types.astype(np.int64))
         payload, _ = HuffmanCodec(table).encode(types.astype(np.int64))
-        type_stream, use_gz = gzip_if_smaller(self.lossless, payload)
-        container.header["types_gzipped"] = use_gz
         container.add("huffman_table", table.to_bytes())
-        container.add("fit_types", type_stream)
         container.header["n_codes"] = int(types.size)
-        ctx.encoded_code_bytes = len(type_stream) + len(table.to_bytes())
+        ctx.encoded_code_bytes = len(table.to_bytes()) + put_section(
+            container, self.lossless, "fit_types", payload, "types_gzipped"
+        )
 
     def inverse(self, ctx: PipelineContext) -> None:
         container = ctx.container
         h = ctx.header
         n = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
         table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
-        stream = container.get("fit_types")
-        if h["types_gzipped"]:
-            stream = self.lossless.decompress(stream)
+        stream = take_section(
+            container, self.lossless, "fit_types", "types_gzipped", required=True
+        )
         ctx.codes = HuffmanCodec(table).decode(stream, n).astype(np.uint8)
 
 
@@ -207,12 +184,7 @@ class _UnpredictableStage:
         ).astype(np.float64)
 
 
-@register_codec(
-    name="SZ-1.0",
-    aliases=("SZ-0.1-1.0", "sz10"),
-    table2="SZ-0.1-1.0",
-    spec=SZ10_SPEC,
-)
+@register_codec(aliases=("SZ-0.1-1.0", "sz10"), table2="SZ-0.1-1.0")
 @dataclass(frozen=True)
 class SZ10Compressor(PipelineCompressor):
     """End-to-end SZ-1.0: 2-bit fit types + truncated unpredictables."""
@@ -222,7 +194,17 @@ class SZ10Compressor(PipelineCompressor):
     )
 
     name = "SZ-1.0"
-    spec = SZ10_SPEC
+    realizes = {
+        "curvefit": {
+            Feature.ORDER012,
+            Feature.OVERBOUND_CHECK_SW,
+            Feature.DECOMPRESSION_WRITEBACK,
+        },
+        "type_entropy": {Feature.CUSTOM_HUFFMAN, Feature.GZIP},
+    }
+    # the repro Huffman-codes the 2-bit fit types (the original packed
+    # them raw before gzip)
+    extra = {Feature.CUSTOM_HUFFMAN}
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
 from ..codec.stages import (
     EntropyCodesStage,
     HeaderStage,
@@ -31,39 +30,7 @@ from ..lossless import GzipStage, LosslessMode
 from ..variants import Feature
 from .pqd import BorderMode
 
-__all__ = ["SZ14Compressor", "SZ14_SPEC"]
-
-SZ14_SPEC = PipelineSpec(
-    variant="SZ-1.4",
-    table2="SZ-1.4",
-    stages=(
-        StageSpec("bound"),
-        StageSpec("pw_rel_log", frozenset({Feature.LOG_TRANSFORM})),
-        StageSpec(
-            "pqd",
-            frozenset(
-                {
-                    Feature.LORENZO,
-                    Feature.QUANTIZATION,
-                    Feature.DECOMPRESSION_WRITEBACK,
-                    Feature.OVERBOUND_CHECK_SW,
-                }
-            ),
-        ),
-        StageSpec("header"),
-        StageSpec(
-            "codes_entropy", frozenset({Feature.CUSTOM_HUFFMAN, Feature.GZIP})
-        ),
-        StageSpec("values"),
-        StageSpec("pw_rel_masks"),
-    ),
-    # the repro predicts borders with lower-dimensional Lorenzo
-    # degenerations instead of SZ-1.4's fixed-size blocking
-    unmodeled=frozenset({Feature.BLOCKING}),
-    # PW_REL support via the SZ-2.0 logarithmic transform is carried
-    # beyond the SZ-1.4 Table 2 row
-    extra=frozenset({Feature.LOG_TRANSFORM}),
-)
+__all__ = ["SZ14Compressor"]
 
 
 class _SZ14HeaderStage(HeaderStage):
@@ -84,14 +51,9 @@ class _SZ14HeaderStage(HeaderStage):
 
 
 @register_codec(
-    name="SZ-1.4",
     aliases=("sz14",),
-    profiles={
-        "sz14-rans": lambda: SZ14Compressor(entropy="rans"),
-    },
+    profiles={"sz14-rans": {"entropy": "rans"}},
     table2="SZ-1.4",
-    spec=SZ14_SPEC,
-    entropy_backends=("huffman", "rans", "auto"),
 )
 @dataclass(frozen=True)
 class SZ14Compressor(PipelineCompressor):
@@ -119,7 +81,22 @@ class SZ14Compressor(PipelineCompressor):
     entropy: str = "huffman"
 
     name = "SZ-1.4"
-    spec = SZ14_SPEC
+    realizes = {
+        "pw_rel_log": {Feature.LOG_TRANSFORM},
+        "pqd": {
+            Feature.LORENZO,
+            Feature.QUANTIZATION,
+            Feature.DECOMPRESSION_WRITEBACK,
+            Feature.OVERBOUND_CHECK_SW,
+        },
+        "codes_entropy": {Feature.CUSTOM_HUFFMAN, Feature.GZIP},
+    }
+    # the repro predicts borders with lower-dimensional Lorenzo
+    # degenerations instead of SZ-1.4's fixed-size blocking
+    unmodeled = {Feature.BLOCKING}
+    # PW_REL support via the SZ-2.0 logarithmic transform is carried
+    # beyond the SZ-1.4 Table 2 row
+    extra = {Feature.LOG_TRANSFORM}
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

@@ -29,13 +29,13 @@ import numpy as np
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
 from ..codec.stages import (
     EntropyCodesStage,
     HeaderStage,
     ResolveBoundStage,
     ValidateInputStage,
-    gzip_if_smaller,
+    put_section,
+    take_section,
 )
 from ..config import QuantizerConfig
 from ..errors import ContainerError, DTypeError, ShapeError
@@ -46,41 +46,9 @@ from .lorenzo import neighbor_offsets, stencil_predict
 from .quantizer import quantize_vector
 from .wavefront_index import interior_wavefronts
 
-__all__ = ["SZ20Compressor", "SZ20_SPEC"]
+__all__ = ["SZ20Compressor"]
 
 _LORENZO, _REGRESSION = 0, 1
-
-SZ20_SPEC = PipelineSpec(
-    variant="SZ-2.0",
-    table2="SZ-2.0+",
-    stages=(
-        StageSpec("checks"),
-        StageSpec("bound"),
-        StageSpec(
-            "block_hybrid",
-            frozenset(
-                {
-                    Feature.BLOCKING,
-                    Feature.LORENZO,
-                    Feature.LINEAR_REGRESSION,
-                    Feature.QUANTIZATION,
-                    Feature.DECOMPRESSION_WRITEBACK,
-                    Feature.OVERBOUND_CHECK_SW,
-                }
-            ),
-        ),
-        StageSpec("header"),
-        StageSpec(
-            "codes_entropy", frozenset({Feature.CUSTOM_HUFFMAN, Feature.GZIP})
-        ),
-        StageSpec("block_types"),
-        StageSpec("coeffs", frozenset({Feature.GZIP})),
-        StageSpec("outliers"),
-    ),
-    # the repro rejects PW_REL bounds and ships gzip instead of Zstandard
-    unmodeled=frozenset({Feature.LOG_TRANSFORM, Feature.ZSTD}),
-)
-
 
 def _check_input(data: np.ndarray) -> None:
     if data.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -414,16 +382,15 @@ class _CoeffsStage:
             raw = deltas.astype("<i8").tobytes()
         else:
             raw = b""
-        stored, use_gz = gzip_if_smaller(self.lossless, raw)
-        ctx.container.add("coeffs", stored)
-        ctx.header["coeffs_gz"] = use_gz
-        ctx.extra_bytes += len(stored)
+        ctx.extra_bytes += put_section(
+            ctx.container, self.lossless, "coeffs", raw, "coeffs_gz"
+        )
 
     def inverse(self, ctx: PipelineContext) -> None:
         h = ctx.header
-        raw = ctx.container.get("coeffs")
-        if h["coeffs_gz"]:
-            raw = self.lossless.decompress(raw)
+        raw = take_section(
+            ctx.container, self.lossless, "coeffs", "coeffs_gz", required=True
+        )
         n_blocks = header_int(h, "n_blocks", hi=MAX_FIELD_POINTS)
         n_reg = header_int(h, "n_reg_blocks", hi=n_blocks)
         ndimp1 = len(header_shape(h)) + 1
@@ -456,13 +423,7 @@ class _OutliersStage:
         )
 
 
-@register_codec(
-    name="SZ-2.0",
-    aliases=("SZ-2.0+", "sz20"),
-    table2="SZ-2.0+",
-    spec=SZ20_SPEC,
-    entropy_backends=("huffman", "rans", "auto"),
-)
+@register_codec(aliases=("SZ-2.0+", "sz20"), table2="SZ-2.0+")
 @dataclass(frozen=True)
 class SZ20Compressor(PipelineCompressor):
     """Blockwise hybrid predictor with 16-bit linear-scaling quantization."""
@@ -476,7 +437,20 @@ class SZ20Compressor(PipelineCompressor):
     entropy: str = "huffman"
 
     name = "SZ-2.0"
-    spec = SZ20_SPEC
+    realizes = {
+        "block_hybrid": {
+            Feature.BLOCKING,
+            Feature.LORENZO,
+            Feature.LINEAR_REGRESSION,
+            Feature.QUANTIZATION,
+            Feature.DECOMPRESSION_WRITEBACK,
+            Feature.OVERBOUND_CHECK_SW,
+        },
+        "codes_entropy": {Feature.CUSTOM_HUFFMAN, Feature.GZIP},
+        "coeffs": {Feature.GZIP},
+    }
+    # the repro rejects PW_REL bounds and ships gzip instead of Zstandard
+    unmodeled = {Feature.LOG_TRANSFORM, Feature.ZSTD}
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

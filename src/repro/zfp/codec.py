@@ -19,8 +19,8 @@ the same bound, only their models differ.
 
 The whole transform chain is one ZFP-specific stage; input validation,
 bound resolution and header assembly come from :mod:`repro.codec.stages`.
-ZFP is outside the SZ family, so its :class:`PipelineSpec` carries no
-Table 2 row (``table2=None``).
+ZFP is outside the SZ family, so it registers without a Table 2 row and
+declares no ``realizes``.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ import numpy as np
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.spec import PipelineSpec, StageSpec
 from ..codec.stages import HeaderStage, ResolveBoundStage, ValidateInputStage
 from ..encoding.bitio import BitReader, BitWriter
 from ..errors import ContainerError, DTypeError, ShapeError
 from ..streams import MAX_FIELD_POINTS, header_int
 from .transform import fwd_transform, inv_transform, sequency_order
 
-__all__ = ["ZFPCompressor", "ZFP_SPEC"]
+__all__ = ["ZFPCompressor"]
 
 _INTPREC = 48  # bit planes carried per coefficient
 _SCALE_BITS = 40  # block values scaled to ~2^40 before the transform
@@ -59,18 +58,6 @@ def _guard_bits(ndim: int) -> int:
 _EMAX_BITS = 12
 _EMAX_BIAS = 1 << 11
 _NBMASK = np.int64(0xAAAAAAAAAAAA)  # negabinary mask over _INTPREC bits
-
-ZFP_SPEC = PipelineSpec(
-    variant="ZFP-like",
-    table2=None,  # outside the SZ family; no Table 2 row to validate
-    stages=(
-        StageSpec("checks"),
-        StageSpec("bound"),
-        StageSpec("zfp_blocks"),
-        StageSpec("header"),
-        StageSpec("planes"),
-    ),
-)
 
 
 def _negabinary(q: np.ndarray) -> np.ndarray:
@@ -295,17 +282,12 @@ class _PlanesStage:
         pass
 
 
-@register_codec(
-    name="ZFP-like",
-    aliases=("zfp-like",),
-    spec=ZFP_SPEC,
-)
+@register_codec(aliases=("zfp-like",))
 @dataclass(frozen=True)
 class ZFPCompressor(PipelineCompressor):
     """Fixed-accuracy transform-based compressor (the SZ comparator)."""
 
     name = "ZFP-like"
-    spec = ZFP_SPEC
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (

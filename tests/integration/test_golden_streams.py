@@ -23,12 +23,14 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.codec.registry import decode_payload, peek_variant
+from repro.codec.registry import decode_payload, get_codec, peek_variant
 from repro.parallel import tile_compress
 from repro.service import make_job, run_batch
 from repro.streams import decompress_auto
@@ -97,6 +99,52 @@ def test_registry_dispatch_decodes_golden(key):
     assert peek_variant(blob) == entry["variant"]
     out = decode_payload(blob)
     assert _sha(np.ascontiguousarray(out).tobytes()) == entry["output_sha256"]
+
+
+#: The registry name whose *shared* instance is configured like the
+#: compressor each golden was captured with.
+REGISTRY_NAMES = {
+    "sz10": "sz10", "sz14": "sz14", "sz14_pwrel": "sz14", "sz20": "sz20",
+    "ghostsz": "ghostsz", "wavesz": "wavesz", "wavesz_g": "wavesz-g",
+    "wavesz_dp": "wavesz-dp", "wavesz_dp_3d": "wavesz-dp", "zfp": "zfp-like",
+    "sz14_rans": "sz14-rans", "wavesz_dp_rans": "wavesz-dp-rans",
+    "wavesz_dp_rans_3d": "wavesz-dp-rans",
+    "wavesz_dp_rans_1d": "wavesz-dp-rans",
+    "wavesz_dp_auto": "wavesz-dp-auto",
+}
+
+
+def test_shared_instances_reproduce_goldens_from_four_threads():
+    """``get_codec`` hands every caller the same compressor, pipeline
+    built once: four threads through it, interleaved, both directions,
+    must still produce the stored bytes."""
+    assert set(REGISTRY_NAMES) == set(KEYS)
+    inputs = {k: goldens.make_input(k) for k in KEYS}
+
+    def sweep(offset: int) -> int:
+        done = 0
+        for key in KEYS[offset:] + KEYS[:offset]:
+            comp = get_codec(REGISTRY_NAMES[key])
+            eb, mode = goldens.GOLDEN_PARAMS[key]
+            entry = MANIFEST[key]
+            assert _sha(comp.compress(inputs[key], eb, mode).payload) == (
+                entry["payload_sha256"]
+            ), key
+            out = comp.decompress(_payload(key))
+            assert _sha(np.ascontiguousarray(out).tobytes()) == (
+                entry["output_sha256"]
+            ), key
+            done += 1
+        return done
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(sweep, 4 * t) for t in range(4)]
+            assert [f.result(timeout=120) for f in futures] == [len(KEYS)] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("key", TILED_KEYS)

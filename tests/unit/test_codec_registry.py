@@ -1,8 +1,11 @@
 """Unit tests for the central codec registry and pipeline-spec validation."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro.codec.pipeline import PipelineCompressor
 from repro.codec.registry import (
     REGISTRY,
     CodecEntry,
@@ -11,10 +14,20 @@ from repro.codec.registry import (
     decode_payload,
     get_codec,
     peek_variant,
+    register_codec,
 )
 from repro.codec.spec import PipelineSpec, StageSpec, validate_spec
+from repro.codec.stages import (
+    EntropyCodesStage,
+    HeaderStage,
+    PQDStage,
+    ResolveBoundStage,
+    VerbatimValuesStage,
+)
+from repro.config import QuantizerConfig
 from repro.errors import ConfigError, ContainerError
 from repro.io.container import Container
+from repro.lossless import GzipStage
 from repro.variants import VARIANTS, Feature
 
 
@@ -93,6 +106,259 @@ class TestRegistration:
         )
         with pytest.raises(ConfigError):
             reg.register(CodecEntry(name="W", factory=object, spec=bad))
+
+
+class TestSingleDeclaration:
+    """The stage list is the spec: drift fails inside ``register``."""
+
+    def _declare(self, stages, realizes, **decorator):
+        reg = CodecRegistry()
+
+        @dataclass(frozen=True)
+        class Scratch(PipelineCompressor):
+            name = "Scratch"
+
+            def build_stages(self):
+                return tuple(stage() for stage in stages)
+
+        Scratch.realizes = realizes
+        register_codec(registry=reg, **decorator)(Scratch)
+        return reg
+
+    def test_adding_a_codec_is_one_declaration(self, smooth2d):
+        """The docs/API.md example: class, ``realizes``, ``build_stages``,
+        decorator — spec, backends and shared instances all follow."""
+        reg = CodecRegistry()
+
+        class _CountsHeader(HeaderStage):
+            def write_extra(self, ctx):
+                res = ctx.require("pqd")
+                ctx.header.update(n_border=res.n_border, n_outliers=res.n_outliers)
+
+        @register_codec(
+            aliases=("lorenzo",),
+            profiles={"lorenzo-rans": {"entropy": "rans"}},
+            registry=reg,
+        )
+        @dataclass(frozen=True)
+        class LorenzoCompressor(PipelineCompressor):
+            entropy: str = "huffman"
+
+            name = "Lorenzo"
+            realizes = {
+                "pqd": {Feature.LORENZO, Feature.QUANTIZATION},
+                "codes_entropy": {Feature.CUSTOM_HUFFMAN, Feature.GZIP},
+            }
+
+            def build_stages(self):
+                gzip = GzipStage()
+                return (
+                    ResolveBoundStage(quant=QuantizerConfig()),
+                    PQDStage(border="verbatim"), _CountsHeader(),
+                    EntropyCodesStage(gzip, backend=self.entropy),
+                    VerbatimValuesStage(gzip),
+                )
+
+        (spec,) = reg.specs()
+        assert spec == PipelineSpec(
+            variant="Lorenzo",
+            stages=(
+                StageSpec("bound"),
+                StageSpec("pqd", frozenset({Feature.LORENZO, Feature.QUANTIZATION})),
+                StageSpec("header"),
+                StageSpec(
+                    "codes_entropy", frozenset({Feature.CUSTOM_HUFFMAN, Feature.GZIP})
+                ),
+                StageSpec("values"),
+            ),
+        )
+        assert reg.describe() == [{
+            "name": "Lorenzo", "aliases": ["lorenzo"],
+            "profiles": ["lorenzo-rans"], "table2": None,
+            "data_parallel": False,
+            "entropy_backends": ["huffman", "rans", "auto"],
+        }]
+        assert reg.create("lorenzo") is reg.create("Lorenzo")
+        rans = reg.create("lorenzo-rans")
+        assert rans.entropy == "rans" and rans is not reg.create("lorenzo")
+        cf = rans.compress(smooth2d, 1e-3, "vr_rel")
+        assert cf.meta["entropy"] == "rans"
+        out = reg.create("lorenzo").decompress(cf.payload)
+        assert np.abs(out.astype(np.float64) - smooth2d).max() <= cf.bound.absolute
+
+    def test_realizes_naming_an_unbuilt_stage_fails_registration(self):
+        with pytest.raises(ConfigError, match="does not build"):
+            self._declare(
+                (ResolveBoundStage, HeaderStage), {"pqd": {Feature.LORENZO}}
+            )
+
+    def test_duplicate_stage_name_fails_registration(self):
+        with pytest.raises(ConfigError, match="duplicate stage names"):
+            self._declare((ResolveBoundStage, ResolveBoundStage), {})
+
+    def test_table2_drift_fails_registration(self):
+        with pytest.raises(ConfigError, match="realizes no stage"):
+            self._declare(
+                (ResolveBoundStage, HeaderStage),
+                {"bound": {Feature.BASE2_MAPPING}},
+                table2="waveSZ",
+            )
+
+    def test_profile_building_other_stages_fails_registration(self):
+        reg = CodecRegistry()
+
+        @dataclass(frozen=True)
+        class Scratch(PipelineCompressor):
+            with_header: bool = True
+            name = "Scratch"
+
+            def build_stages(self):
+                stages = (ResolveBoundStage(), HeaderStage())
+                return stages if self.with_header else stages[:1]
+
+        with pytest.raises(ConfigError, match="different stages"):
+            register_codec(
+                registry=reg, profiles={"scratch-bare": {"with_header": False}}
+            )(Scratch)
+        assert "Scratch" not in reg and "scratch-bare" not in reg
+
+    def test_stages_are_built_once_per_instance(self, smooth2d, monkeypatch):
+        """No stage construction and no spec comparison after the first
+        call: compress and decompress reuse the instance's pipeline."""
+        from repro.sz import SZ14Compressor
+
+        calls = []
+        real = SZ14Compressor.build_stages
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SZ14Compressor, "build_stages", counting)
+        comp = SZ14Compressor()
+        for _ in range(3):
+            comp.decompress(comp.compress(smooth2d, 1e-3, "vr_rel"))
+        assert calls == [comp]
+        # the registry's shared instance was built at registration
+        shared = get_codec("sz14")
+        shared.decompress(shared.compress(smooth2d, 1e-3, "vr_rel"))
+        assert calls == [comp]
+
+    def test_registry_hands_out_one_shared_instance_per_name(self):
+        for name in REGISTRY.all_names():
+            assert get_codec(name) is get_codec(name), name
+        assert get_codec("sz14") is get_codec("SZ-1.4")
+        assert get_codec("sz14-rans") is not get_codec("sz14")
+
+    #: The hand-written ``*_SPEC`` literals as they stood before the spec
+    #: was derived: (wire name, Table 2 row, ((stage, features), ...),
+    #: unmodeled, extra), features by ``Feature`` member name.
+    FROZEN = (
+        ("SZ-1.0", "SZ-0.1-1.0", (
+            ("bound", ()),
+            ("curvefit", ("DECOMPRESSION_WRITEBACK", "ORDER012", "OVERBOUND_CHECK_SW")),
+            ("header", ()),
+            ("type_entropy", ("CUSTOM_HUFFMAN", "GZIP")),
+            ("unpredictable", ()),
+        ), (), ("CUSTOM_HUFFMAN",)),
+        ("SZ-1.4", "SZ-1.4", (
+            ("bound", ()),
+            ("pw_rel_log", ("LOG_TRANSFORM",)),
+            ("pqd", ("DECOMPRESSION_WRITEBACK", "LORENZO", "OVERBOUND_CHECK_SW", "QUANTIZATION")),
+            ("header", ()),
+            ("codes_entropy", ("CUSTOM_HUFFMAN", "GZIP")),
+            ("values", ()),
+            ("pw_rel_masks", ()),
+        ), ("BLOCKING",), ("LOG_TRANSFORM",)),
+        ("SZ-2.0", "SZ-2.0+", (
+            ("checks", ()),
+            ("bound", ()),
+            ("block_hybrid", ("BLOCKING", "DECOMPRESSION_WRITEBACK", "LINEAR_REGRESSION",
+                              "LORENZO", "OVERBOUND_CHECK_SW", "QUANTIZATION")),
+            ("header", ()),
+            ("codes_entropy", ("CUSTOM_HUFFMAN", "GZIP")),
+            ("block_types", ()),
+            ("coeffs", ("GZIP",)),
+            ("outliers", ()),
+        ), ("LOG_TRANSFORM", "ZSTD"), ()),
+        ("waveSZ", "waveSZ", (
+            ("view2d", ()),
+            ("bound", ("BASE2_MAPPING",)),
+            ("pqd", ("DECOMPRESSION_WRITEBACK", "LORENZO", "OVERFLOW_CHECK_HW", "QUANTIZATION")),
+            ("wavefront_order", ("MEMORY_LAYOUT_TRANSFORM",)),
+            ("header", ()),
+            ("codes", ("CUSTOM_HUFFMAN", "GZIP")),
+            ("values", ("GZIP",)),
+        ), ("EXPLICIT_PIPELINING", "LINE_BUFFER"), ()),
+        ("waveSZ-dp", None, (
+            ("checks", ()),
+            ("bound", ("BASE2_MAPPING",)),
+            ("pw_rel_log", ("LOG_TRANSFORM",)),
+            ("prequant", ("QUANTIZATION",)),
+            ("predict_quant", ("LORENZO",)),
+            ("header", ()),
+            ("codes_entropy", ("CUSTOM_HUFFMAN", "GZIP")),
+            ("values", ("GZIP",)),
+            ("pw_rel_masks", ()),
+        ), (), ()),
+        ("GhostSZ", "GhostSZ", (
+            ("bound", ()),
+            ("rows", ()),
+            ("ghost_predict", ("ORDER012", "OVERFLOW_CHECK_HW", "PREDICTION_WRITEBACK",
+                               "QUANTIZATION")),
+            ("header", ()),
+            ("ghost_words", ("GZIP",)),
+            ("verbatim", ()),
+        ), ("EXPLICIT_PIPELINING", "LINE_BUFFER"), ()),
+        ("ZFP-like", None, (
+            ("checks", ()),
+            ("bound", ()),
+            ("zfp_blocks", ()),
+            ("header", ()),
+            ("planes", ()),
+        ), (), ()),
+    )
+
+    def test_derived_specs_equal_the_retired_literals(self):
+        def features(names):
+            return frozenset(Feature[n] for n in names)
+
+        frozen = tuple(
+            PipelineSpec(
+                variant=variant,
+                table2=table2,
+                stages=tuple(StageSpec(n, features(f)) for n, f in stages),
+                unmodeled=features(unmodeled),
+                extra=features(extra),
+            )
+            for variant, table2, stages, unmodeled, extra in self.FROZEN
+        )
+        assert REGISTRY.specs() == frozen
+        # every registered name, profiles included, builds its entry's stages
+        for name in REGISTRY.all_names():
+            entry = REGISTRY.entry(name)
+            assert get_codec(name).pipeline_spec(entry.table2) == entry.spec, name
+
+    def test_describe_is_the_codecs_wire_op_unchanged(self):
+        backends = ["huffman", "rans", "auto"]
+
+        def row(name, aliases, profiles, table2, dp=False, entropy=()):
+            return {
+                "name": name, "aliases": aliases, "profiles": profiles,
+                "table2": table2, "data_parallel": dp,
+                "entropy_backends": list(entropy),
+            }
+
+        assert REGISTRY.describe() == [
+            row("SZ-1.0", ["SZ-0.1-1.0", "sz10"], [], "SZ-0.1-1.0"),
+            row("SZ-1.4", ["sz14"], ["sz14-rans"], "SZ-1.4", entropy=backends),
+            row("SZ-2.0", ["SZ-2.0+", "sz20"], [], "SZ-2.0+", entropy=backends),
+            row("waveSZ", ["wavesz"], ["wavesz-g"], "waveSZ"),
+            row("waveSZ-dp", ["wavesz-dp"], ["wavesz-dp-auto", "wavesz-dp-rans"],
+                None, dp=True, entropy=backends),
+            row("GhostSZ", ["ghostsz"], [], "GhostSZ"),
+            row("ZFP-like", ["zfp-like"], [], None),
+        ]
 
 
 class TestSpecValidation:

@@ -31,6 +31,29 @@ class TestRegistryMatrix:
         vr = float(smooth2d.max() - smooth2d.min())
         assert np.abs(auto.astype(np.float64) - smooth2d).max() <= 1e-3 * vr
 
+    def test_one_parsed_container_decodes_twice(self, name):
+        """Decode must not mutate its input: ``decompress`` takes a parsed
+        ``Container``, and a store or selector may hand the same one over
+        again.  The spike makes the Huffman stream gzip smaller
+        (``codes_gzipped``), the case that used to add a section."""
+        from repro.io.container import Container
+
+        x = np.tile(np.linspace(0, 1, 96), (64, 1)).astype(np.float32)
+        x[10, 10] = 5
+        comp = get_codec(name)
+        try:
+            cf = comp.compress(x, 1e-2, "abs")
+        except ShapeError:
+            pytest.skip(f"{name} does not take 2D fields")
+        container = Container.from_bytes(cf.payload)
+        sections = [(s.name, s.payload) for s in container.sections]
+        header = dict(container.header)
+        first = comp.decompress(container)
+        np.testing.assert_array_equal(comp.decompress(container), first)
+        np.testing.assert_array_equal(decompress_auto(cf.payload), first)
+        assert [(s.name, s.payload) for s in container.sections] == sections
+        assert container.header == header
+
 
 class TestProfiles:
     def test_profile_payload_differs_but_decodes(self, smooth2d):

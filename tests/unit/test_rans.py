@@ -19,7 +19,7 @@ import pytest
 
 from repro.codec.registry import REGISTRY, get_codec
 from repro.codec.spec import ENTROPY_BACKENDS
-from repro.codec.stages import EntropyCodesStage, HuffmanGzipCodesStage
+from repro.codec.stages import EntropyCodesStage
 from repro.errors import ConfigError, ContainerError, RansError
 from repro.io.container import Container
 from repro.kernels import forced, rans_fast
@@ -340,10 +340,10 @@ class TestEntropyCodesStage:
         out = get_codec("wavesz-dp").decompress(payload)
         assert out.shape == f.shape
 
-    def test_compat_subclass_is_pinned(self):
-        stage = HuffmanGzipCodesStage(LOSSLESS)
-        assert isinstance(stage, EntropyCodesStage)
-        assert stage.backend == "huffman"
+    def test_default_backend_is_huffman(self):
+        """The pre-rANS construction — a lossless stage and nothing else
+        — still builds the Huffman + gzip tail."""
+        assert EntropyCodesStage(LOSSLESS).backend == "huffman"
 
     def test_unknown_header_backend_raises(self):
         rng = np.random.default_rng(7)
