@@ -413,7 +413,8 @@ def _cmd_codecs(_: argparse.Namespace) -> int:
         row = f" (Table 2: {entry['table2']})" if entry["table2"] else ""
         backends = entry.get("entropy_backends") or []
         tail = f" [entropy: {'|'.join(backends)}]" if backends else ""
-        print(f"{entry['name']}: {names}{row}{tail}")
+        modes = f" [modes: {'|'.join(entry['modes'])}]"
+        print(f"{entry['name']}: {names}{row}{modes}{tail}")
     from .service.shm import ShmArena
 
     resolved = "shm" if ShmArena.available() else "pickle"

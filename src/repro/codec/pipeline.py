@@ -29,7 +29,7 @@ from typing import Any, Collection, Iterable, Mapping, Protocol, Sequence, runti
 import numpy as np
 
 from ..config import ErrorBound, ErrorBoundMode, QuantizerConfig
-from ..errors import ConfigError, ContainerError, decode_guard
+from ..errors import ConfigError, ContainerError, ShapeError, decode_guard
 from ..io.container import Container
 from ..perf.stages import active_recorder
 from ..streams import build_stats
@@ -217,6 +217,15 @@ class PipelineCompressor:
         # one pipeline serves every call on the instance, from any thread.
         return StagePipeline(self.name, self.build_stages())
 
+    @cached_property
+    def modes(self) -> tuple[str, ...]:
+        """The error-bound modes this codec honours, read off its stages:
+        a pointwise-relative bound needs the log transform."""
+        modes = ("abs", "vr_rel")
+        if "pw_rel_log" in self._pipeline.stage_names:
+            modes += ("pw_rel",)
+        return modes
+
     def pipeline_spec(self, table2: str | None = None) -> PipelineSpec:
         """The declarative spec of this instance: its built stage names,
         in order, zipped with ``realizes``.  A ``realizes`` key naming a
@@ -244,7 +253,16 @@ class PipelineCompressor:
         eb: float = 1e-3,
         mode: ErrorBoundMode | str = ErrorBoundMode.VR_REL,
     ) -> CompressedField:
-        """Compress a field under the given error bound."""
+        """Compress a field under the given error bound.
+
+        A mode the stage list cannot honour is refused before any work
+        (an unknown one is left to bound resolution's ``ConfigError``).
+        """
+        if getattr(mode, "value", mode) == "pw_rel" and "pw_rel" not in self.modes:
+            raise ShapeError(
+                f"{self.name} has no log-transform stage and cannot hold "
+                f"a pw_rel bound; it supports {', '.join(self.modes)}"
+            )
         data = np.ascontiguousarray(data)
         ctx = PipelineContext(data=data, eb=eb, mode=mode)
         ctx.work = data

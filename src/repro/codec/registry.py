@@ -75,6 +75,10 @@ class CodecEntry:
     #: Informational: surfaced by :meth:`CodecRegistry.describe` for the
     #: CLI and service listings.
     entropy_backends: tuple[str, ...] = ()
+    #: Error-bound modes the codec honours — ``pw_rel`` iff its pipeline
+    #: holds the log-transform stage (derived likewise; ``compress``
+    #: refuses the rest with a typed error).
+    modes: tuple[str, ...] = ()
 
 
 class CodecRegistry:
@@ -121,6 +125,7 @@ class CodecRegistry:
                     ENTROPY_BACKENDS if "codes_entropy" in spec.stage_names
                     else ()
                 ),
+                modes=codec.modes,
             )
         if entry.spec is not None:
             validate_spec(entry.spec)
@@ -215,6 +220,7 @@ class CodecRegistry:
                 "table2": e.table2,
                 "data_parallel": e.data_parallel,
                 "entropy_backends": list(e.entropy_backends),
+                "modes": list(e.modes),
             }
             for e in self._entries.values()
         ]

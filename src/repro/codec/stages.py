@@ -34,7 +34,7 @@ import numpy as np
 
 from ..config import ErrorBoundMode, QuantizerConfig, resolve_error_bound
 from ..encoding.huffman import HuffmanCodec, HuffmanTable
-from ..errors import ConfigError, ContainerError, ShapeError
+from ..errors import ConfigError, ContainerError
 from ..kernels import resolve as resolve_kernel
 from ..perf.stages import active_recorder
 from ..rans import (
@@ -186,16 +186,12 @@ class ResolveBoundStage:
         *,
         base2: bool = False,
         quant: QuantizerConfig | None = None,
-        forbid_pw_rel: str | None = None,
     ) -> None:
         self.base2 = base2
         self.quant = quant
-        self.forbid_pw_rel = forbid_pw_rel
 
     def forward(self, ctx: "PipelineContext") -> None:
         ctx.bound = resolve_error_bound(ctx.data, ctx.eb, ctx.mode, base2=self.base2)
-        if self.forbid_pw_rel and ctx.bound.mode is ErrorBoundMode.PW_REL:
-            raise ShapeError(self.forbid_pw_rel)
         ctx.quant = self.quant
 
     def inverse(self, ctx: "PipelineContext") -> None:

@@ -15,10 +15,11 @@ snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .config import ErrorBound, ErrorBoundMode, resolve_error_bound
 from .errors import ContainerError, ShapeError, decode_guard
 from .io.container import Container
 from .streams import header_dtype, header_int, header_shape
@@ -33,6 +34,7 @@ __all__ = [
     "tile_compress",
     "tile_decompress",
     "decompress_tile",
+    "BandPlan",
     "plan_bands",
     "assemble_tiles",
 ]
@@ -52,17 +54,32 @@ class TiledResult:
         return self.stats.ratio
 
 
+class BandPlan(NamedTuple):
+    """One field's tiling plan; ``[0]`` is the bound, ``[1]`` the slices."""
+
+    #: the user bound resolved against the whole field
+    bound: ErrorBound
+    #: one slice of axis 0 per band, in order
+    slices: list[slice]
+    #: the ``(eb, mode)`` every band is compressed under
+    per_band: tuple[float, str]
+
+
 def plan_bands(
     data: np.ndarray, eb: float, mode: str, n_tiles: int, *, clamp: bool = False
-) -> tuple[Any, list[slice]]:
+) -> BandPlan:
     """Resolve the global bound and band slices for a tiled compression.
 
     Shared by the serial path below, the worker-pool fan-out in
     :mod:`repro.service.scheduler` and the array store's tile writer, so all
-    three produce identical plans.  The error bound is resolved *globally*
-    (VR-REL against the full field's range, as SZ's OpenMP mode does) and
-    later applied per band as an absolute bound, so the guarantee is
-    identical to the monolithic compressor's.
+    three produce identical plans — including what each band is
+    compressed under (``per_band``).  ABS and VR_REL are resolved
+    *globally* (VR-REL against the full field's range, as SZ's OpenMP
+    mode does) and applied per band as an absolute bound, so the
+    guarantee is identical to the monolithic compressor's.  A
+    pointwise-relative bound is local to each point, so every band keeps
+    ``(eb, "pw_rel")`` itself: its resolved absolute lives in the log
+    domain and means nothing applied to raw values.
 
     Geometry comes from :class:`repro.tiling.TileGrid`: a tile count the
     split axis cannot hold raises :class:`ShapeError` naming the feasible
@@ -71,17 +88,19 @@ def plan_bands(
     """
     if data.ndim < 2:
         raise ShapeError("tiling needs at least 2 dimensions")
-    from .config import resolve_error_bound
-
     bound = resolve_error_bound(data, eb, mode)
     grid = TileGrid.regular(data.shape, n_tiles, clamp=clamp)
-    return bound, grid.band_slices()
+    per_band = (
+        (bound.value, "pw_rel") if bound.mode is ErrorBoundMode.PW_REL
+        else (bound.absolute, "abs")
+    )
+    return BandPlan(bound, grid.band_slices(), per_band)
 
 
 def assemble_tiles(
     inner_variant: str,
     data: np.ndarray,
-    bound: Any,
+    bound: ErrorBound,
     slices: list[slice],
     compressed: list[CompressedField],
 ) -> TiledResult:
@@ -146,12 +165,14 @@ def tile_compress(
     worker pool and produces a byte-identical payload.
     """
     data = np.ascontiguousarray(data)
-    bound, slices = plan_bands(data, eb, mode, n_tiles)
+    plan = plan_bands(data, eb, mode, n_tiles)
     compressed = [
-        compressor.compress(np.ascontiguousarray(data[sl]), bound.absolute, "abs")
-        for sl in slices
+        compressor.compress(np.ascontiguousarray(data[sl]), *plan.per_band)
+        for sl in plan.slices
     ]
-    return assemble_tiles(compressor.name, data, bound, slices, compressed)
+    return assemble_tiles(
+        compressor.name, data, plan.bound, plan.slices, compressed
+    )
 
 
 def _parse(

@@ -9,12 +9,13 @@ ingested straight into the shm arena.  ``docs/API.md`` carries the same
 table for humans, and a test keeps the two in step.
 
 A handler is ``async (server, header, body) -> response frame``.  The
-store handlers are written once against the surface
+store handlers are written once against :class:`~repro.store.TileStore`
+(``put`` / ``read`` / ``read_slice`` / ``ls``, and the one ``gc``
+signature its two object layers share), which
 :class:`~repro.store.ArrayStore` and
-:class:`~repro.shard.gateway.ShardGateway` share (``put`` / ``read`` /
-``read_slice`` / ``ls``), so ``wavesz serve --store`` and ``wavesz shard
-serve`` answer them with the same code; neither package is imported
-here.
+:class:`~repro.shard.gateway.ShardGateway` both are, so ``wavesz serve
+--store`` and ``wavesz shard serve`` answer them with the same code;
+neither package is imported here.
 """
 
 from __future__ import annotations
@@ -130,17 +131,13 @@ async def _decompress(srv: Any, header: dict, body: Any) -> bytes:
 # -- store ops -----------------------------------------------------------------
 
 
-#: what a put reports, read off a ``PutResult``-shaped object; the last
-#: four are the ones only a sharded put (``ShardPutResult``) carries
+#: what a put reports, read off its ``PutResult``; the last four keep
+#: their defaults unless a replicated commit made the put
 _PUT_REPORT = (
     "name", "codec", "n_tiles", "new_objects", "dedup_objects",
     "stored_bytes", "dedup_bytes", "ratio",
     "version", "replicas", "degraded", "per_shard",
 )
-
-
-def _report(result: Any, names: tuple[str, ...]) -> dict:
-    return {k: getattr(result, k) for k in names if hasattr(result, k)}
 
 
 async def _store_put(srv: Any, header: dict, body: Any) -> bytes:
@@ -153,7 +150,7 @@ async def _store_put(srv: Any, header: dict, body: Any) -> bytes:
         str(header.get("mode", "vr_rel")),
         n_tiles=int(header.get("n_tiles", 4)),
     )
-    return pack({"ok": True, **_report(result, _PUT_REPORT)})
+    return pack({"ok": True, **{k: getattr(result, k) for k in _PUT_REPORT}})
 
 
 def _pack_read(result: Any) -> bytes:
@@ -205,15 +202,19 @@ async def _store_gc(srv: Any, header: dict, body: Any) -> bytes:
     refs = header.get("refs", [])
     if not isinstance(refs, list):
         raise ServiceError(f"store_gc refs must be a list, got {refs!r}")
-    result = await srv.store_gc([str(r) for r in refs])
-    return pack({
+    result = await srv.blocking(
+        srv.store.gc, extra_refs=[str(r) for r in refs]
+    )
+    reply = {
         "ok": True,
         "removed": result.n_removed,
         "reclaimed_bytes": result.reclaimed_bytes,
         "kept": result.kept,
         "tmp_removed": len(result.tmp_removed),
-        **_report(result, ("per_shard",)),  # a cluster-wide sweep's breakdown
-    })
+    }
+    if hasattr(result, "per_shard"):  # a cluster-wide sweep's breakdown
+        reply["per_shard"] = result.per_shard
+    return pack(reply)
 
 
 # The shard-facing primitives: raw content-addressed blob and manifest

@@ -414,24 +414,25 @@ class BatchScheduler:
         """Fan one dp job's tile bands across the pool.
 
         Each band is a job of its own — the band's rows under the
-        globally resolved bound as an absolute one — so it crosses the
-        pool like any other.  Same plan (:func:`plan_bands`) and same
-        deterministic assembly (:func:`assemble_tiles`) as the serial
-        path, gathered in band order, so the payload is byte-identical
-        to a single worker running :func:`run_job` on the same job.
+        plan's per-band bound — so it crosses the pool like any other.
+        Same plan (:func:`plan_bands`) and same deterministic assembly
+        (:func:`assemble_tiles`) as the serial path, gathered in band
+        order, so the payload is byte-identical to a single worker
+        running :func:`run_job` on the same job.
         """
         assert job.data is not None
-        bound, slices = plan_bands(job.data, job.eb, job.mode, job.n_tiles)
+        plan = plan_bands(job.data, job.eb, job.mode, job.n_tiles)
+        band_eb, band_mode = plan.per_band
         bands = await asyncio.gather(*(
             self._cross_pool([replace(
                 job, data=np.ascontiguousarray(job.data[sl]),
-                eb=bound.absolute, mode="abs", n_tiles=1,
+                eb=band_eb, mode=band_mode, n_tiles=1,
             )])
-            for sl in slices
+            for sl in plan.slices
         ))
         self.metrics.incr("scheduler.tile_fanouts")
         return assemble_tiles(
-            REGISTRY.canonical(job.codec), job.data, bound, slices,
+            REGISTRY.canonical(job.codec), job.data, plan.bound, plan.slices,
             [compressed for [compressed] in bands],
         )
 

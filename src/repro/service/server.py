@@ -46,8 +46,7 @@ class WireServer:
     """The asyncio connection loop; subclasses bring what the ops need."""
 
     scheduler: BatchScheduler | None = None
-    #: anything with the ``put`` / ``read`` / ``read_slice`` / ``ls``
-    #: surface of an :class:`~repro.store.ArrayStore`
+    #: a :class:`~repro.store.TileStore` (local directory or gateway)
     store: Any = None
     #: cluster topology served on the ``shard_map`` op
     shard_map: dict | None = None
@@ -119,9 +118,6 @@ class WireServer:
             "status": "draining" if self._draining else "ok",
             "version": __version__,
         }
-
-    async def store_gc(self, refs: list[str]) -> Any:
-        return await self.blocking(self.store.gc, extra_refs=refs)
 
     # -- request handling ------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Horizontal scaling for the store: consistent hashing, replication,
 failover.
 
-``repro.shard`` turns N plain ``wavesz serve --store`` servers into one
-logical :class:`~repro.store.ArrayStore`:
+``repro.shard`` turns N plain ``wavesz serve --store`` servers into the
+object layer of one logical :class:`~repro.store.TileStore`:
 
     from repro.shard import ShardGateway, ShardMap
 
@@ -15,14 +15,14 @@ Tile objects are placed on the :class:`ShardRing` by content digest and
 written to ``replicas`` shards; manifests replicate to the owners of
 ``m:<name>``.  Reads fail over down the owner list, repair stale or
 missing replicas as they go, and stay bit-exact with the single-store
-path because both are built from the same tile compress/decode/assemble
-functions.  :class:`GatewayServer` (``wavesz shard serve``) exposes a
+path because ``put`` / ``read`` / ``read_slice`` are that store's own
+methods.  :class:`GatewayServer` (``wavesz shard serve``) exposes a
 gateway over the same wire protocol as the service, so existing clients
 need no changes.
 """
 
 from .cluster import LocalShardCluster
-from .gateway import GatewayGCResult, ShardGateway, ShardPutResult, manifest_key
+from .gateway import GatewayGCResult, ShardGateway, manifest_key
 from .ring import DEFAULT_VNODES, ShardInfo, ShardMap, ShardRing
 from .server import GatewayServer, serve_gateway
 
@@ -32,7 +32,6 @@ __all__ = [
     "ShardInfo",
     "ShardMap",
     "ShardGateway",
-    "ShardPutResult",
     "GatewayGCResult",
     "GatewayServer",
     "serve_gateway",

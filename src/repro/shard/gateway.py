@@ -1,26 +1,28 @@
-"""The shard gateway: one logical :class:`~repro.store.ArrayStore` over N.
+"""The shard gateway: one logical store whose object layer is N shards.
 
-:class:`ShardGateway` fronts N plain ``wavesz serve --store`` servers and
-speaks the shard-facing wire primitives (``store_put_object``,
-``store_get_object``, ``store_put_manifest``, ...) to each.  Placement is
-the :class:`~repro.shard.ring.ShardRing`: a tile object lives on the
+:class:`ShardGateway` is a :class:`~repro.store.TileStore` — ``put`` /
+``read`` / ``read_slice`` / ``ls``, the tile cache and the
+:class:`~repro.store.PutResult` are the local store's own code, so a
+sharded read is bit-exact with a single-store read because it *is* that
+read.  What this module supplies is the object layer: it fronts N plain
+``wavesz serve --store`` servers and speaks the shard-facing wire
+primitives (``store_put_object``, ``store_get_object``,
+``store_put_manifest``, ...) to each.  Placement is the
+:class:`~repro.shard.ring.ShardRing`: a tile object lives on the
 ``replicas`` shards owning its content digest, a dataset manifest on the
-shards owning ``m:<name>``.  The read and write paths reuse the exact
-tile functions the local store is built from
-(:func:`~repro.store.compress_field_tiles`,
-:func:`~repro.store.decode_tile_blob`,
-:func:`~repro.store.assemble_tiles`), so a sharded read is bit-exact
-with a single-store read by construction.
+shards owning ``m:<name>``.
 
-Failure semantics:
+Failure semantics, by the method that owns them:
 
-* **put** — every tile must land on at least one replica *before* the
+* **put** (:meth:`ShardGateway._commit`) — every tile must land on at
+  least one replica *before* the
   manifest is written anywhere (old-or-new: a put that fails leaves the
   previous version fully readable), and the manifest must land on at
   least one of its owners to ack.  Writes that reach fewer than
   ``replicas`` copies still ack but are flagged ``degraded`` and counted
   (``gateway.degraded_writes``).
-* **read** — manifests are read from all owners, the highest version
+* **read** (:meth:`ShardGateway.manifest`, :meth:`ShardGateway._load`) —
+  manifests are read from all owners, the highest version
   wins (ties broken by canonical-JSON digest), stale or missing replicas
   are repaired in the background of the read (``gateway.read_repairs``).
   Tiles fail over down the owner list (``gateway.failovers``); a replica
@@ -63,13 +65,12 @@ from ..errors import (
 from ..service.metrics import MetricsRegistry
 from ..service.resilience import CircuitBreaker, RetryPolicy
 from ..service.client import ServiceClient
-from ..store import TileCache, assemble_tiles, compress_field_tiles, decode_tile_blob
 from ..store.cache import DEFAULT_CACHE_BYTES
-from ..store.store import ArrayStore, StoreReadResult
-from ..tiling import TileGrid, normalize_slices
+from ..store.store import StoreReadResult, TileStore
+from ..tiling import TileGrid
 from .ring import DEFAULT_VNODES, ShardMap, ShardRing
 
-__all__ = ["ShardGateway", "ShardPutResult", "GatewayGCResult", "manifest_key"]
+__all__ = ["ShardGateway", "GatewayGCResult", "manifest_key"]
 
 #: Errors that mean "this shard is down / unreachable", as opposed to
 #: alive-but-missing-data.  ServiceTimeoutError subclasses TransportError.
@@ -105,37 +106,6 @@ class _ShardDown(Exception):
 
 
 @dataclass(frozen=True)
-class ShardPutResult:
-    """Outcome of one replicated put, PutResult-compatible where shared."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-    codec: str
-    eb_abs: float
-    tile_digests: tuple[str, ...]
-    version: int
-    replicas: int
-    new_objects: int  # unique digests that did not exist anywhere
-    dedup_objects: int  # unique digests every replica already had
-    stored_bytes: int  # bytes physically written cluster-wide (all copies)
-    dedup_bytes: int  # bytes existing copies saved us
-    compressed_bytes: int  # one logical copy (sum of tile payloads)
-    original_bytes: int
-    degraded: bool  # acked with fewer than `replicas` copies somewhere
-    per_shard: dict[str, int] = field(default_factory=dict)  # objects written
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self.tile_digests)
-
-    @property
-    def ratio(self) -> float:
-        """Compression ratio of one logical copy (replication excluded)."""
-        return self.original_bytes / max(1, self.compressed_bytes)
-
-
-@dataclass(frozen=True)
 class GatewayGCResult:
     """Aggregate of one cluster-wide gc pass."""
 
@@ -146,8 +116,9 @@ class GatewayGCResult:
     tmp_removed: tuple[str, ...] = ()  # GCResult-shape compat (CLI)
 
 
-class ShardGateway:
-    """One logical store spread over the shards of a :class:`ShardMap`."""
+class ShardGateway(TileStore):
+    """The replicated-cluster object layer of a :class:`TileStore`: one
+    logical store spread over the shards of a :class:`ShardMap`."""
 
     def __init__(
         self,
@@ -159,13 +130,14 @@ class ShardGateway:
         metrics: MetricsRegistry | None = None,
         socket_factory: Callable[..., Any] | None = None,
     ) -> None:
+        super().__init__(
+            cache_bytes,
+            metrics if metrics is not None else MetricsRegistry(),
+            gauge_prefix="gateway.cache",
+        )
         self.map = shard_map
         self.ring: ShardRing = shard_map.ring(vnodes=vnodes)
         self.timeout = timeout
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = TileCache(
-            cache_bytes, metrics=self.metrics, gauge_prefix="gateway.cache"
-        )
         self._socket_factory = socket_factory
         # Breakers outlive client objects: a shard whose *connection*
         # cannot even be built must still trip and cool down.
@@ -179,7 +151,8 @@ class ShardGateway:
             max_workers=max(1, len(self.map.shard_ids)),
             thread_name_prefix="shard-gw",
         )
-        self.decode_calls = 0  # parity with ArrayStore telemetry
+        #: blobs the current read's bulk prefetch already holds
+        self._prefetched: dict[str, bytes] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -291,30 +264,28 @@ class ShardGateway:
                 out[sid] = exc
         return out
 
+    def _ask(
+        self, shards: Iterable[str], fn: Callable[[ServiceClient, str], Any]
+    ) -> dict[str, Any]:
+        """``fn(client, shard_id)`` on each of ``shards`` concurrently,
+        as ``{shard_id: reply or the exception it raised}``."""
+        return self._fanout({
+            sid: (lambda s=sid: self._call(s, lambda c: fn(c, s)))
+            for sid in shards
+        })
+
     # -- put ---------------------------------------------------------------
 
-    def put(
-        self,
-        name: str,
-        field_data: np.ndarray,
-        codec: str = "wavesz",
-        eb: float = 1e-3,
-        mode: str = "vr_rel",
-        *,
-        n_tiles: int = 4,
-    ) -> ShardPutResult:
-        """Replicated put: tiles to their owners first, manifest last.
+    def _commit(
+        self, name: str, manifest: dict[str, Any], payloads: dict[str, bytes]
+    ) -> dict[str, Any]:
+        """Replicated commit: tiles to their owners first, manifest last.
 
         Ack requires every tile on >= 1 replica and the manifest on >= 1
         of its owners; anything short of the full replication factor
-        acks ``degraded`` and is counted.  A put that raises leaves any
-        previous version fully intact (old-or-new).
+        acks ``degraded`` and is counted.  A commit that raises leaves
+        any previous version fully intact (old-or-new).
         """
-        ArrayStore._check_name(name)
-        manifest, payloads = compress_field_tiles(
-            field_data, codec, eb, mode, n_tiles=n_tiles
-        )
-        manifest["name"] = name
         R = self.map.replicas
 
         # phase 1: every unique payload to its owner shards, shard-parallel
@@ -373,12 +344,9 @@ class ShardGateway:
                 continue
         manifest["version"] = (max(versions) + 1) if versions else 1
 
-        m_results = self._fanout({
-            sid: (lambda s=sid: self._call(
-                s, lambda c: c.store_put_manifest(name, manifest)
-            ))
-            for sid in m_owners
-        })
+        m_results = self._ask(
+            m_owners, lambda c, _: c.store_put_manifest(name, manifest)
+        )
         m_ok = [sid for sid, r in m_results.items()
                 if not isinstance(r, BaseException)]
         if not m_ok:
@@ -392,31 +360,22 @@ class ShardGateway:
             self.metrics.incr("gateway.degraded_writes")
 
         new_objects = sum(1 for d in payloads if fresh_copies[d] > 0)
-        stored_bytes = sum(
-            len(payloads[d]) * fresh_copies[d] for d in payloads
-        )
-        dedup_bytes = sum(
-            len(payloads[d]) * (ok_copies[d] - fresh_copies[d])
-            for d in payloads
-        )
-        return ShardPutResult(
-            name=name,
-            compressed_bytes=sum(manifest["tile_bytes"]),
-            shape=tuple(manifest["shape"]),
-            dtype=manifest["dtype"],
-            codec=manifest["codec"],
-            eb_abs=manifest["eb_abs"],
-            tile_digests=tuple(manifest["tiles"]),
-            version=int(manifest["version"]),
-            replicas=R,
-            new_objects=new_objects,
-            dedup_objects=len(payloads) - new_objects,
-            stored_bytes=stored_bytes,
-            dedup_bytes=dedup_bytes,
-            original_bytes=int(manifest["original_bytes"]),
-            degraded=degraded,
-            per_shard=per_shard,
-        )
+        return {
+            "version": manifest["version"],
+            "replicas": R,
+            "new_objects": new_objects,  # unique digests new to the cluster
+            "dedup_objects": len(payloads) - new_objects,
+            # physical bytes, every copy counted
+            "stored_bytes": sum(
+                len(payloads[d]) * fresh_copies[d] for d in payloads
+            ),
+            "dedup_bytes": sum(
+                len(payloads[d]) * (ok_copies[d] - fresh_copies[d])
+                for d in payloads
+            ),
+            "degraded": degraded,
+            "per_shard": per_shard,
+        }
 
     # -- manifests ---------------------------------------------------------
 
@@ -426,7 +385,7 @@ class ShardGateway:
             json.dumps(m, sort_keys=True).encode()
         ).hexdigest()
 
-    def _load_manifest(self, name: str) -> dict[str, Any]:
+    def manifest(self, name: str) -> dict[str, Any]:
         """Read all replicas, pick the winner, repair the stragglers.
 
         Winner = highest ``version``; ties break on the canonical JSON
@@ -435,12 +394,7 @@ class ShardGateway:
         written back (read-repair) before the read proceeds.
         """
         owners = self.ring.owners(manifest_key(name), self.map.replicas)
-        replies = self._fanout({
-            sid: (lambda s=sid: self._call(
-                s, lambda c: c.store_get_manifest(name)
-            ))
-            for sid in owners
-        })
+        replies = self._ask(owners, lambda c, _: c.store_get_manifest(name))
         winner: dict[str, Any] | None = None
         repair: list[str] = []
         missing: list[str] = []
@@ -487,11 +441,10 @@ class ShardGateway:
 
     # -- read --------------------------------------------------------------
 
-    def _fetch_tile(
-        self, m: dict[str, Any], grid: TileGrid, index: int,
-        prefetched: dict[str, bytes],
+    def _load(
+        self, digest: str, decode: Callable[[bytes], np.ndarray]
     ) -> np.ndarray:
-        """One decoded tile: cache, prefetched blob, or owner-list walk.
+        """One decoded tile: the prefetched blob, or the owner-list walk.
 
         Failover walks the digest's owner preference order; a replica
         that is alive but missing (StoreError) or corrupt (Checksum /
@@ -500,49 +453,35 @@ class ShardGateway:
         tile — the same class the local store raises for a missing
         object, so ``strict=False`` salvage classifies it ``missing``.
         """
-        digest = m["tiles"][index]
-        cached = self.cache.get(digest)
-        if cached is not None:
-            return cached
-
         owners = self.ring.owners(digest, self.map.replicas)
-        blob = prefetched.get(digest)
         tile: np.ndarray | None = None
+        blob: bytes | None = None
         repair_missing: list[str] = []
         repair_corrupt: list[str] = []
         checksum_exc: ChecksumError | None = None
-        if blob is not None:
+        for round_i, sid in enumerate(owners):
             try:
-                tile = decode_tile_blob(m, grid, index, blob)
-            except ReproError as exc:
-                # the prefetch came from the primary: it handed us bad
-                # bytes, so fail over below and repair it on success.
-                repair_corrupt.append(owners[0])
-                if isinstance(exc, ChecksumError):
-                    checksum_exc = exc
-                blob = None
-        if tile is None:
-            for round_i, sid in enumerate(owners):
-                if sid in repair_corrupt:
-                    continue  # already proven bad
-                try:
+                # the bulk prefetch asked the primary: its answer, when
+                # one came, is the primary's copy
+                candidate = self._prefetched.get(digest) if round_i == 0 else None
+                if candidate is None:
                     candidate = self._call(
                         sid, lambda c: c.store_get_object(digest)
                     )
-                    tile = decode_tile_blob(m, grid, index, candidate)
-                    blob = candidate
-                    if round_i > 0:
-                        self._note_failover(owners[0])
-                    break
-                except _ShardDown:
-                    continue
-                except StoreError:
-                    repair_missing.append(sid)
-                except ChecksumError as exc:
-                    checksum_exc = exc
-                    repair_corrupt.append(sid)
-                except ReproError:
-                    repair_corrupt.append(sid)
+                tile = decode(candidate)
+                blob = candidate
+                if round_i > 0:
+                    self._note_failover(owners[0])
+                break
+            except _ShardDown:
+                continue
+            except StoreError:
+                repair_missing.append(sid)
+            except ChecksumError as exc:
+                checksum_exc = exc
+                repair_corrupt.append(sid)
+            except ReproError:
+                repair_corrupt.append(sid)
         if tile is None or blob is None:
             if checksum_exc is not None and not repair_missing:
                 raise checksum_exc  # every reachable copy is corrupt
@@ -550,8 +489,6 @@ class ShardGateway:
                 f"object {digest} is unavailable: no replica of "
                 f"{len(owners)} could produce it"
             )
-        self.decode_calls += 1
-        self.cache.put(digest, tile)
         for sid in repair_missing:
             self._repair_object(sid, digest, blob, overwrite=False)
         for sid in repair_corrupt:
@@ -579,7 +516,7 @@ class ShardGateway:
         read could not serve from cache, cached by the caller to decide
         whether an anti-entropy sweep is worth an extra round trip.
         Failures here are silent — the per-tile walk in
-        :meth:`_fetch_tile` handles failover and repair serially.
+        :meth:`_load` handles failover and repair serially.
         """
         needed: list[str] = []
         seen: set[str] = set()
@@ -635,12 +572,9 @@ class ShardGateway:
         for d in digests:
             for sid in self.ring.owners(d, self.map.replicas):
                 want.setdefault(sid, []).append(d)
-        replies = self._fanout({
-            sid: (lambda s=sid, ds=ds: self._call(
-                s, lambda c: c.store_has_objects(ds)
-            ))
-            for sid, ds in want.items()
-        })
+        replies = self._ask(
+            want, lambda c, sid: c.store_has_objects(want[sid])
+        )
         for sid, have in replies.items():
             if isinstance(have, BaseException):
                 continue
@@ -667,75 +601,56 @@ class ShardGateway:
                 continue
         return None
 
-    def read(self, name: str, *, strict: bool = True) -> StoreReadResult:
-        """Reassemble the full field from the cluster, bit-exact."""
-        m = self._load_manifest(name)
-        grid = TileGrid.from_starts(m["shape"], m["band_starts"])
-        window = tuple(slice(0, d) for d in grid.shape)
-        return self._assemble(m, grid, window, range(grid.n_tiles), strict)
-
-    def read_slice(
-        self, name: str, slices, *, strict: bool = True
-    ) -> StoreReadResult:
-        """Read a sub-window, touching only the shards that own its tiles."""
-        m = self._load_manifest(name)
-        grid = TileGrid.from_starts(m["shape"], m["band_starts"])
-        window = normalize_slices(grid.shape, slices)
-        return self._assemble(
-            m, grid, window, grid.overlapping(window[0]), strict
-        )
-
     def _assemble(
-        self, m: dict[str, Any], grid: TileGrid, window, tiles, strict: bool
+        self,
+        m: dict[str, Any],
+        grid: TileGrid,
+        window: tuple[slice, ...],
+        tiles: tuple[int, ...],
+        *,
+        strict: bool,
     ) -> StoreReadResult:
-        tiles = list(tiles)
-        prefetched, needed = self._prefetch(m, tiles)
-        result = assemble_tiles(
-            m, grid, window, tiles,
-            lambda t: self._fetch_tile(m, grid, t, prefetched),
-            strict=strict,
-        )
-        if result.damaged:
-            self.metrics.incr("gateway.degraded_reads")
-        if needed:
-            # the read touched the wire anyway: one has_objects round
-            # trip per owner shard re-converges replicas a failover
-            # walk would never visit.  Fully-cached reads skip this.
-            self._anti_entropy(needed, prefetched)
+        """The shared assembly, bracketed by what only a cluster needs:
+        one bulk fetch per owner shard before, one replica sweep after."""
+        self._prefetched, needed = self._prefetch(m, tiles)
+        try:
+            result = super()._assemble(m, grid, window, tiles, strict=strict)
+            if result.damaged:
+                self.metrics.incr("gateway.degraded_reads")
+            if needed:
+                # the read touched the wire anyway: one has_objects round
+                # trip per owner shard re-converges replicas a failover
+                # walk would never visit.  Fully-cached reads skip this.
+                self._anti_entropy(needed, self._prefetched)
+        finally:
+            self._prefetched = {}
         return result
 
     # -- listing / gc / health --------------------------------------------
 
-    def ls(self) -> list[dict[str, Any]]:
-        """Merged dataset listing (one row per name) from reachable shards."""
-        replies = self._fanout({
-            sid: (lambda s=sid: self._call(s, lambda c: c.store_ls()))
-            for sid in self.map.shard_ids
-        })
-        rows: dict[str, dict[str, Any]] = {}
-        for sid in self.map.shard_ids:
-            r = replies[sid]
-            if isinstance(r, BaseException):
-                continue
-            for row in r:
-                rows.setdefault(row["name"], row)
-        return [rows[k] for k in sorted(rows)]
+    def _listings(self) -> dict[str, Any]:
+        """Every shard's own ``store_ls`` rows (or why it did not answer)."""
+        return self._ask(self.map.shard_ids, lambda c, _: c.store_ls())
 
     def names(self) -> tuple[str, ...]:
-        return tuple(r["name"] for r in self.ls())
+        """Dataset names any reachable shard lists, sorted."""
+        return tuple(sorted({
+            row["name"]
+            for rows in self._listings().values()
+            if not isinstance(rows, BaseException)
+            for row in rows
+        }))
 
-    def gc(self) -> GatewayGCResult:
-        """Cluster-wide gc: union every manifest's tiles, then sweep.
+    def gc(self, *, extra_refs=()) -> GatewayGCResult:
+        """Cluster-wide gc: union every manifest's tiles (and
+        ``extra_refs``, the local store's keep-set extension), then sweep.
 
         Refuses (``StoreError``) unless every shard is reachable — a
         manifest on an unreachable shard may be the only reference to
         tiles held here, and sweeping those would turn a transient
         outage into data loss.
         """
-        listings = self._fanout({
-            sid: (lambda s=sid: self._call(s, lambda c: c.store_ls()))
-            for sid in self.map.shard_ids
-        })
+        listings = self._listings()
         down = [sid for sid, r in listings.items()
                 if isinstance(r, BaseException)]
         if down:
@@ -744,7 +659,7 @@ class ShardGateway:
                 f"unreachable and may hold the only manifest referencing "
                 f"live objects"
             )
-        refs: set[str] = set()
+        refs: set[str] = set(extra_refs)
         for sid, rows in listings.items():
             for row in rows:
                 try:
@@ -757,12 +672,10 @@ class ShardGateway:
                         f"{sid} is unreadable: {exc}"
                     ) from exc
                 refs.update(m["tiles"])
-        sweeps = self._fanout({
-            sid: (lambda s=sid: self._call(
-                s, lambda c: c.store_gc(refs=sorted(refs))
-            ))
-            for sid in self.map.shard_ids
-        })
+        keep = sorted(refs)
+        sweeps = self._ask(
+            self.map.shard_ids, lambda c, _: c.store_gc(refs=keep)
+        )
         per_shard: dict[str, dict[str, int]] = {}
         n_removed = reclaimed = kept = 0
         for sid, r in sweeps.items():
@@ -783,10 +696,7 @@ class ShardGateway:
 
     def status(self) -> dict[str, Any]:
         """Probe every shard's health op; refresh the per-shard gauges."""
-        replies = self._fanout({
-            sid: (lambda s=sid: self._call(s, lambda c: c.health()))
-            for sid in self.map.shard_ids
-        })
+        replies = self._ask(self.map.shard_ids, lambda c, _: c.health())
         shards: dict[str, Any] = {}
         up = 0
         for sid in self.map.shard_ids:

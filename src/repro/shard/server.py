@@ -21,7 +21,7 @@ import asyncio
 from typing import Any, Callable
 
 from ..service.server import WireServer, run_until_sigterm
-from .gateway import GatewayGCResult, ShardGateway
+from .gateway import ShardGateway
 
 __all__ = ["GatewayServer", "serve_gateway"]
 
@@ -63,10 +63,6 @@ class GatewayServer(WireServer):
             "events": snap.events,
             **status,
         }
-
-    async def store_gc(self, refs: list[str]) -> GatewayGCResult:
-        # a cluster-wide gc gathers the referenced set itself
-        return await self.blocking(self.gateway.gc)
 
 
 async def serve_gateway(

@@ -31,12 +31,14 @@ from .store import (
     RecoveryResult,
     StoreReadResult,
     TileDamage,
+    TileStore,
     assemble_tiles,
     compress_field_tiles,
     decode_tile_blob,
 )
 
 __all__ = [
+    "TileStore",
     "ArrayStore",
     "assemble_tiles",
     "compress_field_tiles",

@@ -5,8 +5,9 @@ fields land on disk *compressed* (CEAZ's parallel-I/O premise) and are
 read back selectively at tile granularity (cuSZ's chunk axis).  On
 ``put`` a field is split into the same independent bands the tiled
 compressor uses (:func:`repro.parallel.plan_bands`, clamped to the
-field's feasible tile count), each band is compressed under the globally
-resolved absolute bound, and the resulting container-v2 payloads are
+field's feasible tile count), each band is compressed under the plan's
+per-band bound (the globally resolved absolute one; ``pw_rel`` itself
+for a pointwise-relative request), and the resulting container-v2 payloads are
 written once per unique content digest:
 
 ```
@@ -25,10 +26,19 @@ of decoded tiles and report damage structurally: with ``strict=False`` a
 corrupt tile (caught by the container checksums or the content digest)
 is skipped and its index reported instead of failing the whole read.
 
-Crash consistency (see ``docs/RESILIENCE.md``): every on-disk mutation
+Two classes split that work.  :class:`TileStore` is the *logical* store
+— ``put`` / ``read`` / ``read_slice`` / ``ls``, the tile cache and the
+one :class:`PutResult` — written once over a four-method object layer.
+:class:`ArrayStore` is the object layer that is the directory above;
+:class:`repro.shard.ShardGateway` is the one that is a replicated
+cluster of such directories.  A durability or availability guarantee
+belongs to the layer that makes it.
+
+Crash consistency (see ``docs/RESILIENCE.md``) is
+:meth:`ArrayStore._commit`'s: every on-disk mutation
 goes through an injectable :class:`~repro.faults.fsim.OsFileSystem` with
 full fsync discipline (temp file synced before the rename, parent
-directory synced after), ``put`` writes a journal entry *before* any
+directory synced after), a put writes a journal entry *before* any
 tile or manifest write, and opening the store replays the journal —
 rolling interrupted puts back so the invariant holds: **an acked put is
 durable, an interrupted put is invisible**.  :meth:`ArrayStore.fsck`
@@ -49,9 +59,9 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -68,6 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fsck import FsckReport
 
 __all__ = [
+    "TileStore",
     "ArrayStore",
     "PutResult",
     "StoreReadResult",
@@ -103,25 +114,22 @@ def compress_field_tiles(
 
     Pure compute — nothing touches disk or the network.  Returns the
     manifest dict (format :data:`MANIFEST_FORMAT`) and the unique
-    payloads keyed by content digest.  Both :meth:`ArrayStore.put` and
-    the shard gateway's replicated put are built on this one function,
-    which is what makes a sharded read bit-exact with the local path:
-    the bytes placed on the wire are the same bytes a single store
-    would have written.
+    payloads keyed by content digest.  :meth:`TileStore.put` runs it
+    before either object layer commits a byte, which is what makes a
+    sharded read bit-exact with the local path: the bytes placed on the
+    wire are the same bytes a single store would have written.
     """
     data = np.ascontiguousarray(field)
     compressor = get_codec(codec)
     canonical = REGISTRY.canonical(codec)
-    bound, slices = plan_bands(data, eb, mode, n_tiles, clamp=True)
+    bound, slices, per_band = plan_bands(data, eb, mode, n_tiles, clamp=True)
 
     digests: list[str] = []
     tile_bytes: list[int] = []
     tile_entropy: list[str | None] = []
     payloads: dict[str, bytes] = {}
     for sl in slices:
-        cf = compressor.compress(
-            np.ascontiguousarray(data[sl]), bound.absolute, "abs"
-        )
+        cf = compressor.compress(np.ascontiguousarray(data[sl]), *per_band)
         payload = cf.payload
         digest = hashlib.sha256(payload).hexdigest()
         digests.append(digest)
@@ -171,9 +179,8 @@ def decode_tile_blob(
 
     Raises :class:`ChecksumError` (content digest or container checksum
     mismatch) or :class:`ContainerError` (undecodable payload / wrong
-    decoded shape).  Shared by the local store's read path and the shard
-    gateway, so damage classifies identically wherever the bytes came
-    from.
+    decoded shape).  The one decoder behind :meth:`TileStore._tile`, so
+    damage classifies identically wherever the bytes came from.
     """
     digest = m["tiles"][index]
     if hashlib.sha256(blob).hexdigest() != digest:
@@ -215,9 +222,7 @@ def assemble_tiles(
     :class:`ReproError`; with ``strict=False`` those failures become
     :class:`TileDamage` rows (stage ``missing`` for :class:`StoreError`,
     ``checksum`` for :class:`ChecksumError`, ``decode`` otherwise) and
-    the damaged rows stay zero-filled.  One assembly loop serves both
-    the local store and the shard gateway, so a distributed read is the
-    same arithmetic as a local one.
+    the damaged rows stay zero-filled.
     """
     out = np.zeros(
         tuple(s.stop - s.start for s in window), dtype=np.dtype(m["dtype"])
@@ -257,7 +262,12 @@ def assemble_tiles(
 
 @dataclass(frozen=True)
 class PutResult:
-    """Outcome of one ``put``: what was written, what deduplicated away."""
+    """Outcome of one ``put``: what was written, what deduplicated away.
+
+    Name through ``original_bytes`` are the same whichever object layer
+    committed the put; the four counts are what that layer physically
+    did, and only a replicated commit overrides the last four.
+    """
 
     name: str
     shape: tuple[int, ...]
@@ -265,11 +275,16 @@ class PutResult:
     codec: str
     eb_abs: float
     tile_digests: tuple[str, ...]
-    new_objects: int
-    dedup_objects: int
-    stored_bytes: int  # bytes newly written to the object area
-    dedup_bytes: int  # bytes that existing objects saved us
+    compressed_bytes: int  # one logical copy (sum of tile payloads)
     original_bytes: int
+    new_objects: int  # unique digests the object layer did not hold
+    dedup_objects: int
+    stored_bytes: int  # bytes newly written to the object area(s)
+    dedup_bytes: int  # bytes that existing objects saved us
+    version: int = 1
+    replicas: int = 1
+    degraded: bool = False  # acked with fewer than `replicas` copies somewhere
+    per_shard: dict[str, int] = field(default_factory=dict)  # objects written
 
     @property
     def n_tiles(self) -> int:
@@ -277,8 +292,11 @@ class PutResult:
 
     @property
     def ratio(self) -> float:
-        compressed = self.stored_bytes + self.dedup_bytes
-        return self.original_bytes / compressed if compressed else 0.0
+        """Compression ratio of one logical copy (replication excluded)."""
+        return (
+            self.original_bytes / self.compressed_bytes
+            if self.compressed_bytes else 0.0
+        )
 
 
 @dataclass(frozen=True)
@@ -350,11 +368,200 @@ class RecoveryResult:
         return sum(1 for k, _ in self.actions if k == kind)
 
 
-class ArrayStore:
+class TileStore:
+    """The logical store: fields in by tile, windows out through a cache.
+
+    Everything here is written once for every place tiles can live.  A
+    subclass is an *object layer* and supplies exactly four methods:
+
+    ``manifest(name)``
+        the current manifest dict of one dataset (``StoreError`` if none);
+    ``names()``
+        the dataset names, sorted;
+    ``_commit(name, manifest, payloads)``
+        make one compressed field durable — tiles, then manifest — and
+        return the :class:`PutResult` fields only the layer can count;
+    ``_load(digest, decode)``
+        one decoded tile: hand a stored copy of the object to ``decode``,
+        which verifies as it decodes and raises a :class:`ReproError` on
+        a bad copy, so a layer with several copies can try the next.
+    """
+
+    def __init__(
+        self,
+        cache_bytes: int,
+        metrics: "MetricsRegistry | None",
+        gauge_prefix: str = "store.cache",
+    ) -> None:
+        self.metrics = metrics
+        self.cache = TileCache(
+            cache_bytes, metrics=metrics, gauge_prefix=gauge_prefix
+        )
+        #: Tiles actually decompressed (cache misses included, hits not) —
+        #: the counter the "slice decodes only overlapping tiles" and
+        #: "warm reads decode nothing" guarantees are asserted against.
+        self.decode_calls = 0
+
+    # -- the object layer ---------------------------------------------------
+
+    def manifest(self, name: str) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def names(self) -> tuple[str, ...]:
+        raise NotImplementedError
+
+    def _commit(
+        self, name: str, manifest: dict[str, Any], payloads: dict[str, bytes]
+    ) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def _load(
+        self, digest: str, decode: Callable[[bytes], np.ndarray]
+    ) -> np.ndarray:
+        raise NotImplementedError
+
+    # -- writing ------------------------------------------------------------
+
+    @staticmethod
+    def _check_name(name: str) -> str:
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise StoreError(
+                f"bad dataset name {name!r}: use 1-128 characters from "
+                "[A-Za-z0-9._-], starting with a letter or digit"
+            )
+        return name
+
+    def put(
+        self,
+        name: str,
+        field: np.ndarray,
+        codec: str = "wavesz",
+        eb: float = 1e-3,
+        mode: str = "vr_rel",
+        *,
+        n_tiles: int = 4,
+    ) -> PutResult:
+        """Compress ``field`` per tile and persist it under ``name``.
+
+        ``codec`` is any registry name (alias/profile included); the
+        manifest records the canonical wire name so reads dispatch the
+        same way payload headers do.  ``n_tiles`` is clamped to the
+        field's feasible band count, so small fields store as one tile
+        instead of failing.  Re-putting an existing name replaces its
+        manifest; superseded objects stay until ``gc``.
+
+        All compression happens up front — a request the codec refuses
+        (a ``pw_rel`` bound without a log-transform stage, a shape it
+        cannot tile) raises before the object layer sees a byte — then
+        the layer's ``_commit`` makes the result durable under its own
+        contract, and returning is the ack.
+        """
+        self._check_name(name)
+        manifest, payloads = compress_field_tiles(
+            field, codec, eb, mode, n_tiles=n_tiles
+        )
+        manifest["name"] = name
+        counted = self._commit(name, manifest, payloads)
+        return PutResult(
+            name=name,
+            shape=tuple(manifest["shape"]),
+            dtype=str(manifest["dtype"]),
+            codec=str(manifest["codec"]),
+            eb_abs=float(manifest["eb_abs"]),
+            tile_digests=tuple(manifest["tiles"]),
+            compressed_bytes=sum(manifest["tile_bytes"]),
+            original_bytes=int(manifest["original_bytes"]),
+            **counted,
+        )
+
+    # -- reading ------------------------------------------------------------
+
+    @staticmethod
+    def _grid(m: dict[str, Any]) -> TileGrid:
+        return TileGrid.from_starts(m["shape"], m["band_starts"])
+
+    def _tile(self, m: dict[str, Any], grid: TileGrid, index: int) -> np.ndarray:
+        """One decoded tile via the cache, verifying everything.
+
+        Raises :class:`StoreError` (no copy of the object),
+        :class:`ChecksumError` (content digest or container checksum
+        mismatch) or :class:`ContainerError` (undecodable payload); the
+        read loop maps these onto :class:`TileDamage` stages.
+        """
+        digest = m["tiles"][index]
+        tile = self.cache.get(digest)
+        if tile is None:
+            tile = self._load(
+                digest, lambda blob: decode_tile_blob(m, grid, index, blob)
+            )
+            self.decode_calls += 1
+            self.cache.put(digest, tile)
+        return tile
+
+    def read(self, name: str, *, strict: bool = True) -> StoreReadResult:
+        """Reassemble the full field, bit-exact with the serial tiled path.
+
+        ``strict=False`` survives damaged tiles: their rows come back
+        zero-filled and their indices are reported in ``damaged``.
+        """
+        return self.read_slice(name, (), strict=strict)
+
+    def read_slice(self, name: str, slices, *, strict: bool = True) -> StoreReadResult:
+        """Decode only the tiles overlapping ``slices`` and cut the window.
+
+        ``slices`` is anything :func:`repro.tiling.normalize_slices`
+        accepts: a tuple of ``slice`` objects / ``(start, stop)`` pairs /
+        ``None`` per axis, trailing axes defaulting to full extent.
+        """
+        m = self.manifest(name)
+        grid = self._grid(m)
+        window = normalize_slices(grid.shape, slices)
+        return self._assemble(
+            m, grid, window, grid.overlapping(window[0]), strict=strict
+        )
+
+    def _assemble(
+        self,
+        m: dict[str, Any],
+        grid: TileGrid,
+        window: tuple[slice, ...],
+        tiles: tuple[int, ...],
+        *,
+        strict: bool,
+    ) -> StoreReadResult:
+        return assemble_tiles(
+            m, grid, window, tiles,
+            lambda t: self._tile(m, grid, t), strict=strict,
+        )
+
+    def ls(self) -> list[dict[str, Any]]:
+        """One summary row per dataset, sorted by name."""
+        rows = []
+        for name in self.names():
+            m = self.manifest(name)
+            rows.append(
+                {
+                    "name": m["name"],
+                    "shape": tuple(m["shape"]),
+                    "dtype": m["dtype"],
+                    "codec": m["codec"],
+                    "eb": m.get("eb"),
+                    "mode": m.get("mode"),
+                    "n_tiles": len(m["tiles"]),
+                    "entropy": summarize_entropy(m.get("tile_entropy")),
+                    "original_bytes": m.get("original_bytes", 0),
+                    "compressed_bytes": sum(m.get("tile_bytes", [])),
+                }
+            )
+        return rows
+
+
+class ArrayStore(TileStore):
     """A directory of compressed, tiled, content-addressed arrays.
 
-    One process per root; one handle may be shared by any number of
-    threads (the service runs every store op in a worker thread).
+    The journaled-directory object layer of a :class:`TileStore`.  One
+    process per root; one handle may be shared by any number of threads
+    (the service runs every store op in a worker thread).
     """
 
     def __init__(
@@ -366,14 +573,9 @@ class ArrayStore:
         fs: OsFileSystem | None = None,
         recover: bool = True,
     ) -> None:
+        super().__init__(cache_bytes, metrics)
         self.root = Path(root)
         self.fs = fs if fs is not None else OsFileSystem()
-        self.metrics = metrics
-        self.cache = TileCache(cache_bytes, metrics=metrics)
-        #: Tiles actually decompressed (cache misses included, hits not) —
-        #: the counter the "slice decodes only overlapping tiles" and
-        #: "warm reads decode nothing" guarantees are asserted against.
-        self.decode_calls = 0
         # Serializes everything that mutates the directory.  Without it
         # two threads putting tiles that dedup against each other race:
         # one put's rollback deletes objects the other has counted on.
@@ -407,15 +609,6 @@ class ArrayStore:
     def _object_path(self, digest: str) -> Path:
         return self._object_dir / digest
 
-    @staticmethod
-    def _check_name(name: str) -> str:
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise StoreError(
-                f"bad dataset name {name!r}: use 1-128 characters from "
-                "[A-Za-z0-9._-], starting with a letter or digit"
-            )
-        return name
-
     # -- durable writing ---------------------------------------------------
 
     def _atomic_write(self, path: Path, blob: bytes) -> None:
@@ -447,42 +640,21 @@ class ArrayStore:
 
     # -- writing ----------------------------------------------------------
 
-    def put(
-        self,
-        name: str,
-        field: np.ndarray,
-        codec: str = "wavesz",
-        eb: float = 1e-3,
-        mode: str = "vr_rel",
-        *,
-        n_tiles: int = 4,
-    ) -> PutResult:
-        """Compress ``field`` per tile and persist it under ``name``.
+    def _commit(
+        self, name: str, manifest: dict[str, Any], payloads: dict[str, bytes]
+    ) -> dict[str, Any]:
+        """Make one compressed field durable: journal, tiles, manifest.
 
-        ``codec`` is any registry name (alias/profile included); the
-        manifest records the canonical wire name so reads dispatch the
-        same way payload headers do.  ``n_tiles`` is clamped to the
-        field's feasible band count, so small fields store as one tile
-        instead of failing.  Re-putting an existing name replaces its
-        manifest; superseded objects stay until :meth:`gc`.
-
-        Crash contract: all compression happens up front, then a journal
-        entry naming the transaction (prior manifest bytes + the tile
-        digests about to be written) is made durable *before* any tile
-        or manifest write.  Returning — the ack — happens only after the
-        manifest is durable and the journal entry is gone.  A crash at
-        any interior step is rolled back by :meth:`recover` on the next
-        open; a survivable I/O failure (ENOSPC, a failed rename) is
-        rolled back immediately and re-raised as :class:`StoreError`.
+        Crash contract: a journal entry naming the transaction (prior
+        manifest bytes + the tile digests about to be written) is made
+        durable *before* any tile or manifest write.  Returning — the
+        ack — happens only after the manifest is durable and the journal
+        entry is gone.  A crash at any interior step is rolled back by
+        :meth:`recover` on the next open; a survivable I/O failure
+        (ENOSPC, a failed rename) is rolled back immediately and
+        re-raised as :class:`StoreError`.
         """
-        self._check_name(name)
-        # Phase 0: pure compute — nothing on disk can be hurt yet.
-        manifest, payloads = compress_field_tiles(
-            field, codec, eb, mode, n_tiles=n_tiles
-        )
-        manifest["name"] = name
-        digests = list(manifest["tiles"])
-        tile_bytes = list(manifest["tile_bytes"])
+        digests = manifest["tiles"]
 
         with self._lock:
             self.fs.mkdir(self._manifest_dir)
@@ -537,22 +709,13 @@ class ArrayStore:
             # Phase 3: commit — the journal entry disappears, then we ack.
             self._durable_unlink(jpath)
 
-        new_objects = len(new_digests)
         stored_bytes = sum(len(payloads[d]) for d in new_digests)
-        dedup_bytes = sum(tile_bytes) - stored_bytes
-        return PutResult(
-            name=name,
-            shape=tuple(manifest["shape"]),
-            dtype=str(manifest["dtype"]),
-            codec=str(manifest["codec"]),
-            eb_abs=float(manifest["eb_abs"]),
-            tile_digests=tuple(digests),
-            new_objects=new_objects,
-            dedup_objects=len(digests) - new_objects,
-            stored_bytes=stored_bytes,
-            dedup_bytes=dedup_bytes,
-            original_bytes=manifest["original_bytes"],
-        )
+        return {
+            "new_objects": len(new_digests),
+            "dedup_objects": len(digests) - len(new_digests),
+            "stored_bytes": stored_bytes,
+            "dedup_bytes": sum(manifest["tile_bytes"]) - stored_bytes,
+        }
 
     # -- manifests ---------------------------------------------------------
 
@@ -597,9 +760,6 @@ class ArrayStore:
                 raise StoreError(f"manifest for {name!r} misses {key!r}")
         return m
 
-    def _grid(self, m: dict[str, Any]) -> TileGrid:
-        return TileGrid.from_starts(m["shape"], m["band_starts"])
-
     def names(self) -> tuple[str, ...]:
         """Dataset names, sorted — read off the manifest file names.
 
@@ -611,27 +771,6 @@ class ArrayStore:
             p.stem for p in self._manifest_dir.glob("*.json")
             if not p.name.startswith(".tmp-")
         ))
-
-    def ls(self) -> list[dict[str, Any]]:
-        """One summary row per dataset, sorted by name."""
-        rows = []
-        for name in self.names():
-            m = self.manifest(name)
-            rows.append(
-                {
-                    "name": m["name"],
-                    "shape": tuple(m["shape"]),
-                    "dtype": m["dtype"],
-                    "codec": m["codec"],
-                    "eb": m.get("eb"),
-                    "mode": m.get("mode"),
-                    "n_tiles": len(m["tiles"]),
-                    "entropy": summarize_entropy(m.get("tile_entropy")),
-                    "original_bytes": m.get("original_bytes", 0),
-                    "compressed_bytes": sum(m.get("tile_bytes", [])),
-                }
-            )
-        return rows
 
     def delete(self, name: str) -> None:
         """Drop a dataset's manifest (its objects reclaim on :meth:`gc`)."""
@@ -819,68 +958,13 @@ class ArrayStore:
 
     # -- reading ----------------------------------------------------------
 
-    def _decode_tile(
-        self, m: dict[str, Any], grid: TileGrid, index: int
+    def _load(
+        self, digest: str, decode: Callable[[bytes], np.ndarray]
     ) -> np.ndarray:
-        """Fetch one decoded tile via the cache, verifying everything.
-
-        Raises :class:`StoreError` (object missing), :class:`ChecksumError`
-        (content digest or container checksum mismatch) or
-        :class:`ContainerError` (undecodable payload); the read loop maps
-        these onto :class:`TileDamage` stages.
-        """
-        digest = m["tiles"][index]
-        cached = self.cache.get(digest)
-        if cached is not None:
-            return cached
         path = self._object_path(digest)
         if not path.exists():
             raise StoreError(f"object {digest} is missing from {self.root}")
-        tile = decode_tile_blob(m, grid, index, path.read_bytes())
-        self.decode_calls += 1
-        self.cache.put(digest, tile)
-        return tile
-
-    def read(self, name: str, *, strict: bool = True) -> StoreReadResult:
-        """Reassemble the full field, bit-exact with the serial tiled path.
-
-        ``strict=False`` survives damaged tiles: their rows come back
-        zero-filled and their indices are reported in ``damaged``.
-        """
-        m = self.manifest(name)
-        grid = self._grid(m)
-        return self._assemble(
-            m, grid, tuple(slice(0, d) for d in grid.shape),
-            range(grid.n_tiles), strict=strict,
-        )
-
-    def read_slice(self, name: str, slices, *, strict: bool = True) -> StoreReadResult:
-        """Decode only the tiles overlapping ``slices`` and cut the window.
-
-        ``slices`` is anything :func:`repro.tiling.normalize_slices`
-        accepts: a tuple of ``slice`` objects / ``(start, stop)`` pairs /
-        ``None`` per axis, trailing axes defaulting to full extent.
-        """
-        m = self.manifest(name)
-        grid = self._grid(m)
-        window = normalize_slices(grid.shape, slices)
-        return self._assemble(
-            m, grid, window, grid.overlapping(window[0]), strict=strict
-        )
-
-    def _assemble(
-        self,
-        m: dict[str, Any],
-        grid: TileGrid,
-        window: tuple[slice, ...],
-        tiles,
-        *,
-        strict: bool,
-    ) -> StoreReadResult:
-        return assemble_tiles(
-            m, grid, window, tiles,
-            lambda t: self._decode_tile(m, grid, t), strict=strict,
-        )
+        return decode(path.read_bytes())  # one copy: nothing to fall back to
 
     # -- garbage collection ------------------------------------------------
 

@@ -455,10 +455,7 @@ class SZ20Compressor(PipelineCompressor):
     def build_stages(self) -> tuple[Stage, ...]:
         return (
             ValidateInputStage(_check_input),
-            ResolveBoundStage(
-                quant=self.quant,
-                forbid_pw_rel="SZ-2.0 reproduction supports ABS/VR_REL bounds",
-            ),
+            ResolveBoundStage(quant=self.quant),
             _BlockHybridStage(self.quant, self.block_size),
             _SZ20HeaderStage(self),
             EntropyCodesStage(self.lossless, backend=self.entropy, meta_bits=False),

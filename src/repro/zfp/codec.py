@@ -292,9 +292,7 @@ class ZFPCompressor(PipelineCompressor):
     def build_stages(self) -> tuple[Stage, ...]:
         return (
             ValidateInputStage(_check_input),
-            ResolveBoundStage(
-                forbid_pw_rel="ZFP-like codec supports ABS/VR_REL bounds"
-            ),
+            ResolveBoundStage(),
             _ZFPBlocksStage(),
             _ZFPHeaderStage(),
             _PlanesStage(),

@@ -188,6 +188,54 @@ class TestDegradedWriteConvergence:
             assert json.loads(mpath.read_text())["version"] == acked.version
 
 
+class TestReadRepair:
+    def test_rotted_primary_copy_fails_over_and_is_rewritten(
+        self, cluster, seeded, local_store
+    ):
+        digest = seeded.tile_digests[0]
+        with cluster.gateway() as gw:
+            primary = gw.ring.owner(digest)
+        path = cluster.roots[_shard_index(cluster, primary)] / "objects" / digest
+        good = path.read_bytes()
+        path.write_bytes(good[:-1] + bytes([good[-1] ^ 0xFF]))
+        with cluster.gateway() as gw:
+            result = gw.read("base.ts")
+            events = gw.metrics.snapshot().events
+        assert result.ok
+        np.testing.assert_array_equal(
+            result.data, local_store.read("base.ts").data
+        )
+        assert events.get("gateway.failovers", 0) >= 1
+        assert events.get("gateway.read_repairs", 0) >= 1
+        assert path.read_bytes() == good
+
+
+class TestListing:
+    def test_ls_reports_the_newest_manifest_not_the_first_answer(
+        self, cluster, field
+    ):
+        # ls used to keep whichever shard answered first in shard_ids
+        # order; a manifest owner that missed a re-put then showed the
+        # old shape while read returned the new field
+        small = field[:32, :40]
+        with cluster.gateway() as gw:
+            gw.put("stale.ts", small, "wavesz", eb=1e-3, n_tiles=2)
+            owners = gw.ring.owners(manifest_key("stale.ts"), 2)
+        vi = min(_shard_index(cluster, sid) for sid in owners)
+        cluster.stop_shard(vi)
+        try:
+            with cluster.gateway() as gw:
+                acked = gw.put("stale.ts", field, "wavesz", eb=1e-3, n_tiles=4)
+                assert acked.degraded and acked.version == 2
+        finally:
+            cluster.start_shard(vi)
+        with cluster.gateway() as gw:  # ls first: no read has repaired it
+            (row,) = [r for r in gw.ls() if r["name"] == "stale.ts"]
+            assert tuple(row["shape"]) == field.shape
+            assert row["n_tiles"] == 4
+            assert gw.read("stale.ts").data.shape == field.shape
+
+
 class TestSalvageReplicasOne:
     def test_lost_shard_degrades_to_salvage(self, tmp_path, field):
         roots = [tmp_path / f"s{i}" for i in range(3)]
@@ -196,7 +244,7 @@ class TestSalvageReplicasOne:
                 put = gw.put("solo.ts", field, "wavesz", eb=1e-3, n_tiles=4)
                 ring = gw.ring
                 intact = gw.read("solo.ts").data
-                starts = gw._load_manifest("solo.ts")["band_starts"]
+                starts = gw.manifest("solo.ts")["band_starts"]
             bands = list(zip(starts, list(starts[1:]) + [intact.shape[0]]))
             m_owner = ring.owner(manifest_key("solo.ts"))
             victims = [

@@ -142,7 +142,8 @@ def _key_sets(srv):
 
 _READ = {"ok", "shape", "dtype", "tiles", "damaged", "body_len"}
 _PUT = {"ok", "name", "codec", "n_tiles", "new_objects", "dedup_objects",
-        "stored_bytes", "dedup_bytes", "ratio"}
+        "stored_bytes", "dedup_bytes", "ratio",
+        "version", "replicas", "degraded", "per_shard"}
 _GC = {"ok", "removed", "reclaimed_bytes", "kept", "tmp_removed"}
 _REFUSED = {"ok", "error", "detail"}
 _TYPED = {"ok", "error", "detail", "op", "req_id"}
@@ -184,7 +185,7 @@ GATEWAY_KEYS = {
     "shard_map": {"ok", "shard_map"},
     "compress": _NO_SCHEDULER,
     "decompress": _NO_SCHEDULER,
-    "store_put": _PUT | {"version", "replicas", "degraded", "per_shard"},
+    "store_put": _PUT,
     "store_read": _READ,
     "store_slice": _READ,
     "store_ls": {"ok", "datasets"},

@@ -297,6 +297,17 @@ class TestStoreCommands:
         assert main(args) == 0
         assert "0 new object(s)" in capsys.readouterr().out
 
+    def test_put_refused_mode_writes_nothing(self, tmp_path, raw_field, capsys):
+        path, data = raw_field
+        root = tmp_path / "s"
+        d0, d1 = data.shape
+        assert main(["store", "--root", str(root), "put", str(path), "a",
+                     "--dims", str(d0), str(d1), "--mode", "pw_rel",
+                     "--eb", "1e-2"]) == 1  # the default codec: waveSZ
+        err = capsys.readouterr().err
+        assert "waveSZ" in err and "pw_rel" in err and "abs, vr_rel" in err
+        assert not [p for p in root.rglob("*") if p.is_file()]
+
     def test_get_round_trips(self, stored, tmp_path, capsys):
         root, data = stored
         out_path = tmp_path / "back.f32"

@@ -177,6 +177,7 @@ class TestSingleDeclaration:
             "profiles": ["lorenzo-rans"], "table2": None,
             "data_parallel": False,
             "entropy_backends": ["huffman", "rans", "auto"],
+            "modes": ["abs", "vr_rel"],  # no pw_rel_log stage declared
         }]
         assert reg.create("lorenzo") is reg.create("Lorenzo")
         rans = reg.create("lorenzo-rans")
@@ -342,20 +343,23 @@ class TestSingleDeclaration:
     def test_describe_is_the_codecs_wire_op_unchanged(self):
         backends = ["huffman", "rans", "auto"]
 
-        def row(name, aliases, profiles, table2, dp=False, entropy=()):
+        def row(name, aliases, profiles, table2, dp=False, entropy=(),
+                pw_rel=False):
             return {
                 "name": name, "aliases": aliases, "profiles": profiles,
                 "table2": table2, "data_parallel": dp,
                 "entropy_backends": list(entropy),
+                "modes": ["abs", "vr_rel"] + ["pw_rel"] * pw_rel,
             }
 
         assert REGISTRY.describe() == [
             row("SZ-1.0", ["SZ-0.1-1.0", "sz10"], [], "SZ-0.1-1.0"),
-            row("SZ-1.4", ["sz14"], ["sz14-rans"], "SZ-1.4", entropy=backends),
+            row("SZ-1.4", ["sz14"], ["sz14-rans"], "SZ-1.4", entropy=backends,
+                pw_rel=True),
             row("SZ-2.0", ["SZ-2.0+", "sz20"], [], "SZ-2.0+", entropy=backends),
             row("waveSZ", ["wavesz"], ["wavesz-g"], "waveSZ"),
             row("waveSZ-dp", ["wavesz-dp"], ["wavesz-dp-auto", "wavesz-dp-rans"],
-                None, dp=True, entropy=backends),
+                None, dp=True, entropy=backends, pw_rel=True),
             row("GhostSZ", ["ghostsz"], [], "GhostSZ"),
             row("ZFP-like", ["zfp-like"], [], None),
         ]

@@ -114,7 +114,7 @@ class TestPlanBands:
         from repro.parallel import plan_bands
 
         n0 = smooth2d.shape[0]
-        _, slices = plan_bands(smooth2d, 1e-3, "vr_rel", n0, clamp=True)
+        slices = plan_bands(smooth2d, 1e-3, "vr_rel", n0, clamp=True).slices
         assert len(slices) == n0 // 2
         assert all(s.stop - s.start >= 2 for s in slices)
         assert slices[0].start == 0 and slices[-1].stop == n0

@@ -12,8 +12,9 @@ import socket
 import pytest
 
 from repro.errors import ConfigError, TransportError
-from repro.shard import GatewayGCResult, ShardGateway, ShardMap, ShardPutResult
+from repro.shard import GatewayGCResult, ShardGateway, ShardMap
 from repro.shard.gateway import manifest_key
+from repro.store import PutResult
 
 
 @pytest.fixture()
@@ -68,7 +69,7 @@ class TestResultShapes:
             degraded=False,
         )
         base.update(over)
-        return ShardPutResult(**base)
+        return PutResult(**base)
 
     def test_ratio_counts_one_logical_copy(self):
         r = self._result()
