@@ -485,6 +485,12 @@ class ChaosHarness:
         * ``read-repair-converges`` — after the victim returns, one full
           read restores every tile object and manifest replica the
           victim owns, verified directly against its store directory.
+
+        The two shard-loss phases also keep one **warm** reader — opened
+        and read before the fault, so it holds version 1's manifest and
+        tiles — and hold it to ``acked-durable`` and ``reads-converge``
+        through the outage and again once the victim is back: the handle
+        a remembered manifest could mislead.
         """
         import json as _json
         from pathlib import Path as _P
@@ -522,6 +528,36 @@ class ChaosHarness:
                     continue
 
                 acked = None
+                window = (slice(3, 17), slice(5, 29))
+                warm = None
+                if phase != "wire-mid-put":
+                    warm = cluster.gateway(timeout=2.0)
+                    try:
+                        warm.read("d.ts")
+                        warm.read_slice("d.ts", window)
+                    except ReproError as exc:
+                        bad("reads-converge", f"warm-up read failed: {exc}")
+
+                def check_warm(when: str) -> None:
+                    """acked ⇒ new, windowed ≡ full — through ``warm``."""
+                    if warm is None:
+                        return
+                    try:
+                        full = warm.read("d.ts").data
+                        part = warm.read_slice("d.ts", window).data
+                    except ReproError as exc:
+                        bad("reads-converge",
+                            f"{phase}: warm handle read {when} failed: {exc}")
+                        return
+                    if acked is not None and np.array_equal(full, v1):
+                        bad("acked-durable",
+                            f"warm handle served the old version {when}, "
+                            "after an acked update put")
+                    if not np.array_equal(part, full[window]):
+                        bad("reads-converge",
+                            f"warm handle {when}: windowed read disagrees "
+                            "with the full read")
+
                 if phase == "wire-mid-put":
                     flaky = cluster.gateway(
                         timeout=2.0,
@@ -552,6 +588,7 @@ class ChaosHarness:
                     except ReproError as exc:
                         bad("acked-durable", f"clean put failed: {exc}")
                     cluster.stop_shard(victim)
+                check_warm("with the victim down")
 
                 # reads while (possibly) degraded — fresh gateway, no cache
                 reader = cluster.gateway(
@@ -580,7 +617,6 @@ class ChaosHarness:
                         if not np.array_equal(got, again):
                             bad("old-or-new",
                                 "two reads of the same version disagree")
-                    window = (slice(3, 17), slice(5, 29))
                     sl = reader.read_slice("d.ts", window).data
                     if not np.array_equal(sl, got[window]):
                         bad("reads-converge",
@@ -594,6 +630,7 @@ class ChaosHarness:
                 # victim returns: one full read must re-converge replicas
                 if phase in ("down-before-put", "down-mid-read"):
                     cluster.start_shard(victim)
+                    check_warm("after the victim restarted")
                     repairer = cluster.gateway()
                     try:
                         healed = repairer.read("d.ts").data
@@ -632,6 +669,8 @@ class ChaosHarness:
                             f"read after victim restart failed: {exc}")
                     finally:
                         repairer.close()
+                if warm is not None:
+                    warm.close()
                 gw.close()
             shutil.rmtree(scratch, ignore_errors=True)
         return ChaosReport(

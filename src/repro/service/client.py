@@ -91,13 +91,28 @@ class ServiceClient:
 
     # -- framing ---------------------------------------------------------
 
+    def _send(self, header: dict, body: bytes = b"") -> None:
+        """Connect if needed and put one request frame on the wire."""
+        self._connect()
+        self._sock.sendall(wire.pack(header, body))
+
+    def _receive(self, deadline: float) -> tuple[dict, bytes]:
+        """Read the one reply the last :meth:`_send` is owed."""
+        reply = wire.recv_frame(self._sock, deadline)
+        # an application-level error still proves the server is alive —
+        # the breaker only tracks transport outcomes.
+        self.breaker.record_success()
+        return reply
+
     def _once(
         self, header: dict, body: bytes, deadline: float
     ) -> tuple[dict, bytes]:
-        """One wire attempt: connect if needed, send, read the response."""
-        self._connect()
-        self._sock.sendall(wire.pack(header, body))
-        return wire.recv_frame(self._sock, deadline)
+        """One wire attempt: its two halves back to back.  (The shard
+        gateway runs them apart: it sends to every shard before it
+        receives from any.)  When either half raises, the caller must
+        drop the connection — where the next reply starts is unknown."""
+        self._send(header, body)
+        return self._receive(deadline)
 
     def _roundtrip(
         self, header: dict, body: bytes = b""
@@ -113,7 +128,7 @@ class ServiceClient:
             self.breaker.allow()  # raises CircuitOpenError when open
             deadline = time.monotonic() + self.timeout
             try:
-                resp, rbody = self._once(header, body, deadline)
+                return self._once(header, body, deadline)
             except (socket.timeout, TimeoutError) as exc:
                 err: ServiceError = ServiceTimeoutError(
                     f"{op} (request {req_id}) hit its {self.timeout:g}s "
@@ -130,11 +145,6 @@ class ServiceClient:
                 # unreadable response frame: the stream position is lost
                 self._drop_connection()
                 raise
-            else:
-                # an application-level error still proves the server is
-                # alive — the breaker only tracks transport outcomes.
-                self.breaker.record_success()
-                return resp, rbody
             self.breaker.record_failure()
             self._drop_connection()
             if not self.retry.should_retry(attempt):
@@ -284,8 +294,15 @@ class ServiceClient:
         )[0]
         return {str(k): bool(v) for k, v in resp["have"].items()}
 
-    def store_get_manifest(self, name: str) -> dict:
-        return self._call("store_get_manifest", name=name)[0]["manifest"]
+    def store_get_manifest(
+        self, name: str, if_digest: str | None = None
+    ) -> dict | None:
+        """One dataset's manifest — or ``None`` when ``if_digest`` (a
+        :func:`repro.store.manifest_digest`) names the one the server
+        holds: the conditional form moves no manifest bytes."""
+        fields = {} if if_digest is None else {"if_digest": if_digest}
+        resp = self._call("store_get_manifest", name=name, **fields)[0]
+        return None if resp.get("unchanged") else resp["manifest"]
 
     def store_put_manifest(self, name: str, manifest: dict) -> None:
         self._call("store_put_manifest", name=name, manifest=manifest)

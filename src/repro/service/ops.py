@@ -261,9 +261,15 @@ async def _store_has_objects(srv: Any, header: dict, body: Any) -> bytes:
 
 
 async def _store_get_manifest(srv: Any, header: dict, body: Any) -> bytes:
-    m = await srv.blocking(
-        _object_store(srv).manifest, str(header.get("name", ""))
-    )
+    store, name = _object_store(srv), str(header.get("name", ""))
+    want = header.get("if_digest")
+    # a conditional request the store's parsed-manifest memo can vouch
+    # for is answered here, on the event loop: one stat, no thread hop
+    if want is not None and store.manifest_unchanged(name, want):
+        return pack({"ok": True, "unchanged": True})
+    m, digest = await srv.blocking(store.manifest_with_digest, name)
+    if digest == want:
+        return pack({"ok": True, "unchanged": True})
     return pack({"ok": True, "manifest": m})
 
 

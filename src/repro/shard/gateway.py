@@ -38,14 +38,14 @@ exports as ``shard.<id>.up`` / ``.latency_ms`` / ``.failovers`` gauges
 on the gateway's :class:`~repro.service.metrics.MetricsRegistry`.
 
 A gateway instance is not thread-safe (its per-shard clients own plain
-sockets); use one instance per thread.  Within one call it fans out to
-shards in parallel, one worker per shard.
+sockets); use one instance per thread.  Within one call the shards work
+in parallel: a read op goes out as a burst on the calling thread (every
+request, then every reply — :meth:`ShardGateway._ask`), a write through
+a pool with one worker per shard.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -65,8 +65,14 @@ from ..errors import (
 from ..service.metrics import MetricsRegistry
 from ..service.resilience import CircuitBreaker, RetryPolicy
 from ..service.client import ServiceClient
+from ..service.wire import check_response
 from ..store.cache import DEFAULT_CACHE_BYTES
-from ..store.store import StoreReadResult, TileStore
+from ..store.store import (
+    ManifestMemo,
+    StoreReadResult,
+    TileStore,
+    manifest_digest,
+)
 from ..tiling import TileGrid
 from .ring import DEFAULT_VNODES, ShardMap, ShardRing
 
@@ -153,6 +159,9 @@ class ShardGateway(TileStore):
         )
         #: blobs the current read's bulk prefetch already holds
         self._prefetched: dict[str, bytes] = {}
+        #: name -> (manifest, digest) this handle last saw win; a read
+        #: serves it only once every owner confirms it (:meth:`manifest`)
+        self._manifests = ManifestMemo()
 
     # -- construction ------------------------------------------------------
 
@@ -229,9 +238,16 @@ class ShardGateway(TileStore):
         try:
             result = fn(self._client(sid))
         except _DOWN as exc:
-            self._clients.pop(sid, None)
-            self.metrics.set_gauge(f"shard.{sid}.up", 0.0)
-            raise _ShardDown(sid, exc) from exc
+            raise self._mark_down(sid, exc) from exc
+        self._mark_up(sid, t0)
+        return result
+
+    def _mark_down(self, sid: str, exc: BaseException) -> _ShardDown:
+        self._clients.pop(sid, None)
+        self.metrics.set_gauge(f"shard.{sid}.up", 0.0)
+        return _ShardDown(sid, exc)
+
+    def _mark_up(self, sid: str, t0: float) -> None:
         ms = (time.perf_counter() - t0) * 1e3
         prev = self._latency_ms.get(sid)
         ewma = ms if prev is None else 0.8 * prev + 0.2 * ms
@@ -240,7 +256,6 @@ class ShardGateway(TileStore):
             f"shard.{sid}.up": 1.0,
             f"shard.{sid}.latency_ms": round(ewma, 3),
         })
-        return result
 
     def _note_failover(self, sid: str) -> None:
         self._failovers[sid] = self._failovers.get(sid, 0) + 1
@@ -264,15 +279,71 @@ class ShardGateway(TileStore):
                 out[sid] = exc
         return out
 
-    def _ask(
-        self, shards: Iterable[str], fn: Callable[[ServiceClient, str], Any]
+    def _each(
+        self, shards: Iterable[str], fn: Callable[[ServiceClient], Any]
     ) -> dict[str, Any]:
-        """``fn(client, shard_id)`` on each of ``shards`` concurrently,
-        as ``{shard_id: reply or the exception it raised}``."""
+        """``fn(client)`` on each of ``shards`` through the pool, as
+        ``{shard_id: result or the exception it raised}`` — for writes
+        (large bodies, request ids); reads go out as :meth:`_ask`."""
         return self._fanout({
-            sid: (lambda s=sid: self._call(s, lambda c: fn(c, s)))
-            for sid in shards
+            sid: (lambda s=sid: self._call(s, fn)) for sid in shards
         })
+
+    def _ask(
+        self, op: str, requests: dict[str, dict[str, Any]]
+    ) -> dict[str, Any]:
+        """One read op to many shards as a burst on the calling thread.
+
+        ``requests`` maps a shard id to that shard's op fields.  Every
+        request frame goes out before any reply is read, so the shards
+        work in parallel with no pool hand-off; the result is
+        ``{shard_id: checked reply header, or the exception}``.
+
+        Only for ops the table does not mark ``idempotent``: re-asking is
+        harmless, so a shard whose half of the burst fails at transport
+        level has its connection dropped (the stream position is lost)
+        and is asked again through :meth:`_call` — retry, breaker,
+        down-classification and the gauges are that path's, as for a
+        lone call.  No reply is ever left unread on a kept connection.
+        """
+        out: dict[str, Any] = {}
+        got: dict[str, dict] = {}
+        owed: dict[str, tuple[ServiceClient, float]] = {}  # sent, reply unread
+        deadline = time.monotonic() + self.timeout
+        try:
+            for sid, fields in requests.items():
+                t0 = time.perf_counter()
+                try:
+                    client = self._client(sid)
+                except _DOWN as exc:  # what _call makes of a failed dial
+                    out[sid] = self._mark_down(sid, exc)
+                    continue
+                try:
+                    client._send({"op": op, **fields})
+                    owed[sid] = client, t0
+                except OSError:
+                    client.close()
+            for sid, (client, t0) in list(owed.items()):
+                try:
+                    got[sid] = client._receive(deadline)[0]
+                    self._mark_up(sid, t0)
+                except (OSError, ServiceError):
+                    client.close()
+                del owed[sid]
+        finally:
+            for client, _ in owed.values():  # an escape mid-burst
+                client.close()
+        for sid, fields in requests.items():
+            if sid in out:
+                continue
+            try:
+                out[sid] = (
+                    check_response(got[sid]) if sid in got
+                    else self._call(sid, lambda c: c._call(op, **fields)[0])
+                )
+            except (_ShardDown, ReproError) as exc:
+                out[sid] = exc
+        return out
 
     # -- put ---------------------------------------------------------------
 
@@ -344,8 +415,9 @@ class ShardGateway(TileStore):
                 continue
         manifest["version"] = (max(versions) + 1) if versions else 1
 
-        m_results = self._ask(
-            m_owners, lambda c, _: c.store_put_manifest(name, manifest)
+        self._manifests.drop(name)
+        m_results = self._each(
+            m_owners, lambda c: c.store_put_manifest(name, manifest)
         )
         m_ok = [sid for sid, r in m_results.items()
                 if not isinstance(r, BaseException)]
@@ -379,12 +451,6 @@ class ShardGateway(TileStore):
 
     # -- manifests ---------------------------------------------------------
 
-    @staticmethod
-    def _canonical_digest(m: dict[str, Any]) -> str:
-        return hashlib.sha256(
-            json.dumps(m, sort_keys=True).encode()
-        ).hexdigest()
-
     def manifest(self, name: str) -> dict[str, Any]:
         """Read all replicas, pick the winner, repair the stragglers.
 
@@ -392,9 +458,36 @@ class ShardGateway(TileStore):
         digest so every client converges on the same copy.  Owners that
         answered with a missing/stale/corrupt manifest get the winner
         written back (read-repair) before the read proceeds.
+
+        A handle that has read ``name`` before validates instead of
+        refetching: it asks **every** owner whether it still holds the
+        manifest with the remembered digest and serves its copy only if
+        all of them say so.  Anything else — a different manifest, a
+        typed error, an owner down — is the walk below, unchanged.  One
+        owner would not do: it may have been down while another gateway
+        put a newer version, which the walk finds on its peer.
         """
         owners = self.ring.owners(manifest_key(name), self.map.replicas)
-        replies = self._ask(owners, lambda c, _: c.store_get_manifest(name))
+        held = self._manifests.get(name)
+        if held is not None:
+            confirmed = self._ask("store_get_manifest", {
+                sid: {"name": name, "if_digest": held[1]} for sid in owners
+            })
+            if all(
+                isinstance(r, dict) and (
+                    r.get("unchanged")
+                    # a shard that ignores if_digest sends its manifest
+                    or manifest_digest(r.get("manifest", {})) == held[1]
+                )
+                for r in confirmed.values()
+            ):
+                return held[0]
+        replies = {
+            sid: r["manifest"] if isinstance(r, dict) else r
+            for sid, r in self._ask(
+                "store_get_manifest", dict.fromkeys(owners, {"name": name})
+            ).items()
+        }
         winner: dict[str, Any] | None = None
         repair: list[str] = []
         missing: list[str] = []
@@ -417,10 +510,10 @@ class ShardGateway(TileStore):
                     f"owner shard(s) are unreachable"
                 )
             raise StoreError(f"sharded store has no dataset {name!r}")
-        wd = self._canonical_digest(winner)
+        wd = manifest_digest(winner)
         for sid in owners:
             r = replies[sid]
-            if isinstance(r, dict) and self._canonical_digest(r) != wd:
+            if isinstance(r, dict) and manifest_digest(r) != wd:
                 repair.append(sid)  # stale version on an alive shard
         repair.extend(missing)
         for sid in repair:
@@ -431,13 +524,14 @@ class ShardGateway(TileStore):
                 self.metrics.incr("gateway.read_repairs")
             except (_ShardDown, ReproError):
                 continue  # repair is best-effort; the read already has truth
+        self._manifests.put(name, (winner, wd))
         return winner
 
     def _newer(self, a: dict[str, Any], b: dict[str, Any]) -> bool:
         va, vb = int(a.get("version", 1)), int(b.get("version", 1))
         if va != vb:
             return va > vb
-        return self._canonical_digest(a) > self._canonical_digest(b)
+        return manifest_digest(a) > manifest_digest(b)
 
     # -- read --------------------------------------------------------------
 
@@ -522,7 +616,7 @@ class ShardGateway(TileStore):
         seen: set[str] = set()
         for t in tiles:
             d = m["tiles"][t]
-            if d not in seen and self.cache.get(d) is None:
+            if d not in seen and d not in self.cache:
                 seen.add(d)
                 needed.append(d)
         if not needed:
@@ -572,14 +666,14 @@ class ShardGateway(TileStore):
         for d in digests:
             for sid in self.ring.owners(d, self.map.replicas):
                 want.setdefault(sid, []).append(d)
-        replies = self._ask(
-            want, lambda c, sid: c.store_has_objects(want[sid])
-        )
-        for sid, have in replies.items():
-            if isinstance(have, BaseException):
+        replies = self._ask("store_has_objects", {
+            sid: {"digests": digests} for sid, digests in want.items()
+        })
+        for sid, r in replies.items():
+            if isinstance(r, BaseException):
                 continue
             for d in want[sid]:
-                if have.get(d):
+                if r["have"].get(d):
                     continue
                 blob = blobs.get(d)
                 if blob is None:
@@ -630,7 +724,12 @@ class ShardGateway(TileStore):
 
     def _listings(self) -> dict[str, Any]:
         """Every shard's own ``store_ls`` rows (or why it did not answer)."""
-        return self._ask(self.map.shard_ids, lambda c, _: c.store_ls())
+        return {
+            sid: r["datasets"] if isinstance(r, dict) else r
+            for sid, r in self._ask(
+                "store_ls", dict.fromkeys(self.map.shard_ids, {})
+            ).items()
+        }
 
     def names(self) -> tuple[str, ...]:
         """Dataset names any reachable shard lists, sorted."""
@@ -673,8 +772,8 @@ class ShardGateway(TileStore):
                     ) from exc
                 refs.update(m["tiles"])
         keep = sorted(refs)
-        sweeps = self._ask(
-            self.map.shard_ids, lambda c, _: c.store_gc(refs=keep)
+        sweeps = self._each(
+            self.map.shard_ids, lambda c: c.store_gc(refs=keep)
         )
         per_shard: dict[str, dict[str, int]] = {}
         n_removed = reclaimed = kept = 0
@@ -696,7 +795,7 @@ class ShardGateway(TileStore):
 
     def status(self) -> dict[str, Any]:
         """Probe every shard's health op; refresh the per-shard gauges."""
-        replies = self._ask(self.map.shard_ids, lambda c, _: c.health())
+        replies = self._ask("health", dict.fromkeys(self.map.shard_ids, {}))
         shards: dict[str, Any] = {}
         up = 0
         for sid in self.map.shard_ids:

@@ -35,6 +35,7 @@ from .store import (
     assemble_tiles,
     compress_field_tiles,
     decode_tile_blob,
+    manifest_digest,
 )
 
 __all__ = [
@@ -55,4 +56,5 @@ __all__ = [
     "run_fsck",
     "MANIFEST_FORMAT",
     "JOURNAL_FORMAT",
+    "manifest_digest",
 ]

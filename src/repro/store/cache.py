@@ -62,6 +62,12 @@ class TileCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, digest: object) -> bool:
+        """Membership only: no hit or miss counted, no LRU touch — for a
+        caller deciding what to fetch before the counting lookups run."""
+        with self._lock:
+            return digest in self._entries
+
     # -- core --------------------------------------------------------------
 
     def get(self, digest: str) -> np.ndarray | None:

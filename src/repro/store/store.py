@@ -59,6 +59,7 @@ import json
 import os
 import re
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -87,6 +88,7 @@ __all__ = [
     "RecoveryResult",
     "MANIFEST_FORMAT",
     "JOURNAL_FORMAT",
+    "manifest_digest",
     "compress_field_tiles",
     "decode_tile_blob",
     "assemble_tiles",
@@ -95,6 +97,52 @@ __all__ = [
 
 MANIFEST_FORMAT = 1
 JOURNAL_FORMAT = 1
+
+#: Parsed manifests one handle remembers, least recently used out first:
+#: a shard's store or a gateway serving any number of names holds at
+#: most this many.
+MANIFEST_MEMO_ENTRIES = 1024
+
+
+def manifest_digest(m: dict[str, Any]) -> str:
+    """SHA-256 of a manifest's canonical JSON: the one identity a
+    replica comparison, a version tie-break and a conditional
+    ``store_get_manifest`` (``if_digest``) all mean by "the same
+    manifest"."""
+    return hashlib.sha256(json.dumps(m, sort_keys=True).encode()).hexdigest()
+
+
+class ManifestMemo:
+    """A bounded LRU ``name -> entry`` of manifests a handle has parsed
+    (:class:`ArrayStore`) or validated (:class:`repro.shard.ShardGateway`).
+
+    It only remembers; whoever reads an entry proves it still current.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, name: str) -> Any:
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is not None:
+                self._entries.move_to_end(name)
+            return entry
+
+    def put(self, name: str, entry: Any) -> None:
+        with self._lock:
+            self._entries[name] = entry
+            self._entries.move_to_end(name)
+            while len(self._entries) > MANIFEST_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+
+    def drop(self, name: str) -> None:
+        with self._lock:
+            self._entries.pop(name, None)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -580,6 +628,8 @@ class ArrayStore(TileStore):
         # two threads putting tiles that dedup against each other race:
         # one put's rollback deletes objects the other has counted on.
         self._lock = threading.Lock()
+        #: name -> (file identity, manifest, digest); see :meth:`manifest`
+        self._manifests = ManifestMemo()
         #: what the opening recovery pass found (empty on a clean store)
         self.recovery = RecoveryResult()
         if recover:
@@ -706,6 +756,8 @@ class ArrayStore(TileStore):
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
 
+            self._manifests.drop(name)
+
             # Phase 3: commit — the journal entry disappears, then we ack.
             self._durable_unlink(jpath)
 
@@ -720,18 +772,62 @@ class ArrayStore(TileStore):
     # -- manifests ---------------------------------------------------------
 
     def manifest(self, name: str) -> dict[str, Any]:
-        """Load and validate one dataset manifest."""
+        """One dataset's validated manifest (shared: treat as read-only)."""
+        return self.manifest_with_digest(name)[0]
+
+    @staticmethod
+    def _file_identity(st: os.stat_result) -> tuple[int, int, int]:
+        return st.st_ino, st.st_mtime_ns, st.st_size
+
+    def _remembered(self, name: str) -> tuple[Any, dict[str, Any], str] | None:
+        """The memo's ``(identity, manifest, digest)`` for ``name`` if the
+        file is still the one that was parsed: one ``stat``, no read."""
+        held = self._manifests.get(name)
+        try:
+            if held is not None and held[0] == self._file_identity(
+                os.stat(self._manifest_path(name))
+            ):
+                return held
+        except OSError:
+            pass
+        return None
+
+    def manifest_with_digest(self, name: str) -> tuple[dict[str, Any], str]:
+        """The one manifest loader: ``(manifest, manifest_digest(it))``.
+
+        A manifest file is parsed once and remembered.  Every mutation
+        this handle makes drops the entry, and every lookup checks the
+        file's ``(st_ino, st_mtime_ns, st_size)`` against what was
+        parsed — so a writer outside the one-process contract (a test, a
+        ``wavesz store --root`` beside a live server) is seen too: it
+        replaces the file, which changes the inode.
+        """
         self._check_name(name)
-        path = self._manifest_path(name)
-        if not path.exists():
+        held = self._remembered(name)
+        if held is not None:
+            return held[1], held[2]
+        try:
+            with open(self._manifest_path(name), "rb") as f:
+                # of the open file: the identity of exactly the bytes read
+                identity = self._file_identity(os.fstat(f.fileno()))
+                m = json.loads(f.read())
+        except (FileNotFoundError, NotADirectoryError):
             raise StoreError(
                 f"store at {self.root} has no dataset {name!r}"
-            )
-        try:
-            m = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            ) from None
+        except (OSError, ValueError) as exc:  # ValueError: not JSON / not UTF-8
             raise StoreError(f"manifest for {name!r} is unreadable: {exc}") from exc
-        return self._validate_manifest(name, m)
+        entry = (identity, self._validate_manifest(name, m), manifest_digest(m))
+        self._manifests.put(name, entry)
+        return entry[1], entry[2]
+
+    def manifest_unchanged(self, name: str, digest: str) -> bool:
+        """Whether the remembered manifest of ``name`` still stands and
+        has this ``digest`` — never a file read or a parse, so cheap
+        enough for the server to ask on its event loop.  ``False`` only
+        means "load it and compare"."""
+        held = self._remembered(name)
+        return held is not None and held[2] == digest
 
     @staticmethod
     def _validate_manifest(name: str, m: Any) -> dict[str, Any]:
@@ -779,7 +875,10 @@ class ArrayStore(TileStore):
         with self._lock:
             if not path.exists():
                 raise StoreError(f"store at {self.root} has no dataset {name!r}")
-            self._durable_unlink(path)
+            try:
+                self._durable_unlink(path)
+            finally:
+                self._manifests.drop(name)
 
     # -- shard-facing primitives -------------------------------------------
     #
@@ -864,6 +963,8 @@ class ArrayStore(TileStore):
                     f"manifest for {name!r} could not be stored: "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
+            finally:
+                self._manifests.drop(name)
 
     # -- recovery ----------------------------------------------------------
 
@@ -884,11 +985,14 @@ class ArrayStore(TileStore):
         name = str(entry.get("name", ""))
         mpath = self._manifest_path(name)
         prior = entry.get("prior_manifest")
-        if prior is not None:
-            if not mpath.exists() or mpath.read_text() != prior:
-                self._atomic_write(mpath, str(prior).encode())
-        elif mpath.exists():
-            self._durable_unlink(mpath)
+        try:
+            if prior is not None:
+                if not mpath.exists() or mpath.read_text() != prior:
+                    self._atomic_write(mpath, str(prior).encode())
+            elif mpath.exists():
+                self._durable_unlink(mpath)
+        finally:
+            self._manifests.drop(name)
         refs = self._referenced_tolerant()
         for digest in entry.get("new_tiles", ()):
             if not isinstance(digest, str) or not _DIGEST_RE.match(digest):

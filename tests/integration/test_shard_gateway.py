@@ -17,11 +17,15 @@ sockets — and checks the promises ``repro.shard`` makes:
 * cluster-wide **gc** removes orphans when healthy and refuses when any
   shard is unreachable;
 * the :class:`GatewayServer` front speaks the service protocol, so a
-  plain :class:`ServiceClient` gets the sharded store transparently.
+  plain :class:`ServiceClient` gets the sharded store transparently;
+* a **warm handle** — one gateway kept open across other writers, shard
+  outages and wire faults — validates its remembered manifest against
+  every owner and never serves a version an owner has moved past.
 """
 
 import asyncio
 import json
+import os
 import threading
 
 import numpy as np
@@ -29,9 +33,13 @@ import pytest
 
 from repro.data.fields import gaussian_random_field
 from repro.errors import StoreError
+from repro.faults.netsim import FlakySocketFactory, NetFault, NetFaultKind
 from repro.service import ServiceClient
+from repro.service.ops import OPS, Op, _object_store
+from repro.service.wire import pack
 from repro.shard import GatewayServer, LocalShardCluster, manifest_key
-from repro.store import ArrayStore
+from repro.store import ArrayStore, manifest_digest
+from repro.store import store as store_module
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +110,25 @@ class TestBitExact:
         assert sum(seeded.per_shard.values()) > max(seeded.per_shard.values())
         assert seeded.replicas == 2
         assert not seeded.degraded
+
+
+class TestTileCacheCounts:
+    def test_gateway_counts_each_lookup_once_like_the_local_store(
+        self, cluster, seeded, local_store
+    ):
+        # _prefetch used to probe with the counting get and _tile looked
+        # the same digest up again: every hit and miss was counted twice
+        local = ArrayStore(local_store.root)  # fresh handle, cold cache
+        with cluster.gateway() as gw:
+            for store in (local, gw):
+                store.read("base.ts")  # cold
+                store.read("base.ts")  # warm
+                store.read_slice("base.ts", (slice(5, 33), slice(10, 50)))
+            ours, theirs = local.cache.stats(), gw.cache.stats()
+            assert gw.decode_calls == local.decode_calls == 4
+        for key in ("hits", "misses", "entries"):
+            assert ours[key] == theirs[key], key
+        assert ours["misses"] == 4 and ours["hits"] == 4 + 4
 
 
 class TestFailover:
@@ -358,3 +385,206 @@ class TestGatewayServerWire:
             with pytest.raises(StoreError, match="no dataset"):
                 c.store_read("never.put")
             assert c.ping()["ok"]
+
+
+def _legacy_get_manifest():
+    """The handler of a shard that predates ``if_digest``: it ignores
+    the field and always replies with the manifest."""
+    async def handler(srv, header, body):
+        m = await srv.blocking(
+            _object_store(srv).manifest, str(header.get("name", ""))
+        )
+        return pack({"ok": True, "manifest": m})
+    return Op(handler, "store")
+
+
+class TestWarmHandle:
+    """One gateway handle, opened and read twice, then kept while the
+    cluster changes under it.  Every other read in this file opens a
+    fresh gateway, which never exercises the manifest memo."""
+
+    @pytest.fixture()
+    def other(self, field):
+        return (np.roll(field, 11, axis=1) * np.float32(0.25)).astype(np.float32)
+
+    def _warm(self, cluster, name, data, **kwargs):
+        with cluster.gateway() as writer:
+            writer.put(name, data, "wavesz", eb=1e-3, n_tiles=4)
+        H = cluster.gateway(**kwargs)
+        first, second = H.read(name), H.read(name)
+        np.testing.assert_array_equal(first.data, second.data)
+        return H, first.data
+
+    @staticmethod
+    def _owners(cluster, H, name):
+        return [_shard_index(cluster, sid)
+                for sid in H.ring.owners(manifest_key(name), 2)]
+
+    @staticmethod
+    def _manifest_file(cluster, i, name):
+        return cluster.roots[i] / "manifests" / f"{name}.json"
+
+    def test_another_gateways_put_is_seen(self, cluster, field, other):
+        H, v1 = self._warm(cluster, "warm-a.ts", field)
+        with H, cluster.gateway() as writer:
+            acked = writer.put("warm-a.ts", other, "wavesz", eb=1e-3, n_tiles=4)
+            v2 = writer.read("warm-a.ts").data
+            assert not np.array_equal(v1, v2)
+            np.testing.assert_array_equal(H.read("warm-a.ts").data, v2)
+            assert H.manifest("warm-a.ts")["version"] == acked.version
+
+    def test_owner_that_missed_a_put_cannot_vouch_for_the_old_version(
+        self, cluster, field, other
+    ):
+        # the test a single-owner revalidation fails: whichever owner it
+        # asks, one turn of this loop makes that owner the stale one
+        H, served = self._warm(cluster, "warm-b.ts", field)
+        versions = (other, field + np.float32(1.0))
+        with H:
+            for vi, data in zip(self._owners(cluster, H, "warm-b.ts"), versions):
+                cluster.stop_shard(vi)
+                try:
+                    with cluster.gateway() as writer:
+                        acked = writer.put("warm-b.ts", data, "wavesz",
+                                           eb=1e-3, n_tiles=4)
+                        assert acked.degraded
+                        expect = writer.read("warm-b.ts").data
+                finally:
+                    cluster.start_shard(vi)
+                assert not np.array_equal(expect, served)
+                served = H.read("warm-b.ts").data
+                np.testing.assert_array_equal(served, expect)
+                # ... and the read repaired the owner that was away
+                on_disk = json.loads(
+                    self._manifest_file(cluster, vi, "warm-b.ts").read_text())
+                assert on_disk["version"] == acked.version
+
+    def test_slice_answers_with_one_owner_down(self, cluster, field):
+        H, v1 = self._warm(cluster, "warm-c.ts", field)
+        vi = self._owners(cluster, H, "warm-c.ts")[0]
+        with H:
+            cluster.stop_shard(vi)
+            try:
+                for _ in range(2):
+                    got = H.read_slice("warm-c.ts", (slice(3, 17), None))
+                    assert got.ok
+                    np.testing.assert_array_equal(got.data, v1[3:17])
+            finally:
+                cluster.start_shard(vi)
+            np.testing.assert_array_equal(H.read("warm-c.ts").data, v1)
+
+    def test_manifest_file_replaced_behind_a_running_shard(
+        self, cluster, field, other
+    ):
+        small = field[:32, :40]
+        with cluster.gateway() as writer:
+            writer.put("warm-d.ts", small, "wavesz", eb=1e-3, n_tiles=2)
+            vi = self._owners(cluster, writer, "warm-d.ts")[0]
+            path = self._manifest_file(cluster, vi, "warm-d.ts")
+            v1_bytes = path.read_bytes()
+        H, v2 = self._warm(cluster, "warm-d.ts", other)  # puts version 2
+        shard_store = cluster.servers[vi].store
+        with H:
+            assert shard_store.manifest("warm-d.ts")["version"] == 2
+            # a writer outside the one-process contract: no handle is told
+            tmp = path.with_name("outside-writer.tmp")
+            tmp.write_bytes(v1_bytes)
+            os.replace(tmp, path)
+            # the shard's own memo notices (stat identity) ...
+            (row,) = [r for r in shard_store.ls() if r["name"] == "warm-d.ts"]
+            assert row["shape"] == small.shape and row["n_tiles"] == 2
+            assert shard_store.manifest("warm-d.ts") == json.loads(v1_bytes)
+            report = shard_store.fsck()
+            assert not [f for f in report.findings if f.kind == "bad-manifest"]
+            # fsck audits the file as it is: what it says of this dataset
+            # it says of version 1's tiles (some live on other shards)
+            v1_tiles = set(json.loads(v1_bytes)["tiles"])
+            assert {f.subject for f in report.findings
+                    if "'warm-d.ts'" in f.detail} <= v1_tiles
+            # ... so it cannot confirm version 2, and the walk repairs it
+            before = H.metrics.snapshot().events.get("gateway.read_repairs", 0)
+            np.testing.assert_array_equal(H.read("warm-d.ts").data, v2)
+            after = H.metrics.snapshot().events.get("gateway.read_repairs", 0)
+            assert after == before + 1
+            assert json.loads(path.read_text())["version"] == 2
+            assert shard_store.manifest("warm-d.ts")["version"] == 2
+
+    def test_restarted_shard_confirms_an_unchanged_manifest(self, cluster, field):
+        H, v1 = self._warm(cluster, "warm-e.ts", field)
+        vi = self._owners(cluster, H, "warm-e.ts")[0]
+        with H:
+            digest = manifest_digest(H.manifest("warm-e.ts"))
+            cluster.stop_shard(vi)
+            cluster.start_shard(vi)  # a new server: nothing remembered
+            host, port = cluster.addresses[vi].rsplit(":", 1)
+            with ServiceClient(host, int(port)) as c:
+                assert c.store_get_manifest("warm-e.ts", if_digest=digest) is None
+            before = H.metrics.snapshot().events.get("gateway.read_repairs", 0)
+            np.testing.assert_array_equal(H.read("warm-e.ts").data, v1)
+            assert H.metrics.snapshot().events.get(
+                "gateway.read_repairs", 0) == before
+
+    @pytest.mark.parametrize("kind", [NetFaultKind.RESET, NetFaultKind.STALL])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_wire_fault_inside_a_validation_burst(
+        self, cluster, field, kind, which
+    ):
+        # clean FlakyConnections, armed by hand once the handle is warm
+        H, v1 = self._warm(
+            cluster, "warm-f.ts", field, timeout=2.0,
+            socket_factory=FlakySocketFactory(faulty_connections=0),
+        )
+        with H:
+            owners = H.ring.owners(manifest_key("warm-f.ts"), 2)
+            conn = H._clients[owners[which]]._sock
+            # two bytes into the reply's length prefix: mid-frame
+            conn.fault = NetFault(kind, after_bytes=conn.rx_bytes + 2)
+            np.testing.assert_array_equal(H.read("warm-f.ts").data, v1)
+            assert conn.fault is None, "the fault did not fire"
+            # a reply left unread on a kept connection would answer the
+            # *next* request: a health probe would get a manifest reply
+            status = H.status()
+            assert status["shards_up"] == 3
+            assert {row["status"] for row in status["shards"].values()} == {"ok"}
+            np.testing.assert_array_equal(
+                H.read_slice("warm-f.ts", (slice(3, 17), None)).data, v1[3:17])
+            assert "warm-f.ts" in H.names()
+
+    def test_full_manifest_reply_to_a_conditional_request(
+        self, cluster, field, monkeypatch
+    ):
+        H, v1 = self._warm(cluster, "warm-g.ts", field)
+        bursts = []
+        ask = H._ask
+        monkeypatch.setattr(
+            H, "_ask", lambda op, requests: bursts.append(op) or ask(op, requests))
+        with H:
+            monkeypatch.setitem(OPS, "store_get_manifest", _legacy_get_manifest())
+            np.testing.assert_array_equal(H.read("warm-g.ts").data, v1)
+            # digests matched: served from the memo, no walk, no repair
+            assert bursts == ["store_get_manifest"]
+            monkeypatch.undo()
+            np.testing.assert_array_equal(H.read("warm-g.ts").data, v1)
+
+
+class TestManifestMemoBound:
+    def test_evicted_names_read_through_the_walk(
+        self, cluster, field, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "MANIFEST_MEMO_ENTRIES", 2)
+        names = [f"bound-{i}.ts" for i in range(3)]
+        with cluster.gateway() as H:
+            for i, name in enumerate(names):
+                H.put(name, field + np.float32(i), "wavesz", eb=1e-3, n_tiles=2)
+            expect = {name: H.read(name).data for name in names}
+            assert len(H._manifests) == 2
+            assert H._manifests.get(names[0]) is None  # oldest went first
+            shard_memos = [srv.store._manifests for srv in cluster.servers]
+            assert all(len(memo) <= 2 for memo in shard_memos)
+            for name in names:  # evicted or held, every name still reads
+                np.testing.assert_array_equal(H.read(name).data, expect[name])
+                np.testing.assert_array_equal(
+                    H.read_slice(name, (slice(2, 9), None)).data,
+                    expect[name][2:9])
+            assert len(H._manifests) == 2
+            assert all(len(memo) <= 2 for memo in shard_memos)

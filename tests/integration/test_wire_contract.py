@@ -30,6 +30,7 @@ from repro.service import wire
 from repro.service.ops import OPS
 from repro.service.shm import ShmArena
 from repro.shard import GatewayServer, LocalShardCluster
+from repro.store import manifest_digest
 
 DEADLINE_S = 5.0
 RNG = np.random.default_rng(1402)
@@ -240,6 +241,27 @@ class TestOpTable:
         assert set(rows) == set(OPS)
         for name, op in OPS.items():
             assert rows[name] == (op.needs or "—"), name
+
+    def test_conditional_store_get_manifest(self, compression, gateway):
+        _ask(compression,
+             _field_header("store_put", FIELD, name="cond.ts", codec="sz14",
+                           n_tiles=2),
+             wire.encode_field(FIELD))
+        ask = {"op": "store_get_manifest", "name": "cond.ts"}
+        plain, _ = _ask(compression, ask)
+        digest = manifest_digest(plain["manifest"])
+        for _ in range(2):  # loaded on a worker thread, then from the memo
+            same, _ = _ask(compression, {**ask, "if_digest": digest})
+            assert same == {"ok": True, "unchanged": True}
+        other, _ = _ask(compression, {**ask, "if_digest": "0" * 64})
+        assert set(other) == {"ok", "manifest"}
+        assert other["manifest"] == plain["manifest"]
+        refused, _ = _ask(gateway, {**ask, "if_digest": digest})
+        assert (refused["error"], set(refused)) == _SHARD_FACING
+        # the typed client spells "unchanged" as None
+        with ServiceClient(port=compression.port, timeout=DEADLINE_S) as c:
+            assert c.store_get_manifest("cond.ts", if_digest=digest) is None
+            assert c.store_get_manifest("cond.ts", "0" * 64) == plain["manifest"]
 
     def test_gateway_dedups_a_replayed_store_put(self, gateway):
         header = _field_header("store_put", FIELD, name="replay.ts",

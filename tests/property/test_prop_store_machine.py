@@ -15,6 +15,19 @@ Each gateway call goes through a fresh :class:`ShardGateway` (no warm
 tile cache or cooling breaker to hide a replica that is really gone),
 and a restarted shard is healed the documented way — one full read of
 every dataset — before the machine may take the next shard down.
+
+Beside the fresh handles, one gateway stays open for the life of the
+machine: the ``read`` / ``read_slice`` / ``ls`` rules also run through
+it and must equal the fresh handle's answer.  It is the only handle here
+with a manifest memo and a warm tile cache, so it is the one that could
+serve a version some owner has moved past — which is why it reads only
+in rules, never in the after-every-step invariant (a handle that looks
+after every put never holds anything stale), why it warms up on every
+dataset right before a shard stops, and why it is the first to read
+after a restart, before the fresh handle's healing read: that is when
+it meets an owner that missed a put.  Its breakers run on the machine's
+clock, which a restart advances past the cool-down — a breaker still
+cooling from shard A's outage must not make A look down when B stops.
 """
 
 import shutil
@@ -32,7 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import StoreError
-from repro.shard import LocalShardCluster
+from repro.shard import LocalShardCluster, manifest_key
 from repro.store import ArrayStore
 
 NAMES = ("a.ts", "b.ts", "c.ts")
@@ -54,11 +67,16 @@ class BothLayers(RuleBasedStateMachine):
         self.cluster = LocalShardCluster(
             [self.tmp / f"shard{i}" for i in range(3)], replicas=2
         ).start()
+        self.warm = self.cluster.gateway()
+        self.clock = 0.0
+        for breaker in self.warm._breakers.values():
+            breaker._clock = lambda: self.clock
         self.down: int | None = None
         #: name -> (field, eb_abs, (codec, n_tiles))
         self.model: dict[str, tuple[np.ndarray, float, tuple[str, int]]] = {}
 
     def teardown(self) -> None:
+        self.warm.close()
         self.cluster.close()
         shutil.rmtree(self.tmp, ignore_errors=True)
 
@@ -81,7 +99,9 @@ class BothLayers(RuleBasedStateMachine):
         assert self.down is not None or not theirs.degraded
         self.model[name] = (field, eb, (codec, n_tiles))
 
-    def _check_read(self, name: str, window: tuple[slice, ...]) -> None:
+    def _check_read(
+        self, name: str, window: tuple[slice, ...], *, warm: bool = False
+    ) -> None:
         field, eb_abs, _ = self.model[name]
         ours = self.local.read_slice(name, window)
         with self.cluster.gateway() as gw:
@@ -90,6 +110,10 @@ class BothLayers(RuleBasedStateMachine):
         assert ours.tile_indices == theirs.tile_indices
         assert ours.data.dtype == theirs.data.dtype == field.dtype
         np.testing.assert_array_equal(ours.data, theirs.data)
+        if warm:
+            held = self.warm.read_slice(name, window)
+            assert held.ok and held.tile_indices == theirs.tile_indices
+            np.testing.assert_array_equal(held.data, theirs.data)
         err = np.abs(ours.data.astype(np.float64) - field[window])
         assert float(err.max()) <= eb_abs
 
@@ -104,20 +128,22 @@ class BothLayers(RuleBasedStateMachine):
     def put(self, name, seed, shape, eb, codec, n_tiles):
         self._put(name, _field(seed, shape), eb, codec, n_tiles)
 
-    @precondition(lambda self: self.model)
-    @rule(i=st.integers(0, 2), delta=st.sampled_from((0.5, -2.0)))
-    def reput_changed(self, i, delta):
-        """Same dataset, first band moved: the other tiles dedup."""
-        name = self._pick(i)
+    def _reput_changed(self, name: str, delta: float) -> None:
         field, eb, (codec, n_tiles) = self.model[name]
         changed = field.copy()
         changed[: max(2, field.shape[0] // n_tiles)] += np.float32(delta)
         self._put(name, changed, eb, codec, n_tiles)
 
     @precondition(lambda self: self.model)
+    @rule(i=st.integers(0, 2), delta=st.sampled_from((0.5, -2.0)))
+    def reput_changed(self, i, delta):
+        """Same dataset, first band moved: the other tiles dedup."""
+        self._reput_changed(self._pick(i), delta)
+
+    @precondition(lambda self: self.model)
     @rule(i=st.integers(0, 2))
     def read(self, i):
-        self._check_read(self._pick(i), ())
+        self._check_read(self._pick(i), (), warm=True)
 
     @precondition(lambda self: self.model)
     @rule(i=st.integers(0, 2), lo=st.integers(0, 14), rows=st.integers(1, 9),
@@ -127,7 +153,11 @@ class BothLayers(RuleBasedStateMachine):
         n0 = self.model[name][0].shape[0]
         lo = min(lo, n0 - 1)
         window = (slice(lo, min(n0, lo + rows)), slice(0, cols))
-        self._check_read(name, window)
+        self._check_read(name, window, warm=True)
+
+    @rule()
+    def ls(self):
+        assert self.warm.ls() == self.local.ls()
 
     @rule()
     def gc(self):
@@ -148,14 +178,34 @@ class BothLayers(RuleBasedStateMachine):
     @precondition(lambda self: self.down is None)
     @rule(i=st.integers(0, 2))
     def stop_shard(self, i):
+        for name in self.model:  # what the warm handle holds is current
+            self._check_read(name, (), warm=True)
         self.cluster.stop_shard(i)
         self.down = i
+
+    @precondition(lambda self: self.model and self.down is None)
+    @rule(i=st.integers(0, 2), j=st.integers(0, 1),
+          delta=st.sampled_from((0.5, -2.0)))
+    def put_while_a_manifest_owner_is_away(self, i, j, delta):
+        """The sequence a one-owner revalidation gets wrong, whichever
+        owner it would ask: the warm handle holds version n, owner ``j``
+        misses the put of n+1 and comes back still holding n."""
+        name = self._pick(i)
+        owner = self.warm.ring.owners(manifest_key(name), 2)[j]
+        self.stop_shard(self.cluster.addresses.index(owner))
+        self._reput_changed(name, delta)
+        self.restart_shard()
 
     @precondition(lambda self: self.down is not None)
     @rule()
     def restart_shard(self):
         self.cluster.start_shard(self.down)
         self.down = None
+        self.clock += 60.0  # the warm handle's breakers cool down
+        for name in self.model:  # first to meet the shard that was away
+            np.testing.assert_array_equal(
+                self.warm.read(name).data, self.local.read(name).data
+            )
         with self.cluster.gateway() as gw:  # re-converge its replicas
             for name in self.model:
                 assert gw.read(name).ok

@@ -2,10 +2,13 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.errors import CircuitOpenError
+from repro.service import ServiceClient
+from repro.service.wire import pack
 from repro.faults.netsim import (
     FlakyConnection,
     NetFault,
@@ -149,3 +152,51 @@ class TestFlakyConnection:
         conn.sendall(b"ping")
         assert conn.recv(16) == b"PING"
         t.join(5)
+
+
+class TestClientHalves:
+    """``ServiceClient._send`` / ``_receive``: one wire attempt as the
+    two halves the shard gateway runs apart (send to every shard, then
+    read every reply)."""
+
+    @pytest.fixture()
+    def client(self, wire):
+        a, b = wire
+        c = ServiceClient(socket_factory=lambda host, port, timeout: a)
+        yield c, b
+        c.close()
+
+    @staticmethod
+    def _deadline():
+        return time.monotonic() + 5.0
+
+    def test_two_queued_replies_are_read_in_order(self, client):
+        c, peer = client
+        c._send({"op": "ping"})
+        c._send({"op": "health"}, b"")
+        # both requests are on the wire before any reply is read
+        peer.sendall(pack({"ok": True, "n": 1}) + pack({"ok": True, "n": 2}, b"xy"))
+        assert c._receive(self._deadline()) == ({"ok": True, "n": 1}, b"")
+        assert c._receive(self._deadline()) == (
+            {"ok": True, "n": 2, "body_len": 2}, b"xy")
+        assert c.breaker.failures == 0
+
+    def test_peer_closing_mid_reply_raises_and_counts_no_success(self, client):
+        c, peer = client
+        c.breaker.record_failure()
+        c._send({"op": "ping"})
+        peer.recv(1 << 16)  # the request
+        frame = pack({"ok": True, "version": "x"})
+        peer.sendall(frame[: len(frame) - 3])
+        peer.close()
+        with pytest.raises(ConnectionResetError, match="mid-frame"):
+            c._receive(self._deadline())
+        # the half that failed leaves the breaker to its caller, which
+        # must drop the connection: the stream position is lost
+        assert c.breaker.failures == 1
+
+    def test_once_is_the_two_halves(self, client):
+        c, peer = client
+        peer.sendall(pack({"ok": True}))
+        assert c._once({"op": "ping"}, b"", self._deadline()) == ({"ok": True}, b"")
+        assert c.breaker.failures == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import sys
 import threading
 
@@ -12,8 +13,13 @@ from repro.codec.registry import get_codec
 from repro.errors import ChecksumError, ReproError, ShapeError, StoreError
 from repro.parallel import tile_compress, tile_decompress
 from repro.service.metrics import MetricsRegistry
-from repro.store import ArrayStore, TileCache
-from repro.store.store import MANIFEST_FORMAT
+from repro.store import ArrayStore, TileCache, manifest_digest
+from repro.store import store as store_module
+from repro.store.store import (
+    MANIFEST_FORMAT,
+    MANIFEST_MEMO_ENTRIES,
+    ManifestMemo,
+)
 
 
 @pytest.fixture()
@@ -325,6 +331,16 @@ class TestTileCache:
         assert cache.get("k1") is not None
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_membership_probe_counts_and_touches_nothing(self):
+        tile = np.zeros(256, dtype=np.float32)
+        cache = TileCache(2 * tile.nbytes)
+        cache.put("a", tile)
+        cache.put("b", tile)
+        assert "a" in cache and "z" not in cache
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put("c", tile)  # "a" was probed, not used: still the LRU
+        assert "a" not in cache and "b" in cache
+
     def test_byte_budget_evicts_lru(self):
         tile = np.zeros(256, dtype=np.float32)  # 1 KiB each
         cache = TileCache(3 * tile.nbytes)
@@ -373,3 +389,125 @@ class TestTileCache:
         assert gauges["store.cache.resident_bytes"] == float(
             store.cache.resident_bytes
         )
+
+
+class TestManifestMemo:
+    """``ArrayStore.manifest`` parses a manifest file once: every
+    mutation the handle makes drops the entry, a ``stat`` catches the
+    writers it was not told about, and the memo is bounded."""
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        """How many manifest files were parsed since the fixture began."""
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(
+            store_module.json, "loads",
+            lambda raw, **kw: calls.append(1) or real(raw, **kw))
+        return calls
+
+    def test_repeat_lookups_parse_once(self, store, smooth2d, loads):
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
+        first = store.manifest("ts")
+        assert store.manifest("ts") is first and len(loads) == 1
+        m, digest = store.manifest_with_digest("ts")
+        assert m is first and digest == manifest_digest(first)
+        assert store.manifest_unchanged("ts", digest)
+        assert not store.manifest_unchanged("ts", "0" * 64)
+        assert len(loads) == 1
+
+    def test_nothing_remembered_means_not_unchanged(self, store, smooth2d):
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
+        digest = manifest_digest(json.loads(
+            (store.root / "manifests" / "ts.json").read_text()))
+        assert not store.manifest_unchanged("ts", digest)  # never loaded
+        assert not store.manifest_unchanged("../etc", digest)
+        store.manifest("ts")
+        assert store.manifest_unchanged("ts", digest)
+
+    def test_every_mutation_of_the_handle_invalidates(self, store, smooth2d):
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
+        v1 = store.manifest("ts")
+        store.put("ts", smooth2d * np.float32(2), "sz14", 1e-3, n_tiles=2)
+        v2 = store.manifest("ts")
+        assert len(v2["tiles"]) == 2 and v2 is not v1
+        store.put_manifest("ts", {**v1, "version": 7})
+        assert store.manifest("ts")["version"] == 7
+        assert not store.manifest_unchanged("ts", manifest_digest(v2))
+        store.delete("ts")
+        with pytest.raises(StoreError, match="no dataset"):
+            store.manifest("ts")
+
+    def test_rollback_restores_the_prior_manifest_in_the_memo_too(
+        self, store, smooth2d
+    ):
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
+        prior = (store.root / "manifests" / "ts.json").read_text()
+        store.put("ts", smooth2d * np.float32(2), "sz14", 1e-3, n_tiles=2)
+        assert len(store.manifest("ts")["tiles"]) == 2  # remembered
+        entry = {"format": 1, "txid": "t-1", "name": "ts",
+                 "prior_manifest": prior, "new_tiles": []}
+        jdir = store.root / "journal"
+        jdir.mkdir(exist_ok=True)
+        (jdir / "tx-t-1.json").write_text(json.dumps(entry))
+        assert "rolled back interrupted put of 'ts'" in (
+            store.fsck(repair=True).actions)
+        assert len(store.manifest("ts")["tiles"]) == 4
+        (jdir / "tx-t-2.json").write_text(json.dumps(
+            {**entry, "txid": "t-2", "prior_manifest": None}))
+        assert store.recover().count("rolled-back") == 1
+        with pytest.raises(StoreError, match="no dataset"):
+            store.manifest("ts")
+
+    def test_a_writer_outside_the_handle_is_seen(self, store, smooth2d, tmp_path):
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
+        path = store.root / "manifests" / "ts.json"
+        v1_bytes = path.read_bytes()
+        store.put("ts", smooth2d * np.float32(2), "sz14", 1e-3, n_tiles=2)
+        v2 = store.manifest("ts")
+        digest = manifest_digest(v2)
+        assert store.manifest_unchanged("ts", digest)
+        # same directory, another writer: a second handle's atomic rename
+        tmp = path.with_name("other-writer.tmp")
+        tmp.write_bytes(v1_bytes)
+        os.replace(tmp, path)
+        assert not store.manifest_unchanged("ts", digest)
+        assert store.manifest("ts") == json.loads(v1_bytes)
+        assert store.read("ts").data.shape == smooth2d.shape
+        path.unlink()  # ... or its delete
+        with pytest.raises(StoreError, match="no dataset"):
+            store.manifest("ts")
+
+    def test_a_bad_manifest_is_never_remembered(self, store, smooth2d):
+        store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
+        good = store.manifest("ts")
+        path = store.root / "manifests" / "ts.json"
+        for _ in range(2):  # the failure is the file's, every time
+            path.write_bytes(b"\xff\xfe{ not json")
+            with pytest.raises(StoreError, match="unreadable"):
+                store.manifest("ts")
+            path.write_text(json.dumps({"format": 99}))
+            with pytest.raises(StoreError, match="unsupported format"):
+                store.manifest("ts")
+        assert not store.manifest_unchanged("ts", manifest_digest(good))
+
+    def test_the_memo_is_bounded_and_evicts_the_oldest(self):
+        memo = ManifestMemo()
+        for i in range(MANIFEST_MEMO_ENTRIES):
+            memo.put(f"n{i}", i)
+        assert memo.get("n0") == 0  # touched: now the most recent
+        memo.put("one-more", -1)
+        assert len(memo) == MANIFEST_MEMO_ENTRIES
+        assert memo.get("n1") is None and memo.get("n0") == 0
+        memo.drop("n0")
+        assert memo.get("n0") is None and len(memo) == MANIFEST_MEMO_ENTRIES - 1
+
+    def test_an_evicted_name_still_reads(self, store, smooth2d, monkeypatch):
+        monkeypatch.setattr(store_module, "MANIFEST_MEMO_ENTRIES", 2)
+        for i in range(3):
+            store.put(f"f{i}", smooth2d + np.float32(i), "sz14", 1e-3, n_tiles=2)
+        expect = [store.read(f"f{i}").data for i in range(3)]
+        assert len(store._manifests) == 2
+        for i in range(3):
+            np.testing.assert_array_equal(store.read(f"f{i}").data, expect[i])
+        assert len(store._manifests) == 2
