@@ -19,7 +19,20 @@ from . import wire
 from .ops import lookup
 from .resilience import CircuitBreaker, RetryPolicy
 
-__all__ = ["ServiceClient"]
+__all__ = ["ServiceClient", "stamped"]
+
+
+def stamped(header: dict) -> dict:
+    """``header`` with a request id, if its op is ``idempotent`` and it
+    carries none yet.  The id belongs to the *request*: it is minted
+    once, where the request is built, and every re-send of it (a retry
+    in :meth:`ServiceClient._roundtrip`, the shard gateway's burst and
+    then its second try) carries the same one — that is what lets the
+    server's replay cache execute it at most once."""
+    row = lookup(header)
+    if row is not None and row.idempotent and "req_id" not in header:
+        return {**header, "req_id": uuid.uuid4().hex}
+    return header
 
 
 def _default_socket_factory(
@@ -115,14 +128,15 @@ class ServiceClient:
         return self._receive(deadline)
 
     def _roundtrip(
-        self, header: dict, body: bytes = b""
+        self, header: dict, body: bytes = b"", *, spent: int = 0
     ) -> tuple[dict, bytes]:
+        """One request under the retry budget.  ``spent`` is how many of
+        the budget's attempts the caller already made and lost itself
+        (the shard gateway's burst is the first try of its requests)."""
+        header = stamped(header)
         op = str(header.get("op"))
-        row = lookup(header)
-        if row is not None and row.idempotent:
-            header = {**header, "req_id": uuid.uuid4().hex}
         req_id = header.get("req_id", "-")
-        attempt = 0
+        attempt = spent
         while True:
             attempt += 1
             self.breaker.allow()  # raises CircuitOpenError when open
@@ -255,11 +269,6 @@ class ServiceClient:
         )
         return wire.decode_field(resp, body), resp
 
-    # -- shard-facing store primitives ------------------------------------
-    # Raw object / manifest transfer: what the gateway speaks to each
-    # shard.  All of these re-raise typed store errors (see
-    # wire.check_response).
-
     def store_ls(self) -> list[dict]:
         rows = self._call("store_ls")[0]["datasets"]
         for r in rows:
@@ -274,38 +283,10 @@ class ServiceClient:
         """
         return self._call("store_gc", refs=[str(r) for r in refs])[0]
 
-    def store_get_object(self, digest: str) -> bytes:
-        return self._call("store_get_object", digest=digest)[1]
-
-    def store_put_object(
-        self, blob: bytes, digest: str | None = None, *,
-        overwrite: bool = False,
-    ) -> tuple[str, bool]:
-        """Store one content-addressed blob; returns (digest, stored)."""
-        fields: dict = {"overwrite": overwrite}
-        if digest is not None:
-            fields["digest"] = digest
-        resp = self._call("store_put_object", blob, **fields)[0]
-        return str(resp["digest"]), bool(resp["stored"])
-
-    def store_has_objects(self, digests) -> dict[str, bool]:
-        resp = self._call(
-            "store_has_objects", digests=[str(d) for d in digests]
-        )[0]
-        return {str(k): bool(v) for k, v in resp["have"].items()}
-
-    def store_get_manifest(
-        self, name: str, if_digest: str | None = None
-    ) -> dict | None:
-        """One dataset's manifest — or ``None`` when ``if_digest`` (a
-        :func:`repro.store.manifest_digest`) names the one the server
-        holds: the conditional form moves no manifest bytes."""
-        fields = {} if if_digest is None else {"if_digest": if_digest}
-        resp = self._call("store_get_manifest", name=name, **fields)[0]
-        return None if resp.get("unchanged") else resp["manifest"]
-
-    def store_put_manifest(self, name: str, manifest: dict) -> None:
-        self._call("store_put_manifest", name=name, manifest=manifest)
+    # The shard-facing primitives (``store_get_object``, ``store_put_object``,
+    # ``store_has_objects``, ``store_get_manifest``, ``store_put_manifest``)
+    # have no typed method: the shard gateway is their one client and reads
+    # their reply headers itself (``ShardGateway._burst``).
 
     def shard_map(self) -> dict:
         """The cluster topology this server belongs to (gateway op)."""

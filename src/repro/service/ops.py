@@ -205,16 +205,15 @@ async def _store_gc(srv: Any, header: dict, body: Any) -> bytes:
     result = await srv.blocking(
         srv.store.gc, extra_refs=[str(r) for r in refs]
     )
-    reply = {
+    return pack({
         "ok": True,
         "removed": result.n_removed,
         "reclaimed_bytes": result.reclaimed_bytes,
         "kept": result.kept,
         "tmp_removed": len(result.tmp_removed),
-    }
-    if hasattr(result, "per_shard"):  # a cluster-wide sweep's breakdown
-        reply["per_shard"] = result.per_shard
-    return pack(reply)
+        # a cluster-wide sweep's breakdown; a lone store has none
+        **({"per_shard": result.per_shard} if result.per_shard else {}),
+    })
 
 
 # The shard-facing primitives: raw content-addressed blob and manifest

@@ -22,7 +22,7 @@ need no changes.
 """
 
 from .cluster import LocalShardCluster
-from .gateway import GatewayGCResult, ShardGateway, manifest_key
+from .gateway import ShardGateway, manifest_key
 from .ring import DEFAULT_VNODES, ShardInfo, ShardMap, ShardRing
 from .server import GatewayServer, serve_gateway
 
@@ -32,7 +32,6 @@ __all__ = [
     "ShardInfo",
     "ShardMap",
     "ShardGateway",
-    "GatewayGCResult",
     "GatewayServer",
     "serve_gateway",
     "manifest_key",

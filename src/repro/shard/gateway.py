@@ -37,18 +37,15 @@ trips fast without poisoning calls to its peers.  Per-shard telemetry
 exports as ``shard.<id>.up`` / ``.latency_ms`` / ``.failovers`` gauges
 on the gateway's :class:`~repro.service.metrics.MetricsRegistry`.
 
-A gateway instance is not thread-safe (its per-shard clients own plain
-sockets); use one instance per thread.  Within one call the shards work
-in parallel: a read op goes out as a burst on the calling thread (every
-request, then every reply — :meth:`ShardGateway._ask`), a write through
-a pool with one worker per shard.
+A gateway is single-threaded: one instance per thread.  It reaches its
+shards one way, :meth:`ShardGateway._burst` — every request frame to
+every shard, then every reply, on the calling thread — so within one
+call the shards work in parallel, and a lone call is a burst of one.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -64,10 +61,11 @@ from ..errors import (
 )
 from ..service.metrics import MetricsRegistry
 from ..service.resilience import CircuitBreaker, RetryPolicy
-from ..service.client import ServiceClient
+from ..service.client import ServiceClient, stamped
 from ..service.wire import check_response
 from ..store.cache import DEFAULT_CACHE_BYTES
 from ..store.store import (
+    GCResult,
     ManifestMemo,
     StoreReadResult,
     TileStore,
@@ -76,14 +74,15 @@ from ..store.store import (
 from ..tiling import TileGrid
 from .ring import DEFAULT_VNODES, ShardMap, ShardRing
 
-__all__ = ["ShardGateway", "GatewayGCResult", "manifest_key"]
+__all__ = ["ShardGateway", "manifest_key"]
 
 #: Errors that mean "this shard is down / unreachable", as opposed to
 #: alive-but-missing-data.  ServiceTimeoutError subclasses TransportError.
 _DOWN = (TransportError, CircuitOpenError, ConnectionError, OSError)
 
 #: Per-shard retry policy: fail over to a replica quickly instead of
-#: retrying one shard for seconds — 2 tries, short jittered pause.
+#: retrying one shard for seconds — 2 tries (the burst, then one lone
+#: round trip on a fresh connection), short jittered pause.
 _SHARD_RETRY = {"attempts": 2, "base_s": 0.02, "cap_s": 0.2}
 
 #: Per-shard circuit breaker, tighter than a lone client's 5 failures /
@@ -109,17 +108,6 @@ class _ShardDown(Exception):
         super().__init__(f"shard {shard_id} is unreachable: {cause}")
         self.shard_id = shard_id
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class GatewayGCResult:
-    """Aggregate of one cluster-wide gc pass."""
-
-    n_removed: int
-    reclaimed_bytes: int
-    kept: int
-    per_shard: dict[str, dict[str, int]] = field(default_factory=dict)
-    tmp_removed: tuple[str, ...] = ()  # GCResult-shape compat (CLI)
 
 
 class ShardGateway(TileStore):
@@ -153,10 +141,6 @@ class ShardGateway(TileStore):
         self._clients: dict[str, ServiceClient] = {}
         self._latency_ms: dict[str, float] = {}
         self._failovers: dict[str, int] = dict.fromkeys(self.map.shard_ids, 0)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(self.map.shard_ids)),
-            thread_name_prefix="shard-gw",
-        )
         #: blobs the current read's bulk prefetch already holds
         self._prefetched: dict[str, bytes] = {}
         #: name -> (manifest, digest) this handle last saw win; a read
@@ -227,28 +211,13 @@ class ShardGateway(TileStore):
         self._clients[sid] = c
         return c
 
-    def _call(self, sid: str, fn: Callable[[ServiceClient], Any]) -> Any:
-        """One shard call with up/latency telemetry and down-classification.
-
-        Raises :class:`_ShardDown` for transport-level failures; typed
-        application errors (StoreError, ChecksumError, ...) pass through
-        untouched — the shard answered, it just doesn't have the goods.
-        """
-        t0 = time.perf_counter()
-        try:
-            result = fn(self._client(sid))
-        except _DOWN as exc:
-            raise self._mark_down(sid, exc) from exc
-        self._mark_up(sid, t0)
-        return result
-
     def _mark_down(self, sid: str, exc: BaseException) -> _ShardDown:
         self._clients.pop(sid, None)
         self.metrics.set_gauge(f"shard.{sid}.up", 0.0)
         return _ShardDown(sid, exc)
 
-    def _mark_up(self, sid: str, t0: float) -> None:
-        ms = (time.perf_counter() - t0) * 1e3
+    def _mark_up(self, sid: str, t0: float, n_requests: int = 1) -> None:
+        ms = (time.perf_counter() - t0) * 1e3 / n_requests
         prev = self._latency_ms.get(sid)
         ewma = ms if prev is None else 0.8 * prev + 0.2 * ms
         self._latency_ms[sid] = ewma
@@ -264,86 +233,141 @@ class ShardGateway(TileStore):
             f"shard.{sid}.failovers", float(self._failovers[sid])
         )
 
-    def _fanout(self, tasks: dict[str, Callable[[], Any]]) -> dict[str, Any]:
-        """Run one task per shard concurrently; exceptions are returned,
-        not raised (each shard's client is only ever touched by its own
-        worker, so parallelism never shares a socket)."""
-        futures = {
-            sid: self._pool.submit(fn) for sid, fn in tasks.items()
-        }
-        out: dict[str, Any] = {}
-        for sid, fut in futures.items():
-            try:
-                out[sid] = fut.result()
-            except BaseException as exc:  # noqa: BLE001 - collected, re-raised by callers
-                out[sid] = exc
-        return out
+    def _burst(
+        self, requests: dict[str, list[tuple]]
+    ) -> dict[str, list[Any]]:
+        """The gateway's one crossing to its shards.
 
-    def _each(
-        self, shards: Iterable[str], fn: Callable[[ServiceClient], Any]
-    ) -> dict[str, Any]:
-        """``fn(client)`` on each of ``shards`` through the pool, as
-        ``{shard_id: result or the exception it raised}`` — for writes
-        (large bodies, request ids); reads go out as :meth:`_ask`."""
-        return self._fanout({
-            sid: (lambda s=sid: self._call(s, fn)) for sid in shards
-        })
+        ``requests`` maps a shard id to that shard's requests, each
+        ``(op, fields, body)``; the result maps it to one entry per
+        request, in order: ``(checked reply header, body)`` or the
+        exception — the typed error the shard answered with, or
+        :class:`_ShardDown`.  Every frame to every shard goes out before
+        any reply is read, so the shards work in parallel; the *k*
+        requests of one shard are pipelined on its one connection, which
+        the server answers in order.
 
-    def _ask(
-        self, op: str, requests: dict[str, dict[str, Any]]
-    ) -> dict[str, Any]:
-        """One read op to many shards as a burst on the calling thread.
+        The burst is the first of ``_SHARD_RETRY``'s two tries.  A shard
+        whose half of it fails at transport level has its connection
+        dropped (the stream position is lost) and each request it has
+        not answered is sent once more, alone, on a fresh connection —
+        the same header, so an ``idempotent`` op keeps the request id it
+        was built with and the shard's replay cache runs it at most
+        once.  Retry, breaker, down-classification and the gauges are
+        the same for a burst of one and of many.  No reply is ever left
+        unread on a kept connection.
 
-        ``requests`` maps a shard id to that shard's op fields.  Every
-        request frame goes out before any reply is read, so the shards
-        work in parallel with no pool hand-off; the result is
-        ``{shard_id: checked reply header, or the exception}``.
-
-        Only for ops the table does not mark ``idempotent``: re-asking is
-        harmless, so a shard whose half of the burst fails at transport
-        level has its connection dropped (the stream position is lost)
-        and is asked again through :meth:`_call` — retry, breaker,
-        down-classification and the gauges are that path's, as for a
-        lone call.  No reply is ever left unread on a kept connection.
+        No deadlock: a pipeline stalls only if the gateway blocks
+        sending request *j* to a shard that blocks writing reply *i < j*,
+        which needs large requests *and* large replies on one
+        connection.  No op sent here has both (``store_put_object``:
+        large in, ~80 B out; ``store_get_object`` / ``store_get_manifest``:
+        ~120 B in, large out — a thousand of those fit a socket buffer),
+        and the socket timeout would turn a stuck burst into the serial
+        second try, not a hang.
         """
-        out: dict[str, Any] = {}
-        got: dict[str, dict] = {}
-        owed: dict[str, tuple[ServiceClient, float]] = {}  # sent, reply unread
-        deadline = time.monotonic() + self.timeout
+        frames = {
+            sid: [(stamped({"op": op, **fields}), body)
+                  for op, fields, body in batch]
+            for sid, batch in requests.items()
+        }
+        got: dict[str, list[tuple[dict, bytes]]] = {}  # short if the burst broke
+        down: dict[str, _ShardDown] = {}
+        owed: dict[str, tuple[ServiceClient, float]] = {}  # sent, replies unread
+
+        def lost(client: ServiceClient) -> None:
+            client.breaker.record_failure()
+            client.close()
+
         try:
-            for sid, fields in requests.items():
+            for sid, batch in frames.items():
+                if not batch:
+                    continue
                 t0 = time.perf_counter()
                 try:
                     client = self._client(sid)
-                except _DOWN as exc:  # what _call makes of a failed dial
-                    out[sid] = self._mark_down(sid, exc)
+                except _DOWN as exc:
+                    down[sid] = self._mark_down(sid, exc)
                     continue
                 try:
-                    client._send({"op": op, **fields})
+                    for header, body in batch:
+                        client._send(header, body)
                     owed[sid] = client, t0
                 except OSError:
-                    client.close()
+                    lost(client)
             for sid, (client, t0) in list(owed.items()):
+                replies = got[sid] = []
                 try:
-                    got[sid] = client._receive(deadline)[0]
-                    self._mark_up(sid, t0)
+                    for _ in frames[sid]:
+                        replies.append(
+                            client._receive(time.monotonic() + self.timeout)
+                        )
+                    self._mark_up(sid, t0, len(replies))
                 except (OSError, ServiceError):
-                    client.close()
+                    lost(client)
                 del owed[sid]
         finally:
             for client, _ in owed.values():  # an escape mid-burst
                 client.close()
-        for sid, fields in requests.items():
-            if sid in out:
-                continue
-            try:
-                out[sid] = (
-                    check_response(got[sid]) if sid in got
-                    else self._call(sid, lambda c: c._call(op, **fields)[0])
-                )
-            except (_ShardDown, ReproError) as exc:
-                out[sid] = exc
+
+        out: dict[str, list[Any]] = {}
+        for sid, batch in frames.items():
+            replies, results = got.get(sid, ()), []
+            out[sid] = results
+            for i, frame in enumerate(batch):
+                if sid in down:  # the rest of its list would fail too
+                    results.append(down[sid])
+                    continue
+                try:
+                    header, body = (
+                        replies[i] if i < len(replies)
+                        else self._second_try(sid, *frame)
+                    )
+                    results.append((check_response(header), body))
+                except _ShardDown as exc:
+                    down[sid] = exc
+                    results.append(exc)
+                except ReproError as exc:
+                    results.append(exc)
         return out
+
+    def _second_try(
+        self, sid: str, header: dict, body: bytes
+    ) -> tuple[dict, bytes]:
+        """A request whose burst attempt was lost, once more and alone."""
+        t0 = time.perf_counter()
+        try:
+            reply = self._client(sid)._roundtrip(header, body, spent=1)
+        except _DOWN as exc:
+            raise self._mark_down(sid, exc) from exc
+        self._mark_up(sid, t0)
+        return reply
+
+    def _ask(
+        self, op: str, requests: dict[str, dict[str, Any]]
+    ) -> dict[str, Any]:
+        """One bodiless ``op`` request per shard (``requests`` maps a
+        shard id to its fields), as ``{shard_id: checked reply header,
+        or the exception}``."""
+        burst = self._burst({
+            sid: [(op, fields, b"")] for sid, fields in requests.items()
+        })
+        return {
+            sid: r if isinstance(r, BaseException) else r[0]
+            for sid, (r,) in burst.items()
+        }
+
+    def _one(
+        self, sid: str, op: str, body: bytes = b"", **fields: Any
+    ) -> tuple[dict, bytes]:
+        """A lone call — a burst of one — with its exception raised:
+        :class:`_ShardDown` when the shard is unreachable; a typed error
+        (StoreError, ChecksumError, ...) when it answered but does not
+        have the goods."""
+        [reply] = self._burst({sid: [(op, fields, body)]})[sid]
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
     # -- put ---------------------------------------------------------------
 
@@ -359,40 +383,31 @@ class ShardGateway(TileStore):
         """
         R = self.map.replicas
 
-        # phase 1: every unique payload to its owner shards, shard-parallel
+        # phase 1: every unique payload to its owner shards, one burst
         by_shard: dict[str, list[str]] = {}
         owners_of = {d: self.ring.owners(d, R) for d in payloads}
         for d, owners in owners_of.items():
             for sid in owners:
                 by_shard.setdefault(sid, []).append(d)
-
-        def write_objects(sid: str, digests: list[str]):
-            def task() -> dict[str, bool]:
-                stored: dict[str, bool] = {}
-                for d in digests:
-                    _, fresh = self._call(
-                        sid, lambda c, d=d: c.store_put_object(payloads[d], d)
-                    )
-                    stored[d] = fresh
-                return stored
-            return task
-
-        results = self._fanout(
-            {sid: write_objects(sid, ds) for sid, ds in by_shard.items()}
-        )
+        results = self._burst({
+            sid: [("store_put_object", {"overwrite": False, "digest": d},
+                   payloads[d]) for d in digests]
+            for sid, digests in by_shard.items()
+        })
 
         ok_copies: dict[str, int] = dict.fromkeys(payloads, 0)
         fresh_copies: dict[str, int] = dict.fromkeys(payloads, 0)
         per_shard: dict[str, int] = {}
         degraded = False
-        for sid, res in results.items():
-            if isinstance(res, BaseException):
-                degraded = True
+        for sid, replies in results.items():
+            if any(isinstance(r, BaseException) for r in replies):
+                degraded = True  # a shard that failed one write counts for none
                 continue
-            per_shard[sid] = sum(1 for fresh in res.values() if fresh)
-            for d, fresh in res.items():
+            stored = [bool(r[0]["stored"]) for r in replies]
+            per_shard[sid] = sum(stored)
+            for d, fresh in zip(by_shard[sid], stored):
                 ok_copies[d] += 1
-                fresh_copies[d] += int(fresh)
+                fresh_copies[d] += fresh
         lost = [d for d, n in ok_copies.items() if n == 0]
         if lost:
             raise StoreError(
@@ -405,20 +420,19 @@ class ShardGateway(TileStore):
         # phase 2: version, then the manifest to its owner shards
         m_owners = self.ring.owners(manifest_key(name), R)
         versions: list[int] = []
-        for sid in m_owners:
-            try:
-                existing = self._call(
-                    sid, lambda c: c.store_get_manifest(name)
-                )
-                versions.append(int(existing.get("version", 1)))
-            except (StoreError, _ShardDown):
-                continue
+        for r in self._ask(
+            "store_get_manifest", dict.fromkeys(m_owners, {"name": name})
+        ).values():
+            if isinstance(r, dict):
+                versions.append(int(r["manifest"].get("version", 1)))
+            elif not isinstance(r, (StoreError, _ShardDown)):
+                raise r
         manifest["version"] = (max(versions) + 1) if versions else 1
 
         self._manifests.drop(name)
-        m_results = self._each(
-            m_owners, lambda c: c.store_put_manifest(name, manifest)
-        )
+        m_results = self._ask("store_put_manifest", dict.fromkeys(
+            m_owners, {"name": name, "manifest": manifest}
+        ))
         m_ok = [sid for sid, r in m_results.items()
                 if not isinstance(r, BaseException)]
         if not m_ok:
@@ -516,14 +530,13 @@ class ShardGateway(TileStore):
             if isinstance(r, dict) and manifest_digest(r) != wd:
                 repair.append(sid)  # stale version on an alive shard
         repair.extend(missing)
-        for sid in repair:
-            try:
-                self._call(
-                    sid, lambda c: c.store_put_manifest(name, winner)
-                )
-                self.metrics.incr("gateway.read_repairs")
-            except (_ShardDown, ReproError):
-                continue  # repair is best-effort; the read already has truth
+        if repair:  # best-effort; the read already has truth
+            repaired = self._ask("store_put_manifest", dict.fromkeys(
+                repair, {"name": name, "manifest": winner}
+            ))
+            self.metrics.incr("gateway.read_repairs", sum(
+                isinstance(r, dict) for r in repaired.values()
+            ))
         self._manifests.put(name, (winner, wd))
         return winner
 
@@ -559,9 +572,9 @@ class ShardGateway(TileStore):
                 # one came, is the primary's copy
                 candidate = self._prefetched.get(digest) if round_i == 0 else None
                 if candidate is None:
-                    candidate = self._call(
-                        sid, lambda c: c.store_get_object(digest)
-                    )
+                    candidate = self._one(
+                        sid, "store_get_object", digest=digest
+                    )[1]
                 tile = decode(candidate)
                 blob = candidate
                 if round_i > 0:
@@ -593,9 +606,9 @@ class ShardGateway(TileStore):
         self, sid: str, digest: str, blob: bytes, *, overwrite: bool
     ) -> None:
         try:
-            self._call(
-                sid,
-                lambda c: c.store_put_object(blob, digest, overwrite=overwrite),
+            self._one(
+                sid, "store_put_object", blob,
+                overwrite=overwrite, digest=digest,
             )
             self.metrics.incr("gateway.read_repairs")
         except (_ShardDown, ReproError):
@@ -604,7 +617,7 @@ class ShardGateway(TileStore):
     def _prefetch(
         self, m: dict[str, Any], tiles: Iterable[int]
     ) -> tuple[dict[str, bytes], list[str]]:
-        """Bulk-fetch uncached tile blobs, shard-parallel, primary first.
+        """Bulk-fetch uncached tile blobs from their primaries, one burst.
 
         Returns ``(blobs, needed)`` — ``needed`` is every digest the
         read could not serve from cache, cached by the caller to decide
@@ -624,29 +637,16 @@ class ShardGateway(TileStore):
         by_shard: dict[str, list[str]] = {}
         for d in needed:
             by_shard.setdefault(self.ring.owner(d), []).append(d)
-
-        def fetch(sid: str, digests: list[str]):
-            def task() -> dict[str, bytes]:
-                got: dict[str, bytes] = {}
-                for d in digests:
-                    try:
-                        got[d] = self._call(
-                            sid, lambda c, d=d: c.store_get_object(d)
-                        )
-                    except _ShardDown:
-                        break  # the rest of this shard's list would fail too
-                    except ReproError:
-                        continue  # missing/corrupt here: the walk fails over
-                return got
-            return task
-
-        results = self._fanout(
-            {sid: fetch(sid, ds) for sid, ds in by_shard.items()}
-        )
-        blobs: dict[str, bytes] = {}
-        for res in results.values():
-            if isinstance(res, dict):
-                blobs.update(res)
+        results = self._burst({
+            sid: [("store_get_object", {"digest": d}, b"") for d in digests]
+            for sid, digests in by_shard.items()
+        })
+        blobs = {
+            d: r[1]
+            for sid, digests in by_shard.items()
+            for d, r in zip(digests, results[sid])
+            if not isinstance(r, BaseException)  # else the walk fails over
+        }
         return blobs, needed
 
     def _anti_entropy(
@@ -688,9 +688,7 @@ class ShardGateway(TileStore):
             if sid == skip:
                 continue
             try:
-                return self._call(
-                    sid, lambda c: c.store_get_object(digest)
-                )
+                return self._one(sid, "store_get_object", digest=digest)[1]
             except (_ShardDown, ReproError):
                 continue
         return None
@@ -740,7 +738,7 @@ class ShardGateway(TileStore):
             for row in rows
         }))
 
-    def gc(self, *, extra_refs=()) -> GatewayGCResult:
+    def gc(self, *, extra_refs=()) -> GCResult:
         """Cluster-wide gc: union every manifest's tiles (and
         ``extra_refs``, the local store's keep-set extension), then sweep.
 
@@ -759,37 +757,33 @@ class ShardGateway(TileStore):
                 f"live objects"
             )
         refs: set[str] = set(extra_refs)
+        manifests = self._burst({
+            sid: [("store_get_manifest", {"name": row["name"]}, b"")
+                  for row in rows]
+            for sid, rows in listings.items()
+        })
         for sid, rows in listings.items():
-            for row in rows:
-                try:
-                    m = self._call(
-                        sid, lambda c, n=row["name"]: c.store_get_manifest(n)
-                    )
-                except (_ShardDown, ReproError) as exc:
+            for row, r in zip(rows, manifests[sid]):
+                if isinstance(r, BaseException):
                     raise StoreError(
                         f"gc refused: manifest {row['name']!r} on shard "
-                        f"{sid} is unreadable: {exc}"
-                    ) from exc
-                refs.update(m["tiles"])
-        keep = sorted(refs)
-        sweeps = self._each(
-            self.map.shard_ids, lambda c: c.store_gc(refs=keep)
+                        f"{sid} is unreadable: {r}"
+                    ) from r
+                refs.update(r[0]["manifest"]["tiles"])
+        sweeps = self._ask(
+            "store_gc", dict.fromkeys(self.map.shard_ids, {"refs": sorted(refs)})
         )
         per_shard: dict[str, dict[str, int]] = {}
-        n_removed = reclaimed = kept = 0
         for sid, r in sweeps.items():
             if isinstance(r, BaseException):
                 raise StoreError(f"gc sweep failed on shard {sid}: {r}")
             per_shard[sid] = {
-                "removed": int(r["removed"]),
-                "reclaimed_bytes": int(r["reclaimed_bytes"]),
-                "kept": int(r["kept"]),
+                k: int(r[k]) for k in ("removed", "reclaimed_bytes", "kept")
             }
-            n_removed += int(r["removed"])
-            reclaimed += int(r["reclaimed_bytes"])
-            kept += int(r["kept"])
-        return GatewayGCResult(
-            n_removed=n_removed, reclaimed_bytes=reclaimed, kept=kept,
+        return GCResult(
+            removed=(),  # the digests stay on the shards; per_shard counts them
+            reclaimed_bytes=sum(s["reclaimed_bytes"] for s in per_shard.values()),
+            kept=sum(s["kept"] for s in per_shard.values()),
             per_shard=per_shard,
         )
 
@@ -819,7 +813,6 @@ class ShardGateway(TileStore):
         }
 
     def close(self) -> None:
-        self._pool.shutdown(wait=False)
         for c in self._clients.values():
             c.close()
         self._clients.clear()

@@ -9,10 +9,10 @@ topology op hands out the cluster map (how shard-aware clients
 bootstrap), and the health op aggregates per-shard liveness, latency and
 failover counters.
 
-The gateway object is blocking and single-threaded by contract, so the
-server funnels every store call through one ``asyncio.Lock`` —
-concurrency across shards happens *inside* the gateway's own fan-out,
-not across requests.  ``wavesz shard serve`` is the CLI entry point.
+The gateway object is blocking and single-threaded, so the server
+funnels every store call through one ``asyncio.Lock`` — the shards work
+in parallel *inside* one call (the gateway's burst), not across
+requests.  ``wavesz shard serve`` is the CLI entry point.
 """
 
 from __future__ import annotations

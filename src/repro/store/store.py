@@ -385,14 +385,19 @@ class StoreReadResult:
 class GCResult:
     """Outcome of a garbage-collection pass over the object area."""
 
-    removed: tuple[str, ...]
+    removed: tuple[str, ...]  # digests this store removed itself
     reclaimed_bytes: int
     kept: int
     tmp_removed: tuple[str, ...] = ()
+    #: a cluster-wide pass: each shard's own removed / reclaimed_bytes /
+    #: kept counts (the totals above sum them)
+    per_shard: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def n_removed(self) -> int:
-        return len(self.removed)
+        return len(self.removed) + sum(
+            s["removed"] for s in self.per_shard.values()
+        )
 
 
 @dataclass(frozen=True)

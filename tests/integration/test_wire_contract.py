@@ -258,17 +258,19 @@ class TestOpTable:
         assert other["manifest"] == plain["manifest"]
         refused, _ = _ask(gateway, {**ask, "if_digest": digest})
         assert (refused["error"], set(refused)) == _SHARD_FACING
-        # the typed client spells "unchanged" as None
+        # no typed client method: the gateway reads these reply headers
         with ServiceClient(port=compression.port, timeout=DEADLINE_S) as c:
-            assert c.store_get_manifest("cond.ts", if_digest=digest) is None
-            assert c.store_get_manifest("cond.ts", "0" * 64) == plain["manifest"]
+            assert c._call("store_get_manifest", name="cond.ts",
+                           if_digest=digest)[0] == {"ok": True, "unchanged": True}
+            assert c._call("store_get_manifest", name="cond.ts",
+                           if_digest="0" * 64)[0]["manifest"] == plain["manifest"]
 
     def test_gateway_dedups_a_replayed_store_put(self, gateway):
         header = _field_header("store_put", FIELD, name="replay.ts",
                                codec="sz14", n_tiles=2, req_id="replay-1")
         body = wire.encode_field(FIELD)
         with ServiceClient(port=gateway.port, timeout=DEADLINE_S) as c:
-            # raw frames: _roundtrip would mint a fresh id per call
+            # raw frames, one request id: what a re-send looks like
             first = c._once(header, body, _deadline())
             again = c._once(header, body, _deadline())
         assert first == again and first[0]["ok"]

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from repro.errors import CircuitOpenError
+from repro.errors import CircuitOpenError, TransportError
 from repro.service import ServiceClient
-from repro.service.wire import pack
+from repro.service.client import stamped
+from repro.service.wire import pack, recv_frame
 from repro.faults.netsim import (
     FlakyConnection,
     NetFault,
@@ -200,3 +201,51 @@ class TestClientHalves:
         peer.sendall(pack({"ok": True}))
         assert c._once({"op": "ping"}, b"", self._deadline()) == ({"ok": True}, b"")
         assert c.breaker.failures == 0
+
+
+class TestRequestIdOnce:
+    """A request id belongs to the request: minted once, where the
+    request is built, and re-sent unchanged — so the server's replay
+    cache sees one id however often the frame crosses the wire."""
+
+    @pytest.fixture()
+    def lossy(self):
+        """A client whose first connection's peer has hung up and whose
+        second has its reply waiting; yields (client, the two peers)."""
+        pairs = [socket.socketpair() for _ in range(2)]
+        ours = iter(a for a, _ in pairs)
+        peers = [b for _, b in pairs]
+        peers[0].shutdown(socket.SHUT_WR)  # reads the request, answers EOF
+        peers[1].sendall(pack({"ok": True, "n": 2}))
+        c = ServiceClient(
+            socket_factory=lambda host, port, timeout: next(ours),
+            retry=RetryPolicy(attempts=2, base_s=0.0, cap_s=0.0),
+        )
+        yield c, peers
+        c.close()
+        for _, b in pairs:
+            b.close()
+
+    def test_stamped_mints_once_and_only_for_idempotent_ops(self):
+        plain = {"op": "store_get_object", "digest": "d"}
+        assert stamped(plain) is plain
+        first = stamped({"op": "store_put_object"})
+        assert first["req_id"] and stamped(first) is first
+        assert stamped({"op": "store_put_object"})["req_id"] != first["req_id"]
+
+    def test_a_retry_resends_the_same_header(self, lossy):
+        c, peers = lossy
+        assert c._roundtrip({"op": "store_put_object"}, b"blob")[0]["n"] == 2
+        deadline = time.monotonic() + 5.0
+        first, again = (recv_frame(p, deadline) for p in peers)
+        assert first == again and first[0]["req_id"]
+
+    def test_a_built_request_keeps_its_id_and_its_spent_attempts(self, lossy):
+        c, peers = lossy
+        header = stamped({"op": "store_put_manifest", "name": "n"})
+        # the caller's own first try is spent: one attempt left, not two
+        with pytest.raises(TransportError, match="attempt 2"):
+            c._roundtrip(header, spent=1)
+        assert recv_frame(peers[0], time.monotonic() + 5.0)[0] == header
+        assert c._roundtrip(header, spent=1)[0]["n"] == 2
+        assert recv_frame(peers[1], time.monotonic() + 5.0)[0] == header

@@ -12,9 +12,9 @@ import socket
 import pytest
 
 from repro.errors import ConfigError, TransportError
-from repro.shard import GatewayGCResult, ShardGateway, ShardMap
+from repro.shard import ShardGateway, ShardMap
 from repro.shard.gateway import manifest_key
-from repro.store import PutResult, manifest_digest
+from repro.store import GCResult, PutResult, manifest_digest
 
 
 @pytest.fixture()
@@ -77,9 +77,17 @@ class TestResultShapes:
         assert r.n_tiles == 2
 
     def test_gc_result_is_cli_shape_compatible(self):
-        r = GatewayGCResult(n_removed=1, reclaimed_bytes=10, kept=3)
-        # the CLI prints result.tmp_removed for local GCResult too
-        assert r.tmp_removed == ()
+        # one GCResult: a cluster-wide pass names no digests itself, its
+        # per-shard counts are what `wavesz store gc` prints as removed
+        per_shard = {
+            "a": {"removed": 1, "reclaimed_bytes": 10, "kept": 2},
+            "b": {"removed": 2, "reclaimed_bytes": 0, "kept": 1},
+        }
+        r = GCResult(removed=(), reclaimed_bytes=10, kept=3,
+                     per_shard=per_shard)
+        assert r.n_removed == 3 and r.tmp_removed == ()
+        local = GCResult(removed=("d1", "d2"), reclaimed_bytes=5, kept=0)
+        assert local.n_removed == 2 and local.per_shard == {}
 
 
 class TestFromAny:
