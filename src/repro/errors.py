@@ -13,6 +13,7 @@ non-``ReproError`` exception.
 
 from __future__ import annotations
 
+import concurrent.futures
 import struct
 from contextlib import contextmanager
 
@@ -110,6 +111,14 @@ class WorkerHungError(ServiceError):
 
     Classified transient: the pool respawns workers, so the retry runs on a
     fresh process."""
+
+
+class WorkerDiedError(ServiceError, concurrent.futures.BrokenExecutor):
+    """A pool worker process died (OOM kill, SIGKILL, segfault) or was
+    torn down with a job in flight; only that worker's job fails.
+
+    A ``BrokenExecutor`` so the taxonomy classifies it transient: the
+    slot refills with a fresh worker and the retry lands there."""
 
 
 class SimulatedCrash(BaseException):

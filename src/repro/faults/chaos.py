@@ -276,8 +276,8 @@ class ChaosHarness:
         while jobs are in flight — i.e. mid-lease — and checks:
 
         * ``converges-after-kill`` — every job still completes with the
-          byte-exact direct-path payload (the broken pool respawns and
-          the transient retry re-dispatches);
+          byte-exact direct-path payload (the dead worker's slot
+          refills and the transient retry re-dispatches its job);
         * ``lease-reclaimed``     — after the batch drains no segment
           is leased, and after ``stop()`` the arena is empty: a killed
           worker cannot strand ``/dev/shm``.
@@ -405,14 +405,11 @@ class ChaosHarness:
                 # let dispatch copy fields into segments and hand out
                 # leases, then kill one worker mid-lease.
                 await asyncio.sleep(0.02 + 0.02 * (rs % 3))
-                procs = list(getattr(
-                    sched.pool.executor, "_processes", {}
-                ).values())
-                if procs:
-                    victim = procs[rs % len(procs)]
+                pids = sched.pool.worker_pids()
+                if pids:
                     try:
-                        os.kill(victim.pid, signal.SIGKILL)
-                    except (OSError, TypeError):  # pragma: no cover
+                        os.kill(pids[rs % len(pids)], signal.SIGKILL)
+                    except OSError:  # pragma: no cover - gone already
                         pass
                 for h in handles:
                     try:

@@ -377,8 +377,8 @@ class BatchScheduler:
         """Await pool work under the watchdog's hang budget.
 
         With ``hang_timeout_s`` set, a worker that does not come back in
-        time is killed (:meth:`WorkerPool.kill_hung` respawns the
-        executor) and the attempt fails with :class:`WorkerHungError` —
+        time is killed (:meth:`WorkerPool.kill_hung`; fresh workers start
+        with the next job) and the attempt fails with :class:`WorkerHungError` —
         a *transient* error, so the normal retry loop gets the next
         attempt on a fresh worker.
         """

@@ -2,7 +2,7 @@
 
 Moving a field to a process-pool worker by value costs three full-field
 copies *before* any compression happens: the scheduler pickles the
-``ndarray`` into the executor pipe, the OS copies it through a
+``ndarray`` into the worker's pipe, the OS copies it through a
 socketpair, and the worker unpickles it again.  This module replaces the
 value channel with a name channel:
 

@@ -1,15 +1,16 @@
 """Worker pool: where jobs actually execute.
 
-Job functions live at module level so :class:`concurrent.futures.
-ProcessPoolExecutor` can pickle them; a worker process resolves the codec
-through the registry *inside* the child, so only small primitives (codec
-name, bound, mode) and the field bytes cross the process boundary.
+Job functions live at module level so they pickle by import path; a
+worker process resolves the codec through the registry *inside* the
+child, so only small primitives (codec name, bound, mode) and the field
+bytes cross the process boundary.
 
 Three pool kinds:
 
 ``"process"``
-    One OS process per worker — independent fields compress on all cores
-    (the cuSZ-style coarse-grained batch axis).  The default.
+    One long-lived OS process per worker, each on its own duplex pipe —
+    independent fields compress on all cores (the cuSZ-style
+    coarse-grained batch axis).  The default.
 ``"thread"``
     Threads — no fork cost, still overlaps with the event loop; useful
     for serving small fields and on single-core machines.
@@ -19,28 +20,45 @@ Three pool kinds:
 
 All three run the *same* job functions, so results are byte-identical
 across pool kinds and with the direct single-threaded library calls.
+
+The process pool has no thread of its own.  The thread that holds a job
+pickles it and writes it to an idle worker's pipe; a reply is read by
+whoever is waiting for it — the event loop :meth:`WorkerPool.run`
+registered the pipes with, or the thread inside ``result()`` of a
+:meth:`WorkerPool.submit` future — and that reader hands the worker its
+next job.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from typing import Any, Callable
+import multiprocessing
+import pickle
+import signal
+import threading
+import time
+import traceback
+from collections import deque
+from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait as wait_readable
+from typing import Any, Callable, Iterator
 
 from ..codec.registry import get_codec
-from ..errors import ServiceError
+from ..errors import ServiceError, WorkerDiedError
 from .jobs import CompressionJob
 
 __all__ = [
     "run_job",
     "WorkerPool",
 ]
+
+#: Longest one ``result()`` sleeps on the pipes before it checks whether
+#: some other reader (a second waiting thread, the event loop) has
+#: settled its future meanwhile.  A lone waiter is woken by its own
+#: reply and never waits this out.
+_PUMP_SLICE_S = 0.05
 
 
 def _warm_worker() -> None:
@@ -80,8 +98,115 @@ def run_job(job: CompressionJob) -> Any:
     return decompress_auto(bytes(job.payload))
 
 
+class _RemoteTraceback(Exception):
+    """The worker-side traceback of a relayed exception, as its cause."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _failure(exc: BaseException) -> bytes:
+    """A worker's ``(False, (exception, traceback text))`` reply."""
+    trace = "".join(traceback.format_exception(exc))
+    try:
+        return pickle.dumps((False, (exc, trace)), pickle.HIGHEST_PROTOCOL)
+    except Exception:  # noqa: BLE001 - pickle raises several types
+        exc = ServiceError(f"{type(exc).__name__}: {exc} (does not pickle)")
+        return pickle.dumps((False, (exc, trace)), pickle.HIGHEST_PROTOCOL)
+
+
+def _answer(request: bytes) -> bytes:
+    """One job in a worker: unpickle ``(fn, args)``, run it, pickle
+    ``(True, value)`` or :func:`_failure`.  A function of its own so
+    that nothing of a job outlives its reply in an idle worker."""
+    try:
+        fn, args = pickle.loads(request)
+        value = fn(*args)
+    except BaseException as exc:  # noqa: BLE001 - relayed to the caller
+        return _failure(exc)
+    try:
+        return pickle.dumps((True, value), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001 - pickle raises several types
+        return _failure(ServiceError(
+            f"the result of {getattr(fn, '__name__', fn)!r} does not "
+            f"pickle: {type(exc).__name__}: {exc}"
+        ))
+
+
+def _serve(conn: Connection, inherited: list[Connection]) -> None:
+    """A worker's whole life: ``recv -> fn(*args) -> send``, until EOF.
+
+    ``inherited`` are the parent-side pipe ends the fork copied into
+    this process — its own and its siblings'.  While any copy is open
+    no worker ever reads EOF, so they are closed first: the parent's
+    death (however sudden) then ends every worker at its next ``recv``.
+    """
+    for end in inherited:
+        end.close()
+    # The fork also copied the parent's signal set-up.  A signal aimed
+    # at a worker must not land in the parent loop's wake-up socket, and
+    # Ctrl-C reaches the whole foreground group: the parent decides what
+    # becomes of running jobs, the closing pipe is what stops a worker.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _warm_worker()
+    while True:
+        try:
+            conn.send_bytes(_answer(conn.recv_bytes()))
+        except (EOFError, OSError):
+            return  # the parent is gone, or has closed this worker's pipe
+
+
+def _read_reply(reply: bytes) -> tuple[bool, Any]:
+    """``(ok, value | exception)`` out of a worker's reply."""
+    try:
+        ok, value = pickle.loads(reply)
+    except Exception as exc:  # noqa: BLE001 - pickle raises several types
+        return False, ServiceError(
+            f"a worker's reply does not unpickle: {type(exc).__name__}: {exc}"
+        )
+    if not ok:
+        value, trace = value
+        value.__cause__ = _RemoteTraceback(trace)
+    return ok, value
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One forked worker: its process, our end of its pipe, and the
+    future of the job it is running (``None`` while idle)."""
+
+    proc: Any
+    conn: Connection
+    future: Future | None = None
+
+
+class _PipeFuture(Future):
+    """A process-pool job.  Nothing runs behind it: whoever wants the
+    outcome reads the pipes, so ``result()`` / ``exception()`` pump the
+    pool until this future is settled (by them, by another waiter, or by
+    the event loop the pool is registered with)."""
+
+    def __init__(self, pool: "WorkerPool") -> None:
+        super().__init__()
+        self._pool = pool
+
+    def result(self, timeout: float | None = None) -> Any:
+        return super().result(self._pool._pump_until(self, timeout))
+
+    def exception(self, timeout: float | None = None) -> BaseException | None:
+        return super().exception(self._pool._pump_until(self, timeout))
+
+
 class WorkerPool:
-    """A lazily started executor with an async door and an inline mode."""
+    """A lazily started pool with an async door and an inline mode.
+
+    A process pool may be used from several threads through
+    :meth:`submit`; once :meth:`run` has registered it with an event
+    loop, drive it from that loop's thread only (``submit().result()``
+    there still works, with the loop blocked meanwhile).
+    """
 
     def __init__(
         self,
@@ -99,27 +224,47 @@ class WorkerPool:
             raise ServiceError(f"unknown pool kind {kind!r}")
         self.kind = "inline" if (max_workers == 0 or kind == "inline") else kind
         self.size = max(1, max_workers)
-        self._executor: Executor | None = None
-        self.restarts = 0  # times kill_hung() tore down the executor
+        #: One per worker that died, one per :meth:`kill_hung`.
+        self.restarts = 0
+        self._threads: ThreadPoolExecutor | None = None
+        # The process kind's state, all of it guarded by ``_lock``:
+        self._lock = threading.Lock()
+        self._workers: list[_Worker] = []
+        #: Jobs beyond ``size`` in flight, oldest first: (future, pickle).
+        self._backlog: deque[tuple[Future, bytes]] = deque()
+        #: The loop whose readers watch the pipes, once run() was used.
+        self._loop: asyncio.AbstractEventLoop | None = None
 
-    @property
-    def executor(self) -> Executor | None:
-        """The live executor, starting it on first use (None when inline)."""
-        if self.kind == "inline":
-            return None
-        if self._executor is None:
-            if self.kind == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.size, initializer=_warm_worker
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.size, thread_name_prefix="repro-worker"
-                )
-        return self._executor
+    @contextmanager
+    def _locked(self) -> Iterator[list[tuple[Future, bool, Any]]]:
+        """Hold the lock; settle the ``(future, ok, value | exception)``
+        triples the block collected once it is released — done-callbacks
+        are the caller's code."""
+        settled: list[tuple[Future, bool, Any]] = []
+        with self._lock:
+            yield settled
+        for future, ok, value in settled:
+            try:
+                (future.set_result if ok else future.set_exception)(value)
+            except InvalidStateError:
+                pass  # cancelled while in flight: the reply has no taker
+
+    def worker_pids(self) -> list[int]:
+        """The live worker processes (none for thread / inline pools, and
+        none before the first job)."""
+        with self._lock:
+            return [w.proc.pid for w in self._workers]
+
+    # -- the two doors ---------------------------------------------------
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Run ``fn(*args)`` on the pool; inline mode completes eagerly."""
+        """Run ``fn(*args)`` on the pool; inline mode completes eagerly.
+
+        A process pool's future is settled by whoever reads the pipes —
+        its own ``result()`` / ``exception()``, or the loop of
+        :meth:`run` — never behind the caller's back, so wait on it with
+        those two, not with ``concurrent.futures.wait``.
+        """
         if self.kind == "inline":
             f: Future = Future()
             try:
@@ -127,7 +272,21 @@ class WorkerPool:
             except BaseException as exc:  # noqa: BLE001 - relayed to caller
                 f.set_exception(exc)
             return f
-        return self.executor.submit(fn, *args)
+        if self.kind == "thread":
+            return self._thread_executor().submit(fn, *args)
+        future = _PipeFuture(self)
+        try:
+            request = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - pickle raises several
+            future.set_exception(ServiceError(
+                f"a job for {getattr(fn, '__name__', fn)!r} does not "
+                f"pickle: {type(exc).__name__}: {exc}"
+            ))
+            return future
+        with self._locked() as settled:
+            self._backlog.append((future, request))
+            self._feed(settled)
+        return future
 
     async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Await ``fn(*args)`` on the pool from the event loop."""
@@ -137,54 +296,183 @@ class WorkerPool:
             await asyncio.sleep(0)
             return fn(*args)
         loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(self.executor, fn, *args)
-        except BrokenExecutor:
-            # A worker died hard (OOM kill, SIGKILL, segfault) and took
-            # the executor down with it.  Respawn so the retry that this
-            # *transient* error triggers lands on a healthy pool instead
-            # of failing the same way instantly.
-            if self.kind == "process":
-                broken, self._executor = self._executor, None
+        if self.kind == "thread":
+            return await loop.run_in_executor(
+                self._thread_executor(), fn, *args
+            )
+        # The job is written to a worker's pipe right here and this
+        # loop's reader takes the reply: no thread anywhere in between.
+        self._watch(loop)
+        return await asyncio.wrap_future(self.submit(fn, *args))
+
+    # -- process kind: hand-off and replies ------------------------------
+
+    def _feed(self, settled: list) -> None:
+        """Hand waiting jobs to idle workers, forking one while the pool
+        is below ``size`` (lock held).  A worker found dead at the write
+        fails the job meant for it — transient, so the caller's retry
+        lands on a fresh one."""
+        while self._backlog:
+            worker = next(
+                (w for w in self._workers if w.future is None), None
+            )
+            if worker is None:
+                if len(self._workers) >= self.size:
+                    return
+                worker = self._spawn()
+            worker.future, request = self._backlog.popleft()
+            if worker.future.cancelled():
+                worker.future = None
+                continue
+            try:
+                worker.conn.send_bytes(request)
+            except OSError:
+                self._bury(worker, settled)
                 self.restarts += 1
-                if broken is not None:
-                    broken.shutdown(wait=False, cancel_futures=True)
-            raise
+
+    def _spawn(self) -> _Worker:
+        # Forked, like the executor's workers before them: the child
+        # starts in milliseconds with every imported module (and every
+        # test seam) in place, which is what lets the pool start lazily
+        # inside the first request.
+        fork = multiprocessing.get_context("fork")
+        ours, theirs = fork.Pipe()
+        proc = fork.Process(
+            target=_serve,
+            args=(theirs, [ours, *(w.conn for w in self._workers)]),
+            name="repro-worker",
+            daemon=True,  # interpreter exit never waits on a worker
+        )
+        proc.start()
+        theirs.close()
+        worker = _Worker(proc, ours)
+        self._workers.append(worker)
+        if self._loop is not None and not self._loop.is_closed():
+            self._loop.add_reader(ours.fileno(), self._on_readable, worker)
+        return worker
+
+    def _bury(self, worker: _Worker, settled: list) -> None:
+        """Remove one worker (lock held) — dead already, or killed here.
+        The job it held fails as transient; its slot refills on demand."""
+        self._workers.remove(worker)
+        if self._loop is not None:
+            self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        worker.proc.kill()
+        worker.proc.join(1.0)
+        if worker.future is not None:
+            settled.append((worker.future, False, WorkerDiedError(
+                f"worker pid {worker.proc.pid} died with a job in flight"
+            )))
+
+    def _on_readable(self, worker: _Worker) -> None:
+        """The one reply handler, for the loop's readers and the pump
+        alike: take the reply (or the EOF) off ``worker``'s pipe, then
+        hand the freed slot the oldest waiting job."""
+        with self._locked() as settled:
+            if worker not in self._workers or not worker.conn.poll(0):
+                return  # another reader got here first
+            try:
+                reply = worker.conn.recv_bytes()
+            except (EOFError, OSError):
+                self._bury(worker, settled)
+                self.restarts += 1
+            else:
+                if worker.future is not None:
+                    settled.append((worker.future, *_read_reply(reply)))
+                worker.future = None
+            self._feed(settled)
+
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Have ``loop`` (and no longer the previous one) read replies."""
+        if self._loop is loop:
+            return
+        with self._lock:
+            for w in self._workers:
+                if self._loop is not None:
+                    self._loop.remove_reader(w.conn.fileno())
+                loop.add_reader(w.conn.fileno(), self._on_readable, w)
+            self._loop = loop
+
+    def _pump(self, timeout: float | None) -> bool:
+        """Read the replies that arrive within ``timeout`` on the calling
+        thread; False when no worker holds a job (nothing to wait for)."""
+        with self._lock:
+            busy = {w.conn: w for w in self._workers if w.future is not None}
+        for conn in wait_readable(list(busy), timeout) if busy else ():
+            self._on_readable(busy[conn])
+        return bool(busy)
+
+    def _pump_until(
+        self, future: Future, timeout: float | None
+    ) -> float | None:
+        """Pump until ``future`` is settled or ``timeout`` has passed;
+        returns what is left of the timeout for the caller's own wait."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not future.done():
+            if deadline is not None:
+                timeout = max(0.0, deadline - time.monotonic())
+            # Another reader may settle ``future`` while this thread
+            # sleeps on pipes that then stay silent, so look up from the
+            # pipes now and then.  Unsettled with nothing in flight means
+            # another reader holds the reply and is about to settle it:
+            # the caller's own wait is the right one for that.
+            if timeout == 0.0 or not self._pump(
+                _PUMP_SLICE_S if timeout is None
+                else min(timeout, _PUMP_SLICE_S)
+            ):
+                break
+        return timeout
+
+    # -- lifecycle -------------------------------------------------------
+
+    def _thread_executor(self) -> ThreadPoolExecutor:
+        if self._threads is None:
+            self._threads = ThreadPoolExecutor(
+                max_workers=self.size, thread_name_prefix="repro-worker"
+            )
+        return self._threads
 
     def kill_hung(self) -> int:
-        """Tear down the live executor so a hung worker cannot wedge the
-        pool forever; the next :attr:`executor` access starts a fresh one.
+        """Kill the live workers so a hung one cannot wedge the pool
+        forever; the jobs they held fail as transient and fresh workers
+        start with the next job.
 
-        For a process pool the worker processes are terminated outright
-        (a hung C loop never reaches a cooperative cancellation point);
-        thread pools cannot kill threads, so the stuck thread is leaked
-        and a replacement executor takes over — bounded by the watchdog's
-        hang budget, not by luck.  Returns the number of restarts so far.
-        Inline pools have no executor to tear down.
+        Process workers are SIGKILLed outright (a hung C loop never
+        reaches a cooperative cancellation point); thread pools cannot
+        kill threads, so the stuck thread is leaked and a replacement
+        executor takes over — bounded by the watchdog's hang budget, not
+        by luck.  Returns the number of restarts so far.  Inline pools
+        have nothing to tear down.
         """
         if self.kind == "inline":
             return self.restarts
-        executor = self._executor
-        self._executor = None
         self.restarts += 1
-        if executor is not None:
-            if self.kind == "process":
-                for proc in list(
-                    getattr(executor, "_processes", {}).values()
-                ):
-                    try:
-                        proc.terminate()
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-            executor.shutdown(wait=False, cancel_futures=True)
+        if self._threads is not None:
+            self._threads.shutdown(wait=False, cancel_futures=True)
+            self._threads = None
+        with self._locked() as settled:
+            for worker in list(self._workers):
+                self._bury(worker, settled)
+            self._feed(settled)
         return self.restarts
 
     def shutdown(self, *, wait: bool = True) -> None:
-        """Tear the pool down; ``wait=False`` abandons stuck workers
-        instead of blocking on them (used when a stop deadline blew)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=not wait)
-            self._executor = None
+        """Tear the pool down; ``wait=False`` kills stuck workers instead
+        of blocking on them (used when a stop deadline blew).  The next
+        job starts a fresh pool."""
+        if self._threads is not None:
+            self._threads.shutdown(wait=wait, cancel_futures=not wait)
+            self._threads = None
+        while wait and self._pump(_PUMP_SLICE_S):
+            pass  # jobs in flight, and the backlog behind them, finish
+        with self._locked() as settled:
+            for worker in list(self._workers):
+                self._bury(worker, settled)
+            while self._backlog:
+                settled.append((self._backlog.popleft()[0], False,
+                                WorkerDiedError("the pool was shut down")))
+            self._loop = None
 
     def __enter__(self) -> "WorkerPool":
         return self

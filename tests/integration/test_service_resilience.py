@@ -7,9 +7,15 @@ hung workers.
 """
 
 import asyncio
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +333,119 @@ class TestWatchdog:
         assert result.attempts == 2
         direct = get_codec("sz14").compress(field, 1e-3, "vr_rel")
         assert result.output == direct.payload
+
+
+def _slow_run_job(job):
+    from repro.service.workers import run_job
+
+    time.sleep(0.5)
+    return run_job(job)
+
+
+class TestWorkerDeath:
+    def test_one_dead_worker_fails_one_job(self, monkeypatch):
+        """A pipe per worker: SIGKILL one of two busy workers and only
+        its job is retried — the sibling's finishes on its first try."""
+        # patched before the workers fork, so they inherit it
+        monkeypatch.setattr("repro.service.shm.run_job", _slow_run_job)
+        # above SHM_MIN_BYTES: both jobs hold a leased segment
+        fld = np.random.default_rng(7).normal(size=(160, 160)).astype(
+            np.float32
+        )
+
+        async def main():
+            sched = BatchScheduler(
+                workers=2, pool_kind="process", transport="shm",
+                max_retries=2, backoff_base_s=0.01,
+            )
+            sched.start()
+            try:
+                handles = [
+                    await sched.submit(make_job("sz10", fld, eb=1e-3))
+                    for _ in range(2)
+                ]
+                await asyncio.sleep(0.2)  # one slow job on each worker
+                pids = sched.pool.worker_pids()
+                assert len(pids) == 2
+                os.kill(pids[0], signal.SIGKILL)
+                results = [await sched.wait(h) for h in handles]
+                leased = sched.transport.arena.leased_segments
+                return results, sched.pool.restarts, leased
+            finally:
+                await sched.stop()
+
+        results, restarts, leased = asyncio.run(main())
+        direct = get_codec("sz10").compress(fld, 1e-3, "vr_rel").payload
+        assert [r.output for r in results] == [direct, direct]
+        assert sorted(r.attempts for r in results) == [1, 2]
+        assert restarts == 1
+        assert leased == 0
+
+
+def _proc_stat(entry):
+    """``(state, parent pid)`` of a ``/proc/<pid>`` entry; a zombie or a
+    vanished process reads as gone (``None``)."""
+    try:
+        state, ppid = (entry / "stat").read_text().rpartition(")")[2].split()[:2]
+    except OSError:
+        return None
+    return None if state == "Z" else (state, int(ppid))
+
+
+def _running(pid):
+    return _proc_stat(Path(f"/proc/{pid}")) is not None
+
+
+def _children(pid):
+    return [
+        int(entry.name) for entry in Path("/proc").iterdir()
+        if entry.name.isdigit() and (_proc_stat(entry) or (None, None))[1] == pid
+    ]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestOrphans:
+    def test_workers_do_not_outlive_a_killed_server(self, tmp_path):
+        """SIGKILL the server: its pool workers read EOF on their pipes
+        and exit (and the resource tracker follows them)."""
+        log = tmp_path / "serve.log"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        with open(log, "wb") as sink:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                 "--workers", "2"],
+                stdout=sink, stderr=subprocess.STDOUT,
+                stdin=subprocess.DEVNULL, env=env, cwd=tmp_path,
+                start_new_session=True,
+            )
+        try:
+            deadline = time.monotonic() + 20
+            banner = None
+            while banner is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+                banner = re.search(r"listening on [\w.]+:(\d+)", log.read_text())
+            assert banner, log.read_text()
+            port = int(banner.group(1))
+            fld = np.random.default_rng(3).normal(size=(64, 96)).astype(
+                np.float32
+            )
+            with ServiceClient(port=port) as client:
+                for _ in range(4):  # four bands: both workers fork
+                    client.compress(fld, "wavesz-dp", tiles=4)
+            children = _children(server.pid)
+            assert len(children) >= 2, children
+            os.kill(server.pid, signal.SIGKILL)
+            server.wait(10)
+            deadline = time.monotonic() + 2.0
+            while any(map(_running, children)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert [pid for pid in children if _running(pid)] == []
+        finally:
+            try:
+                os.killpg(server.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            server.wait(10)
