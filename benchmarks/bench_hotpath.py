@@ -12,6 +12,9 @@ shares):
 * **lane decode vs chain walk**: the fast ``huffman.decode`` kernel on the
   same >= 50 K-symbol stream with its lane path on and off (a ratio
   inside one run, so it holds on a 1-CPU runner);
+* **``TokenStream.reconstruct`` vs its oracle**: the bulk expand of the
+  smoke field's gzip'd code stream against the per-literal-run loop it
+  replaced (kept as the oracle in ``tests/property/test_prop_deflate.py``);
 * **``lz77.parse`` by size and kind**: 2 KB / 16 KB / 100 KB prefixes of
   two Huffman-coded streams, one nearly incompressible (few, short
   matches) and one run-heavy (zero runs, maximal matches) — the 2 KB rows
@@ -27,9 +30,9 @@ shares):
 Results land in ``benchmarks/results/BENCH_kernels.json`` (the perf
 trajectory baseline) and a human table.  ``--smoke`` runs only the 2D
 field with byte-equality checks and **fails if the fast path regresses
-below 1.0x of reference, the lane decode below 1.5x of the chain walk or
-the clean speculative sweep below 1.3x of its checked path** — the CI
-perf gate.
+below 1.0x of reference, the lane decode below 1.5x of the chain walk,
+the bulk reconstruct below 2x of its oracle or the clean speculative
+sweep below 1.3x of its checked path** — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -53,11 +57,15 @@ from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
 from repro.sz.pqd import pqd_compress
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.property.test_prop_deflate import _reconstruct_oracle  # noqa: E402
+
 EB = 1e-3
 MODE = "vr_rel"
 CODEC = "sz14"
 SMOKE_FIELD = "2d CESM.CLDLOW"
 LANE_GATE = 1.5  # lane decode vs chain-walk fallback, same stream, same run
+RECONSTRUCT_GATE = 2.0  # bulk reconstruct vs the per-run oracle loop
 SPEC_GATE = 1.3  # clean narrow-view sweep, speculation on vs forced off
 PARSE_SIZES = (2048, 16384, 100_000)
 
@@ -165,6 +173,22 @@ def _lanes_vs_chain_walk(field: np.ndarray, repeats: int) -> dict:
         "lanes": lanes,
         "speedup": chain / max(lanes, 1e-12),
     }
+
+
+def _reconstruct_vs_oracle(field: np.ndarray, repeats: int) -> dict:
+    """``TokenStream.reconstruct`` against the per-run oracle loop, on the
+    token stream gzip makes of the field's Huffman-coded quant codes."""
+    syms = _quant_codes(field)
+    payload, _ = HuffmanCodec(HuffmanTable.from_symbols(syms)).encode(syms)
+    tokens = LZ77Encoder.best_speed().parse(payload)
+    if tokens.reconstruct() != payload or _reconstruct_oracle(tokens) != payload:
+        raise AssertionError("reconstruct and its oracle disagree")
+    row = {"tokens": int(tokens.n_tokens), "oracle": float("inf"), "bulk": float("inf")}
+    for _ in range(repeats + 3):  # alternate, so a slow spell hits both
+        row["oracle"] = min(row["oracle"], _best(lambda: _reconstruct_oracle(tokens), 1))
+        row["bulk"] = min(row["bulk"], _best(tokens.reconstruct, 1))
+    row["speedup"] = row["oracle"] / max(row["bulk"], 1e-12)
+    return row
 
 
 def _parse_by_size(repeats: int) -> dict:
@@ -287,6 +311,7 @@ def run(smoke: bool = False) -> dict:
     lane_decode = _lanes_vs_chain_walk(
         load_field("CESM-ATM", "CLDLOW", scale=2), repeats
     )
+    reconstruct = _reconstruct_vs_oracle(smoke_field, repeats)
     parse_rows = _parse_by_size(repeats)
     sweep_rows = _speculation_on_and_off(repeats)
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
@@ -298,6 +323,7 @@ def run(smoke: bool = False) -> dict:
         "smoke_field": SMOKE_FIELD,
         "stage_micro": stage_micro,
         "lane_decode": lane_decode,
+        "lz77_reconstruct": reconstruct,
         "lz77_parse": parse_rows,
         "narrow_sweep": sweep_rows,
         "end_to_end": e2e,
@@ -322,6 +348,10 @@ def run(smoke: bool = False) -> dict:
         f"chain walk {lane_decode['chain_walk'] * 1e3:.2f} ms, "
         f"lanes {lane_decode['lanes'] * 1e3:.2f} ms "
         f"({lane_decode['speedup']:.1f}x, gate {LANE_GATE}x)",
+        f"lz77 reconstruct, {reconstruct['tokens']} tokens: "
+        f"oracle loop {reconstruct['oracle'] * 1e3:.2f} ms, "
+        f"bulk {reconstruct['bulk'] * 1e3:.2f} ms "
+        f"({reconstruct['speedup']:.1f}x, gate {RECONSTRUCT_GATE}x)",
     ]
     lines += [
         "",
@@ -407,6 +437,11 @@ def run(smoke: bool = False) -> dict:
                 f"lane decode {lane_decode['speedup']:.2f}x of the chain walk "
                 f"(gate {LANE_GATE}x)"
             )
+        if reconstruct["speedup"] < RECONSTRUCT_GATE:
+            failures.append(
+                f"lz77 reconstruct {reconstruct['speedup']:.2f}x of its oracle "
+                f"(gate {RECONSTRUCT_GATE}x)"
+            )
         if failures:
             raise AssertionError("perf gate: " + "; ".join(failures))
     return report
@@ -422,8 +457,8 @@ if __name__ == "__main__":
         "--smoke",
         action="store_true",
         help="2D field only; exit nonzero if fast < 1.0x of reference, "
-        "lanes < 1.5x of the chain walk or the speculative sweep < 1.3x "
-        "of its checked path",
+        "lanes < 1.5x of the chain walk, the bulk reconstruct < 2x of its "
+        "oracle or the speculative sweep < 1.3x of its checked path",
     )
     args = ap.parse_args()
     try:

@@ -5,8 +5,9 @@ plus a table probe *per symbol*.  This kernel decodes a large payload
 the way :func:`repro.kernels.rans_fast.decode_stream` steps its lanes:
 many decoders in lock-step, a handful of in-place NumPy ops per step.
 
-**Lanes.**  A segment of the payload (at most ``CHUNK_BITS``) is cut
-into equal bit regions and one lane starts at every region boundary.
+**Lanes.**  A segment of the payload (at most ``_SEGMENT_BITS`` and
+``_LANES`` regions) is cut into equal bit regions and one lane starts at
+every region boundary.
 Each step gathers every lane's code window from a precomputed
 32-bit-window-per-byte array, looks the window up in a wide table of
 ``(symbol << 6) | length`` entries, records the entry and advances the
@@ -25,8 +26,12 @@ done leave the active set, so the cost follows the work left, not
 ``lanes x slowest lane`` (a region of 1-bit codes holds several times
 the mean symbol count).  The true symbol sequence is then lane 0's
 entries up to its link, the linked lane's entries from the linked slot
-up to *its* link, and so on: one pointer chase over the lanes and one
-ragged gather over the entry matrix.
+up to *its* link, and so on: a pointer-doubling chase over the links
+(which need not point at the right-hand neighbour) and one ragged
+gather over the entry matrix.  The marks and the entry matrix are
+allocated once per decode and reused by every segment; a generation
+base added to a segment's marks makes the ones earlier segments left
+read as unmarked.
 
 **Chain walk.**  Everything the lanes do not cover goes through the
 chunked chain walk this module has always had — per-bit decode entries
@@ -58,11 +63,12 @@ from ..errors import BitstreamError, HuffmanError
 
 __all__ = ["decode_payload", "CHUNK_BITS"]
 
-CHUNK_BITS = 1 << 19  # 64 KiB of payload per chain-walk chunk / lane segment
+CHUNK_BITS = 1 << 19  # 64 KiB of payload per chain-walk chunk
 _STEP_MASK = 63  # low 6 bits of an entry hold the code length
 
 _LANE_MIN_SYMBOLS = 1 << 14  # shorter streams stay on the chain walk
-_LANES = 2048  # lanes per segment, at most
+_LANES = 4096  # lanes per segment, at most
+_SEGMENT_BITS = 1 << 21  # payload bits per lane segment, at most (docs/PERF.md)
 _LANE_SYMBOLS = 64  # codes a lane is sized to decode in its own region
 _MIN_REGION_BITS = 64  # never cut a segment into regions shorter than this
 _LUT_BITS = 16  # window width of the lanes' decode table
@@ -70,6 +76,7 @@ _MAX_ESCAPE_SHARE = 64  # lane-decode only if escapes own < 1/64 of the windows
 _CHECK_EVERY = 8  # own-region steps between looks at who has crossed
 _SYNC_BUDGET = 256  # steps a lane may take beyond its region to link
 _PAD = 8 + (_CHECK_EVERY * 57 + 7) // 8  # bytes a lane may read past the end
+_MARK_LIMIT = 1 << 31  # marks are int32: generations restart below this
 
 
 # -- chain walk ----------------------------------------------------------------
@@ -228,37 +235,78 @@ def _lane_lut(codec) -> np.ndarray:
             full = _window_entries(table, min(maxlen, _LUT_BITS))
             if np.count_nonzero(full < 0) * _MAX_ESCAPE_SHARE < full.size:
                 lut = full
+                # Entries of symbols below 2^25 fit int32: half the bytes
+                # for the entry matrix the lanes fill.
+                if int(table.symbols.max()) < 1 << 25:
+                    lut = lut.astype(np.int32)
         codec._lane_lut = lut
     return lut
 
 
-class _Stepper:
-    """The lock-step: window gather, table gather, record, advance."""
+class _Lanes:
+    """One lane decode's state, shared by its segments.
 
-    def __init__(self, codec, lut, w32, pb, base, entries, n_lanes) -> None:
+    Holds the lock-step (window gather, table gather, record, advance)
+    and the buffers every segment reuses: the marks, the entry matrix and
+    the per-lane scratch.  The marks are allocated once: a segment's
+    marks are its entry slots plus a *generation* base above every slot
+    an earlier segment wrote, so a stale mark reads as unmarked and no
+    segment pays a fill.
+    """
+
+    def __init__(self, codec, lut, w32, pb, seg_bits, region_bits) -> None:
         self.codec = codec
         self.lut = lut
-        self.w32 = w32
+        self.w32_all = w32
         self.pb = pb
-        self.base = base
-        self.entries = entries  # flat view of the [rows, lanes] matrix
-        self.n_lanes = n_lanes
         bits = lut.size.bit_length() - 1
         self.shift0 = 32 - bits
         self.mask = lut.size - 1
         self.escapes = codec.table.max_length > bits
         self.first_long = bits + 1
-        self.scratch = np.empty((3, n_lanes), dtype=np.int64)
+        self.min_len = int(codec.table.lengths[0])
+        max_lanes = max(2, seg_bits // region_bits)
+        self.scratch = np.empty((2, max_lanes), dtype=np.int64)
+        self.found = np.empty(max_lanes, dtype=lut.dtype)
+        self.slot_marks = np.empty(max_lanes, dtype=np.int32)
+        # Segment-relative bit positions a lane can reach: the segment,
+        # the bits before its first byte boundary and the overrun.
+        self.marks = np.zeros(seg_bits + 8 + 8 * _PAD, dtype=np.int32)
+        self.next_gen = 1  # 0 is what a fresh mark reads
+        self.entries = np.empty(0, dtype=lut.dtype)
 
-    def run(self, pos, slot, steps, marks=None) -> None:
+    def segment(self, base: int, end: int, n_slots: int, n_lanes: int) -> None:
+        """Start a segment at payload bit ``base`` (a byte boundary) whose
+        entry slots are ``[0, n_slots)``: it marks ``slot + gen``."""
+        if self.next_gen + n_slots > _MARK_LIMIT:
+            self.marks.fill(0)
+            self.next_gen = 1
+        self.gen = self.next_gen
+        self.next_gen += n_slots
+        if self.entries.size < n_slots:
+            self.entries = np.empty(n_slots, dtype=self.lut.dtype)
+        self.base = base
+        self.w32 = self.w32_all[base >> 3 :]
+        self.n_lanes = n_lanes
+        # Everything at or past the segment end counts as marked (a lane
+        # there is done); further out no lane reaches.
+        self.marks[end : end + 8 * _PAD] = self.gen
+
+    def run(self, pos, slot, steps, mark=False) -> None:
         """Advance the lanes at ``pos`` (in place) by ``steps`` symbols,
-        recording each entry at the lane's ``slot`` (advanced in place)."""
+        recording each entry at the lane's ``slot`` (advanced in place)
+        and, with ``mark``, marking each visited position with it."""
         w32, lut, entries = self.w32, self.lut, self.entries
         shift0, mask, n_lanes = self.shift0, self.mask, self.n_lanes
-        q, w, e = self.scratch[:, : pos.size]
+        n = pos.size
+        q, w = self.scratch[:, :n]
+        e = self.found[:n]
+        if mark:
+            marks, gen, m = self.marks, self.gen, self.slot_marks[:n]
         for _ in range(steps):
-            if marks is not None:
-                marks[pos] = slot
+            if mark:
+                np.add(slot, gen, out=m, casting="unsafe")
+                marks[pos] = m
             np.right_shift(pos, 3, out=q)
             w32.take(q, out=w, mode="clip")
             np.bitwise_and(pos, 7, out=q)
@@ -282,9 +330,38 @@ class _Stepper:
             )
 
 
-def _lane_segment(
-    codec, lut, w32, pb, start, seg_end, region_bits, total_bits, out, i
-):
+def _true_path(nxt: np.ndarray) -> np.ndarray | None:
+    """The lanes the true code sequence runs through, in order.
+
+    ``nxt[lane]`` is the lane ``lane`` links to, ``n`` (= ``nxt.size``)
+    if its link leaves the segment and ``n + 1`` if it never linked.
+    Links need not point right: with long codes and short regions a lane
+    can stray past several regions before it looks.  The chase is pointer
+    doubling -- with ``jump`` = ``nxt`` applied ``2^k`` times, the next
+    ``2^k`` lanes of the path are ``jump`` of the ``2^k`` known ones --
+    so it costs ``log2`` of the path length in vector steps.  Returns the
+    path up to the lane whose link leaves the segment, or ``None`` when
+    a lane on it never linked.
+    """
+    n = nxt.size
+    jump = np.concatenate((nxt, (n, n + 1)))  # both ends absorb
+    path = np.zeros(1, dtype=np.int64)
+    # Links move forward in the payload, so no lane repeats on the path
+    # and n.bit_length() doublings reach its end; the bound only guards.
+    for _ in range(n.bit_length() + 1):
+        if path[-1] >= n:
+            break
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    else:
+        return None
+    stop = int(np.argmax(path >= n))
+    if path[stop] > n:
+        return None
+    return path[:stop]
+
+
+def _lane_segment(lanes, start, seg_end, region_bits, total_bits, out, i):
     """Lane-decode the true code sequence from bit ``start`` up to the first
     code boundary at or past ``seg_end`` into ``out[i:]``.
 
@@ -302,25 +379,21 @@ def _lane_segment(
         span * np.arange(n_lanes + 1, dtype=np.int64) // n_lanes
     )
     end = seg_end - base
-    min_len = int(codec.table.lengths[0])
     region = -(-span // n_lanes)
-    rows = -(-region // min_len) + _CHECK_EVERY + _SYNC_BUDGET + 1
-    entries = np.empty(rows * n_lanes, dtype=np.int64)
-    # marks[p] = slot of the entry some lane recorded at bit p; everything
-    # at or past the segment end counts as marked (a lane there is done).
-    marks = np.full(end + 8 * _PAD, -1, dtype=np.int64)
-    marks[end:] = 0
-    stepper = _Stepper(codec, lut, w32[base >> 3 :], pb, base, entries, n_lanes)
+    rows = -(-region // lanes.min_len) + _CHECK_EVERY + _SYNC_BUDGET + 1
+    n_slots = rows * n_lanes
+    lanes.segment(base, end, n_slots, n_lanes)
+    marks, gen, entries = lanes.marks, lanes.gen, lanes.entries
 
     # Own regions: step until every lane has crossed into the next one.
     # Lanes that have leave the set at the next look, so none strays more
     # than _CHECK_EVERY - 1 codes past its region.  State rows: position,
     # entry slot, lane, region end.
-    lanes = np.arange(n_lanes, dtype=np.int64)
-    st = np.stack((bounds[:-1], lanes, lanes, bounds[1:]))
+    lane_ids = np.arange(n_lanes, dtype=np.int64)
+    st = np.stack((bounds[:-1], lane_ids, lane_ids, bounds[1:]))
     left_at = np.empty((2, n_lanes), dtype=np.int64)
     while st.shape[1]:
-        stepper.run(st[0], st[1], _CHECK_EVERY, marks)
+        lanes.run(st[0], st[1], _CHECK_EVERY, mark=True)
         live = st[0] < st[3]
         if live.all():
             continue
@@ -329,38 +402,33 @@ def _lane_segment(
         st = st.compress(live, axis=1)
 
     # Links: step every lane until it lands on a marked position.
-    link = np.full((2, n_lanes), -1, dtype=np.int64)
-    st = np.vstack((left_at, lanes))
+    # link = (position, slot) where each lane linked; position -1: never.
+    link = np.empty((2, n_lanes), dtype=np.int64)
+    link[0] = -1
+    st = np.vstack((left_at, lane_ids))
     for _ in range(_SYNC_BUDGET):
-        hit = marks[st[0]] >= 0
+        hit = marks[st[0]] >= gen
         if hit.any():
             done = st.compress(hit, axis=1)
             link[:, done[2]] = done[:2]
             st = st.compress(~hit, axis=1)
             if not st.shape[1]:
                 break
-        stepper.run(st[0], st[1], 1)
+        lanes.run(st[0], st[1], 1)
 
     # The true path: lane 0 from slot 0 to its link, the lane it links to
-    # from the linked slot to that lane's link, ... until a link leaves
-    # the segment.
-    target = marks[np.maximum(link[0], 0)].tolist()
-    links = link[0].tolist()
-    path = []
-    first = []
-    lane = 0
-    at = 0
-    while True:
-        x = links[lane]
-        if x < 0:
-            return None  # this lane never linked
-        path.append(lane)
-        first.append(at)
-        if x >= end:
-            break
-        at = target[lane]
-        lane = at % n_lanes
-    first = np.array(first, dtype=np.int64)
+    # from the linked slot (the one marked at the link) to that lane's
+    # link, ... until a link leaves the segment.
+    at = link[0]
+    target = np.subtract(marks[np.maximum(at, 0)], gen, dtype=np.int64)
+    nxt = target % n_lanes
+    nxt[at >= end] = n_lanes
+    nxt[at < 0] = n_lanes + 1
+    path = _true_path(nxt)
+    if path is None:
+        return None
+    first = np.zeros(path.size, dtype=np.int64)
+    first[1:] = target[path[:-1]]
     counts = (link[1, path] - first) // n_lanes
     total = int(counts.sum())
     # Ragged gather: entry j of path lane m sits at first[m] + j * n_lanes.
@@ -369,7 +437,7 @@ def _lane_segment(
     idx *= n_lanes
     idx += np.repeat(first - starts * n_lanes, counts)
     ent = entries[idx]
-    pos = base + x
+    pos = base + int(at[path[-1]])
     while pos > total_bits:  # decoded from the padding, or running into it
         pos -= int(ent[-1]) & _STEP_MASK
         ent = ent[:-1]
@@ -381,21 +449,23 @@ def _lane_segment(
 def _lane_decode(codec, lut, buf, pb, total_bits, out) -> tuple[int, int]:
     """Lane-decode segment after segment; returns the ``(pos, i)`` reached —
     short of the end only if a segment could not be lane-decoded."""
-    a = buf.astype(np.int64)
-    w32 = (a[:-3] << 24) | (a[1:-2] << 16) | (a[2:-1] << 8) | a[3:]
+    # Built in place: one stream-sized int64 array, no temporaries.
+    w32 = buf[:-3].astype(np.int64)
+    for k in (1, 2, 3):
+        w32 <<= 8
+        w32 |= buf[k : buf.size - 3 + k]
     # Regions sized for _LANE_SYMBOLS codes each at the stream's mean code
     # length, segments for at most _LANES of them.
     region_bits = max(_MIN_REGION_BITS, _LANE_SYMBOLS * total_bits // out.size)
-    n_seg = -(-total_bits // min(CHUNK_BITS, _LANES * region_bits))
+    n_seg = -(-total_bits // min(_SEGMENT_BITS, _LANES * region_bits))
     seg_bits = -(-total_bits // n_seg)
+    lanes = _Lanes(codec, lut, w32, pb, seg_bits, region_bits)
     pos = i = 0
     for s in range(1, n_seg + 1):
         seg_end = min(s * seg_bits, total_bits)
         if pos >= seg_end:
             continue
-        done = _lane_segment(
-            codec, lut, w32, pb, pos, seg_end, region_bits, total_bits, out, i
-        )
+        done = _lane_segment(lanes, pos, seg_end, region_bits, total_bits, out, i)
         if done is None:
             break
         pos, i = done

@@ -16,10 +16,14 @@ is a pure function of its state (``0`` if ``x >= 2^23``, ``1`` if
   advances the states and records which lanes emitted; the stream is
   one masked ravel of ``(steps, lanes, 2)`` byte/flag matrices (the
   reference's reversed flat buffer read in forward order).
-* **decode** — gather each lane's slot/symbol, apply the transform,
-  compute the per-lane byte need from the thresholds above, and turn
-  ``cumsum(need)`` into gather offsets into the byte stream — no data
-  dependence between lanes inside a step.
+* **decode** — per-slot symbol, frequency and ``slot - cum`` tables
+  are built once, so a step's symbols and transform are three gathers,
+  a shift, a multiply and an add; the per-lane byte need comes from the
+  thresholds above, ``cumsum(need)`` gives each lane's offset into the
+  byte stream, and both candidate bytes are taken (clipped, from a
+  zero-padded buffer) and merged arithmetically — no data dependence
+  between lanes inside a step, and every op writes into scratch
+  preallocated once.
 """
 
 from __future__ import annotations
@@ -90,40 +94,59 @@ def decode_stream(
     slot_map: np.ndarray,
 ) -> np.ndarray:
     """Interleaved rANS decode, vectorized across lanes per step."""
-    buf = np.frombuffer(stream, dtype=np.uint8).astype(np.int64)
+    total_bytes = len(stream)
+    # Zero-padded by two so a lane's two byte reads never leave the buffer.
+    buf = np.zeros(total_bytes + 2, dtype=np.int64)
+    buf[:total_bytes] = np.frombuffer(stream, dtype=np.uint8)
     x = states.astype(np.int64, copy=True)
     n_lanes = x.size
     out = np.empty(m, dtype=np.int64)
+    # Per slot: the symbol, its frequency, and slot - cum[symbol] -- the
+    # decode transform is then two gathers, a shift, a multiply and an add.
+    slot_freq = np.asarray(freqs, dtype=np.int64)[slot_map]
+    slot_bias = np.arange(PROB_SCALE, dtype=np.int64) - cum[slot_map]
+    slots, f, need, at, b1, b2 = np.empty((6, n_lanes), dtype=np.int64)
+    low = np.empty(n_lanes, dtype=bool)
     pos = 0
-    total_bytes = buf.size
-    slot_mask = PROB_SCALE - 1
-    n_steps = -(-m // n_lanes)
-    for step in range(n_steps):
-        base = step * n_lanes
+    for base in range(0, m, n_lanes):
         hi = min(n_lanes, m - base)
+        if hi < n_lanes:  # the last step: only its first hi lanes decode
+            slots, f, need, at, b1, b2, low = (
+                a[:hi] for a in (slots, f, need, at, b1, b2, low)
+            )
         xs = x[:hi]
-        slots = xs & slot_mask
-        idxs = slot_map[slots]
-        out[base:base + hi] = idxs
-        xs = freqs[idxs] * (xs >> PROB_BITS) + slots - cum[idxs]
-        need = (xs < RANS_L).astype(np.int64) + (xs < (1 << 15))
-        total = int(need.sum())
-        if total:
-            if pos + total > total_bytes:
-                raise RansError("rANS byte stream exhausted mid-decode")
-            ends = np.cumsum(need)
-            starts = ends - need
-            one = need >= 1
-            first = np.zeros(hi, dtype=np.int64)
-            first[one] = buf[pos + starts[one]]
-            xs = np.where(one, (xs << 8) | first, xs)
-            two = need == 2
-            if two.any():
-                second = np.zeros(hi, dtype=np.int64)
-                second[two] = buf[pos + starts[two] + 1]
-                xs = np.where(two, (xs << 8) | second, xs)
-            pos += total
-        x[:hi] = xs
+        np.bitwise_and(xs, PROB_SCALE - 1, out=slots)
+        slot_map.take(slots, out=out[base:base + hi])
+        slot_freq.take(slots, out=f)
+        np.right_shift(xs, PROB_BITS, out=xs)
+        np.multiply(xs, f, out=xs)
+        np.add(xs, slot_bias.take(slots, out=f), out=xs)
+        # Bytes a lane needs: 1 below RANS_L, 2 below 2^15 (never more).
+        np.less(xs, RANS_L, out=low)
+        np.copyto(need, low)
+        np.less(xs, 1 << 15, out=low)
+        np.add(need, low, out=need)
+        np.cumsum(need, out=at)
+        total = int(at[-1])
+        if not total:
+            continue
+        if pos + total > total_bytes:
+            raise RansError("rANS byte stream exhausted mid-decode")
+        # at -> each lane's first byte; both reads are merged as one 16-bit
+        # word whose top 16 - 8 * need bits are shifted out.
+        np.subtract(at, need, out=at)
+        np.add(at, pos, out=at)
+        buf.take(at, out=b1, mode="clip")
+        np.add(at, 1, out=at)
+        buf.take(at, out=b2, mode="clip")
+        np.left_shift(b1, 8, out=b1)
+        np.bitwise_or(b1, b2, out=b1)
+        np.left_shift(need, 3, out=need)
+        np.left_shift(xs, need, out=xs)
+        np.subtract(16, need, out=need)
+        np.right_shift(b1, need, out=b1)
+        np.bitwise_or(xs, b1, out=xs)
+        pos += total
     if pos != total_bytes:
         raise RansError(
             f"rANS stream carries {total_bytes - pos} trailing bytes"

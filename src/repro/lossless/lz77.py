@@ -35,7 +35,10 @@ class TokenStream:
     ``kinds[i] == 0`` marks a literal whose byte value is ``values[i]``;
     ``kinds[i] == 1`` marks a match of length ``values[i]`` at backward
     distance ``dists[i]``.  Kept columnar so the DEFLATE layer can map the
-    whole stream to Huffman symbols with vector ops.
+    whole stream to Huffman symbols with vector ops.  Any other kind, a
+    literal outside ``0..255`` and a negative match length are refused
+    at construction, so every stream expands to exactly
+    :meth:`expanded_size` bytes.
     """
 
     kinds: np.ndarray  # uint8
@@ -45,6 +48,15 @@ class TokenStream:
     def __post_init__(self) -> None:
         if not (self.kinds.shape == self.values.shape == self.dists.shape):
             raise LosslessError("token arrays must have matching shapes")
+        if not self.kinds.size:
+            return
+        if int(self.kinds.max()) > 1 or int(self.kinds.min()) < 0:
+            raise LosslessError("token kinds must be 0 (literal) or 1 (match)")
+        negative = self.values < 0
+        if ((negative | (self.values > 255)) & (self.kinds == 0)).any():
+            raise LosslessError("literal values must be bytes (0..255)")
+        if negative.any():
+            raise LosslessError("match lengths must be non-negative")
 
     @property
     def n_tokens(self) -> int:
@@ -57,39 +69,39 @@ class TokenStream:
         return lit + mat
 
     def reconstruct(self) -> bytes:
-        """Inverse of the parse: expand tokens back to the original bytes."""
-        out = bytearray(self.expanded_size())
-        pos = 0
-        kinds = self.kinds
+        """Inverse of the parse: expand tokens back to the original bytes.
+
+        Every literal lands in place in one ``np.repeat`` (each token
+        repeated by the bytes it expands to; the bytes under a match are
+        overwritten below) and the matches' output offsets come from one
+        ``cumsum`` over their lengths.  Python loops over the matches only,
+        in stream order, so a match may copy what an earlier one wrote.
+        """
         values = self.values
-        dists = self.dists
-        i = 0
-        n = kinds.size
-        # Process runs of literals in bulk; copy matches slice-wise.
-        is_match = kinds == 1
-        boundaries = np.flatnonzero(is_match)
-        prev_end = 0
-        for b in boundaries:
-            if b > prev_end:  # literal run [prev_end, b)
-                run = values[prev_end:b].astype(np.uint8).tobytes()
-                out[pos : pos + len(run)] = run
-                pos += len(run)
-            length = int(values[b])
-            dist = int(dists[b])
-            if dist <= 0 or dist > pos:
-                raise LosslessError(f"invalid match distance {dist} at offset {pos}")
+        m_tok = np.flatnonzero(self.kinds)
+        m_len = values[m_tok]
+        m_dist = self.dists[m_tok]
+        size = np.ones(values.size, dtype=np.int64)
+        size[m_tok] = m_len
+        out = bytearray(np.repeat(values.astype(np.uint8), size))
+        # A match starts at its token index plus the bytes the matches
+        # before it expand to beyond their own token.
+        m_at = np.cumsum(m_len, dtype=np.int64)
+        m_at -= m_len
+        m_at += m_tok
+        m_at -= np.arange(m_tok.size)
+        bad = (m_dist <= 0) | (m_dist > m_at)
+        if bad.any():
+            k = int(bad.argmax())
+            raise LosslessError(
+                f"invalid match distance {int(m_dist[k])} at offset {int(m_at[k])}"
+            )
+        for pos, length, dist in zip(m_at.tolist(), m_len.tolist(), m_dist.tolist()):
+            src = pos - dist
             if dist >= length:
-                out[pos : pos + length] = out[pos - dist : pos - dist + length]
+                out[pos : pos + length] = out[src : src + length]
             else:  # overlapping copy: replicate the dist-byte period
-                chunk = bytes(out[pos - dist : pos])
-                reps = -(-length // dist)
-                out[pos : pos + length] = (chunk * reps)[:length]
-            pos += length
-            prev_end = b + 1
-        if prev_end < n:  # trailing literals
-            run = values[prev_end:n].astype(np.uint8).tobytes()
-            out[pos : pos + len(run)] = run
-            pos += len(run)
+                out[pos : pos + length] = (out[src:pos] * -(-length // dist))[:length]
         return bytes(out)
 
 

@@ -14,6 +14,7 @@ TINY_LANES = {
     "_LANE_SYMBOLS": 4,
     "_MIN_REGION_BITS": 8,
     "_LANES": 16,
+    "_SEGMENT_BITS": 256,
     "_SYNC_BUDGET": 24,
 }
 

@@ -1,10 +1,19 @@
-"""Property tests: the DEFLATE substrate is lossless on arbitrary bytes."""
+"""Property tests: the DEFLATE substrate is lossless on arbitrary bytes.
 
+``TokenStream.reconstruct`` places every literal in one bulk op and
+loops over the matches only; :func:`_reconstruct_oracle` is the per-run
+loop it replaced, kept here as the oracle it must agree with on bytes
+and on the ``LosslessError`` message.
+"""
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import LosslessError
 from repro.lossless import GzipStage, LosslessMode, deflate, inflate
-from repro.lossless.lz77 import LZ77Encoder
+from repro.lossless.lz77 import MAX_MATCH, LZ77Encoder, TokenStream
 
 
 @given(st.binary(max_size=4000))
@@ -45,3 +54,118 @@ def test_gzip_stage_identity_both_modes(data):
     for mode in LosslessMode:
         st_ = GzipStage(mode=mode)
         assert st_.decompress(st_.compress(data)) == data
+
+
+# -- reconstruct against the per-run oracle ---------------------------------------
+
+
+def _reconstruct_oracle(ts: TokenStream) -> bytes:
+    """The literal-run loop: one ``astype`` + ``tobytes`` per run of
+    literals, one slice copy per match, in token order."""
+    out = bytearray(ts.expanded_size())
+    pos = 0
+    kinds, values, dists = ts.kinds, ts.values, ts.dists
+    prev_end = 0
+    for b in np.flatnonzero(kinds == 1):
+        if b > prev_end:  # literal run [prev_end, b)
+            run = values[prev_end:b].astype(np.uint8).tobytes()
+            out[pos : pos + len(run)] = run
+            pos += len(run)
+        length = int(values[b])
+        dist = int(dists[b])
+        if dist <= 0 or dist > pos:
+            raise LosslessError(f"invalid match distance {dist} at offset {pos}")
+        if dist >= length:
+            out[pos : pos + length] = out[pos - dist : pos - dist + length]
+        else:  # overlapping copy: replicate the dist-byte period
+            chunk = bytes(out[pos - dist : pos])
+            reps = -(-length // dist)
+            out[pos : pos + length] = (chunk * reps)[:length]
+        pos += length
+        prev_end = b + 1
+    if prev_end < kinds.size:  # trailing literals
+        run = values[prev_end:].astype(np.uint8).tobytes()
+        out[pos : pos + len(run)] = run
+    return bytes(out)
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except LosslessError as err:
+        return ("LosslessError", str(err))
+
+
+def _stream(tokens) -> TokenStream:
+    kinds, values, dists = zip(*tokens) if tokens else ((), (), ())
+    return TokenStream(
+        np.array(kinds, dtype=np.uint8),
+        np.array(values, dtype=np.int32),
+        np.array(dists, dtype=np.int32),
+    )
+
+
+@st.composite
+def token_lists(draw, max_tokens=40):
+    """(kind, value, dist) triples: literal runs of any length (none
+    between two matches, none before the first), matches with
+    ``dist == length``, periodic ``dist < length`` copies and sources
+    reaching into earlier matches' output; now and then a distance that
+    points before the start."""
+    tokens = []
+    pos = 0
+    for _ in range(draw(st.integers(0, max_tokens))):
+        if pos == 0 or draw(st.booleans()):
+            for b in draw(st.lists(st.integers(0, 255), min_size=1, max_size=6)):
+                tokens.append((0, b, 0))
+                pos += 1
+            continue
+        length = draw(st.integers(0, MAX_MATCH))
+        how = draw(st.sampled_from(["equal", "period", "recent", "any", "bad"]))
+        if how == "equal":
+            dist = length
+        elif how == "period":
+            dist = draw(st.integers(1, 7))
+        elif how == "recent":  # lands in the last match's output, mostly
+            dist = draw(st.integers(1, min(pos, 2 * MAX_MATCH)))
+        elif how == "any":
+            dist = draw(st.integers(1, pos))
+        else:
+            dist = draw(st.sampled_from([0, -1, pos + 1, pos + 1000]))
+        tokens.append((1, length, dist))
+        pos += length
+    return tokens
+
+
+@given(token_lists())
+@settings(max_examples=300, deadline=None)
+def test_reconstruct_matches_the_oracle(tokens):
+    ts = _stream(tokens)
+    got = _outcome(ts.reconstruct)
+    assert got == _outcome(lambda: _reconstruct_oracle(ts))
+    if got[0] == "ok":
+        assert len(got[1]) == ts.expanded_size()
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [0, -4, "past"])
+def test_bad_distance_message_matches_the_oracle(which, bad):
+    # Ten literals, then matches of every flavour, one made invalid.
+    tokens = [(0, 97 + k, 0) for k in range(10)]
+    tokens += [(1, 5, 5), (1, 258, 1), (0, 7, 0), (1, 30, 7), (1, 12, 40), (1, 3, 3)]
+    m = [k for k, t in enumerate(tokens) if t[0] == 1]
+    k = {"first": m[0], "middle": m[len(m) // 2], "last": m[-1]}[which]
+    at = sum(t[1] if t[0] else 1 for t in tokens[:k])
+    tokens[k] = (1, tokens[k][1], at + 1 if bad == "past" else bad)
+    ts = _stream(tokens)
+    got = _outcome(ts.reconstruct)
+    assert got[0] == "LosslessError"
+    assert got[1] == f"invalid match distance {tokens[k][2]} at offset {at}"
+    assert got == _outcome(lambda: _reconstruct_oracle(ts))
+
+
+def test_a_clean_stream_of_every_flavour_matches_the_oracle():
+    tokens = [(0, 97 + k, 0) for k in range(10)]
+    tokens += [(1, 5, 5), (1, 258, 1), (1, 9, 263), (1, 30, 7), (0, 7, 0)]
+    ts = _stream(tokens)
+    assert ts.reconstruct() == _reconstruct_oracle(ts)

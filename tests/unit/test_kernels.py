@@ -7,7 +7,8 @@ bounds checks, the cached Lorenzo stencil helpers,
 tables, what ``import repro.cli`` may load, and the lane-parallel
 Huffman decode on streams long enough to cross many lanes (values,
 exception class and message against the chain-walk fallback and the
-reference twin).  The bit-exactness of the other fast kernels is
+reference twin), and the lane decoder's pointer-doubling chase over
+links that skip lanes.  The bit-exactness of the other fast kernels is
 enforced by the differential suite in
 ``tests/property/test_prop_kernels.py``.
 """
@@ -495,3 +496,67 @@ class TestHuffmanLaneDecode:
                 bad = bytes(bad[: len(bad) - cut])
                 got = lanes_match_chain_walk(codec, bad, syms.size)
                 matches_reference(codec, bad, syms.size, got)
+
+
+def _long_code_stream():
+    """2000 symbols with 7-11-bit codes: several codes per 8-bit region."""
+    syms = np.random.default_rng(43).geometric(0.003, 2000).astype(np.int64)
+    codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+    return codec, syms, codec.encode(syms)[0]
+
+
+class TestLaneChase:
+    def test_path_follows_links_in_any_direction(self):
+        # 0 -> 3 -> 1 -> 5 -> out of the segment: a link may point left.
+        n = 6
+        nxt = np.array([3, 5, n + 1, 1, n + 1, n])
+        assert huffman_fast._true_path(nxt).tolist() == [0, 3, 1, 5]
+        nxt[5] = 4  # ... -> 5 -> 4, which never linked
+        assert huffman_fast._true_path(nxt) is None
+        assert huffman_fast._true_path(np.array([2, 2])).tolist() == [0]
+
+    def test_long_path_in_shuffled_lane_order(self):
+        # A path through every lane, visiting them in a shuffled order.
+        order = np.random.default_rng(5).permutation(np.arange(1, 3000))
+        path = np.concatenate(([0], order))
+        nxt = np.empty(path.size, dtype=np.int64)
+        nxt[path[:-1]] = path[1:]
+        nxt[path[-1]] = path.size
+        assert np.array_equal(huffman_fast._true_path(nxt), path)
+
+    def test_lanes_linking_past_their_right_hand_neighbour(self, monkeypatch):
+        # 8-bit regions, codes of 7-11 bits: a lane steps over several
+        # regions between looks and links to whichever lane marked last.
+        codec, syms, payload = _long_code_stream()
+        hops = []  # per segment: steps of the true path that skip a lane
+        true_path = huffman_fast._true_path
+
+        def spy(nxt):
+            path = true_path(nxt)
+            if path is not None:
+                hops.append(int((np.diff(path) != 1).sum()))
+            return path
+
+        monkeypatch.setattr(huffman_fast, "_true_path", spy)
+        with lane_constants(**{**TINY_LANES, "_LANE_SYMBOLS": 0}):
+            got = lanes_match_chain_walk(codec, payload, syms.size)
+            assert got == ("ok", syms.tobytes())
+            for cut in (1, 2, 5):
+                got = lanes_match_chain_walk(codec, payload[:-cut], syms.size)
+                assert got[0] == "BitstreamError"
+        assert len(hops) >= 24 and sum(hops) > 0
+
+    def test_mark_generations_restart_below_the_limit(self, monkeypatch):
+        codec, syms, payload = _long_code_stream()
+        gens = []
+        segment = huffman_fast._Lanes.segment
+
+        def spy(self, *args):
+            segment(self, *args)
+            gens.append(self.gen)
+
+        monkeypatch.setattr(huffman_fast._Lanes, "segment", spy)
+        with lane_constants(**TINY_LANES, _MARK_LIMIT=1 << 12):
+            got = lanes_match_chain_walk(codec, payload, syms.size)
+        assert got == ("ok", syms.tobytes())
+        assert gens.count(1) > 2 and max(gens) > 1

@@ -107,3 +107,42 @@ class TestTokenStream:
                 values=np.zeros(3, np.int32),
                 dists=np.zeros(2, np.int32),
             )
+
+    def test_invalid_distance_message_names_the_first_bad_match(self):
+        ts = TokenStream(
+            kinds=np.array([0, 0, 1, 1, 1], dtype=np.uint8),
+            values=np.array([65, 66, 4, 3, 5], dtype=np.int32),
+            dists=np.array([0, 0, 2, 7, 9], dtype=np.int32),
+        )
+        with pytest.raises(LosslessError, match=r"^invalid match distance 7 at offset 6$"):
+            ts.reconstruct()
+
+    @pytest.mark.parametrize(
+        "kinds,values,match",
+        [
+            # kind 2 would expand as a literal expanded_size() does not count
+            ([0, 2, 0], [65, 66, 67], "token kinds"),
+            ([0, 255, 0], [65, 66, 67], "token kinds"),
+            # literals that would wrap to b"," and b"\xff"
+            ([0, 0], [65, 300], "literal values"),
+            ([0, 0], [-1, 65], "literal values"),
+            ([0, 1], [65, -3], "match lengths"),
+        ],
+    )
+    def test_tokens_outside_the_contract_are_rejected(self, kinds, values, match):
+        with pytest.raises(LosslessError, match=match):
+            TokenStream(
+                kinds=np.array(kinds, dtype=np.int64),
+                values=np.array(values, dtype=np.int32),
+                dists=np.array([0, 1, 0][: len(kinds)], dtype=np.int32),
+            )
+
+    def test_accepted_streams_expand_to_their_size(self):
+        ts = TokenStream(
+            kinds=np.array([0, 0, 1, 0, 1, 1], dtype=np.uint8),
+            values=np.array([0, 255, 7, 9, 3, 0], dtype=np.int32),
+            dists=np.array([0, 0, 1, 0, 4, 2], dtype=np.int32),
+        )
+        out = ts.reconstruct()
+        assert out == b"\x00" + b"\xff" * 8 + b"\x09" + b"\xff" * 3
+        assert len(out) == ts.expanded_size() == 13

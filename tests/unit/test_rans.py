@@ -221,6 +221,72 @@ class TestCoder:
         assert pick_lanes(10**9) == 2048  # capped
 
 
+def _decode_outcome(mode, blob, table, m):
+    """``("ok", bytes)`` or ``(class name, message)`` under ``mode``."""
+    try:
+        with forced(mode):
+            return ("ok", decode_tokens(blob, table, m).tobytes())
+    except RansError as err:
+        return (type(err).__name__, str(err))
+
+
+def _damage_blob(m):
+    """A skewed m-token blob: one- and two-byte renorms in most steps."""
+    rng = np.random.default_rng(m)
+    table = RansTable.from_counts(np.arange(6), np.array([4000, 600, 90, 9, 2, 1]))
+    tokens = rng.choice(6, size=m, p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.1])
+    return encode_tokens(tokens, table), table
+
+
+class TestDecodeDamageParity:
+    """Fast and reference decode agree on class *and* message."""
+
+    @staticmethod
+    def same(blob, table, m):
+        got = _decode_outcome("fast", blob, table, m)
+        assert got == _decode_outcome("reference", blob, table, m)
+        return got
+
+    # 300 tokens fill 4 lanes evenly; 301 leave 3 of them idle in the
+    # last step.
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_every_truncation_length(self, m):
+        blob, table = _damage_blob(m)
+        kinds = set()
+        for cut in range(len(blob)):
+            kinds.add(self.same(blob[:cut], table, m)[1])
+        assert "rANS byte stream exhausted mid-decode" in kinds
+        assert self.same(blob, table, m)[0] == "ok"
+
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_trailing_bytes(self, m):
+        blob, table = _damage_blob(m)
+        for tail in (b"\x00", b"\x00\x01"):
+            got = self.same(blob + tail, table, m)
+            assert got == ("RansError", f"rANS stream carries {len(tail)} trailing bytes")
+
+    @pytest.mark.parametrize(
+        "state", [coder.RANS_L - 1, 2**31, coder.RANS_L, coder.RANS_L + 1, 2**31 - 1]
+    )
+    def test_lane_state_at_and_past_the_interval_edges(self, state):
+        blob, table = _damage_blob(301)
+        bad = bytearray(blob)
+        bad[8:12] = state.to_bytes(4, "little")  # the second lane
+        got = self.same(bytes(bad), table, 301)
+        assert got[0] == "RansError"
+        if not coder.RANS_L <= state < 2**31:
+            assert got[1] == "rANS lane state outside the coder interval"
+
+    def test_idle_lanes_with_flipped_bytes(self):
+        blob, table = _damage_blob(301)
+        outcomes = set()
+        for at in range(4 + 4 * 4, len(blob), 3):
+            bad = bytearray(blob)
+            bad[at] ^= 0x5A
+            outcomes.add(self.same(bytes(bad), table, 301)[0])
+        assert outcomes <= {"ok", "RansError"} and "RansError" in outcomes
+
+
 class TestRle:
     def test_collapse_expand_roundtrip(self):
         codes = np.array([5, 5, 5, 1, 5, 5, 2, 2, 5], dtype=np.int64)
