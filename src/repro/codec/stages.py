@@ -115,11 +115,12 @@ def put_section(
     The decision travels in the header under ``flag``; a section that
     also changes its name when gzipped passes ``gz_name``.  Returns the
     stored size for the ratio accounting.  :func:`take_section` is the
-    one reader of what this writes.
+    one reader of what this writes.  The attempt gets ``len(raw)`` as
+    its budget, so one that cannot win stops before it builds a stream.
     """
-    gz = lossless.compress(raw) if raw else raw
-    use_gz = len(gz) < len(raw)
-    stored = gz if use_gz else raw
+    gz = lossless.compress(raw, budget=len(raw)) if raw else None
+    use_gz = gz is not None
+    stored = gz if gz is not None else raw
     container.add(gz_name if use_gz and gz_name else name, stored)
     container.header[flag] = use_gz
     return len(stored)

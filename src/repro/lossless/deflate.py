@@ -19,12 +19,14 @@ import numpy as np
 
 from ..errors import LosslessError
 from ..encoding.bitio import pack_codes, unpack_codes
+from ..encoding.histogram import symbol_histogram
 from ..encoding.huffman import HuffmanCodec, HuffmanTable
 from .lz77 import LZ77Encoder, TokenStream, MAX_MATCH, MIN_MATCH
 
 __all__ = ["deflate", "inflate", "LENGTH_BASE", "LENGTH_EXTRA", "DIST_BASE", "DIST_EXTRA"]
 
 _MAGIC = b"WDF1"
+_COUNTS = struct.Struct("<QII")  # original length, tokens, matches
 
 # DEFLATE length buckets: base length and number of extra bits per bucket.
 LENGTH_BASE = np.array(
@@ -60,14 +62,34 @@ def _bucketize(values: np.ndarray, base: np.ndarray) -> np.ndarray:
     return idx
 
 
-def deflate(data: bytes, encoder: LZ77Encoder | None = None) -> bytes:
-    """Compress ``data`` into the WDF1 container."""
+def deflate(
+    data: bytes, encoder: LZ77Encoder | None = None, budget: int | None = None
+) -> bytes | None:
+    """Compress ``data`` into the WDF1 container.
+
+    With a ``budget``, returns ``None`` instead when the container would
+    not be smaller than ``budget`` bytes.  Its exact length is known once
+    the parse and both Huffman tables are, so a losing attempt stops
+    there and never packs a stream.
+    """
     encoder = encoder or LZ77Encoder.best_compression()
     tokens = encoder.parse(data)
-    return _serialize(tokens, len(data))
+    return _serialize(tokens, len(data), budget)
 
 
-def _serialize(tokens: TokenStream, original_len: int) -> bytes:
+def _table(symbols: np.ndarray) -> tuple[HuffmanTable, int]:
+    """The canonical table of ``symbols`` and the exact bit length of
+    their encoding, from the histogram alone (O(alphabet))."""
+    values, counts = symbol_histogram(symbols)
+    table = HuffmanTable.from_frequencies(values, counts)
+    # table.symbols is ``values`` in canonical order; ``values`` is sorted.
+    bits = counts[np.searchsorted(values, table.symbols)] @ table.lengths
+    return table, int(bits)
+
+
+def _serialize(
+    tokens: TokenStream, original_len: int, budget: int | None
+) -> bytes | None:
     kinds = tokens.kinds
     values = tokens.values.astype(np.int64)
     dists = tokens.dists.astype(np.int64)
@@ -91,37 +113,32 @@ def _serialize(tokens: TokenStream, original_len: int) -> bytes:
         eb[0::2] = LENGTH_EXTRA[len_idx]
         ev[1::2] = dists[match_mask] - DIST_BASE[dist_idx]
         eb[1::2] = DIST_EXTRA[dist_idx]
-        nz = eb > 0
-        extras_payload, extras_bits = pack_codes(ev[nz], eb[nz])
     else:
-        dist_idx = np.empty(0, dtype=np.int64)
-        extras_payload, extras_bits = b"", 0
+        dist_idx = ev = eb = np.empty(0, dtype=np.int64)
 
-    lit_table = HuffmanTable.from_symbols(litlen) if n_tokens else HuffmanTable(
-        np.empty(0, np.int64), np.empty(0, np.int64)
+    lit_table, lit_bits = _table(litlen)
+    dist_table, dist_bits = _table(dist_idx)
+    tables = (lit_table.to_bytes(), dist_table.to_bytes())
+    if budget is not None:
+        # magic, counts, five u32 length prefixes, two tables, three streams
+        size = len(_MAGIC) + _COUNTS.size + 5 * 4 + len(tables[0]) + len(tables[1])
+        size += sum((b + 7) >> 3 for b in (lit_bits, dist_bits, int(eb.sum())))
+        if size >= budget:
+            return None
+
+    payloads = (
+        HuffmanCodec(lit_table).encode(litlen)[0],
+        HuffmanCodec(dist_table).encode(dist_idx)[0],
     )
-    lit_codec = HuffmanCodec(lit_table)
-    lit_payload, lit_bits = lit_codec.encode(litlen) if n_tokens else (b"", 0)
-
-    if n_matches:
-        dist_table = HuffmanTable.from_symbols(dist_idx)
-        dist_codec = HuffmanCodec(dist_table)
-        dist_payload, dist_bits = dist_codec.encode(dist_idx)
-    else:
-        dist_table = HuffmanTable(np.empty(0, np.int64), np.empty(0, np.int64))
-        dist_payload, dist_bits = b"", 0
-
     out = bytearray(_MAGIC)
-    out += struct.pack("<QII", original_len, n_tokens, n_matches)
-    for table, payload in (
-        (lit_table, lit_payload),
-        (dist_table, dist_payload),
-    ):
-        tbytes = table.to_bytes()
+    out += _COUNTS.pack(original_len, n_tokens, n_matches)
+    for tbytes, payload in zip(tables, payloads):
         out += struct.pack("<I", len(tbytes))
         out += tbytes
         out += struct.pack("<I", len(payload))
         out += payload
+    nz = eb > 0
+    extras_payload = pack_codes(ev[nz], eb[nz])[0]
     out += struct.pack("<I", len(extras_payload))
     out += extras_payload
     return bytes(out)

@@ -55,10 +55,13 @@ class GzipStage:
             return LZ77Encoder.best_speed()
         return LZ77Encoder.best_compression()
 
-    def compress(self, data: bytes) -> bytes:
+    def compress(self, data: bytes, budget: int | None = None) -> bytes | None:
+        """Compress ``data``; ``None`` when a ``budget`` is given and the
+        output would not be smaller than it (see :func:`deflate`)."""
         if self.backend is LosslessBackend.ZLIB:
-            return _ZLIB_MAGIC + zlib.compress(data, _ZLIB_LEVEL[self.mode])
-        return deflate(data, self._encoder())
+            out = _ZLIB_MAGIC + zlib.compress(data, _ZLIB_LEVEL[self.mode])
+            return None if budget is not None and len(out) >= budget else out
+        return deflate(data, self._encoder(), budget)
 
     def decompress(self, blob: bytes) -> bytes:
         if blob[:4] == _ZLIB_MAGIC:

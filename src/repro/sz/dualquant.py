@@ -113,20 +113,33 @@ def prequantize(work: np.ndarray, precision: float) -> PrequantResult:
     rounding past the bound) goes raw.  That check is what makes the
     error-bound guarantee a *property of the wire format* rather than of
     typical data.
+
+    Every pass is in place or into one scratch array.  NaN and ±Inf need
+    no ``isfinite`` pass: they already fail ``|q| < 2**53``, and what the
+    later passes compute for them is discarded.
     """
     work = _check_input(work)
     twoeb = 2.0 * float(precision)
     d64 = work.astype(np.float64, copy=False)
     with np.errstate(invalid="ignore", over="ignore"):
-        qf = np.rint(d64 / twoeb)
-        on_lattice = np.isfinite(qf) & (np.abs(qf) < _Q_LIMIT)
-        recon = np.where(on_lattice, qf, 0.0) * twoeb
-        recon = recon.astype(work.dtype).astype(np.float64)
-        on_lattice &= np.abs(recon - d64) <= precision
-    q = np.where(on_lattice, qf, 0.0).astype(np.int64)
-    raw_idx = np.flatnonzero(~on_lattice).astype(np.int64)
-    raw_values = work.reshape(-1)[raw_idx].copy()
-    return PrequantResult(q=q, raw_idx=raw_idx, raw_values=raw_values)
+        qf = d64 / twoeb
+        np.rint(qf, out=qf)
+        scratch = np.abs(qf)
+        on_lattice = scratch < _Q_LIMIT
+        np.multiply(qf, twoeb, out=scratch)
+        if work.dtype != np.float64:  # the decompressor's dtype rounding
+            scratch[...] = scratch.astype(work.dtype)
+        scratch -= d64
+        np.abs(scratch, out=scratch)
+        on_lattice &= scratch <= precision
+    if on_lattice.all():
+        raw_idx = np.empty(0, dtype=np.int64)
+    else:
+        raw_idx = np.flatnonzero(~on_lattice)
+        qf.reshape(-1)[raw_idx] = 0.0
+    return PrequantResult(
+        q=qf.astype(np.int64), raw_idx=raw_idx, raw_values=work.reshape(-1)[raw_idx]
+    )
 
 
 def lattice_to_values(
@@ -222,12 +235,14 @@ def predict_encode(
     returned verbatim in raster order.
     """
     delta = resolve("dualquant.delta_encode")(q)
-    r = quant.radius
-    shifted = delta + r
-    codable = (shifted > 0) & (shifted < quant.capacity)
-    codes = np.where(codable, shifted, 0)
-    outlier_deltas = delta.reshape(-1)[~codable.reshape(-1)].copy()
-    return codes, outlier_deltas
+    codes = delta + quant.radius
+    codable = codes > 0
+    codable &= codes < quant.capacity
+    if codable.all():
+        return codes, np.empty(0, dtype=np.int64)
+    outlier = ~codable
+    codes[outlier] = 0
+    return codes, delta[outlier]
 
 
 def codes_to_deltas(

@@ -31,6 +31,7 @@ from ..codec.stages import (
     take_section,
 )
 from ..encoding.huffman import HuffmanCodec, HuffmanTable
+from ..errors import ConfigError
 from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, bound_from_header, header_dtype, header_int
 from ..variants import Feature
@@ -97,7 +98,18 @@ class _CurveFitStage:
     name = "curvefit"
 
     def forward(self, ctx: PipelineContext) -> None:
-        types, _, _ = sz10_predict_loop(ctx.data, ctx.bound.absolute)
+        p = ctx.bound.absolute
+        types, dec, _ = sz10_predict_loop(ctx.data, p)
+        # A fitted point is checked inside the loop; an unpredictable one
+        # decodes as its truncation, which stores a subnormal as zero.  A
+        # bound below such a point's magnitude cannot be held, so refuse.
+        miss = int(np.count_nonzero(np.abs(dec - ctx.data.reshape(-1)) > p))
+        if miss:
+            raise ConfigError(
+                f"SZ-1.0 cannot hold the absolute bound {p:.6g} on this field: "
+                f"{miss} of {dec.size} points would decode out of bound "
+                "(truncation stores an unpredictable subnormal as zero)"
+            )
         ctx.codes = types
 
     def inverse(self, ctx: PipelineContext) -> None:

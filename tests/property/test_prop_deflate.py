@@ -4,15 +4,29 @@
 loops over the matches only; :func:`_reconstruct_oracle` is the per-run
 loop it replaced, kept here as the oracle it must agree with on bytes
 and on the ``LosslessError`` message.
+
+``deflate(x, budget=b)`` prices the container exactly before it packs a
+stream and gives up when it would not be smaller than ``b``; the
+unbudgeted ``deflate(x)`` is its oracle, and :func:`_put_section_oracle`
+(compress the whole section, then compare) is ``put_section``'s.
 """
+
+from contextlib import contextmanager
+from typing import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.encoding.bitio as bitio
+from repro.codec.registry import get_codec
+from repro.codec.stages import put_section, take_section
+from repro.data import load_field
 from repro.errors import LosslessError
-from repro.lossless import GzipStage, LosslessMode, deflate, inflate
+from repro.io.container import Container
+from repro.lossless import GzipStage, LosslessBackend, LosslessMode, deflate, inflate
 from repro.lossless.lz77 import MAX_MATCH, LZ77Encoder, TokenStream
 
 
@@ -169,3 +183,132 @@ def test_a_clean_stream_of_every_flavour_matches_the_oracle():
     tokens += [(1, 5, 5), (1, 258, 1), (1, 9, 263), (1, 30, 7), (0, 7, 0)]
     ts = _stream(tokens)
     assert ts.reconstruct() == _reconstruct_oracle(ts)
+
+
+# -- the priced early exit against compress-then-compare ---------------------------
+
+
+def _check_budgets(data: bytes, encoder: LZ77Encoder) -> None:
+    """At budgets one below, at and one above the container's length,
+    ``None`` exactly when it would not be smaller, and the same bytes
+    otherwise."""
+    full = deflate(data, encoder)
+    assert full is not None
+    for budget in (len(full) - 1, len(full), len(full) + 1):
+        got = deflate(data, encoder, budget)
+        if len(full) >= budget:
+            assert got is None, (len(full), budget)
+        else:
+            assert got == full
+
+
+@given(st.binary(max_size=3000), st.sampled_from(["speed", "best"]))
+@settings(max_examples=80, deadline=None)
+def test_budget_is_exact_on_arbitrary_bytes(data, level):
+    encoder = LZ77Encoder.best_speed() if level == "speed" else LZ77Encoder.best_compression()
+    _check_budgets(data, encoder)
+
+
+@given(st.binary(min_size=1, max_size=40), st.integers(1, 200), st.binary(max_size=200))
+@settings(max_examples=40, deadline=None)
+def test_budget_is_exact_on_repetitive_bytes(chunk, reps, tail):
+    # long matches: every extra-bit width, both gzip outcomes
+    _check_budgets(chunk * reps + tail, LZ77Encoder.best_speed())
+
+
+def _code_stream(codec: str, field: np.ndarray) -> bytes:
+    """The Huffman code stream a codec hands to its gzip attempt."""
+    c = Container.from_bytes(get_codec(codec).compress(field, 1e-3, "vr_rel").payload)
+    return take_section(
+        c, GzipStage(), "huffman_codes", "codes_gzipped", gz_name="huffman_codes_gz"
+    )
+
+
+@pytest.fixture(scope="module")
+def code_streams(smooth2d, rough2d) -> dict[str, bytes]:
+    # best_speed gzip loses on the first three fields' streams, wins on the rest
+    fields = {"smooth": smooth2d, "rough": rough2d} | {
+        f"cesm.{name}": np.ascontiguousarray(load_field("CESM-ATM", name)[:60])
+        for name in ("TS", "CLDLOW", "ICEFRAC")
+    }
+    return {
+        f"{codec}:{name}": _code_stream(codec, field)
+        for codec in ("wavesz-dp", "sz14")
+        for name, field in fields.items()
+    }
+
+
+def test_budget_is_exact_on_code_streams(code_streams):
+    for encoder in (LZ77Encoder.best_speed(), LZ77Encoder.best_compression()):
+        for stream in code_streams.values():
+            _check_budgets(stream, encoder)
+
+
+@contextmanager
+def _pack_calls() -> Iterator[list[str]]:
+    """Records every ``bitio.pack_codes`` kernel dispatch inside the block."""
+    calls: list[str] = []
+    resolve = bitio.resolve
+
+    def counting(name: str):
+        if name == "bitio.pack_codes":
+            calls.append(name)
+        return resolve(name)
+
+    with mock.patch.object(bitio, "resolve", counting):
+        yield calls
+
+
+def test_a_losing_attempt_packs_nothing(code_streams):
+    noise = bytes(np.random.default_rng(7).integers(0, 256, 4096, dtype=np.uint8))
+    for data in [noise, *code_streams.values()]:
+        full = deflate(data, LZ77Encoder.best_speed())
+        with _pack_calls() as losing:
+            assert deflate(data, LZ77Encoder.best_speed(), len(full)) is None
+        assert losing == []
+        with _pack_calls() as winning:
+            assert deflate(data, LZ77Encoder.best_speed(), len(full) + 1) == full
+        assert winning
+
+
+def _put_section_oracle(container, lossless, name, raw, flag, *, gz_name=None) -> int:
+    """``put_section`` as it was: build the whole gzip attempt, then compare."""
+    gz = lossless.compress(raw) if raw else raw
+    use_gz = len(gz) < len(raw)
+    stored = gz if use_gz else raw
+    container.add(gz_name if use_gz and gz_name else name, stored)
+    container.header[flag] = use_gz
+    return len(stored)
+
+
+STAGES = [
+    GzipStage(mode=mode, backend=backend)
+    for mode in LosslessMode
+    for backend in LosslessBackend
+]
+
+
+def _same_put(lossless: GzipStage, raw: bytes, gz_name: str | None) -> bool:
+    """Both writers store the same container; returns whether gzip won."""
+    got, want = Container(header={}), Container(header={})
+    n = put_section(got, lossless, "blob", raw, "blob_gz", gz_name=gz_name)
+    assert n == _put_section_oracle(want, lossless, "blob", raw, "blob_gz", gz_name=gz_name)
+    assert got.to_bytes() == want.to_bytes()
+    return got.header["blob_gz"]
+
+
+@given(
+    st.one_of(st.binary(max_size=2000), st.binary(max_size=20).map(lambda b: b * 60)),
+    st.sampled_from(STAGES),
+    st.sampled_from([None, "blob_z"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_put_section_matches_compress_then_compare(raw, lossless, gz_name):
+    _same_put(lossless, raw, gz_name)
+
+
+def test_put_section_matches_compress_then_compare_on_code_streams(code_streams):
+    for lossless in STAGES:
+        won = [_same_put(lossless, s, "huffman_codes_gz") for s in code_streams.values()]
+        if lossless == GzipStage():
+            assert won == [False, False, False, True, True] * 2

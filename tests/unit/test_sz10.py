@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ContainerError
+from repro.errors import ConfigError, ContainerError
 from repro.sz import SZ10Compressor
 from repro.sz.sz10 import sz10_predict_loop
 
@@ -71,3 +71,35 @@ class TestSZ10EndToEnd:
         cf = c.compress(rough2d[:20, :20], 1e-6, "abs")
         assert cf.stats.n_unpredictable > 0
         assert cf.stats.compressed_bytes > 0
+
+
+class TestSubnormalBound:
+    """SZ-1.0 truncation stores an unpredictable subnormal as zero, so a
+    bound below such a point's magnitude is refused at compress, never
+    returned as a payload that decodes out of bound."""
+
+    @staticmethod
+    def _denormal_field() -> np.ndarray:
+        rng = np.random.default_rng(11)
+        return (rng.random((24, 40)) * 1e-39).astype(np.float32)
+
+    @pytest.mark.parametrize("eb, mode", [(1e-3, "vr_rel"), (1e-41, "abs")])
+    def test_a_bound_below_the_subnormals_is_refused(self, eb, mode):
+        x = self._denormal_field()
+        assert (np.abs(x) < np.finfo(np.float32).tiny).all()
+        with pytest.raises(ConfigError, match="SZ-1.0 cannot hold the absolute bound"):
+            SZ10Compressor().compress(x, eb, mode)
+
+    @pytest.mark.parametrize("eb", [1e-38, 1.0])
+    def test_a_bound_above_the_subnormals_still_holds(self, eb):
+        x = self._denormal_field()
+        c = SZ10Compressor()
+        out = c.decompress(c.compress(x, eb, "abs"))
+        assert np.abs(out.astype(np.float64) - x).max() <= eb
+
+    def test_normal_values_and_zeros_hold_at_a_tiny_bound(self):
+        # truncation keeps every mantissa bit here: nothing to refuse
+        x = np.array([1.0, 0.0, -2.5, 7.0, -0.0, 3e-30] * 20, dtype=np.float32)
+        c = SZ10Compressor()
+        out = c.decompress(c.compress(x, 1e-30, "abs"))
+        assert np.abs(out.astype(np.float64) - x).max() <= 1e-30
