@@ -12,6 +12,10 @@ shares):
 * **lane decode vs chain walk**: the fast ``huffman.decode`` kernel on the
   same >= 50 K-symbol stream with its lane path on and off (a ratio
   inside one run, so it holds on a 1-CPU runner);
+* **the packer per call**: the fast ``bitio.pack_codes`` kernel on the
+  same 259 200-code stream, ms and minor page faults per call
+  (``ru_minflt``, after warm-up), back to back and each call right after
+  a compress of the field (a count, so it holds on any runner);
 * **``TokenStream.reconstruct`` vs its oracle**: the bulk expand of the
   smoke field's gzip'd code stream against the per-literal-run loop it
   replaced (kept as the oracle in ``tests/property/test_prop_deflate.py``);
@@ -31,14 +35,16 @@ Results land in ``benchmarks/results/BENCH_kernels.json`` (the perf
 trajectory baseline) and a human table.  ``--smoke`` runs only the 2D
 field with byte-equality checks and **fails if the fast path regresses
 below 1.0x of reference, the lane decode below 1.5x of the chain walk,
-the bulk reconstruct below 2x of its oracle or the clean speculative
-sweep below 1.3x of its checked path** — the CI perf gate.
+the bulk reconstruct below 2x of its oracle, the clean speculative
+sweep below 1.3x of its checked path or the packer above 64 minor page
+faults per call** — the CI perf gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -50,8 +56,10 @@ from common import RESULTS_DIR, emit, fmt_row
 from repro import load_field
 from repro.codec.registry import get_codec
 from repro.config import QuantizerConfig, resolve_error_bound
+from repro.encoding.bitio import pack_codes
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
 from repro.kernels import forced, huffman_fast, pqd_fast
+from repro.kernels import resolve as resolve_kernel
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
@@ -67,6 +75,7 @@ SMOKE_FIELD = "2d CESM.CLDLOW"
 LANE_GATE = 1.5  # lane decode vs chain-walk fallback, same stream, same run
 RECONSTRUCT_GATE = 2.0  # bulk reconstruct vs the per-run oracle loop
 SPEC_GATE = 1.3  # clean narrow-view sweep, speculation on vs forced off
+PACK_FAULT_GATE = 64  # minor page faults per packer call, 259 K codes
 PARSE_SIZES = (2048, 16384, 100_000)
 
 FIELDS = {
@@ -173,6 +182,46 @@ def _lanes_vs_chain_walk(field: np.ndarray, repeats: int) -> dict:
         "lanes": lanes,
         "speedup": chain / max(lanes, 1e-12),
     }
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _packer_per_call(field: np.ndarray, repeats: int) -> dict:
+    """The fast ``bitio.pack_codes`` kernel on the field's quant-code
+    stream: ms and minor page faults per call, after warm-up, back to back
+    and each call right after a compress of the field — where the write
+    side calls it, and where whole-stream temporaries were mapped fresh."""
+    syms = _quant_codes(field)
+    table = HuffmanTable.from_symbols(syms)
+    order = np.argsort(table.symbols)
+    entry = order[np.searchsorted(table.symbols[order], syms)]
+    codes, lengths = table.assign_codes()[entry], table.lengths[entry]
+    compress = get_codec(CODEC).compress
+    row: dict = {"symbols": int(syms.size)}
+    with forced("fast"):
+        pack = resolve_kernel("bitio.pack_codes")
+        if pack(codes, lengths) != pack_codes(codes, lengths):
+            raise AssertionError("packer kernel and pack_codes disagree")
+        for name, before in (
+            ("back_to_back", lambda: None),
+            ("after_compress", lambda: compress(field, EB, MODE)),
+        ):
+            times, faults = [], 0
+            for k in range(repeats + 5):
+                before()
+                f0, t0 = _minflt(), time.perf_counter()
+                pack(codes, lengths)
+                t1, f1 = time.perf_counter(), _minflt()
+                if k >= 2:  # warm-up
+                    times.append(t1 - t0)
+                    faults += f1 - f0
+            row[name] = {
+                "ms": float(np.median(times)) * 1e3,
+                "faults_per_call": faults / len(times),
+            }
+    return row
 
 
 def _reconstruct_vs_oracle(field: np.ndarray, repeats: int) -> dict:
@@ -308,9 +357,9 @@ def run(smoke: bool = False) -> dict:
 
     smoke_field = FIELDS[SMOKE_FIELD]()
     stage_micro = _stage_micro(smoke_field, repeats)
-    lane_decode = _lanes_vs_chain_walk(
-        load_field("CESM-ATM", "CLDLOW", scale=2), repeats
-    )
+    big_field = load_field("CESM-ATM", "CLDLOW", scale=2)  # 259 200 points
+    lane_decode = _lanes_vs_chain_walk(big_field, repeats)
+    packer = _packer_per_call(big_field, repeats)
     reconstruct = _reconstruct_vs_oracle(smoke_field, repeats)
     parse_rows = _parse_by_size(repeats)
     sweep_rows = _speculation_on_and_off(repeats)
@@ -323,6 +372,7 @@ def run(smoke: bool = False) -> dict:
         "smoke_field": SMOKE_FIELD,
         "stage_micro": stage_micro,
         "lane_decode": lane_decode,
+        "pack_codes_per_call": packer,
         "lz77_reconstruct": reconstruct,
         "lz77_parse": parse_rows,
         "narrow_sweep": sweep_rows,
@@ -348,6 +398,12 @@ def run(smoke: bool = False) -> dict:
         f"chain walk {lane_decode['chain_walk'] * 1e3:.2f} ms, "
         f"lanes {lane_decode['lanes'] * 1e3:.2f} ms "
         f"({lane_decode['speedup']:.1f}x, gate {LANE_GATE}x)",
+        f"bitio.pack_codes fast kernel, {packer['symbols']} codes: "
+        f"back to back {packer['back_to_back']['ms']:.2f} ms "
+        f"({packer['back_to_back']['faults_per_call']:.0f} faults/call), "
+        f"after a compress {packer['after_compress']['ms']:.2f} ms "
+        f"({packer['after_compress']['faults_per_call']:.0f} faults/call, "
+        f"gate {PACK_FAULT_GATE})",
         f"lz77 reconstruct, {reconstruct['tokens']} tokens: "
         f"oracle loop {reconstruct['oracle'] * 1e3:.2f} ms, "
         f"bulk {reconstruct['bulk'] * 1e3:.2f} ms "
@@ -442,6 +498,12 @@ def run(smoke: bool = False) -> dict:
                 f"lz77 reconstruct {reconstruct['speedup']:.2f}x of its oracle "
                 f"(gate {RECONSTRUCT_GATE}x)"
             )
+        worst = max(r["faults_per_call"] for k, r in packer.items() if k != "symbols")
+        if worst > PACK_FAULT_GATE:
+            failures.append(
+                f"pack_codes {worst:.0f} minor page faults per call "
+                f"(gate {PACK_FAULT_GATE})"
+            )
         if failures:
             raise AssertionError("perf gate: " + "; ".join(failures))
     return report
@@ -458,7 +520,8 @@ if __name__ == "__main__":
         action="store_true",
         help="2D field only; exit nonzero if fast < 1.0x of reference, "
         "lanes < 1.5x of the chain walk, the bulk reconstruct < 2x of its "
-        "oracle or the speculative sweep < 1.3x of its checked path",
+        "oracle, the speculative sweep < 1.3x of its checked path or the "
+        "packer > 64 minor page faults per call",
     )
     args = ap.parse_args()
     try:

@@ -165,13 +165,15 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Vectorized MSB-first packing of per-symbol (code, length) pairs.
 
     Returns ``(packed_bytes, total_bits)``.  Bit ``k`` (0-based, MSB-first)
-    of each symbol's code is ``(code >> (length-1-k)) & 1``.  The packing
-    itself goes through the ``bitio.pack_codes`` kernel: the reference
-    expands to a flat bit array with ``repeat``/``cumsum`` index
-    arithmetic and a single :func:`numpy.packbits` call; the fast path
-    (:func:`repro.kernels.bitpack_fast.pack_codes_windowed`) produces
-    the identical bytes by summing per-byte window contributions with
-    ``bincount``, using far less time and scratch memory.
+    of each symbol's code is ``(code >> (length-1-k)) & 1``.  Like
+    :meth:`BitWriter.write`, a code that does not fit its length raises
+    :class:`BitstreamError`.  The packing itself goes through the
+    ``bitio.pack_codes`` kernel: the reference expands to a flat bit array
+    with ``repeat``/``cumsum`` index arithmetic and a single
+    :func:`numpy.packbits` call; the fast path
+    (:func:`repro.kernels.bitpack_fast.pack_codes_windowed`) produces the
+    identical bytes by summing codes into 64-bit words, block by block,
+    using far less time and scratch memory.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -183,6 +185,23 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         return b"", 0
     if (lengths <= 0).any() or (lengths > _MAX_CODE_BITS).any():
         raise BitstreamError("code lengths must be in [1, 57]")
+    spill = codes >> lengths.view(np.uint64)  # bits above each length
+    if spill.any():
+        j = int(np.flatnonzero(spill)[0])
+        raise BitstreamError(
+            f"value {int(codes[j])} does not fit in {int(lengths[j])} bits"
+        )
+    return _pack_fitting_codes(codes, lengths)
+
+
+def _pack_fitting_codes(
+    codes: np.ndarray, lengths: np.ndarray
+) -> tuple[bytes, int]:
+    """:func:`pack_codes` without its checks, for a caller that has made
+    them once for many calls: non-empty 1-D ``uint64`` codes, ``int64``
+    lengths in ``[1, 57]``, every code fitting its length.  A Huffman
+    table's codes fit by construction, so the encoder checks its table
+    instead of every symbol.  Every packer dispatch goes through here."""
     return resolve("bitio.pack_codes")(codes, lengths)
 
 

@@ -26,14 +26,13 @@ import numpy as np
 
 from ..errors import HuffmanError
 from ..kernels.dispatch import register_kernel, resolve
-from .bitio import BitReader, pack_codes
+from .bitio import _MAX_CODE_BITS, BitReader, _pack_fitting_codes
 from .histogram import symbol_histogram
 
 __all__ = ["HuffmanTable", "HuffmanCodec"]
 
 _FAST_BITS = 12
 _MAGIC = b"HUF1"
-_MAX_TABLE_DEPTH = 57  # matches the bit-IO buffer headroom
 _MAX_ENC_ALPHABET = 1 << 26  # dense encode-table slots (plenty for 16-bit codes)
 
 
@@ -188,7 +187,7 @@ class HuffmanTable:
             raise HuffmanError("truncated Huffman table: missing max length")
         (maxlen,) = struct.unpack_from("<B", data, pos)
         pos += 1
-        if not 1 <= maxlen <= _MAX_TABLE_DEPTH:
+        if not 1 <= maxlen <= _MAX_CODE_BITS:
             raise HuffmanError(f"implausible Huffman code depth {maxlen}")
         if len(data) < pos + 4 * maxlen + 4 * n:
             raise HuffmanError("truncated Huffman table body")
@@ -198,9 +197,8 @@ class HuffmanTable:
             raise HuffmanError("corrupt Huffman table: count mismatch")
         # Kraft over-subscription would make canonical codes overlap and
         # decoding ambiguous; reject it outright.
-        kraft = int(
-            (per_len.astype(object) * [2 ** (maxlen - l) for l in range(1, maxlen + 1)]).sum()
-        )
+        spans = [2 ** (maxlen - length) for length in range(1, maxlen + 1)]
+        kraft = int((per_len.astype(object) * spans).sum())
         if kraft > 2**maxlen:
             raise HuffmanError("corrupt Huffman table: over-subscribed code")
         symbols = np.frombuffer(data, dtype="<u4", count=n, offset=pos).astype(
@@ -312,11 +310,29 @@ class HuffmanCodec:
                     raise HuffmanError(
                         f"encode alphabet too large ({hi - lo} dense slots)"
                     )
+                # The packer trusts every code to fit a length in [1, 57],
+                # so the table is checked here, once, instead of every
+                # symbol.  Built and parsed tables always pass; a canonical
+                # code outgrows its length exactly when the hand-built
+                # table is over-subscribed.
+                lengths = table.lengths
+                if lengths[0] < 1 or lengths[-1] > _MAX_CODE_BITS:
+                    raise HuffmanError(
+                        f"code lengths must be in [1, {_MAX_CODE_BITS}]"
+                    )
+                codes = table.assign_codes()
+                spill = codes >> lengths.astype(np.uint64)
+                if spill.any():
+                    j = int(np.flatnonzero(spill)[0])
+                    raise HuffmanError(
+                        f"over-subscribed Huffman table: code {int(codes[j])} "
+                        f"does not fit in {int(lengths[j])} bits"
+                    )
                 self._enc_base = lo
                 self._enc_len = np.zeros(hi - lo, dtype=np.int64)
                 self._enc_code = np.zeros(hi - lo, dtype=np.uint64)
-                self._enc_len[table.symbols - lo] = table.lengths
-                self._enc_code[table.symbols - lo] = table.assign_codes()
+                self._enc_len[table.symbols - lo] = lengths
+                self._enc_code[table.symbols - lo] = codes
             else:
                 self._enc_len = np.zeros(0, dtype=np.int64)
                 self._enc_code = np.zeros(0, dtype=np.uint64)
@@ -326,14 +342,21 @@ class HuffmanCodec:
         """Validated ``(lookup slots, code lengths)`` of a symbol stream."""
         enc_len = self._encode_tables(symbols.size)[0]
         lo = self._enc_base
-        low = symbols.min()
-        if low < 0 or symbols.max() >= lo + enc_len.size:
-            raise HuffmanError("symbol outside table alphabet")
-        if low < lo:  # inside the alphabet, below every coded symbol
-            raise HuffmanError("symbol with zero frequency in table")
+        if symbols.dtype != np.int64:
+            if symbols.dtype.kind not in "iu":
+                raise HuffmanError(f"symbols must be integers, got {symbols.dtype}")
+            symbols = symbols.astype(np.int64)  # uint64 past 2**63 turns negative
         slots = symbols - lo if lo else symbols
+        # One unsigned test covers both ends of the alphabet: a slot below
+        # zero wraps past every valid one.  Which end failed is worked out
+        # only when one did.
+        if slots.view(np.uint64).max() >= enc_len.size:
+            if symbols.min() < 0 or symbols.max() >= lo + enc_len.size:
+                raise HuffmanError("symbol outside table alphabet")
+            # inside the alphabet, below every coded symbol
+            raise HuffmanError("symbol with zero frequency in table")
         lengths = enc_len[slots]
-        if (lengths == 0).any():
+        if np.count_nonzero(lengths) != lengths.size:
             raise HuffmanError("symbol with zero frequency in table")
         return slots, lengths
 
@@ -352,7 +375,7 @@ class HuffmanCodec:
         if symbols.size == 0:
             return b"", 0
         slots, lengths = self._slots(symbols)
-        return pack_codes(self._enc_code[slots], lengths)
+        return _pack_fitting_codes(self._enc_code[slots], lengths)
 
     # -- decode ------------------------------------------------------------
 

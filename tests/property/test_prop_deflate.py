@@ -26,6 +26,7 @@ from repro.codec.stages import put_section, take_section
 from repro.data import load_field
 from repro.errors import LosslessError
 from repro.io.container import Container
+from repro.kernels import dispatch, forced
 from repro.lossless import GzipStage, LosslessBackend, LosslessMode, deflate, inflate
 from repro.lossless.lz77 import MAX_MATCH, LZ77Encoder, TokenStream
 
@@ -269,6 +270,42 @@ def test_a_losing_attempt_packs_nothing(code_streams):
         with _pack_calls() as winning:
             assert deflate(data, LZ77Encoder.best_speed(), len(full) + 1) == full
         assert winning
+
+
+@contextmanager
+def _kernel_runs() -> Iterator[list[str]]:
+    """Records every run of either ``bitio.pack_codes`` implementation,
+    however the caller reached it."""
+    runs: list[str] = []
+    kernel = dispatch._REGISTRY["bitio.pack_codes"]
+
+    def spy(impl, mode):
+        def run(*args):
+            runs.append(mode)
+            return impl(*args)
+
+        return run
+
+    with mock.patch.multiple(
+        kernel,
+        reference=spy(kernel.reference, "reference"),
+        _fast=spy(kernel.fast, "fast"),
+    ):
+        yield runs
+
+
+@pytest.mark.parametrize("mode", ["reference", "fast"])
+def test_the_counting_seam_sees_every_pack(code_streams, mode):
+    """``_pack_calls`` counts dispatches through ``bitio.resolve``; the
+    Huffman encoder skips ``pack_codes``' checks, so it must still
+    dispatch there and not around it."""
+    field = np.ascontiguousarray(load_field("CESM-ATM", "CLDLOW")[:60])
+    with forced(mode), _kernel_runs() as runs, _pack_calls() as calls:
+        for data in code_streams.values():
+            deflate(data, LZ77Encoder.best_speed())
+        for name in ("wavesz", "wavesz-dp", "sz14", "sz10"):
+            get_codec(name).compress(field, 1e-3, "vr_rel")
+    assert calls and runs == [mode] * len(calls)
 
 
 def _put_section_oracle(container, lossless, name, raw, flag, *, gz_name=None) -> int:

@@ -9,6 +9,8 @@ adversarial payloads — and compare bytes, arrays, and failure classes
 across ``forced("reference")`` / ``forced("fast")``.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.codec.registry import get_codec
+from repro.codec.stages import take_section
 from repro.config import QuantizerConfig
+from repro.data import load_field
 from repro.encoding.bitio import pack_codes, unpack_codes
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
-from repro.errors import ReproError
-from repro.kernels import forced, huffman_fast, lz77_fast, pqd_fast
+from repro.errors import BitstreamError, ReproError
+from repro.io.container import Container
+from repro.kernels import bitpack_fast, forced, huffman_fast, lz77_fast, pqd_fast
+from repro.lossless import GzipStage
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.sz.pqd import pqd_compress, pqd_decompress
@@ -158,6 +164,119 @@ def test_pack_unpack_codes_identical(lengths, seed):
         vals_fast = unpack_codes(payload, lengths)
     assert np.array_equal(vals_ref, vals_fast)
     assert np.array_equal(vals_ref.astype(np.uint64), codes)
+
+
+@contextmanager
+def _block_codes(n):
+    """Scoped override of the fast packer's block length."""
+    saved = bitpack_fast._BLOCK_CODES
+    bitpack_fast._BLOCK_CODES = n
+    try:
+        yield
+    finally:
+        bitpack_fast._BLOCK_CODES = saved
+
+
+def _fitting_codes(lengths, rng):
+    """Random codes of exactly the given widths, top bit set half the time."""
+    widths = lengths.astype(np.uint64)
+    codes = rng.integers(0, 1 << 57, lengths.size).astype(np.uint64)
+    codes &= (np.uint64(1) << widths) - np.uint64(1)
+    top = rng.random(lengths.size) < 0.5
+    codes[top] |= np.uint64(1) << (widths[top] - np.uint64(1))
+    return codes
+
+
+def _same_packing(codes, lengths):
+    with forced("reference"):
+        ref = pack_codes(codes, lengths)
+    with forced("fast"):
+        fast = pack_codes(codes, lengths)
+    assert ref == fast
+    assert np.array_equal(unpack_codes(ref[0], lengths).astype(np.uint64), codes)
+
+
+BLOCKS = [1, 3, 7, 64]
+
+
+def _edge_lengths(kind, n, rng):
+    if kind == "ones":
+        return np.ones(n, dtype=np.int64)
+    if kind == "max":
+        return np.full(n, 57, dtype=np.int64)
+    if kind == "straddle":
+        # 57-bit codes between short ones: offsets wander through every
+        # value mod 64, so wide codes cross word edges inside and at the
+        # ends of blocks
+        return np.where(rng.random(n) < 0.5, 57, rng.integers(1, 12, n))
+    return rng.integers(1, 58, n)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", ["ones", "max", "straddle", "mixed"])
+def test_pack_codes_block_edges(block, kind):
+    """Streams of one code and of block - 1, block and block + 1 codes
+    (and a few blocks more), the block length shrunk so every stream
+    crosses its edges."""
+    rng = np.random.default_rng(block * 31 + len(kind))
+    with _block_codes(block):
+        for n in sorted({1, max(1, block - 1), block, block + 1, 5 * block + 2}):
+            lengths = _edge_lengths(kind, n, rng)
+            _same_packing(_fitting_codes(lengths, rng), lengths)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_pack_codes_straddles_at_block_edges(block):
+    """57-bit codes that cross a word edge as the last code of a block and
+    as the first code of the next; the first code's width moves where
+    they start across 57 offsets in their word."""
+    rng = np.random.default_rng(block)
+    with _block_codes(block):
+        for first in range(1, 58):
+            lengths = np.full(2 * block + 1, 57, dtype=np.int64)
+            lengths[0] = first
+            lengths[1 : block - 1] = 1
+            _same_packing(_fitting_codes(lengths, rng), lengths)
+
+
+@given(
+    st.sampled_from(BLOCKS),
+    hnp.arrays(
+        dtype=np.int64,
+        shape=st.integers(min_value=1, max_value=300),
+        elements=st.integers(min_value=1, max_value=57),
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pack_codes_small_blocks_identical(block, lengths, seed):
+    with _block_codes(block):
+        _same_packing(_fitting_codes(lengths, np.random.default_rng(seed)), lengths)
+
+
+@pytest.mark.parametrize("name", ["wavesz", "sz14", "wavesz-dp"])
+def test_pack_codes_real_code_streams_at_shipped_block(name):
+    """A codec's quant codes, long enough to cross several blocks of the
+    shipped length, re-encode to the bytes it stored in both modes."""
+    payload = get_codec(name).compress(load_field("CESM-ATM", "CLDLOW"), 1e-3, "vr_rel")
+    container = Container.from_bytes(payload.payload)
+    section = ("codes", None) if name == "wavesz" else ("huffman_codes", "huffman_codes_gz")
+    stored = take_section(
+        container, GzipStage(), section[0], "codes_gzipped", gz_name=section[1]
+    )
+    codec = HuffmanCodec(HuffmanTable.from_bytes(container.get("huffman_table"))[0])
+    syms = codec.decode(stored, container.header["n_codes"])
+    assert syms.size > 3 * bitpack_fast._BLOCK_CODES
+    for mode in ("reference", "fast"):
+        with forced(mode):
+            assert codec.encode(syms)[0] == stored
+
+
+@pytest.mark.parametrize("mode", ["reference", "fast"])
+def test_pack_codes_refuses_a_code_wider_than_its_length(mode):
+    with forced(mode):
+        with pytest.raises(BitstreamError, match="value 3 does not fit in 1 bits"):
+            pack_codes([1, 3], [1, 1])
 
 
 @given(st.binary(min_size=0, max_size=6000))

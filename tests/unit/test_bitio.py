@@ -5,6 +5,7 @@ import pytest
 
 from repro.encoding.bitio import BitReader, BitWriter, pack_codes
 from repro.errors import BitstreamError
+from repro.kernels import forced
 
 
 class TestBitWriter:
@@ -152,6 +153,27 @@ class TestPackCodes:
     def test_rejects_over_wide_codes(self):
         with pytest.raises(BitstreamError):
             pack_codes(np.zeros(1, np.uint64), np.array([58]))
+
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    def test_rejects_a_code_wider_than_its_length(self, mode):
+        # once packed as b'\xc0' by the reference and b'@' by the fast kernel
+        with forced(mode):
+            with pytest.raises(BitstreamError, match="value 3 does not fit in 1 bits"):
+                pack_codes([1, 3], [1, 1])
+            with pytest.raises(BitstreamError, match="value 8 does not fit in 3 bits"):
+                pack_codes(np.array([0, 8], dtype=np.uint64), np.array([57, 3]))
+            assert pack_codes([1, 1], [1, 1]) == (b"\xc0", 2)
+
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    def test_matches_scalar_writer_in_both_modes(self, mode):
+        rng = np.random.default_rng(2)
+        lengths = rng.integers(1, 58, size=3000)
+        codes = np.array([rng.integers(0, 1 << n) for n in lengths], dtype=np.uint64)
+        w = BitWriter()
+        for c, n in zip(codes, lengths):
+            w.write(int(c), int(n))
+        with forced(mode):
+            assert pack_codes(codes, lengths) == (w.getvalue(), int(lengths.sum()))
 
     def test_bit_exact_known_vector(self):
         payload, nbits = pack_codes(

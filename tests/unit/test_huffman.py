@@ -146,6 +146,53 @@ class TestCodec:
         with pytest.raises(Exception):
             c.decode(payload, syms.size * 10)
 
+    def test_symbol_outside_or_missing_names_which(self):
+        # a short stream indexes the dense encode table from its lowest symbol
+        c = _codec_for(np.array([32760, 32761, 32761, 32763, 32770]))
+        for syms, msg in (
+            ([32761, 32771], "symbol outside table alphabet"),
+            ([-1, 32761], "symbol outside table alphabet"),
+            ([-(2**63), 32761], "symbol outside table alphabet"),
+            ([32761, 2**62], "symbol outside table alphabet"),
+            ([5, 32761], "symbol with zero frequency in table"),
+            ([32761, 32762], "symbol with zero frequency in table"),
+        ):
+            for call in (c.encode, c.encoded_size_bits):
+                with pytest.raises(HuffmanError, match=msg):
+                    call(np.array(syms, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64, np.int8])
+    def test_narrow_and_unsigned_symbols_encode_alike(self, dtype):
+        syms = np.random.default_rng(7).integers(0, 100, 3000)
+        c = _codec_for(syms)
+        assert c.encode(syms.astype(dtype)) == c.encode(syms)
+        with pytest.raises(HuffmanError, match="symbol outside table alphabet"):
+            c.encode(np.array([0, 100], dtype=dtype))
+
+    def test_non_integer_symbols_rejected(self):
+        c = _codec_for(np.array([1, 2]))
+        with pytest.raises(HuffmanError, match="must be integers"):
+            c.encode(np.array([1.0, 2.0]))
+
+    def test_hand_built_bad_tables_refused_before_packing(self):
+        # Lengths outside the bit-IO range, and an over-subscribed table
+        # whose third code does not fit its length: the encoder checks the
+        # table once, so even a stream of only its good symbols is refused.
+        zero = HuffmanCodec(HuffmanTable(np.array([0]), np.array([0])))
+        deep = HuffmanCodec(HuffmanTable(np.array([0, 1]), np.array([1, 58])))
+        over = HuffmanCodec(HuffmanTable(np.array([0, 1, 2]), np.array([1, 1, 1])))
+        for codec in (zero, deep):
+            for call in (codec.encode, codec.encoded_size_bits):
+                with pytest.raises(
+                    HuffmanError, match=r"code lengths must be in \[1, 57\]"
+                ):
+                    call(np.array([0, 0, 0]))
+        with pytest.raises(
+            HuffmanError,
+            match="over-subscribed Huffman table: code 2 does not fit in 1 bits",
+        ):
+            over.encode(np.array([1, 0, 1]))
+
     def test_encoded_size_bits_matches_encode(self):
         rng = np.random.default_rng(6)
         syms = rng.integers(0, 64, 5000)
