@@ -20,7 +20,8 @@ def test_ablation_tiling(benchmark):
         mono = comp.compress(x, 1e-3, "vr_rel").stats.ratio
         rows = [(1, mono)]
         for n in (2, 4, 8):
-            rows.append((n, tile_compress(comp, x, 1e-3, n_tiles=n).ratio))
+            tiled = tile_compress(comp, x, 1e-3, n_tiles=n)
+            rows.append((n, tiled.stats.ratio))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

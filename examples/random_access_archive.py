@@ -27,9 +27,10 @@ def main() -> None:
     print(f"\n{'bands':>6} {'ratio':>7} {'vs mono':>9}   per-band ratios")
     for n in (2, 4, 8):
         res = tile_compress(comp, x, 1e-3, "vr_rel", n_tiles=n)
-        per_band = " ".join(f"{r:.1f}" for r in res.tile_ratios)
-        print(f"{n:>6} {res.ratio:>7.1f} "
-              f"{100 * res.ratio / mono.stats.ratio:>8.1f}%   {per_band}")
+        ratio = res.stats.ratio
+        per_band = " ".join(f"{r:.1f}" for r in res.meta["tile_ratios"])
+        print(f"{n:>6} {ratio:>7.1f} "
+              f"{100 * ratio / mono.stats.ratio:>8.1f}%   {per_band}")
 
     # Random access: reconstruct only band 2 of 4.
     res = tile_compress(comp, x, 1e-3, "vr_rel", n_tiles=4)

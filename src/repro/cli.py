@@ -285,27 +285,14 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inner_variant(header: dict) -> str:
-    """The registry name behind a payload header (tiled or plain)."""
-    variant = str(header.get("variant", ""))
-    if variant.startswith("tiled[") and variant.endswith("]"):
-        return str(header.get("inner_variant", variant[6:-1]))
-    return variant
-
-
 def _cmd_decompress(args: argparse.Namespace) -> int:
     from .streams import decompress_auto
 
-    payload = args.input.read_bytes()
-    header = Container.from_bytes(payload).header
-    variant = str(header.get("variant", ""))
-    if _inner_variant(header) not in REGISTRY:
-        print(f"unknown variant {variant!r} in payload", file=sys.stderr)
-        return 2
-    out = decompress_auto(payload)
+    container, variant = REGISTRY.open(args.input.read_bytes())
+    out = decompress_auto(container)
     write_raw_field(args.output, out)
     print(f"{args.input} -> {args.output} "
-          f"({variant}, shape {tuple(header['shape'])}, {header['dtype']})")
+          f"({variant}, shape {out.shape}, {out.dtype})")
     return 0
 
 
@@ -364,7 +351,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .metrics import verify_error_bound
-    from .streams import bound_from_header
+    from .streams import bound_from_header, decompress_auto
 
     blob = args.input.read_bytes()
     report = Container.scan(blob)
@@ -378,15 +365,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{args.input}: FAILED integrity check", file=sys.stderr)
         return 1
 
-    from .streams import decompress_auto
-
-    header = Container.from_bytes(blob).header
-    variant = str(header.get("variant", ""))
-    if _inner_variant(header) not in REGISTRY:
-        print(f"{args.input}: unknown variant {variant!r} in payload",
-              file=sys.stderr)
-        return 2
-    out = decompress_auto(blob)
+    container, variant = REGISTRY.open(blob)
+    out = decompress_auto(container)
+    header = container.header
     msg = (f"{args.input}: OK (v{report.version}, "
            f"{report.n_sections} sections, {variant}, shape {out.shape})")
 

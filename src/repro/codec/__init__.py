@@ -23,8 +23,8 @@ lossless).  This package makes that framing executable:
 * :mod:`repro.codec.registry` — the central :class:`CodecRegistry`
   (decorator-registered): derives and checks each codec's spec once, at
   import, resolves canonical variant names, aliases and profiles to one
-  shared compressor instance each, and dispatches decode on a payload's
-  ``variant`` header.
+  shared compressor instance each, and reads a payload's ``variant``
+  header (:func:`repro.streams.decompress_auto` decodes any payload).
 
 Variant modules keep only their genuinely variant-specific stages
 (wavefront layout, GhostSZ prediction write-back, the ZFP transform);
@@ -37,9 +37,7 @@ from .registry import (
     CodecEntry,
     CodecRegistry,
     available_codecs,
-    decode_payload,
     get_codec,
-    peek_variant,
     register_codec,
 )
 from .spec import PipelineSpec, StageSpec, validate_spec
@@ -58,6 +56,4 @@ __all__ = [
     "register_codec",
     "get_codec",
     "available_codecs",
-    "decode_payload",
-    "peek_variant",
 ]

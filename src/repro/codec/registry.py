@@ -2,7 +2,7 @@
 
 Compressor classes register themselves with the :func:`register_codec`
 decorator; consumers (the array store, the CLI, the online selector, the
-tiled runner) resolve names and payloads through the singleton
+tiled runner) resolve names and payload variants through the singleton
 :data:`REGISTRY` instead of hard-coded factory dicts.
 
 Three kinds of names resolve:
@@ -31,8 +31,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-import numpy as np
-
 from ..errors import ConfigError, ContainerError, decode_guard
 from .pipeline import PipelineCompressor
 from .spec import ENTROPY_BACKENDS, PipelineSpec, validate_spec
@@ -47,8 +45,6 @@ __all__ = [
     "register_codec",
     "get_codec",
     "available_codecs",
-    "decode_payload",
-    "peek_variant",
 ]
 
 Factory = Callable[[], Any]
@@ -82,7 +78,7 @@ class CodecEntry:
 
 
 class CodecRegistry:
-    """Name → compressor resolution and payload decode dispatch."""
+    """Name → compressor resolution and payload variant lookup."""
 
     def __init__(self) -> None:
         self._entries: dict[str, CodecEntry] = {}
@@ -234,28 +230,26 @@ class CodecRegistry:
 
     # -- payload dispatch -----------------------------------------------
 
-    def open(self, payload: bytes) -> tuple["Container", str]:
-        """Parse and verify a container payload once; returns it with
-        its wire variant name, for decoders that take the parsed form."""
+    def open(self, payload: "bytes | Container") -> tuple["Container", str]:
+        """A payload's verified container and its wire variant name.
+
+        ``payload`` is the raw bytes (parsed and checksummed once, here)
+        or a :class:`Container` a caller already parsed, so a caller that
+        needs the header and the decoded field parses once.
+        """
         from ..io.container import Container
 
-        with decode_guard("container header"):
-            container = Container.from_bytes(payload)
+        if isinstance(payload, Container):
+            container = payload
+        else:
+            with decode_guard("container header"):
+                container = Container.from_bytes(payload)
         variant = container.header.get("variant")
         if not isinstance(variant, str):
             raise ContainerError(
                 f"container header carries no variant name: {variant!r}"
             )
         return container, variant
-
-    def peek_variant(self, payload: bytes) -> str:
-        """Read the wire variant name out of a container payload."""
-        return self.open(payload)[1]
-
-    def decode(self, payload: bytes) -> np.ndarray:
-        """Decompress a payload, dispatching on its header variant."""
-        container, variant = self.open(payload)
-        return self.create(variant).decompress(container)
 
 
 #: The process-wide registry every consumer dispatches through.
@@ -307,12 +301,3 @@ def available_codecs() -> tuple[str, ...]:
     """Every name :func:`get_codec` accepts, sorted."""
     return REGISTRY.all_names()
 
-
-def peek_variant(payload: bytes) -> str:
-    """Read the wire variant name out of a container payload."""
-    return REGISTRY.peek_variant(payload)
-
-
-def decode_payload(payload: bytes) -> np.ndarray:
-    """One-call decode: dispatch on the payload's variant header."""
-    return REGISTRY.decode(payload)

@@ -462,5 +462,5 @@ def _decode_reference(
 register_kernel(
     "huffman.decode",
     _decode_reference,
-    fast="repro.kernels.huffman_fast:decode_payload",
+    fast="repro.kernels.huffman_fast:decode_symbols",
 )

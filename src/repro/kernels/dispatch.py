@@ -109,7 +109,7 @@ def register_kernel(
 
         _decode_kernel = register_kernel(
             "huffman.decode", _decode_reference,
-            fast="repro.kernels.huffman_fast:decode_payload")
+            fast="repro.kernels.huffman_fast:decode_symbols")
 
     Re-registering a name replaces the entry (keeps ``importlib.reload``
     of host modules working in notebooks).

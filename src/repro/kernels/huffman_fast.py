@@ -61,7 +61,7 @@ import numpy as np
 from ..encoding.huffman import _window_entries
 from ..errors import BitstreamError, HuffmanError
 
-__all__ = ["decode_payload", "CHUNK_BITS"]
+__all__ = ["decode_symbols", "CHUNK_BITS"]
 
 CHUNK_BITS = 1 << 19  # 64 KiB of payload per chain-walk chunk
 _STEP_MASK = 63  # low 6 bits of an entry hold the code length
@@ -474,7 +474,7 @@ def _lane_decode(codec, lut, buf, pb, total_bits, out) -> tuple[int, int]:
     return pos, i
 
 
-def decode_payload(codec, payload: bytes, n_symbols: int) -> np.ndarray:
+def decode_symbols(codec, payload: bytes, n_symbols: int) -> np.ndarray:
     """Decode ``n_symbols`` from ``payload`` against ``codec``'s table.
 
     Bit-identical to ``HuffmanCodec.decode``'s reference loop for every

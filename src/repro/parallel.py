@@ -10,12 +10,18 @@ Because bands are self-contained payloads, the tiled container also gives
 *random access*: :func:`decompress_tile` reconstructs one band without
 touching the rest, the access pattern post-analysis tools want on huge
 snapshots.
+
+The decomposition is one path from write to read.  :meth:`BandPlan.bands`
+is the only spelling of what each band is compressed under — the serial
+loop here, the store's tile writer and the scheduler's fan-out all
+iterate it — and :func:`decode_band` is the only band decoder: the tiled
+container's readers, the store's tile reader and ``fsck``'s deep pass
+all refuse a band that does not decode to its grid's shape and dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,28 +36,14 @@ if TYPE_CHECKING:  # annotation-only: the codec layer imports this package
     from .codec.pipeline import Compressor
 
 __all__ = [
-    "TiledResult",
     "tile_compress",
     "tile_decompress",
     "decompress_tile",
+    "decode_band",
     "BandPlan",
     "plan_bands",
-    "assemble_tiles",
+    "pack_tiles",
 ]
-
-
-@dataclass(frozen=True)
-class TiledResult:
-    """A tiled compression result: per-band payloads plus aggregates."""
-
-    payload: bytes
-    n_tiles: int
-    stats: CompressionStats
-    tile_ratios: tuple[float, ...]
-
-    @property
-    def ratio(self) -> float:
-        return self.stats.ratio
 
 
 class BandPlan(NamedTuple):
@@ -61,8 +53,33 @@ class BandPlan(NamedTuple):
     bound: ErrorBound
     #: one slice of axis 0 per band, in order
     slices: list[slice]
-    #: the ``(eb, mode)`` every band is compressed under
-    per_band: tuple[float, str]
+
+    def bands(self, data: np.ndarray) -> Iterator[tuple[np.ndarray, float, str]]:
+        """Each band of ``data`` as ``(contiguous rows, eb, mode)``.
+
+        ABS and VR_REL are resolved *globally* (VR-REL against the full
+        field's range, as SZ's OpenMP mode does) and applied per band as
+        an absolute bound, so the guarantee is identical to the
+        monolithic compressor's.  A pointwise-relative bound is local to
+        each point, so every band keeps ``(eb, "pw_rel")`` itself: its
+        resolved absolute lives in the log domain and means nothing
+        applied to raw values.
+        """
+        if self.bound.mode is ErrorBoundMode.PW_REL:
+            eb, mode = self.bound.value, "pw_rel"
+        else:
+            eb, mode = self.bound.absolute, "abs"
+        for sl in self.slices:
+            yield np.ascontiguousarray(data[sl]), eb, mode
+
+    def compress(
+        self, compressor: Compressor, data: np.ndarray
+    ) -> list[CompressedField]:
+        """Every band of ``data`` compressed in order, serially."""
+        return [
+            compressor.compress(rows, eb, mode)
+            for rows, eb, mode in self.bands(data)
+        ]
 
 
 def plan_bands(
@@ -72,42 +89,29 @@ def plan_bands(
 
     Shared by the serial path below, the worker-pool fan-out in
     :mod:`repro.service.scheduler` and the array store's tile writer, so all
-    three produce identical plans — including what each band is
-    compressed under (``per_band``).  ABS and VR_REL are resolved
-    *globally* (VR-REL against the full field's range, as SZ's OpenMP
-    mode does) and applied per band as an absolute bound, so the
-    guarantee is identical to the monolithic compressor's.  A
-    pointwise-relative bound is local to each point, so every band keeps
-    ``(eb, "pw_rel")`` itself: its resolved absolute lives in the log
-    domain and means nothing applied to raw values.
-
-    Geometry comes from :class:`repro.tiling.TileGrid`: a tile count the
-    split axis cannot hold raises :class:`ShapeError` naming the feasible
-    maximum, or is clamped down to it with ``clamp=True``; a field too
-    small for even one band always raises.
+    three produce identical plans.  Geometry comes from
+    :class:`repro.tiling.TileGrid`: a tile count the split axis cannot
+    hold raises :class:`ShapeError` naming the feasible maximum, or is
+    clamped down to it with ``clamp=True``; a field too small for even
+    one band always raises.
     """
     if data.ndim < 2:
         raise ShapeError("tiling needs at least 2 dimensions")
     bound = resolve_error_bound(data, eb, mode)
     grid = TileGrid.regular(data.shape, n_tiles, clamp=clamp)
-    per_band = (
-        (bound.value, "pw_rel") if bound.mode is ErrorBoundMode.PW_REL
-        else (bound.absolute, "abs")
-    )
-    return BandPlan(bound, grid.band_slices(), per_band)
+    return BandPlan(bound, grid.band_slices())
 
 
-def assemble_tiles(
+def pack_tiles(
     inner_variant: str,
     data: np.ndarray,
-    bound: ErrorBound,
-    slices: list[slice],
+    plan: BandPlan,
     compressed: list[CompressedField],
-) -> TiledResult:
+) -> CompressedField:
     """Build the tiled container from per-band results, in band order.
 
     Deterministic given the inputs: the serial path and the parallel
-    fan-out assemble byte-identical payloads as long as the per-band
+    fan-out pack byte-identical payloads as long as the per-band
     compressor is deterministic (all of this library's are).
     """
     container = Container(
@@ -116,37 +120,35 @@ def assemble_tiles(
             "inner_variant": inner_variant,
             "shape": list(data.shape),
             "dtype": str(data.dtype),
-            "n_tiles": len(slices),
-            "band_starts": [s.start for s in slices],
-            "eb_abs": bound.absolute,
+            "n_tiles": len(plan.slices),
+            "band_starts": [s.start for s in plan.slices],
+            "eb_abs": plan.bound.absolute,
         }
     )
-    total_compressed = 0
-    total_unpred = 0
-    total_border = 0
-    ratios = []
     for t, cf in enumerate(compressed):
         container.add(f"tile{t}", cf.payload)
-        total_compressed += cf.stats.compressed_bytes
-        total_unpred += cf.stats.n_unpredictable
-        total_border += cf.stats.n_border
-        ratios.append(cf.stats.ratio)
-
-    stats = CompressionStats(
-        original_bytes=int(data.size * data.dtype.itemsize),
-        compressed_bytes=total_compressed,
-        encoded_code_bytes=total_compressed,
-        outlier_bytes=0,
-        border_bytes=0,
-        n_points=int(data.size),
-        n_unpredictable=total_unpred,
-        n_border=total_border,
-    )
-    return TiledResult(
+    total = sum(cf.stats.compressed_bytes for cf in compressed)
+    return CompressedField(
+        variant=f"tiled[{inner_variant}]",
+        shape=tuple(data.shape),
+        dtype=str(data.dtype),
+        bound=plan.bound,
+        quant=None,
         payload=container.to_bytes(),
-        n_tiles=len(slices),
-        stats=stats,
-        tile_ratios=tuple(ratios),
+        stats=CompressionStats(
+            original_bytes=int(data.size * data.dtype.itemsize),
+            compressed_bytes=total,
+            encoded_code_bytes=total,
+            outlier_bytes=0,
+            border_bytes=0,
+            n_points=int(data.size),
+            n_unpredictable=sum(cf.stats.n_unpredictable for cf in compressed),
+            n_border=sum(cf.stats.n_border for cf in compressed),
+        ),
+        meta={
+            "n_tiles": len(compressed),
+            "tile_ratios": tuple(cf.stats.ratio for cf in compressed),
+        },
     )
 
 
@@ -157,32 +159,54 @@ def tile_compress(
     mode: str = "vr_rel",
     *,
     n_tiles: int = 4,
-) -> TiledResult:
+) -> CompressedField:
     """Compress ``data`` as ``n_tiles`` independent bands along axis 0.
 
-    This is the serial reference path; the service scheduler
-    (``BatchScheduler._fan_out``) fans the same bands out across its
-    worker pool and produces a byte-identical payload.
+    Returns a :class:`CompressedField` of variant ``tiled[<band codec>]``
+    whose ``bound`` is the plan's global bound and whose ``meta`` holds
+    ``n_tiles`` and the per-band ``tile_ratios``.  This is the serial
+    reference path; the service scheduler (``BatchScheduler._fan_out``)
+    fans the same bands out across its worker pool and produces a
+    byte-identical payload.
     """
     data = np.ascontiguousarray(data)
     plan = plan_bands(data, eb, mode, n_tiles)
-    compressed = [
-        compressor.compress(np.ascontiguousarray(data[sl]), *plan.per_band)
-        for sl in plan.slices
-    ]
-    return assemble_tiles(
-        compressor.name, data, plan.bound, plan.slices, compressed
-    )
+    return pack_tiles(compressor.name, data, plan, plan.compress(compressor, data))
 
 
-def _parse(
+def decode_band(
+    compressor: Compressor,
+    grid: TileGrid,
+    index: int,
+    payload: bytes | Container,
+    dtype: np.dtype | str,
+) -> np.ndarray:
+    """Decode band ``index`` of a tiled field and check it is that band.
+
+    A band that decodes to another shape than ``grid.tile_shape(index)``
+    or to another dtype than ``dtype`` is refused with
+    :class:`ContainerError` naming the tile: a valid payload in the wrong
+    slot must never be broadcast or cast into the field.
+    """
+    band = compressor.decompress(payload)
+    expected = grid.tile_shape(index)
+    if band.shape != expected or band.dtype != dtype:
+        raise ContainerError(
+            f"tile {index} decoded to {band.dtype} {band.shape}, the grid "
+            f"needs {dtype} {expected}"
+        )
+    return band
+
+
+def _open(
     payload: bytes | Container, compressor: Compressor | None
-) -> tuple[Container, Compressor]:
-    """Open a tiled payload and pick its band decompressor.
+) -> tuple[Container, Compressor, TileGrid]:
+    """Open a tiled payload, pick its band decompressor, rebuild its grid.
 
     With an explicit ``compressor`` the payload must match it; with
     ``None`` the band codec is resolved from the ``inner_variant`` header
-    through the central codec registry.
+    through the central codec registry.  The grid's values are untrusted
+    header fields and are fully revalidated.
     """
     container = (
         payload
@@ -190,25 +214,20 @@ def _parse(
         else Container.from_bytes(payload)
     )
     h = container.header
+    inner = h.get("inner_variant")
     if compressor is None:
-        inner = h.get("inner_variant")
         if not isinstance(inner, str):
             raise ContainerError(
                 f"tiled payload carries no inner variant name: {inner!r}"
             )
         from .codec.registry import get_codec
 
-        return container, get_codec(inner)
-    if h.get("inner_variant") != compressor.name:
+        compressor = get_codec(inner)
+    elif inner != compressor.name:
         raise ContainerError(
-            f"tiled payload holds {h.get('inner_variant')!r} bands, "
+            f"tiled payload holds {inner!r} bands, "
             f"decompressor is {compressor.name}"
         )
-    return container, compressor
-
-
-def _grid_from_header(h: dict) -> TileGrid:
-    """Rebuild the (untrusted) tile grid from a tiled payload header."""
     shape = header_shape(h)
     n = header_int(h, "n_tiles", lo=1, hi=shape[0])
     starts = h.get("band_starts")
@@ -217,7 +236,7 @@ def _grid_from_header(h: dict) -> TileGrid:
             f"tiled header declares {n} tiles but carries band starts "
             f"{starts!r}"
         )
-    return TileGrid.from_starts(shape, starts)
+    return container, compressor, TileGrid.from_starts(shape, starts)
 
 
 def decompress_tile(
@@ -232,9 +251,12 @@ def decompress_tile(
     registry.
     """
     with decode_guard("tiled payload"):
-        container, comp = _parse(payload, compressor)
-        grid = _grid_from_header(container.header)
-        return comp.decompress(container.get(f"tile{grid.resolve(index)}"))
+        container, comp, grid = _open(payload, compressor)
+        t = grid.resolve(index)
+        return decode_band(
+            comp, grid, t, container.get(f"tile{t}"),
+            header_dtype(container.header),
+        )
 
 
 def tile_decompress(
@@ -247,10 +269,11 @@ def tile_decompress(
     header via the codec registry.
     """
     with decode_guard("tiled payload"):
-        container, comp = _parse(payload, compressor)
-        h = container.header
-        grid = _grid_from_header(h)
-        out = np.empty(grid.shape, dtype=header_dtype(h))
+        container, comp, grid = _open(payload, compressor)
+        dtype = header_dtype(container.header)
+        out = np.empty(grid.shape, dtype=dtype)
         for t in range(grid.n_tiles):
-            out[grid.band_slice(t)] = comp.decompress(container.get(f"tile{t}"))
+            out[grid.band_slice(t)] = decode_band(
+                comp, grid, t, container.get(f"tile{t}"), dtype
+            )
         return out

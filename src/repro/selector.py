@@ -112,17 +112,17 @@ class OnlineSelector:
     def decompress(self, payload: CompressedField | bytes) -> np.ndarray:
         """Dispatch on the container's variant header.
 
-        Decoding routes through :func:`repro.streams.decompress_auto` — the
-        library's single decode path — after checking the variant is one of
-        this selector's candidates.  Candidate instances that are *not* in
-        the central registry (hand-built compressors) decode through the
-        instance itself.
+        The payload is parsed once, its variant checked against this
+        selector's candidates, and the parsed container decoded through
+        :func:`repro.streams.decompress_auto` — the library's one decode
+        entry.  Candidate instances that are *not* in the central
+        registry (hand-built compressors) decode through the instance.
         """
         from .codec.registry import REGISTRY
         from .streams import decompress_auto
 
         blob = payload.payload if isinstance(payload, CompressedField) else payload
-        variant = REGISTRY.peek_variant(blob)
+        container, variant = REGISTRY.open(blob)
         match = next(
             (c for c in self._compressors if c.name == variant), None
         )
@@ -132,5 +132,5 @@ class OnlineSelector:
                 f"candidates {[c.name for c in self._compressors]}"
             )
         if variant in REGISTRY:
-            return decompress_auto(blob)
-        return match.decompress(blob)
+            return decompress_auto(container)
+        return match.decompress(container)

@@ -19,8 +19,6 @@ import time
 from dataclasses import replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..codec.registry import REGISTRY
 from ..errors import (
     DeadlineExpiredError,
@@ -30,7 +28,7 @@ from ..errors import (
     WorkerHungError,
 )
 from ..faults import is_transient
-from ..parallel import TiledResult, assemble_tiles, plan_bands
+from ..parallel import pack_tiles, plan_bands
 from ..types import CompressedField
 from .jobs import CompressionJob, JobHandle, JobResult, JobState
 from .metrics import MetricsRegistry, ServiceStats
@@ -410,29 +408,26 @@ class BatchScheduler:
             envelope.release()
         return [self.transport.decode_result(out) for out in outputs]
 
-    async def _fan_out(self, job: CompressionJob) -> TiledResult:
+    async def _fan_out(self, job: CompressionJob) -> CompressedField:
         """Fan one dp job's tile bands across the pool.
 
-        Each band is a job of its own — the band's rows under the
-        plan's per-band bound — so it crosses the pool like any other.
-        Same plan (:func:`plan_bands`) and same deterministic assembly
-        (:func:`assemble_tiles`) as the serial path, gathered in band
-        order, so the payload is byte-identical to a single worker
-        running :func:`run_job` on the same job.
+        Each band of the plan (:meth:`BandPlan.bands`) is a job of its
+        own, so it crosses the pool like any other; gathered in band
+        order and packed by :func:`pack_tiles` as the serial path does,
+        the payload is byte-identical to a single worker running
+        :func:`run_job` on the same job.
         """
         assert job.data is not None
         plan = plan_bands(job.data, job.eb, job.mode, job.n_tiles)
-        band_eb, band_mode = plan.per_band
         bands = await asyncio.gather(*(
-            self._cross_pool([replace(
-                job, data=np.ascontiguousarray(job.data[sl]),
-                eb=band_eb, mode=band_mode, n_tiles=1,
-            )])
-            for sl in plan.slices
+            self._cross_pool(
+                [replace(job, data=rows, eb=eb, mode=mode, n_tiles=1)]
+            )
+            for rows, eb, mode in plan.bands(job.data)
         ))
         self.metrics.incr("scheduler.tile_fanouts")
-        return assemble_tiles(
-            REGISTRY.canonical(job.codec), job.data, plan.bound, plan.slices,
+        return pack_tiles(
+            REGISTRY.canonical(job.codec), job.data, plan,
             [compressed for [compressed] in bands],
         )
 
@@ -442,7 +437,7 @@ class BatchScheduler:
         """Finish a handle with its worker output and record the job."""
         job = handle.job
         stats = None
-        if isinstance(output, (CompressedField, TiledResult)):
+        if isinstance(output, CompressedField):
             stats = output.stats
             output = output.payload
         now = time.monotonic()

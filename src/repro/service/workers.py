@@ -73,8 +73,8 @@ def _warm_worker() -> None:
 def run_job(job: CompressionJob) -> Any:
     """Execute one job in the current process (any pool kind).
 
-    Returns a :class:`CompressedField` for compress jobs (a
-    :class:`~repro.parallel.TiledResult` when ``n_tiles > 1``) and the
+    Returns a :class:`CompressedField` for compress jobs (variant
+    ``tiled[...]`` when ``n_tiles > 1``) and the
     restored ``np.ndarray`` for decompress jobs — the exact objects the
     direct library calls produce, which is what keeps the service
     bit-exact with the single-threaded path.  A multi-tile job landing

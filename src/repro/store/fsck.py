@@ -10,7 +10,8 @@ kind                      severity  meaning / repair
 ========================  ========  =============================================
 ``dangling-journal``      error     an interrupted put not yet rolled back —
                                     repair runs the rollback
-``torn-journal``          error     unreadable journal entry — repair removes it
+``torn-journal``          error     unreadable or foreign-format journal entry —
+                                    repair removes it, as recovery does
 ``bad-manifest``          error     manifest unparseable or structurally invalid
                                     — never auto-deleted (it may name real data)
 ``missing-object``        error     a manifest references an object that is gone
@@ -18,7 +19,7 @@ kind                      severity  meaning / repair
 ``digest-mismatch``       error     object bytes do not hash to their name
 ``container-damage``      error     object fails container-v2 integrity
 ``decode-damage``         error     (``deep``) object does not decode to the
-                                    tile shape the manifest promises
+                                    tile shape and dtype the manifest promises
 ``orphan-object``         warning   no manifest references it — repair removes
 ``stale-tmp``             warning   ``.tmp-*`` crash leftover — repair removes
 ========================  ========  =============================================
@@ -32,13 +33,14 @@ of seeded crash schedules.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..codec.registry import get_codec
-from ..errors import ReproError, StoreError
+from ..errors import ContainerError, ReproError, StoreError
 from ..io.container import Container
+from ..parallel import decode_band
+from ..tiling import TileGrid
 from .store import _DIGEST_RE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,9 +121,9 @@ def _check_object(
     digest: str,
     manifest: dict,
     tile_index: int,
-    *,
-    deep: bool,
+    grid: TileGrid | None,
 ) -> FsckFinding | None:
+    """One referenced object's finding; ``grid`` set means a deep pass."""
     path = store._object_path(digest)
     if not path.exists():
         return FsckFinding(
@@ -135,26 +137,21 @@ def _check_object(
             f"content of {path.name} does not hash to its name "
             f"(referenced by {manifest['name']!r} tile {tile_index})",
         )
-    report = Container.scan(blob)
-    if not report.ok:
-        return FsckFinding(
-            "container-damage", "error", digest,
-            "; ".join(report.problems or ("section checksum mismatch",)),
-        )
-    if deep:
+    try:
+        container = Container.from_bytes(blob)
+    except ContainerError as exc:
+        return FsckFinding("container-damage", "error", digest, str(exc))
+    if grid is not None:
         try:
-            tile = get_codec(str(manifest["codec"])).decompress(blob)
+            decode_band(
+                get_codec(str(manifest["codec"])), grid, tile_index,
+                container, manifest["dtype"],
+            )
         except ReproError as exc:
             return FsckFinding(
                 "decode-damage", "error", digest,
-                f"{type(exc).__name__}: {exc}",
-            )
-        expected = store._grid(manifest).tile_shape(tile_index)
-        if tuple(tile.shape) != expected:
-            return FsckFinding(
-                "decode-damage", "error", digest,
-                f"decoded to shape {tuple(tile.shape)}, manifest "
-                f"{manifest['name']!r} tile {tile_index} needs {expected}",
+                f"{type(exc).__name__}: {exc} (manifest "
+                f"{manifest['name']!r} tile {tile_index})",
             )
     return None
 
@@ -171,36 +168,26 @@ def run_fsck(
     actions: list[str] = []
 
     # 1. journal: anything here is an un-acked transaction.
-    jdir = store._journal_dir
-    if jdir.is_dir():
-        for jpath in sorted(jdir.glob("*.json")):
-            try:
-                entry = json.loads(jpath.read_text())
-                if not isinstance(entry, dict) or not isinstance(
-                    entry.get("name"), str
-                ):
-                    raise ValueError("not a journal object")
-            except (OSError, ValueError) as exc:
-                if repair:
-                    store._durable_unlink(jpath)
-                    actions.append(f"removed torn journal {jpath.name}")
-                findings.append(FsckFinding(
-                    "torn-journal", "error", jpath.name,
-                    f"unreadable journal entry: {exc}", repaired=repair,
-                ))
-                continue
+    for jpath, entry in store._journal():
+        if isinstance(entry, str):
             if repair:
-                store._rollback(entry)
                 store._durable_unlink(jpath)
-                actions.append(
-                    f"rolled back interrupted put of {entry['name']!r}"
-                )
+                actions.append(f"removed torn journal {jpath.name}")
             findings.append(FsckFinding(
-                "dangling-journal", "error", jpath.name,
-                f"interrupted put of {entry['name']!r} "
-                + ("rolled back" if repair else "awaiting rollback"),
-                repaired=repair,
+                "torn-journal", "error", jpath.name,
+                f"unreadable journal entry: {entry}", repaired=repair,
             ))
+            continue
+        if repair:
+            store._rollback(entry)
+            store._durable_unlink(jpath)
+            actions.append(f"rolled back interrupted put of {entry['name']!r}")
+        findings.append(FsckFinding(
+            "dangling-journal", "error", jpath.name,
+            f"interrupted put of {entry['name']!r} "
+            + ("rolled back" if repair else "awaiting rollback"),
+            repaired=repair,
+        ))
 
     # 2. manifests and every object they reference.
     manifests_checked = 0
@@ -216,11 +203,10 @@ def run_fsck(
                     "bad-manifest", "error", mpath.stem, str(exc),
                 ))
                 continue
-            grid_ok = True
+            grid = None
             try:
-                store._grid(m)
+                grid = store._grid(m)
             except ReproError as exc:
-                grid_ok = False
                 findings.append(FsckFinding(
                     "bad-manifest", "error", mpath.stem,
                     f"tile grid invalid: {exc}",
@@ -229,7 +215,7 @@ def run_fsck(
                 referenced.add(digest)
                 if digest not in checked:
                     checked[digest] = _check_object(
-                        store, digest, m, i, deep=deep and grid_ok
+                        store, digest, m, i, grid if deep else None
                     )
                 if checked[digest] is not None:
                     findings.append(checked[digest])
@@ -259,17 +245,13 @@ def run_fsck(
                 "no manifest references it", repaired=repair,
             ))
 
-    for d in (store._manifest_dir, store._object_dir, store._journal_dir):
-        if not d.is_dir():
-            continue
-        for path in sorted(d.glob(".tmp-*")):
-            if repair:
-                store._durable_unlink(path)
-                actions.append(f"removed stale temp {path.name}")
-            findings.append(FsckFinding(
-                "stale-tmp", "warning", path.name,
-                f"crash leftover in {d.name}/", repaired=repair,
-            ))
+    for path, _ in store._sweep_tmp(remove=repair):
+        if repair:
+            actions.append(f"removed stale temp {path.name}")
+        findings.append(FsckFinding(
+            "stale-tmp", "warning", path.name,
+            f"crash leftover in {path.parent.name}/", repaired=repair,
+        ))
 
     if repair:
         store._incr("store.fsck_repairs", sum(

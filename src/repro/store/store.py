@@ -66,11 +66,11 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..codec.registry import REGISTRY, get_codec
+from ..codec.registry import get_codec
 from ..errors import ChecksumError, ContainerError, ReproError, StoreError
 from ..faults.fsim import OsFileSystem
 from ..io.container import Container
-from ..parallel import plan_bands
+from ..parallel import decode_band, plan_bands
 from ..tiling import TileGrid, normalize_slices
 from .cache import DEFAULT_CACHE_BYTES, TileCache
 
@@ -169,37 +169,26 @@ def compress_field_tiles(
     """
     data = np.ascontiguousarray(field)
     compressor = get_codec(codec)
-    canonical = REGISTRY.canonical(codec)
-    bound, slices, per_band = plan_bands(data, eb, mode, n_tiles, clamp=True)
-
-    digests: list[str] = []
-    tile_bytes: list[int] = []
-    tile_entropy: list[str | None] = []
-    payloads: dict[str, bytes] = {}
-    for sl in slices:
-        cf = compressor.compress(np.ascontiguousarray(data[sl]), *per_band)
-        payload = cf.payload
-        digest = hashlib.sha256(payload).hexdigest()
-        digests.append(digest)
-        tile_bytes.append(len(payload))
-        tile_entropy.append(cf.meta.get("entropy"))
-        payloads.setdefault(digest, payload)
+    plan = plan_bands(data, eb, mode, n_tiles, clamp=True)
+    bands = plan.compress(compressor, data)
+    digests = [hashlib.sha256(cf.payload).hexdigest() for cf in bands]
+    payloads = {d: cf.payload for d, cf in zip(digests, bands)}
 
     manifest = {
         "format": MANIFEST_FORMAT,
         "name": None,  # filled in by the caller once the name is checked
         "shape": [int(d) for d in data.shape],
         "dtype": str(data.dtype),
-        "codec": canonical,
+        "codec": compressor.name,  # the canonical wire name
         "eb": float(eb),
         "mode": str(mode),
-        "eb_abs": float(bound.absolute),
-        "band_starts": [int(s.start) for s in slices],
+        "eb_abs": float(plan.bound.absolute),
+        "band_starts": [int(s.start) for s in plan.slices],
         "tiles": digests,
-        "tile_bytes": tile_bytes,
+        "tile_bytes": [len(cf.payload) for cf in bands],
         # resolved codes_entropy backend per tile; None for codecs
         # without the stage (the probe may resolve per tile under "auto")
-        "tile_entropy": tile_entropy,
+        "tile_entropy": [cf.meta.get("entropy") for cf in bands],
         "original_bytes": int(data.size * data.dtype.itemsize),
     }
     return manifest, payloads
@@ -225,34 +214,30 @@ def decode_tile_blob(
 ) -> np.ndarray:
     """Verify and decode one tile payload against its manifest entry.
 
-    Raises :class:`ChecksumError` (content digest or container checksum
-    mismatch) or :class:`ContainerError` (undecodable payload / wrong
-    decoded shape).  The one decoder behind :meth:`TileStore._tile`, so
-    damage classifies identically wherever the bytes came from.
+    Raises :class:`ChecksumError` (content digest or container integrity
+    mismatch) or :class:`ContainerError` (undecodable payload, or a band
+    of the wrong shape or dtype — :func:`repro.parallel.decode_band`).
+    The one decoder behind :meth:`TileStore._tile`, so damage classifies
+    identically wherever the bytes came from.
     """
     digest = m["tiles"][index]
     if hashlib.sha256(blob).hexdigest() != digest:
         raise ChecksumError(
             f"object {digest} content does not match its digest"
         )
-    # The digest catches any post-write mutation; the container scan
+    # The digest catches any post-write mutation; the strict parse
     # additionally catches payloads that were damaged *before* they
     # reached the object area (an object imported or written by an
     # outside tool whose name does match its corrupt content).
-    report = Container.scan(blob)
-    if not report.ok:
+    try:
+        container = Container.from_bytes(blob)
+    except ContainerError as exc:
         raise ChecksumError(
-            f"object {digest} failed container integrity: "
-            + "; ".join(report.problems or ("section checksum mismatch",))
-        )
-    tile = get_codec(str(m["codec"])).decompress(blob)
-    expected = grid.tile_shape(index)
-    if tuple(tile.shape) != expected:
-        raise ContainerError(
-            f"object {digest} decoded to shape {tuple(tile.shape)}, "
-            f"tile {index} needs {expected}"
-        )
-    return tile
+            f"object {digest} failed container integrity: {exc}"
+        ) from exc
+    return decode_band(
+        get_codec(str(m["codec"])), grid, index, container, m["dtype"]
+    )
 
 
 def assemble_tiles(
@@ -1007,6 +992,50 @@ class ArrayStore(TileStore):
                 self._durable_unlink(path)
             self.cache.discard(digest)
 
+    def _journal(self) -> list[tuple[Path, dict[str, Any] | str]]:
+        """Every journal entry file with its entry, or why it is
+        unreadable — the one reader :meth:`recover` and ``fsck`` share.
+
+        An entry of another format is unreadable too: nothing in it can
+        be trusted to name a transaction of this store.
+        """
+        if not self._journal_dir.is_dir():
+            return []
+        entries: list[tuple[Path, dict[str, Any] | str]] = []
+        for jpath in sorted(self._journal_dir.glob("*.json")):
+            try:
+                entry = json.loads(jpath.read_text())
+                if not isinstance(entry, dict) or not isinstance(
+                    entry.get("name"), str
+                ):
+                    raise ValueError("not a journal object")
+                if entry.get("format") != JOURNAL_FORMAT:
+                    raise ValueError(
+                        f"unsupported journal format {entry.get('format')!r}"
+                    )
+            except (OSError, ValueError) as exc:
+                entry = str(exc)
+            entries.append((jpath, entry))
+        return entries
+
+    def _sweep_tmp(self, *, remove: bool = True) -> list[tuple[Path, int]]:
+        """Every ``.tmp-*`` crash leftover with its size, durably removed
+        unless ``remove=False`` — the one sweep :meth:`recover`,
+        :meth:`gc` and ``fsck`` share."""
+        swept: list[tuple[Path, int]] = []
+        for d in (self._manifest_dir, self._object_dir, self._journal_dir):
+            if not d.is_dir():
+                continue
+            for path in sorted(d.glob(".tmp-*")):
+                try:
+                    size = path.stat().st_size
+                    if remove:
+                        self._durable_unlink(path)
+                except OSError:  # pragma: no cover - racing writer
+                    continue
+                swept.append((path, size))
+        return swept
+
     def recover(self) -> RecoveryResult:
         """Replay-or-roll-back the journal and sweep crash leftovers.
 
@@ -1020,33 +1049,15 @@ class ArrayStore(TileStore):
         """
         with self._lock:
             actions: list[tuple[str, str]] = []
-            jdir = self._journal_dir
-            if jdir.is_dir():
-                for jpath in sorted(jdir.glob("*.json")):
-                    try:
-                        entry = json.loads(jpath.read_text())
-                        if (
-                            not isinstance(entry, dict)
-                            or entry.get("format") != JOURNAL_FORMAT
-                            or not isinstance(entry.get("name"), str)
-                        ):
-                            raise ValueError("bad journal entry")
-                    except (OSError, ValueError):
-                        self._durable_unlink(jpath)
-                        actions.append(("torn-journal", jpath.name))
-                        continue
-                    self._rollback(entry)
+            for jpath, entry in self._journal():
+                if isinstance(entry, str):
                     self._durable_unlink(jpath)
-                    actions.append(("rolled-back", str(entry["name"])))
-            for d in (self._manifest_dir, self._object_dir, jdir):
-                if not d.is_dir():
+                    actions.append(("torn-journal", jpath.name))
                     continue
-                for tmp in sorted(d.glob(".tmp-*")):
-                    try:
-                        self._durable_unlink(tmp)
-                    except OSError:  # pragma: no cover - racing writer
-                        continue
-                    actions.append(("stale-tmp", tmp.name))
+                self._rollback(entry)
+                self._durable_unlink(jpath)
+                actions.append(("rolled-back", str(entry["name"])))
+            actions.extend(("stale-tmp", p.name) for p, _ in self._sweep_tmp())
             self._incr("store.rollbacks", sum(
                 1 for k, _ in actions if k == "rolled-back"
             ))
@@ -1115,16 +1126,9 @@ class ArrayStore(TileStore):
                     self.cache.discard(path.name)
                     removed.append(path.name)
                 self.fs.fsync_dir(self._object_dir)
-            for d in (self._manifest_dir, self._object_dir, self._journal_dir):
-                if not d.is_dir():
-                    continue
-                for path in sorted(d.glob(".tmp-*")):
-                    reclaimed += path.stat().st_size
-                    try:
-                        self._durable_unlink(path)
-                    except OSError:  # pragma: no cover - racing writer
-                        continue
-                    tmp_removed.append(path.name)
+            for path, size in self._sweep_tmp():
+                reclaimed += size
+                tmp_removed.append(path.name)
         return GCResult(
             removed=tuple(removed), reclaimed_bytes=reclaimed, kept=kept,
             tmp_removed=tuple(tmp_removed),

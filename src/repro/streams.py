@@ -9,11 +9,16 @@ layouts themselves belong to the stages that write them
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .config import ErrorBound, ErrorBoundMode
 from .errors import ContainerError
 from .types import CompressionStats
+
+if TYPE_CHECKING:
+    from .io.container import Container
 
 __all__ = [
     "values_to_bytes",
@@ -128,17 +133,18 @@ def bound_from_header(h: dict) -> ErrorBound:
     return bound
 
 
-def decompress_auto(payload: bytes) -> np.ndarray:
+def decompress_auto(payload: "bytes | Container") -> np.ndarray:
     """Decode any field payload by its ``variant`` header.
 
-    This is the single decode path: plain payloads dispatch through the
-    central codec registry; tiled containers (``variant = "tiled[...]"``)
-    reassemble through :func:`repro.parallel.tile_decompress`, which
-    itself resolves the band codec from the ``inner_variant`` header.
-    The container is parsed and checksummed once, here, and handed down
-    parsed.  Callers holding an opaque payload need neither the
-    producing compressor nor its name.  Imports are local because the
-    codec layer builds on this module.
+    This is the one decode-any-payload entry: plain payloads dispatch
+    through the central codec registry; tiled containers (``variant =
+    "tiled[...]"``) reassemble through :func:`repro.parallel.
+    tile_decompress`, which resolves the band codec from the
+    ``inner_variant`` header.  ``payload`` is the raw bytes, parsed and
+    checksummed once here, or a :class:`Container` the caller already
+    parsed; either way it is handed down parsed.  Callers holding an
+    opaque payload need neither the producing compressor nor its name.
+    Imports are local because the codec layer builds on this module.
     """
     from .codec.registry import REGISTRY
 

@@ -9,8 +9,8 @@ asserted per golden:
 * **encode stability** — re-compressing the identical input reproduces
   the stored payload bit-for-bit (no on-wire drift).
 
-Plus a registry-dispatch pass: every golden decodes through
-:func:`repro.codec.registry.decode_payload` with no compressor in hand.
+Plus a registry-dispatch pass: every golden, tiled included, decodes
+through :func:`repro.streams.decompress_auto` with no compressor in hand.
 
 The ``tiled[...]`` container is a wire format of its own (the service
 answers ``tiles=`` requests with it); its golden pins the serial
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codec.registry import decode_payload, get_codec, peek_variant
+from repro.codec.registry import REGISTRY, get_codec
 from repro.parallel import tile_compress
 from repro.service import make_job, run_batch
 from repro.streams import decompress_auto
@@ -91,13 +91,13 @@ def test_recompression_is_bit_exact(key):
     assert _sha(cf.payload) == entry["payload_sha256"]
 
 
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", KEYS + TILED_KEYS)
 def test_registry_dispatch_decodes_golden(key):
-    """decode_payload picks the decoder from the wire header alone."""
+    """decompress_auto picks the decoder from the wire header alone."""
     entry = MANIFEST[key]
-    blob = _payload(key)
-    assert peek_variant(blob) == entry["variant"]
-    out = decode_payload(blob)
+    container, variant = REGISTRY.open(_payload(key))
+    assert variant == entry["variant"]
+    out = decompress_auto(container)
     assert _sha(np.ascontiguousarray(out).tobytes()) == entry["output_sha256"]
 
 

@@ -53,7 +53,7 @@ def cluster(tmp_path_factory):
 class TestTiledPathsHoldPwRel:
     def test_tile_compress(self, walk, codec):
         tiled = tile_compress(get_codec(codec), walk, EB, "pw_rel", n_tiles=2)
-        assert tiled.n_tiles == 2
+        assert tiled.meta["n_tiles"] == 2
         assert_pw_rel_holds(tile_decompress(None, tiled.payload), walk)
 
     def test_array_store(self, walk, codec, tmp_path):

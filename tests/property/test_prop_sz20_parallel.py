@@ -49,5 +49,5 @@ def test_tiling_matches_monolithic_bound(p, n_tiles):
     vr = float(x.max() - x.min()) or 1.0
     assert np.abs(out.astype(np.float64) - x).max() <= 1e-3 * vr
     # Tile count and per-tile ratios are recorded faithfully.
-    assert res.n_tiles == n_tiles
-    assert len(res.tile_ratios) == n_tiles
+    assert res.meta["n_tiles"] == n_tiles
+    assert len(res.meta["tile_ratios"]) == n_tiles

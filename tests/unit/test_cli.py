@@ -167,6 +167,24 @@ class TestVerifyCommand:
         path, wsz, _ = compressed
         assert main(["verify", str(wsz), "--original", str(path)]) == 2
 
+    @pytest.mark.parametrize("variant", ["SZ-99", "tiled[SZ-99]"])
+    def test_unknown_variant_is_the_registry_error(self, compressed, tmp_path,
+                                                   capsys, variant):
+        """No CLI-local variant check: the payload decodes through
+        decompress_auto, whose typed ContainerError names the variant."""
+        from repro.io import Container
+
+        _, wsz, _ = compressed
+        c = Container.from_bytes(wsz.read_bytes())
+        c.header.update(variant=variant, inner_variant="SZ-99")
+        bad = tmp_path / "unknown.wsz"
+        bad.write_bytes(c.to_bytes())
+        for argv in (["decompress", str(bad), "-o", str(tmp_path / "r.f32")],
+                     ["verify", str(bad)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "'SZ-99'" in err
+
 
 class TestReportCommand:
     def test_report_prints_hls_summary(self, capsys):

@@ -11,9 +11,7 @@ from repro.codec.registry import (
     CodecEntry,
     CodecRegistry,
     available_codecs,
-    decode_payload,
     get_codec,
-    peek_variant,
     register_codec,
 )
 from repro.codec.spec import PipelineSpec, StageSpec, validate_spec
@@ -28,6 +26,7 @@ from repro.config import QuantizerConfig
 from repro.errors import ConfigError, ContainerError
 from repro.io.container import Container
 from repro.lossless import GzipStage
+from repro.streams import decompress_auto
 from repro.variants import VARIANTS, Feature
 
 
@@ -421,6 +420,9 @@ class TestSpecValidation:
 
 
 class TestPayloadDispatch:
+    """``REGISTRY.open`` reads the wire variant; ``decompress_auto`` is the
+    one decode entry behind it."""
+
     @pytest.mark.parametrize(
         "name", ["sz10", "sz14", "sz20", "ghostsz", "wavesz", "wavesz-g",
                  "zfp-like"],
@@ -429,19 +431,24 @@ class TestPayloadDispatch:
         comp = get_codec(name)
         data = ramp1d if name == "sz10" else smooth2d
         cf = comp.compress(data, 1e-3, "vr_rel")
-        assert peek_variant(cf.payload) == cf.variant
-        out = decode_payload(cf.payload)
+        container, variant = REGISTRY.open(cf.payload)
+        assert variant == cf.variant
+        out = decompress_auto(container)
         assert out.shape == data.shape and out.dtype == data.dtype
         assert np.abs(out.astype(np.float64) - data).max() <= (
             cf.bound.absolute * (1.0 + 1e-12)
         )
 
-    def test_peek_variant_rejects_nameless_container(self):
+    def test_open_takes_a_parsed_container_as_is(self):
+        container = Container(header={"variant": "SZ-1.4"})
+        assert REGISTRY.open(container) == (container, "SZ-1.4")
+
+    def test_open_rejects_nameless_container(self):
         blob = Container(header={"shape": [4, 4]}).to_bytes()
         with pytest.raises(ContainerError, match="no variant name"):
-            peek_variant(blob)
+            REGISTRY.open(blob)
 
     def test_decode_rejects_unregistered_variant(self):
         blob = Container(header={"variant": "sz3000"}).to_bytes()
         with pytest.raises(ContainerError, match="no compressor registered"):
-            decode_payload(blob)
+            decompress_auto(blob)

@@ -90,20 +90,23 @@ class TestTiledDispatch:
 
 
 class TestParsedOnce:
-    """Each container is parsed and CRC-checked once per decode."""
+    """Each container is parsed and CRC-checked once per decode.
+
+    The count is of ``Container._parse``, which ``from_bytes`` and
+    ``scan`` both run, so a lenient scan is counted too."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
         from repro.io.container import Container
 
         seen = []
-        real = Container.from_bytes.__func__
+        real = Container._parse.__func__
 
-        def counting(cls, blob):
+        def counting(cls, blob, *, strict):
             seen.append(len(blob))
-            return real(cls, blob)
+            return real(cls, blob, strict=strict)
 
-        monkeypatch.setattr(Container, "from_bytes", classmethod(counting))
+        monkeypatch.setattr(Container, "_parse", classmethod(counting))
         return seen
 
     def test_plain_payload(self, smooth2d, parses):
@@ -116,6 +119,35 @@ class TestParsedOnce:
         decompress_auto(tiled.payload)
         # the outer container once, then each band's own
         assert len(parses) == 1 + 3 and parses[0] == len(tiled.payload)
+
+    def test_cold_store_read_parses_each_tile_once(self, tmp_path, smooth2d,
+                                                    parses):
+        from repro.store import ArrayStore
+
+        ArrayStore(tmp_path / "s").put("f", smooth2d, "sz14", n_tiles=4)
+        cold = ArrayStore(tmp_path / "s")
+        parses.clear()
+        cold.read("f")
+        assert len(parses) == 4
+
+    def test_cli_decompress_parses_once(self, tmp_path, smooth2d, parses):
+        from repro.cli import main
+
+        wsz = tmp_path / "f.wsz"
+        wsz.write_bytes(get_codec("sz14").compress(smooth2d, 1e-3).payload)
+        parses.clear()
+        assert main(["decompress", str(wsz), "-o", str(tmp_path / "f.raw")]) == 0
+        assert parses == [wsz.stat().st_size]
+
+    def test_cli_verify_scans_then_parses_once(self, tmp_path, smooth2d,
+                                               parses):
+        from repro.cli import main
+
+        wsz = tmp_path / "f.wsz"
+        wsz.write_bytes(get_codec("sz14").compress(smooth2d, 1e-3).payload)
+        parses.clear()
+        assert main(["verify", str(wsz)]) == 0
+        assert parses == [wsz.stat().st_size] * 2
 
 
 class TestRejection:

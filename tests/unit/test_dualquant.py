@@ -12,7 +12,7 @@ bit-exactness across dispatch modes.  Randomized coverage lives in
 import numpy as np
 import pytest
 
-from repro.codec.registry import REGISTRY, decode_payload, get_codec
+from repro.codec.registry import REGISTRY, get_codec
 from repro.config import QuantizerConfig
 from repro.io import Container
 from repro.errors import ContainerError, DTypeError, ShapeError
@@ -212,7 +212,7 @@ class TestWaveSZDPCodec:
         cf2 = comp.compress(smooth2d, EB, "vr_rel")
         assert cf1.payload == cf2.payload
         np.testing.assert_array_equal(
-            decompress_auto(cf1.payload), decode_payload(cf1.payload)
+            decompress_auto(cf1.payload), comp.decompress(cf1.payload)
         )
 
     def test_stage_timing_reports_both_phases(self, smooth2d):

@@ -139,6 +139,38 @@ class TestFindings:
         assert "decode-damage" in _kinds(report)
 
 
+class TestJournalReader:
+    """``recover()`` and ``fsck`` read the journal one way: an entry of
+    another format names no transaction of this store, so both drop it
+    as torn and neither rolls back the acked put it names."""
+
+    @pytest.fixture
+    def foreign(self, store):
+        store._journal_dir.mkdir(parents=True, exist_ok=True)
+        entry = store._journal_dir / "tx-1-1.json"
+        entry.write_text(json.dumps({
+            "format": 99, "txid": "1-1", "name": "a",
+            "prior_manifest": None, "new_tiles": store.manifest("a")["tiles"],
+        }))
+        return entry
+
+    def test_fsck_repair_drops_it_as_torn(self, store, foreign):
+        old = store.read("a").data
+        dirty = ArrayStore(store.root, recover=False)
+        report = dirty.fsck(repair=True)
+        assert _kinds(report) == ["torn-journal"]
+        assert "format 99" in report.findings[0].detail
+        assert not foreign.exists()
+        assert dirty.fsck().ok
+        np.testing.assert_array_equal(dirty.read("a").data, old)
+
+    def test_recover_agrees(self, store, foreign):
+        old = store.read("a").data
+        reopened = ArrayStore(store.root)
+        assert reopened.recovery.actions == (("torn-journal", foreign.name),)
+        np.testing.assert_array_equal(reopened.read("a").data, old)
+
+
 class TestReportShape:
     def test_summary_counts_kinds(self, store):
         store.delete("b")

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro import GhostSZCompressor, SZ14Compressor, WaveSZCompressor
+from repro.codec.registry import get_codec
 from repro.errors import ContainerError, ShapeError
+from repro.io.container import Container, ContainerSection
 from repro.parallel import decompress_tile, tile_compress, tile_decompress
+from repro.streams import decompress_auto
+from repro.types import CompressedField
 
 
 class TestTiling:
@@ -77,15 +81,27 @@ class TestTiling:
         """Seam losses exist but stay small for reasonable tile counts."""
         comp = SZ14Compressor()
         mono = comp.compress(smooth2d, 1e-3, "vr_rel").stats.ratio
-        tiled = tile_compress(comp, smooth2d, 1e-3, n_tiles=4).ratio
+        tiled = tile_compress(comp, smooth2d, 1e-3, n_tiles=4).stats.ratio
         assert tiled > 0.6 * mono
         assert tiled <= mono * 1.05
 
     def test_more_tiles_more_overhead(self, smooth2d):
         comp = SZ14Compressor()
-        r2 = tile_compress(comp, smooth2d, 1e-3, n_tiles=2).ratio
-        r8 = tile_compress(comp, smooth2d, 1e-3, n_tiles=8).ratio
+        r2 = tile_compress(comp, smooth2d, 1e-3, n_tiles=2).stats.ratio
+        r8 = tile_compress(comp, smooth2d, 1e-3, n_tiles=8).stats.ratio
         assert r8 <= r2 * 1.02
+
+    def test_result_is_a_compressed_field(self, smooth2d):
+        """A tiled compression returns what every codec returns."""
+        comp = SZ14Compressor()
+        res = tile_compress(comp, smooth2d, 1e-3, "vr_rel", n_tiles=4)
+        assert isinstance(res, CompressedField)
+        assert res.variant == "tiled[SZ-1.4]"
+        assert (res.shape, res.dtype) == (smooth2d.shape, "float32")
+        vr = float(smooth2d.max() - smooth2d.min())
+        assert res.bound.absolute == pytest.approx(1e-3 * vr)
+        assert res.meta["n_tiles"] == len(res.meta["tile_ratios"]) == 4
+        assert res.stats.compressed_bytes < len(res.payload)
 
     def test_wrong_inner_compressor_rejected(self, smooth2d):
         res = tile_compress(SZ14Compressor(), smooth2d, 1e-3, n_tiles=2)
@@ -137,3 +153,49 @@ class TestPlanBands:
         out = tile_decompress(comp, res.payload)
         vr = float(small.max() - small.min())
         assert np.abs(out.astype(np.float64) - small).max() <= 1e-3 * vr
+
+
+class TestForgedBands:
+    """A valid band payload in the wrong slot is refused, never broadcast
+    into the band's rows or cast to the field's dtype."""
+
+    @pytest.fixture
+    def forge(self, smooth2d):
+        comp = get_codec("wavesz-dp")
+        tiled = tile_compress(comp, smooth2d, 1e-3, "abs", n_tiles=2)
+        container = Container.from_bytes(tiled.payload)
+        start = container.header["band_starts"][1]
+
+        def with_band1(rows: np.ndarray) -> bytes:
+            band = comp.compress(np.ascontiguousarray(rows), 1e-3, "abs")
+            return Container(
+                header=container.header,
+                sections=[
+                    ContainerSection(s.name, band.payload)
+                    if s.name == "tile1" else s
+                    for s in container.sections
+                ],
+            ).to_bytes()
+
+        return {
+            "one-row": with_band1(smooth2d[start : start + 1]),
+            "float64": with_band1(smooth2d[start:].astype(np.float64)),
+        }
+
+    @pytest.mark.parametrize("kind", ["one-row", "float64"])
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            decompress_auto,
+            lambda p: tile_decompress(None, p),
+            lambda p: decompress_tile(None, p, 1),
+        ],
+        ids=["decompress_auto", "tile_decompress", "decompress_tile"],
+    )
+    def test_wrong_band_refused_naming_the_tile(self, forge, kind, decode):
+        with pytest.raises(ContainerError, match="tile 1 decoded to"):
+            decode(forge[kind])
+
+    def test_other_band_still_decodes(self, forge, smooth2d):
+        band0 = decompress_tile(None, forge["one-row"], 0)
+        assert band0.shape == (smooth2d.shape[0] // 2, smooth2d.shape[1])

@@ -238,6 +238,28 @@ class TestDamage:
         res = store.read_slice("ts", (slice(0, 12),), strict=False)
         assert res.ok  # the damaged tile was never touched
 
+    def test_object_of_another_dtype_is_refused(self, store, smooth2d):
+        """A valid float64 band under a float32 manifest: the digest and
+        the container are sound, the decoded dtype is not the manifest's,
+        so the tile is a decode loss, never cast into the field."""
+        from repro.errors import ContainerError
+
+        store.put("ts", smooth2d, "wavesz-dp", 1e-3, n_tiles=2)
+        m = json.loads(store._manifest_path("ts").read_text())
+        rows = slice(m["band_starts"][1], None)
+        band = get_codec("wavesz-dp").compress(
+            np.ascontiguousarray(smooth2d[rows], dtype=np.float64), 1e-3, "abs"
+        ).payload
+        digest = hashlib.sha256(band).hexdigest()
+        store._object_path(digest).write_bytes(band)
+        m["tiles"][1] = digest
+        store._manifest_path("ts").write_text(json.dumps(m, sort_keys=True))
+        with pytest.raises(ContainerError, match="tile 1 decoded to float64"):
+            store.read("ts")
+        res = store.read("ts", strict=False)
+        assert res.damaged_tiles == (1,) and res.damaged[0].stage == "decode"
+        assert "decode-damage" in {f.kind for f in store.fsck(deep=True).findings}
+
     def test_missing_object_reported_as_missing(self, store, smooth2d):
         store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
         digest = store.manifest("ts")["tiles"][1]
