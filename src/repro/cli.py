@@ -395,7 +395,8 @@ def _cmd_codecs(_: argparse.Namespace) -> int:
         backends = entry.get("entropy_backends") or []
         tail = f" [entropy: {'|'.join(backends)}]" if backends else ""
         modes = f" [modes: {'|'.join(entry['modes'])}]"
-        print(f"{entry['name']}: {names}{row}{modes}{tail}")
+        dims = f" [dims: {'|'.join(f'{d}D' for d in entry['dims'])}]"
+        print(f"{entry['name']}: {names}{row}{modes}{dims}{tail}")
     from .service.shm import ShmArena
 
     resolved = "shm" if ShmArena.available() else "pickle"

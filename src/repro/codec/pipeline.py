@@ -32,7 +32,7 @@ from ..config import ErrorBound, ErrorBoundMode, QuantizerConfig
 from ..errors import ConfigError, ContainerError, ShapeError, decode_guard
 from ..io.container import Container
 from ..perf.stages import active_recorder
-from ..streams import build_stats
+from ..streams import FIELD_DIMS, build_stats, check_field
 from ..types import CompressedField
 from ..variants import Feature
 from .spec import PipelineSpec, StageSpec
@@ -121,7 +121,8 @@ class Stage(Protocol):
     context toward the wire format; ``inverse`` undoes it.  A stage whose
     work is inherently one-directional (e.g. emitting side-channel
     sections read back by an earlier stage's inverse) implements the
-    other direction as a no-op.
+    other direction as a no-op.  A stage whose algorithm needs a field
+    dimensionality also declares ``dims``.
     """
 
     name: str
@@ -226,6 +227,15 @@ class PipelineCompressor:
             modes += ("pw_rel",)
         return modes
 
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        """The field dimensionalities every stage's ``dims`` admits
+        (:data:`~repro.streams.FIELD_DIMS` when no stage declares any)."""
+        dims = set(FIELD_DIMS)
+        for stage in self._pipeline.stages:
+            dims &= set(getattr(stage, "dims", FIELD_DIMS))
+        return tuple(sorted(dims))
+
     def pipeline_spec(self, table2: str | None = None) -> PipelineSpec:
         """The declarative spec of this instance: its built stage names,
         in order, zipped with ``realizes``.  A ``realizes`` key naming a
@@ -255,9 +265,11 @@ class PipelineCompressor:
     ) -> CompressedField:
         """Compress a field under the given error bound.
 
-        A mode the stage list cannot honour is refused before any work
-        (an unknown one is left to bound resolution's ``ConfigError``).
+        A field outside :attr:`dims` or the dtype rule and a mode the
+        stage list cannot honour are refused before any work (an unknown
+        mode is left to bound resolution's ``ConfigError``).
         """
+        check_field(data, self.name, self.dims)
         if getattr(mode, "value", mode) == "pw_rel" and "pw_rel" not in self.modes:
             raise ShapeError(
                 f"{self.name} has no log-transform stage and cannot hold "

@@ -32,6 +32,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..errors import ConfigError, ContainerError, decode_guard
+from ..streams import FIELD_DIMS
 from .pipeline import PipelineCompressor
 from .spec import ENTROPY_BACKENDS, PipelineSpec, validate_spec
 
@@ -75,6 +76,8 @@ class CodecEntry:
     #: holds the log-transform stage (derived likewise; ``compress``
     #: refuses the rest with a typed error).
     modes: tuple[str, ...] = ()
+    #: Field dimensionalities the codec accepts (derived likewise).
+    dims: tuple[int, ...] = FIELD_DIMS
 
 
 class CodecRegistry:
@@ -122,6 +125,7 @@ class CodecRegistry:
                     else ()
                 ),
                 modes=codec.modes,
+                dims=codec.dims,
             )
         if entry.spec is not None:
             validate_spec(entry.spec)
@@ -217,6 +221,7 @@ class CodecRegistry:
                 "data_parallel": e.data_parallel,
                 "entropy_backends": list(e.entropy_backends),
                 "modes": list(e.modes),
+                "dims": list(e.dims),
             }
             for e in self._entries.values()
         ]

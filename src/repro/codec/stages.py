@@ -28,7 +28,7 @@ Artifact keys published on :attr:`PipelineContext.artifacts`:
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, ContextManager
+from typing import TYPE_CHECKING, ContextManager
 
 import numpy as np
 
@@ -73,7 +73,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ResolveBoundStage",
-    "ValidateInputStage",
     "HeaderStage",
     "PQDStage",
     "PrequantStage",
@@ -147,28 +146,6 @@ def take_section(
     use_gz = h[flag] if required else h.get(flag)
     stored = container.get(gz_name if use_gz and gz_name else name)
     return lossless.decompress(stored) if use_gz else stored
-
-
-class ValidateInputStage:
-    """Variant-specific input validation, run before bound resolution.
-
-    The original compressors check dtype/shape *before* resolving the
-    error bound, so e.g. non-finite integer input raises
-    :class:`DTypeError` rather than a bound-resolution
-    :class:`ConfigError`; keeping validation as its own first stage
-    preserves that exception ordering.
-    """
-
-    name = "checks"
-
-    def __init__(self, check: Callable[[np.ndarray], None]) -> None:
-        self._check = check
-
-    def forward(self, ctx: "PipelineContext") -> None:
-        self._check(ctx.data)
-
-    def inverse(self, ctx: "PipelineContext") -> None:
-        pass
 
 
 class ResolveBoundStage:
@@ -256,6 +233,7 @@ class PQDStage:
     """
 
     name = "pqd"
+    dims = (1, 2, 3)  # the Lorenzo stencils
 
     def __init__(
         self,
@@ -316,6 +294,7 @@ class PrequantStage:
     """
 
     name = "prequant"
+    dims = (1, 2, 3)  # the dual-quant engine
 
     def forward(self, ctx: "PipelineContext") -> None:
         pre = prequantize(ctx.work, ctx.bound.absolute)
@@ -348,6 +327,7 @@ class DualQuantStage:
     """
 
     name = "predict_quant"
+    dims = (1, 2, 3)  # the Lorenzo residual sweeps
 
     def forward(self, ctx: "PipelineContext") -> None:
         codes, outlier_deltas = predict_encode(ctx.require("dq_q"), ctx.quant)

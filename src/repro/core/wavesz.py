@@ -46,24 +46,18 @@ from .wavefront import build_layout
 __all__ = ["WaveSZCompressor"]
 
 
-def _as_2d(data: np.ndarray) -> np.ndarray:
-    """The artifact's 2D interpretation: 3D ``(d0,d1,d2) -> (d0, d1*d2)``."""
-    if data.ndim == 2:
-        return data
-    if data.ndim == 3:
-        return data.reshape(data.shape[0], -1)
-    if data.ndim == 1:
-        raise ShapeError("waveSZ operates on 2D/3D fields (wavefront needs 2 dims)")
-    raise ShapeError(f"waveSZ supports 2D/3D fields, got {data.ndim}D")
-
-
 class _View2DStage:
-    """2D interpretation + orientation check, undone after reconstruction."""
+    """2D interpretation + orientation check, undone after reconstruction.
+
+    The wavefront needs two dimensions; the artifact reads a 3D field
+    ``(d0, d1, d2)`` as ``(d0, d1*d2)``.
+    """
 
     name = "view2d"
+    dims = (2, 3)
 
     def forward(self, ctx: PipelineContext) -> None:
-        view = _as_2d(ctx.data)
+        view = ctx.data.reshape(ctx.data.shape[0], -1)
         if view.shape[1] < view.shape[0]:
             # Iterate along the longer dimension (Λ = shorter dim - 1); the
             # wavefront transform is symmetric so this is just a transpose.

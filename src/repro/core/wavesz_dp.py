@@ -42,11 +42,9 @@ from ..codec.stages import (
     PwRelForwardStage,
     PwRelMasksStage,
     ResolveBoundStage,
-    ValidateInputStage,
 )
 from ..config import QuantizerConfig
 from ..lossless import GzipStage, LosslessMode
-from ..sz.dualquant import _check_input
 from ..variants import Feature
 
 __all__ = ["WaveSZDPCompressor"]
@@ -77,8 +75,8 @@ class _DPHeaderStage(HeaderStage):
 class WaveSZDPCompressor(PipelineCompressor):
     """Dual-quant data-parallel PQD under the waveSZ bound conventions.
 
-    Accepts 1D/2D/3D float32/float64 fields of any shape (the zero halo
-    needs no minimum dimension).  ``base2=True`` keeps waveSZ's
+    Takes any extent along each of its ``dims`` (the zero halo needs no
+    minimum).  ``base2=True`` keeps waveSZ's
     power-of-two bound tightening; the guarantee ``|d' - d| <= eb`` holds
     for *every* point by construction — the prequant stage re-checks each
     reconstruction and demotes failures to verbatim raw points.
@@ -110,7 +108,6 @@ class WaveSZDPCompressor(PipelineCompressor):
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (
-            ValidateInputStage(_check_input),
             ResolveBoundStage(base2=self.base2, quant=self.quant),
             PwRelForwardStage(self.lossless),
             PrequantStage(),

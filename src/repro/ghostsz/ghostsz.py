@@ -15,6 +15,7 @@ GhostSZ-specific stages; bound resolution and header assembly come from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ from ..codec.stages import (
     take_section,
 )
 from ..config import QuantizerConfig
-from ..errors import ShapeError
 from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, header_dtype, header_int, values_to_bytes
 from ..variants import Feature
@@ -39,24 +39,21 @@ __all__ = ["GhostSZCompressor"]
 _TYPE_SHIFT = 14
 
 
-def _as_rows(data: np.ndarray) -> np.ndarray:
-    """Rowwise-decorrelated 2D view (Figure 4a): 3D becomes d0 x (d1*d2)."""
-    if data.ndim == 1:
-        return data.reshape(1, -1)
-    if data.ndim == 2:
-        return data
-    if data.ndim == 3:
-        return data.reshape(data.shape[0], -1)
-    raise ShapeError(f"GhostSZ supports 1-3 dimensions, got {data.ndim}")
+def _rows_shape(shape: tuple[int, ...]) -> tuple[int, int]:
+    """Rowwise-decorrelated 2D view (Figure 4a): 1D is one row, 3D
+    becomes d0 x (d1*d2)."""
+    rows = shape[0] if len(shape) > 1 else 1
+    return rows, math.prod(shape) // rows
 
 
 class _RowsViewStage:
     """Rowwise 2D interpretation, undone after reconstruction."""
 
     name = "rows"
+    dims = (1, 2, 3)
 
     def forward(self, ctx: PipelineContext) -> None:
-        rows = _as_rows(ctx.data)
+        rows = ctx.data.reshape(_rows_shape(ctx.data.shape))
         ctx.work = rows
         ctx.meta["rows"] = rows.shape[0]
         ctx.meta["row_length"] = rows.shape[1]
@@ -79,7 +76,7 @@ class _GhostPredictStage:
 
     def inverse(self, ctx: PipelineContext) -> None:
         words = ctx.codes
-        rows_shape = _as_rows(np.empty(ctx.shape, dtype=np.uint8)).shape
+        rows_shape = _rows_shape(ctx.shape)
         types = (words >> _TYPE_SHIFT).astype(np.uint8).reshape(rows_shape)
         codes = (words & ((1 << _TYPE_SHIFT) - 1)).reshape(rows_shape)
         ctx.out = ghost_row_decode(

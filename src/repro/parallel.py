@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from .config import ErrorBound, ErrorBoundMode, resolve_error_bound
-from .errors import ContainerError, ShapeError, decode_guard
+from .errors import ContainerError, decode_guard
 from .io.container import Container
-from .streams import header_dtype, header_int, header_shape
+from .streams import FIELD_DIMS, check_field, header_dtype, header_int, header_shape
 from .tiling import TileGrid
 from .types import CompressedField, CompressionStats
 
@@ -90,15 +90,13 @@ def plan_bands(
     Shared by the serial path below, the worker-pool fan-out in
     :mod:`repro.service.scheduler` and the array store's tile writer, so all
     three produce identical plans.  Geometry comes from
-    :class:`repro.tiling.TileGrid`: a tile count the split axis cannot
-    hold raises :class:`ShapeError` naming the feasible maximum, or is
-    clamped down to it with ``clamp=True``; a field too small for even
-    one band always raises.
+    :class:`repro.tiling.TileGrid`, before the bound: a tile count the
+    split axis cannot hold raises :class:`ShapeError` naming the feasible
+    maximum, or is clamped down to it with ``clamp=True``; a field it
+    cannot tile at all always raises.
     """
-    if data.ndim < 2:
-        raise ShapeError("tiling needs at least 2 dimensions")
-    bound = resolve_error_bound(data, eb, mode)
     grid = TileGrid.regular(data.shape, n_tiles, clamp=clamp)
+    bound = resolve_error_bound(data, eb, mode)
     return BandPlan(bound, grid.band_slices())
 
 
@@ -167,8 +165,10 @@ def tile_compress(
     ``n_tiles`` and the per-band ``tile_ratios``.  This is the serial
     reference path; the service scheduler (``BatchScheduler._fan_out``)
     fans the same bands out across its worker pool and produces a
-    byte-identical payload.
+    byte-identical payload.  The band codec's field contract is checked
+    on the whole field first.
     """
+    check_field(data, compressor.name, getattr(compressor, "dims", FIELD_DIMS))
     data = np.ascontiguousarray(data)
     plan = plan_bands(data, eb, mode, n_tiles)
     return pack_tiles(compressor.name, data, plan, plan.compress(compressor, data))

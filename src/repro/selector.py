@@ -63,7 +63,7 @@ class OnlineSelector:
     def _sample(self, data: np.ndarray, step: int) -> np.ndarray:
         """A strided sample preserving local structure (contiguous tiles
         along the last axis, strided along the first)."""
-        if step <= 1 or data.shape[0] < 2 * step * 2:
+        if step <= 1 or data.ndim == 0 or data.shape[0] < 2 * step * 2:
             return data
         return np.ascontiguousarray(data[:: step])
 
@@ -90,9 +90,10 @@ class OnlineSelector:
                 cf = comp.compress(sample, eb, mode)
                 estimates[comp.name] = cf.stats.ratio
             except (ShapeError, DTypeError):
-                # The field's geometry/dtype does not fit this candidate
-                # (e.g. waveSZ on 1D data): exclude it instead of letting
-                # one incompatible codec kill the whole estimate.
+                # The field is outside this candidate's contract (e.g.
+                # waveSZ on 1D data, any codec on int32): exclude it
+                # instead of letting one incompatible codec kill the
+                # whole estimate.
                 skipped.append(comp.name)
             except Exception:
                 estimates[comp.name] = 0.0  # candidate unusable on this field

@@ -18,7 +18,9 @@ from typing import Any
 import numpy as np
 
 from ..codec.registry import REGISTRY
-from ..errors import ConfigError, ContainerError, DTypeError
+from ..errors import ConfigError
+from ..streams import check_field
+from ..tiling import check_tileable
 from ..types import CompressionStats
 
 __all__ = [
@@ -62,10 +64,10 @@ class CompressionJob:
     ``op`` is ``"compress"`` (``data`` set) or ``"decompress"`` (``payload``
     set).  ``codec`` may be any registry name — canonical, alias or profile
     (profiles like ``"wavesz-g"`` matter: they configure the factory) —
-    and is validated at construction.  ``priority`` orders the queue
-    (higher first, FIFO within a level); ``deadline_s`` is a TTL in
-    seconds from submission after which the scheduler refuses to start
-    the job.
+    and is validated at construction, with ``data`` held to the codec's
+    field contract.  ``priority`` orders the queue (higher first, FIFO
+    within a level); ``deadline_s`` is a TTL in seconds from submission
+    after which the scheduler refuses to start the job.
 
     ``n_tiles > 1`` asks for a tiled compression through the shared
     :func:`repro.parallel.plan_bands` plan (``tiled[...]`` payload,
@@ -90,17 +92,10 @@ class CompressionJob:
         if self.op not in ("compress", "decompress"):
             raise ConfigError(f"unknown job op {self.op!r}")
         if self.op == "compress":
-            if self.codec not in REGISTRY:
-                raise ContainerError(
-                    f"no compressor registered for variant {self.codec!r}"
-                )
+            entry = REGISTRY.entry(self.codec)  # unknown names raise here
             if not isinstance(self.data, np.ndarray):
                 raise ConfigError("compress jobs need a numpy `data` array")
-            if self.data.dtype not in (np.float32, np.float64):
-                raise DTypeError(
-                    f"compress jobs take float32/float64 fields, "
-                    f"got {self.data.dtype}"
-                )
+            check_field(self.data, entry.name, entry.dims)
             if not (self.eb > 0):
                 raise ConfigError(f"error bound must be positive, got {self.eb}")
         else:
@@ -119,11 +114,7 @@ class CompressionJob:
                     "decompress transparently through decompress_auto)"
                 )
             assert self.data is not None
-            if self.data.ndim < 2:
-                raise ConfigError(
-                    f"tiled compression needs a >= 2D field, "
-                    f"got {self.data.ndim}D"
-                )
+            check_tileable(self.data.shape)
 
     @property
     def metrics_key(self) -> str:

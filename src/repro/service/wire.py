@@ -30,9 +30,11 @@ import numpy as np
 from ..errors import (
     ChecksumError,
     ContainerError,
+    DTypeError,
     QueueFullError,
     ReproError,
     ServiceError,
+    ShapeError,
     StoreError,
 )
 from ..streams import MAX_FIELD_POINTS, values_from_bytes, values_to_bytes
@@ -147,14 +149,15 @@ def check_field(
     header: dict, body_len: int
 ) -> tuple[tuple[int, ...], np.dtype]:
     """The ``shape`` / ``dtype`` a header declares for its field body,
-    refused unless ``body_len`` bytes hold exactly that field."""
+    refused unless ``body_len`` bytes hold exactly that field (whether a
+    codec takes it, e.g. an empty one, is the field contract's call)."""
     try:
         shape = tuple(int(d) for d in header.get("shape", ()))
         dtype = np.dtype(str(header.get("dtype", "float32")))
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"bad field shape/dtype in header: {exc}") from exc
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 0
-    if n <= 0 or n > MAX_FIELD_POINTS:
+    n = int(np.prod(shape, dtype=np.int64))
+    if any(d < 0 for d in shape) or n > MAX_FIELD_POINTS:
         raise ServiceError(f"bad field shape {shape!r}")
     if body_len != n * dtype.itemsize:
         raise ServiceError(
@@ -195,6 +198,8 @@ _WIRE_ERRORS: dict[str, type[ReproError]] = {
     "StoreError": StoreError,
     "ChecksumError": ChecksumError,
     "ContainerError": ContainerError,
+    "ShapeError": ShapeError,
+    "DTypeError": DTypeError,
 }
 
 

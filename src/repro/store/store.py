@@ -66,11 +66,12 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..codec.registry import get_codec
+from ..codec.registry import REGISTRY, get_codec
 from ..errors import ChecksumError, ContainerError, ReproError, StoreError
 from ..faults.fsim import OsFileSystem
 from ..io.container import Container
 from ..parallel import decode_band, plan_bands
+from ..streams import check_field
 from ..tiling import TileGrid, normalize_slices
 from .cache import DEFAULT_CACHE_BYTES, TileCache
 
@@ -165,8 +166,11 @@ def compress_field_tiles(
     payloads keyed by content digest.  :meth:`TileStore.put` runs it
     before either object layer commits a byte, which is what makes a
     sharded read bit-exact with the local path: the bytes placed on the
-    wire are the same bytes a single store would have written.
+    wire are the same bytes a single store would have written.  The
+    codec's field contract is checked on the whole field first.
     """
+    entry = REGISTRY.entry(codec)
+    check_field(field, entry.name, entry.dims)
     data = np.ascontiguousarray(field)
     compressor = get_codec(codec)
     plan = plan_bands(data, eb, mode, n_tiles, clamp=True)

@@ -4,17 +4,19 @@ Validated header reads, verbatim value streams, the error-bound header
 form and the size accounting every variant shares, plus
 :func:`decompress_auto`, the single decode entry point.  The section
 layouts themselves belong to the stages that write them
-(:mod:`repro.codec.stages` and the variant modules).
+(:mod:`repro.codec.stages` and the variant modules).  The field contract
+is stated once here for both directions: :func:`check_field` on encode,
+:func:`header_dtype` / :func:`header_shape` on decode.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .config import ErrorBound, ErrorBoundMode
-from .errors import ContainerError
+from .errors import ContainerError, DTypeError, ShapeError
 from .types import CompressionStats
 
 if TYPE_CHECKING:
@@ -27,9 +29,12 @@ __all__ = [
     "bound_from_header",
     "build_stats",
     "decompress_auto",
+    "check_field",
     "header_int",
     "header_shape",
     "header_dtype",
+    "FIELD_DIMS",
+    "FIELD_DTYPES",
     "MAX_FIELD_POINTS",
 ]
 
@@ -37,6 +42,31 @@ __all__ = [
 #: repro's largest fields are a few hundred million points; anything above
 #: this is a corrupt/mutated header trying to force a giant allocation.
 MAX_FIELD_POINTS = 1 << 28
+
+#: The field dtypes a payload header may carry, as ``str(dtype)`` spells them.
+FIELD_DTYPES = ("float32", "float64")
+
+#: The dimensionalities a payload header may declare; a codec whose stages
+#: need fewer narrows this (``PipelineCompressor.dims``).
+FIELD_DIMS = (1, 2, 3, 4)
+
+
+def check_field(data: Any, codec: str, dims: tuple[int, ...] = FIELD_DIMS) -> None:
+    """Refuse a field ``codec`` (taking ``dims``) could not write readably:
+    :class:`DTypeError` for the dtype, :class:`ShapeError` for the
+    dimensionality or point count, in one wording."""
+    data = np.asarray(data)
+    if str(data.dtype) not in FIELD_DTYPES:
+        refusal: type[Exception] = DTypeError
+    elif data.ndim not in dims or not 1 <= data.size <= MAX_FIELD_POINTS:
+        refusal = ShapeError
+    else:
+        return
+    raise refusal(
+        f"{codec} accepts {'/'.join(f'{d}D' for d in dims)} "
+        f"{'/'.join(FIELD_DTYPES)} fields of 1 to {MAX_FIELD_POINTS} points, "
+        f"got {data.dtype} of shape {data.shape}"
+    )
 
 
 def header_int(h: dict, key: str, *, lo: int | None = 0, hi: int | None = None) -> int:
@@ -65,7 +95,7 @@ def header_shape(
     if key not in h:
         raise ContainerError(f"header missing field {key!r}")
     raw = h[key]
-    if not isinstance(raw, (list, tuple)) or not raw or len(raw) > 4:
+    if not isinstance(raw, (list, tuple)) or len(raw) not in FIELD_DIMS:
         raise ContainerError(f"header field {key!r} is not a 1-4D shape: {raw!r}")
     shape = []
     points = 1
@@ -84,7 +114,7 @@ def header_shape(
 def header_dtype(h: dict, key: str = "dtype") -> np.dtype:
     """Read the field dtype from a payload header (float32/float64 only)."""
     raw = h.get(key)
-    if raw not in ("float32", "float64"):
+    if raw not in FIELD_DTYPES:
         raise ContainerError(f"header field {key!r} is not a float dtype: {raw!r}")
     return np.dtype(raw)
 

@@ -33,12 +33,11 @@ from ..codec.stages import (
     EntropyCodesStage,
     HeaderStage,
     ResolveBoundStage,
-    ValidateInputStage,
     put_section,
     take_section,
 )
 from ..config import QuantizerConfig
-from ..errors import ContainerError, DTypeError, ShapeError
+from ..errors import ContainerError
 from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, header_dtype, header_int, header_shape
 from ..variants import Feature
@@ -49,12 +48,6 @@ from .wavefront_index import interior_wavefronts
 __all__ = ["SZ20Compressor"]
 
 _LORENZO, _REGRESSION = 0, 1
-
-def _check_input(data: np.ndarray) -> None:
-    if data.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise DTypeError(f"SZ-2.0 supports float32/float64, got {data.dtype}")
-    if data.ndim not in (2, 3):
-        raise ShapeError(f"SZ-2.0 supports 2D/3D fields, got {data.ndim}D")
 
 
 def _block_grid(shape: tuple[int, ...], bs: int):
@@ -204,6 +197,7 @@ class _BlockHybridStage:
     """Blockwise hybrid Lorenzo/regression prediction + quantization."""
 
     name = "block_hybrid"
+    dims = (2, 3)  # SZ-2.0's blockwise model
 
     def __init__(self, quant: QuantizerConfig, block_size: int) -> None:
         self.quant = quant
@@ -454,7 +448,6 @@ class SZ20Compressor(PipelineCompressor):
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (
-            ValidateInputStage(_check_input),
             ResolveBoundStage(quant=self.quant),
             _BlockHybridStage(self.quant, self.block_size),
             _SZ20HeaderStage(self),

@@ -23,10 +23,16 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["TileGrid", "normalize_slices", "MIN_BAND_ROWS"]
+__all__ = ["TileGrid", "check_tileable", "normalize_slices", "MIN_BAND_ROWS"]
 
 #: Thinnest band the predictors tolerate (one context row + one data row).
 MIN_BAND_ROWS = 2
+
+
+def check_tileable(shape: tuple[int, ...]) -> None:
+    """The one tiling precondition: bands are runs of axis-0 rows."""
+    if len(shape) < 2:
+        raise ShapeError(f"tiling needs a 2D or higher field, got {len(shape)}D")
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class TileGrid:
     @staticmethod
     def max_tiles(shape: tuple[int, ...]) -> int:
         """The largest feasible band count for ``shape`` (may be 0)."""
-        return shape[0] // MIN_BAND_ROWS if shape else 0
+        return shape[0] // MIN_BAND_ROWS
 
     @classmethod
     def regular(
@@ -70,8 +76,7 @@ class TileGrid:
         ``clamp=True``.  A field too small for even one band always raises:
         there is nothing to clamp to.
         """
-        if not shape:
-            raise ShapeError("cannot tile a 0-dimensional field")
+        check_tileable(shape)
         if n_tiles < 1:
             raise ShapeError(f"n_tiles must be >= 1, got {n_tiles}")
         n0 = int(shape[0])

@@ -17,8 +17,8 @@ The codec is error-bounded like SZ (fixed-accuracy mode), which is what
 the online-selector study (paper ref [53]) needs: both compressors honour
 the same bound, only their models differ.
 
-The whole transform chain is one ZFP-specific stage; input validation,
-bound resolution and header assembly come from :mod:`repro.codec.stages`.
+The whole transform chain is one ZFP-specific stage; bound resolution
+and header assembly come from :mod:`repro.codec.stages`.
 ZFP is outside the SZ family, so it registers without a Table 2 row and
 declares no ``realizes``.
 """
@@ -32,9 +32,9 @@ import numpy as np
 
 from ..codec.pipeline import PipelineCompressor, PipelineContext, Stage
 from ..codec.registry import register_codec
-from ..codec.stages import HeaderStage, ResolveBoundStage, ValidateInputStage
+from ..codec.stages import HeaderStage, ResolveBoundStage
 from ..encoding.bitio import BitReader, BitWriter
-from ..errors import ContainerError, DTypeError, ShapeError
+from ..errors import ContainerError, DTypeError
 from ..streams import MAX_FIELD_POINTS, header_int
 from .transform import fwd_transform, inv_transform, sequency_order
 
@@ -70,38 +70,22 @@ def _inv_negabinary(u: np.ndarray) -> np.ndarray:
     return (x ^ _NBMASK) - _NBMASK
 
 
-def _blockify(data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _blockify(data: np.ndarray) -> np.ndarray:
     """Pad to multiples of 4 (edge replication) and stack 4^d blocks."""
-    ndim = data.ndim
-    padded_shape = tuple(-(-n // 4) * 4 for n in data.shape)
-    pad = [(0, p - n) for p, n in zip(padded_shape, data.shape)]
-    padded = np.pad(data, pad, mode="edge")
-    if ndim == 2:
-        n0, n1 = padded.shape
-        blocks = padded.reshape(n0 // 4, 4, n1 // 4, 4)
-        blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, 4, 4)
-    elif ndim == 3:
-        n0, n1, n2 = padded.shape
-        blocks = padded.reshape(n0 // 4, 4, n1 // 4, 4, n2 // 4, 4)
-        blocks = blocks.transpose(0, 2, 4, 1, 3, 5).reshape(-1, 4, 4, 4)
-    else:
-        raise ShapeError(f"ZFP codec supports 2D/3D fields, got {ndim}D")
-    return np.ascontiguousarray(blocks), padded_shape
+    nd = data.ndim
+    padded = np.pad(data, [(0, -n % 4) for n in data.shape], mode="edge")
+    blocks = padded.reshape([m for n in padded.shape for m in (n // 4, 4)])
+    blocks = blocks.transpose([*range(0, 2 * nd, 2), *range(1, 2 * nd, 2)])
+    return np.ascontiguousarray(blocks.reshape((-1,) + (4,) * nd))
 
 
-def _unblockify(
-    blocks: np.ndarray, padded_shape: tuple[int, ...], shape: tuple[int, ...]
-) -> np.ndarray:
-    ndim = len(shape)
-    if ndim == 2:
-        n0, n1 = padded_shape
-        out = blocks.reshape(n0 // 4, n1 // 4, 4, 4)
-        out = out.transpose(0, 2, 1, 3).reshape(n0, n1)
-    else:
-        n0, n1, n2 = padded_shape
-        out = blocks.reshape(n0 // 4, n1 // 4, n2 // 4, 4, 4, 4)
-        out = out.transpose(0, 3, 1, 4, 2, 5).reshape(n0, n1, n2)
-    return out[tuple(slice(0, n) for n in shape)]
+def _unblockify(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Invert :func:`_blockify` and crop the padding."""
+    nd = len(shape)
+    counts = [-(-n // 4) for n in shape]
+    out = blocks.reshape(counts + [4] * nd)
+    out = out.transpose([i for a in range(nd) for i in (a, nd + a)])
+    return out.reshape([4 * c for c in counts])[tuple(slice(0, n) for n in shape)]
 
 
 def _encode_block_planes(
@@ -162,24 +146,24 @@ def _decode_block_planes(r: BitReader, size: int, kmin: int) -> list[int]:
     return u
 
 
-def _check_input(data: np.ndarray) -> None:
-    if data.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise DTypeError(f"ZFP codec supports float32/float64, got {data.dtype}")
-    if not np.isfinite(data).all():
-        raise DTypeError("ZFP codec requires finite data")
-
-
 class _ZFPBlocksStage:
-    """Block float → lifting → negabinary → embedded bit-plane coding."""
+    """Block float → lifting → negabinary → embedded bit-plane coding.
+
+    The 2D / 3D lifting transform fixes the dimensionalities; block
+    floating point needs every value finite.
+    """
 
     name = "zfp_blocks"
+    dims = (2, 3)
 
     def forward(self, ctx: PipelineContext) -> None:
         data = ctx.data
         tol = ctx.bound.absolute
         ndim = data.ndim
+        if not np.isfinite(data).all():
+            raise DTypeError("ZFP-like cannot code non-finite values")
 
-        blocks, _ = _blockify(data.astype(np.float64))
+        blocks = _blockify(data.astype(np.float64))
         n_blocks = blocks.shape[0]
         order = sequency_order(ndim)
         log2_tol = math.floor(math.log2(tol))
@@ -240,8 +224,7 @@ class _ZFPBlocksStage:
         scale = np.ldexp(1.0, (emax - _SCALE_BITS).astype(np.int64))
         blocks = q.astype(np.float64) * scale.reshape((-1,) + (1,) * ndim)
         blocks[~nonzero] = 0.0
-        padded_shape = tuple(-(-n // 4) * 4 for n in shape)
-        ctx.out = _unblockify(blocks, padded_shape, shape).astype(dtype)
+        ctx.out = _unblockify(blocks, shape).astype(dtype)
 
 
 class _ZFPHeaderStage(HeaderStage):
@@ -291,7 +274,6 @@ class ZFPCompressor(PipelineCompressor):
 
     def build_stages(self) -> tuple[Stage, ...]:
         return (
-            ValidateInputStage(_check_input),
             ResolveBoundStage(),
             _ZFPBlocksStage(),
             _ZFPHeaderStage(),

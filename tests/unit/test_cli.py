@@ -203,6 +203,10 @@ class TestServiceCommands:
         assert main(["codecs"]) == 0
         out = capsys.readouterr().out
         assert "waveSZ" in out and "wavesz-g" in out and "Table 2" in out
+        # the derived field contract, one line per codec
+        lines = {line.split(":")[0]: line for line in out.splitlines()}
+        assert lines["waveSZ"].endswith("[modes: abs|vr_rel] [dims: 2D|3D]")
+        assert "[dims: 1D|2D|3D|4D]" in lines["SZ-1.0"]
 
     def test_batch_manifest(self, tmp_path, raw_field, capsys):
         import json

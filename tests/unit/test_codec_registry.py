@@ -177,6 +177,7 @@ class TestSingleDeclaration:
             "data_parallel": False,
             "entropy_backends": ["huffman", "rans", "auto"],
             "modes": ["abs", "vr_rel"],  # no pw_rel_log stage declared
+            "dims": [1, 2, 3],  # what the pqd stage declares
         }]
         assert reg.create("lorenzo") is reg.create("Lorenzo")
         rans = reg.create("lorenzo-rans")
@@ -252,7 +253,8 @@ class TestSingleDeclaration:
 
     #: The hand-written ``*_SPEC`` literals as they stood before the spec
     #: was derived: (wire name, Table 2 row, ((stage, features), ...),
-    #: unmodeled, extra), features by ``Feature`` member name.
+    #: unmodeled, extra), features by ``Feature`` member name — less the
+    #: ``checks`` stages, which the field contract replaced.
     FROZEN = (
         ("SZ-1.0", "SZ-0.1-1.0", (
             ("bound", ()),
@@ -271,7 +273,6 @@ class TestSingleDeclaration:
             ("pw_rel_masks", ()),
         ), ("BLOCKING",), ("LOG_TRANSFORM",)),
         ("SZ-2.0", "SZ-2.0+", (
-            ("checks", ()),
             ("bound", ()),
             ("block_hybrid", ("BLOCKING", "DECOMPRESSION_WRITEBACK", "LINEAR_REGRESSION",
                               "LORENZO", "OVERBOUND_CHECK_SW", "QUANTIZATION")),
@@ -291,7 +292,6 @@ class TestSingleDeclaration:
             ("values", ("GZIP",)),
         ), ("EXPLICIT_PIPELINING", "LINE_BUFFER"), ()),
         ("waveSZ-dp", None, (
-            ("checks", ()),
             ("bound", ("BASE2_MAPPING",)),
             ("pw_rel_log", ("LOG_TRANSFORM",)),
             ("prequant", ("QUANTIZATION",)),
@@ -311,7 +311,6 @@ class TestSingleDeclaration:
             ("verbatim", ()),
         ), ("EXPLICIT_PIPELINING", "LINE_BUFFER"), ()),
         ("ZFP-like", None, (
-            ("checks", ()),
             ("bound", ()),
             ("zfp_blocks", ()),
             ("header", ()),
@@ -342,25 +341,27 @@ class TestSingleDeclaration:
     def test_describe_is_the_codecs_wire_op_unchanged(self):
         backends = ["huffman", "rans", "auto"]
 
-        def row(name, aliases, profiles, table2, dp=False, entropy=(),
+        def row(name, aliases, profiles, table2, dims, dp=False, entropy=(),
                 pw_rel=False):
             return {
                 "name": name, "aliases": aliases, "profiles": profiles,
                 "table2": table2, "data_parallel": dp,
                 "entropy_backends": list(entropy),
                 "modes": ["abs", "vr_rel"] + ["pw_rel"] * pw_rel,
+                "dims": list(dims),
             }
 
         assert REGISTRY.describe() == [
-            row("SZ-1.0", ["SZ-0.1-1.0", "sz10"], [], "SZ-0.1-1.0"),
-            row("SZ-1.4", ["sz14"], ["sz14-rans"], "SZ-1.4", entropy=backends,
-                pw_rel=True),
-            row("SZ-2.0", ["SZ-2.0+", "sz20"], [], "SZ-2.0+", entropy=backends),
-            row("waveSZ", ["wavesz"], ["wavesz-g"], "waveSZ"),
+            row("SZ-1.0", ["SZ-0.1-1.0", "sz10"], [], "SZ-0.1-1.0", (1, 2, 3, 4)),
+            row("SZ-1.4", ["sz14"], ["sz14-rans"], "SZ-1.4", (1, 2, 3),
+                entropy=backends, pw_rel=True),
+            row("SZ-2.0", ["SZ-2.0+", "sz20"], [], "SZ-2.0+", (2, 3),
+                entropy=backends),
+            row("waveSZ", ["wavesz"], ["wavesz-g"], "waveSZ", (2, 3)),
             row("waveSZ-dp", ["wavesz-dp"], ["wavesz-dp-auto", "wavesz-dp-rans"],
-                None, dp=True, entropy=backends, pw_rel=True),
-            row("GhostSZ", ["ghostsz"], [], "GhostSZ"),
-            row("ZFP-like", ["zfp-like"], [], None),
+                None, (1, 2, 3), dp=True, entropy=backends, pw_rel=True),
+            row("GhostSZ", ["ghostsz"], [], "GhostSZ", (1, 2, 3)),
+            row("ZFP-like", ["zfp-like"], [], None, (2, 3)),
         ]
 
 

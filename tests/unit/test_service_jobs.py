@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ContainerError, DTypeError
+from repro.errors import ConfigError, ContainerError, DTypeError, ShapeError
 from repro.service.jobs import CompressionJob, JobState, make_job
 
 
@@ -54,7 +54,7 @@ class TestJobValidation:
             make_job("auto", op="decompress", payload=b"x", n_tiles=2)
 
     def test_tiles_need_a_2d_field(self):
-        with pytest.raises(ConfigError, match="2D"):
+        with pytest.raises(ShapeError, match="tiling needs a 2D or higher"):
             make_job("wavesz-dp", np.zeros(64, dtype=np.float32), n_tiles=2)
 
     def test_tiled_compress_job_accepted(self, smooth2d):

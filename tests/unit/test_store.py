@@ -81,8 +81,13 @@ class TestPut:
             store.put(name, smooth2d)
 
     def test_1d_field_rejected(self, store, ramp1d):
-        with pytest.raises(ShapeError, match="2 dimensions"):
+        # the default codec (waveSZ) refuses 1D at its field contract; one
+        # that takes 1D meets the tiling precondition
+        with pytest.raises(ShapeError, match="waveSZ accepts 2D/3D"):
             store.put("ramp", ramp1d)
+        with pytest.raises(ShapeError, match="tiling needs a 2D or higher"):
+            store.put("ramp", ramp1d, "sz14")
+        assert store.names() == ()
 
 
 class TestConcurrentPuts:

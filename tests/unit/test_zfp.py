@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ContainerError, DTypeError, ShapeError
+from repro.errors import ConfigError, ContainerError, DTypeError, ShapeError
 from repro.zfp import ZFPCompressor
 from repro.zfp.transform import (
     fwd_lift,
@@ -116,8 +116,13 @@ class TestCodec:
         assert a == b
 
     def test_rejects_nonfinite(self, codec):
-        with pytest.raises(DTypeError):
-            codec.compress(np.array([[np.inf, 0], [0, 0]], dtype=np.float32), 1e-3)
+        """Finite data is the blocks stage's value rule; a vr_rel request
+        meets bound resolution first, as with every other codec."""
+        x = np.array([[np.inf, 0], [0, 0]], dtype=np.float32)
+        with pytest.raises(DTypeError, match="non-finite"):
+            codec.compress(x, 1e-3, "abs")
+        with pytest.raises(ConfigError, match="non-finite"):
+            codec.compress(x, 1e-3, "vr_rel")
 
     def test_rejects_1d(self, codec, ramp1d):
         with pytest.raises(ShapeError):
