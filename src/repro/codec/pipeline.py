@@ -29,7 +29,7 @@ from typing import Any, Collection, Iterable, Mapping, Protocol, Sequence, runti
 import numpy as np
 
 from ..config import ErrorBound, ErrorBoundMode, QuantizerConfig
-from ..errors import ConfigError, ContainerError, ShapeError, decode_guard
+from ..errors import ConfigError, ContainerError, ReproError, ShapeError, decode_guard
 from ..io.container import Container
 from ..perf.stages import active_recorder
 from ..streams import FIELD_DIMS, build_stats, check_field
@@ -111,6 +111,13 @@ class PipelineContext:
                 f"pipeline stage ordering bug: artifact {key!r} missing"
             ) from None
 
+    def take(self, key: str) -> Any:
+        """:meth:`require` an artifact only the calling stage reads, and
+        let it go: a batch decode holds every context at once."""
+        value = self.require(key)
+        del self.artifacts[key]
+        return value
+
 
 @runtime_checkable
 class Stage(Protocol):
@@ -122,7 +129,10 @@ class Stage(Protocol):
     work is inherently one-directional (e.g. emitting side-channel
     sections read back by an earlier stage's inverse) implements the
     other direction as a no-op.  A stage whose algorithm needs a field
-    dimensionality also declares ``dims``.
+    dimensionality also declares ``dims``.  A stage that decodes several
+    payloads better together than one at a time (the entropy decode)
+    also defines ``inverse_many(ctxs)``, which a batch runs in place of
+    ``inverse`` per context.
     """
 
     name: str
@@ -143,37 +153,58 @@ class StagePipeline:
     def stage_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.stages)
 
-    def _run(self, stages: Iterable[Stage], direction: str, ctx: PipelineContext) -> None:
-        """The one stage loop: each stage's ``direction`` method, timed
-        under the stage's name when a recorder is installed."""
+    def _run(
+        self, stages: Iterable[Stage], direction: str, ctxs: list[PipelineContext]
+    ) -> None:
+        """The one stage loop, over one or more contexts: each stage's
+        ``direction`` method per context — or, when the stage defines
+        ``<direction>_many``, that once for all of them — timed under the
+        stage's name when a recorder is installed."""
         recorder = active_recorder()
         for stage in stages:
-            step = getattr(stage, direction)
             if recorder is None:  # the hot path: no context manager per stage
-                step(ctx)
+                _step(stage, direction, ctxs)
             else:
                 with recorder.stage(stage.name):
-                    step(ctx)
+                    _step(stage, direction, ctxs)
 
     def run_forward(self, ctx: PipelineContext) -> PipelineContext:
         ctx.container = Container(header={"variant": self.variant})
-        self._run(self.stages, "forward", ctx)
+        self._run(self.stages, "forward", [ctx])
         return ctx
 
     def run_inverse(self, payload: bytes | Container) -> PipelineContext:
-        container = (
-            payload
-            if isinstance(payload, Container)
-            else Container.from_bytes(payload)
-        )
-        h = container.header
-        if h.get("variant") != self.variant:
-            raise ContainerError(
-                f"payload was produced by {h.get('variant')!r}, not {self.variant}"
+        return self.run_inverse_many([payload])[0]
+
+    def run_inverse_many(
+        self, payloads: list[bytes | Container]
+    ) -> list[PipelineContext]:
+        """One context per payload, every stage inverted for all of them."""
+        ctxs = []
+        for payload in payloads:
+            container = (
+                payload
+                if isinstance(payload, Container)
+                else Container.from_bytes(payload)
             )
-        ctx = PipelineContext(container=container)
-        self._run(reversed(self.stages), "inverse", ctx)
-        return ctx
+            h = container.header
+            if h.get("variant") != self.variant:
+                raise ContainerError(
+                    f"payload was produced by {h.get('variant')!r}, not {self.variant}"
+                )
+            ctxs.append(PipelineContext(container=container))
+        self._run(reversed(self.stages), "inverse", ctxs)
+        return ctxs
+
+
+def _step(stage: Stage, direction: str, ctxs: list[PipelineContext]) -> None:
+    many = getattr(stage, f"{direction}_many", None)
+    if many is not None:
+        many(ctxs)
+        return
+    step = getattr(stage, direction)
+    for ctx in ctxs:
+        step(ctx)
 
 
 class Compressor(Protocol):
@@ -304,16 +335,35 @@ class PipelineCompressor:
         self, compressed: CompressedField | bytes | Container
     ) -> np.ndarray:
         """Reconstruct the field from a compressed payload (or from its
-        already parsed and verified :class:`Container`)."""
-        payload = (
-            compressed.payload
-            if isinstance(compressed, CompressedField)
-            else compressed
-        )
+        already parsed and verified :class:`Container`) — a batch of one."""
+        return self.decompress_many([compressed])[0]
+
+    def decompress_many(
+        self, payloads: Sequence[CompressedField | bytes | Container]
+    ) -> list[np.ndarray]:
+        """Reconstruct several payloads as one batch: a stage with an
+        ``inverse_many`` (the entropy decode) runs once for all of them.
+
+        Equal to ``[self.decompress(p) for p in payloads]``, errors
+        included: a batch that raises is decoded again one payload at a
+        time, in order, so what it raises is what the first payload that
+        fails raises alone.
+        """
+        raw = [p.payload if isinstance(p, CompressedField) else p for p in payloads]
+        try:
+            return self._reconstruct(raw)
+        except ReproError:
+            if len(raw) == 1:
+                raise
+        return [self._reconstruct([p])[0] for p in raw]
+
+    def _reconstruct(self, payloads: list[bytes | Container]) -> list[np.ndarray]:
         with decode_guard(f"{self.name} payload"):
-            ctx = self._pipeline.run_inverse(payload)
-            if ctx.out is None:
-                raise ContainerError(
-                    f"{self.name} pipeline produced no reconstruction"
-                )
-            return ctx.out
+            outs = []
+            for ctx in self._pipeline.run_inverse_many(payloads):
+                if ctx.out is None:
+                    raise ContainerError(
+                        f"{self.name} pipeline produced no reconstruction"
+                    )
+                outs.append(ctx.out)
+            return outs

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, ContextManager
 import numpy as np
 
 from ..config import ErrorBoundMode, QuantizerConfig, resolve_error_bound
-from ..encoding.huffman import HuffmanCodec, HuffmanTable
+from ..encoding.huffman import HuffmanCodec, HuffmanTable, decode_many
 from ..errors import ConfigError, ContainerError
 from ..kernels import resolve as resolve_kernel
 from ..perf.stages import active_recorder
@@ -85,6 +85,7 @@ __all__ = [
     "VerbatimValuesStage",
     "put_section",
     "take_section",
+    "take_sections",
 ]
 
 
@@ -142,10 +143,31 @@ def take_section(
     container is left as parsed: one ``Container`` decodes any number of
     times.
     """
-    h = container.header
-    use_gz = h[flag] if required else h.get(flag)
-    stored = container.get(gz_name if use_gz and gz_name else name)
-    return lossless.decompress(stored) if use_gz else stored
+    return take_sections(
+        [container], lossless, name, flag, gz_name=gz_name, required=required
+    )[0]
+
+
+def take_sections(
+    containers: "list[Container]",
+    lossless: "GzipStage",
+    name: str,
+    flag: str,
+    *,
+    gz_name: str | None = None,
+    required: bool = False,
+) -> list[bytes]:
+    """:func:`take_section` of the same section in every container, the
+    gzipped ones inflated as one batch."""
+    stored: list[bytes] = []
+    gzipped: list[bool] = []
+    for container in containers:
+        h = container.header
+        use_gz = bool(h[flag] if required else h.get(flag))
+        stored.append(container.get(gz_name if use_gz and gz_name else name))
+        gzipped.append(use_gz)
+    inflated = iter(lossless.decompress_many([s for s, g in zip(stored, gzipped) if g]))
+    return [next(inflated) if g else s for s, g in zip(stored, gzipped)]
 
 
 class ResolveBoundStage:
@@ -302,8 +324,7 @@ class PrequantStage:
         ctx.artifacts["dq_q"] = pre.q
 
     def inverse(self, ctx: "PipelineContext") -> None:
-        q = ctx.require("dq_q")
-        out = lattice_to_values(q, ctx.bound.absolute, ctx.dtype)
+        out = lattice_to_values(ctx.take("dq_q"), ctx.bound.absolute, ctx.dtype)
         raw_idx = ctx.require("dq_raw_idx")
         raw_values = ctx.require("dq_raw_values")
         if raw_idx.size:
@@ -335,12 +356,11 @@ class DualQuantStage:
         ctx.artifacts["dq_outlier_deltas"] = outlier_deltas
 
     def inverse(self, ctx: "PipelineContext") -> None:
-        codes = ctx.codes
+        codes, ctx.codes = ctx.codes, None  # consumed: see PipelineContext.take
         if codes.ndim == 1:
             codes = codes.reshape(ctx.shape)
-        delta = codes_to_deltas(
-            codes, ctx.require("dq_outlier_deltas"), ctx.quant
-        )
+        delta = codes_to_deltas(codes, ctx.take("dq_outlier_deltas"), ctx.quant)
+        del codes
         ctx.artifacts["dq_q"] = resolve_kernel("dualquant.delta_integrate")(delta)
 
 
@@ -578,23 +598,33 @@ class EntropyCodesStage:
             ctx.meta["rans_tokens"] = int(tokens.size)
 
     def inverse(self, ctx: "PipelineContext") -> None:
-        h = ctx.header
-        backend = h.get("entropy", "huffman")
-        n = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
-        if backend == "huffman":
-            ctx.codes = self._inverse_huffman(ctx.container, n)
-        elif backend == "rans":
-            ctx.codes = self._inverse_rans(ctx.container, n)
-        else:
-            raise ContainerError(f"unknown entropy backend {backend!r} in header")
+        self.inverse_many([ctx])
 
-    def _inverse_huffman(self, container: "Container", n: int) -> np.ndarray:
-        stream = take_section(
-            container, self.lossless, "huffman_codes", "codes_gzipped",
-            gz_name="huffman_codes_gz",
+    def inverse_many(self, ctxs: "list[PipelineContext]") -> None:
+        """Every context's code stream; the Huffman-coded ones inflate as
+        one batch and decode as another (one kernel call each)."""
+        huffman: list[tuple["PipelineContext", int]] = []
+        for ctx in ctxs:
+            h = ctx.header
+            backend = h.get("entropy", "huffman")
+            n = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
+            if backend == "huffman":
+                huffman.append((ctx, n))
+            elif backend == "rans":
+                ctx.codes = self._inverse_rans(ctx.container, n)
+            else:
+                raise ContainerError(f"unknown entropy backend {backend!r} in header")
+        streams = take_sections(
+            [ctx.container for ctx, _ in huffman], self.lossless,
+            "huffman_codes", "codes_gzipped", gz_name="huffman_codes_gz",
         )
-        table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
-        return HuffmanCodec(table).decode(stream, n)
+        items = [
+            (HuffmanCodec(HuffmanTable.from_bytes(ctx.container.get("huffman_table"))[0]),
+             stream, n)
+            for (ctx, n), stream in zip(huffman, streams)
+        ]
+        for (ctx, _), codes in zip(huffman, decode_many(items)):
+            ctx.codes = codes
 
     def _inverse_rans(self, container: "Container", n: int) -> np.ndarray:
         """Wire layout: a ``rans_table`` section (2^12-normalized frequency

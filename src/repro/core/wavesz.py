@@ -33,10 +33,10 @@ from ..codec.stages import (
     ResolveBoundStage,
     VerbatimValuesStage,
     put_section,
-    take_section,
+    take_sections,
 )
 from ..config import QuantizerConfig
-from ..encoding.huffman import HuffmanCodec, HuffmanTable
+from ..encoding.huffman import HuffmanCodec, HuffmanTable, decode_many
 from ..errors import ContainerError, ShapeError
 from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, header_int, header_shape
@@ -141,27 +141,39 @@ class _WaveCodesStage:
         )
 
     def inverse(self, ctx: PipelineContext) -> None:
-        container = ctx.container
-        h = ctx.header
-        view_shape = header_shape(h, "view_shape")
-        n_codes = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
-        n_view = 1
-        for s in view_shape:
-            n_view *= s
-        if n_codes != n_view:
-            raise ContainerError(
-                f"header declares {n_codes} codes for view shape {view_shape}"
-            )
-        stream = take_section(
-            container, self.lossless, "codes", "codes_gzipped", required=True
+        self.inverse_many([ctx])
+
+    def inverse_many(self, ctxs: list[PipelineContext]) -> None:
+        """Every context's code stream: the gzipped ones inflate as one
+        batch, the Huffman-coded ones decode as another."""
+        counts = []
+        for ctx in ctxs:
+            h = ctx.header
+            view_shape = header_shape(h, "view_shape")
+            n_codes = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
+            n_view = 1
+            for s in view_shape:
+                n_view *= s
+            if n_codes != n_view:
+                raise ContainerError(
+                    f"header declares {n_codes} codes for view shape {view_shape}"
+                )
+            counts.append(n_codes)
+        streams = take_sections(
+            [ctx.container for ctx in ctxs], self.lossless, "codes",
+            "codes_gzipped", required=True,
         )
-        if h["use_huffman"]:
-            table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
-            ctx.codes = HuffmanCodec(table).decode(stream, n_codes)
-        else:
-            ctx.codes = np.frombuffer(stream, dtype="<u2", count=n_codes).astype(
-                np.int64
-            )
+        huffman = []
+        for ctx, stream, n_codes in zip(ctxs, streams, counts):
+            if ctx.header["use_huffman"]:
+                table, _ = HuffmanTable.from_bytes(ctx.container.get("huffman_table"))
+                huffman.append((ctx, (HuffmanCodec(table), stream, n_codes)))
+            else:
+                ctx.codes = np.frombuffer(
+                    stream, dtype="<u2", count=n_codes
+                ).astype(np.int64)
+        for (ctx, _), codes in zip(huffman, decode_many([i for _, i in huffman])):
+            ctx.codes = codes
 
 
 @register_codec(

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HuffmanError
+from ..errors import HuffmanError, ReproError, raise_first
 from ..kernels.dispatch import register_kernel, resolve
 from .bitio import _MAX_CODE_BITS, BitReader, _pack_fitting_codes
 from .histogram import symbol_histogram
 
-__all__ = ["HuffmanTable", "HuffmanCodec"]
+__all__ = ["HuffmanTable", "HuffmanCodec", "decode_many", "decode_outcomes"]
 
 _FAST_BITS = 12
 _MAGIC = b"HUF1"
@@ -380,7 +380,13 @@ class HuffmanCodec:
     # -- decode ------------------------------------------------------------
 
     def decode(self, payload: bytes, n_symbols: int) -> np.ndarray:
-        """Decode ``n_symbols`` symbols from an MSB-first payload.
+        """Decode ``n_symbols`` symbols from an MSB-first payload — a
+        batch of one (:func:`decode_many`)."""
+        return decode_many([(self, payload, n_symbols)])[0]
+
+    def _decode_trivially(self, payload: bytes, n_symbols: int) -> np.ndarray | None:
+        """The host's validations of one decode, and its result when that
+        needs no kernel (``None`` when it does).
 
         ``n_symbols`` is validated against the payload size before any
         allocation: each symbol consumes at least ``lengths[0]`` bits, so a
@@ -404,7 +410,7 @@ class HuffmanCodec:
             out = np.empty(n_symbols, dtype=np.int64)
             out[:] = self.table.symbols[0]
             return out
-        return resolve("huffman.decode")(self, payload, n_symbols)
+        return None
 
     def encoded_size_bits(self, symbols: np.ndarray) -> int:
         """Exact payload size in bits without materializing the stream.
@@ -416,6 +422,37 @@ class HuffmanCodec:
         if symbols.size == 0:
             return 0
         return int(self._slots(symbols)[1].sum())
+
+
+def decode_outcomes(items) -> list:
+    """Decode every ``(codec, payload, n_symbols)`` of ``items``, one
+    ``huffman.decode`` kernel call for all that need one.
+
+    Returns one entry per item: its symbols, or the :class:`ReproError`
+    ``codec.decode(payload, n_symbols)`` alone raises.
+    """
+    out: list = [None] * len(items)
+    todo: list[int] = []
+    for k, (codec, payload, n) in enumerate(items):
+        try:
+            out[k] = codec._decode_trivially(payload, n)
+        except HuffmanError as exc:
+            out[k] = exc
+            continue
+        if out[k] is None:
+            todo.append(k)
+    if todo:
+        decoded = resolve("huffman.decode")([items[k] for k in todo])
+        for k, result in zip(todo, decoded):
+            out[k] = result
+    return out
+
+
+def decode_many(items) -> list[np.ndarray]:
+    """Decode every ``(codec, payload, n_symbols)`` of ``items`` as one
+    batch: equal to ``[codec.decode(payload, n) for ...]``, and raising
+    what the first item that fails raises alone."""
+    return raise_first(decode_outcomes(items))
 
 
 def _decode_reference(
@@ -459,8 +496,20 @@ def _decode_reference(
     return out
 
 
+def _decode_reference_many(items) -> list:
+    """The ``huffman.decode`` reference: :func:`_decode_reference` per
+    item, each failure its item's entry."""
+    out: list = []
+    for codec, payload, n_symbols in items:
+        try:
+            out.append(_decode_reference(codec, payload, n_symbols))
+        except ReproError as exc:
+            out.append(exc)
+    return out
+
+
 register_kernel(
     "huffman.decode",
-    _decode_reference,
+    _decode_reference_many,
     fast="repro.kernels.huffman_fast:decode_symbols",
 )

@@ -166,6 +166,16 @@ _DECODE_LEAKS = (
 )
 
 
+def raise_first(outcomes: list) -> list:
+    """A batch's results: ``outcomes`` itself when no entry is a
+    :class:`ReproError`, else the first such entry raised — what the
+    per-item loop the batch replaces would have raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, ReproError):
+            raise outcome
+    return outcomes
+
+
 @contextmanager
 def decode_guard(what: str = "compressed payload"):
     """Convert stray stdlib/NumPy exceptions into :class:`ContainerError`.

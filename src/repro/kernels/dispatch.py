@@ -108,7 +108,7 @@ def register_kernel(
     Host modules call this at import time::
 
         _decode_kernel = register_kernel(
-            "huffman.decode", _decode_reference,
+            "huffman.decode", _decode_reference_many,
             fast="repro.kernels.huffman_fast:decode_symbols")
 
     Re-registering a name replaces the entry (keeps ``importlib.reload``

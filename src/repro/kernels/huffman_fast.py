@@ -1,13 +1,23 @@
 """Lane-parallel Huffman decoder — the ``huffman.decode`` fast kernel.
 
 The reference decoder costs two Python method calls (``peek``/``skip``)
-plus a table probe *per symbol*.  This kernel decodes a large payload
+plus a table probe *per symbol*.  This kernel decodes large payloads
 the way :func:`repro.kernels.rans_fast.decode_stream` steps its lanes:
 many decoders in lock-step, a handful of in-place NumPy ops per step.
+It takes a *batch* of streams — every band of a tiled read, both
+Huffman streams of every inflated blob — and steps the lanes of several
+streams together, so the fixed cost of a step (a dozen NumPy calls) and
+the tail of slow lanes are paid once per set instead of once per stream
+(``docs/PERF.md``, "The read side, tiled").  A single stream is a batch
+of one.
 
-**Lanes.**  A segment of the payload (at most ``_SEGMENT_BITS`` and
+**Lanes.**  A segment of a payload (at most ``_SEGMENT_BITS`` and
 ``_LANES`` regions) is cut into equal bit regions and one lane starts at
-every region boundary.
+every region boundary.  Whole streams one segment covers share a
+*lock-step set* of at most ``_LANES`` lanes and ``_SEGMENT_BITS`` bits;
+each keeps its own regions (cut at its own mean code length), its own
+block of entry slots and its own table, reached through a per-lane
+base into the set's concatenated tables.
 Each step gathers every lane's code window from a precomputed
 32-bit-window-per-byte array, looks the window up in a wide table of
 ``(symbol << 6) | length`` entries, records the entry and advances the
@@ -28,21 +38,23 @@ the mean symbol count).  The true symbol sequence is then lane 0's
 entries up to its link, the linked lane's entries from the linked slot
 up to *its* link, and so on: a pointer-doubling chase over the links
 (which need not point at the right-hand neighbour) and one ragged
-gather over the entry matrix.  The marks and the entry matrix are
-allocated once per decode and reused by every segment; a generation
-base added to a segment's marks makes the ones earlier segments left
+gather over the entry matrix, both per stream.  The marks and the
+entry matrix are allocated once per batch and reused by every set; a
+generation base added to a set's marks makes the ones earlier sets left
 read as unmarked.
 
 **Chain walk.**  Everything the lanes do not cover goes through the
 chunked chain walk this module has always had — per-bit decode entries
 for a chunk, then a scalar walk that jumps from code to code: streams
-under ``_LANE_MIN_SYMBOLS``; tables that cannot synchronize (fixed-length
+under ``_SHARED_MIN_SYMBOLS`` and sets (or long streams) under
+``_LANE_MIN_SYMBOLS``; tables that cannot synchronize (fixed-length
 codes), are not a complete prefix code (hostile, so a window may have no
 code at all) or keep too much of their code space beyond the wide
 table; and whatever is left when a lane fails to link within
 ``_SYNC_BUDGET`` steps.  It is also where every failure is raised, so
 the messages have one source: the lanes stop in front of a code that
-runs past the payload and hand the position over.
+runs past the payload and hand the position over.  Each stream has its
+own walk, so one stream's failure is its own entry of the batch result.
 
 Codes longer than a table's window are ``-1`` escapes, resolved by one
 scalar canonical sweep per *visited* escape (long codes are by
@@ -56,17 +68,20 @@ exhausting ``maxlen``.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..encoding.huffman import _window_entries
-from ..errors import BitstreamError, HuffmanError
+from ..errors import BitstreamError, HuffmanError, ReproError
 
 __all__ = ["decode_symbols", "CHUNK_BITS"]
 
 CHUNK_BITS = 1 << 19  # 64 KiB of payload per chain-walk chunk
 _STEP_MASK = 63  # low 6 bits of an entry hold the code length
 
-_LANE_MIN_SYMBOLS = 1 << 14  # shorter streams stay on the chain walk
+_LANE_MIN_SYMBOLS = 1 << 14  # a smaller lock-step set stays on the chain walk
+_SHARED_MIN_SYMBOLS = 1 << 12  # a shorter stream joins no set (docs/PERF.md)
 _LANES = 4096  # lanes per segment, at most
 _SEGMENT_BITS = 1 << 21  # payload bits per lane segment, at most (docs/PERF.md)
 _LANE_SYMBOLS = 64  # codes a lane is sized to decode in its own region
@@ -77,6 +92,7 @@ _CHECK_EVERY = 8  # own-region steps between looks at who has crossed
 _SYNC_BUDGET = 256  # steps a lane may take beyond its region to link
 _PAD = 8 + (_CHECK_EVERY * 57 + 7) // 8  # bytes a lane may read past the end
 _MARK_LIMIT = 1 << 31  # marks are int32: generations restart below this
+_NO_LANES = np.empty(0, dtype=np.int32)  # the lane table of a chain-walk stream
 
 
 # -- chain walk ----------------------------------------------------------------
@@ -169,6 +185,8 @@ def _chain_walk(
 ) -> None:
     """Decode ``out[i:]`` starting at bit ``pos``, one chunk at a time."""
     n_symbols = out.size
+    if i == n_symbols:
+        return  # the lanes decoded it all: no table to build
     dec = codec._decode_tables()
     table = codec.table
     maxlen = table.max_length
@@ -226,7 +244,7 @@ def _lane_lut(codec) -> np.ndarray:
         table = codec.table
         lengths = table.lengths
         maxlen = table.max_length
-        per_len = codec._decode_tables().len_count
+        per_len = np.bincount(lengths, minlength=maxlen + 1)
         # Exact: one missing 57-bit code is below any float tolerance, and
         # a speculative lane would find the window no code covers.
         kraft = sum(int(per_len[l]) << (maxlen - l) for l in range(1, maxlen + 1))
@@ -243,61 +261,102 @@ def _lane_lut(codec) -> np.ndarray:
     return lut
 
 
+class _Stream:
+    """One item of a batch: its output, where its payload sits in the
+    batch buffer (``base``, in bits) and how far the lanes got
+    (``pos``, ``i``).  ``lut`` is empty when the lanes leave it alone."""
+
+    def __init__(self, codec, payload: bytes, n_symbols: int) -> None:
+        self.codec = codec
+        self.payload = payload
+        self.out = np.empty(n_symbols, dtype=np.int64)
+        self.total_bits = total = 8 * len(payload)
+        self.lut = _NO_LANES
+        if n_symbols >= _SHARED_MIN_SYMBOLS:
+            self.lut = _lane_lut(codec)
+        self.bits = self.lut.size.bit_length() - 1
+        self.min_len = int(codec.table.lengths[0])
+        # Regions sized for _LANE_SYMBOLS codes each at this stream's mean
+        # code length, segments for at most _LANES of them.
+        self.region_bits = max(_MIN_REGION_BITS, _LANE_SYMBOLS * total // n_symbols)
+        n_seg = -(-total // min(_SEGMENT_BITS, _LANES * self.region_bits))
+        self.seg_bits = -(-total // n_seg)
+        self.base = 0
+        self.pos = self.i = 0
+
+    @property
+    def rank(self) -> int:
+        """Buffer order: streams one segment covers (lock-step sets pack
+        those), then longer lane streams, then chain-walk-only ones."""
+        if not self.lut.size:
+            return 2
+        return int(self.seg_bits < self.total_bits)
+
+
+class _Piece(NamedTuple):
+    """A run ``[start, end)`` of one stream's payload bits that a lock-step
+    set lane-decodes; ``start`` is a true code boundary."""
+
+    stream: _Stream
+    start: int
+    end: int
+
+    @property
+    def n_lanes(self) -> int:
+        return (self.end - self.start) // self.stream.region_bits
+
+
 class _Lanes:
-    """One lane decode's state, shared by its segments.
+    """One batch's lane state, shared by its lock-step sets.
 
     Holds the lock-step (window gather, table gather, record, advance)
-    and the buffers every segment reuses: the marks, the entry matrix and
-    the per-lane scratch.  The marks are allocated once: a segment's
-    marks are its entry slots plus a *generation* base above every slot
-    an earlier segment wrote, so a stale mark reads as unmarked and no
-    segment pays a fill.
+    and the buffers every set reuses: the marks, the entry matrix and
+    the per-lane scratch.  The marks are allocated once: a set's marks
+    are its entry slots plus a *generation* base above every slot an
+    earlier set wrote, so a stale mark reads as unmarked and no set pays
+    a fill.
     """
 
-    def __init__(self, codec, lut, w32, pb, seg_bits, region_bits) -> None:
-        self.codec = codec
-        self.lut = lut
+    def __init__(self, w32, pb, set_bits: int, max_lanes: int) -> None:
         self.w32_all = w32
         self.pb = pb
-        bits = lut.size.bit_length() - 1
-        self.shift0 = 32 - bits
-        self.mask = lut.size - 1
-        self.escapes = codec.table.max_length > bits
-        self.first_long = bits + 1
-        self.min_len = int(codec.table.lengths[0])
-        max_lanes = max(2, seg_bits // region_bits)
         self.scratch = np.empty((2, max_lanes), dtype=np.int64)
-        self.found = np.empty(max_lanes, dtype=lut.dtype)
         self.slot_marks = np.empty(max_lanes, dtype=np.int32)
-        # Segment-relative bit positions a lane can reach: the segment,
-        # the bits before its first byte boundary and the overrun.
-        self.marks = np.zeros(seg_bits + 8 + 8 * _PAD, dtype=np.int32)
+        # Set-relative bit positions a lane can reach: the set, the bits
+        # before its first byte boundary and the overrun.
+        self.marks = np.zeros(set_bits + 8 + 8 * _PAD, dtype=np.int32)
         self.next_gen = 1  # 0 is what a fresh mark reads
-        self.entries = np.empty(0, dtype=lut.dtype)
+        self.entries = np.empty(0, dtype=np.int32)
 
-    def segment(self, base: int, end: int, n_slots: int, n_lanes: int) -> None:
-        """Start a segment at payload bit ``base`` (a byte boundary) whose
-        entry slots are ``[0, n_slots)``: it marks ``slot + gen``."""
+    def segment(self, base, pieces, ends, slot_base, n_slots, lut) -> None:
+        """Start a set at buffer bit ``base`` (a byte boundary) whose entry
+        slots are ``[0, n_slots)``: it marks ``slot + gen``.  Everything at
+        or past a piece's end counts as marked (a lane there is done);
+        further out no lane of that piece reaches."""
         if self.next_gen + n_slots > _MARK_LIMIT:
             self.marks.fill(0)
             self.next_gen = 1
         self.gen = self.next_gen
         self.next_gen += n_slots
-        if self.entries.size < n_slots:
-            self.entries = np.empty(n_slots, dtype=self.lut.dtype)
+        if self.entries.size < n_slots or self.entries.dtype != lut.dtype:
+            self.entries = np.empty(max(n_slots, self.entries.size), dtype=lut.dtype)
+        self.found = np.empty(self.scratch.shape[1], dtype=lut.dtype)
+        self.lut = lut
         self.base = base
         self.w32 = self.w32_all[base >> 3 :]
-        self.n_lanes = n_lanes
-        # Everything at or past the segment end counts as marked (a lane
-        # there is done); further out no lane reaches.
-        self.marks[end : end + 8 * _PAD] = self.gen
+        self.pieces, self.slot_base = pieces, slot_base
+        self.escapes = any(p.stream.codec.table.max_length > p.stream.bits for p in pieces)
+        for end in ends:
+            self.marks[end : end + 8 * _PAD] = self.gen
 
-    def run(self, pos, slot, steps, mark=False) -> None:
+    def run(self, pos, slot, steps, shift0, mask, lut_base, stride, mark=False):
         """Advance the lanes at ``pos`` (in place) by ``steps`` symbols,
-        recording each entry at the lane's ``slot`` (advanced in place)
-        and, with ``mark``, marking each visited position with it."""
+        recording each entry at the lane's ``slot`` (advanced in place by
+        ``stride``) and, with ``mark``, marking each visited position with
+        it.  ``shift0``, ``mask``, ``lut_base`` and ``stride`` are one
+        number for the whole set or one per lane; ``lut_base`` is ``None``
+        when the set decodes against one table."""
         w32, lut, entries = self.w32, self.lut, self.entries
-        shift0, mask, n_lanes = self.shift0, self.mask, self.n_lanes
         n = pos.size
         q, w = self.scratch[:, :n]
         e = self.found[:n]
@@ -313,20 +372,23 @@ class _Lanes:
             np.subtract(shift0, q, out=q)
             np.right_shift(w, q, out=w)
             np.bitwise_and(w, mask, out=w)
+            if lut_base is not None:
+                np.add(w, lut_base, out=w)
             lut.take(w, out=e, mode="clip")
             if self.escapes and e.min() < 0:
-                self._resolve(pos, e)
+                self._resolve(pos, slot, e)
             entries[slot] = e
             np.bitwise_and(e, _STEP_MASK, out=q)
             np.add(pos, q, out=pos)
-            np.add(slot, n_lanes, out=slot)
+            np.add(slot, stride, out=slot)
 
-    def _resolve(self, pos, e) -> None:
-        dec = self.codec._decode_tables()
+    def _resolve(self, pos, slot, e) -> None:
         for k in np.flatnonzero(e < 0).tolist():
+            piece = int(np.searchsorted(self.slot_base, slot[k], side="right")) - 1
+            s = self.pieces[piece].stream
             e[k] = _resolve_one(
-                self.pb, self.base + int(pos[k]), dec, self.codec.table,
-                self.first_long,
+                self.pb, self.base + int(pos[k]), s.codec._decode_tables(),
+                s.codec.table, s.bits + 1,
             )
 
 
@@ -361,39 +423,79 @@ def _true_path(nxt: np.ndarray) -> np.ndarray | None:
     return path[:stop]
 
 
-def _lane_segment(lanes, start, seg_end, region_bits, total_bits, out, i):
-    """Lane-decode the true code sequence from bit ``start`` up to the first
-    code boundary at or past ``seg_end`` into ``out[i:]``.
+def _per_lane(values: list[int], counts: list[int]):
+    """One number for the set when every piece has the same, else one per
+    lane (a piece's lanes are consecutive)."""
+    if len(set(values)) == 1:
+        return values[0]
+    return np.repeat(np.array(values, dtype=np.int64), counts)
 
-    Returns ``(pos, i)`` after the last symbol written, or ``None`` when
-    the segment is too short to cut or a lane on the true path found no
-    link.  Entries past the end of the payload are left out, a final
-    code that runs past it too: ``pos`` then points at that code.
+
+def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
+    """Lane-decode every piece of one lock-step set.
+
+    A piece's stream gets the true code sequence from ``start`` up to the
+    first code boundary at or past ``end`` written at its ``i``, and its
+    ``pos`` moves past it.  Entries past the end of the payload are left
+    out, a final code that runs past it too: ``pos`` then points at that
+    code.  Returns, per piece, whether it was decoded (``False``: a lane
+    on its true path found no link, and the stream is left as it was).
     """
-    base = start & ~7
-    span = seg_end - start
-    n_lanes = span // region_bits
-    if n_lanes < 2:
-        return None
-    bounds = (start - base) + (
-        span * np.arange(n_lanes + 1, dtype=np.int64) // n_lanes
-    )
-    end = seg_end - base
-    region = -(-span // n_lanes)
-    rows = -(-region // lanes.min_len) + _CHECK_EVERY + _SYNC_BUDGET + 1
-    n_slots = rows * n_lanes
-    lanes.segment(base, end, n_slots, n_lanes)
+    base = (pieces[0].stream.base + pieces[0].start) & ~7
+    counts = [p.n_lanes for p in pieces]
+    n_lanes = sum(counts)
+    lo, hi, ends, sizes = [], [], [], []
+    for p, n in zip(pieces, counts):
+        s = p.stream
+        span = p.end - p.start
+        bounds = (s.base + p.start - base) + (
+            span * np.arange(n + 1, dtype=np.int64) // n
+        )
+        lo.append(bounds[:-1])
+        hi.append(bounds[1:])
+        ends.append(s.base + p.end - base)
+        region = -(-span // n)
+        sizes.append((-(-region // s.min_len) + _CHECK_EVERY + _SYNC_BUDGET + 1) * n)
+    # Each piece owns a block of entry slots: ``row * n + lane`` inside it.
+    slot_base = np.cumsum(sizes) - sizes
+    # The pieces' tables, concatenated when they differ: each lane then
+    # adds its table's base to its window.
+    tables = {id(p.stream.lut): p.stream.lut for p in pieces}
+    lut, lut_base = pieces[0].stream.lut, None
+    if len(tables) > 1:
+        offset = dict(zip(tables, np.cumsum([0] + [t.size for t in tables.values()])))
+        lut = np.concatenate(list(tables.values()))
+        lut_base = _per_lane([int(offset[id(p.stream.lut)]) for p in pieces], counts)
+    lanes.segment(base, pieces, ends, slot_base, int(sum(sizes)), lut)
     marks, gen, entries = lanes.marks, lanes.gen, lanes.entries
+    params = [
+        _per_lane([32 - p.stream.bits for p in pieces], counts),
+        _per_lane([(1 << p.stream.bits) - 1 for p in pieces], counts),
+        lut_base,
+        _per_lane(counts, counts),
+    ]
+    # Per-lane parameters ride along as extra state rows, so a lane that
+    # leaves the set takes its own with it.
+    varying = [k for k, v in enumerate(params) if isinstance(v, np.ndarray)]
+    extra = [params[k] for k in varying]
+
+    def step(st, row0, steps, mark=False):
+        prm = list(params)
+        for r, k in enumerate(varying):
+            prm[k] = st[row0 + r]
+        lanes.run(st[0], st[1], steps, *prm, mark=mark)
 
     # Own regions: step until every lane has crossed into the next one.
     # Lanes that have leave the set at the next look, so none strays more
     # than _CHECK_EVERY - 1 codes past its region.  State rows: position,
-    # entry slot, lane, region end.
+    # entry slot, lane, region end, then the varying parameters.
     lane_ids = np.arange(n_lanes, dtype=np.int64)
-    st = np.stack((bounds[:-1], lane_ids, lane_ids, bounds[1:]))
+    first_lane = np.cumsum(counts) - counts
+    slot0 = lane_ids + np.repeat(slot_base - first_lane, counts)
+    st = np.vstack([np.concatenate(lo), slot0, lane_ids, np.concatenate(hi), *extra])
     left_at = np.empty((2, n_lanes), dtype=np.int64)
     while st.shape[1]:
-        lanes.run(st[0], st[1], _CHECK_EVERY, mark=True)
+        step(st, 4, _CHECK_EVERY, mark=True)
         live = st[0] < st[3]
         if live.all():
             continue
@@ -405,7 +507,7 @@ def _lane_segment(lanes, start, seg_end, region_bits, total_bits, out, i):
     # link = (position, slot) where each lane linked; position -1: never.
     link = np.empty((2, n_lanes), dtype=np.int64)
     link[0] = -1
-    st = np.vstack((left_at, lane_ids))
+    st = np.vstack([left_at, lane_ids, *extra])
     for _ in range(_SYNC_BUDGET):
         hit = marks[st[0]] >= gen
         if hit.any():
@@ -414,85 +516,141 @@ def _lane_segment(lanes, start, seg_end, region_bits, total_bits, out, i):
             st = st.compress(~hit, axis=1)
             if not st.shape[1]:
                 break
-        lanes.run(st[0], st[1], 1)
+        step(st, 3, 1)
 
-    # The true path: lane 0 from slot 0 to its link, the lane it links to
-    # from the linked slot (the one marked at the link) to that lane's
-    # link, ... until a link leaves the segment.
-    at = link[0]
-    target = np.subtract(marks[np.maximum(at, 0)], gen, dtype=np.int64)
-    nxt = target % n_lanes
-    nxt[at >= end] = n_lanes
-    nxt[at < 0] = n_lanes + 1
-    path = _true_path(nxt)
-    if path is None:
-        return None
-    first = np.zeros(path.size, dtype=np.int64)
-    first[1:] = target[path[:-1]]
-    counts = (link[1, path] - first) // n_lanes
-    total = int(counts.sum())
-    # Ragged gather: entry j of path lane m sits at first[m] + j * n_lanes.
-    starts = np.cumsum(counts) - counts
-    idx = np.arange(total, dtype=np.int64)
-    idx *= n_lanes
-    idx += np.repeat(first - starts * n_lanes, counts)
-    ent = entries[idx]
-    pos = base + int(at[path[-1]])
-    while pos > total_bits:  # decoded from the padding, or running into it
-        pos -= int(ent[-1]) & _STEP_MASK
-        ent = ent[:-1]
-    ent = ent[: out.size - i]
-    np.right_shift(ent, 6, out=out[i : i + ent.size])
-    return pos, i + ent.size
-
-
-def _lane_decode(codec, lut, buf, pb, total_bits, out) -> tuple[int, int]:
-    """Lane-decode segment after segment; returns the ``(pos, i)`` reached —
-    short of the end only if a segment could not be lane-decoded."""
-    # Built in place: one stream-sized int64 array, no temporaries.
-    w32 = buf[:-3].astype(np.int64)
-    for k in (1, 2, 3):
-        w32 <<= 8
-        w32 |= buf[k : buf.size - 3 + k]
-    # Regions sized for _LANE_SYMBOLS codes each at the stream's mean code
-    # length, segments for at most _LANES of them.
-    region_bits = max(_MIN_REGION_BITS, _LANE_SYMBOLS * total_bits // out.size)
-    n_seg = -(-total_bits // min(_SEGMENT_BITS, _LANES * region_bits))
-    seg_bits = -(-total_bits // n_seg)
-    lanes = _Lanes(codec, lut, w32, pb, seg_bits, region_bits)
-    pos = i = 0
-    for s in range(1, n_seg + 1):
-        seg_end = min(s * seg_bits, total_bits)
-        if pos >= seg_end:
+    # Per piece, the true path: lane 0 from its first slot to its link,
+    # the lane it links to from the linked slot (the one marked at the
+    # link) to that lane's link, ... until a link leaves the piece.  No
+    # lane links into another piece: a pre-marked end lies in between.
+    target_all = np.subtract(marks[np.maximum(link[0], 0)], gen, dtype=np.int64)
+    decoded = []
+    for p, n, l0, sb, end in zip(pieces, counts, first_lane.tolist(), slot_base.tolist(), ends):
+        at, linked = link[:, l0 : l0 + n]
+        target = target_all[l0 : l0 + n] - sb
+        nxt = target % n
+        nxt[at >= end] = n
+        nxt[at < 0] = n + 1
+        path = _true_path(nxt)
+        decoded.append(path is not None)
+        if path is None:
             continue
-        done = _lane_segment(lanes, pos, seg_end, region_bits, total_bits, out, i)
-        if done is None:
-            break
-        pos, i = done
-        if i == out.size:
-            break
-    return pos, i
+        first = np.zeros(path.size, dtype=np.int64)
+        first[1:] = target[path[:-1]]
+        cnt = (linked[path] - sb - first) // n
+        # Ragged gather: entry j of path lane m sits at first[m] + j * n.
+        starts = np.cumsum(cnt) - cnt
+        idx = np.arange(int(cnt.sum()), dtype=np.int64)
+        idx *= n
+        idx += np.repeat(first - starts * n + sb, cnt)
+        ent = entries[idx]
+        s = p.stream
+        pos = base + int(at[path[-1]]) - s.base
+        while pos > s.total_bits:  # decoded from the padding, or running into it
+            pos -= int(ent[-1]) & _STEP_MASK
+            ent = ent[:-1]
+        ent = ent[: s.out.size - s.i]
+        np.right_shift(ent, 6, out=s.out[s.i : s.i + ent.size])
+        s.pos, s.i = pos, s.i + ent.size
+    return decoded
 
 
-def decode_symbols(codec, payload: bytes, n_symbols: int) -> np.ndarray:
-    """Decode ``n_symbols`` from ``payload`` against ``codec``'s table.
+def _lock_step_sets(streams: list[_Stream]) -> list[list[_Piece]]:
+    """Pack whole streams into lock-step sets of at most ``_LANES`` lanes
+    and ``_SEGMENT_BITS`` buffer bits, in buffer order.  A set of fewer
+    than ``_LANE_MIN_SYMBOLS`` symbols is left to the chain walk: alone,
+    a short stream's lanes cost more than its walk (a lane decode pays a
+    dozen calls per step, and byte-like alphabets take a hundred steps
+    and more to link)."""
+    sets: list[list[_Piece]] = []
+    for s in streams:
+        piece = _Piece(s, 0, s.total_bits)
+        if piece.n_lanes < 2:
+            continue  # too short to cut: the chain walk takes it
+        if not sets or (
+            sum(p.n_lanes for p in sets[-1]) + piece.n_lanes > _LANES
+            or s.base + s.total_bits - sets[-1][0].stream.base > _SEGMENT_BITS
+        ):
+            sets.append([])
+        sets[-1].append(piece)
+    return [
+        pieces for pieces in sets
+        if sum(p.stream.out.size for p in pieces) >= _LANE_MIN_SYMBOLS
+    ]
 
-    Bit-identical to ``HuffmanCodec.decode``'s reference loop for every
-    input; the host has already run its validations (positive count,
-    non-degenerate table, payload long enough for the minimum lengths).
+
+def _segments(lanes: _Lanes, s: _Stream) -> None:
+    """Lane-decode a stream longer than a segment, one segment after the
+    other (each starts where the true sequence left the last), until it
+    is done or a segment cannot be lane-decoded."""
+    for k in range(1, -(-s.total_bits // s.seg_bits) + 1):
+        seg_end = min(k * s.seg_bits, s.total_bits)
+        if s.pos >= seg_end:
+            continue
+        piece = _Piece(s, s.pos, seg_end)
+        if piece.n_lanes < 2 or not _lane_set(lanes, [piece])[0]:
+            return
+        if s.i == s.out.size:
+            return
+
+
+def decode_symbols(items) -> list:
+    """Decode every ``(codec, payload, n_symbols)`` of ``items`` in one batch.
+
+    Returns one entry per item: its ``n_symbols`` symbols, bit-identical
+    to ``HuffmanCodec.decode``'s reference loop, or the ``ReproError``
+    decoding that item alone raises.  The host has already run its
+    validations (positive count, non-degenerate table, payload long
+    enough for the minimum lengths).
+
+    The payloads sit end to end in one buffer, each followed by ``_PAD``
+    zero bytes: the padding every window gather and 64-bit escape read
+    may reach, which reproduces ``BitReader.peek``'s zero-fill past the
+    end and is the pre-marked gap that keeps one stream's lanes out of
+    the next.  The streams one segment covers are lane-decoded together,
+    a lock-step set at a time; a longer stream goes segment by segment
+    on its own.  What the lanes leave of a stream goes to its chain walk.
     """
-    total_bits = 8 * len(payload)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    # Pad so every window gather and 64-bit escape read stays in bounds;
-    # the zero padding reproduces BitReader.peek's zero-fill past the end.
-    buf = np.zeros(raw.size + _PAD, dtype=np.uint8)
-    buf[: raw.size] = raw
-    pb = payload + b"\x00" * _PAD
-    out = np.empty(n_symbols, dtype=np.int64)
-    pos = i = 0
-    if n_symbols >= _LANE_MIN_SYMBOLS:
-        lut = _lane_lut(codec)
-        if lut.size:
-            pos, i = _lane_decode(codec, lut, buf, pb, total_bits, out)
-    _chain_walk(codec, buf, pb, total_bits, out, pos, i)
-    return out
+    streams = [_Stream(codec, payload, n) for codec, payload, n in items]
+    size = 0
+    for s in sorted(streams, key=lambda s: s.rank):
+        s.base = 8 * size
+        size += len(s.payload) + _PAD
+    buf = np.zeros(size, dtype=np.uint8)
+    for s in streams:
+        o = s.base >> 3
+        buf[o : o + len(s.payload)] = np.frombuffer(s.payload, dtype=np.uint8)
+    pb = memoryview(buf)
+
+    long = [s for s in streams if s.rank == 1 and s.out.size >= _LANE_MIN_SYMBOLS]
+    sets = _lock_step_sets(sorted(
+        (s for s in streams if s.rank == 0), key=lambda s: s.base
+    ))
+    if sets or long:
+        # Built in place: one buffer-sized int64 array, no temporaries.
+        w32 = buf[:-3].astype(np.int64)
+        for k in (1, 2, 3):
+            w32 <<= 8
+            w32 |= buf[k : buf.size - 3 + k]
+        set_bits = [p[-1].stream.base + p[-1].end - p[0].stream.base for p in sets]
+        set_lanes = [sum(p.n_lanes for p in pieces) for pieces in sets]
+        lanes = _Lanes(
+            w32, pb,
+            max(set_bits + [s.seg_bits + 8 for s in long]),
+            max(set_lanes + [s.seg_bits // s.region_bits for s in long]),
+        )
+        for pieces in sets:
+            _lane_set(lanes, pieces)
+        for s in long:
+            _segments(lanes, s)
+
+    results: list = []
+    for s in streams:
+        o = s.base >> 3
+        view = slice(o, o + len(s.payload) + _PAD)
+        try:
+            _chain_walk(s.codec, buf[view], pb[view], s.total_bits, s.out, s.pos, s.i)
+        except ReproError as exc:
+            results.append(exc)
+        else:
+            results.append(s.out)
+    return results

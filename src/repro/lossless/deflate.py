@@ -17,13 +17,16 @@ import struct
 
 import numpy as np
 
-from ..errors import LosslessError
+from ..errors import LosslessError, ReproError, raise_first
 from ..encoding.bitio import pack_codes, unpack_codes
 from ..encoding.histogram import symbol_histogram
-from ..encoding.huffman import HuffmanCodec, HuffmanTable
+from ..encoding.huffman import HuffmanCodec, HuffmanTable, decode_outcomes
 from .lz77 import LZ77Encoder, TokenStream, MAX_MATCH, MIN_MATCH
 
-__all__ = ["deflate", "inflate", "LENGTH_BASE", "LENGTH_EXTRA", "DIST_BASE", "DIST_EXTRA"]
+__all__ = [
+    "deflate", "inflate", "inflate_outcomes",
+    "LENGTH_BASE", "LENGTH_EXTRA", "DIST_BASE", "DIST_EXTRA",
+]
 
 _MAGIC = b"WDF1"
 _COUNTS = struct.Struct("<QII")  # original length, tokens, matches
@@ -145,101 +148,151 @@ def _serialize(
 
 
 def inflate(blob: bytes) -> bytes:
-    """Decompress a WDF1 container back to the original bytes.
+    """Decompress a WDF1 container back to the original bytes — a batch
+    of one (:func:`inflate_outcomes`).
 
     All framing reads are bounds-checked so a truncated or bit-flipped
     container raises :class:`LosslessError` (or another ``ReproError``
     subtype from the Huffman/bit-IO layers), never ``struct.error``.
     """
-    if blob[:4] != _MAGIC:
-        raise LosslessError("bad WDF1 magic")
-    pos = 4
+    return raise_first(inflate_outcomes([blob]))[0]
 
-    def unpack(fmt: str, what: str) -> tuple:
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(blob):
-            raise LosslessError(f"truncated WDF1 container: {what}")
-        out = struct.unpack_from(fmt, blob, pos)
-        pos += size
-        return out
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if n < 0 or pos + n > len(blob):
-            raise LosslessError(f"truncated WDF1 container: {what}")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
+def inflate_outcomes(blobs) -> list:
+    """Inflate every WDF1 blob of ``blobs``, decoding the Huffman streams
+    of all of them in one ``huffman.decode`` kernel call.
 
-    original_len, n_tokens, n_matches = unpack("<QII", "stream counts")
-    if n_matches > n_tokens:
-        raise LosslessError("corrupt container: more matches than tokens")
-    if original_len > 8 * max(len(blob), 1) * (MAX_MATCH + 1):
-        # Even a stream of all-maximal matches cannot expand this far; the
-        # length field is corrupt, refuse before allocating the output.
-        raise LosslessError(f"implausible original length {original_len}")
-
-    def take_section(what: str) -> tuple[HuffmanTable, bytes]:
-        (tlen,) = unpack("<I", f"{what} table length")
-        table, _ = HuffmanTable.from_bytes(take(tlen, f"{what} table"))
-        (plen,) = unpack("<I", f"{what} payload length")
-        return table, take(plen, f"{what} payload")
-
-    lit_table, lit_payload = take_section("literal/length")
-    dist_table, dist_payload = take_section("distance")
-    (elen,) = unpack("<I", "extra-bits length")
-    extras_payload = take(elen, "extra-bits payload")
-
-    if n_tokens == 0:
-        if original_len != 0:
-            raise LosslessError("empty token stream for non-empty data")
-        return b""
-
-    litlen = HuffmanCodec(lit_table).decode(lit_payload, n_tokens)
-    match_mask = litlen >= _LITERAL_LIMIT
-    if int(match_mask.sum()) != n_matches:
-        raise LosslessError("corrupt container: match count mismatch")
-
-    values = litlen.astype(np.int64)
-    dists = np.zeros(n_tokens, dtype=np.int64)
-    if n_matches:
-        dist_idx = HuffmanCodec(dist_table).decode(dist_payload, n_matches)
-        if (dist_idx < 0).any() or (dist_idx >= DIST_BASE.size).any():
-            raise LosslessError("corrupt container: bad distance symbol")
-        len_idx = litlen[match_mask] - _LITERAL_LIMIT
-        if (len_idx >= LENGTH_BASE.size).any():
-            raise LosslessError("corrupt container: bad length symbol")
-        lens = LENGTH_BASE[len_idx].copy()
-        match_dists = DIST_BASE[dist_idx].copy()
-        # Extra bits are packed in token order, interleaved (length-extra,
-        # dist-extra) per match with zero-width fields skipped — recover
-        # the widths the same way and unpack the whole section at once.
-        widths = np.empty(2 * n_matches, dtype=np.int64)
-        widths[0::2] = LENGTH_EXTRA[len_idx]
-        widths[1::2] = DIST_EXTRA[dist_idx]
-        present = widths > 0
-        extras = np.zeros(2 * n_matches, dtype=np.int64)
-        if present.any():
-            extras[present] = unpack_codes(extras_payload, widths[present])
-        lens += extras[0::2]
-        match_dists += extras[1::2]
-        values[match_mask] = lens
-        dists[match_mask] = match_dists
-
-    stream = TokenStream(
-        match_mask.astype(np.uint8),
-        values.astype(np.int32),
-        dists.astype(np.int32),
-    )
-    if stream.expanded_size() != original_len:
-        raise LosslessError(
-            f"corrupt container: tokens expand to {stream.expanded_size()} "
-            f"bytes, expected {original_len}"
-        )
-    out = stream.reconstruct()
-    if len(out) != original_len:
-        raise LosslessError(
-            f"corrupt container: expanded to {len(out)} bytes, expected {original_len}"
-        )
+    Returns one entry per blob: its bytes, or the :class:`ReproError`
+    ``inflate(blob)`` alone raises — each blob's checks run in the order
+    one inflate runs them.
+    """
+    framed: list = []
+    for blob in blobs:
+        try:
+            framed.append(_Framed(blob))
+        except ReproError as exc:
+            framed.append(exc)
+    items = [item for f in framed if isinstance(f, _Framed) for item in f.streams]
+    decoded = iter(decode_outcomes(items))
+    out: list = []
+    for f in framed:
+        if isinstance(f, _Framed):
+            streams = [next(decoded) for _ in f.streams]
+            try:
+                f = f.expand(*streams)
+            except ReproError as exc:
+                f = exc
+        out.append(f)
     return out
+
+
+class _Framed:
+    """One WDF1 container with its framing read and checked: the
+    ``(codec, payload, n_symbols)`` items of its Huffman streams wait in
+    ``streams`` (literal/length, then distance if it has matches)."""
+
+    def __init__(self, blob: bytes) -> None:
+        if blob[:4] != _MAGIC:
+            raise LosslessError("bad WDF1 magic")
+        pos = 4
+
+        def unpack(fmt: str, what: str) -> tuple:
+            nonlocal pos
+            size = struct.calcsize(fmt)
+            if pos + size > len(blob):
+                raise LosslessError(f"truncated WDF1 container: {what}")
+            out = struct.unpack_from(fmt, blob, pos)
+            pos += size
+            return out
+
+        def take(n: int, what: str) -> bytes:
+            nonlocal pos
+            if n < 0 or pos + n > len(blob):
+                raise LosslessError(f"truncated WDF1 container: {what}")
+            out = blob[pos : pos + n]
+            pos += n
+            return out
+
+        original_len, n_tokens, n_matches = unpack("<QII", "stream counts")
+        if n_matches > n_tokens:
+            raise LosslessError("corrupt container: more matches than tokens")
+        if original_len > 8 * max(len(blob), 1) * (MAX_MATCH + 1):
+            # Even a stream of all-maximal matches cannot expand this far; the
+            # length field is corrupt, refuse before allocating the output.
+            raise LosslessError(f"implausible original length {original_len}")
+
+        def take_section(what: str) -> tuple[HuffmanTable, bytes]:
+            (tlen,) = unpack("<I", f"{what} table length")
+            table, _ = HuffmanTable.from_bytes(take(tlen, f"{what} table"))
+            (plen,) = unpack("<I", f"{what} payload length")
+            return table, take(plen, f"{what} payload")
+
+        lit_table, lit_payload = take_section("literal/length")
+        dist_table, dist_payload = take_section("distance")
+        (elen,) = unpack("<I", "extra-bits length")
+        self.extras_payload = take(elen, "extra-bits payload")
+        self.original_len = original_len
+        self.n_tokens = n_tokens
+        self.n_matches = n_matches
+        self.streams: list = []
+        if n_tokens:
+            self.streams.append((HuffmanCodec(lit_table), lit_payload, n_tokens))
+        if n_tokens and n_matches:
+            self.streams.append((HuffmanCodec(dist_table), dist_payload, n_matches))
+
+    def expand(self, litlen=None, dist_idx=None) -> bytes:
+        """The original bytes, given the outcome of decoding each stream."""
+        n_tokens, n_matches = self.n_tokens, self.n_matches
+        original_len = self.original_len
+        if n_tokens == 0:
+            if original_len != 0:
+                raise LosslessError("empty token stream for non-empty data")
+            return b""
+
+        (litlen,) = raise_first([litlen])
+        match_mask = litlen >= _LITERAL_LIMIT
+        if int(match_mask.sum()) != n_matches:
+            raise LosslessError("corrupt container: match count mismatch")
+
+        values = litlen.astype(np.int64)
+        dists = np.zeros(n_tokens, dtype=np.int64)
+        if n_matches:
+            (dist_idx,) = raise_first([dist_idx])
+            if (dist_idx < 0).any() or (dist_idx >= DIST_BASE.size).any():
+                raise LosslessError("corrupt container: bad distance symbol")
+            len_idx = litlen[match_mask] - _LITERAL_LIMIT
+            if (len_idx >= LENGTH_BASE.size).any():
+                raise LosslessError("corrupt container: bad length symbol")
+            lens = LENGTH_BASE[len_idx].copy()
+            match_dists = DIST_BASE[dist_idx].copy()
+            # Extra bits are packed in token order, interleaved (length-extra,
+            # dist-extra) per match with zero-width fields skipped — recover
+            # the widths the same way and unpack the whole section at once.
+            widths = np.empty(2 * n_matches, dtype=np.int64)
+            widths[0::2] = LENGTH_EXTRA[len_idx]
+            widths[1::2] = DIST_EXTRA[dist_idx]
+            present = widths > 0
+            extras = np.zeros(2 * n_matches, dtype=np.int64)
+            if present.any():
+                extras[present] = unpack_codes(self.extras_payload, widths[present])
+            lens += extras[0::2]
+            match_dists += extras[1::2]
+            values[match_mask] = lens
+            dists[match_mask] = match_dists
+
+        stream = TokenStream(
+            match_mask.astype(np.uint8),
+            values.astype(np.int32),
+            dists.astype(np.int32),
+        )
+        if stream.expanded_size() != original_len:
+            raise LosslessError(
+                f"corrupt container: tokens expand to {stream.expanded_size()} "
+                f"bytes, expected {original_len}"
+            )
+        out = stream.reconstruct()
+        if len(out) != original_len:
+            raise LosslessError(
+                f"corrupt container: expanded to {len(out)} bytes, expected {original_len}"
+            )
+        return out

@@ -13,8 +13,8 @@ import enum
 import zlib
 from dataclasses import dataclass
 
-from ..errors import LosslessError
-from .deflate import deflate, inflate
+from ..errors import LosslessError, raise_first
+from .deflate import deflate, inflate_outcomes
 from .lz77 import LZ77Encoder
 
 __all__ = ["LosslessMode", "LosslessBackend", "GzipStage"]
@@ -64,12 +64,23 @@ class GzipStage:
         return deflate(data, self._encoder(), budget)
 
     def decompress(self, blob: bytes) -> bytes:
-        if blob[:4] == _ZLIB_MAGIC:
+        return self.decompress_many([blob])[0]
+
+    def decompress_many(self, blobs) -> list[bytes]:
+        """Every blob of ``blobs`` decompressed, the WDF1 ones inflated as
+        one batch (:func:`~repro.lossless.deflate.inflate_outcomes`); raises
+        what decompressing the first blob that fails alone raises."""
+        inflated = iter(inflate_outcomes([b for b in blobs if b[:4] != _ZLIB_MAGIC]))
+        out: list[bytes] = []
+        for blob in blobs:
+            if blob[:4] != _ZLIB_MAGIC:
+                out += raise_first([next(inflated)])
+                continue
             try:
-                return zlib.decompress(blob[4:])
+                out.append(zlib.decompress(blob[4:]))
             except zlib.error as exc:
                 raise LosslessError(f"corrupt zlib stream: {exc}") from exc
-        return inflate(blob)
+        return out
 
     def ratio(self, data: bytes) -> float:
         """Convenience: size ratio achieved on ``data`` (>= small epsilon)."""

@@ -21,12 +21,12 @@ all refuse a band that does not decode to its grid's shape and dtype.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ErrorBound, ErrorBoundMode, resolve_error_bound
-from .errors import ContainerError, decode_guard
+from .errors import ContainerError, ReproError, decode_guard, raise_first
 from .io.container import Container
 from .streams import FIELD_DIMS, check_field, header_dtype, header_int, header_shape
 from .tiling import TileGrid
@@ -40,6 +40,7 @@ __all__ = [
     "tile_decompress",
     "decompress_tile",
     "decode_band",
+    "band_outcomes",
     "BandPlan",
     "plan_bands",
     "pack_tiles",
@@ -188,14 +189,60 @@ def decode_band(
     :class:`ContainerError` naming the tile: a valid payload in the wrong
     slot must never be broadcast or cast into the field.
     """
-    band = compressor.decompress(payload)
+    band = _fits(grid, index, compressor.decompress(payload), dtype)
+    if isinstance(band, ContainerError):
+        raise band
+    return band
+
+
+def _fits(
+    grid: TileGrid, index: int, band: np.ndarray, dtype: np.dtype | str
+) -> np.ndarray | ContainerError:
+    """``band``, or the refusal :func:`decode_band` raises for it."""
     expected = grid.tile_shape(index)
     if band.shape != expected or band.dtype != dtype:
-        raise ContainerError(
+        return ContainerError(
             f"tile {index} decoded to {band.dtype} {band.shape}, the grid "
             f"needs {dtype} {expected}"
         )
     return band
+
+
+def band_outcomes(
+    compressor: Compressor,
+    grid: TileGrid,
+    indices: Sequence[int],
+    payloads: Sequence[bytes | Container],
+    dtype: np.dtype | str,
+) -> list:
+    """:func:`decode_band` of every band in ``indices`` as one batch.
+
+    The bands decode together through the codec's ``decompress_many``
+    when it has one (so their entropy streams go through one kernel
+    call).  Returns one entry per band: the band, or the
+    :class:`ReproError` ``decode_band`` raises for it alone — when the
+    batch raises, the bands are decoded again one at a time to find out.
+    A payload that is already a ``ReproError`` (fetching it failed) is
+    that band's entry.
+    """
+    out = list(payloads)
+    todo = [k for k, p in enumerate(payloads) if not isinstance(p, ReproError)]
+    many = getattr(compressor, "decompress_many", None)
+    if many is not None and len(todo) > 1:
+        try:
+            bands = many([payloads[k] for k in todo])
+        except ReproError:
+            pass
+        else:
+            for k, band in zip(todo, bands):
+                out[k] = _fits(grid, indices[k], band, dtype)
+            return out
+    for k in todo:
+        try:
+            out[k] = decode_band(compressor, grid, indices[k], payloads[k], dtype)
+        except ReproError as exc:
+            out[k] = exc
+    return out
 
 
 def _open(
@@ -271,9 +318,15 @@ def tile_decompress(
     with decode_guard("tiled payload"):
         container, comp, grid = _open(payload, compressor)
         dtype = header_dtype(container.header)
+        tiles = range(grid.n_tiles)
+        payloads: list = []
+        for t in tiles:
+            try:
+                payloads.append(container.get(f"tile{t}"))
+            except ReproError as exc:
+                payloads.append(exc)
+        bands = band_outcomes(comp, grid, tiles, payloads, dtype)
         out = np.empty(grid.shape, dtype=dtype)
-        for t in range(grid.n_tiles):
-            out[grid.band_slice(t)] = decode_band(
-                comp, grid, t, container.get(f"tile{t}"), dtype
-            )
+        for t, band in zip(tiles, raise_first(bands)):
+            out[grid.band_slice(t)] = band
         return out

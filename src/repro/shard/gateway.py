@@ -48,8 +48,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from ..errors import (
     ChecksumError,
     CircuitOpenError,
@@ -59,6 +57,7 @@ from ..errors import (
     StoreError,
     TransportError,
 )
+from ..io.container import Container
 from ..service.metrics import MetricsRegistry
 from ..service.resilience import CircuitBreaker, RetryPolicy
 from ..service.client import ServiceClient, stamped
@@ -549,9 +548,9 @@ class ShardGateway(TileStore):
     # -- read --------------------------------------------------------------
 
     def _load(
-        self, digest: str, decode: Callable[[bytes], np.ndarray]
-    ) -> np.ndarray:
-        """One decoded tile: the prefetched blob, or the owner-list walk.
+        self, digest: str, verify: Callable[[bytes], Container]
+    ) -> Container:
+        """One verified copy: the prefetched blob, or the owner-list walk.
 
         Failover walks the digest's owner preference order; a replica
         that is alive but missing (StoreError) or corrupt (Checksum /
@@ -561,7 +560,7 @@ class ShardGateway(TileStore):
         object, so ``strict=False`` salvage classifies it ``missing``.
         """
         owners = self.ring.owners(digest, self.map.replicas)
-        tile: np.ndarray | None = None
+        verified: Container | None = None
         blob: bytes | None = None
         repair_missing: list[str] = []
         repair_corrupt: list[str] = []
@@ -575,7 +574,7 @@ class ShardGateway(TileStore):
                     candidate = self._one(
                         sid, "store_get_object", digest=digest
                     )[1]
-                tile = decode(candidate)
+                verified = verify(candidate)
                 blob = candidate
                 if round_i > 0:
                     self._note_failover(owners[0])
@@ -589,7 +588,7 @@ class ShardGateway(TileStore):
                 repair_corrupt.append(sid)
             except ReproError:
                 repair_corrupt.append(sid)
-        if tile is None or blob is None:
+        if verified is None or blob is None:
             if checksum_exc is not None and not repair_missing:
                 raise checksum_exc  # every reachable copy is corrupt
             raise StoreError(
@@ -600,7 +599,7 @@ class ShardGateway(TileStore):
             self._repair_object(sid, digest, blob, overwrite=False)
         for sid in repair_corrupt:
             self._repair_object(sid, digest, blob, overwrite=True)
-        return tile
+        return verified
 
     def _repair_object(
         self, sid: str, digest: str, blob: bytes, *, overwrite: bool

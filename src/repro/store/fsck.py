@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from ..codec.registry import get_codec
 from ..errors import ContainerError, ReproError, StoreError
 from ..io.container import Container
-from ..parallel import decode_band
+from ..parallel import band_outcomes
 from ..tiling import TileGrid
 from .store import _DIGEST_RE
 
@@ -117,13 +117,9 @@ class FsckReport:
 
 
 def _check_object(
-    store: "ArrayStore",
-    digest: str,
-    manifest: dict,
-    tile_index: int,
-    grid: TileGrid | None,
-) -> FsckFinding | None:
-    """One referenced object's finding; ``grid`` set means a deep pass."""
+    store: "ArrayStore", digest: str, manifest: dict, tile_index: int
+) -> FsckFinding | Container:
+    """One referenced object's finding, or its parsed container."""
     path = store._object_path(digest)
     if not path.exists():
         return FsckFinding(
@@ -138,22 +134,34 @@ def _check_object(
             f"(referenced by {manifest['name']!r} tile {tile_index})",
         )
     try:
-        container = Container.from_bytes(blob)
+        return Container.from_bytes(blob)
     except ContainerError as exc:
         return FsckFinding("container-damage", "error", digest, str(exc))
-    if grid is not None:
-        try:
-            decode_band(
-                get_codec(str(manifest["codec"])), grid, tile_index,
-                container, manifest["dtype"],
-            )
-        except ReproError as exc:
-            return FsckFinding(
-                "decode-damage", "error", digest,
-                f"{type(exc).__name__}: {exc} (manifest "
-                f"{manifest['name']!r} tile {tile_index})",
-            )
-    return None
+
+
+def _decode_damage(
+    manifest: dict, grid: TileGrid, tiles: dict[str, tuple[int, Container]]
+) -> dict[str, FsckFinding]:
+    """The deep pass over one manifest's intact ``digest -> (tile,
+    container)`` objects: a finding for each that does not decode to
+    its tile.  They decode as one batch; when it fails they decode one
+    by one (:func:`repro.parallel.band_outcomes`), so each finding names
+    its own tile."""
+    digests = list(tiles)
+    bands = band_outcomes(
+        get_codec(str(manifest["codec"])), grid,
+        [tiles[d][0] for d in digests], [tiles[d][1] for d in digests],
+        manifest["dtype"],
+    )
+    return {
+        d: FsckFinding(
+            "decode-damage", "error", d,
+            f"{type(band).__name__}: {band} (manifest "
+            f"{manifest['name']!r} tile {tiles[d][0]})",
+        )
+        for d, band in zip(digests, bands)
+        if isinstance(band, ReproError)
+    }
 
 
 def run_fsck(
@@ -211,12 +219,19 @@ def run_fsck(
                     "bad-manifest", "error", mpath.stem,
                     f"tile grid invalid: {exc}",
                 ))
+            intact: dict[str, tuple[int, Container]] = {}
             for i, digest in enumerate(m["tiles"]):
                 referenced.add(digest)
                 if digest not in checked:
-                    checked[digest] = _check_object(
-                        store, digest, m, i, grid if deep else None
-                    )
+                    found = _check_object(store, digest, m, i)
+                    if isinstance(found, FsckFinding):
+                        checked[digest] = found
+                    else:
+                        checked[digest] = None
+                        intact[digest] = (i, found)
+            if deep and grid is not None and intact:
+                checked.update(_decode_damage(m, grid, intact))
+            for digest in m["tiles"]:
                 if checked[digest] is not None:
                     findings.append(checked[digest])
 

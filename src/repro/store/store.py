@@ -61,6 +61,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -70,7 +71,7 @@ from ..codec.registry import REGISTRY, get_codec
 from ..errors import ChecksumError, ContainerError, ReproError, StoreError
 from ..faults.fsim import OsFileSystem
 from ..io.container import Container
-from ..parallel import decode_band, plan_bands
+from ..parallel import band_outcomes, decode_band, plan_bands
 from ..streams import check_field
 from ..tiling import TileGrid, normalize_slices
 from .cache import DEFAULT_CACHE_BYTES, TileCache
@@ -92,6 +93,7 @@ __all__ = [
     "manifest_digest",
     "compress_field_tiles",
     "decode_tile_blob",
+    "open_tile_blob",
     "assemble_tiles",
     "summarize_entropy",
 ]
@@ -213,18 +215,14 @@ def summarize_entropy(tile_entropy: Any) -> str:
     return "+".join(seen)
 
 
-def decode_tile_blob(
-    m: dict[str, Any], grid: TileGrid, index: int, blob: bytes
-) -> np.ndarray:
-    """Verify and decode one tile payload against its manifest entry.
+def open_tile_blob(digest: str, blob: bytes) -> Container:
+    """Verify one stored copy of object ``digest`` and parse it.
 
-    Raises :class:`ChecksumError` (content digest or container integrity
-    mismatch) or :class:`ContainerError` (undecodable payload, or a band
-    of the wrong shape or dtype — :func:`repro.parallel.decode_band`).
-    The one decoder behind :meth:`TileStore._tile`, so damage classifies
-    identically wherever the bytes came from.
+    Raises :class:`ChecksumError` on a content digest or container
+    integrity mismatch.  What an object layer checks a copy with before
+    handing it over, so damage classifies identically wherever the bytes
+    came from.
     """
-    digest = m["tiles"][index]
     if hashlib.sha256(blob).hexdigest() != digest:
         raise ChecksumError(
             f"object {digest} content does not match its digest"
@@ -234,13 +232,27 @@ def decode_tile_blob(
     # reached the object area (an object imported or written by an
     # outside tool whose name does match its corrupt content).
     try:
-        container = Container.from_bytes(blob)
+        return Container.from_bytes(blob)
     except ContainerError as exc:
         raise ChecksumError(
             f"object {digest} failed container integrity: {exc}"
         ) from exc
+
+
+def decode_tile_blob(
+    m: dict[str, Any], grid: TileGrid, index: int, blob: bytes
+) -> np.ndarray:
+    """Verify and decode one tile payload against its manifest entry.
+
+    Raises :class:`ChecksumError` (:func:`open_tile_blob`) or
+    :class:`ContainerError` (undecodable payload, or a band of the wrong
+    shape or dtype — :func:`repro.parallel.decode_band`).  A store read
+    decodes its tiles the same way, as one batch
+    (:meth:`TileStore._tiles`).
+    """
     return decode_band(
-        get_codec(str(m["codec"])), grid, index, container, m["dtype"]
+        get_codec(str(m["codec"])), grid, index,
+        open_tile_blob(m["tiles"][index], blob), m["dtype"],
     )
 
 
@@ -423,10 +435,12 @@ class TileStore:
     ``_commit(name, manifest, payloads)``
         make one compressed field durable — tiles, then manifest — and
         return the :class:`PutResult` fields only the layer can count;
-    ``_load(digest, decode)``
-        one decoded tile: hand a stored copy of the object to ``decode``,
-        which verifies as it decodes and raises a :class:`ReproError` on
-        a bad copy, so a layer with several copies can try the next.
+    ``_load(digest, verify)``
+        one verified copy of an object: hand a stored copy to ``verify``
+        (:func:`open_tile_blob`), which returns its parsed container or
+        raises a :class:`ReproError` on a bad copy, so a layer with
+        several copies can try the next.  Decoding waits until every
+        tile a read needs is loaded, and then decodes them as one batch.
     """
 
     def __init__(
@@ -458,8 +472,8 @@ class TileStore:
         raise NotImplementedError
 
     def _load(
-        self, digest: str, decode: Callable[[bytes], np.ndarray]
-    ) -> np.ndarray:
+        self, digest: str, verify: Callable[[bytes], Container]
+    ) -> Container:
         raise NotImplementedError
 
     # -- writing ------------------------------------------------------------
@@ -522,23 +536,51 @@ class TileStore:
     def _grid(m: dict[str, Any]) -> TileGrid:
         return TileGrid.from_starts(m["shape"], m["band_starts"])
 
-    def _tile(self, m: dict[str, Any], grid: TileGrid, index: int) -> np.ndarray:
-        """One decoded tile via the cache, verifying everything.
+    def _tiles(
+        self, m: dict[str, Any], grid: TileGrid, tiles: tuple[int, ...]
+    ) -> tuple[dict[int, np.ndarray], dict[int, ReproError]]:
+        """Every tile of ``tiles`` decoded via the cache, verifying
+        everything; the cache misses are loaded, then decoded as one
+        batch (:func:`repro.parallel.band_outcomes`).
 
-        Raises :class:`StoreError` (no copy of the object),
+        Returns the decoded tiles and, for the others, what each raised
+        alone: :class:`StoreError` (no copy of the object),
         :class:`ChecksumError` (content digest or container checksum
         mismatch) or :class:`ContainerError` (undecodable payload); the
         read loop maps these onto :class:`TileDamage` stages.
         """
-        digest = m["tiles"][index]
-        tile = self.cache.get(digest)
-        if tile is None:
-            tile = self._load(
-                digest, lambda blob: decode_tile_blob(m, grid, index, blob)
-            )
+        got: dict[int, np.ndarray] = {}
+        misses: dict[str, list[int]] = {}  # digest -> its tiles, first decodes
+        loaded: list[Any] = []
+        for t in tiles:
+            digest = m["tiles"][t]
+            if digest in misses:
+                misses[digest].append(t)
+                continue
+            tile = self.cache.get(digest)
+            if tile is not None:
+                got[t] = tile
+                continue
+            misses[digest] = [t]
+            try:
+                loaded.append(self._load(digest, partial(open_tile_blob, digest)))
+            except ReproError as exc:
+                loaded.append(exc)
+        lost: dict[int, ReproError] = {}
+        if not misses:  # a warm read decodes nothing
+            return got, lost
+        first = [ts[0] for ts in misses.values()]
+        decoded = band_outcomes(
+            get_codec(str(m["codec"])), grid, first, loaded, m["dtype"]
+        )
+        for (digest, ts), tile in zip(misses.items(), decoded):
+            if isinstance(tile, ReproError):
+                lost.update(dict.fromkeys(ts, tile))
+                continue
             self.decode_calls += 1
             self.cache.put(digest, tile)
-        return tile
+            got.update(dict.fromkeys(ts, tile))
+        return got, lost
 
     def read(self, name: str, *, strict: bool = True) -> StoreReadResult:
         """Reassemble the full field, bit-exact with the serial tiled path.
@@ -571,9 +613,16 @@ class TileStore:
         *,
         strict: bool,
     ) -> StoreReadResult:
+        got, lost = self._tiles(m, grid, tiles)
+
+        def fetch(t: int) -> np.ndarray:
+            if t in lost:
+                raise lost[t]
+            return got[t]
+
         return assemble_tiles(
-            m, grid, window, tiles,
-            lambda t: self._tile(m, grid, t), strict=strict,
+            m, grid, window, tiles, fetch if lost else got.__getitem__,
+            strict=strict,
         )
 
     def ls(self) -> list[dict[str, Any]]:
@@ -1083,12 +1132,12 @@ class ArrayStore(TileStore):
     # -- reading ----------------------------------------------------------
 
     def _load(
-        self, digest: str, decode: Callable[[bytes], np.ndarray]
-    ) -> np.ndarray:
+        self, digest: str, verify: Callable[[bytes], Container]
+    ) -> Container:
         path = self._object_path(digest)
         if not path.exists():
             raise StoreError(f"object {digest} is missing from {self.root}")
-        return decode(path.read_bytes())  # one copy: nothing to fall back to
+        return verify(path.read_bytes())  # one copy: nothing to fall back to
 
     # -- garbage collection ------------------------------------------------
 

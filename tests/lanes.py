@@ -11,6 +11,7 @@ CHAIN_WALK_ONLY = {"_LANE_MIN_SYMBOLS": 1 << 62}
 # segments, and some lanes give up and hand over to the chain walk.
 TINY_LANES = {
     "_LANE_MIN_SYMBOLS": 0,
+    "_SHARED_MIN_SYMBOLS": 0,
     "_LANE_SYMBOLS": 4,
     "_MIN_REGION_BITS": 8,
     "_LANES": 16,

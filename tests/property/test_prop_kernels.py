@@ -22,7 +22,7 @@ from repro.codec.stages import take_section
 from repro.config import QuantizerConfig
 from repro.data import load_field
 from repro.encoding.bitio import pack_codes, unpack_codes
-from repro.encoding.huffman import HuffmanCodec, HuffmanTable
+from repro.encoding.huffman import HuffmanCodec, HuffmanTable, decode_many
 from repro.errors import BitstreamError, ReproError
 from repro.io.container import Container
 from repro.kernels import bitpack_fast, forced, huffman_fast, lz77_fast, pqd_fast
@@ -136,6 +136,73 @@ def test_huffman_lanes_same_outcome_as_chain_walk(symbols, seed, damage):
             chain = outcome(lambda: codec.decode(bad, n))
     assert lanes == chain
     matches_reference(codec, bad, n, lanes)
+
+
+def _batch_item(kind, symbols, damage, rng):
+    """One ``(codec, payload, n)`` item of a drawn batch."""
+    if kind == "single":  # one-symbol table: no kernel at all
+        symbols = np.full(symbols.size, int(symbols[0]))
+    elif kind == "short":  # under the shrunk floor: chain walk only
+        symbols = symbols[:40]
+    elif kind == "whole":  # one segment: shares a lock-step set
+        symbols = symbols[:200]
+    codec = HuffmanCodec(HuffmanTable.from_symbols(symbols))
+    payload, _ = codec.encode(symbols)
+    n = symbols.size
+    bad = bytearray(payload)
+    if damage == "flip" and bad:
+        bad[rng.integers(len(bad))] ^= 1 << rng.integers(8)
+    elif damage == "truncate":
+        bad = bad[: max(1, len(bad) - int(rng.integers(1, 6)))]
+    elif damage == "append":
+        bad += rng.integers(0, 256, 5, dtype=np.uint8).tobytes()
+        n += int(rng.integers(0, 12))
+    elif damage == "count":
+        n = int(rng.choice([0, -1, 8 * len(bad) + 1]))
+    return codec, bytes(bad), n
+
+
+@given(
+    st.lists(
+        st.tuples(
+            symbol_arrays,
+            st.sampled_from(["lanes", "whole", "whole", "short", "single"]),
+            st.sampled_from(["clean", "clean", "flip", "truncate", "append", "count"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["fast", "reference"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_huffman_batch_equals_the_per_item_loop(draws, seed, share, mode):
+    """A batch decodes to exactly ``[decode(item) for item in items]`` or
+    raises what its first failing item alone raises, class and message.
+    Lanes are shrunk so long streams cross many segments and short ones
+    share lock-step sets; a shared codec gives a set one table."""
+    rng = np.random.default_rng(seed)
+    items = [_batch_item(kind, syms, damage, rng) for syms, kind, damage in draws]
+    if share and len(items) > 1 and items[0][0].table.symbols.size > 1:
+        codec, payload, n = items[0]
+        items.insert(1, (codec, payload, n))  # the same codec twice
+    shrunk = {
+        **TINY_LANES, "_SHARED_MIN_SYMBOLS": 48, "_LANE_MIN_SYMBOLS": 96,
+        "_LANES": 64, "_SEGMENT_BITS": 1024,
+    }
+    with forced(mode), lane_constants(**shrunk):
+        alone = [outcome(lambda c=c, p=p, n=n: c.decode(p, n)) for c, p, n in items]
+        batch = outcome(
+            lambda: np.concatenate([np.empty(0, np.int64), *decode_many(items)])
+        )
+        sizes = [len(o[1]) // 8 for o in alone if o[0] == "ok"]
+    failed = [o for o in alone if o[0] != "ok"]
+    if failed:
+        assert batch == failed[0]
+    else:
+        assert batch == ("ok", b"".join(o[1] for o in alone))
+        assert sum(sizes) * 8 == len(batch[1])
 
 
 @given(
@@ -346,18 +413,18 @@ def test_inflate_corrupt_same_taxonomy_large(seed, flavor):
     with forced("reference"):
         assert inflate(blob) == data
     lane_decodes = []
-    lane_decode = huffman_fast._lane_decode
+    lane_set = huffman_fast._lane_set
 
-    def spy(*args):
-        lane_decodes.append(args[-1].size)
-        return lane_decode(*args)
+    def spy(lanes, pieces):
+        lane_decodes.append(len(pieces))
+        return lane_set(lanes, pieces)
 
-    huffman_fast._lane_decode = spy
+    huffman_fast._lane_set = spy
     try:
         with forced("fast"):
             assert inflate(blob) == data
     finally:
-        huffman_fast._lane_decode = lane_decode
+        huffman_fast._lane_set = lane_set
     assert lane_decodes, "input too small to reach the lane decode"
     for _ in range(4):
         bad = bytearray(blob)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.codec.registry import get_codec
 from repro.config import QuantizerConfig
-from repro.encoding.huffman import HuffmanCodec, HuffmanTable
+from repro.encoding.huffman import HuffmanCodec, HuffmanTable, decode_many, decode_outcomes
 from repro.errors import BitstreamError, ConfigError, HuffmanError
 from repro.kernels import huffman_fast
 from repro.kernels import (
@@ -560,3 +560,60 @@ class TestLaneChase:
             got = lanes_match_chain_walk(codec, payload, syms.size)
         assert got == ("ok", syms.tobytes())
         assert gens.count(1) > 2 and max(gens) > 1
+
+
+def _batch_streams(n_streams=8, n=5000, share=False):
+    """Geometric code streams, one table each (or one shared table)."""
+    rng = np.random.default_rng(47)
+    streams = [rng.geometric(0.1 + 0.05 * k, n).astype(np.int64) for k in range(n_streams)]
+    shared = HuffmanCodec(HuffmanTable.from_symbols(np.concatenate(streams)))
+    items = []
+    for syms in streams:
+        codec = shared if share else HuffmanCodec(HuffmanTable.from_symbols(syms))
+        items.append((codec, codec.encode(syms)[0], syms.size))
+    return items, streams
+
+
+class TestHuffmanBatch:
+    @pytest.mark.parametrize("share", [False, True])
+    def test_whole_streams_share_one_lock_step_set(self, share, monkeypatch):
+        items, streams = _batch_streams(share=share)
+        sets = []
+        lane_set = huffman_fast._lane_set
+
+        def spy(lanes, pieces):
+            decoded = lane_set(lanes, pieces)
+            sets.append((len(pieces), lanes.lut.size))
+            return decoded
+
+        handed_over = []
+        chain_walk = huffman_fast._chain_walk
+
+        def walk(codec, buf, pb, total_bits, out, pos, i):
+            handed_over.append(out.size - i)
+            return chain_walk(codec, buf, pb, total_bits, out, pos, i)
+
+        monkeypatch.setattr(huffman_fast, "_lane_set", spy)
+        monkeypatch.setattr(huffman_fast, "_chain_walk", walk)
+        with forced("fast"):
+            got = decode_many(items)
+        assert [g.tobytes() for g in got] == [s.tobytes() for s in streams]
+        assert handed_over == [0] * 8  # the lanes decoded every stream whole
+        # one set of all eight, decoding against their tables concatenated
+        tables = {id(c): huffman_fast._lane_lut(c).size for c, _, _ in items}
+        assert len(tables) == (1 if share else 8)
+        assert sets == [(8, sum(tables.values()))]
+
+    def test_a_failing_stream_is_its_own_entry(self):
+        items, streams = _batch_streams()
+        codec, payload, n = items[3]
+        items[3] = (codec, payload[:-3], n)  # passes the host checks
+        with forced("fast"):
+            got = decode_outcomes(items)
+            alone = [decode_outcomes([item])[0] for item in items]
+            with pytest.raises(BitstreamError) as info:
+                decode_many(items)
+        assert isinstance(got[3], BitstreamError) and str(info.value) == str(got[3])
+        assert str(got[3]) == str(alone[3])
+        for k in (0, 1, 2, 4, 5, 6, 7):
+            assert got[k].tobytes() == streams[k].tobytes() == alone[k].tobytes()
