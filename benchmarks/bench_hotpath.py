@@ -33,6 +33,12 @@ shares):
   ``pqd.compress_sweep`` on waveSZ's 20 x 10 000 view of Hurricane
   ``CLOUDf48`` (10 017 fronts of <= 19 points), clean and with 20 % of the
   points spiked, with speculation on and forced off (``_SPEC_FRONTS = 1``);
+* **64 small-job fields, CPU per compress**: the ``svc_small_jobs``
+  fields and codecs (``benchmarks/e2e/inputs.py``, the ledger's default
+  seed) compressed in process, CPU per call by codec, with the share of
+  it each fixed-cost piece takes (the rANS table remap, the histogram,
+  the gzip floor, the rANS step loop) and the gzip attempts that reach
+  the LZ77 parse, losing and winning;
 * **end-to-end** compress/decompress of 1D/2D/3D fields with per-stage
   attribution from ``measure_compressor(stage_timing=True)``.
 
@@ -42,18 +48,23 @@ field with byte-equality checks and **fails if the fast path regresses
 below 1.0x of reference, the lane decode below 1.5x of the chain walk,
 the 8-band batch below 1.2x of the per-band decode, the bulk reconstruct
 below 2x of its oracle, the clean speculative sweep below 1.3x of its
-checked path or the packer above 64 minor page faults per call** — the
+checked path, the packer above 64 minor page faults per call or any
+losing gzip attempt on the small-job fields reaching the parse** — the
 CI perf gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import resource
 import sys
 import time
+from collections import Counter, defaultdict
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -65,16 +76,22 @@ from repro.config import QuantizerConfig, resolve_error_bound
 from repro.encoding import huffman
 from repro.encoding.bitio import pack_codes
 from repro.encoding.huffman import HuffmanCodec, HuffmanTable
-from repro.kernels import forced, huffman_fast, pqd_fast
+from repro.kernels import dispatch, forced, huffman_fast, pqd_fast
 from repro.kernels import resolve as resolve_kernel
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
+from repro.rans import coder as rans_coder
 from repro.store import compress_field_tiles
 from repro.sz.pqd import pqd_compress
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+import inputs as e2e_inputs  # noqa: E402
+import spec as e2e_spec  # noqa: E402
 from tests.property.test_prop_deflate import _reconstruct_oracle  # noqa: E402
+
+deflate_module = importlib.import_module("repro.lossless.deflate")
 
 EB = 1e-3
 MODE = "vr_rel"
@@ -88,6 +105,8 @@ BAND_GATE = 1.2  # one 8-band field decoded as a batch vs band by band
 BAND_CODEC = "wavesz-dp"
 BANDS = 8
 PARSE_SIZES = (2048, 16384, 100_000)
+SMALL_SEED = 1  # the ledger's default seed
+LOST_PARSE_GATE = 0  # losing gzip attempts on the small-job fields that parse
 
 FIELDS = {
     "1d CESM.TS.flat": lambda: load_field("CESM-ATM", "TS").reshape(-1),
@@ -328,6 +347,89 @@ def _parse_by_size(repeats: int) -> dict:
     return rows
 
 
+def _small_jobs(repeats: int) -> dict:
+    """CPU per compress of the 64 ``svc_small_jobs`` fields, by codec,
+    with the share each fixed-cost piece takes and the gzip attempts
+    that reach the LZ77 parse (fast kernels).
+
+    The calls are timed bare, best of the passes; further passes wrap
+    each piece in a CPU timer for its share and count the parses."""
+    plan = e2e_inputs.plan_for(e2e_spec.SMALL, SMALL_SEED)
+    jobs = list(zip(plan["codecs"], e2e_inputs.small_fields(plan)))
+    calls = Counter(plan["codecs"])
+    codecs = sorted(calls)
+    spent: dict = defaultdict(float)
+    parses = {"lost": 0, "won": 0}
+    current = [""]
+
+    def timed(piece, fn):
+        def run(*args, **kwargs):
+            t0 = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[current[0], piece] += time.process_time() - t0
+
+        return run
+
+    serialize = deflate_module._serialize
+
+    def counted_serialize(*args):
+        out = serialize(*args)
+        parses["lost" if out is None else "won"] += 1
+        return out
+
+    kernels = {"histogram": "histogram.counts", "rans_steps": "rans.encode"}
+    functions = {
+        "rank_remap": (rans_coder, "_table_indices"),
+        "gzip_floor": (deflate_module, "container_floor"),
+    }
+    row: dict = {"seed": SMALL_SEED, "jobs": len(jobs)}
+    with forced("fast"):
+        best = {c: float("inf") for c in codecs}
+        for _ in range(repeats + 5):
+            total: dict = defaultdict(float)
+            for codec, field in jobs:
+                compress = get_codec(codec).compress
+                t0 = time.process_time()
+                compress(field, EB, MODE)
+                total[codec] += time.process_time() - t0
+            for c in codecs:
+                best[c] = min(best[c], total[c] / calls[c])
+        with ExitStack() as patches:
+            for piece, name in kernels.items():
+                kernel = dispatch._REGISTRY[name]
+                patches.enter_context(
+                    mock.patch.object(kernel, "_fast", timed(piece, kernel.fast))
+                )
+            for piece, (module, attr) in functions.items():
+                patches.enter_context(
+                    mock.patch.object(module, attr, timed(piece, getattr(module, attr)))
+                )
+            patches.enter_context(
+                mock.patch.object(deflate_module, "_serialize", counted_serialize)
+            )
+            passes = repeats + 2
+            for _ in range(passes):
+                for codec, field in jobs:
+                    current[0] = codec
+                    get_codec(codec).compress(field, EB, MODE)
+    pieces = [*functions, *kernels]
+    row["codecs"] = {
+        c: {
+            "calls": calls[c],
+            "ms_per_call": best[c] * 1e3,
+            "share": {
+                p: spent[c, p] / (passes * calls[c]) / max(best[c], 1e-12)
+                for p in pieces
+            },
+        }
+        for c in codecs
+    }
+    row["gzip_parses"] = {k: n // passes for k, n in parses.items()}
+    return row
+
+
 def _speculation_on_and_off(repeats: int) -> dict:
     """The fast compress sweep on a narrow view, checked vs speculative."""
     view = FIELDS["3d Hurricane.CLOUDf48"]()[:20].reshape(20, -1)
@@ -421,6 +523,7 @@ def run(smoke: bool = False) -> dict:
     reconstruct = _reconstruct_vs_oracle(smoke_field, repeats)
     parse_rows = _parse_by_size(repeats)
     sweep_rows = _speculation_on_and_off(repeats)
+    small_jobs = _small_jobs(repeats)
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
 
     report = {
@@ -435,6 +538,7 @@ def run(smoke: bool = False) -> dict:
         "lz77_reconstruct": reconstruct,
         "lz77_parse": parse_rows,
         "narrow_sweep": sweep_rows,
+        "small_jobs": small_jobs,
         "end_to_end": e2e,
     }
 
@@ -498,6 +602,27 @@ def run(smoke: bool = False) -> dict:
              r["fast"] * 1e3, f"{r['vs_checked']:.2f}x"),
             widths_s,
         ))
+    widths_j = (16, 6, 9, 8, 8, 8, 8)
+    lines += [
+        "",
+        f"{small_jobs['jobs']} small-job fields, CPU per compress "
+        f"(seed {small_jobs['seed']}; share of the call per piece)",
+        fmt_row(("codec", "calls", "ms/call", "remap", "hist", "floor",
+                 "steps"), widths_j),
+    ]
+    for codec, r in small_jobs["codecs"].items():
+        share = r["share"]
+        lines.append(fmt_row(
+            (codec, r["calls"], f"{r['ms_per_call']:.3f}",
+             *(f"{100 * share[p]:.1f}%" for p in
+               ("rank_remap", "histogram", "gzip_floor", "rans_steps"))),
+            widths_j,
+        ))
+    lines.append(
+        f"gzip attempts reaching the LZ77 parse: "
+        f"{small_jobs['gzip_parses']['lost']} losing (gate {LOST_PARSE_GATE}), "
+        f"{small_jobs['gzip_parses']['won']} winning"
+    )
     lines += ["", "end to end (byte-identical payloads verified)"]
     widths_e = (24, 10, 10, 8, 10, 10, 8)
     lines.append(fmt_row(
@@ -520,11 +645,11 @@ def run(smoke: bool = False) -> dict:
     lines += [
         "",
         "fast-mode stage attribution, 2D smoke field (ms)",
-        f"  compress:   " + ", ".join(
+        "  compress:   " + ", ".join(
             f"{k}={v * 1e3:.1f}"
             for k, v in smoke_e2e["fast"]["compress_stages_s"].items()
         ),
-        f"  decompress: " + ", ".join(
+        "  decompress: " + ", ".join(
             f"{k}={v * 1e3:.1f}"
             for k, v in smoke_e2e["fast"]["decompress_stages_s"].items()
         ),
@@ -574,6 +699,12 @@ def run(smoke: bool = False) -> dict:
                 f"pack_codes {worst:.0f} minor page faults per call "
                 f"(gate {PACK_FAULT_GATE})"
             )
+        lost = small_jobs["gzip_parses"]["lost"]
+        if lost > LOST_PARSE_GATE:
+            failures.append(
+                f"{lost} losing gzip attempts on the small-job fields reached "
+                f"the LZ77 parse (gate {LOST_PARSE_GATE})"
+            )
         if failures:
             raise AssertionError("perf gate: " + "; ".join(failures))
     return report
@@ -591,8 +722,9 @@ if __name__ == "__main__":
         help="2D field only; exit nonzero if fast < 1.0x of reference, "
         "lanes < 1.5x of the chain walk, the 8-band batch < 1.2x of the "
         "per-band decode, the bulk reconstruct < 2x of its oracle, the "
-        "speculative sweep < 1.3x of its checked path or the packer > 64 "
-        "minor page faults per call",
+        "speculative sweep < 1.3x of its checked path, the packer > 64 "
+        "minor page faults per call or a losing gzip attempt on the "
+        "small-job fields reaches the LZ77 parse",
     )
     args = ap.parse_args()
     try:

@@ -22,8 +22,9 @@ from ..kernels.dispatch import register_kernel, resolve
 __all__ = ["symbol_histogram", "entropy_bits"]
 
 
-def _counts_reference(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar counting pass over a validated flat non-negative int array."""
+def _counts_reference(flat: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar counting pass over a validated flat non-negative int array
+    (``lo``, a value no element is below, only speeds up the fast twin)."""
     counts: dict[int, int] = {}
     for v in flat.tolist():
         counts[v] = counts.get(v, 0) + 1
@@ -54,9 +55,10 @@ def symbol_histogram(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.issubdtype(symbols.dtype, np.integer):
         raise TypeError(f"symbols must be integers, got {symbols.dtype}")
     flat = symbols.reshape(-1)
-    if flat.min() < 0:
+    lo = int(flat.min())
+    if lo < 0:
         raise ValueError("symbols must be non-negative")
-    return resolve("histogram.counts")(flat)
+    return resolve("histogram.counts")(flat, lo)
 
 
 def entropy_bits(counts: np.ndarray) -> float:

@@ -15,12 +15,20 @@ import numpy as np
 __all__ = ["symbol_counts"]
 
 
-def symbol_counts(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, counts)`` of a validated flat non-negative int array."""
+def symbol_counts(flat: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, counts)`` of a validated flat non-negative int array.
+
+    ``lo`` is a value no element is below (the caller's validation pass
+    already found the minimum).  Quant codes cluster around the radius
+    at 32768, so the dense path's nonzero scan starts there instead of
+    walking 32 K empty slots.
+    """
     hi = int(flat.max())
     if hi < 1 << 22:  # dense path: one pass, no sort
-        counts = np.bincount(flat.astype(np.int64, copy=False))
-        values = np.nonzero(counts)[0]
-        return values.astype(np.int64), counts[values].astype(np.int64)
+        counts = np.bincount(flat.astype(np.int64, copy=False))[lo:]
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+        values += lo
+        return values.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
     values, counts = np.unique(flat, return_counts=True)
     return values.astype(np.int64), counts.astype(np.int64)

@@ -13,9 +13,10 @@ is a pure function of its state (``0`` if ``x >= 2^23``, ``1`` if
 
 * **encode** — frequencies, offsets and renorm limits are gathered
   once into step-major ``(steps, lanes)`` matrices; the step loop only
-  advances the states and records which lanes emitted; the stream is
-  one masked ravel of ``(steps, lanes, 2)`` byte/flag matrices (the
-  reference's reversed flat buffer read in forward order).
+  advances the states, keeping every one; which lanes emitted is read
+  off the kept states after the loop, and the stream is one masked
+  ravel of ``(steps, lanes, 2)`` byte/flag matrices (the reference's
+  reversed flat buffer read in forward order).
 * **decode** — per-slot symbol, frequency and ``slot - cum`` tables
   are built once, so a step's symbols and transform are three gathers,
   a shift, a multiply and an add; the per-lane byte need comes from the
@@ -57,26 +58,41 @@ def encode_stream(
     # there and stays in uint32.
     limit = f << np.uint32(19)
     limit2 = np.minimum(f, 16) << np.uint32(27)
+    # The transform (x // f) << 12 | x % f, plus c, is x + (x // f) *
+    # (2^12 - f) + c: one floor_divide into scratch instead of divmod's
+    # two fresh outputs.  After renorm x < f << 19, so the product stays
+    # below 2^31.
+    g = np.uint32(PROB_SCALE) - f
     # Row s + 1 is the state step s starts from, row s the one it
-    # leaves, so every pre-renorm state survives the loop and the byte
-    # stream is cut out of them afterwards in one pass.
+    # leaves, so every pre-renorm state survives the loop and the emit
+    # flags and the byte stream are cut out of them afterwards.  Every
+    # op in the loop runs on one dtype into scratch allocated here: a
+    # mixed-dtype op or a Python-int operand costs a cast per step.
     x = np.empty((n_steps + 1, n_lanes), dtype=np.uint32)
     x[n_steps] = RANS_L
-    emit = np.empty((n_steps, n_lanes, 2), dtype=bool)
-    n_bytes = emit.view(np.uint8)
+    ge1, ge2 = np.empty((2, n_lanes), dtype=bool)
+    ge1_u8, ge2_u8 = ge1.view(np.uint8), ge2.view(np.uint8)
     shift = np.empty(n_lanes, dtype=np.uint8)
+    three = np.full(n_lanes, 3, dtype=np.uint8)
     xs = np.empty(n_lanes, dtype=np.uint32)
-    for step in range(n_steps - 1, -1, -1):
-        x_in = x[step + 1]
-        np.greater_equal(x_in, limit[step], out=emit[step, :, 1])
-        np.greater_equal(x_in, limit2[step], out=emit[step, :, 0])
-        np.add(n_bytes[step, :, 0], n_bytes[step, :, 1], out=shift)
-        np.left_shift(shift, 3, out=shift)
+    q = np.empty(n_lanes, dtype=np.uint32)
+    # Row views are taken up front, last step first: a row index per
+    # operand per step costs as much as one of the ops.
+    for x_in, x_out, lim, lim2, fs, gs, cs in zip(
+        *(list(a[::-1]) for a in (x[1:], x[:-1], limit, limit2, f, g, c))
+    ):
+        np.greater_equal(x_in, lim, out=ge1)
+        np.greater_equal(x_in, lim2, out=ge2)
+        np.add(ge1_u8, ge2_u8, out=shift)
+        np.left_shift(shift, three, out=shift)
         np.right_shift(x_in, shift, out=xs)
-        q, r = np.divmod(xs, f[step])
-        q <<= PROB_BITS
-        r += c[step]
-        np.add(q, r, out=x[step])
+        np.floor_divide(xs, fs, out=q)
+        np.multiply(q, gs, out=q)
+        np.add(xs, q, out=xs)
+        np.add(xs, cs, out=x_out)
+    emit = np.empty((n_steps, n_lanes, 2), dtype=bool)
+    np.greater_equal(x[1:], limit, out=emit[:, :, 1])
+    np.greater_equal(x[1:], limit2, out=emit[:, :, 0])
     # The reference appends steps last-to-first, lanes high-to-low, low
     # byte first, then reverses the buffer: steps first-to-last, lanes
     # low-to-high, second byte before first -- each state's low 16 bits

@@ -13,6 +13,7 @@ both encode and decode vectorizable — but the alphabets are DEFLATE's:
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -24,7 +25,7 @@ from ..encoding.huffman import HuffmanCodec, HuffmanTable, decode_outcomes
 from .lz77 import LZ77Encoder, TokenStream, MAX_MATCH, MIN_MATCH
 
 __all__ = [
-    "deflate", "inflate", "inflate_outcomes",
+    "deflate", "container_floor", "inflate", "inflate_outcomes",
     "LENGTH_BASE", "LENGTH_EXTRA", "DIST_BASE", "DIST_EXTRA",
 ]
 
@@ -55,6 +56,14 @@ DIST_EXTRA = np.array(
 )
 
 _LITERAL_LIMIT = 256  # litlen symbols >= 256 are length buckets
+# magic, counts and the five u32 length prefixes: every container has them
+_FRAMING = len(_MAGIC) + _COUNTS.size + 5 * 4
+# A budgeted attempt at most this long is priced by container_floor
+# before its parse.  The floor costs about a tenth of a parse.  It skips
+# every losing attempt on the small-job sections (1.5-3.4 KB) and 16 of
+# 37 on the store tiles' (the longest skipped is 32.6 KB), but none on
+# the 40-103 KB lib_fields sections, where it would be pure cost.
+_FLOOR_GATE = 36 << 10
 
 
 def _bucketize(values: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -75,9 +84,62 @@ def deflate(
     the parse and both Huffman tables are, so a losing attempt stops
     there and never packs a stream.
     """
+    if budget is not None and len(data) <= _FLOOR_GATE and container_floor(data) >= budget:
+        return None
     encoder = encoder or LZ77Encoder.best_compression()
     tokens = encoder.parse(data)
     return _serialize(tokens, len(data), budget)
+
+
+def container_floor(data: bytes) -> int:
+    """A lower bound on ``len(deflate(data, encoder))`` for every encoder.
+
+    Every byte a match covers lies in a 3-gram that starts inside the
+    match and occurred earlier, so a byte outside every such 3-gram is a
+    literal in any parse: a *forced* literal.  The literal/length code
+    spends at least the Gibbs bound of the forced literals' histogram on
+    them (its lengths satisfy Kraft over a superset of their symbols),
+    and at least one bit each.  Its table lists every distinct one in 4
+    bytes, and a count for each length up to at least ``ceil(log2 K)``.
+    The distance table is at least empty, the extra bits at least none.
+
+    Each 3-gram's start is packed beneath its bytes in a ``uint64`` key,
+    so one sort groups equal 3-grams and orders each group by start: a
+    key whose 3-gram equals its predecessor's is a later occurrence.
+    """
+    n = len(data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    forced = buf
+    if n > 3:
+        m = n - 2
+        # little-endian: bytes 7, 6, 5 hold the 3-gram, 3-0 its start
+        key = np.zeros((m, 8), dtype=np.uint8)
+        key[:, 7] = buf[:-2]
+        key[:, 6] = buf[1:-1]
+        key[:, 5] = buf[2:]
+        keys = key.view(np.uint64).reshape(-1)
+        keys |= np.arange(m, dtype=np.uint64)
+        keys.sort()
+        later = np.empty(m, dtype=bool)
+        later[0] = False
+        gram = keys >> np.uint64(40)
+        np.equal(gram[1:], gram[:-1], out=later[1:])
+        starts = (keys[later] & np.uint64(0xFFFFFFFF)).astype(np.intp)
+        covered = np.zeros(n, dtype=bool)
+        for offset in range(3):
+            covered[starts + offset] = True
+        forced = buf[~covered]
+    counts = np.bincount(forced, minlength=256)
+    counts = counts[counts > 0]
+    n_forced = int(forced.size)
+    bits = 0
+    if n_forced:
+        gibbs = n_forced * math.log2(n_forced) - float(counts @ np.log2(counts))
+        # a hair under, so float rounding never lifts it past the truth
+        bits = max(n_forced, math.ceil(gibbs - 1e-6))
+    k = max(int(counts.size), 1)
+    lit_table = 9 + 4 * max(1, (k - 1).bit_length()) + 4 * k if n else 8
+    return _FRAMING + lit_table + 8 + ((bits + 7) >> 3)
 
 
 def _table(symbols: np.ndarray) -> tuple[HuffmanTable, int]:
@@ -123,8 +185,8 @@ def _serialize(
     dist_table, dist_bits = _table(dist_idx)
     tables = (lit_table.to_bytes(), dist_table.to_bytes())
     if budget is not None:
-        # magic, counts, five u32 length prefixes, two tables, three streams
-        size = len(_MAGIC) + _COUNTS.size + 5 * 4 + len(tables[0]) + len(tables[1])
+        # framing, two tables, three streams
+        size = _FRAMING + len(tables[0]) + len(tables[1])
         size += sum((b + 7) >> 3 for b in (lit_bits, dist_bits, int(eb.sum())))
         if size >= budget:
             return None

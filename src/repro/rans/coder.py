@@ -76,6 +76,7 @@ _TABLE_MAGIC = b"RNS1"
 _LANE_TOKENS = 64
 _MAX_LANES = 2048  # encoder cap; decoder tolerates up to the sanity cap
 _MAX_LANES_DECODE = 1 << 16
+_DENSE_SPAN = 1 << 16  # rank-table slots built for any stream; more need as many tokens
 
 
 def normalize_freqs(counts: np.ndarray) -> np.ndarray:
@@ -269,6 +270,31 @@ register_kernel(
 # -- host API -----------------------------------------------------------
 
 
+def _table_indices(tokens: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Each token's index into ``symbols``, or some in-range index whose
+    symbol differs from it (the caller's one equality check refuses it).
+
+    Quant codes cluster around the quantizer radius, so the table spans
+    a few hundred values: a dense rank table over ``[symbols[0],
+    symbols[-1]]`` is one subtraction and one gather per token, where a
+    binary search is ~8 times that.  The rank table costs a slot per
+    value in the span, so a span longer than the stream (and 64 K) keeps
+    the search.
+    """
+    lo = int(symbols[0])
+    span = int(symbols[-1]) - lo + 1
+    if not 0 < span <= max(tokens.size, _DENSE_SPAN):
+        return np.minimum(np.searchsorted(symbols, tokens), symbols.size - 1)
+    slots = tokens - lo if lo else tokens
+    # One unsigned test covers both ends: a slot below zero wraps past
+    # every valid one.
+    if slots.view(np.uint64).max() >= span:
+        raise RansError("token stream carries a symbol outside the table")
+    rank = np.zeros(span, dtype=np.intp)
+    rank[symbols - lo] = np.arange(symbols.size)
+    return rank[slots]
+
+
 def encode_tokens(tokens: np.ndarray, table: RansTable) -> bytes:
     """Encode a token stream against ``table`` into the lane blob."""
     tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
@@ -278,8 +304,7 @@ def encode_tokens(tokens: np.ndarray, table: RansTable) -> bytes:
     nsym = table.symbols.size
     if nsym == 0:
         raise RansError("cannot encode tokens against an empty rANS table")
-    idx = np.searchsorted(table.symbols, tokens)
-    idx = np.minimum(idx, nsym - 1)
+    idx = _table_indices(tokens, table.symbols)
     if (table.symbols[idx] != tokens).any():
         raise RansError("token stream carries a symbol outside the table")
     n_lanes = pick_lanes(m)

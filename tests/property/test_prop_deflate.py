@@ -9,8 +9,12 @@ and on the ``LosslessError`` message.
 stream and gives up when it would not be smaller than ``b``; the
 unbudgeted ``deflate(x)`` is its oracle, and :func:`_put_section_oracle`
 (compress the whole section, then compare) is ``put_section``'s.
+Below a length gate the attempt is first priced by ``container_floor``,
+a lower bound on the container that must never exceed it, and skipped
+before its parse when even that is not smaller than the budget.
 """
 
+import math
 from contextlib import contextmanager
 from typing import Iterator
 from unittest import mock
@@ -28,6 +32,8 @@ from repro.errors import LosslessError
 from repro.io.container import Container
 from repro.kernels import dispatch, forced
 from repro.lossless import GzipStage, LosslessBackend, LosslessMode, deflate, inflate
+from repro.lossless.deflate import _FLOOR_GATE as GATE
+from repro.lossless.deflate import container_floor
 from repro.lossless.lz77 import MAX_MATCH, LZ77Encoder, TokenStream
 
 
@@ -349,3 +355,106 @@ def test_put_section_matches_compress_then_compare_on_code_streams(code_streams)
         won = [_same_put(lossless, s, "huffman_codes_gz") for s in code_streams.values()]
         if lossless == GzipStage():
             assert won == [False, False, False, True, True] * 2
+
+
+# -- the floor that skips a losing attempt before its parse ------------------------
+
+ENCODERS = {"speed": LZ77Encoder.best_speed(), "best": LZ77Encoder.best_compression()}
+
+
+def _bytes_of(kind: str, n: int | None, seed: int) -> bytes:
+    """``n`` bytes of one kind: uniform, a 2-4 symbol alphabet, or runs.
+    ``None`` draws the length uniformly from 0 to twice the gate."""
+    rng = np.random.default_rng(seed)
+    if n is None:
+        n = int(rng.integers(0, 2 * GATE + 1))
+    if kind == "random":
+        return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+    if kind == "alphabet":
+        symbols = rng.integers(0, 256, int(rng.integers(2, 5)), dtype=np.uint8)
+        return rng.choice(symbols, n).tobytes()
+    values = rng.integers(0, 256, n // 4 + 1, dtype=np.uint8)
+    return np.repeat(values, rng.integers(1, 60, values.size))[:n].tobytes()
+
+
+@given(
+    st.sampled_from(["random", "alphabet", "runs"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(ENCODERS)),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_never_exceeds_the_container(kind, seed, level):
+    data = _bytes_of(kind, None, seed)
+    assert container_floor(data) <= len(deflate(data, ENCODERS[level]))
+
+
+def _floor_oracle(data: bytes) -> int:
+    """``container_floor`` by a per-byte loop over a dict of first starts."""
+    first: dict[bytes, int] = {}
+    covered = [False] * len(data)
+    for j in range(len(data) - 2):
+        gram = data[j : j + 3]
+        if first.setdefault(gram, j) < j:  # an earlier occurrence exists
+            covered[j : j + 3] = [True] * 3
+    forced = [b for b, c in zip(data, covered) if not c]
+    counts = [forced.count(v) for v in sorted(set(forced))]
+    n = len(forced)
+    gibbs = sum(c * math.log2(n / c) for c in counts)
+    bits = max(n, math.ceil(gibbs - 1e-6)) if n else 0
+    k = max(len(counts), 1)
+    lit_table = 9 + 4 * max(1, math.ceil(math.log2(k))) + 4 * k if data else 8
+    return 40 + lit_table + 8 + -(-bits // 8)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=400),
+        st.lists(st.sampled_from(b"ab\x00"), max_size=400).map(bytes),
+        st.binary(min_size=1, max_size=9).map(lambda b: b * 40),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_floor_matches_its_per_byte_oracle_on_short_bytes(data):
+    floor = container_floor(data)
+    assert floor == _floor_oracle(data)
+    for encoder in ENCODERS.values():
+        assert floor <= len(deflate(data, encoder))
+
+
+@pytest.mark.parametrize("n", [GATE - 1, GATE, GATE + 1])
+@pytest.mark.parametrize("kind", ["random", "alphabet", "runs"])
+def test_put_section_matches_compress_then_compare_across_the_gate(n, kind):
+    raw = _bytes_of(kind, n, seed=n)
+    for lossless in STAGES:
+        _same_put(lossless, raw, "blob_z")
+
+
+@contextmanager
+def _parses() -> Iterator[list[int]]:
+    """Records the length of every LZ77 parse inside the block."""
+    lengths: list[int] = []
+    parse = LZ77Encoder.parse
+
+    def counting(self, data):
+        lengths.append(len(data))
+        return parse(self, data)
+
+    with mock.patch.object(LZ77Encoder, "parse", counting):
+        yield lengths
+
+
+def test_a_losing_attempt_reaches_the_parse_only_above_the_gate(code_streams):
+    for n in (0, 100, GATE - 1, GATE):
+        noise = _bytes_of("random", n, seed=5)
+        with _parses() as parsed:
+            assert deflate(noise, LZ77Encoder.best_speed(), len(noise)) is None
+        assert parsed == []
+    noise = _bytes_of("random", GATE + 1, seed=5)
+    with _parses() as parsed:
+        assert deflate(noise, LZ77Encoder.best_speed(), len(noise)) is None
+    assert parsed == [GATE + 1]
+    # an unbudgeted attempt parses at any length
+    for data in code_streams.values():
+        with _parses() as parsed:
+            deflate(data, LZ77Encoder.best_speed())
+        assert parsed == [len(data)]

@@ -12,6 +12,7 @@ key.
 
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,12 @@ class TestCoder:
         with pytest.raises(RansError):
             encode_tokens(np.array([1, 99], dtype=np.int64), table)
 
+    def test_huge_and_negative_tokens_raise(self):
+        table = _table_for(np.array([1, 2, 2]))
+        for bad in (-1, -(2**63), 2**63 - 1):
+            with pytest.raises(RansError, match="outside the table"):
+                encode_tokens(np.array([1, bad], dtype=np.int64), table)
+
     def test_truncated_blob_raises(self):
         tokens = np.arange(300, dtype=np.int64) % 5
         table = _table_for(tokens)
@@ -219,6 +226,64 @@ class TestCoder:
         assert pick_lanes(1) == 1
         assert pick_lanes(64 * 8) == 8
         assert pick_lanes(10**9) == 2048  # capped
+
+
+def _encode_by_search(tokens: np.ndarray, table: RansTable) -> bytes:
+    """``encode_tokens`` as it was: table indices by binary search."""
+    tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    if tokens.size == 0:
+        return struct.pack("<I", 0)
+    idx = np.minimum(np.searchsorted(table.symbols, tokens), table.symbols.size - 1)
+    if (table.symbols[idx] != tokens).any():
+        raise RansError("token stream carries a symbol outside the table")
+    n_lanes = pick_lanes(tokens.size)
+    states, stream = coder.resolve("rans.encode")(idx, table.freqs, table.cum(), n_lanes)
+    return struct.pack("<I", n_lanes) + np.asarray(states, dtype="<u4").tobytes() + stream
+
+
+class TestTableIndices:
+    """``encode_tokens`` indexes its table through a dense rank table over
+    the symbols' span; the binary search it replaced is the oracle."""
+
+    TABLES = {
+        "radius": np.arange(32768 - 91, 32768 + 92, dtype=np.int64),
+        "holes": np.array([3, 5, 6, 40, 41, 900], dtype=np.int64),
+        "from_zero": np.arange(0, 7, dtype=np.int64),
+        "single": np.array([12345], dtype=np.int64),
+        "sparse": np.array([0, 2**31], dtype=np.int64),
+        "wide": np.array([0, 5, 1 << 20, (1 << 32) - 1], dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    @pytest.mark.parametrize("name", list(TABLES))
+    @pytest.mark.parametrize("m", [1, 63, 700, 3900])
+    def test_bytes_equal_the_search_oracle(self, mode, name, m):
+        symbols = self.TABLES[name]
+        rng = np.random.default_rng(m + symbols.size)
+        counts = rng.integers(1, 50, symbols.size)
+        table = RansTable.from_counts(symbols, counts)
+        tokens = rng.choice(symbols, size=m, p=counts / counts.sum())
+        with forced(mode):
+            got = encode_tokens(tokens, table)
+            assert got == _encode_by_search(tokens, table)
+            assert (decode_tokens(got, table, m) == tokens).all()
+
+    @pytest.mark.parametrize("mode", ["reference", "fast"])
+    @pytest.mark.parametrize("name", ["radius", "holes", "sparse"])
+    def test_refusals_equal_the_search_oracle(self, mode, name):
+        symbols = self.TABLES[name]
+        table = RansTable.from_counts(symbols, np.ones(symbols.size, dtype=np.int64))
+        lo, hi = int(symbols[0]), int(symbols[-1])
+        absent = [v for v in range(lo, min(hi, lo + 1000)) if v not in set(symbols.tolist())]
+        bad = [lo - 1, hi + 1, -1, -(2**63), 2**63 - 1] + absent[:1]
+        for value in bad:
+            tokens = np.array([lo, value, hi], dtype=np.int64)
+            with forced(mode):
+                with pytest.raises(RansError) as want:
+                    _encode_by_search(tokens, table)
+                with pytest.raises(RansError) as got:
+                    encode_tokens(tokens, table)
+            assert str(got.value) == str(want.value), value
 
 
 def _decode_outcome(mode, blob, table, m):
@@ -495,6 +560,40 @@ class TestHistogramKernel:
             fast = symbol_histogram(flat)
         assert (ref[0] == fast[0]).all()
         assert (ref[1] == fast[1]).all()
+
+    @staticmethod
+    def _both_twins(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        from repro.encoding.histogram import symbol_histogram
+
+        with forced("reference"):
+            v_ref, c_ref = symbol_histogram(flat)
+        with forced("fast"):
+            v_fast, c_fast = symbol_histogram(flat)
+        assert v_fast.dtype == c_fast.dtype == np.int64
+        assert v_fast.tolist() == v_ref.tolist()
+        assert c_fast.tolist() == c_ref.tolist()
+        return v_fast, c_fast
+
+    def test_codes_clustered_at_the_radius(self):
+        # the dense scan starts at the smallest code, far above zero
+        rng = np.random.default_rng(11)
+        flat = 32768 + np.round(rng.laplace(0, 4, 3000)).astype(np.int64)
+        values, counts = self._both_twins(flat)
+        assert values[0] == flat.min() > 0 and counts.sum() == flat.size
+
+    def test_a_single_repeated_value(self):
+        for value in (0, 1, 32768, (1 << 22) - 1, 1 << 22):
+            values, counts = self._both_twins(np.full(37, value, dtype=np.int64))
+            assert values.tolist() == [value] and counts.tolist() == [37]
+
+    def test_values_either_side_of_the_dense_limit(self):
+        edge = 1 << 22
+        for flat in (
+            [edge - 1, edge - 1, edge - 3],  # dense, lo far above zero
+            [edge, edge - 1, edge],  # sparse
+            [edge - 1, 0, edge - 1, 7],
+        ):
+            self._both_twins(np.array(flat, dtype=np.int64))
 
     def test_validation_unchanged(self):
         from repro.encoding.histogram import symbol_histogram
