@@ -17,6 +17,11 @@ shares):
   (``decompress_many``: one ``huffman.decode`` call for inflate's streams,
   one for the quant codes) and band by band (two or three calls a band),
   alternated in one run;
+* **8 store fields, cold-read decode**: the ``store_local`` fields' first
+  version (``benchmarks/e2e/inputs.py``), 8 ``wavesz-dp`` tiles each,
+  decoded one batch per field with the lanes' own-region steps taking
+  single codes and taking groups: own-region lane steps per decoded
+  symbol, group-table build ms, decode ms and ``huffman.decode`` calls;
 * **the packer per call**: the fast ``bitio.pack_codes`` kernel on the
   same 259 200-code stream, ms and minor page faults per call
   (``ru_minflt``, after warm-up), back to back and each call right after
@@ -46,7 +51,9 @@ Results land in ``benchmarks/results/BENCH_kernels.json`` (the perf
 trajectory baseline) and a human table.  ``--smoke`` runs only the 2D
 field with byte-equality checks and **fails if the fast path regresses
 below 1.0x of reference, the lane decode below 1.5x of the chain walk,
-the 8-band batch below 1.2x of the per-band decode, the bulk reconstruct
+the lanes take more than 0.5 own-region steps per symbol on a fixed
+1-bit-dominant stream (a count, so it holds on any runner), the 8-band
+batch below 1.2x of the per-band decode, the bulk reconstruct
 below 2x of its oracle, the clean speculative sweep below 1.3x of its
 checked path, the packer above 64 minor page faults per call or any
 losing gzip attempt on the small-job fields reaching the parse** — the
@@ -89,6 +96,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 import inputs as e2e_inputs  # noqa: E402
 import spec as e2e_spec  # noqa: E402
+from tests.lanes import SINGLE_STEPS, lane_constants, own_region_steps  # noqa: E402
 from tests.property.test_prop_deflate import _reconstruct_oracle  # noqa: E402
 
 deflate_module = importlib.import_module("repro.lossless.deflate")
@@ -107,6 +115,9 @@ BANDS = 8
 PARSE_SIZES = (2048, 16384, 100_000)
 SMALL_SEED = 1  # the ledger's default seed
 LOST_PARSE_GATE = 0  # losing gzip attempts on the small-job fields that parse
+OBD_GATE = 0.5  # own-region lane steps per symbol, 1-bit-dominant stream
+OBD_SEED = 3
+OBD_SYMBOLS = 200_000
 
 FIELDS = {
     "1d CESM.TS.flat": lambda: load_field("CESM-ATM", "TS").reshape(-1),
@@ -258,6 +269,95 @@ def _bands_batched_vs_per_band(repeats: int) -> dict:
     row["kernel_calls"] = calls
     row["speedup"] = row["per_band"] / max(row["batched"], 1e-12)
     return row
+
+
+def _store_cold_reads(repeats: int) -> dict:
+    """The 8 store fields' cold reads (``store_local``'s first version of
+    each, 8 ``wavesz-dp`` tiles, decoded as one batch per field), with the
+    lanes' own-region steps taking single codes and taking groups: lane
+    steps per decoded symbol, group-table build ms and decode ms (CPU,
+    best of the alternated runs), and ``huffman.decode`` kernel calls."""
+    plan = e2e_inputs.store_plan(SMALL_SEED)
+    bases = e2e_inputs.store_bases()
+    codec = get_codec(e2e_inputs.STORE_CODEC)
+    fields = []
+    for name in e2e_inputs.CESM_FIELDS:
+        data = e2e_inputs.Recipe(**plan["versions"][0][name]).apply(bases[name])
+        manifest, payloads = compress_field_tiles(
+            data, e2e_inputs.STORE_CODEC, EB, MODE, n_tiles=e2e_inputs.STORE_TILES
+        )
+        fields.append([payloads[d] for d in manifest["tiles"]])
+
+    def read_all():
+        return [codec.decompress_many(bands) for bands in fields]
+
+    tally = Counter()
+    resolve, build = huffman.resolve, huffman_fast._build_groups
+
+    def counted_resolve(name):
+        kernel = resolve(name)
+        if name != "huffman.decode":
+            return kernel
+
+        def counted(items):
+            tally["calls"] += 1
+            tally["symbols"] += sum(n for _, _, n in items)
+            return kernel(items)
+
+        return counted
+
+    def timed_build(streams):
+        t0 = time.process_time()
+        build(streams)
+        tally["build_s"] += time.process_time() - t0
+
+    modes = {"single": SINGLE_STEPS, "group": {}}
+    rows = {name: {"decode_ms": float("inf")} for name in modes}
+    with forced("fast"), mock.patch.object(huffman, "resolve", counted_resolve), \
+            mock.patch.object(huffman_fast, "_build_groups", timed_build):
+        outputs = {}
+        for name, constants in modes.items():
+            tally.clear()
+            with lane_constants(**constants), own_region_steps() as steps:
+                outputs[name] = read_all()
+            rows[name].update(
+                lane_steps_per_symbol=(steps["single"] + steps["group"]) / tally["symbols"],
+                kernel_calls=tally["calls"],
+                build_ms=tally["build_s"] * 1e3,
+            )
+        symbols = tally["symbols"]
+        if any(
+            a.tobytes() != b.tobytes()
+            for x, y in zip(outputs["single"], outputs["group"])
+            for a, b in zip(x, y)
+        ):
+            raise AssertionError("single-code and group steps decode differently")
+        for _ in range(repeats + 3):  # alternated, CPU time
+            for name, constants in modes.items():
+                with lane_constants(**constants):
+                    t0 = time.process_time()
+                    read_all()
+                    ms = (time.process_time() - t0) * 1e3
+                rows[name]["decode_ms"] = min(rows[name]["decode_ms"], ms)
+    rows["fields"] = len(fields)
+    rows["symbols"] = symbols
+    return rows
+
+
+def _one_bit_steps() -> dict:
+    """Own-region lane steps per symbol on a fixed synthetic stream whose
+    zeros (nine in ten) take a 1-bit code: a count, so it holds anywhere."""
+    rng = np.random.default_rng(OBD_SEED)
+    syms = np.where(rng.random(OBD_SYMBOLS) < 0.9, 0, rng.geometric(0.3, OBD_SYMBOLS))
+    codec = HuffmanCodec(HuffmanTable.from_symbols(syms))
+    payload, _ = codec.encode(syms)
+    with forced("fast"), own_region_steps() as steps:
+        if not np.array_equal(codec.decode(payload, syms.size), syms):
+            raise AssertionError("group-step decode of the 1-bit stream is wrong")
+    return {
+        "symbols": int(syms.size),
+        "lane_steps_per_symbol": (steps["single"] + steps["group"]) / syms.size,
+    }
 
 
 def _minflt() -> int:
@@ -519,6 +619,8 @@ def run(smoke: bool = False) -> dict:
     big_field = load_field("CESM-ATM", "CLDLOW", scale=2)  # 259 200 points
     lane_decode = _lanes_vs_chain_walk(big_field, repeats)
     bands = _bands_batched_vs_per_band(repeats)
+    store_reads = _store_cold_reads(repeats)
+    one_bit = _one_bit_steps()
     packer = _packer_per_call(big_field, repeats)
     reconstruct = _reconstruct_vs_oracle(smoke_field, repeats)
     parse_rows = _parse_by_size(repeats)
@@ -534,6 +636,8 @@ def run(smoke: bool = False) -> dict:
         "stage_micro": stage_micro,
         "lane_decode": lane_decode,
         "bands_batched": bands,
+        "store_cold_reads": store_reads,
+        "one_bit_lane_steps": one_bit,
         "pack_codes_per_call": packer,
         "lz77_reconstruct": reconstruct,
         "lz77_parse": parse_rows,
@@ -567,6 +671,17 @@ def run(smoke: bool = False) -> dict:
         f"batched {bands['batched'] * 1e3:.2f} ms "
         f"({bands['kernel_calls']['batched']} calls; "
         f"{bands['speedup']:.2f}x, gate {BAND_GATE}x)",
+        f"{store_reads['fields']} store fields, cold-read decode "
+        f"({store_reads['symbols']} symbols): single-code steps "
+        f"{store_reads['single']['decode_ms']:.1f} ms, "
+        f"{store_reads['single']['lane_steps_per_symbol']:.2f} own-region lane "
+        f"steps/symbol; group steps {store_reads['group']['decode_ms']:.1f} ms, "
+        f"{store_reads['group']['lane_steps_per_symbol']:.2f} steps/symbol, "
+        f"group tables {store_reads['group']['build_ms']:.1f} ms "
+        f"({store_reads['group']['kernel_calls']} huffman.decode calls)",
+        f"1-bit-dominant stream, {one_bit['symbols']} symbols: "
+        f"{one_bit['lane_steps_per_symbol']:.3f} own-region lane steps/symbol "
+        f"(gate {OBD_GATE})",
         f"bitio.pack_codes fast kernel, {packer['symbols']} codes: "
         f"back to back {packer['back_to_back']['ms']:.2f} ms "
         f"({packer['back_to_back']['faults_per_call']:.0f} faults/call), "
@@ -688,6 +803,11 @@ def run(smoke: bool = False) -> dict:
                 f"{BANDS}-band batch {bands['speedup']:.2f}x of the per-band "
                 f"decode (gate {BAND_GATE}x)"
             )
+        if one_bit["lane_steps_per_symbol"] > OBD_GATE:
+            failures.append(
+                f"{one_bit['lane_steps_per_symbol']:.3f} own-region lane steps "
+                f"per symbol on the 1-bit-dominant stream (gate {OBD_GATE})"
+            )
         if reconstruct["speedup"] < RECONSTRUCT_GATE:
             failures.append(
                 f"lz77 reconstruct {reconstruct['speedup']:.2f}x of its oracle "
@@ -720,7 +840,8 @@ if __name__ == "__main__":
         "--smoke",
         action="store_true",
         help="2D field only; exit nonzero if fast < 1.0x of reference, "
-        "lanes < 1.5x of the chain walk, the 8-band batch < 1.2x of the "
+        "lanes < 1.5x of the chain walk, > 0.5 own-region lane steps per "
+        "symbol on a 1-bit-dominant stream, the 8-band batch < 1.2x of the "
         "per-band decode, the bulk reconstruct < 2x of its oracle, the "
         "speculative sweep < 1.3x of its checked path, the packer > 64 "
         "minor page faults per call or a losing gzip attempt on the "

@@ -285,9 +285,10 @@ class HuffmanCodec:
         self._enc_code: np.ndarray | None = None
         self._enc_base = 0
         self._dec: _DecodeTables | None = None
-        # The lane decoder's wide LUT (kernels.huffman_fast), cached here
-        # so repeated decodes against one codec build it once.
+        # The lane decoder's wide LUT and group table (kernels.huffman_fast),
+        # cached here so repeated decodes against one codec build them once.
         self._lane_lut: np.ndarray | None = None
+        self._lane_groups: tuple[np.ndarray, np.ndarray] | None = None
 
     def _encode_tables(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Dense ``symbol - self._enc_base`` lookups of length and code,

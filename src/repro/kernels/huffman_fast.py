@@ -26,19 +26,33 @@ others are speculative.  Huffman codes self-synchronize: a lane started
 off-boundary falls, after a few symbols, onto a bit position the true
 decode also visits, and is right from there on.
 
-**Marks and links.**  While a lane decodes its own region it marks every
-bit position it visits with the slot of the entry it recorded there.
+**Groups.**  In its own region a lane of a stream whose codes are short
+takes every whole code its ``_GROUP_BITS``-wide window holds in one
+step.  A *group table*, built by composing the wide table over every
+window at once, gives the group's total length and a *group record*
+(``_GROUP_FLAG | row << 6 | bits``) naming the row that holds its
+entries.  A window whose first code is longer than the group window
+takes the wide table's single-code entry instead, the way an escape is
+resolved.  A table whose code lengths predict fewer than
+``_MIN_GROUP_CODES`` whole codes per window keeps single-code steps.
+
+**Marks and links.**  While a lane decodes its own region it marks the
+bit position every step starts at with the slot of the record it wrote
+there: each code boundary it visits, or with groups each group start.
 Once every lane has crossed into its neighbour's region the marks are
-complete, and each lane keeps stepping until it lands on a marked
-position — from that bit on its trajectory and the marking lane's are
-the same, so it *links* to that lane's entry and stops.  Lanes that are
+complete, and each lane keeps stepping one code at a time until it
+lands on a marked position — from that bit on its trajectory and the
+marking lane's are the same, so it *links* to that lane's record and
+stops.  A lane that has synchronized visits every code boundary, so it
+reaches its neighbour's next marked group start.  Lanes that are
 done leave the active set, so the cost follows the work left, not
 ``lanes x slowest lane`` (a region of 1-bit codes holds several times
 the mean symbol count).  The true symbol sequence is then lane 0's
-entries up to its link, the linked lane's entries from the linked slot
+records up to its link, the linked lane's records from the linked slot
 up to *its* link, and so on: a pointer-doubling chase over the links
 (which need not point at the right-hand neighbour) and one ragged
-gather over the entry matrix, both per stream.  The marks and the
+gather over the entry matrix, both per stream; the gather expands the
+group records on that path into their entries.  The marks and the
 entry matrix are allocated once per batch and reused by every set; a
 generation base added to a set's marks makes the ones earlier sets left
 read as unmarked.
@@ -71,6 +85,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..encoding.huffman import _window_entries
 from ..errors import BitstreamError, HuffmanError, ReproError
@@ -92,6 +107,10 @@ _CHECK_EVERY = 8  # own-region steps between looks at who has crossed
 _SYNC_BUDGET = 256  # steps a lane may take beyond its region to link
 _PAD = 8 + (_CHECK_EVERY * 57 + 7) // 8  # bytes a lane may read past the end
 _MARK_LIMIT = 1 << 31  # marks are int32: generations restart below this
+_GROUP_BITS = 10  # window width of an own-region group step (docs/PERF.md)
+_MIN_GROUP_CODES = 2  # predicted whole codes per window a group table needs
+_GROUP_FLAG = 1 << 30  # marks a group record: above every int32 entry
+_NO_GROUPS = (np.empty(0, dtype=np.int32), np.empty((0, 0), dtype=np.int32))
 _NO_LANES = np.empty(0, dtype=np.int32)  # the lane table of a chain-walk stream
 
 
@@ -247,15 +266,15 @@ def _lane_lut(codec) -> np.ndarray:
         per_len = np.bincount(lengths, minlength=maxlen + 1)
         # Exact: one missing 57-bit code is below any float tolerance, and
         # a speculative lane would find the window no code covers.
-        kraft = sum(int(per_len[l]) << (maxlen - l) for l in range(1, maxlen + 1))
+        kraft = sum(int(per_len[n]) << (maxlen - n) for n in range(1, maxlen + 1))
         lut = np.empty(0, dtype=np.int64)
         if lengths[0] != lengths[-1] and kraft == 1 << maxlen:
             full = _window_entries(table, min(maxlen, _LUT_BITS))
             if np.count_nonzero(full < 0) * _MAX_ESCAPE_SHARE < full.size:
                 lut = full
-                # Entries of symbols below 2^25 fit int32: half the bytes
-                # for the entry matrix the lanes fill.
-                if int(table.symbols.max()) < 1 << 25:
+                # Entries of symbols in [0, 2^24) fit int32 below the group
+                # flag: half the bytes for the entry matrix the lanes fill.
+                if 0 <= int(table.symbols.min()) and int(table.symbols.max()) < 1 << 24:
                     lut = lut.astype(np.int32)
         codec._lane_lut = lut
     return lut
@@ -293,6 +312,72 @@ class _Stream:
         return int(self.seg_bits < self.total_bits)
 
 
+def _codes_per_window(lengths: list[np.ndarray]) -> np.ndarray:
+    """Per table, the whole codes a ``_GROUP_BITS``-bit window holds on
+    average when its bits follow the code itself (a length-``l`` code has
+    probability ``2^-l``): the sum over bits ``j`` of the window of the
+    chance that a code boundary falls at ``j``, the renewal sequence
+    ``u_j = sum_l share_l u_(j-l)``."""
+    width = _GROUP_BITS
+    share = np.zeros((len(lengths), width + 1))
+    for t, ls in enumerate(lengths):
+        per_len = np.bincount(ls)[: width + 1]
+        share[t, : per_len.size] = per_len
+    share *= 0.5 ** np.arange(width + 1)
+    u = np.zeros_like(share)
+    u[:, 0] = 1.0
+    for j in range(1, width + 1):
+        u[:, j] = (share[:, 1 : j + 1] * u[:, j - 1 :: -1]).sum(axis=1)
+    return u[:, 1:].sum(axis=1)
+
+
+def _build_groups(streams: list[_Stream]) -> None:
+    """Give the codec of every stream the lanes will decode its group
+    table, cached on the codec, all of them built in one composition.
+
+    Per ``_GROUP_BITS``-bit window a group table holds the step entry
+    ``_GROUP_FLAG | window << 6 | bits`` (``-1`` when the window's first
+    code does not fit) and a row of entries, ``-1``-padded; a last row
+    ``[0, -1, ...]`` stands in for every single-code record (``_expand``).
+    Round ``k`` of the composition looks up every window's next code in
+    the wide tables, one gather for all tables, and takes it if it fits;
+    a code that does not fit stays next, so no later round takes one.
+    A table that keeps single-code steps gets an empty group table.
+    """
+    todo = {}
+    for s in streams:
+        if s.codec._lane_groups is None:
+            s.codec._lane_groups = _NO_GROUPS
+            if s.lut.dtype == np.int32:
+                todo[id(s.codec)] = s
+    todo = list(todo.values())
+    if not todo:
+        return
+    fill = _codes_per_window([s.codec.table.lengths for s in todo])
+    todo = [s for s, n in zip(todo, fill.tolist()) if n >= _MIN_GROUP_CODES]
+    if not todo:
+        return
+    width = _GROUP_BITS
+    window = np.arange(1 << width, dtype=np.int64)
+    # Each table's entry for the first code of every window, side by side.
+    first = np.concatenate([s.lut[(window << s.bits) >> width] for s in todo])
+    base = np.arange(len(todo), dtype=np.int64)[:, None] << width
+    # A window holds at most width // min_len codes, and has a first one.
+    fit = [max(1, width // s.min_len) for s in todo]
+    rows = np.full((len(todo), window.size + 1, max(fit)), -1, dtype=np.int32)
+    rows[:, -1, 0] = 0
+    used = np.zeros((len(todo), window.size), dtype=np.int64)
+    for k in range(rows.shape[2]):
+        e = first.take(((window << used) & (window.size - 1)) + base)
+        end = used + (e & _STEP_MASK)  # an escape's 63 never fits
+        fits = end <= width
+        np.copyto(rows[:, :-1, k], e, where=fits)
+        np.copyto(used, end, where=fits)
+    steps = np.where(used > 0, _GROUP_FLAG | (window << 6) | used, -1).astype(np.int32)
+    for t, s in enumerate(todo):
+        s.codec._lane_groups = steps[t], np.ascontiguousarray(rows[t, :, : fit[t]])
+
+
 class _Piece(NamedTuple):
     """A run ``[start, end)`` of one stream's payload bits that a lock-step
     set lane-decodes; ``start`` is a true code boundary."""
@@ -320,7 +405,7 @@ class _Lanes:
     def __init__(self, w32, pb, set_bits: int, max_lanes: int) -> None:
         self.w32_all = w32
         self.pb = pb
-        self.scratch = np.empty((2, max_lanes), dtype=np.int64)
+        self.scratch = np.empty((3, max_lanes), dtype=np.int64)
         self.slot_marks = np.empty(max_lanes, dtype=np.int32)
         # Set-relative bit positions a lane can reach: the set, the bits
         # before its first byte boundary and the overrun.
@@ -349,16 +434,25 @@ class _Lanes:
         for end in ends:
             self.marks[end : end + 8 * _PAD] = self.gen
 
-    def run(self, pos, slot, steps, shift0, mask, lut_base, stride, mark=False):
-        """Advance the lanes at ``pos`` (in place) by ``steps`` symbols,
-        recording each entry at the lane's ``slot`` (advanced in place by
-        ``stride``) and, with ``mark``, marking each visited position with
-        it.  ``shift0``, ``mask``, ``lut_base`` and ``stride`` are one
-        number for the whole set or one per lane; ``lut_base`` is ``None``
-        when the set decodes against one table."""
+    def run(self, pos, slot, steps, window, stride, groups=None, mark=False):
+        """Advance the lanes at ``pos`` (in place) by ``steps`` steps,
+        recording each step's entry or group record at the lane's ``slot``
+        (advanced in place by ``stride``) and, with ``mark``, marking the
+        position each step starts at with it.
+
+        ``window`` is ``(shift0, mask, base)``: a lane's window is
+        ``32 - shift0`` bits wide (``mask`` keeps them) and its wide table
+        starts at ``base`` in the set's concatenation (``None``: 0).  With
+        ``groups`` = ``(shift, base)`` the step takes groups: the group
+        table index is the window shifted right by ``shift``, plus the
+        group table's base, and a lane whose group window starts with a
+        code that does not fit takes the wide table's entry instead.  Each
+        of these and ``stride`` is one number for the whole set or one per
+        lane."""
         w32, lut, entries = self.w32, self.lut, self.entries
+        shift0, mask, lut_base = window
         n = pos.size
-        q, w = self.scratch[:, :n]
+        q, w, g = self.scratch[:, :n]
         e = self.found[:n]
         if mark:
             marks, gen, m = self.marks, self.gen, self.slot_marks[:n]
@@ -372,18 +466,36 @@ class _Lanes:
             np.subtract(shift0, q, out=q)
             np.right_shift(w, q, out=w)
             np.bitwise_and(w, mask, out=w)
-            if lut_base is not None:
-                np.add(w, lut_base, out=w)
-            lut.take(w, out=e, mode="clip")
-            if self.escapes and e.min() < 0:
-                self._resolve(pos, slot, e)
+            if groups is not None:
+                np.right_shift(w, groups[0], out=g)
+                if groups[1] is not None:
+                    np.add(g, groups[1], out=g)
+                lut.take(g, out=e, mode="clip")
+                if e.min() < 0:
+                    self._resolve(pos, slot, e, w, lut_base)
+            else:
+                if lut_base is not None:
+                    np.add(w, lut_base, out=w)
+                lut.take(w, out=e, mode="clip")
+                if self.escapes and e.min() < 0:
+                    self._resolve(pos, slot, e)
             entries[slot] = e
             np.bitwise_and(e, _STEP_MASK, out=q)
             np.add(pos, q, out=pos)
             np.add(slot, stride, out=slot)
 
-    def _resolve(self, pos, slot, e) -> None:
-        for k in np.flatnonzero(e < 0).tolist():
+    def _resolve(self, pos, slot, e, window=None, base=None) -> None:
+        """Replace the ``-1`` entries of ``e``: with the lanes' ``window``
+        given (a group step), first by the wide table's entry at it plus
+        ``base``; what is left, escapes, by their scalar canonical sweep."""
+        k = np.flatnonzero(e < 0)
+        if window is not None:
+            w = window[k]
+            if base is not None:
+                w += base if np.ndim(base) == 0 else base[k]
+            e[k] = found = self.lut.take(w, mode="clip")
+            k = k[found < 0]
+        for k in k.tolist():
             piece = int(np.searchsorted(self.slot_base, slot[k], side="right")) - 1
             s = self.pieces[piece].stream
             e[k] = _resolve_one(
@@ -431,6 +543,73 @@ def _per_lane(values: list[int], counts: list[int]):
     return np.repeat(np.array(values, dtype=np.int64), counts)
 
 
+def _base(offsets: list[int], counts: list[int]):
+    """Each piece's table base, per set or per lane; ``None`` for 0."""
+    offset = _per_lane(offsets, counts)
+    return None if isinstance(offset, int) and not offset else offset
+
+
+def _window(bits: list[int], offsets: list[int], counts: list[int]) -> list:
+    """The ``(shift0, mask, base)`` of each piece's ``bits``-wide windows
+    into a table at ``offsets``, per set or per lane."""
+    return [
+        _per_lane([32 - b for b in bits], counts),
+        _per_lane([(1 << b) - 1 for b in bits], counts),
+        _base(offsets, counts),
+    ]
+
+
+def _set_tables(pieces: list[_Piece], counts: list[int]):
+    """The step table of a set and how its lanes index it.
+
+    The pieces' group tables, then their single-code tables, concatenated
+    when there is more than one: each lane adds its table's base to its
+    window.  Returns the table, the single-code window, the own-region
+    window followed by its group lookup ``(shift, base)`` (``None`` when
+    no piece takes groups) and each piece's group rows (``None`` for a
+    piece without).  Groups need every table in int32, whose entries stay
+    below ``_GROUP_FLAG``.
+    """
+    streams = {id(p.stream.lut): p.stream for p in pieces}
+    groups = {}
+    if all(s.lut.dtype == np.int32 for s in streams.values()):
+        for key, s in streams.items():
+            steps, rows = s.codec._lane_groups or _NO_GROUPS
+            if steps.size:
+                groups[key] = steps, rows
+    parts = [steps for steps, _ in groups.values()]
+    parts += [s.lut for s in streams.values()]
+    offset = np.cumsum([0] + [t.size for t in parts]).tolist()
+    group_at = dict(zip(groups, offset))
+    single_at = dict(zip(streams, offset[len(groups):]))
+    keys = [id(p.stream.lut) for p in pieces]
+    bits = [p.stream.bits for p in pieces]
+    table = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    single = _window(bits, [single_at[k] for k in keys], counts)
+    if not groups:
+        return table, single, None, [None] * len(pieces)
+    # A group step reads a window of at least _GROUP_BITS: it is the
+    # wide table's when that is wider, and its top bits index the group
+    # table.  A lane without groups indexes its wide table as it is.
+    group_bits = {k: steps.size.bit_length() - 1 for k, (steps, _) in groups.items()}
+    wide = [max(b, group_bits[k]) if k in groups else b for k, b in zip(keys, bits)]
+    own = _window(wide, [single_at[k] for k in keys], counts) + [
+        _per_lane([w - group_bits.get(k, w) for k, w in zip(keys, wide)], counts),
+        _base([group_at.get(k, single_at[k]) for k in keys], counts),
+    ]
+    return table, single, own, [groups[k][1] if k in groups else None for k in keys]
+
+
+def _expand(records: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entries of a run of records, each group record's row in its
+    place.  A single-code record's index runs past the rows and is
+    clipped to the last one, ``[0, -1, ...]``, whose 0 it replaces."""
+    table = rows.take((records ^ _GROUP_FLAG) >> 6, axis=0, mode="clip")
+    np.copyto(table[:, 0], records, where=records < _GROUP_FLAG)
+    table = table.ravel()
+    return table.compress(table >= 0)
+
+
 def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
     """Lane-decode every piece of one lock-step set.
 
@@ -458,32 +637,24 @@ def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
         sizes.append((-(-region // s.min_len) + _CHECK_EVERY + _SYNC_BUDGET + 1) * n)
     # Each piece owns a block of entry slots: ``row * n + lane`` inside it.
     slot_base = np.cumsum(sizes) - sizes
-    # The pieces' tables, concatenated when they differ: each lane then
-    # adds its table's base to its window.
-    tables = {id(p.stream.lut): p.stream.lut for p in pieces}
-    lut, lut_base = pieces[0].stream.lut, None
-    if len(tables) > 1:
-        offset = dict(zip(tables, np.cumsum([0] + [t.size for t in tables.values()])))
-        lut = np.concatenate(list(tables.values()))
-        lut_base = _per_lane([int(offset[id(p.stream.lut)]) for p in pieces], counts)
+    lut, single, own, group_rows = _set_tables(pieces, counts)
     lanes.segment(base, pieces, ends, slot_base, int(sum(sizes)), lut)
     marks, gen, entries = lanes.marks, lanes.gen, lanes.entries
-    params = [
-        _per_lane([32 - p.stream.bits for p in pieces], counts),
-        _per_lane([(1 << p.stream.bits) - 1 for p in pieces], counts),
-        lut_base,
-        _per_lane(counts, counts),
-    ]
-    # Per-lane parameters ride along as extra state rows, so a lane that
-    # leaves the set takes its own with it.
-    varying = [k for k, v in enumerate(params) if isinstance(v, np.ndarray)]
-    extra = [params[k] for k in varying]
+    # A phase's parameters: the window, the stride and, for group steps,
+    # the group lookup.  Per-lane ones ride along as extra state rows, so
+    # a lane that leaves the set takes its own with it.
+    stride = _per_lane(counts, counts)
+    link_prm = [*single, stride]
+    own_prm = [*own[:3], stride, *own[3:]] if own else link_prm
 
-    def step(st, row0, steps, mark=False):
-        prm = list(params)
-        for r, k in enumerate(varying):
+    def varying(prm):
+        return [k for k, v in enumerate(prm) if isinstance(v, np.ndarray)]
+
+    def step(st, row0, prm, steps, mark=False):
+        prm = list(prm)
+        for r, k in enumerate(varying(prm)):
             prm[k] = st[row0 + r]
-        lanes.run(st[0], st[1], steps, *prm, mark=mark)
+        lanes.run(st[0], st[1], steps, prm[:3], prm[3], prm[4:] or None, mark=mark)
 
     # Own regions: step until every lane has crossed into the next one.
     # Lanes that have leave the set at the next look, so none strays more
@@ -492,10 +663,11 @@ def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
     lane_ids = np.arange(n_lanes, dtype=np.int64)
     first_lane = np.cumsum(counts) - counts
     slot0 = lane_ids + np.repeat(slot_base - first_lane, counts)
+    extra = [own_prm[k] for k in varying(own_prm)]
     st = np.vstack([np.concatenate(lo), slot0, lane_ids, np.concatenate(hi), *extra])
     left_at = np.empty((2, n_lanes), dtype=np.int64)
     while st.shape[1]:
-        step(st, 4, _CHECK_EVERY, mark=True)
+        step(st, 4, own_prm, _CHECK_EVERY, mark=True)
         live = st[0] < st[3]
         if live.all():
             continue
@@ -507,7 +679,7 @@ def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
     # link = (position, slot) where each lane linked; position -1: never.
     link = np.empty((2, n_lanes), dtype=np.int64)
     link[0] = -1
-    st = np.vstack([left_at, lane_ids, *extra])
+    st = np.vstack([left_at, lane_ids, *(link_prm[k] for k in varying(link_prm))])
     for _ in range(_SYNC_BUDGET):
         hit = marks[st[0]] >= gen
         if hit.any():
@@ -516,7 +688,7 @@ def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
             st = st.compress(~hit, axis=1)
             if not st.shape[1]:
                 break
-        step(st, 3, 1)
+        step(st, 3, link_prm, 1)
 
     # Per piece, the true path: lane 0 from its first slot to its link,
     # the lane it links to from the linked slot (the one marked at the
@@ -524,7 +696,9 @@ def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
     # lane links into another piece: a pre-marked end lies in between.
     target_all = np.subtract(marks[np.maximum(link[0], 0)], gen, dtype=np.int64)
     decoded = []
-    for p, n, l0, sb, end in zip(pieces, counts, first_lane.tolist(), slot_base.tolist(), ends):
+    for p, n, l0, sb, end, rows in zip(
+        pieces, counts, first_lane.tolist(), slot_base.tolist(), ends, group_rows
+    ):
         at, linked = link[:, l0 : l0 + n]
         target = target_all[l0 : l0 + n] - sb
         nxt = target % n
@@ -543,6 +717,8 @@ def _lane_set(lanes: _Lanes, pieces: list[_Piece]) -> list[bool]:
         idx *= n
         idx += np.repeat(first - starts * n + sb, cnt)
         ent = entries[idx]
+        if rows is not None:
+            ent = _expand(ent, rows)
         s = p.stream
         pos = base + int(at[path[-1]]) - s.base
         while pos > s.total_bits:  # decoded from the padding, or running into it
@@ -593,6 +769,14 @@ def _segments(lanes: _Lanes, s: _Stream) -> None:
             return
 
 
+def _windows32(buf: np.ndarray) -> np.ndarray:
+    """The big-endian 32-bit window starting at every byte of ``buf`` but
+    the last three, as int64: four overlapping bytes per row, read as one
+    ``>u4`` and widened in one pass."""
+    rows = as_strided(buf, (buf.size - 3, 4), (1, 1), writeable=False)
+    return rows.view(">u4")[:, 0].astype(np.int64)
+
+
 def decode_symbols(items) -> list:
     """Decode every ``(codec, payload, n_symbols)`` of ``items`` in one batch.
 
@@ -626,11 +810,7 @@ def decode_symbols(items) -> list:
         (s for s in streams if s.rank == 0), key=lambda s: s.base
     ))
     if sets or long:
-        # Built in place: one buffer-sized int64 array, no temporaries.
-        w32 = buf[:-3].astype(np.int64)
-        for k in (1, 2, 3):
-            w32 <<= 8
-            w32 |= buf[k : buf.size - 3 + k]
+        w32 = _windows32(buf)
         set_bits = [p[-1].stream.base + p[-1].end - p[0].stream.base for p in sets]
         set_lanes = [sum(p.n_lanes for p in pieces) for pieces in sets]
         lanes = _Lanes(
@@ -638,6 +818,7 @@ def decode_symbols(items) -> list:
             max(set_bits + [s.seg_bits + 8 for s in long]),
             max(set_lanes + [s.seg_bits // s.region_bits for s in long]),
         )
+        _build_groups([p.stream for pieces in sets for p in pieces] + long)
         for pieces in sets:
             _lane_set(lanes, pieces)
         for s in long:

@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 
+from repro.encoding.huffman import HuffmanCodec
 from repro.errors import ReproError
 from repro.kernels import forced, huffman_fast
 
@@ -18,6 +19,11 @@ TINY_LANES = {
     "_SEGMENT_BITS": 256,
     "_SYNC_BUDGET": 24,
 }
+
+# Group steps for every lane-decoded table that can take them, however
+# few codes its window is predicted to hold; and for none.
+GROUPS = {"_MIN_GROUP_CODES": 0}
+SINGLE_STEPS = {"_MIN_GROUP_CODES": float("inf")}
 
 
 @contextmanager
@@ -58,3 +64,39 @@ def matches_reference(codec, payload, n, fast):
     assert ref[0] == fast[0]
     if ref[0] == "ok":
         assert ref[1] == fast[1]
+
+
+@contextmanager
+def own_region_steps():
+    """Count the lane steps taken in own regions while the block runs:
+    ``{"group": ..., "single": ...}``, one per lane per step."""
+    counts = {"group": 0, "single": 0}
+    run = huffman_fast._Lanes.run
+
+    def counted(self, pos, slot, steps, window, stride, groups=None, mark=False):
+        if mark:
+            counts["single" if groups is None else "group"] += pos.size * steps
+        return run(self, pos, slot, steps, window, stride, groups, mark)
+
+    huffman_fast._Lanes.run = counted
+    try:
+        yield counts
+    finally:
+        huffman_fast._Lanes.run = run
+
+
+def group_steps_match(codec, payload, n):
+    """Group steps, single-code steps and the chain walk agree on value,
+    class and message (bit position included); the reference twin on
+    value and class.  Each decode gets a fresh codec over the table, so
+    no cached table carries over from one setting to the next."""
+
+    def decode(**constants):
+        fresh = HuffmanCodec(codec.table)
+        with forced("fast"), lane_constants(**constants):
+            return outcome(lambda: fresh.decode(payload, n))
+
+    grouped = decode(**GROUPS)
+    assert grouped == decode(**SINGLE_STEPS) == decode(**CHAIN_WALK_ONLY)
+    matches_reference(codec, payload, n, grouped)
+    return grouped

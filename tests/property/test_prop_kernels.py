@@ -33,7 +33,9 @@ from repro.sz.pqd import pqd_compress, pqd_decompress
 from repro.sz.wavefront_index import interior_wavefronts
 from tests.lanes import (
     CHAIN_WALK_ONLY,
+    GROUPS,
     TINY_LANES,
+    group_steps_match,
     lane_constants,
     matches_reference,
     outcome,
@@ -203,6 +205,82 @@ def test_huffman_batch_equals_the_per_item_loop(draws, seed, share, mode):
     else:
         assert batch == ("ok", b"".join(o[1] for o in alone))
         assert sum(sizes) * 8 == len(batch[1])
+
+
+def _skewed(n, p, seed):
+    """``n`` geometric symbols: short codes, one bit for the top symbol
+    at high ``p`` -- streams whose lanes take group steps."""
+    return np.random.default_rng(seed).geometric(p, n).astype(np.int64)
+
+
+@given(
+    st.integers(min_value=2, max_value=3000),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["clean", "flip", "truncate", "append", "lower"]),
+    st.sampled_from([3, 6, 10, 12]),
+)
+@settings(max_examples=120, deadline=None)
+def test_huffman_group_steps_same_outcome(n, p, seed, damage, width):
+    """Group steps forced on at several window widths, lane constants
+    shrunk: value, exception class and message equal the single-code
+    steps' and the chain walk's, value and class the reference twin's."""
+    symbols = _skewed(n, p, seed)
+    codec = HuffmanCodec(HuffmanTable.from_symbols(symbols))
+    payload, _ = codec.encode(symbols)
+    rng = np.random.default_rng(seed)
+    bad = bytearray(payload)
+    if damage == "flip":
+        for _ in range(min(3, len(bad))):
+            bad[rng.integers(len(bad))] ^= 1 << rng.integers(8)
+    elif damage == "truncate":
+        bad = bad[: max(1, len(bad) - int(rng.integers(1, 6)))]
+    elif damage == "append":
+        bad += rng.integers(0, 256, 5, dtype=np.uint8).tobytes()
+        n += int(rng.integers(0, 12))
+    elif damage == "lower":
+        n = max(1, n - int(rng.integers(1, n + 1)))
+    with lane_constants(**TINY_LANES, _GROUP_BITS=width):
+        group_steps_match(codec, bytes(bad), n)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=40, max_value=400),
+            st.sampled_from([0.1, 0.5, 0.9, None]),  # None: a flat alphabet
+            st.sampled_from(["clean", "clean", "flip", "truncate"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["fast", "reference"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_huffman_group_batches_equal_the_per_item_loop(draws, seed, mode):
+    """Lock-step sets mixing group-step and single-code streams decode to
+    exactly the per-item loop, or raise what the first failing item
+    alone raises, class and message."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for n, p, damage in draws:
+        symbols = rng.integers(0, 200, n) if p is None else _skewed(n, p, seed + n)
+        items.append(_batch_item("whole", symbols, damage, rng))
+    shrunk = {
+        **TINY_LANES, "_SHARED_MIN_SYMBOLS": 32, "_LANE_MIN_SYMBOLS": 64,
+        "_LANES": 64, "_SEGMENT_BITS": 1024, **GROUPS,
+    }
+    with forced(mode), lane_constants(**shrunk):
+        alone = [outcome(lambda c=c, p=p, n=n: c.decode(p, n)) for c, p, n in items]
+        batch = outcome(
+            lambda: np.concatenate([np.empty(0, np.int64), *decode_many(items)])
+        )
+    failed = [o for o in alone if o[0] != "ok"]
+    if failed:
+        assert batch == failed[0]
+    else:
+        assert batch == ("ok", b"".join(o[1] for o in alone))
 
 
 @given(

@@ -599,8 +599,12 @@ class TestHuffmanBatch:
             got = decode_many(items)
         assert [g.tobytes() for g in got] == [s.tobytes() for s in streams]
         assert handed_over == [0] * 8  # the lanes decoded every stream whole
-        # one set of all eight, decoding against their tables concatenated
-        tables = {id(c): huffman_fast._lane_lut(c).size for c, _, _ in items}
+        # one set of all eight, decoding against their tables concatenated:
+        # the wide ones and the group tables of those that take groups
+        tables = {
+            id(c): huffman_fast._lane_lut(c).size + c._lane_groups[0].size
+            for c, _, _ in items
+        }
         assert len(tables) == (1 if share else 8)
         assert sets == [(8, sum(tables.values()))]
 
