@@ -44,6 +44,11 @@ shares):
   it each fixed-cost piece takes (the rANS table remap, the histogram,
   the gzip floor, the rANS step loop) and the gzip attempts that reach
   the LZ77 parse, losing and winning;
+* **32 small-job rANS streams, decode vs encode CPU**: the fast
+  ``rans.decode`` and ``rans.encode`` twins on the ``wavesz-dp-rans``
+  small-job streams (24-60 lanes) and on ``lib_fields``' 2 048-lane
+  ``cesm.TS`` stream, alternated stream by stream, best of the passes:
+  ms per stream for each twin and the decode/encode ratio;
 * **end-to-end** compress/decompress of 1D/2D/3D fields with per-stage
   attribution from ``measure_compressor(stage_timing=True)``.
 
@@ -55,9 +60,10 @@ the lanes take more than 0.5 own-region steps per symbol on a fixed
 1-bit-dominant stream (a count, so it holds on any runner), the 8-band
 batch below 1.2x of the per-band decode, the bulk reconstruct
 below 2x of its oracle, the clean speculative sweep below 1.3x of its
-checked path, the packer above 64 minor page faults per call or any
-losing gzip attempt on the small-job fields reaching the parse** — the
-CI perf gate.
+checked path, the packer above 64 minor page faults per call, any
+losing gzip attempt on the small-job fields reaching the parse or the
+small-job rANS decode above 2.2x the CPU of its encode twin (a ratio in
+one run, so it holds on any runner)** — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -116,6 +122,10 @@ PARSE_SIZES = (2048, 16384, 100_000)
 SMALL_SEED = 1  # the ledger's default seed
 LOST_PARSE_GATE = 0  # losing gzip attempts on the small-job fields that parse
 OBD_GATE = 0.5  # own-region lane steps per symbol, 1-bit-dominant stream
+RANS_RATIO_GATE = 2.2  # small-job rANS decode CPU over encode CPU, same run
+RANS_CODEC = "wavesz-dp-rans"
+RANS_LIB_FIELD = "cesm.TS"  # lib_fields' field with a 2 048-lane stream
+RANS_LIB_LANES = 2048
 OBD_SEED = 3
 OBD_SYMBOLS = 200_000
 
@@ -530,6 +540,70 @@ def _small_jobs(repeats: int) -> dict:
     return row
 
 
+def _rans_decode_vs_encode(repeats: int) -> dict:
+    """CPU per stream of the fast ``rans.decode`` and ``rans.encode`` twins
+    on the 32 ``wavesz-dp-rans`` small-job streams, and on the 2 048-lane
+    stream of ``lib_fields``' ``cesm.TS`` (both at the ledger's default
+    seed).
+
+    The streams are captured from a decompress of each payload; the two
+    twins alternate stream by stream, best of the passes per stream."""
+    rans_decode = dispatch._REGISTRY["rans.decode"]
+    fast_decode = rans_decode.fast
+    calls: list = []
+
+    def captured(*args):
+        calls.append(args)
+        return fast_decode(*args)
+
+    small_plan = e2e_inputs.plan_for(e2e_spec.SMALL, SMALL_SEED)
+    small = [
+        f for c, f in zip(small_plan["codecs"], e2e_inputs.small_fields(small_plan))
+        if c == RANS_CODEC
+    ]
+    label, ds, name, scale, rows = next(
+        f for f in e2e_inputs.LIB_FIELDS if f[0] == RANS_LIB_FIELD
+    )
+    recipe = e2e_inputs.plan_for(e2e_spec.LIB, SMALL_SEED)["recipes"][label]
+    ts = e2e_inputs.Recipe(**recipe).apply(e2e_inputs.base_field(ds, name, scale, rows))
+    codec = get_codec(RANS_CODEC)
+    groups = {}
+    with forced("fast"), mock.patch.object(rans_decode, "_fast", captured):
+        for key, fields in (("small", small), ("lib_ts", [ts])):
+            calls.clear()
+            for field in fields:
+                codec.decompress(codec.compress(field, EB, MODE))
+            groups[key] = list(calls)
+    groups["lib_ts"] = [a for a in groups["lib_ts"] if a[1].size == RANS_LIB_LANES]
+    encode = dispatch._REGISTRY["rans.encode"].fast
+    row: dict = {"seed": SMALL_SEED}
+    for key, streams in groups.items():
+        twins = []
+        for stream, states, m, freqs, cum, slot_map in streams:
+            dec_args = (stream, states, m, freqs, cum, slot_map)
+            enc_args = (fast_decode(*dec_args), freqs, cum, states.size)
+            if encode(*enc_args)[1] != stream:
+                raise AssertionError(f"rANS twins disagree on a {key} stream")
+            twins.append((enc_args, dec_args))
+        best = np.full((len(twins), 2), np.inf)
+        for _ in range(repeats + 8):
+            for k, args in enumerate(twins):
+                for j, fn in enumerate((encode, fast_decode)):
+                    t0 = time.process_time()
+                    fn(*args[j])
+                    best[k, j] = min(best[k, j], time.process_time() - t0)
+        enc_ms, dec_ms = best[:, 0] * 1e3, best[:, 1] * 1e3
+        row[key] = {
+            "streams": len(twins),
+            "lanes": [min(a[1][1].size for a in twins), max(a[1][1].size for a in twins)],
+            "tokens": int(sum(a[1][2] for a in twins)),
+            "encode_ms": [float(enc_ms.min()), float(enc_ms.max())],
+            "decode_ms": [float(dec_ms.min()), float(dec_ms.max())],
+            "ratio": float(dec_ms.sum() / max(enc_ms.sum(), 1e-12)),
+        }
+    return row
+
+
 def _speculation_on_and_off(repeats: int) -> dict:
     """The fast compress sweep on a narrow view, checked vs speculative."""
     view = FIELDS["3d Hurricane.CLOUDf48"]()[:20].reshape(20, -1)
@@ -626,6 +700,7 @@ def run(smoke: bool = False) -> dict:
     parse_rows = _parse_by_size(repeats)
     sweep_rows = _speculation_on_and_off(repeats)
     small_jobs = _small_jobs(repeats)
+    rans_twins = _rans_decode_vs_encode(repeats)
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
 
     report = {
@@ -643,6 +718,7 @@ def run(smoke: bool = False) -> dict:
         "lz77_parse": parse_rows,
         "narrow_sweep": sweep_rows,
         "small_jobs": small_jobs,
+        "rans_decode_vs_encode": rans_twins,
         "end_to_end": e2e,
     }
 
@@ -738,6 +814,26 @@ def run(smoke: bool = False) -> dict:
         f"{small_jobs['gzip_parses']['lost']} losing (gate {LOST_PARSE_GATE}), "
         f"{small_jobs['gzip_parses']['won']} winning"
     )
+    widths_r = (22, 8, 8, 16, 16, 8)
+    lines += [
+        "",
+        f"{rans_twins['small']['streams']} small-job rANS streams, decode vs "
+        f"encode CPU (seed {rans_twins['seed']}; ms per stream, best of passes)",
+        fmt_row(("streams", "lanes", "tokens", "encode ms", "decode ms",
+                 "ratio"), widths_r),
+    ]
+    for key, r in (("small-job", rans_twins["small"]),
+                   (RANS_LIB_FIELD, rans_twins["lib_ts"])):
+        lines.append(fmt_row(
+            (f"{key} x{r['streams']}",
+             "-".join(str(n) for n in sorted(set(r["lanes"]))),
+             r["tokens"],
+             "{:.3f}-{:.3f}".format(*r["encode_ms"]),
+             "{:.3f}-{:.3f}".format(*r["decode_ms"]),
+             f"{r['ratio']:.2f}x"),
+            widths_r,
+        ))
+    lines.append(f"(gate: small-job decode <= {RANS_RATIO_GATE}x encode CPU)")
     lines += ["", "end to end (byte-identical payloads verified)"]
     widths_e = (24, 10, 10, 8, 10, 10, 8)
     lines.append(fmt_row(
@@ -825,6 +921,12 @@ def run(smoke: bool = False) -> dict:
                 f"{lost} losing gzip attempts on the small-job fields reached "
                 f"the LZ77 parse (gate {LOST_PARSE_GATE})"
             )
+        ratio = rans_twins["small"]["ratio"]
+        if ratio > RANS_RATIO_GATE:
+            failures.append(
+                f"small-job rANS decode {ratio:.2f}x the encode CPU "
+                f"(gate {RANS_RATIO_GATE}x)"
+            )
         if failures:
             raise AssertionError("perf gate: " + "; ".join(failures))
     return report
@@ -844,8 +946,9 @@ if __name__ == "__main__":
         "symbol on a 1-bit-dominant stream, the 8-band batch < 1.2x of the "
         "per-band decode, the bulk reconstruct < 2x of its oracle, the "
         "speculative sweep < 1.3x of its checked path, the packer > 64 "
-        "minor page faults per call or a losing gzip attempt on the "
-        "small-job fields reaches the LZ77 parse",
+        "minor page faults per call, a losing gzip attempt on the "
+        "small-job fields reaches the LZ77 parse or the small-job rANS "
+        "decode takes > 2.2x the CPU of its encode twin",
     )
     args = ap.parse_args()
     try:

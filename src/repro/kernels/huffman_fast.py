@@ -124,12 +124,14 @@ def _chunk_entries(
     total_bits: int,
     dec,
     maxlen: int,
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, bytearray]:
     """Decode entries for bit positions ``[lo, hi)`` of the padded buffer.
 
-    Returns the entry array plus the per-position step list the walk
-    iterates over.  Valid steps are code lengths in ``[1, 57]``; the
-    sentinels surface as steps ``63`` (``-1 & 63``, escape) and ``62``
+    Returns the entry array plus the per-position steps the walk
+    iterates over, one byte each: indexing a ``bytearray`` costs what
+    indexing a list does, without a list of one Python int per payload
+    bit.  Valid steps are code lengths in ``[1, 57]``; the sentinels
+    surface as steps ``63`` (``-1 & 63``, escape) and ``62``
     (``-2 & 63``, exhausted), which no real code length can reach.
     """
     fast_bits = dec.fast_bits
@@ -157,7 +159,7 @@ def _chunk_entries(
             > total_bits
         )
         tail[over] = -2
-    return entry, (entry & _STEP_MASK).tolist()
+    return entry, bytearray((entry & _STEP_MASK).astype(np.uint8))
 
 
 def _resolve_one(pb: bytes, pos: int, dec, table, first: int) -> int:

@@ -53,8 +53,9 @@ fast path's preconditions (multi-layer stencils, quantizers with
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
-from functools import lru_cache
+from collections import OrderedDict
 from struct import pack, unpack
 
 import numpy as np
@@ -74,13 +75,61 @@ _SPEC_REARM = 16  # clean checked fronts in a row before speculating again
 _SPEC_POINTS = 1 << 15  # scratch bound: points per chunk
 
 
-@lru_cache(maxsize=8)
-def _sweep_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
-    """Shape-derived constants of a sweep, cached like the wavefront index.
+_PLAN_BYTES = 128 << 20  # bound on the bytes the cached plans hold
+# Python objects a wavefront adds to a plan besides its index data: its
+# index array and gather view (~120 + ~128 bytes), their list slots and
+# its segment bound.  On a 1D plan, one front per point, they are most
+# of it (measured with tracemalloc: ~300 bytes a front).
+_FRONT_BYTES = 300
 
-    Returns ``(offsets, signs, fronts, all_idx, bounds, gidx, max_n)``
-    where ``gidx[a:b]`` is the ``(n, m)`` neighbour-gather index block
-    of the wavefront spanning ``all_idx[a:b]``.
+
+class _PlanCache:
+    """LRU map ``(eff_shape, margin, layers) -> plan`` under a byte bound.
+
+    A bound on entries thrashes on a mix of many small shapes (the
+    small-job workload cycles 16 through the sweep) while letting a few
+    large ones pin hundreds of MB; a bound on the bytes the plans hold
+    keeps every small plan and no more large ones than fit.
+    A plan larger than the whole bound is built and not kept.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self._lock = threading.Lock()
+        self._plans: OrderedDict[tuple, tuple[tuple, int]] = OrderedDict()
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def __call__(self, eff_shape: tuple[int, ...], margin: int, layers: int):
+        key = (eff_shape, margin, layers)
+        with self._lock:
+            if key in self._plans:
+                self.hits += 1
+                self._plans.move_to_end(key)
+                return self._plans[key][0]
+            self.misses += 1
+        plan, size = _build_plan(eff_shape, margin, layers)
+        with self._lock:
+            if key not in self._plans and size <= self.max_bytes:
+                self._plans[key] = plan, size
+                self.nbytes += size
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self._plans.popitem(last=False)[1][1]
+        return plan
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+            self.nbytes = self.hits = self.misses = 0
+
+
+def _build_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
+    """Shape-derived constants of a sweep and the bytes they hold.
+
+    The plan is ``(offsets, signs, fronts, all_idx, bounds, gblocks,
+    max_n)`` where ``gblocks[k]`` is the ``(n, m)`` neighbour-gather
+    index block of the k-th wavefront, a view of one gather matrix.
     """
     offsets, signs = neighbor_offsets(eff_shape, layers)
     fronts = interior_wavefronts(eff_shape, margin)
@@ -94,7 +143,14 @@ def _sweep_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
     gidx = all_idx[:, None] - offsets
     # Per-front views of the gather matrix, so the loop never re-slices.
     gblocks = [gidx[a:b] for a, b in zip(bounds, bounds[1:])]
-    return offsets, signs, fronts, all_idx, bounds, gblocks, max(sizes, default=0)
+    held = sum(a.nbytes for a in (offsets, signs, all_idx, gidx, *fronts))
+    held += _FRONT_BYTES * len(fronts)
+    plan = offsets, signs, fronts, all_idx, bounds, gblocks, max(sizes, default=0)
+    return plan, held
+
+
+#: The shape-derived constants of a sweep, cached like the wavefront index.
+_sweep_plan = _PlanCache(_PLAN_BYTES)
 
 
 def _round_scalar(dtype: np.dtype):

@@ -17,14 +17,17 @@ is a pure function of its state (``0`` if ``x >= 2^23``, ``1`` if
   off the kept states after the loop, and the stream is one masked
   ravel of ``(steps, lanes, 2)`` byte/flag matrices (the reference's
   reversed flat buffer read in forward order).
-* **decode** — per-slot symbol, frequency and ``slot - cum`` tables
-  are built once, so a step's symbols and transform are three gathers,
-  a shift, a multiply and an add; the per-lane byte need comes from the
-  thresholds above, ``cumsum(need)`` gives each lane's offset into the
-  byte stream, and both candidate bytes are taken (clipped, from a
-  zero-padded buffer) and merged arithmetically — no data dependence
-  between lanes inside a step, and every op writes into scratch
-  preallocated once.
+* **decode** — per-slot frequency and ``slot - cum`` tables are built
+  once, so a step's transform is a mask, two gathers, a shift, a
+  multiply and an add; each step writes its slots into its row of the
+  output, and one gather through the slot map turns them all into
+  symbols after the loop.  The byte need is one clipped lookup on
+  ``x >> 15``; one ``add.accumulate`` over ``[pos, need...]`` gives
+  each lane's first byte and the step's end; a lane's one or two bytes
+  are one gather from a word-per-byte array of the stream, merged as
+  ``(x << 16 | word) >> (16 - 8 * need)``.  That is 14 NumPy calls on
+  int64 scratch allocated once, plus a scalar store and read, where
+  the step used to make 24 (``docs/PERF.md``, "The small read").
 """
 
 from __future__ import annotations
@@ -101,6 +104,17 @@ def encode_stream(
     return x[0], low16[np.flatnonzero(emit)].tobytes()
 
 
+# Bytes a lane needs after the decode transform, indexed by x >> 15 and
+# read with mode="clip": 2 below 2^15 (index 0), 1 below RANS_L (1..255),
+# 0 from RANS_L up (every index >= 256 clips to the last entry).
+_NEED = np.ones((RANS_L >> 15) + 1, dtype=np.int64)
+_NEED[0] = 2
+_NEED[-1] = 0
+# Bits of the 16-bit word read at a lane's first byte that it does not
+# take: 16 - 8 * need, under the same index.
+_DROP = 16 - 8 * _NEED
+
+
 def decode_stream(
     stream: bytes,
     states: np.ndarray,
@@ -109,67 +123,80 @@ def decode_stream(
     cum: np.ndarray,
     slot_map: np.ndarray,
 ) -> np.ndarray:
-    """Interleaved rANS decode, vectorized across lanes per step."""
+    """Interleaved rANS decode, vectorized across lanes per step.
+
+    ``states`` must lie in the coder interval ``[RANS_L, 2^31)``
+    (:func:`repro.rans.coder.decode_tokens` checks it): then no lane
+    ever needs more than two bytes in a step.
+    """
     total_bytes = len(stream)
-    # Zero-padded by two so a lane's two byte reads never leave the buffer.
-    buf = np.zeros(total_bytes + 2, dtype=np.int64)
-    buf[:total_bytes] = np.frombuffer(stream, dtype=np.uint8)
-    x = states.astype(np.int64, copy=True)
-    n_lanes = x.size
-    out = np.empty(m, dtype=np.int64)
-    # Per slot: the symbol, its frequency, and slot - cum[symbol] -- the
-    # decode transform is then two gathers, a shift, a multiply and an add.
+    # words[k] is the big-endian 16-bit word starting at stream byte k,
+    # zero past the end: a lane's one or two bytes in a single gather.
+    data = np.frombuffer(stream, dtype=np.uint8)
+    words = np.zeros(total_bytes + 1, dtype=np.int64)
+    words[:total_bytes] = data
+    words <<= 8
+    words[: total_bytes - 1] |= data[1:]
+    slot_map = np.asarray(slot_map, dtype=np.int64)
     slot_freq = np.asarray(freqs, dtype=np.int64)[slot_map]
-    slot_bias = np.arange(PROB_SCALE, dtype=np.int64) - cum[slot_map]
-    slots, f, need, at, b1, b2 = np.empty((6, n_lanes), dtype=np.int64)
-    low = np.empty(n_lanes, dtype=bool)
+    slot_bias = np.arange(PROB_SCALE, dtype=np.int64)
+    slot_bias -= np.asarray(cum, dtype=np.int64)[slot_map]
+    lanes = states.astype(np.int64, copy=True)
+    n_lanes = lanes.size
+    # Every op in the loop is int64 into scratch allocated here, with
+    # array operands: a NumPy scalar operand costs a conversion per call,
+    # a Python int more.  The constants are full rows for that reason.
+    scratch = np.empty((8, n_lanes), dtype=np.int64)
+    scratch[4:] = [[PROB_SCALE - 1], [PROB_BITS], [15], [16]]
+    # at_full[0] holds the stream position, the lanes' needs follow: one
+    # accumulate gives each lane's first byte and, last, the step's end.
+    at_full = np.zeros(n_lanes + 1, dtype=np.int64)
+    need, first = at_full[1:], at_full[:-1]
+    accumulate = np.add.accumulate
+    out = np.empty(m, dtype=np.int64)
+    # Each step writes its slots (x & 4095) into its row of out; one
+    # gather through slot_map turns them into symbols after the loop.
+    rows = [out[base : base + n_lanes] for base in range(0, m, n_lanes)]
+    x, f, hi, word, drop, mask, twelve, fifteen, sixteen = lanes, *scratch
     pos = 0
-    for base in range(0, m, n_lanes):
-        hi = min(n_lanes, m - base)
-        if hi < n_lanes:  # the last step: only its first hi lanes decode
-            slots, f, need, at, b1, b2, low = (
-                a[:hi] for a in (slots, f, need, at, b1, b2, low)
+    for slots in rows:
+        if slots.size < n_lanes:  # the last step: only its first lanes decode
+            k = slots.size
+            x, f, hi, word, drop, mask, twelve, fifteen, sixteen = (
+                a[:k] for a in (x, f, hi, word, drop, mask, twelve, fifteen, sixteen)
             )
-        xs = x[:hi]
-        np.bitwise_and(xs, PROB_SCALE - 1, out=slots)
-        slot_map.take(slots, out=out[base:base + hi])
-        slot_freq.take(slots, out=f)
-        np.right_shift(xs, PROB_BITS, out=xs)
-        np.multiply(xs, f, out=xs)
-        np.add(xs, slot_bias.take(slots, out=f), out=xs)
-        # Bytes a lane needs: 1 below RANS_L, 2 below 2^15 (never more).
-        np.less(xs, RANS_L, out=low)
-        np.copyto(need, low)
-        np.less(xs, 1 << 15, out=low)
-        np.add(need, low, out=need)
-        np.cumsum(need, out=at)
-        total = int(at[-1])
-        if not total:
+            at_full = at_full[: k + 1]
+            need, first = at_full[1:], at_full[:-1]
+        np.bitwise_and(x, mask, out=slots)
+        slot_freq.take(slots, out=f, mode="clip")
+        np.right_shift(x, twelve, out=x)
+        np.multiply(x, f, out=x)
+        slot_bias.take(slots, out=f, mode="clip")
+        np.add(x, f, out=x)
+        np.right_shift(x, fifteen, out=hi)
+        _NEED.take(hi, out=need, mode="clip")
+        at_full[0] = pos
+        accumulate(at_full, out=at_full)
+        end = at_full.item(-1)
+        if end == pos:
             continue
-        if pos + total > total_bytes:
+        if end > total_bytes:
             raise RansError("rANS byte stream exhausted mid-decode")
-        # at -> each lane's first byte; both reads are merged as one 16-bit
-        # word whose top 16 - 8 * need bits are shifted out.
-        np.subtract(at, need, out=at)
-        np.add(at, pos, out=at)
-        buf.take(at, out=b1, mode="clip")
-        np.add(at, 1, out=at)
-        buf.take(at, out=b2, mode="clip")
-        np.left_shift(b1, 8, out=b1)
-        np.bitwise_or(b1, b2, out=b1)
-        np.left_shift(need, 3, out=need)
-        np.left_shift(xs, need, out=xs)
-        np.subtract(16, need, out=need)
-        np.right_shift(b1, need, out=b1)
-        np.bitwise_or(xs, b1, out=xs)
-        pos += total
+        # x << 16 | word takes both candidate bytes; shifting the ones a
+        # lane does not need back out leaves x << 8 * need | its bytes.
+        words.take(first, out=word, mode="clip")
+        _DROP.take(hi, out=drop, mode="clip")
+        np.left_shift(x, sixteen, out=x)
+        np.bitwise_or(x, word, out=x)
+        np.right_shift(x, drop, out=x)
+        pos = end
     if pos != total_bytes:
         raise RansError(
             f"rANS stream carries {total_bytes - pos} trailing bytes"
         )
-    if (x != RANS_L).any():
+    if (lanes != RANS_L).any():
         raise RansError("rANS lanes do not terminate at the coder lower bound")
-    return out
+    return slot_map.take(out, out=out, mode="clip")
 
 
 def collapse_runs(

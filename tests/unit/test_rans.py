@@ -42,6 +42,7 @@ from repro.rans import (
     should_rle,
 )
 from repro.streams import decompress_auto
+from tests.small_jobs import captured_calls, small_jobs
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -350,6 +351,127 @@ class TestDecodeDamageParity:
             bad[at] ^= 0x5A
             outcomes.add(self.same(bytes(bad), table, 301)[0])
         assert outcomes <= {"ok", "RansError"} and "RansError" in outcomes
+
+
+def _twins(stream, states, m, table):
+    """``rans_fast.decode_stream`` and the scalar ``_decode_reference``,
+    called directly: the same symbol indices or the same RansError text."""
+    args = (
+        stream, np.asarray(states, dtype=np.int64), m,
+        table.freqs, table.cum(), table.slot_map(),
+    )
+
+    def run(decode):
+        try:
+            return ("ok", decode(*args).tobytes())
+        except RansError as err:
+            return ("RansError", str(err))
+
+    got = run(rans_fast.decode_stream)
+    assert got == run(coder._decode_reference)
+    return got
+
+
+def _damage_matches(stream, states, m, table, cuts=None):
+    """Truncations, one extra byte and a lane state off ``RANS_L`` raise
+    the reference's text in the fast step too."""
+    for cut in range(len(stream)) if cuts is None else cuts:
+        got = _twins(stream[:cut], states, m, table)
+        assert got[0] == "RansError"
+    assert _twins(stream + b"\x00", states, m, table)[0] == "RansError"
+    off = np.array(states, dtype=np.int64)
+    off[-1] += 1  # still inside the coder interval
+    assert _twins(stream, off, m, table)[0] == "RansError"
+
+
+def _encoded(idx, table, n_lanes):
+    return coder._encode_reference(
+        np.asarray(idx, dtype=np.int64), table.freqs, table.cum(), n_lanes
+    )
+
+
+_SKEWED = RansTable.from_counts(np.arange(6), np.array([4000, 600, 90, 9, 2, 1]))
+_SKEWED_P = [0.4, 0.2, 0.1, 0.1, 0.1, 0.1]
+
+
+class TestFastDecodeStep:
+    """The fast decode step against the scalar reference twin, called
+    directly (so every case holds under either ``REPRO_KERNELS`` mode):
+    same symbols on clean streams, same ``RansError`` text on damaged
+    ones."""
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 24, 37, 60, 1271, 2048])
+    def test_lane_counts_with_a_ragged_last_step(self, n_lanes):
+        m = 3 * n_lanes + max(1, n_lanes // 2)  # the last step leaves lanes idle
+        assert n_lanes == 1 or m % n_lanes
+        idx = np.random.default_rng(n_lanes).choice(6, size=m, p=_SKEWED_P)
+        states, stream = _encoded(idx, _SKEWED, n_lanes)
+        assert _twins(stream, states, m, _SKEWED) == ("ok", idx.tobytes())
+        cuts = None if n_lanes <= 60 else range(0, len(stream), len(stream) // 16)
+        _damage_matches(stream, states, m, _SKEWED, cuts)
+
+    def test_forged_header_with_more_lanes_than_tokens(self):
+        m, n_lanes = 7, 40
+        idx = np.random.default_rng(5).choice(6, size=m, p=_SKEWED_P)
+        states, stream = _encoded(idx, _SKEWED, n_lanes)
+        assert (states[m:] == coder.RANS_L).all()
+        assert _twins(stream, states, m, _SKEWED) == ("ok", idx.tobytes())
+        _damage_matches(stream, states, m, _SKEWED)
+        blob = struct.pack("<I", n_lanes) + states.astype("<u4").tobytes() + stream
+        assert _decode_outcome("fast", blob, _SKEWED, m) == _decode_outcome(
+            "reference", blob, _SKEWED, m
+        ) == ("ok", _SKEWED.symbols[idx].tobytes())
+
+    def test_every_lane_needs_two_bytes_every_other_step(self):
+        # Nothing but a frequency-1 symbol: each token shifts 12 bits into
+        # a lane, so the steps alternate one- and two-byte renorms on
+        # every lane at once.
+        n_lanes, n_steps = 24, 10
+        table = RansTable(symbols=np.arange(2), freqs=np.array([PROB_SCALE - 1, 1]))
+        idx = np.ones(n_lanes * n_steps - 5, dtype=np.int64)
+        states, stream = _encoded(idx, table, n_lanes)
+        assert len(stream) > 1.4 * idx.size
+        assert _twins(stream, states, idx.size, table) == ("ok", idx.tobytes())
+        _damage_matches(stream, states, idx.size, table)
+
+    def test_steps_where_no_lane_needs_a_byte(self):
+        # A 4095/4096 symbol barely moves a state: whole streams of it
+        # carry no byte at all, and one rare symbol in one lane makes the
+        # only steps that read.
+        n_lanes = 37
+        table = RansTable(symbols=np.arange(2), freqs=np.array([PROB_SCALE - 1, 1]))
+        quiet = np.zeros(n_lanes * 12 + 3, dtype=np.int64)
+        states, stream = _encoded(quiet, table, n_lanes)
+        assert stream == b""
+        assert _twins(stream, states, quiet.size, table) == ("ok", quiet.tobytes())
+        rare = quiet.copy()
+        rare[[5, 5 + 4 * n_lanes, 5 + 9 * n_lanes]] = 1
+        states, stream = _encoded(rare, table, n_lanes)
+        assert 0 < len(stream) <= 6
+        assert _twins(stream, states, rare.size, table) == ("ok", rare.tobytes())
+        _damage_matches(stream, states, rare.size, table)
+
+    def test_the_small_job_rans_streams(self):
+        calls = captured_calls("rans.decode", ("wavesz-dp-rans",))
+        assert len(calls) == 32
+        assert {args[1].size for args in calls} <= set(range(24, 61))
+        for k, (stream, states, m, freqs, cum, slot_map) in enumerate(calls):
+            table = RansTable(symbols=np.arange(freqs.size), freqs=freqs)
+            assert (table.slot_map() == slot_map).all()
+            assert _twins(stream, states, m, table)[0] == "ok"
+            if k % 8 == 0:
+                cuts = range(0, len(stream), 97)
+                _damage_matches(stream, states, m, table, cuts)
+
+    def test_small_job_payloads_decode_identically_in_both_modes(self):
+        for codec, _, payload in small_jobs():
+            if codec != "wavesz-dp-rans":
+                continue
+            with forced("fast"):
+                fast = decompress_auto(payload)
+            with forced("reference"):
+                ref = decompress_auto(payload)
+            assert fast.tobytes() == ref.tobytes()
 
 
 class TestRle:
