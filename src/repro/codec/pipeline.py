@@ -173,9 +173,6 @@ class StagePipeline:
         self._run(self.stages, "forward", [ctx])
         return ctx
 
-    def run_inverse(self, payload: bytes | Container) -> PipelineContext:
-        return self.run_inverse_many([payload])[0]
-
     def run_inverse_many(
         self, payloads: list[bytes | Container]
     ) -> list[PipelineContext]:

@@ -120,11 +120,5 @@ class LoopPartition:
             "tail": len(self.tail_columns),
         }
 
-    def total_points(self) -> int:
-        return self.d0 * self.d1
-
     def interior_points(self) -> int:
         return (self.d0 - 1) * (self.d1 - 1)
-
-    def border_points(self) -> int:
-        return self.total_points() - self.interior_points()

@@ -53,13 +53,12 @@ fast path's preconditions (multi-layer stencils, quantizers with
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from struct import pack, unpack
 
 import numpy as np
 
+from ..lru import BoundedLRU
 from ..sz.lorenzo import neighbor_offsets
 from ..sz.wavefront_index import interior_wavefronts
 
@@ -81,47 +80,6 @@ _PLAN_BYTES = 128 << 20  # bound on the bytes the cached plans hold
 # its segment bound.  On a 1D plan, one front per point, they are most
 # of it (measured with tracemalloc: ~300 bytes a front).
 _FRONT_BYTES = 300
-
-
-class _PlanCache:
-    """LRU map ``(eff_shape, margin, layers) -> plan`` under a byte bound.
-
-    A bound on entries thrashes on a mix of many small shapes (the
-    small-job workload cycles 16 through the sweep) while letting a few
-    large ones pin hundreds of MB; a bound on the bytes the plans hold
-    keeps every small plan and no more large ones than fit.
-    A plan larger than the whole bound is built and not kept.
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, tuple[tuple, int]] = OrderedDict()
-        self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __call__(self, eff_shape: tuple[int, ...], margin: int, layers: int):
-        key = (eff_shape, margin, layers)
-        with self._lock:
-            if key in self._plans:
-                self.hits += 1
-                self._plans.move_to_end(key)
-                return self._plans[key][0]
-            self.misses += 1
-        plan, size = _build_plan(eff_shape, margin, layers)
-        with self._lock:
-            if key not in self._plans and size <= self.max_bytes:
-                self._plans[key] = plan, size
-                self.nbytes += size
-                while self.nbytes > self.max_bytes:
-                    self.nbytes -= self._plans.popitem(last=False)[1][1]
-        return plan
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.nbytes = self.hits = self.misses = 0
 
 
 def _build_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
@@ -149,8 +107,24 @@ def _build_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
     return plan, held
 
 
-#: The shape-derived constants of a sweep, cached like the wavefront index.
-_sweep_plan = _PlanCache(_PLAN_BYTES)
+#: ``(eff_shape, margin, layers) -> plan``, bounded by the bytes the plans
+#: hold.  A bound on entries thrashes on a mix of many small shapes (the
+#: small-job workload cycles 16 through the sweep) while letting a few
+#: large ones pin hundreds of MB; a bound on bytes keeps every small plan
+#: and no more large ones than fit.  A plan larger than the whole bound
+#: is built and not kept.
+_plans = BoundedLRU(max_cost=_PLAN_BYTES)
+
+
+def _sweep_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
+    """The shape-derived constants of a sweep, from :data:`_plans` or
+    built outside its lock (a racing build of the same key is harmless)."""
+    key = (eff_shape, margin, layers)
+    plan = _plans.get(key)
+    if plan is None:
+        plan, size = _build_plan(eff_shape, margin, layers)
+        _plans.put(key, plan, size)
+    return plan
 
 
 def _round_scalar(dtype: np.dtype):

@@ -495,7 +495,6 @@ def run_batch(
     block: bool = True,
     transport: str = "auto",
     batch_bytes: int = 0,
-    scheduler_kwargs: dict | None = None,
 ) -> tuple[list[JobResult | None], ServiceStats]:
     """Run a batch end-to-end and return (results, final stats).
 
@@ -516,7 +515,6 @@ def run_batch(
             max_retries=max_retries,
             transport=transport,
             batch_bytes=batch_bytes,
-            **(scheduler_kwargs or {}),
         )
         results: list[JobResult | None] = [None] * len(jobs)
         async with sched:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from collections import OrderedDict
 from typing import Any, Callable
 
 from .. import __version__
 from ..errors import QueueFullError, ReproError, ServiceError
+from ..lru import BoundedLRU
 from . import wire
 from .client import ServiceClient
 from .metrics import MetricsRegistry
@@ -61,9 +61,9 @@ class WireServer:
         self._conns: set[asyncio.StreamWriter] = set()
         self._draining = False
         # request-id → Future[response frame]; in-flight entries dedup
-        # concurrent replays, completed entries answer late ones.
-        self._idem: OrderedDict[str, asyncio.Future] = OrderedDict()
-        self._idem_bytes = 0  # response bytes the completed entries hold
+        # concurrent replays, completed entries answer late ones.  An
+        # entry costs the bytes of its response, nothing while in flight.
+        self._idem = BoundedLRU(max_entries=_IDEM_CACHE, max_cost=_IDEM_CACHE_BYTES)
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -181,11 +181,11 @@ class WireServer:
             self.metrics.incr("server.idem_hits")
             return await asyncio.shield(fut)
         fut = asyncio.get_running_loop().create_future()
-        self._idem[req_id] = fut
+        self._idem.put(req_id, fut)
         try:
             response = await self._answer(op, header, body)
         except BaseException as exc:
-            self._idem.pop(req_id, None)  # do not cache a non-answer
+            self._idem.pop(req_id)  # do not cache a non-answer
             if not fut.done():
                 fut.set_exception(exc)
                 fut.exception()  # consumed: avoid the never-retrieved log
@@ -193,14 +193,7 @@ class WireServer:
         if not fut.done():
             fut.set_result(response)
             if self._idem.get(req_id) is fut:
-                self._idem_bytes += len(response)
-        while self._idem and (
-            len(self._idem) > _IDEM_CACHE
-            or self._idem_bytes > _IDEM_CACHE_BYTES
-        ):
-            _, old = self._idem.popitem(last=False)
-            if old.done() and not old.cancelled() and old.exception() is None:
-                self._idem_bytes -= len(old.result())
+                self._idem.put(req_id, fut, len(response))
         return response
 
     async def _answer(self, op: Op | None, header: dict, body: Any) -> bytes:

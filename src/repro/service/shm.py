@@ -46,13 +46,13 @@ import atexit
 import os
 import secrets
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
 
 from ..errors import ServiceError
+from ..lru import BoundedLRU
 from .jobs import CompressionJob
 from .workers import run_job
 
@@ -174,12 +174,6 @@ class ShmArena:
         """Total bytes mapped by this arena (leased + pooled)."""
         with self._lock:
             return sum(s.size for s in self._segments.values())
-
-    @property
-    def leased_bytes(self) -> int:
-        """Bytes of segments currently leased to in-flight work."""
-        with self._lock:
-            return sum(s.size for s in self._segments.values() if s.refs > 0)
 
     @property
     def leased_segments(self) -> int:
@@ -399,7 +393,15 @@ class ShmArena:
 # re-maps nothing.  Names are never reused by an arena, so a cached
 # mapping can never alias a different segment.
 
-_attachments: OrderedDict[str, Any] = OrderedDict()
+
+def _close_mapping(name: str, shm: Any) -> None:
+    try:
+        shm.close()
+    except (OSError, BufferError):  # pragma: no cover - view still live
+        pass
+
+
+_attachments = BoundedLRU(max_entries=_ATTACH_CACHE_SLOTS, on_evict=_close_mapping)
 
 
 class _no_tracking:
@@ -444,17 +446,9 @@ def _open_untracked(name: str, *, create: bool = False, size: int = 0) -> Any:
 
 def _attach(name: str) -> Any:
     shm = _attachments.get(name)
-    if shm is not None:
-        _attachments.move_to_end(name)
-        return shm
-    shm = _open_untracked(name)
-    _attachments[name] = shm
-    while len(_attachments) > _ATTACH_CACHE_SLOTS:
-        _, old = _attachments.popitem(last=False)
-        try:
-            old.close()
-        except (OSError, BufferError):  # pragma: no cover - view still live
-            pass
+    if shm is None:
+        shm = _open_untracked(name)
+        _attachments.put(name, shm)
     return shm
 
 

@@ -65,7 +65,6 @@ from ..service.wire import check_response
 from ..store.cache import DEFAULT_CACHE_BYTES
 from ..store.store import (
     GCResult,
-    ManifestMemo,
     StoreReadResult,
     TileStore,
     manifest_digest,
@@ -142,9 +141,6 @@ class ShardGateway(TileStore):
         self._failovers: dict[str, int] = dict.fromkeys(self.map.shard_ids, 0)
         #: blobs the current read's bulk prefetch already holds
         self._prefetched: dict[str, bytes] = {}
-        #: name -> (manifest, digest) this handle last saw win; a read
-        #: serves it only once every owner confirms it (:meth:`manifest`)
-        self._manifests = ManifestMemo()
 
     # -- construction ------------------------------------------------------
 
@@ -428,7 +424,7 @@ class ShardGateway(TileStore):
                 raise r
         manifest["version"] = (max(versions) + 1) if versions else 1
 
-        self._manifests.drop(name)
+        self._manifests.pop(name)
         m_results = self._ask("store_put_manifest", dict.fromkeys(
             m_owners, {"name": name, "manifest": manifest}
         ))

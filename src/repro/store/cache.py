@@ -8,23 +8,23 @@ share one cache entry: a warm read of dataset B can be served entirely
 by tiles decoded for dataset A.
 
 The budget is in bytes of decoded array data, not entry count, because
-tile sizes vary wildly with field shape.  Eviction is straight LRU.
-Counters (hits / misses / evictions / resident bytes) are kept locally
-and, when a :class:`~repro.service.metrics.MetricsRegistry` is attached,
-mirrored into its gauges under ``store.cache.*`` on every mutation — the
-gauges register at construction (all zero) so a metrics snapshot is
-meaningful before the first read arrives.
+tile sizes vary wildly with field shape.  Eviction is straight LRU
+(:class:`~repro.lru.BoundedLRU`).  Counters (hits / misses / evictions /
+resident bytes) are kept locally and, when a
+:class:`~repro.service.metrics.MetricsRegistry` is attached, mirrored
+into its gauges under ``store.cache.*`` on every mutation — the gauges
+register at construction (all zero) so a metrics snapshot is meaningful
+before the first read arrives.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..lru import BoundedLRU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..service.metrics import MetricsRegistry
@@ -36,7 +36,7 @@ __all__ = ["TileCache"]
 DEFAULT_CACHE_BYTES = 64 << 20
 
 
-class TileCache:
+class TileCache(BoundedLRU):
     """LRU ``digest -> decoded ndarray`` map under a byte budget."""
 
     def __init__(
@@ -48,37 +48,22 @@ class TileCache:
     ) -> None:
         if max_bytes < 0:
             raise ConfigError(f"cache budget must be >= 0, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.resident_bytes = 0
+        super().__init__(max_cost=int(max_bytes))
         self._metrics = metrics
         self._prefix = gauge_prefix
         self._publish()  # register the gauge series before first traffic
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    @property
+    def max_bytes(self) -> int:
+        return self.max_cost
 
-    def __contains__(self, digest: object) -> bool:
-        """Membership only: no hit or miss counted, no LRU touch — for a
-        caller deciding what to fetch before the counting lookups run."""
-        with self._lock:
-            return digest in self._entries
-
-    # -- core --------------------------------------------------------------
+    @property
+    def resident_bytes(self) -> int:
+        return self.cost
 
     def get(self, digest: str) -> np.ndarray | None:
         """Look up a decoded tile; counts a hit or a miss."""
-        with self._lock:
-            tile = self._entries.get(digest)
-            if tile is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._entries.move_to_end(digest)
+        tile = super().get(digest)
         self._publish()
         return tile
 
@@ -92,34 +77,17 @@ class TileCache:
         """
         tile = np.ascontiguousarray(tile)
         tile.setflags(write=False)
-        with self._lock:
-            old = self._entries.pop(digest, None)
-            if old is not None:
-                self.resident_bytes -= old.nbytes
-            if tile.nbytes <= self.max_bytes:
-                self._entries[digest] = tile
-                self.resident_bytes += tile.nbytes
-                while self.resident_bytes > self.max_bytes:
-                    _, evicted = self._entries.popitem(last=False)
-                    self.resident_bytes -= evicted.nbytes
-                    self.evictions += 1
+        super().put(digest, tile, tile.nbytes)
         self._publish()
 
     def discard(self, digest: str) -> None:
         """Drop one entry (e.g. its object was just garbage-collected)."""
-        with self._lock:
-            tile = self._entries.pop(digest, None)
-            if tile is not None:
-                self.resident_bytes -= tile.nbytes
+        self.pop(digest)
         self._publish()
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.resident_bytes = 0
+        super().clear()
         self._publish()
-
-    # -- observation -------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
         """Point-in-time counter values (also mirrored as gauges)."""
@@ -128,9 +96,9 @@ class TileCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "resident_bytes": self.resident_bytes,
+                "resident_bytes": self.cost,
                 "entries": len(self._entries),
-                "max_bytes": self.max_bytes,
+                "max_bytes": self.max_cost,
             }
 
     def _publish(self) -> None:

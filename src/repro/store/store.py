@@ -59,7 +59,6 @@ import json
 import os
 import re
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -71,6 +70,7 @@ from ..codec.registry import REGISTRY, get_codec
 from ..errors import ChecksumError, ContainerError, ReproError, StoreError
 from ..faults.fsim import OsFileSystem
 from ..io.container import Container
+from ..lru import BoundedLRU
 from ..parallel import band_outcomes, decode_band, plan_bands
 from ..streams import check_field
 from ..tiling import TileGrid, normalize_slices
@@ -114,38 +114,6 @@ def manifest_digest(m: dict[str, Any]) -> str:
     manifest"."""
     return hashlib.sha256(json.dumps(m, sort_keys=True).encode()).hexdigest()
 
-
-class ManifestMemo:
-    """A bounded LRU ``name -> entry`` of manifests a handle has parsed
-    (:class:`ArrayStore`) or validated (:class:`repro.shard.ShardGateway`).
-
-    It only remembers; whoever reads an entry proves it still current.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Any] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, name: str) -> Any:
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is not None:
-                self._entries.move_to_end(name)
-            return entry
-
-    def put(self, name: str, entry: Any) -> None:
-        with self._lock:
-            self._entries[name] = entry
-            self._entries.move_to_end(name)
-            while len(self._entries) > MANIFEST_MEMO_ENTRIES:
-                self._entries.popitem(last=False)
-
-    def drop(self, name: str) -> None:
-        with self._lock:
-            self._entries.pop(name, None)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -457,6 +425,10 @@ class TileStore:
         #: the counter the "slice decodes only overlapping tiles" and
         #: "warm reads decode nothing" guarantees are asserted against.
         self.decode_calls = 0
+        #: name -> the manifest this handle last parsed or saw win (see each
+        #: layer's :meth:`manifest`).  It only remembers; whoever reads an
+        #: entry proves it still current.
+        self._manifests = BoundedLRU(max_entries=MANIFEST_MEMO_ENTRIES)
 
     # -- the object layer ---------------------------------------------------
 
@@ -671,8 +643,6 @@ class ArrayStore(TileStore):
         # two threads putting tiles that dedup against each other race:
         # one put's rollback deletes objects the other has counted on.
         self._lock = threading.Lock()
-        #: name -> (file identity, manifest, digest); see :meth:`manifest`
-        self._manifests = ManifestMemo()
         #: what the opening recovery pass found (empty on a clean store)
         self.recovery = RecoveryResult()
         if recover:
@@ -799,7 +769,7 @@ class ArrayStore(TileStore):
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
 
-            self._manifests.drop(name)
+            self._manifests.pop(name)
 
             # Phase 3: commit — the journal entry disappears, then we ack.
             self._durable_unlink(jpath)
@@ -921,7 +891,7 @@ class ArrayStore(TileStore):
             try:
                 self._durable_unlink(path)
             finally:
-                self._manifests.drop(name)
+                self._manifests.pop(name)
 
     # -- shard-facing primitives -------------------------------------------
     #
@@ -1007,7 +977,7 @@ class ArrayStore(TileStore):
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
             finally:
-                self._manifests.drop(name)
+                self._manifests.pop(name)
 
     # -- recovery ----------------------------------------------------------
 
@@ -1035,7 +1005,7 @@ class ArrayStore(TileStore):
             elif mpath.exists():
                 self._durable_unlink(mpath)
         finally:
-            self._manifests.drop(name)
+            self._manifests.pop(name)
         refs = self._referenced_tolerant()
         for digest in entry.get("new_tiles", ()):
             if not isinstance(digest, str) or not _DIGEST_RE.match(digest):

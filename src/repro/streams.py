@@ -88,9 +88,7 @@ def header_int(h: dict, key: str, *, lo: int | None = 0, hi: int | None = None) 
     return v
 
 
-def header_shape(
-    h: dict, key: str = "shape", *, max_points: int = MAX_FIELD_POINTS
-) -> tuple[int, ...]:
+def header_shape(h: dict, key: str = "shape") -> tuple[int, ...]:
     """Read and sanity-check a shape tuple from a payload header."""
     if key not in h:
         raise ContainerError(f"header missing field {key!r}")
@@ -103,9 +101,9 @@ def header_shape(
         if isinstance(d, bool) or not isinstance(d, int) or d <= 0:
             raise ContainerError(f"bad dimension {d!r} in header {key!r}")
         points *= d
-        if points > max_points:
+        if points > MAX_FIELD_POINTS:
             raise ContainerError(
-                f"header {key!r} declares more than {max_points} points"
+                f"header {key!r} declares more than {MAX_FIELD_POINTS} points"
             )
         shape.append(d)
     return tuple(shape)

@@ -201,17 +201,19 @@ class TestIdempotency:
         keeps the newest frames that fit its byte cap."""
         import repro.service.server as server_module
 
+        assert server._idem.max_cost == server_module._IDEM_CACHE_BYTES
+        assert server._idem.max_entries == server_module._IDEM_CACHE
         big = np.cumsum(
             np.random.default_rng(7).normal(size=(128, 256)), axis=1
         ).astype(np.float32)
         cap = 5 * big.nbytes // 2  # room for two decompress responses
-        monkeypatch.setattr(server_module, "_IDEM_CACHE_BYTES", cap)
+        monkeypatch.setattr(server._idem, "max_cost", cap)
         with ServiceClient(port=server.port) as c:
             payload, _ = c.compress(big, "sz14", eb=1e-3)
             for _ in range(8):
                 assert c.decompress(payload).shape == big.shape
-        held = [f.result() for f in server._idem.values() if f.done()]
-        assert sum(len(r) for r in held) == server._idem_bytes <= cap
+        held = [f.result() for f, _ in server._idem._entries.values() if f.done()]
+        assert sum(len(r) for r in held) == server._idem.cost <= cap
         assert sum(len(r) > big.nbytes for r in held) == 2
 
     def test_health_op(self, server):

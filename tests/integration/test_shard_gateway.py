@@ -683,7 +683,7 @@ class TestManifestMemoBound:
     ):
         monkeypatch.setattr(store_module, "MANIFEST_MEMO_ENTRIES", 2)
         names = [f"bound-{i}.ts" for i in range(3)]
-        # its own cluster: a ManifestMemo trims only inside put, so a shard
+        # its own cluster: a manifest memo trims only inside put, so a shard
         # of the shared one that owns none of these names (placement
         # follows the ephemeral ports) would still hold the earlier tests'
         # entries from under the default bound

@@ -13,6 +13,7 @@ import pytest
 
 from repro.codec.registry import get_codec
 from repro.kernels import forced, pqd_fast
+from repro.lru import BoundedLRU
 from tests.small_jobs import EB, MODE, small_jobs
 
 # The plans lib_fields' sweeps ask for: sz14 on the four fields, waveSZ
@@ -20,18 +21,28 @@ from tests.small_jobs import EB, MODE, small_jobs
 LIB_SHAPES = [(360, 720), (361, 721), (20, 10000), (21, 101, 101), (32, 4096), (33, 65, 65)]
 
 
+def _fresh(monkeypatch, bound: int = pqd_fast._PLAN_BYTES) -> BoundedLRU:
+    """An empty plan cache under ``bound``, in place of the module's."""
+    cache = BoundedLRU(max_cost=bound)
+    monkeypatch.setattr(pqd_fast, "_plans", cache)
+    return cache
+
+
 @pytest.fixture
-def fresh_cache():
-    pqd_fast._sweep_plan.clear()
-    yield pqd_fast._sweep_plan
-    pqd_fast._sweep_plan.clear()
+def fresh_cache(monkeypatch):
+    return _fresh(monkeypatch)
 
 
-def test_second_cycle_over_the_small_shapes_hits_every_time(fresh_cache):
+def test_the_module_cache_is_bounded_by_plan_bytes():
+    assert pqd_fast._plans.max_cost == pqd_fast._PLAN_BYTES == 128 << 20
+    assert pqd_fast._plans.max_entries is None
+
+
+def test_second_cycle_over_the_small_shapes_hits_every_time(monkeypatch):
     fields = [field for codec, field, _ in small_jobs() if codec == "sz14"]
     assert len({f.shape for f in fields}) == 16
     codec = get_codec("sz14")
-    fresh_cache.clear()  # drawing the jobs compressed them
+    fresh_cache = _fresh(monkeypatch)  # drawing the jobs compressed them
     with forced("fast"):
         for field in fields:
             codec.compress(field, EB, MODE)
@@ -45,48 +56,47 @@ def test_second_cycle_over_the_small_shapes_hits_every_time(fresh_cache):
 
 def test_every_lib_fields_plan_stays_after_one_pass(fresh_cache):
     for shape in LIB_SHAPES:
-        fresh_cache(shape, 1, 1)
+        pqd_fast._sweep_plan(shape, 1, 1)
     assert fresh_cache.misses == 6 and fresh_cache.hits == 0
-    assert fresh_cache.nbytes <= fresh_cache.max_bytes
+    assert fresh_cache.cost <= fresh_cache.max_cost
     for shape in LIB_SHAPES:
-        fresh_cache(shape, 1, 1)
+        pqd_fast._sweep_plan(shape, 1, 1)
     assert fresh_cache.hits == 6 and fresh_cache.misses == 6
 
 
-def test_cached_bytes_never_exceed_the_bound():
+def test_cached_bytes_never_exceed_the_bound(monkeypatch):
     shapes = [(24 + 3 * i, 64 + 4 * i) for i in range(12)] + [(40, 50, 30)]
     sizes = {s: pqd_fast._build_plan(s, 1, 1)[1] for s in shapes}
     # a plan holds at least its gather matrix: 8 bytes per point per offset
     assert sizes[(24, 64)] >= 8 * 23 * 63 * 3
     bound = 3 * max(sizes.values())
-    cache = pqd_fast._PlanCache(bound)
+    cache = _fresh(monkeypatch, bound)
     rng = np.random.default_rng(7)
     for k in rng.integers(len(shapes), size=60).tolist():
         shape = shapes[k]
-        plan = cache(shape, 1, 1)
+        plan = pqd_fast._sweep_plan(shape, 1, 1)
         ref = pqd_fast._build_plan(shape, 1, 1)[0]
         assert (plan[3] == ref[3]).all() and plan[4] == ref[4]
-        assert cache.nbytes <= bound
-        assert cache.nbytes == sum(sizes[key[0]] for key in cache._plans)
-        assert next(reversed(cache._plans))[0] == shape  # most recent last
+        assert cache.cost <= bound
+        keys = list(cache._entries)
+        assert cache.cost == sum(sizes[key[0]] for key in keys)
+        assert keys[-1][0] == shape  # most recent last
     assert cache.hits and cache.misses
 
 
-def test_a_plan_larger_than_the_bound_is_built_and_not_kept():
-    cache = pqd_fast._PlanCache(1 << 10)
-    plan = cache((60, 80), 1, 1)
+def test_a_plan_larger_than_the_bound_is_built_and_not_kept(monkeypatch):
+    cache = _fresh(monkeypatch, 1 << 10)
+    plan = pqd_fast._sweep_plan((60, 80), 1, 1)
     assert plan[-1] > 0
-    assert cache.nbytes == 0 and not cache._plans
-    cache((60, 80), 1, 1)
+    assert cache.cost == 0 and not len(cache)
+    pqd_fast._sweep_plan((60, 80), 1, 1)
     assert cache.misses == 2 and cache.hits == 0
 
 
-def test_least_recently_used_goes_first():
+def test_least_recently_used_goes_first(monkeypatch):
     small = [(30, 40), (31, 41), (32, 42)]
     sizes = [pqd_fast._build_plan(s, 1, 1)[1] for s in small]
-    cache = pqd_fast._PlanCache(sizes[0] + sizes[1] + sizes[2] - 1)
-    cache(small[0], 1, 1)
-    cache(small[1], 1, 1)
-    cache(small[0], 1, 1)  # now the second is the oldest
-    cache(small[2], 1, 1)
-    assert [key[0] for key in cache._plans] == [small[0], small[2]]
+    cache = _fresh(monkeypatch, sizes[0] + sizes[1] + sizes[2] - 1)
+    for shape in (small[0], small[1], small[0], small[2]):
+        pqd_fast._sweep_plan(shape, 1, 1)  # the third call makes the second oldest
+    assert [key[0] for key in cache._entries] == [small[0], small[2]]

@@ -15,11 +15,7 @@ from repro.parallel import tile_compress, tile_decompress
 from repro.service.metrics import MetricsRegistry
 from repro.store import ArrayStore, TileCache, manifest_digest
 from repro.store import store as store_module
-from repro.store.store import (
-    MANIFEST_FORMAT,
-    MANIFEST_MEMO_ENTRIES,
-    ManifestMemo,
-)
+from repro.store.store import MANIFEST_FORMAT, MANIFEST_MEMO_ENTRIES
 
 
 @pytest.fixture()
@@ -518,19 +514,20 @@ class TestManifestMemo:
                 store.manifest("ts")
         assert not store.manifest_unchanged("ts", manifest_digest(good))
 
-    def test_the_memo_is_bounded_and_evicts_the_oldest(self):
-        memo = ManifestMemo()
+    def test_the_memo_is_bounded_and_evicts_the_oldest(self, store):
+        memo = store._manifests
+        assert memo.max_entries == MANIFEST_MEMO_ENTRIES
         for i in range(MANIFEST_MEMO_ENTRIES):
             memo.put(f"n{i}", i)
         assert memo.get("n0") == 0  # touched: now the most recent
         memo.put("one-more", -1)
         assert len(memo) == MANIFEST_MEMO_ENTRIES
         assert memo.get("n1") is None and memo.get("n0") == 0
-        memo.drop("n0")
+        memo.pop("n0")
         assert memo.get("n0") is None and len(memo) == MANIFEST_MEMO_ENTRIES - 1
 
     def test_an_evicted_name_still_reads(self, store, smooth2d, monkeypatch):
-        monkeypatch.setattr(store_module, "MANIFEST_MEMO_ENTRIES", 2)
+        monkeypatch.setattr(store._manifests, "max_entries", 2)
         for i in range(3):
             store.put(f"f{i}", smooth2d + np.float32(i), "sz14", 1e-3, n_tiles=2)
         expect = [store.read(f"f{i}").data for i in range(3)]
