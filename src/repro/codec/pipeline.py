@@ -29,7 +29,7 @@ from typing import Any, Collection, Iterable, Mapping, Protocol, Sequence, runti
 import numpy as np
 
 from ..config import ErrorBound, ErrorBoundMode, QuantizerConfig
-from ..errors import ConfigError, ContainerError, ReproError, ShapeError, decode_guard
+from ..errors import ConfigError, ContainerError, ReproError, ShapeError, decode_guard, raise_first
 from ..io.container import Container
 from ..perf.stages import active_recorder
 from ..streams import FIELD_DIMS, build_stats, check_field
@@ -338,21 +338,38 @@ class PipelineCompressor:
     def decompress_many(
         self, payloads: Sequence[CompressedField | bytes | Container]
     ) -> list[np.ndarray]:
-        """Reconstruct several payloads as one batch: a stage with an
-        ``inverse_many`` (the entropy decode) runs once for all of them.
+        """Reconstruct several payloads as one batch.
 
         Equal to ``[self.decompress(p) for p in payloads]``, errors
-        included: a batch that raises is decoded again one payload at a
-        time, in order, so what it raises is what the first payload that
-        fails raises alone.
+        included: it raises what the first payload that fails raises
+        alone (:meth:`decompress_outcomes`).
+        """
+        return raise_first(self.decompress_outcomes(payloads))
+
+    def decompress_outcomes(
+        self, payloads: Sequence[CompressedField | bytes | Container]
+    ) -> list:
+        """One entry per payload: its reconstruction, or the
+        :class:`ReproError` it raises decoded alone.
+
+        The payloads decode as one batch: a stage with an
+        ``inverse_many`` (the entropy decode) runs once for all of them.
+        A batch that raises is decoded again one payload at a time to
+        find out which fail; a batch of one is not decoded twice.
         """
         raw = [p.payload if isinstance(p, CompressedField) else p for p in payloads]
         try:
             return self._reconstruct(raw)
-        except ReproError:
+        except ReproError as exc:
             if len(raw) == 1:
-                raise
-        return [self._reconstruct([p])[0] for p in raw]
+                return [exc]
+        out: list = []
+        for p in raw:
+            try:
+                out += self._reconstruct([p])
+            except ReproError as exc:
+                out.append(exc)
+        return out
 
     def _reconstruct(self, payloads: list[bytes | Container]) -> list[np.ndarray]:
         with decode_guard(f"{self.name} payload"):

@@ -34,8 +34,10 @@ import numpy as np
 
 from ..config import ErrorBoundMode, QuantizerConfig, resolve_error_bound
 from ..encoding.huffman import HuffmanCodec, HuffmanTable, decode_many
-from ..errors import ConfigError, ContainerError
+from ..errors import ConfigError, ContainerError, raise_first
 from ..kernels import resolve as resolve_kernel
+from ..lossless.deflate import deflate, inflate_outcomes
+from ..lossless.lz77 import LZ77Encoder
 from ..perf.stages import active_recorder
 from ..rans import (
     RansTable,
@@ -68,7 +70,6 @@ from .spec import ENTROPY_BACKENDS
 
 if TYPE_CHECKING:
     from ..io.container import Container
-    from ..lossless import GzipStage
     from .pipeline import PipelineContext
 
 __all__ = [
@@ -101,9 +102,12 @@ def _substage(name: str) -> "ContextManager[None]":
     return recorder.stage(name) if recorder is not None else nullcontext()
 
 
+#: The lossless stage: gzip at best_speed, as SZ-1.4 runs it (paper §4.1).
+_GZIP = LZ77Encoder.best_speed()
+
+
 def put_section(
     container: "Container",
-    lossless: "GzipStage",
     name: str,
     raw: bytes,
     flag: str,
@@ -118,7 +122,7 @@ def put_section(
     one reader of what this writes.  The attempt gets ``len(raw)`` as
     its budget, so one that cannot win stops before it builds a stream.
     """
-    gz = lossless.compress(raw, budget=len(raw)) if raw else None
+    gz = deflate(raw, _GZIP, budget=len(raw)) if raw else None
     use_gz = gz is not None
     stored = gz if gz is not None else raw
     container.add(gz_name if use_gz and gz_name else name, stored)
@@ -128,7 +132,6 @@ def put_section(
 
 def take_section(
     container: "Container",
-    lossless: "GzipStage",
     name: str,
     flag: str,
     *,
@@ -143,14 +146,11 @@ def take_section(
     container is left as parsed: one ``Container`` decodes any number of
     times.
     """
-    return take_sections(
-        [container], lossless, name, flag, gz_name=gz_name, required=required
-    )[0]
+    return take_sections([container], name, flag, gz_name=gz_name, required=required)[0]
 
 
 def take_sections(
     containers: "list[Container]",
-    lossless: "GzipStage",
     name: str,
     flag: str,
     *,
@@ -166,7 +166,7 @@ def take_sections(
         use_gz = bool(h[flag] if required else h.get(flag))
         stored.append(container.get(gz_name if use_gz and gz_name else name))
         gzipped.append(use_gz)
-    inflated = iter(lossless.decompress_many([s for s, g in zip(stored, gzipped) if g]))
+    inflated = iter(raise_first(inflate_outcomes([s for s, g in zip(stored, gzipped) if g])))
     return [next(inflated) if g else s for s, g in zip(stored, gzipped)]
 
 
@@ -375,23 +375,18 @@ class DualQuantValuesStage:
 
     name = "values"
 
-    def __init__(self, lossless: "GzipStage") -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: "PipelineContext") -> None:
         pre = ctx.require("dq_pre")
         outlier_deltas = ctx.require("dq_outlier_deltas")
         ctx.outlier_bytes = put_section(
-            ctx.container, self.lossless, "outliers",
+            ctx.container, "outliers",
             outlier_deltas.astype("<i8").tobytes(), "outliers_gzipped",
         )
         raw_stream = (
             pre.raw_idx.astype("<i8").tobytes()
             + values_to_bytes(pre.raw_values)
         )
-        ctx.extra_bytes += put_section(
-            ctx.container, self.lossless, "raw_points", raw_stream, "raw_gzipped"
-        )
+        ctx.extra_bytes += put_section(ctx.container, "raw_points", raw_stream, "raw_gzipped")
         ctx.n_unpredictable = int(outlier_deltas.size) + pre.n_raw
         ctx.n_border = 0
 
@@ -400,9 +395,7 @@ class DualQuantValuesStage:
         n_out = header_int(h, "n_outliers", hi=MAX_FIELD_POINTS)
         n_raw = header_int(h, "n_raw", hi=MAX_FIELD_POINTS)
         dtype = header_dtype(h)
-        out_raw = take_section(
-            ctx.container, self.lossless, "outliers", "outliers_gzipped"
-        )
+        out_raw = take_section(ctx.container, "outliers", "outliers_gzipped")
         if len(out_raw) < n_out * 8:
             raise ContainerError(
                 f"outlier-delta stream holds {len(out_raw)} bytes, "
@@ -411,9 +404,7 @@ class DualQuantValuesStage:
         ctx.artifacts["dq_outlier_deltas"] = np.frombuffer(
             out_raw, dtype="<i8", count=n_out
         ).astype(np.int64)
-        raw_stream = take_section(
-            ctx.container, self.lossless, "raw_points", "raw_gzipped"
-        )
+        raw_stream = take_section(ctx.container, "raw_points", "raw_gzipped")
         need = n_raw * (8 + np.dtype(dtype).itemsize)
         if len(raw_stream) < need:
             raise ContainerError(
@@ -439,9 +430,6 @@ class PwRelForwardStage:
 
     name = "pw_rel_log"
 
-    def __init__(self, lossless: "GzipStage") -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: "PipelineContext") -> None:
         if ctx.bound.mode is ErrorBoundMode.PW_REL:
             transform = forward_log2(ctx.data)
@@ -451,8 +439,8 @@ class PwRelForwardStage:
     def inverse(self, ctx: "PipelineContext") -> None:
         if ctx.bound.mode is not ErrorBoundMode.PW_REL:
             return
-        neg = take_section(ctx.container, self.lossless, "pw_negative", "pw_neg_gz")
-        zero = take_section(ctx.container, self.lossless, "pw_zero", "pw_zero_gz")
+        neg = take_section(ctx.container, "pw_negative", "pw_neg_gz")
+        zero = take_section(ctx.container, "pw_zero", "pw_zero_gz")
         negative, zeros = LogTransform.masks_from_bytes(neg, zero, ctx.shape)
         ctx.out = inverse_log2(ctx.out, negative, zeros)
 
@@ -468,17 +456,13 @@ class PwRelMasksStage:
 
     name = "pw_rel_masks"
 
-    def __init__(self, lossless: "GzipStage") -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: "PipelineContext") -> None:
         transform = ctx.artifacts.get("log_transform")
         if transform is None:
             return
         neg, zero = transform.masks_to_bytes()
-        c, gz = ctx.container, self.lossless
-        ctx.extra_bytes += put_section(c, gz, "pw_negative", neg, "pw_neg_gz")
-        ctx.extra_bytes += put_section(c, gz, "pw_zero", zero, "pw_zero_gz")
+        ctx.extra_bytes += put_section(ctx.container, "pw_negative", neg, "pw_neg_gz")
+        ctx.extra_bytes += put_section(ctx.container, "pw_zero", zero, "pw_zero_gz")
 
     def inverse(self, ctx: "PipelineContext") -> None:
         pass
@@ -519,7 +503,6 @@ class EntropyCodesStage:
 
     def __init__(
         self,
-        lossless: "GzipStage",
         *,
         backend: str = "huffman",
         meta_bits: bool = True,
@@ -529,7 +512,6 @@ class EntropyCodesStage:
                 f"unknown entropy backend {backend!r}; "
                 f"expected one of {ENTROPY_BACKENDS}"
             )
-        self.lossless = lossless
         self.backend = backend
         self.meta_bits = meta_bits
 
@@ -558,7 +540,7 @@ class EntropyCodesStage:
             payload, nbits = HuffmanCodec(table).encode(codes_flat)
             container.add("huffman_table", table_blob)
             stored = put_section(
-                container, self.lossless, "huffman_codes", payload,
+                container, "huffman_codes", payload,
                 "codes_gzipped", gz_name="huffman_codes_gz",
             )
             container.header["n_codes"] = int(codes_flat.size)
@@ -589,7 +571,7 @@ class EntropyCodesStage:
             runs_bytes = 0
             if runs is not None:
                 runs_bytes = put_section(
-                    container, self.lossless, "rle_runs", runs.tobytes(),
+                    container, "rle_runs", runs.tobytes(),
                     "rle_runs_gz",
                 )
                 h["rle_symbol"] = int(probe.run_symbol)
@@ -615,7 +597,7 @@ class EntropyCodesStage:
             else:
                 raise ContainerError(f"unknown entropy backend {backend!r} in header")
         streams = take_sections(
-            [ctx.container for ctx, _ in huffman], self.lossless,
+            [ctx.container for ctx, _ in huffman],
             "huffman_codes", "codes_gzipped", gz_name="huffman_codes_gz",
         )
         items = [
@@ -639,7 +621,7 @@ class EntropyCodesStage:
         if container.has("rle_runs"):
             run_symbol = header_int(h, "rle_symbol")
             runs = np.frombuffer(
-                take_section(container, self.lossless, "rle_runs", "rle_runs_gz"),
+                take_section(container, "rle_runs", "rle_runs_gz"),
                 dtype=np.uint8,
             )
             codes = rle_expand(tokens, runs, run_symbol)
@@ -723,17 +705,14 @@ class VerbatimValuesStage:
 
     name = "values"
 
-    def __init__(self, lossless: "GzipStage") -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: "PipelineContext") -> None:
         res = ctx.require("pqd")
         ctx.border_bytes = put_section(
-            ctx.container, self.lossless, "border",
+            ctx.container, "border",
             values_to_bytes(res.border_values), "border_gzipped",
         )
         ctx.outlier_bytes = put_section(
-            ctx.container, self.lossless, "outliers",
+            ctx.container, "outliers",
             values_to_bytes(res.outlier_values), "outliers_gzipped",
         )
         ctx.n_border = res.n_border
@@ -742,10 +721,8 @@ class VerbatimValuesStage:
     def inverse(self, ctx: "PipelineContext") -> None:
         h = ctx.header
         dtype = header_dtype(h)
-        border = take_section(ctx.container, self.lossless, "border", "border_gzipped")
-        outliers = take_section(
-            ctx.container, self.lossless, "outliers", "outliers_gzipped"
-        )
+        border = take_section(ctx.container, "border", "border_gzipped")
+        outliers = take_section(ctx.container, "outliers", "outliers_gzipped")
         ctx.artifacts["border_values"] = values_from_bytes(
             border, header_int(h, "n_border", hi=MAX_FIELD_POINTS), dtype
         )

@@ -38,7 +38,6 @@ from ..codec.stages import (
 from ..config import QuantizerConfig
 from ..encoding.huffman import HuffmanCodec, HuffmanTable, decode_many
 from ..errors import ContainerError, ShapeError
-from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, header_int, header_shape
 from ..variants import Feature
 from .wavefront import build_layout
@@ -120,8 +119,7 @@ class _WaveCodesStage:
 
     name = "codes"
 
-    def __init__(self, lossless: GzipStage, use_huffman: bool) -> None:
-        self.lossless = lossless
+    def __init__(self, use_huffman: bool) -> None:
         self.use_huffman = use_huffman
 
     def forward(self, ctx: PipelineContext) -> None:
@@ -137,7 +135,7 @@ class _WaveCodesStage:
             pre_gzip = codes_stream.astype("<u2").tobytes()
             table_bytes = 0
         ctx.encoded_code_bytes = table_bytes + put_section(
-            container, self.lossless, "codes", pre_gzip, "codes_gzipped"
+            container, "codes", pre_gzip, "codes_gzipped"
         )
 
     def inverse(self, ctx: PipelineContext) -> None:
@@ -160,7 +158,7 @@ class _WaveCodesStage:
                 )
             counts.append(n_codes)
         streams = take_sections(
-            [ctx.container for ctx in ctxs], self.lossless, "codes",
+            [ctx.container for ctx in ctxs], "codes",
             "codes_gzipped", required=True,
         )
         huffman = []
@@ -192,9 +190,6 @@ class WaveSZCompressor(PipelineCompressor):
     """
 
     quant: QuantizerConfig = field(default_factory=QuantizerConfig)
-    lossless: GzipStage = field(
-        default_factory=lambda: GzipStage(mode=LosslessMode.BEST_SPEED)
-    )
     use_huffman: bool = False
     base2: bool = True
 
@@ -221,6 +216,6 @@ class WaveSZCompressor(PipelineCompressor):
             PQDStage(border="verbatim"),
             _WavefrontOrderStage(),
             _WaveHeaderStage(self),
-            _WaveCodesStage(self.lossless, self.use_huffman),
-            VerbatimValuesStage(self.lossless),
+            _WaveCodesStage(self.use_huffman),
+            VerbatimValuesStage(),
         )

@@ -44,7 +44,6 @@ from ..codec.stages import (
     ResolveBoundStage,
 )
 from ..config import QuantizerConfig
-from ..lossless import GzipStage, LosslessMode
 from ..variants import Feature
 
 __all__ = ["WaveSZDPCompressor"]
@@ -83,9 +82,6 @@ class WaveSZDPCompressor(PipelineCompressor):
     """
 
     quant: QuantizerConfig = field(default_factory=QuantizerConfig)
-    lossless: GzipStage = field(
-        default_factory=lambda: GzipStage(mode=LosslessMode.BEST_SPEED)
-    )
     base2: bool = True
     #: ``codes_entropy`` backend (``huffman`` | ``rans`` | ``auto``).  The
     #: dual-quant code stream is where RLE+rANS pays off most: accurately
@@ -109,11 +105,11 @@ class WaveSZDPCompressor(PipelineCompressor):
     def build_stages(self) -> tuple[Stage, ...]:
         return (
             ResolveBoundStage(base2=self.base2, quant=self.quant),
-            PwRelForwardStage(self.lossless),
+            PwRelForwardStage(),
             PrequantStage(),
             DualQuantStage(),
             _DPHeaderStage(with_quant=True),
-            EntropyCodesStage(self.lossless, backend=self.entropy),
-            DualQuantValuesStage(self.lossless),
-            PwRelMasksStage(self.lossless),
+            EntropyCodesStage(backend=self.entropy),
+            DualQuantValuesStage(),
+            PwRelMasksStage(),
         )

@@ -29,7 +29,6 @@ from ..codec.stages import (
     take_section,
 )
 from ..config import QuantizerConfig
-from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, header_dtype, header_int, values_to_bytes
 from ..variants import Feature
 from .predictor import ghost_row_decode, ghost_row_loop
@@ -106,19 +105,16 @@ class _GhostWordsStage:
 
     name = "ghost_words"
 
-    def __init__(self, lossless: GzipStage) -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: PipelineContext) -> None:
         ctx.encoded_code_bytes = put_section(
-            ctx.container, self.lossless, "ghost_words",
+            ctx.container, "ghost_words",
             ctx.codes.astype("<u2").tobytes(), "codes_gzipped",
         )
 
     def inverse(self, ctx: PipelineContext) -> None:
         h = ctx.header
         raw = take_section(
-            ctx.container, self.lossless, "ghost_words", "codes_gzipped",
+            ctx.container, "ghost_words", "codes_gzipped",
             required=True,
         )
         ctx.codes = np.frombuffer(
@@ -158,9 +154,6 @@ class GhostSZCompressor(PipelineCompressor):
     quant: QuantizerConfig = field(
         default_factory=lambda: QuantizerConfig(bits=16, reserved_bits=2)
     )
-    lossless: GzipStage = field(
-        default_factory=lambda: GzipStage(mode=LosslessMode.BEST_SPEED)
-    )
 
     name = "GhostSZ"
     realizes = {
@@ -181,6 +174,6 @@ class GhostSZCompressor(PipelineCompressor):
             _RowsViewStage(),
             _GhostPredictStage(),
             _GhostHeaderStage(),
-            _GhostWordsStage(self.lossless),
+            _GhostWordsStage(),
             _GhostVerbatimStage(),
         )

@@ -8,21 +8,18 @@ equivalent substrate, built from scratch:
   ``best_speed`` / ``best_compression`` effort levels,
 * :mod:`repro.lossless.deflate` — a DEFLATE-style container combining the
   LZ77 token stream with canonical Huffman coding of literal/length and
-  distance alphabets,
-* :mod:`repro.lossless.gzipstage` — the pipeline-stage wrapper used by the
-  compressors, with an optional stdlib-``zlib`` cross-check backend.
+  distance alphabets.
+
+The compressors run it at ``best_speed`` through
+:func:`repro.codec.stages.put_section` / :func:`~repro.codec.stages.take_section`.
 """
 
 from .deflate import deflate, inflate
-from .gzipstage import GzipStage, LosslessBackend, LosslessMode
 from .lz77 import LZ77Encoder, TokenStream
 
 __all__ = [
     "deflate",
     "inflate",
-    "GzipStage",
-    "LosslessBackend",
-    "LosslessMode",
     "LZ77Encoder",
     "TokenStream",
 ]

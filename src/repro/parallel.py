@@ -21,6 +21,7 @@ all refuse a band that does not decode to its grid's shape and dtype.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -217,31 +218,31 @@ def band_outcomes(
 ) -> list:
     """:func:`decode_band` of every band in ``indices`` as one batch.
 
-    The bands decode together through the codec's ``decompress_many``
-    when it has one (so their entropy streams go through one kernel
-    call).  Returns one entry per band: the band, or the
-    :class:`ReproError` ``decode_band`` raises for it alone — when the
-    batch raises, the bands are decoded again one at a time to find out.
-    A payload that is already a ``ReproError`` (fetching it failed) is
-    that band's entry.
+    The bands decode together through the codec's
+    ``decompress_outcomes`` when it has one (so their entropy streams go
+    through one kernel call), else one at a time.  Returns one entry per
+    band: the band, or the :class:`ReproError` ``decode_band`` raises for
+    it alone.  A payload that is already a ``ReproError`` (fetching it
+    failed) is that band's entry.
     """
     out = list(payloads)
     todo = [k for k, p in enumerate(payloads) if not isinstance(p, ReproError)]
-    many = getattr(compressor, "decompress_many", None)
-    if many is not None and len(todo) > 1:
+    many = getattr(compressor, "decompress_outcomes", None) or partial(_outcomes, compressor)
+    for k, band in zip(todo, many([payloads[k] for k in todo])):
+        out[k] = band if isinstance(band, ReproError) else _fits(
+            grid, indices[k], band, dtype
+        )
+    return out
+
+
+def _outcomes(compressor: Compressor, payloads: list) -> list:
+    """``decompress_outcomes`` for a codec without one: each alone."""
+    out: list = []
+    for payload in payloads:
         try:
-            bands = many([payloads[k] for k in todo])
-        except ReproError:
-            pass
-        else:
-            for k, band in zip(todo, bands):
-                out[k] = _fits(grid, indices[k], band, dtype)
-            return out
-    for k in todo:
-        try:
-            out[k] = decode_band(compressor, grid, indices[k], payloads[k], dtype)
+            out.append(compressor.decompress(payload))
         except ReproError as exc:
-            out[k] = exc
+            out.append(exc)
     return out
 
 

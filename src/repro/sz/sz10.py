@@ -18,7 +18,7 @@ SZ-1.0-specific stages; bound resolution and header assembly come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ..codec.stages import (
 )
 from ..encoding.huffman import HuffmanCodec, HuffmanTable
 from ..errors import ConfigError
-from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, bound_from_header, header_dtype, header_int
 from ..variants import Feature
 from .unpredictable import decode_truncated, encode_truncated, truncate_roundtrip
@@ -148,9 +147,6 @@ class _TypeEntropyStage:
 
     name = "type_entropy"
 
-    def __init__(self, lossless: GzipStage) -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: PipelineContext) -> None:
         container = ctx.container
         types = ctx.codes
@@ -159,7 +155,7 @@ class _TypeEntropyStage:
         container.add("huffman_table", table.to_bytes())
         container.header["n_codes"] = int(types.size)
         ctx.encoded_code_bytes = len(table.to_bytes()) + put_section(
-            container, self.lossless, "fit_types", payload, "types_gzipped"
+            container, "fit_types", payload, "types_gzipped"
         )
 
     def inverse(self, ctx: PipelineContext) -> None:
@@ -167,9 +163,7 @@ class _TypeEntropyStage:
         h = ctx.header
         n = header_int(h, "n_codes", hi=MAX_FIELD_POINTS)
         table, _ = HuffmanTable.from_bytes(container.get("huffman_table"))
-        stream = take_section(
-            container, self.lossless, "fit_types", "types_gzipped", required=True
-        )
+        stream = take_section(container, "fit_types", "types_gzipped", required=True)
         ctx.codes = HuffmanCodec(table).decode(stream, n).astype(np.uint8)
 
 
@@ -201,10 +195,6 @@ class _UnpredictableStage:
 class SZ10Compressor(PipelineCompressor):
     """End-to-end SZ-1.0: 2-bit fit types + truncated unpredictables."""
 
-    lossless: GzipStage = field(
-        default_factory=lambda: GzipStage(mode=LosslessMode.BEST_SPEED)
-    )
-
     name = "SZ-1.0"
     realizes = {
         "curvefit": {
@@ -223,6 +213,6 @@ class SZ10Compressor(PipelineCompressor):
             ResolveBoundStage(),
             _CurveFitStage(),
             _SZ10HeaderStage(),
-            _TypeEntropyStage(self.lossless),
+            _TypeEntropyStage(),
             _UnpredictableStage(),
         )

@@ -26,7 +26,6 @@ from ..codec.stages import (
     TruncatedValuesStage,
 )
 from ..config import QuantizerConfig
-from ..lossless import GzipStage, LosslessMode
 from ..variants import Feature
 from .pqd import BorderMode
 
@@ -47,7 +46,6 @@ class _SZ14HeaderStage(HeaderStage):
         ctx.header["n_border"] = res.n_border
         ctx.header["n_outliers"] = res.n_outliers
         ctx.meta["decompressed_checks"] = True
-        ctx.meta["lossless_mode"] = self._c.lossless.mode.value
 
 
 @register_codec(
@@ -65,9 +63,6 @@ class SZ14Compressor(PipelineCompressor):
     """
 
     quant: QuantizerConfig = field(default_factory=QuantizerConfig)
-    lossless: GzipStage = field(
-        default_factory=lambda: GzipStage(mode=LosslessMode.BEST_SPEED)
-    )
     #: "padded" is production SZ-1.4 behaviour (borders predicted with the
     #: lower-dimensional Lorenzo degenerations, only the origin stored
     #: verbatim); "truncate" is the paper's §3.2 description of the original
@@ -101,10 +96,10 @@ class SZ14Compressor(PipelineCompressor):
     def build_stages(self) -> tuple[Stage, ...]:
         return (
             ResolveBoundStage(quant=self.quant),
-            PwRelForwardStage(self.lossless),
+            PwRelForwardStage(),
             PQDStage(border=self.border, layers=self.layers, from_header=True),
             _SZ14HeaderStage(self),
-            EntropyCodesStage(self.lossless, backend=self.entropy),
+            EntropyCodesStage(backend=self.entropy),
             TruncatedValuesStage(border=self.border),
-            PwRelMasksStage(self.lossless),
+            PwRelMasksStage(),
         )

@@ -38,7 +38,6 @@ from ..codec.stages import (
 )
 from ..config import QuantizerConfig
 from ..errors import ContainerError
-from ..lossless import GzipStage, LosslessMode
 from ..streams import MAX_FIELD_POINTS, header_dtype, header_int, header_shape
 from ..variants import Feature
 from .lorenzo import neighbor_offsets, stencil_predict
@@ -362,9 +361,6 @@ class _CoeffsStage:
 
     name = "coeffs"
 
-    def __init__(self, lossless: GzipStage) -> None:
-        self.lossless = lossless
-
     def forward(self, ctx: PipelineContext) -> None:
         coeff_rows = ctx.require("coeff_rows")
         if coeff_rows:
@@ -376,15 +372,11 @@ class _CoeffsStage:
             raw = deltas.astype("<i8").tobytes()
         else:
             raw = b""
-        ctx.extra_bytes += put_section(
-            ctx.container, self.lossless, "coeffs", raw, "coeffs_gz"
-        )
+        ctx.extra_bytes += put_section(ctx.container, "coeffs", raw, "coeffs_gz")
 
     def inverse(self, ctx: PipelineContext) -> None:
         h = ctx.header
-        raw = take_section(
-            ctx.container, self.lossless, "coeffs", "coeffs_gz", required=True
-        )
+        raw = take_section(ctx.container, "coeffs", "coeffs_gz", required=True)
         n_blocks = header_int(h, "n_blocks", hi=MAX_FIELD_POINTS)
         n_reg = header_int(h, "n_reg_blocks", hi=n_blocks)
         ndimp1 = len(header_shape(h)) + 1
@@ -423,9 +415,6 @@ class SZ20Compressor(PipelineCompressor):
     """Blockwise hybrid predictor with 16-bit linear-scaling quantization."""
 
     quant: QuantizerConfig = field(default_factory=QuantizerConfig)
-    lossless: GzipStage = field(
-        default_factory=lambda: GzipStage(mode=LosslessMode.BEST_SPEED)
-    )
     block_size: int = 6
     #: ``codes_entropy`` backend (``huffman`` | ``rans`` | ``auto``).
     entropy: str = "huffman"
@@ -451,8 +440,8 @@ class SZ20Compressor(PipelineCompressor):
             ResolveBoundStage(quant=self.quant),
             _BlockHybridStage(self.quant, self.block_size),
             _SZ20HeaderStage(self),
-            EntropyCodesStage(self.lossless, backend=self.entropy, meta_bits=False),
+            EntropyCodesStage(backend=self.entropy, meta_bits=False),
             _BlockTypesStage(),
-            _CoeffsStage(self.lossless),
+            _CoeffsStage(),
             _OutliersStage(),
         )

@@ -57,8 +57,8 @@ class CompressedField:
 
     ``payload`` is the serialized container (see :mod:`repro.io.container`);
     ``stats`` carries the size accounting used by the benchmark tables;
-    ``meta`` is free-form variant-specific detail (e.g. Huffman table size,
-    chosen lossless mode) surfaced in EXPERIMENTS.md.
+    ``meta`` is free-form variant-specific detail (e.g. Huffman bit count,
+    chosen entropy backend) surfaced in EXPERIMENTS.md.
     """
 
     variant: str

@@ -1,6 +1,8 @@
 """Differential corruption sweep: the integrity contract, end to end.
 
-Every compressor variant is run through a seeded sweep of injected
+Every compressor variant, and the 4-tile container of each tiled band
+codec (decoded by its header alone, as the store and CLI decode it), is
+run through a seeded sweep of injected
 faults — bit flips, truncations, garbage runs, splices, and structural
 mutations that carry *valid* checksums — and every decode of damaged
 input must either raise a ``ReproError`` subtype or produce output that
@@ -9,14 +11,24 @@ crash fails the sweep with the offending :class:`FaultSpec` printed, which
 reproduces the failure exactly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.codec.registry import get_codec
 from repro.data.fields import gaussian_random_field
 from repro.faults import FaultOutcome, corruption_sweep
+from repro.parallel import tile_compress
+from repro.streams import decompress_auto
 
-VARIANTS = ["SZ-1.4", "SZ-1.0", "GhostSZ", "waveSZ", "ZFP-like"]
+VARIANTS = [
+    "SZ-1.4", "SZ-1.0", "GhostSZ", "waveSZ", "ZFP-like",
+    "waveSZ-dp", "wavesz-dp-rans", "wavesz-dp-auto", "sz14-rans", "SZ-2.0",
+    "wavesz-g",
+]
+#: band codecs of the 4-tile containers, decoded by their header alone
+TILED = ["wavesz-dp", "wavesz-dp-rans", "sz14", "wavesz"]
 
 N_FAULTS = 200
 EB = 1e-3
@@ -28,10 +40,7 @@ def field() -> np.ndarray:
     return (g / np.abs(g).max()).astype(np.float32)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_corruption_sweep_contract(field, variant):
-    comp = get_codec(variant)
-    cf = comp.compress(field, EB, "vr_rel")
+def _assert_sweep(comp, cf, field) -> None:
     result = corruption_sweep(
         comp, cf.payload, field, cf.bound.absolute, n=N_FAULTS, seed=1234
     )
@@ -42,6 +51,19 @@ def test_corruption_sweep_contract(field, variant):
     # with valid CRCs, so at least some damage reaches the decoder
     kinds = {r.spec.kind for r in result.records}
     assert len(kinds) >= 6, f"sweep drew too few fault kinds: {kinds}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_corruption_sweep_contract(field, variant):
+    comp = get_codec(variant)
+    _assert_sweep(comp, comp.compress(field, EB, "vr_rel"), field)
+
+
+@pytest.mark.parametrize("band_codec", TILED)
+def test_corruption_sweep_contract_tiled(field, band_codec):
+    cf = tile_compress(get_codec(band_codec), field, EB, "vr_rel", n_tiles=4)
+    auto = SimpleNamespace(name=cf.variant, decompress=decompress_auto)
+    _assert_sweep(auto, cf, field)
 
 
 def test_sweep_result_bookkeeping(field):

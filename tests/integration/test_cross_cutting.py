@@ -1,5 +1,5 @@
-"""Integration: cross-cutting behaviours — file IO round trips, backend
-interchange, container safety, public API surface."""
+"""Integration: cross-cutting behaviours — file IO round trips, container
+safety, public API surface."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro import (
     load_field,
 )
 from repro.io import read_raw_field, write_raw_field
-from repro.lossless import GzipStage, LosslessBackend, LosslessMode
 
 
 class TestFileWorkflow:
@@ -35,18 +34,6 @@ class TestFileWorkflow:
         for comp in (GhostSZCompressor(), WaveSZCompressor(), SZ14Compressor()):
             cf = comp.compress(x, 1e-3, "vr_rel")
             assert len(cf.payload) < x.nbytes
-
-
-class TestBackendInterchange:
-    def test_zlib_compressed_ours_decompressed(self, smooth2d):
-        """A field compressed with the zlib backend decompresses with the
-        default stage (backends are distinguished by magic)."""
-        c_z = SZ14Compressor(
-            lossless=GzipStage(LosslessMode.BEST_SPEED, LosslessBackend.ZLIB)
-        )
-        cf = c_z.compress(smooth2d, 1e-3)
-        out = SZ14Compressor().decompress(cf)
-        assert np.abs(out.astype(np.float64) - smooth2d).max() <= cf.bound.absolute
 
 
 class TestContainerSafety:

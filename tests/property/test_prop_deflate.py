@@ -31,7 +31,7 @@ from repro.data import load_field
 from repro.errors import LosslessError
 from repro.io.container import Container
 from repro.kernels import dispatch, forced
-from repro.lossless import GzipStage, LosslessBackend, LosslessMode, deflate, inflate
+from repro.lossless import deflate, inflate
 from repro.lossless.deflate import _FLOOR_GATE as GATE
 from repro.lossless.deflate import container_floor
 from repro.lossless.lz77 import MAX_MATCH, LZ77Encoder, TokenStream
@@ -69,12 +69,18 @@ def test_lz77_parse_reconstruct_identity(data):
     assert ts.reconstruct() == data
 
 
-@given(st.binary(max_size=1500))
+@given(
+    st.one_of(st.binary(max_size=1500), st.binary(max_size=20).map(lambda b: b * 60))
+)
 @settings(max_examples=30, deadline=None)
 def test_gzip_stage_identity_both_modes(data):
-    for mode in LosslessMode:
-        st_ = GzipStage(mode=mode)
-        assert st_.decompress(st_.compress(data)) == data
+    """``take_section`` reads back what ``put_section`` stored, in both
+    of its modes: gzipped (repetitive bytes) and raw (gzip lost)."""
+    for gz_name in (None, "blob_z"):
+        c = Container(header={})
+        put_section(c, "blob", data, "blob_gz", gz_name=gz_name)
+        parsed = Container.from_bytes(c.to_bytes())
+        assert take_section(parsed, "blob", "blob_gz", gz_name=gz_name) == data
 
 
 # -- reconstruct against the per-run oracle ---------------------------------------
@@ -226,9 +232,7 @@ def test_budget_is_exact_on_repetitive_bytes(chunk, reps, tail):
 def _code_stream(codec: str, field: np.ndarray) -> bytes:
     """The Huffman code stream a codec hands to its gzip attempt."""
     c = Container.from_bytes(get_codec(codec).compress(field, 1e-3, "vr_rel").payload)
-    return take_section(
-        c, GzipStage(), "huffman_codes", "codes_gzipped", gz_name="huffman_codes_gz"
-    )
+    return take_section(c, "huffman_codes", "codes_gzipped", gz_name="huffman_codes_gz")
 
 
 @pytest.fixture(scope="module")
@@ -314,9 +318,9 @@ def test_the_counting_seam_sees_every_pack(code_streams, mode):
     assert calls and runs == [mode] * len(calls)
 
 
-def _put_section_oracle(container, lossless, name, raw, flag, *, gz_name=None) -> int:
+def _put_section_oracle(container, name, raw, flag, *, gz_name=None) -> int:
     """``put_section`` as it was: build the whole gzip attempt, then compare."""
-    gz = lossless.compress(raw) if raw else raw
+    gz = deflate(raw, LZ77Encoder.best_speed()) if raw else raw
     use_gz = len(gz) < len(raw)
     stored = gz if use_gz else raw
     container.add(gz_name if use_gz and gz_name else name, stored)
@@ -324,37 +328,27 @@ def _put_section_oracle(container, lossless, name, raw, flag, *, gz_name=None) -
     return len(stored)
 
 
-STAGES = [
-    GzipStage(mode=mode, backend=backend)
-    for mode in LosslessMode
-    for backend in LosslessBackend
-]
-
-
-def _same_put(lossless: GzipStage, raw: bytes, gz_name: str | None) -> bool:
+def _same_put(raw: bytes, gz_name: str | None) -> bool:
     """Both writers store the same container; returns whether gzip won."""
     got, want = Container(header={}), Container(header={})
-    n = put_section(got, lossless, "blob", raw, "blob_gz", gz_name=gz_name)
-    assert n == _put_section_oracle(want, lossless, "blob", raw, "blob_gz", gz_name=gz_name)
+    n = put_section(got, "blob", raw, "blob_gz", gz_name=gz_name)
+    assert n == _put_section_oracle(want, "blob", raw, "blob_gz", gz_name=gz_name)
     assert got.to_bytes() == want.to_bytes()
     return got.header["blob_gz"]
 
 
 @given(
     st.one_of(st.binary(max_size=2000), st.binary(max_size=20).map(lambda b: b * 60)),
-    st.sampled_from(STAGES),
     st.sampled_from([None, "blob_z"]),
 )
 @settings(max_examples=80, deadline=None)
-def test_put_section_matches_compress_then_compare(raw, lossless, gz_name):
-    _same_put(lossless, raw, gz_name)
+def test_put_section_matches_compress_then_compare(raw, gz_name):
+    _same_put(raw, gz_name)
 
 
 def test_put_section_matches_compress_then_compare_on_code_streams(code_streams):
-    for lossless in STAGES:
-        won = [_same_put(lossless, s, "huffman_codes_gz") for s in code_streams.values()]
-        if lossless == GzipStage():
-            assert won == [False, False, False, True, True] * 2
+    won = [_same_put(s, "huffman_codes_gz") for s in code_streams.values()]
+    assert won == [False, False, False, True, True] * 2
 
 
 # -- the floor that skips a losing attempt before its parse ------------------------
@@ -424,9 +418,7 @@ def test_floor_matches_its_per_byte_oracle_on_short_bytes(data):
 @pytest.mark.parametrize("n", [GATE - 1, GATE, GATE + 1])
 @pytest.mark.parametrize("kind", ["random", "alphabet", "runs"])
 def test_put_section_matches_compress_then_compare_across_the_gate(n, kind):
-    raw = _bytes_of(kind, n, seed=n)
-    for lossless in STAGES:
-        _same_put(lossless, raw, "blob_z")
+    _same_put(_bytes_of(kind, n, seed=n), "blob_z")
 
 
 @contextmanager

@@ -26,7 +26,6 @@ from repro.encoding.huffman import HuffmanCodec, HuffmanTable, decode_many
 from repro.errors import BitstreamError, ReproError
 from repro.io.container import Container
 from repro.kernels import bitpack_fast, forced, huffman_fast, lz77_fast, pqd_fast
-from repro.lossless import GzipStage
 from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.sz.pqd import pqd_compress, pqd_decompress
@@ -407,7 +406,7 @@ def test_pack_codes_real_code_streams_at_shipped_block(name):
     container = Container.from_bytes(payload.payload)
     section = ("codes", None) if name == "wavesz" else ("huffman_codes", "huffman_codes_gz")
     stored = take_section(
-        container, GzipStage(), section[0], "codes_gzipped", gz_name=section[1]
+        container, section[0], "codes_gzipped", gz_name=section[1]
     )
     codec = HuffmanCodec(HuffmanTable.from_bytes(container.get("huffman_table"))[0])
     syms = codec.decode(stored, container.header["n_codes"])

@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.codec.pipeline import StagePipeline
 from repro.codec.registry import get_codec
 from repro.data import load_field
 from repro.encoding import huffman
@@ -211,6 +212,32 @@ def test_band_outcomes_equal_decode_band_per_band(field, mode):
     assert [_norm(g) for g in got] == want
     assert want[0][0] == want[2][0] == "ok" != want[1][0]
     assert want[3][0] == "ContainerError"  # refused for its shape
+
+
+def test_a_failing_batch_decodes_each_band_alone_once(field):
+    codec = get_codec("wavesz-dp")
+    tiled = tile_compress(codec, field, 1e-3, "vr_rel", n_tiles=TILES)
+    c = Container.from_bytes(tiled.payload)
+    grid = TileGrid.from_starts(c.header["shape"], c.header["band_starts"])
+    payloads = [c.get(f"tile{t}") for t in range(TILES)]
+    # a sound payload of another codec in slot 3: the batch refuses it
+    band3 = np.ascontiguousarray(field[grid.band_slice(3)])
+    payloads[3] = get_codec("sz14").compress(band3, 1e-3, "abs").payload
+    calls: list[int] = []
+    run = StagePipeline.run_inverse_many
+
+    def counting(self, batch):
+        calls.append(len(batch))
+        return run(self, batch)
+
+    with mock.patch.object(StagePipeline, "run_inverse_many", counting):
+        got = band_outcomes(codec, grid, range(TILES), payloads, "float32")
+    # the batch, then every band alone: no second fallback on top
+    assert calls == [TILES] + [1] * TILES
+    want = [_outcome(lambda t=t: decode_band(codec, grid, t, payloads[t], "float32"))
+            for t in range(TILES)]
+    assert [_norm(g) for g in got] == want
+    assert [w[0] for w in want] == ["ok"] * 3 + ["ContainerError"] + ["ok"] * 4
 
 
 @pytest.mark.parametrize("mode", MODES)

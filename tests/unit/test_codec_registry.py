@@ -25,7 +25,6 @@ from repro.codec.stages import (
 from repro.config import QuantizerConfig
 from repro.errors import ConfigError, ContainerError
 from repro.io.container import Container
-from repro.lossless import GzipStage
 from repro.streams import decompress_auto
 from repro.variants import VARIANTS, Feature
 
@@ -150,12 +149,11 @@ class TestSingleDeclaration:
             }
 
             def build_stages(self):
-                gzip = GzipStage()
                 return (
                     ResolveBoundStage(quant=QuantizerConfig()),
                     PQDStage(border="verbatim"), _CountsHeader(),
-                    EntropyCodesStage(gzip, backend=self.entropy),
-                    VerbatimValuesStage(gzip),
+                    EntropyCodesStage(backend=self.entropy),
+                    VerbatimValuesStage(),
                 )
 
         (spec,) = reg.specs()

@@ -1,5 +1,7 @@
 """Unit tests for the DEFLATE-style container."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -61,9 +63,30 @@ class TestRoundtrip:
         blob = deflate(data, LZ77Encoder.best_speed())
         assert inflate(blob) == data
 
+    @pytest.mark.parametrize("preset", ["best_speed", "best_compression"])
+    def test_preset_roundtrip(self, preset, quant_codes):
+        blob = deflate(quant_codes, getattr(LZ77Encoder, preset)())
+        assert inflate(blob) == quant_codes
+
     def test_long_distance_matches(self):
         data = b"MARKER" + bytes(20000) + b"MARKER"
         assert inflate(deflate(data)) == data
+
+
+@pytest.fixture(scope="module")
+def quant_codes():
+    r = np.random.default_rng(0)
+    codes = (32768 + r.geometric(0.5, 30000) * r.choice([-1, 1], 30000)).astype("<u2")
+    return codes.tobytes()
+
+
+class TestZlibOracle:
+    def test_best_speed_within_35_percent_of_zlib(self, quant_codes):
+        """The stage the codecs run is gzip-class: at best_speed its ratio
+        stays within 35 % of the stdlib's level-1 DEFLATE."""
+        ours = len(quant_codes) / len(deflate(quant_codes, LZ77Encoder.best_speed()))
+        ref = len(quant_codes) / len(zlib.compress(quant_codes, 1))
+        assert ours > 0.65 * ref
 
 
 class TestCorruption:

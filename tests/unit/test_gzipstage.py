@@ -1,50 +1,27 @@
-"""Unit tests for the gzip pipeline stage wrapper."""
+"""Unit tests for the gzip stage: ``put_section`` / ``take_section`` over
+``deflate`` at ``best_speed``."""
 
-import numpy as np
-import pytest
+from repro.codec.stages import put_section, take_section
+from repro.io.container import Container
+from repro.lossless import LZ77Encoder, deflate, inflate
 
-from repro.lossless import GzipStage, LosslessBackend, LosslessMode
 
-
-@pytest.fixture(scope="module")
-def payload():
-    r = np.random.default_rng(0)
-    codes = (32768 + r.geometric(0.5, 30000) * r.choice([-1, 1], 30000)).astype("<u2")
-    return codes.tobytes()
+def _ratio(data: bytes, encoder: LZ77Encoder) -> float:
+    blob = deflate(data, encoder)
+    assert inflate(blob) == data
+    return len(data) / len(blob)
 
 
 class TestGzipStage:
-    @pytest.mark.parametrize("mode", list(LosslessMode))
-    @pytest.mark.parametrize("backend", list(LosslessBackend))
-    def test_roundtrip_all_configs(self, payload, mode, backend):
-        st = GzipStage(mode=mode, backend=backend)
-        assert st.decompress(st.compress(payload)) == payload
-
-    def test_ours_and_zlib_within_factor(self, payload):
-        ours = GzipStage(backend=LosslessBackend.OURS)
-        zl = GzipStage(backend=LosslessBackend.ZLIB)
-        r_ours = ours.ratio(payload)
-        r_zlib = zl.ratio(payload)
-        # Our from-scratch DEFLATE must be gzip-class: within 35 % of zlib.
-        assert r_ours > 0.65 * r_zlib
-
     def test_best_compression_not_worse_on_structured(self):
         data = b"0123456789abcdef" * 2000
-        fast = GzipStage(mode=LosslessMode.BEST_SPEED)
-        best = GzipStage(mode=LosslessMode.BEST_COMPRESSION)
-        assert best.ratio(data) >= fast.ratio(data) * 0.99
-
-    def test_decompress_detects_backend_by_magic(self, payload):
-        z = GzipStage(backend=LosslessBackend.ZLIB).compress(payload)
-        o = GzipStage(backend=LosslessBackend.OURS).compress(payload)
-        # Either stage object can decompress either blob.
-        any_stage = GzipStage()
-        assert any_stage.decompress(z) == payload
-        assert any_stage.decompress(o) == payload
-
-    def test_ratio_of_empty_is_one(self):
-        assert GzipStage().ratio(b"") == 1.0
+        fast = _ratio(data, LZ77Encoder.best_speed())
+        best = _ratio(data, LZ77Encoder.best_compression())
+        assert best >= fast * 0.99
 
     def test_empty_roundtrip(self):
-        st = GzipStage()
-        assert st.decompress(st.compress(b"")) == b""
+        c = Container(header={})
+        assert put_section(c, "blob", b"", "blob_gz") == 0
+        parsed = Container.from_bytes(c.to_bytes())
+        assert parsed.header["blob_gz"] is False
+        assert take_section(parsed, "blob", "blob_gz") == b""

@@ -24,7 +24,6 @@ from repro.codec.stages import EntropyCodesStage
 from repro.errors import ConfigError, ContainerError, RansError
 from repro.io.container import Container
 from repro.kernels import forced, rans_fast
-from repro.lossless import GzipStage, LosslessMode
 from repro.rans import coder
 from repro.rans import (
     MAX_SYMBOLS,
@@ -45,8 +44,6 @@ from repro.streams import decompress_auto
 from tests.small_jobs import captured_calls, small_jobs
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
-
-LOSSLESS = GzipStage(mode=LosslessMode.BEST_SPEED)
 
 
 def _table_for(tokens: np.ndarray) -> RansTable:
@@ -553,7 +550,7 @@ class TestProbe:
 class TestEntropyCodesStage:
     def test_unknown_backend_raises_config_error(self):
         with pytest.raises(ConfigError):
-            EntropyCodesStage(LOSSLESS, backend="lz77")
+            EntropyCodesStage(backend="lz77")
 
     def test_backends_constant(self):
         assert ENTROPY_BACKENDS == ("huffman", "rans", "auto")
@@ -594,9 +591,9 @@ class TestEntropyCodesStage:
         assert out.shape == f.shape
 
     def test_default_backend_is_huffman(self):
-        """The pre-rANS construction — a lossless stage and nothing else
-        — still builds the Huffman + gzip tail."""
-        assert EntropyCodesStage(LOSSLESS).backend == "huffman"
+        """The pre-rANS construction — no arguments at all — still
+        builds the Huffman + gzip tail."""
+        assert EntropyCodesStage().backend == "huffman"
 
     def test_unknown_header_backend_raises(self):
         rng = np.random.default_rng(7)

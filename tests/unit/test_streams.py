@@ -1,6 +1,8 @@
 """Unit tests for the shared stream serialization helpers and the
 section-level wire idioms of :mod:`repro.codec.stages`."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,22 +10,20 @@ from repro.codec.pipeline import PipelineContext
 from repro.codec.registry import get_codec
 from repro.codec.stages import EntropyCodesStage, put_section, take_section
 from repro.config import ErrorBoundMode, resolve_error_bound
-from repro.errors import ContainerError
+from repro.errors import ContainerError, LosslessError
 from repro.io.container import Container
-from repro.lossless import GzipStage, LosslessMode
 from repro.streams import (
     bound_from_header,
     bound_to_header,
+    decompress_auto,
     values_from_bytes,
     values_to_bytes,
 )
 
-LOSSLESS = GzipStage(mode=LosslessMode.BEST_SPEED)
-
 
 def _entropy_roundtrip(codes, backend):
     """Drive both directions of the ``codes_entropy`` stage directly."""
-    stage = EntropyCodesStage(LOSSLESS, backend=backend)
+    stage = EntropyCodesStage(backend=backend)
     fwd = PipelineContext(container=Container(header={}), codes=codes)
     stage.forward(fwd)
     parsed = Container.from_bytes(fwd.container.to_bytes())
@@ -53,7 +53,7 @@ class TestCodeStreams:
         comp = get_codec("wavesz-g")
         cf = comp.compress(smooth2d, 1e-3, "vr_rel")
         c = Container.from_bytes(cf.payload)
-        raw = take_section(c, LOSSLESS, "codes", "codes_gzipped", required=True)
+        raw = take_section(c, "codes", "codes_gzipped", required=True)
         assert len(raw) == 2 * c.header["n_codes"] == 2 * smooth2d.size
         codes = np.frombuffer(raw, dtype="<u2")
         assert codes.max() < 1 << comp.quant.bits and not c.has("huffman_table")
@@ -82,7 +82,7 @@ class TestSectionHelpers:
     def test_roundtrip(self, case, gz_name):
         raw = self.CASES[case]
         c = Container(header={})
-        stored = put_section(c, LOSSLESS, "blob", raw, "blob_gzipped", gz_name=gz_name)
+        stored = put_section(c, "blob", raw, "blob_gzipped", gz_name=gz_name)
         wins = case == "gzip_wins"
         assert c.header["blob_gzipped"] is wins
         section = "blob_gz" if wins and gz_name else "blob"
@@ -92,17 +92,30 @@ class TestSectionHelpers:
         parsed = Container.from_bytes(c.to_bytes())
         for _ in range(2):  # reading never changes what is read
             assert take_section(
-                parsed, LOSSLESS, "blob", "blob_gzipped", gz_name=gz_name
+                parsed, "blob", "blob_gzipped", gz_name=gz_name
             ) == raw
         assert [s.name for s in parsed.sections] == [section]
 
     def test_missing_flag_means_raw_unless_required(self):
         c = Container(header={})
-        put_section(c, LOSSLESS, "blob", b"abc", "blob_gzipped")
+        put_section(c, "blob", b"abc", "blob_gzipped")
         del c.header["blob_gzipped"]
-        assert take_section(c, LOSSLESS, "blob", "blob_gzipped") == b"abc"
+        assert take_section(c, "blob", "blob_gzipped") == b"abc"
         with pytest.raises(KeyError):
-            take_section(c, LOSSLESS, "blob", "blob_gzipped", required=True)
+            take_section(c, "blob", "blob_gzipped", required=True)
+
+    def test_a_zlib_section_is_refused_as_lossless_damage(self, smooth2d):
+        """A gzip-flagged section holds a WDF1 stream; the stdlib-zlib
+        ``ZLB1`` form an older writer could emit is no longer read."""
+        c = Container.from_bytes(get_codec("wavesz-g").compress(smooth2d, 1e-3).payload)
+        assert c.header["codes_gzipped"] is True
+        raw = take_section(c, "codes", "codes_gzipped", required=True)
+        forged = Container(header=dict(c.header))
+        for s in c.sections:
+            blob = b"ZLB1" + zlib.compress(raw, 1) if s.name == "codes" else s.payload
+            forged.add(s.name, blob)
+        with pytest.raises(LosslessError, match="WDF1"):
+            decompress_auto(forged.to_bytes())
 
     #: codec -> (flag keys its header carries, sections they govern, the
     #: flags whose absence is damage rather than age)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import QuantizerConfig
 from repro.errors import ContainerError
-from repro.lossless import GzipStage, LosslessBackend, LosslessMode
 from repro.sz import SZ14Compressor
 
 
@@ -64,16 +63,6 @@ class TestBehaviour:
         cf_small = small.compress(rough2d, tight, "abs")
         cf_big = big.compress(rough2d, tight, "abs")
         assert cf_small.stats.n_unpredictable >= cf_big.stats.n_unpredictable
-
-    def test_zlib_backend_roundtrip(self, smooth2d):
-        c = SZ14Compressor(
-            lossless=GzipStage(
-                mode=LosslessMode.BEST_SPEED, backend=LosslessBackend.ZLIB
-            )
-        )
-        cf = c.compress(smooth2d, 1e-3)
-        out = c.decompress(cf)
-        assert np.abs(out.astype(np.float64) - smooth2d).max() <= cf.bound.absolute
 
     def test_stats_sum_to_compressed_size(self, smooth2d):
         cf = SZ14Compressor().compress(smooth2d, 1e-3)
