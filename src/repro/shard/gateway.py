@@ -21,12 +21,14 @@ Failure semantics, by the method that owns them:
   least one of its owners to ack.  Writes that reach fewer than
   ``replicas`` copies still ack but are flagged ``degraded`` and counted
   (``gateway.degraded_writes``).
-* **read** (:meth:`ShardGateway.manifest`, :meth:`ShardGateway._load`) —
-  manifests are read from all owners, the highest version
-  wins (ties broken by canonical-JSON digest), stale or missing replicas
-  are repaired in the background of the read (``gateway.read_repairs``).
-  Tiles fail over down the owner list (``gateway.failovers``); a replica
-  that is alive but missing/corrupt gets the winning bytes written back.
+* **read** (:meth:`ShardGateway.manifest`,
+  :meth:`ShardGateway._load_many`) — manifests are read from all owners,
+  the highest version wins (ties broken by canonical-JSON digest), stale
+  or missing replicas are repaired in the background of the read
+  (``gateway.read_repairs``).  Tiles fail over down the owner list, one
+  burst per rank (``gateway.failovers``); a replica that is alive but
+  missing/corrupt, or that says it lacks a copy, gets the good bytes
+  written back.
   With one shard down and ``replicas >= 2`` every read succeeds; with
   ``replicas=1`` a ``strict=False`` read salvages and reports lost tile
   indices exactly like the local damage path (stage ``"missing"``).
@@ -63,13 +65,7 @@ from ..service.resilience import CircuitBreaker, RetryPolicy
 from ..service.client import ServiceClient, stamped
 from ..service.wire import check_response
 from ..store.cache import DEFAULT_CACHE_BYTES
-from ..store.store import (
-    GCResult,
-    StoreReadResult,
-    TileStore,
-    manifest_digest,
-)
-from ..tiling import TileGrid
+from ..store.store import GCResult, TileStore, manifest_digest, open_tile_blob
 from .ring import DEFAULT_VNODES, ShardMap, ShardRing
 
 __all__ = ["ShardGateway", "manifest_key"]
@@ -125,7 +121,7 @@ class ShardGateway(TileStore):
         super().__init__(
             cache_bytes,
             metrics if metrics is not None else MetricsRegistry(),
-            gauge_prefix="gateway.cache",
+            prefix="gateway",
         )
         self.map = shard_map
         self.ring: ShardRing = shard_map.ring(vnodes=vnodes)
@@ -139,8 +135,6 @@ class ShardGateway(TileStore):
         self._clients: dict[str, ServiceClient] = {}
         self._latency_ms: dict[str, float] = {}
         self._failovers: dict[str, int] = dict.fromkeys(self.map.shard_ids, 0)
-        #: blobs the current read's bulk prefetch already holds
-        self._prefetched: dict[str, bytes] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -352,18 +346,6 @@ class ShardGateway(TileStore):
             for sid, (r,) in burst.items()
         }
 
-    def _one(
-        self, sid: str, op: str, body: bytes = b"", **fields: Any
-    ) -> tuple[dict, bytes]:
-        """A lone call — a burst of one — with its exception raised:
-        :class:`_ShardDown` when the shard is unreachable; a typed error
-        (StoreError, ChecksumError, ...) when it answered but does not
-        have the goods."""
-        [reply] = self._burst({sid: [(op, fields, body)]})[sid]
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
     # -- put ---------------------------------------------------------------
 
     def _commit(
@@ -543,175 +525,102 @@ class ShardGateway(TileStore):
 
     # -- read --------------------------------------------------------------
 
-    def _load(
-        self, digest: str, verify: Callable[[bytes], Container]
-    ) -> Container:
-        """One verified copy: the prefetched blob, or the owner-list walk.
+    def _load_many(self, digests: list[str]) -> list[Container | ReproError]:
+        """Every digest's first good copy, one burst per owner rank.
 
-        Failover walks the digest's owner preference order; a replica
-        that is alive but missing (StoreError) or corrupt (Checksum /
-        Container) is repaired with the good bytes once some replica
-        delivers.  Raises StoreError when no replica can produce the
-        tile — the same class the local store raises for a missing
-        object, so ``strict=False`` salvage classifies it ``missing``.
+        Round 0 asks each digest's primary for the object and, in the
+        same burst, asks every other owner whether it holds a copy
+        (``store_has_objects``): a tile its primary serves would never
+        reveal that a secondary — say, a shard that was down during the
+        put — is missing it.  Round *k* asks the *k*-th owner for the
+        digests still unresolved; a copy counts once
+        :func:`open_tile_blob` accepts it, and one a non-primary served
+        counts a failover.  One last burst writes the good bytes back to
+        every owner that answered missing or corrupt or said it lacks a
+        copy (``gateway.read_repairs``), whether or not the read
+        succeeds — best-effort: a read never fails because its repairs
+        could not be written.
+
+        A digest no replica can produce gets a StoreError — the class
+        the local store uses for a missing object, so ``strict=False``
+        salvage classifies it ``missing`` — or, when every reachable copy
+        is corrupt and none is missing, the last ChecksumError.
         """
-        owners = self.ring.owners(digest, self.map.replicas)
-        verified: Container | None = None
-        blob: bytes | None = None
-        repair_missing: list[str] = []
-        repair_corrupt: list[str] = []
-        checksum_exc: ChecksumError | None = None
-        for round_i, sid in enumerate(owners):
-            try:
-                # the bulk prefetch asked the primary: its answer, when
-                # one came, is the primary's copy
-                candidate = self._prefetched.get(digest) if round_i == 0 else None
-                if candidate is None:
-                    candidate = self._one(
-                        sid, "store_get_object", digest=digest
-                    )[1]
-                verified = verify(candidate)
-                blob = candidate
-                if round_i > 0:
-                    self._note_failover(owners[0])
+        owners = {d: self.ring.owners(d, self.map.replicas) for d in digests}
+        probe: dict[str, list[str]] = {}
+        for d, ranked in owners.items():
+            for sid in ranked[1:]:
+                probe.setdefault(sid, []).append(d)
+        good: dict[str, tuple[Container, bytes]] = {}
+        fix: dict[tuple[str, str], bool] = {}  # (shard, digest) -> overwrite
+        corrupt: dict[str, ChecksumError] = {}
+        missing: set[str] = set()
+        pending = list(owners)
+        for rank in range(self.map.replicas):
+            asked: dict[str, list[str]] = {}
+            for d in pending:
+                if rank < len(owners[d]):
+                    asked.setdefault(owners[d][rank], []).append(d)
+            if not asked:
                 break
-            except _ShardDown:
-                continue
-            except StoreError:
-                repair_missing.append(sid)
-            except ChecksumError as exc:
-                checksum_exc = exc
-                repair_corrupt.append(sid)
-            except ReproError:
-                repair_corrupt.append(sid)
-        if verified is None or blob is None:
-            if checksum_exc is not None and not repair_missing:
-                raise checksum_exc  # every reachable copy is corrupt
-            raise StoreError(
-                f"object {digest} is unavailable: no replica of "
-                f"{len(owners)} could produce it"
+            requests = {
+                sid: [("store_get_object", {"digest": d}, b"") for d in ds]
+                for sid, ds in asked.items()
+            }
+            if rank == 0:
+                for sid, ds in probe.items():
+                    requests.setdefault(sid, []).append(
+                        ("store_has_objects", {"digests": ds}, b"")
+                    )
+            replies = self._burst(requests)
+            for sid, ds in asked.items():
+                for d, r in zip(ds, replies[sid]):
+                    if isinstance(r, _ShardDown):
+                        continue
+                    try:
+                        if isinstance(r, BaseException):
+                            raise r
+                        good[d] = open_tile_blob(d, r[1]), r[1]
+                        if rank:
+                            self._note_failover(owners[d][0])
+                    except StoreError:
+                        missing.add(d)
+                        fix[sid, d] = False
+                    except ChecksumError as exc:
+                        corrupt[d] = exc
+                        fix[sid, d] = True
+                    except ReproError:
+                        fix[sid, d] = True
+            if rank == 0:
+                for sid, ds in probe.items():
+                    r = replies[sid][-1]
+                    if not isinstance(r, BaseException):
+                        for d in ds:
+                            if not r[0]["have"].get(d):
+                                fix[sid, d] = False
+            pending = [d for d in pending if d not in good]
+
+        writes: dict[str, list[tuple]] = {}
+        for (sid, d), overwrite in fix.items():
+            if d in good:
+                writes.setdefault(sid, []).append((
+                    "store_put_object",
+                    {"overwrite": overwrite, "digest": d}, good[d][1],
+                ))
+        if writes:
+            self.metrics.incr("gateway.read_repairs", sum(
+                not isinstance(r, BaseException)
+                for rs in self._burst(writes).values() for r in rs
+            ))
+        return [
+            good[d][0] if d in good
+            else corrupt[d] if d in corrupt and d not in missing
+            else StoreError(
+                f"object {d} is unavailable: no replica of "
+                f"{len(owners[d])} could produce it"
             )
-        for sid in repair_missing:
-            self._repair_object(sid, digest, blob, overwrite=False)
-        for sid in repair_corrupt:
-            self._repair_object(sid, digest, blob, overwrite=True)
-        return verified
-
-    def _repair_object(
-        self, sid: str, digest: str, blob: bytes, *, overwrite: bool
-    ) -> None:
-        try:
-            self._one(
-                sid, "store_put_object", blob,
-                overwrite=overwrite, digest=digest,
-            )
-            self.metrics.incr("gateway.read_repairs")
-        except (_ShardDown, ReproError):
-            pass  # best-effort; the next read will try again
-
-    def _prefetch(
-        self, m: dict[str, Any], tiles: Iterable[int]
-    ) -> tuple[dict[str, bytes], list[str]]:
-        """Bulk-fetch uncached tile blobs from their primaries, one burst.
-
-        Returns ``(blobs, needed)`` — ``needed`` is every digest the
-        read could not serve from cache, cached by the caller to decide
-        whether an anti-entropy sweep is worth an extra round trip.
-        Failures here are silent — the per-tile walk in
-        :meth:`_load` handles failover and repair serially.
-        """
-        needed: list[str] = []
-        seen: set[str] = set()
-        for t in tiles:
-            d = m["tiles"][t]
-            if d not in seen and d not in self.cache:
-                seen.add(d)
-                needed.append(d)
-        if not needed:
-            return {}, []
-        by_shard: dict[str, list[str]] = {}
-        for d in needed:
-            by_shard.setdefault(self.ring.owner(d), []).append(d)
-        results = self._burst({
-            sid: [("store_get_object", {"digest": d}, b"") for d in digests]
-            for sid, digests in by_shard.items()
-        })
-        blobs = {
-            d: r[1]
-            for sid, digests in by_shard.items()
-            for d, r in zip(digests, results[sid])
-            if not isinstance(r, BaseException)  # else the walk fails over
-        }
-        return blobs, needed
-
-    def _anti_entropy(
-        self, digests: list[str], blobs: dict[str, bytes]
-    ) -> None:
-        """Restore missing replicas of the digests a read just touched.
-
-        The failover walk only repairs copies it had to *visit*; a tile
-        served happily by its primary never reveals that a secondary
-        (say, a shard that was down during the put) is missing it.  One
-        batched ``store_has_objects`` per owner shard closes that gap:
-        a full read after a shard returns re-converges every replica it
-        owns.  Entirely best-effort — a read never fails because its
-        repairs could not be written.
-        """
-        want: dict[str, list[str]] = {}
-        for d in digests:
-            for sid in self.ring.owners(d, self.map.replicas):
-                want.setdefault(sid, []).append(d)
-        replies = self._ask("store_has_objects", {
-            sid: {"digests": digests} for sid, digests in want.items()
-        })
-        for sid, r in replies.items():
-            if isinstance(r, BaseException):
-                continue
-            for d in want[sid]:
-                if r["have"].get(d):
-                    continue
-                blob = blobs.get(d)
-                if blob is None:
-                    blob = self._fetch_blob_from_owner(d, skip=sid)
-                if blob is not None:
-                    self._repair_object(sid, d, blob, overwrite=False)
-
-    def _fetch_blob_from_owner(
-        self, digest: str, *, skip: str
-    ) -> bytes | None:
-        for sid in self.ring.owners(digest, self.map.replicas):
-            if sid == skip:
-                continue
-            try:
-                return self._one(sid, "store_get_object", digest=digest)[1]
-            except (_ShardDown, ReproError):
-                continue
-        return None
-
-    def _assemble(
-        self,
-        m: dict[str, Any],
-        grid: TileGrid,
-        window: tuple[slice, ...],
-        tiles: tuple[int, ...],
-        *,
-        strict: bool,
-    ) -> StoreReadResult:
-        """The shared assembly, bracketed by what only a cluster needs:
-        one bulk fetch per owner shard before, one replica sweep after."""
-        self._prefetched, needed = self._prefetch(m, tiles)
-        try:
-            result = super()._assemble(m, grid, window, tiles, strict=strict)
-            if result.damaged:
-                self.metrics.incr("gateway.degraded_reads")
-            if needed:
-                # the read touched the wire anyway: one has_objects round
-                # trip per owner shard re-converges replicas a failover
-                # walk would never visit.  Fully-cached reads skip this.
-                self._anti_entropy(needed, self._prefetched)
-        finally:
-            self._prefetched = {}
-        return result
+            for d in digests
+        ]
 
     # -- listing / gc / health --------------------------------------------
 

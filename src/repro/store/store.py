@@ -60,9 +60,8 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -403,23 +402,29 @@ class TileStore:
     ``_commit(name, manifest, payloads)``
         make one compressed field durable — tiles, then manifest — and
         return the :class:`PutResult` fields only the layer can count;
-    ``_load(digest, verify)``
-        one verified copy of an object: hand a stored copy to ``verify``
-        (:func:`open_tile_blob`), which returns its parsed container or
-        raises a :class:`ReproError` on a bad copy, so a layer with
-        several copies can try the next.  Decoding waits until every
-        tile a read needs is loaded, and then decodes them as one batch.
+    ``_load_many(digests)``
+        one verified copy of each object, in order: its parsed container
+        (every copy is checked with :func:`open_tile_blob` first, so a
+        layer with several copies can try the next), or the
+        :class:`ReproError` that stands for it.  A read loads every tile
+        it misses in the cache with one call, then decodes them as one
+        batch.
+
+    Counters go under the layer's ``prefix``: ``<prefix>.cache.*`` for
+    the tile cache and ``<prefix>.degraded_reads`` for every read that
+    came back with damaged tiles.
     """
 
     def __init__(
         self,
         cache_bytes: int,
         metrics: "MetricsRegistry | None",
-        gauge_prefix: str = "store.cache",
+        prefix: str = "store",
     ) -> None:
         self.metrics = metrics
+        self._prefix = prefix
         self.cache = TileCache(
-            cache_bytes, metrics=metrics, gauge_prefix=gauge_prefix
+            cache_bytes, metrics=metrics, gauge_prefix=f"{prefix}.cache"
         )
         #: Tiles actually decompressed (cache misses included, hits not) —
         #: the counter the "slice decodes only overlapping tiles" and
@@ -429,6 +434,10 @@ class TileStore:
         #: layer's :meth:`manifest`).  It only remembers; whoever reads an
         #: entry proves it still current.
         self._manifests = BoundedLRU(max_entries=MANIFEST_MEMO_ENTRIES)
+
+    def _incr(self, name: str, n: int = 1) -> None:
+        if self.metrics is not None and n:
+            self.metrics.incr(name, n)
 
     # -- the object layer ---------------------------------------------------
 
@@ -443,9 +452,7 @@ class TileStore:
     ) -> dict[str, Any]:
         raise NotImplementedError
 
-    def _load(
-        self, digest: str, verify: Callable[[bytes], Container]
-    ) -> Container:
+    def _load_many(self, digests: list[str]) -> list[Container | ReproError]:
         raise NotImplementedError
 
     # -- writing ------------------------------------------------------------
@@ -512,8 +519,9 @@ class TileStore:
         self, m: dict[str, Any], grid: TileGrid, tiles: tuple[int, ...]
     ) -> tuple[dict[int, np.ndarray], dict[int, ReproError]]:
         """Every tile of ``tiles`` decoded via the cache, verifying
-        everything; the cache misses are loaded, then decoded as one
-        batch (:func:`repro.parallel.band_outcomes`).
+        everything; the cache misses are loaded with one
+        :meth:`_load_many`, then decoded as one batch
+        (:func:`repro.parallel.band_outcomes`).
 
         Returns the decoded tiles and, for the others, what each raised
         alone: :class:`StoreError` (no copy of the object),
@@ -523,7 +531,6 @@ class TileStore:
         """
         got: dict[int, np.ndarray] = {}
         misses: dict[str, list[int]] = {}  # digest -> its tiles, first decodes
-        loaded: list[Any] = []
         for t in tiles:
             digest = m["tiles"][t]
             if digest in misses:
@@ -534,16 +541,13 @@ class TileStore:
                 got[t] = tile
                 continue
             misses[digest] = [t]
-            try:
-                loaded.append(self._load(digest, partial(open_tile_blob, digest)))
-            except ReproError as exc:
-                loaded.append(exc)
         lost: dict[int, ReproError] = {}
-        if not misses:  # a warm read decodes nothing
+        if not misses:  # a warm read loads and decodes nothing
             return got, lost
         first = [ts[0] for ts in misses.values()]
         decoded = band_outcomes(
-            get_codec(str(m["codec"])), grid, first, loaded, m["dtype"]
+            get_codec(str(m["codec"])), grid, first,
+            self._load_many(list(misses)), m["dtype"],
         )
         for (digest, ts), tile in zip(misses.items(), decoded):
             if isinstance(tile, ReproError):
@@ -572,19 +576,7 @@ class TileStore:
         m = self.manifest(name)
         grid = self._grid(m)
         window = normalize_slices(grid.shape, slices)
-        return self._assemble(
-            m, grid, window, grid.overlapping(window[0]), strict=strict
-        )
-
-    def _assemble(
-        self,
-        m: dict[str, Any],
-        grid: TileGrid,
-        window: tuple[slice, ...],
-        tiles: tuple[int, ...],
-        *,
-        strict: bool,
-    ) -> StoreReadResult:
+        tiles = grid.overlapping(window[0])
         got, lost = self._tiles(m, grid, tiles)
 
         def fetch(t: int) -> np.ndarray:
@@ -592,10 +584,13 @@ class TileStore:
                 raise lost[t]
             return got[t]
 
-        return assemble_tiles(
+        result = assemble_tiles(
             m, grid, window, tiles, fetch if lost else got.__getitem__,
             strict=strict,
         )
+        if result.damaged:
+            self._incr(f"{self._prefix}.degraded_reads")
+        return result
 
     def ls(self) -> list[dict[str, Any]]:
         """One summary row per dataset, sorted by name."""
@@ -647,10 +642,6 @@ class ArrayStore(TileStore):
         self.recovery = RecoveryResult()
         if recover:
             self.recovery = self.recover()
-
-    def _incr(self, name: str, n: int = 1) -> None:
-        if self.metrics is not None and n:
-            self.metrics.incr(name, n)
 
     # -- paths ------------------------------------------------------------
 
@@ -1101,13 +1092,19 @@ class ArrayStore(TileStore):
 
     # -- reading ----------------------------------------------------------
 
-    def _load(
-        self, digest: str, verify: Callable[[bytes], Container]
-    ) -> Container:
-        path = self._object_path(digest)
-        if not path.exists():
-            raise StoreError(f"object {digest} is missing from {self.root}")
-        return verify(path.read_bytes())  # one copy: nothing to fall back to
+    def _load_many(self, digests: list[str]) -> list[Container | ReproError]:
+        out: list[Container | ReproError] = []
+        for digest in digests:  # one copy each: nothing to fall back to
+            path = self._object_path(digest)
+            try:
+                if not path.exists():
+                    raise StoreError(
+                        f"object {digest} is missing from {self.root}"
+                    )
+                out.append(open_tile_blob(digest, path.read_bytes()))
+            except ReproError as exc:
+                out.append(exc)
+        return out
 
     # -- garbage collection ------------------------------------------------
 

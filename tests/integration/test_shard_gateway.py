@@ -21,6 +21,10 @@ sockets — and checks the promises ``repro.shard`` makes:
 * a **warm handle** — one gateway kept open across other writers, shard
   outages and wire faults — validates its remembered manifest against
   every owner and never serves a version an owner has moved past;
+* a cold read loads its tiles in **one burst per owner rank** — the
+  replica probe rides in the primaries' burst, a stopped shard costs one
+  more burst whatever the tile count — and repairs what it found even
+  when the read itself fails;
 * a **write burst** whose reply is cut mid-frame is replayed by the
   shard, not re-run, and large pipelined bursts do not deadlock.
 """
@@ -118,8 +122,6 @@ class TestTileCacheCounts:
     def test_gateway_counts_each_lookup_once_like_the_local_store(
         self, cluster, seeded, local_store
     ):
-        # _prefetch used to probe with the counting get and _tile looked
-        # the same digest up again: every hit and miss was counted twice
         local = ArrayStore(local_store.root)  # fresh handle, cold cache
         with cluster.gateway() as gw:
             for store in (local, gw):
@@ -239,6 +241,83 @@ class TestReadRepair:
         assert path.read_bytes() == good
 
 
+def _count_bursts(H):
+    """Wrap ``H._burst``; returns the list each burst's ops land in."""
+    burst, seen = H._burst, []
+
+    def counting(requests):
+        seen.append({op for batch in requests.values() for op, _, _ in batch})
+        return burst(requests)
+
+    H._burst = counting
+    return seen
+
+
+class TestReadBursts:
+    def test_healthy_cold_read_is_two_bursts(self, cluster, seeded,
+                                             local_store):
+        with cluster.gateway() as gw:
+            gw.read("base.ts")  # converge whatever earlier tests left
+        with cluster.gateway() as H:
+            bursts = _count_bursts(H)
+            got = H.read("base.ts")
+        np.testing.assert_array_equal(
+            got.data, local_store.read("base.ts").data)
+        # the manifest, then every object with the replica probe alongside
+        assert bursts == [
+            {"store_get_manifest"}, {"store_get_object", "store_has_objects"},
+        ]
+
+    def test_one_shard_down_costs_one_burst_per_rank(self, cluster, field):
+        name = "bursts-8.ts"
+        data = np.roll(field, 5, axis=1) + np.float32(2.0)
+        with cluster.gateway() as gw:
+            put = gw.put(name, data, "wavesz", eb=1e-3, n_tiles=8)
+            expect = gw.read(name).data
+            ring = gw.ring
+        assert put.n_tiles == 8
+        digests = set(put.tile_digests)
+        primaries = [ring.owner(d) for d in digests]
+        victim = max(set(primaries), key=primaries.count)
+        vi = _shard_index(cluster, victim)
+        cluster.stop_shard(vi)
+        try:
+            with cluster.gateway() as H:
+                bursts = _count_bursts(H)
+                got = H.read(name)
+                events = H.metrics.snapshot().events
+                R = H.map.replicas
+        finally:
+            cluster.start_shard(vi)
+        assert got.ok
+        np.testing.assert_array_equal(got.data, expect)
+        assert len(bursts) <= 1 + R + 1
+        # one failover per digest the stopped shard is primary for
+        assert events.get("gateway.failovers", 0) == primaries.count(victim)
+
+    def test_a_failed_strict_read_still_repairs(self, cluster, field):
+        name = "lost-one.ts"
+        data = np.roll(field, 13, axis=0) - np.float32(4.0)
+        with cluster.gateway() as gw:
+            put = gw.put(name, data, "wavesz", eb=1e-3, n_tiles=4)
+            ring = gw.ring
+
+        def path(sid, digest):
+            return cluster.roots[_shard_index(cluster, sid)] / "objects" / digest
+
+        gone, thin = list(dict.fromkeys(put.tile_digests))[:2]
+        for sid in ring.owners(gone, 2):
+            path(sid, gone).unlink()
+        secondary = ring.owners(thin, 2)[1]
+        path(secondary, thin).unlink()
+        with cluster.gateway() as gw:
+            with pytest.raises(StoreError, match="unavailable"):
+                gw.read(name)
+            repairs = gw.metrics.snapshot().events.get("gateway.read_repairs")
+        assert path(secondary, thin).exists()
+        assert repairs == 1
+
+
 class TestListing:
     def test_ls_reports_the_newest_manifest_not_the_first_answer(
         self, cluster, field
@@ -301,6 +380,8 @@ class TestSalvageReplicasOne:
                     gw.read(name)
             with cluster.gateway() as gw:
                 salvaged = gw.read(name, strict=False)
+                assert gw.metrics.snapshot().events.get(
+                    "gateway.degraded_reads") == 1
             assert not salvaged.ok
             assert set(salvaged.damaged_tiles) == lost
             assert all(d.stage == "missing" for d in salvaged.damaged)

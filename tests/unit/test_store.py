@@ -212,7 +212,9 @@ class TestDamage:
         with pytest.raises(ChecksumError):
             store.read("ts")
 
-    def test_lenient_read_reports_lost_tiles(self, store, smooth2d):
+    def test_lenient_read_reports_lost_tiles(self, tmp_path, smooth2d):
+        metrics = MetricsRegistry()
+        store = ArrayStore(tmp_path / "store", metrics=metrics)
         store.put("ts", smooth2d, "sz14", 1e-3, n_tiles=4)
         clean = store.read("ts").data
         self._corrupt_tile(store, "ts", 2)
@@ -221,6 +223,8 @@ class TestDamage:
         assert not res.ok
         assert res.damaged_tiles == (2,)
         assert res.damaged[0].stage == "checksum"
+        # one damaged read, counted once under the layer's own prefix
+        assert metrics.snapshot().events.get("store.degraded_reads") == 1
         # every intact band survives bit-exactly; the lost band is zeroed
         from repro.tiling import TileGrid
 
