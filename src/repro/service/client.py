@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import ServiceError, ServiceTimeoutError, TransportError
+from ..errors import ServiceError, ServiceTimeoutError, ShapeError, TransportError
 from . import wire
 from .ops import lookup
 from .resilience import CircuitBreaker, RetryPolicy
@@ -254,10 +254,15 @@ class ServiceClient:
     ) -> tuple[np.ndarray, dict]:
         """Read a sub-window of a stored field, decoding only its tiles.
 
-        ``slices`` is a per-axis sequence of ``slice`` objects,
-        ``(start, stop)`` pairs or ``None`` (full axis); trailing axes
-        default to their full extent.
+        ``slices`` is a per-axis sequence of unit-step ``slice``
+        objects, ``(start, stop)`` pairs or ``None`` (full axis);
+        trailing axes default to their full extent.
         """
+        for axis, s in enumerate(slices):
+            if isinstance(s, slice) and s.step not in (None, 1):
+                raise ShapeError(
+                    f"axis {axis}: only unit-step slices, got {s.step}"
+                )
         window = [
             None if s is None
             else [s.start, s.stop] if isinstance(s, slice)

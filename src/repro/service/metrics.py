@@ -157,9 +157,9 @@ class MetricsRegistry:
         happened rather than a per-codec job transition.  The transport
         plane adds ``batch.dispatches`` / ``batch.jobs`` /
         ``batch.fallbacks`` (micro-batching) and ``shm.leaks_reclaimed``
-        (segments the arena had to reclaim after a worker died holding a
-        lease).  Appears in every snapshot under ``events`` from the
-        first bump.
+        (leases still held when the arena was closed; ``close()``
+        unlinks their segments).  Appears in every snapshot under
+        ``events`` from the first bump.
         """
         with self._lock:
             self._events[name] = self._events.get(name, 0) + n

@@ -394,19 +394,17 @@ class BatchScheduler:
 
     async def _cross_pool(self, jobs: list[CompressionJob]) -> list:
         """The one place work crosses the pool: the jobs of one dispatch
-        go out through the transport, their outputs come back aligned.
+        go out through the transport, their outputs come back aligned,
+        by value.
 
         The input leases are released in ``finally`` — parent-owned, so
-        a worker SIGKILLed mid-job cannot leak an input segment — and
-        large worker-shipped outputs are refilled (and their one-shot
-        segments unlinked) in ``decode_result``.
+        a worker SIGKILLed mid-job cannot leak an input segment.
         """
         envelope = self.transport.encode_job(*jobs)
         try:
-            outputs = await self.pool.run(envelope.fn, *envelope.args)
+            return await self.pool.run(envelope.fn, *envelope.args)
         finally:
             envelope.release()
-        return [self.transport.decode_result(out) for out in outputs]
 
     async def _fan_out(self, job: CompressionJob) -> CompressedField:
         """Fan one dp job's tile bands across the pool.

@@ -4,15 +4,16 @@ Moving a field to a process-pool worker by value costs three full-field
 copies *before* any compression happens: the scheduler pickles the
 ``ndarray`` into the worker's pipe, the OS copies it through a
 socketpair, and the worker unpickles it again.  This module replaces the
-value channel with a name channel:
+value channel with a name channel for inputs; outputs come back by value
+on both transports (a segment would move them no fewer times).
 
 :class:`ShmArena`
     A registry of refcounted ``multiprocessing.shared_memory`` segments
-    owned by the scheduler process.  Segments are leased per job,
-    released (and pooled or unlinked) when the job settles, reclaimed if
-    a worker is killed mid-lease, and unconditionally unlinked at
-    :meth:`ShmArena.close` and interpreter exit — the arena is the one
-    place segment lifetime lives, so a crash cannot strand ``/dev/shm``.
+    owned by the scheduler process — the only code that creates, leases
+    or unlinks one.  Segments are leased per job, released (and pooled
+    or unlinked) when the job settles, and unconditionally unlinked at
+    :meth:`ShmArena.close` and interpreter exit.  Workers only attach,
+    so a worker killed mid-lease cannot strand ``/dev/shm``.
 
 :class:`FieldRef`
     The picklable descriptor that crosses the pool instead of the array:
@@ -27,26 +28,26 @@ value channel with a name channel:
     into a picklable call of :func:`run_jobs`.  ``shm`` places each
     job's bulk input by one rule (memory the arena already holds → an
     offset ref into it; at least ``min_bytes`` → one leased segment;
-    else by value) and has large outputs ride worker-created segments
-    back; ``pickle`` passes jobs through unchanged — the transparent
-    fallback for ``thread``/``inline`` pools (same address space, a copy
-    channel would only add work), for platforms without usable shared
-    memory, and the reference the parity matrix compares against.
+    else by value); ``pickle`` passes jobs through unchanged — the
+    transparent fallback for ``thread``/``inline`` pools (same address
+    space, a copy channel would only add work), for platforms without
+    usable shared memory, and the reference the parity matrix compares
+    against.
 
 :func:`run_jobs`
     The one worker entry, at module level so process pools can pickle
     it.  It resolves refs and runs :func:`~repro.service.workers.
-    run_job` per item on both transports, so results are byte-identical
-    across transports by construction.
+    run_job` per item on both transports and returns the outputs by
+    value, so results are byte-identical across transports by
+    construction.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import secrets
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -137,8 +138,7 @@ class ShmArena:
 
     def __init__(self, *, metrics: Any = None) -> None:
         # Unique per-arena namespace: segments are named
-        # ``wsz<token>-<seq>`` (parent-created) / ``wsz<token>o...``
-        # (worker-created outputs), so leaked segments are findable by
+        # ``wsz<token>-<seq>``, so leaked segments are findable by
         # prefix and names are never reused within an arena.
         self.prefix = f"wsz{secrets.token_hex(4)}"
         self.metrics = metrics
@@ -156,15 +156,15 @@ class ShmArena:
     def available(cls) -> bool:
         """Whether this platform can create shared-memory segments."""
         if cls._available is None:
+            probe = cls()
             try:
-                from multiprocessing import shared_memory
-
-                probe = shared_memory.SharedMemory(create=True, size=4096)
-                probe.close()
-                probe.unlink()
+                probe.release(probe.allocate(1))
                 cls._available = True
             except (ImportError, OSError, ValueError):
                 cls._available = False
+            finally:
+                probe.close()
+                atexit.unregister(probe.close)
         return cls._available
 
     # -- accounting -------------------------------------------------------
@@ -329,41 +329,8 @@ class ShmArena:
 
     # -- reclamation ------------------------------------------------------
 
-    def reclaim_orphans(self) -> int:
-        """Unlink worker-created output segments whose worker died.
-
-        Workers name their output segments ``<prefix>o...``; a worker
-        SIGKILLed between creating one and returning its ref leaks it.
-        The parent owns the namespace, so a prefix scan of ``/dev/shm``
-        finds and unlinks every orphan (best-effort on platforms without
-        a scannable shm directory).
-        """
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-            return 0
-        from multiprocessing import shared_memory
-
-        reclaimed = 0
-        marker = f"{self.prefix}o"
-        with self._lock:
-            tracked = set(self._segments)
-        for entry in os.listdir(shm_dir):
-            if not entry.startswith(marker) or entry in tracked:
-                continue
-            try:
-                orphan = shared_memory.SharedMemory(name=entry)
-            except (OSError, ValueError):  # pragma: no cover - races
-                continue
-            self._unlink(orphan)
-            reclaimed += 1
-        if reclaimed:
-            self.leaks_reclaimed += reclaimed
-            if self.metrics is not None:
-                self.metrics.incr("shm.leaks_reclaimed", reclaimed)
-        return reclaimed
-
     def close(self) -> None:
-        """Unlink every segment (leaked leases included) and all orphans.
+        """Unlink every segment, counting leases still held as leaks.
 
         Idempotent and re-entrant-safe; registered with ``atexit`` so an
         interpreter exit — orderly or not — cannot strand ``/dev/shm``.
@@ -382,7 +349,6 @@ class ShmArena:
             self.leaks_reclaimed += leaked
             if self.metrics is not None:
                 self.metrics.incr("shm.leaks_reclaimed", leaked)
-        self.reclaim_orphans()
         self._gauge()
 
 
@@ -430,18 +396,14 @@ class _no_tracking:
         self._mod.register = self._orig
 
 
-def _open_untracked(name: str, *, create: bool = False, size: int = 0) -> Any:
+def _open_untracked(name: str) -> Any:
     from multiprocessing import shared_memory
 
     try:
-        return shared_memory.SharedMemory(
-            name=name, create=create, size=size, track=False
-        )
+        return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track= keyword
         with _no_tracking():
-            return shared_memory.SharedMemory(
-                name=name, create=create, size=size
-            )
+            return shared_memory.SharedMemory(name=name)
 
 
 def _attach(name: str) -> Any:
@@ -470,17 +432,15 @@ def _ref_bytes(ref: FieldRef) -> bytes:
 
 @dataclass(frozen=True)
 class _Shipped:
-    """An object whose bulk field stayed behind in a segment.
+    """A job whose bulk input stayed behind in a segment.
 
-    ``shell`` is the object with that field blanked — on the way in a
-    job's fields without ``data``/``payload`` (as a dict: a job cannot
-    exist without its input), on the way out a compress result with an
-    empty ``payload`` (``None`` for a bare decompressed array) — and
-    ``ref`` says where the bulk is.  Refilling the shell yields the
-    exact object the pickle path would have carried.
+    ``shell`` is the job's fields without ``data``/``payload`` (as a
+    dict: a job cannot exist without its input) and ``ref`` says where
+    the bulk is.  Refilling the shell yields the exact job the pickle
+    path would have carried.
     """
 
-    shell: Any
+    shell: dict
     ref: FieldRef
 
 
@@ -492,61 +452,14 @@ def _resolve(item: CompressionJob | _Shipped) -> CompressionJob:
     return CompressionJob(**{**item.shell, "payload": _ref_bytes(item.ref)})
 
 
-_out_seq = 0
-
-
-def _ship_output(out: Any, out_prefix: str, out_min_bytes: int) -> Any:
-    """Leave a large output in a one-shot segment (small ones pickle).
-
-    The segment is untracked: the *parent* unlinks it (in
-    ``decode_result``, or via the orphan scan if this worker dies
-    first) — this worker's exit must not.
-    """
-    global _out_seq
-    payload = getattr(out, "payload", None)
-    if isinstance(payload, bytes):
-        nbytes = len(payload)
-    elif isinstance(out, np.ndarray):
-        nbytes = out.nbytes
-    else:
-        return out
-    if not out_prefix or nbytes < max(out_min_bytes, 1):
-        return out
-    _out_seq += 1
-    name = f"{out_prefix}o{os.getpid()}x{_out_seq}"
-    shm = _open_untracked(name, create=True, size=nbytes)
-    if isinstance(out, np.ndarray):
-        np.ndarray(out.shape, dtype=out.dtype, buffer=shm.buf)[...] = out
-        shipped = _Shipped(None, FieldRef(
-            segment=name, kind="array", nbytes=nbytes,
-            dtype=out.dtype.str, shape=tuple(out.shape),
-        ))
-    else:
-        shm.buf[:nbytes] = payload
-        shipped = _Shipped(
-            replace(out, payload=b""),
-            FieldRef(segment=name, kind="bytes", nbytes=nbytes),
-        )
-    shm.close()
-    return shipped
-
-
-def run_jobs(
-    items: list[CompressionJob | _Shipped],
-    out_prefix: str = "", out_min_bytes: int = 0,
-) -> list[Any]:
+def run_jobs(items: list[CompressionJob | _Shipped]) -> list[Any]:
     """The worker entry: every dispatch that crosses the pool lands here.
 
     ``items`` are the jobs of one dispatch — by value, or as
     :class:`_Shipped` shells whose field waits in a segment; outputs
-    align with inputs.  With an ``out_prefix`` (the parent arena's
-    namespace, so it can reclaim them if this worker dies mid-return),
-    outputs of at least ``out_min_bytes`` return through segments too.
-    Every output exists before the first one ships, so a failing job
-    never strands its neighbours' segments.
+    align with inputs and return by value.
     """
-    outputs = [run_job(_resolve(item)) for item in items]
-    return [_ship_output(out, out_prefix, out_min_bytes) for out in outputs]
+    return [run_job(_resolve(item)) for item in items]
 
 
 # -- transports -----------------------------------------------------------
@@ -578,9 +491,6 @@ class PickleTransport:
 
     def encode_job(self, *jobs: CompressionJob) -> _Envelope:
         return _Envelope(fn=run_jobs, args=(list(jobs),))
-
-    def decode_result(self, out: Any) -> Any:
-        return out
 
     def close(self) -> None:
         pass
@@ -651,33 +561,7 @@ class ShmTransport:
         except BaseException:
             release()
             raise
-        return _Envelope(
-            fn=run_jobs, args=(items, self.arena.prefix, self.min_bytes),
-            _cleanup=release,
-        )
-
-    def decode_result(self, out: Any) -> Any:
-        """Refill a worker-shipped output (one copy, then unlink).
-
-        A *tracked* attach, as in :meth:`ShmArena.reclaim_orphans`: the
-        ``unlink`` below unregisters the name, which only balances in
-        the resource tracker if this attach registered it.
-        """
-        if not isinstance(out, _Shipped):
-            return out
-        from multiprocessing import shared_memory
-
-        ref = out.ref
-        shm = shared_memory.SharedMemory(name=ref.segment)
-        try:
-            if ref.kind == "array":
-                return np.ndarray(
-                    ref.shape, dtype=np.dtype(ref.dtype),
-                    buffer=shm.buf[:ref.nbytes],
-                ).copy()
-            return replace(out.shell, payload=bytes(shm.buf[:ref.nbytes]))
-        finally:
-            ShmArena._unlink(shm)
+        return _Envelope(fn=run_jobs, args=(items,), _cleanup=release)
 
     def close(self) -> None:
         self.arena.close()

@@ -156,6 +156,8 @@ def check_field(
         dtype = np.dtype(str(header.get("dtype", "float32")))
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"bad field shape/dtype in header: {exc}") from exc
+    if dtype.hasobject:
+        raise ServiceError(f"field dtype {dtype} holds objects, not values")
     n = int(np.prod(shape, dtype=np.int64))
     if any(d < 0 for d in shape) or n > MAX_FIELD_POINTS:
         raise ServiceError(f"bad field shape {shape!r}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data.fields import gaussian_random_field
-from repro.errors import ReproError, ServiceError, StoreError
+from repro.errors import ReproError, ServiceError, ShapeError, StoreError
 from repro.service import CompressionServer, ServiceClient
 
 
@@ -82,6 +82,19 @@ class TestStoreOverTcp:
         np.testing.assert_array_equal(window, full[5:9, 10:30])
         assert resp["tiles"] == [0]
         assert server.store.decode_calls - before == 1
+
+    def test_strided_slice_refused_like_a_local_read(self, server, field):
+        """A step does not cross the wire, so the client refuses it with
+        the ``ShapeError`` a local ``read_slice`` raises."""
+        window = [slice(0, 10, 2)]
+        with ServiceClient(port=server.port) as c:
+            c.store_put("wire.strided", field, "sz14", n_tiles=4)
+            with pytest.raises(ShapeError) as remote:
+                c.store_slice("wire.strided", window)
+            assert c.ping()["ok"]
+        with pytest.raises(ShapeError) as local:
+            server.store.read_slice("wire.strided", window)
+        assert str(remote.value) == str(local.value)
 
     def test_unknown_dataset_is_an_answered_error(self, server):
         with ServiceClient(port=server.port) as c:

@@ -381,6 +381,34 @@ class TestBadShapeIsAnsweredOnEveryTransport:
         assert answers[0] == answers[1]
 
 
+class TestObjectDtypeIsRefused:
+    """A field header declaring ``object`` values is a typed refusal on a
+    connection that stays up — never a dropped connection, and never an
+    ``object`` array mapped over an ingest segment."""
+
+    @pytest.mark.parametrize("which,op", [
+        ("ingesting", "compress"),
+        ("compression", "compress"),
+        ("compression", "store_put"),
+        ("gateway", "store_put"),
+    ])
+    def test_refusal_then_ping_on_the_same_connection(self, which, op, request):
+        srv = request.getfixturevalue(which)
+        body = wire.encode_field(BIG)  # >= 64 KB: the ingest path's size
+        header = {"op": op, "shape": [len(body) // 8], "dtype": "object",
+                  "codec": "sz14", "name": "wire.object"}
+        with socket.create_connection(
+            ("127.0.0.1", srv.port), timeout=DEADLINE_S
+        ) as sock:
+            sock.sendall(wire.pack(header, body))
+            resp, _ = wire.recv_frame(sock, _deadline())
+            assert resp["ok"] is False and resp["error"] == "ServiceError"
+            assert "object" in resp["detail"] and resp["op"] == op
+            sock.sendall(wire.pack({"op": "ping"}))
+            assert wire.recv_frame(sock, _deadline())[0]["ok"] is True
+        assert _resident(srv) == 0
+
+
 # -- the field codec -----------------------------------------------------------
 
 
@@ -411,6 +439,7 @@ class TestFieldCodec:
             {"shape": [], "dtype": "float32"},
             {"shape": [24, 32], "dtype": "no-such-dtype"},
             {"shape": "24x32", "dtype": "float32"},
+            {"shape": [24 * 32 // 2], "dtype": "object"},
         ):
             with pytest.raises(ServiceError):
                 wire.decode_field(header, body)

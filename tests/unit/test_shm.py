@@ -25,6 +25,7 @@ from repro.service.shm import (
     run_jobs,
 )
 from repro.service.workers import run_job
+from repro.types import CompressedField
 
 pytestmark = pytest.mark.skipif(
     not ShmArena.available(), reason="shared memory unavailable"
@@ -92,18 +93,6 @@ class TestArenaLifecycle:
         name = arena.allocate(100)  # usable after close
         assert arena.leased_segments == 1
         arena.release(name)
-
-    def test_reclaim_orphans_by_prefix(self, arena):
-        from multiprocessing import shared_memory
-
-        orphan = shared_memory.SharedMemory(
-            name=f"{arena.prefix}o999x1", create=True, size=256
-        )
-        orphan.close()
-        assert arena.reclaim_orphans() == 1
-        assert arena.leaks_reclaimed == 1
-        # already gone: scanning again finds nothing
-        assert arena.reclaim_orphans() == 0
 
     def test_resident_gauge_published(self):
         metrics = MetricsRegistry()
@@ -183,7 +172,7 @@ class TestTransports:
         job = make_job("sz10", field)
         env = transport.encode_job(job)
         try:
-            [out] = map(transport.decode_result, env.fn(*env.args))
+            [out] = env.fn(*env.args)
         finally:
             env.release()
         assert out.payload == run_job(job).payload
@@ -199,13 +188,39 @@ class TestTransports:
         env = transport.encode_job(*jobs)
         assert transport.arena.leased_segments == 3  # one segment per job
         try:
-            outs = map(transport.decode_result, env.fn(*env.args))
+            outs = env.fn(*env.args)
         finally:
             env.release()
         for job, out in zip(jobs, outs):
             assert out.payload == run_job(job).payload
         assert transport.arena.leased_segments == 0
         transport.close()
+
+    def test_outputs_return_by_value_above_min_bytes(self, field):
+        """Only inputs ride segments: a compress and a decompress whose
+        outputs exceed ``min_bytes`` come back as the objects themselves."""
+        transport = ShmTransport(min_bytes=1)
+
+        def cross(job):
+            env = transport.encode_job(job)
+            try:
+                [out] = env.fn(*env.args)
+            finally:
+                env.release()
+            return out
+
+        try:
+            compressed = cross(make_job("sz10", field))
+            assert type(compressed) is CompressedField
+            assert len(compressed.payload) > transport.min_bytes
+            job = make_job("auto", op="decompress", payload=compressed.payload)
+            restored = cross(job)
+            assert type(restored) is np.ndarray
+            assert restored.nbytes > transport.min_bytes
+            np.testing.assert_array_equal(restored, run_job(job))
+            assert transport.arena.leased_segments == 0
+        finally:
+            transport.close()
 
     def test_partial_encode_releases_every_lease(self, field, monkeypatch):
         transport = ShmTransport(min_bytes=1)
