@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -20,7 +21,7 @@ import numpy as np
 from ..codec.registry import REGISTRY
 from ..errors import ConfigError
 from ..streams import check_field
-from ..tiling import check_tileable
+from ..tiling import TileGrid
 from ..types import CompressionStats
 
 __all__ = [
@@ -96,8 +97,8 @@ class CompressionJob:
             if not isinstance(self.data, np.ndarray):
                 raise ConfigError("compress jobs need a numpy `data` array")
             check_field(self.data, entry.name, entry.dims)
-            if not (self.eb > 0):
-                raise ConfigError(f"error bound must be positive, got {self.eb}")
+            if not 0 < self.eb <= sys.float_info.max:  # NaN fails too
+                raise ConfigError(f"error bound must be positive finite, got {self.eb}")
         else:
             if not isinstance(self.payload, (bytes, bytearray)):
                 raise ConfigError("decompress jobs need a bytes `payload`")
@@ -114,7 +115,7 @@ class CompressionJob:
                     "decompress transparently through decompress_auto)"
                 )
             assert self.data is not None
-            check_tileable(self.data.shape)
+            TileGrid.regular(self.data.shape, self.n_tiles)  # fits the field
 
     @property
     def metrics_key(self) -> str:

@@ -8,8 +8,11 @@ draining server refuses it, and whether a large request body may be
 ingested straight into the shm arena.  ``docs/API.md`` carries the same
 table for humans, and a test keeps the two in step.
 
-A handler is ``async (server, header, body) -> response frame``.  The
-store handlers are written once against :class:`~repro.store.TileStore`
+A handler is ``async (server, body, *, <field>: <type> = <default>, ...)
+-> response frame``: its keyword-only parameters are the op's request
+fields (one without a default is required), and :meth:`Op.parse` checks
+a header against them once, before the handler runs.  The store
+handlers are written once against :class:`~repro.store.TileStore`
 (``put`` / ``read`` / ``read_slice`` / ``ls``, and the one ``gc``
 signature its two object layers share), which
 :class:`~repro.store.ArrayStore` and
@@ -20,7 +23,11 @@ neither package is imported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+import sys
+import types
+import typing
+from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
 import numpy as np
@@ -32,7 +39,30 @@ from .wire import decode_field, encode_field, pack, refusal_frame
 
 __all__ = ["Op", "OPS", "lookup"]
 
-Handler = Callable[[Any, dict, Any], Awaitable[bytes]]
+Handler = Callable[..., Awaitable[bytes]]
+
+#: what a field check returns for a value its type does not admit
+_BAD = object()
+
+
+def _check_of(tp: Any) -> Callable[[Any], Any]:
+    """The wire check of one annotation: the value it admits (a ``float``
+    field's JSON integer as a float), or ``_BAD``."""
+    args = typing.get_args(tp)
+    if tp is int:  # a JSON integer: bool is an int subclass, not one
+        return lambda v: v if type(v) is int else _BAD
+    if tp is float:  # finite: NaN fails the comparison, and so does a huge int
+        return lambda v: (float(v) if type(v) in (int, float)
+                          and abs(v) <= sys.float_info.max else _BAD)
+    if type(None) in args:  # X | None
+        some = _check_of(next(a for a in args if a is not type(None)))
+        return lambda v: v if v is None else some(v)
+    if typing.get_origin(tp) is list:
+        each = _check_of(args[0])
+        return lambda v: (v if isinstance(v, list)
+                          and all(each(x) is not _BAD for x in v) else _BAD)
+    assert isinstance(tp, type), f"no wire check for a field of type {tp!r}"
+    return lambda v: v if isinstance(v, tp) else _BAD
 
 
 @dataclass(frozen=True)
@@ -48,26 +78,55 @@ class Op:
     refused_while_draining: bool = False
     #: a large request body may stream socket → shm segment
     ingest_to_arena: bool = False
+    #: the request fields by name: the handler's keyword-only parameters
+    fields: types.MappingProxyType = field(init=False, compare=False)
+    _checks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        params = inspect.signature(self.handler, eval_str=True).parameters
+        fields = {n: p for n, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        object.__setattr__(self, "fields", types.MappingProxyType(fields))
+        object.__setattr__(self, "_checks", tuple(
+            (n, _check_of(p.annotation), p.default is p.empty,
+             inspect.formatannotation(p.annotation)) for n, p in fields.items()
+        ))
+
+    def parse(self, header: dict) -> dict[str, Any]:
+        """The handler's keyword arguments, read from ``header``.  A
+        missing required field or a value its type does not admit is a
+        :class:`ServiceError` naming the op, the field, the type and the
+        value; keys outside the row are the frame's, and ignored."""
+        kwargs = {}
+        for name, check, required, expected in self._checks:
+            if name in header:
+                kwargs[name] = check(header[name])
+            elif required:
+                kwargs[name] = _BAD
+            if kwargs.get(name) is _BAD:
+                got = repr(header[name]) if name in header else "nothing"
+                raise ServiceError(f"{header.get('op')} field {name!r} must "
+                                   f"be {expected}, got {got:.80}")
+        return kwargs
 
 
-async def _ping(srv: Any, header: dict, body: Any) -> bytes:
+async def _ping(srv: Any, body: Any) -> bytes:
     return pack(srv.ping())
 
 
-async def _health(srv: Any, header: dict, body: Any) -> bytes:
+async def _health(srv: Any, body: Any) -> bytes:
     return pack({"ok": True, **await srv.health()})
 
 
-async def _codecs(srv: Any, header: dict, body: Any) -> bytes:
+async def _codecs(srv: Any, body: Any) -> bytes:
     return pack({"ok": True, "codecs": REGISTRY.describe(),
                  "short_names": list(REGISTRY.short_names())})
 
 
-async def _stats(srv: Any, header: dict, body: Any) -> bytes:
+async def _stats(srv: Any, body: Any) -> bytes:
     return pack({"ok": True, "stats": srv.scheduler.stats().to_dict()})
 
 
-async def _shard_map(srv: Any, header: dict, body: Any) -> bytes:
+async def _shard_map(srv: Any, body: Any) -> bytes:
     if srv.shard_map is None:
         return refusal_frame(
             "shard-map-not-configured", "server is not part of a sharded store"
@@ -75,22 +134,17 @@ async def _shard_map(srv: Any, header: dict, body: Any) -> bytes:
     return pack({"ok": True, "shard_map": srv.shard_map})
 
 
-async def _compress(srv: Any, header: dict, body: Any) -> bytes:
+async def _compress(
+    srv: Any, body: Any, *, shape: list[int], dtype: str = "float32",
+    codec: str = "wavesz", eb: float = 1e-3, mode: str = "vr_rel",
+    priority: int = 0, deadline_s: float | None = None, tiles: int = 1,
+) -> bytes:
     # an ndarray body is the shm view the server ingested the socket
     # into: validated and shaped there, it reaches the job uncopied
-    data = body if isinstance(body, np.ndarray) else decode_field(header, body)
-    job = make_job(
-        str(header.get("codec", "wavesz")),
-        data,
-        eb=float(header.get("eb", 1e-3)),
-        mode=str(header.get("mode", "vr_rel")),
-        priority=int(header.get("priority", 0)),
-        deadline_s=(
-            float(header["deadline_s"])
-            if header.get("deadline_s") is not None else None
-        ),
-        n_tiles=int(header.get("tiles", 1)),
-    )
+    data = body if isinstance(body, np.ndarray) else decode_field(
+        {"shape": shape, "dtype": dtype}, body)
+    job = make_job(codec, data, eb=eb, mode=mode, priority=priority,
+                   deadline_s=deadline_s, n_tiles=tiles)
     handle = await srv.scheduler.submit(job)  # raises QueueFullError
     result = await srv.scheduler.wait(handle)
     assert isinstance(result.output, bytes)
@@ -108,7 +162,7 @@ async def _compress(srv: Any, header: dict, body: Any) -> bytes:
     )
 
 
-async def _decompress(srv: Any, header: dict, body: Any) -> bytes:
+async def _decompress(srv: Any, body: Any) -> bytes:
     if not body:
         raise ServiceError("decompress needs a payload body")
     job = make_job("auto", op="decompress", payload=body)
@@ -140,16 +194,13 @@ _PUT_REPORT = (
 )
 
 
-async def _store_put(srv: Any, header: dict, body: Any) -> bytes:
-    result = await srv.blocking(
-        srv.store.put,
-        str(header.get("name", "")),
-        decode_field(header, body),
-        str(header.get("codec", "wavesz")),
-        float(header.get("eb", 1e-3)),
-        str(header.get("mode", "vr_rel")),
-        n_tiles=int(header.get("n_tiles", 4)),
-    )
+async def _store_put(
+    srv: Any, body: Any, *, name: str, shape: list[int],
+    dtype: str = "float32", codec: str = "wavesz", eb: float = 1e-3,
+    mode: str = "vr_rel", n_tiles: int = 4,
+) -> bytes:
+    data = decode_field({"shape": shape, "dtype": dtype}, body)
+    result = await srv.blocking(srv.store.put, name, data, codec, eb, mode, n_tiles=n_tiles)
     return pack({"ok": True, **{k: getattr(result, k) for k in _PUT_REPORT}})
 
 
@@ -167,44 +218,22 @@ def _pack_read(result: Any) -> bytes:
     )
 
 
-async def _store_read(srv: Any, header: dict, body: Any) -> bytes:
-    return _pack_read(await srv.blocking(
-        srv.store.read,
-        str(header.get("name", "")),
-        strict=bool(header.get("strict", True)),
-    ))
+async def _store_read(srv: Any, body: Any, *, name: str, strict: bool = True) -> bytes:
+    return _pack_read(await srv.blocking(srv.store.read, name, strict=strict))
 
 
-async def _store_slice(srv: Any, header: dict, body: Any) -> bytes:
-    raw = header.get("slices")
-    if not isinstance(raw, list):
-        raise ServiceError(
-            f"store_slice needs a per-axis slices list, got {raw!r}"
-        )
-    window = tuple(
-        None if s is None else (s[0], s[1])
-        if isinstance(s, list) and len(s) == 2 else s
-        for s in raw
-    )
-    return _pack_read(await srv.blocking(
-        srv.store.read_slice,
-        str(header.get("name", "")),
-        window,
-        strict=bool(header.get("strict", True)),
-    ))
+async def _store_slice(
+    srv: Any, body: Any, *, name: str, slices: list, strict: bool = True
+) -> bytes:
+    return _pack_read(await srv.blocking(srv.store.read_slice, name, slices, strict=strict))
 
 
-async def _store_ls(srv: Any, header: dict, body: Any) -> bytes:
+async def _store_ls(srv: Any, body: Any) -> bytes:
     return pack({"ok": True, "datasets": await srv.blocking(srv.store.ls)})
 
 
-async def _store_gc(srv: Any, header: dict, body: Any) -> bytes:
-    refs = header.get("refs", [])
-    if not isinstance(refs, list):
-        raise ServiceError(f"store_gc refs must be a list, got {refs!r}")
-    result = await srv.blocking(
-        srv.store.gc, extra_refs=[str(r) for r in refs]
-    )
+async def _store_gc(srv: Any, body: Any, *, refs: list[str] = ()) -> bytes:
+    result = await srv.blocking(srv.store.gc, extra_refs=refs)
     return pack({
         "ok": True,
         "removed": result.n_removed,
@@ -230,55 +259,40 @@ def _object_store(srv: Any) -> Any:
     return srv.store
 
 
-async def _store_get_object(srv: Any, header: dict, body: Any) -> bytes:
-    blob = await srv.blocking(
-        _object_store(srv).get_object, str(header.get("digest", ""))
-    )
+async def _store_get_object(srv: Any, body: Any, *, digest: str) -> bytes:
+    blob = await srv.blocking(_object_store(srv).get_object, digest)
     return pack({"ok": True}, blob)
 
 
-async def _store_put_object(srv: Any, header: dict, body: Any) -> bytes:
+async def _store_put_object(
+    srv: Any, body: Any, *, digest: str | None = None, overwrite: bool = False
+) -> bytes:
     digest, stored = await srv.blocking(
-        _object_store(srv).put_object,
-        body,
-        str(header["digest"]) if header.get("digest") is not None else None,
-        overwrite=bool(header.get("overwrite", False)),
+        _object_store(srv).put_object, body, digest, overwrite=overwrite
     )
     return pack({"ok": True, "digest": digest, "stored": stored})
 
 
-async def _store_has_objects(srv: Any, header: dict, body: Any) -> bytes:
-    digests = header.get("digests", [])
-    if not isinstance(digests, list):
-        raise ServiceError(
-            f"store_has_objects digests must be a list, got {digests!r}"
-        )
-    have = await srv.blocking(
-        _object_store(srv).has_objects, [str(d) for d in digests]
-    )
+async def _store_has_objects(srv: Any, body: Any, *, digests: list[str] = ()) -> bytes:
+    have = await srv.blocking(_object_store(srv).has_objects, digests)
     return pack({"ok": True, "have": have})
 
 
-async def _store_get_manifest(srv: Any, header: dict, body: Any) -> bytes:
-    store, name = _object_store(srv), str(header.get("name", ""))
-    want = header.get("if_digest")
+async def _store_get_manifest(
+    srv: Any, body: Any, *, name: str, if_digest: str | None = None
+) -> bytes:
+    store = _object_store(srv)
     # a conditional request the store's parsed-manifest memo can vouch
     # for is answered here, on the event loop: one stat, no thread hop
-    if want is not None and store.manifest_unchanged(name, want):
+    if if_digest is not None and store.manifest_unchanged(name, if_digest):
         return pack({"ok": True, "unchanged": True})
     m, digest = await srv.blocking(store.manifest_with_digest, name)
-    if digest == want:
+    if digest == if_digest:
         return pack({"ok": True, "unchanged": True})
     return pack({"ok": True, "manifest": m})
 
 
-async def _store_put_manifest(srv: Any, header: dict, body: Any) -> bytes:
-    manifest = header.get("manifest")
-    if not isinstance(manifest, dict):
-        raise ServiceError(
-            "store_put_manifest needs a manifest object in the header"
-        )
-    name = str(header.get("name", ""))
+async def _store_put_manifest(srv: Any, body: Any, *, name: str, manifest: dict) -> bytes:
     await srv.blocking(_object_store(srv).put_manifest, name, manifest)
     return pack({"ok": True, "name": name})
 

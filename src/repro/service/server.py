@@ -210,7 +210,7 @@ class WireServer:
                 "shutting-down", "server is draining; submit elsewhere"
             )
         try:
-            return await op.handler(self, header, body)
+            return await op.handler(self, body, **op.parse(header))
         except QueueFullError as exc:
             return wire.refusal_frame(
                 "queue-full", str(exc),

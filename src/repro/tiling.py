@@ -168,7 +168,8 @@ def normalize_slices(
     axis; trailing axes default to their full extent.  Each element may be
     a ``slice`` (step 1 or ``None`` only), a ``(start, stop)`` pair with
     ``None`` meaning "to the edge", or ``None`` for a full axis.  Negative
-    offsets count from the end, as in NumPy.  Empty windows and anything
+    offsets count from the end, as in NumPy.  A bound that is not an
+    integer (a string, a float, a bool), empty windows and anything
     out of range raise :class:`ShapeError` — the store promises either a
     correct sub-array or a clean error, never silent clipping surprises.
     """
@@ -199,6 +200,13 @@ def normalize_slices(
             raise ShapeError(f"axis {axis}: bad slice window {s!r}")
         if s.step not in (None, 1):
             raise ShapeError(f"axis {axis}: only unit-step slices, got {s.step}")
+        for bound in (s.start, s.stop):
+            if isinstance(bound, bool) or not isinstance(
+                bound, (int, np.integer, type(None))
+            ):
+                raise ShapeError(
+                    f"axis {axis}: slice bound {bound!r} is not an integer"
+                )
         start = 0 if s.start is None else int(s.start)
         stop = d if s.stop is None else int(s.stop)
         if start < 0:

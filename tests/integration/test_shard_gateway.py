@@ -478,12 +478,10 @@ class TestGatewayServerWire:
 
 
 def _legacy_get_manifest():
-    """The handler of a shard that predates ``if_digest``: it ignores
-    the field and always replies with the manifest."""
-    async def handler(srv, header, body):
-        m = await srv.blocking(
-            _object_store(srv).manifest, str(header.get("name", ""))
-        )
+    """The handler of a shard that predates ``if_digest``: the field is
+    not in its row, so it is ignored and the manifest always sent."""
+    async def handler(srv, body, *, name: str):
+        m = await srv.blocking(_object_store(srv).manifest, name)
         return pack({"ok": True, "manifest": m})
     return Op(handler, "store")
 

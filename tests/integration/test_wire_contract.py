@@ -9,28 +9,34 @@ speak the protocol (a :class:`CompressionServer` with a store and a
 * malformed frames — each ends in one typed ``protocol`` error frame and
   a closed connection within a deadline, never a silent close or a
   hung read, with no shm segment left resident;
+* malformed header values — every field of every op, read off
+  ``Op.fields``, gets a typed answer on a connection that stays up and
+  is never re-sent;
 * the field codec — ``encode_field`` / ``decode_field`` round trips.
 """
 
 import asyncio
+import dataclasses
+import inspect
 import json
 import re
 import socket
 import struct
 import threading
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, ShapeError
 from repro.service import CompressionServer, ServiceClient
 from repro.service import wire
-from repro.service.ops import OPS
+from repro.service.ops import OPS, Op
 from repro.service.shm import ShmArena
 from repro.shard import GatewayServer, LocalShardCluster
-from repro.store import manifest_digest
+from repro.store import ArrayStore, manifest_digest
 
 DEADLINE_S = 5.0
 RNG = np.random.default_rng(1402)
@@ -237,10 +243,52 @@ class TestOpTable:
 
     def test_every_op_is_documented(self):
         api = (Path(__file__).parents[2] / "docs" / "API.md").read_text()
-        rows = dict(re.findall(r"^\| `(\w+)` \| (\w+|—) \|", api, re.M))
+        rows = {
+            name: (needs, fields) for name, needs, fields in re.findall(
+                r"^\| `(\w+)` \| (\w+|—) \| (.+?) \| (?:yes|no) \|", api, re.M)
+        }
         assert set(rows) == set(OPS)
         for name, op in OPS.items():
-            assert rows[name] == (op.needs or "—"), name
+            fields = ", ".join(
+                f"`{p}`".replace("|", "\\|") for p in op.fields.values()
+            )
+            assert rows[name] == (op.needs or "—", fields or "—"), name
+
+    def test_handlers_take_their_fields_not_the_header(self):
+        for name, op in OPS.items():
+            params = list(inspect.signature(op.handler).parameters.values())
+            assert [p.name for p in params[:2]] == ["srv", "body"], name
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:2])
+            fields = params[2:]
+            assert all(p.kind is p.KEYWORD_ONLY for p in fields), name
+            assert all(p.annotation is not p.empty for p in fields), name
+            assert list(op.fields) == [p.name for p in fields], name
+            assert "header" not in op.fields, name
+
+    def test_fields_are_derived_not_set(self):
+        op = OPS["compress"]
+        with pytest.raises(TypeError):
+            Op(op.handler, fields={})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.fields = {}
+        with pytest.raises(TypeError):
+            op.fields["eb"] = None
+
+    def test_client_defaults_match_the_fields(self):
+        checked = set()
+        for name, op in OPS.items():
+            method = getattr(ServiceClient, name, None)
+            if method is None:
+                continue
+            for p in inspect.signature(method).parameters.values():
+                if p.name in op.fields:
+                    assert p.default == op.fields[p.name].default, (name, p)
+                    checked.add((name, p.name))
+        assert {
+            ("compress", "codec"), ("compress", "eb"), ("compress", "mode"),
+            ("compress", "tiles"), ("store_put", "n_tiles"),
+            ("store_read", "strict"), ("store_slice", "strict"),
+        } <= checked
 
     def test_conditional_store_get_manifest(self, compression, gateway):
         _ask(compression,
@@ -407,6 +455,106 @@ class TestObjectDtypeIsRefused:
             sock.sendall(wire.pack({"op": "ping"}))
             assert wire.recv_frame(sock, _deadline())[0]["ok"] is True
         assert _resident(srv) == 0
+
+
+# -- header values -------------------------------------------------------------
+
+_MUTANT = "mutant.ts"
+_MISSING = object()
+#: a well-formed request per op, mutated one field at a time; an op not
+#: listed starts from no fields at all
+_BASE = {
+    "compress": (_field_header("compress", FIELD, codec="sz14"),
+                 wire.encode_field(FIELD)),
+    "store_put": (_field_header("store_put", FIELD, name=_MUTANT, codec="sz14",
+                                n_tiles=2), wire.encode_field(FIELD)),
+    "store_read": ({"name": _MUTANT}, b""),
+    "store_slice": ({"name": _MUTANT, "slices": [[2, 6]]}, b""),
+    "store_get_object": ({"digest": "0" * 64}, b""),
+    "store_put_object": ({}, b"raw object"),
+    "store_has_objects": ({"digests": ["0" * 64]}, b""),
+    "store_get_manifest": ({"name": _MUTANT}, b""),
+    "store_put_manifest": ({"name": _MUTANT, "manifest": {}}, b""),
+}
+
+
+def _mutations(param):
+    """``{case: value}`` for one field; which cases the row refuses."""
+    tp = param.annotation
+    values = {
+        "wrong-type": 7 if tp in (str, str | None) else "abc",
+        "null": None,
+        "nan": float("nan"),
+        "infinity": float("inf"),
+        "negative": -1,
+        "1e300": 1e300,
+        "10k-list": [0] * 10_000,
+        "missing": _MISSING,
+    }
+    refused = {"wrong-type", "nan", "infinity"}
+    if type(None) not in typing.get_args(tp):
+        refused.add("null")
+    if param.default is param.empty:
+        refused.add("missing")
+    return values, refused
+
+
+class TestHeaderValues:
+    """Every field of every op × hostile values: a typed answer, then a
+    ``ping`` on the same socket, and no re-send."""
+
+    @pytest.mark.parametrize("op,field", [
+        (name, f) for name, op in OPS.items() for f in op.fields
+    ])
+    @pytest.mark.parametrize("which", ["compression", "gateway"])
+    def test_typed_answer_on_a_live_connection(self, which, op, field, request):
+        srv = request.getfixturevalue(which)
+        row = OPS[op]
+        runnable = row.needs is None or getattr(srv, row.needs) is not None
+        base, body = _BASE.get(op, ({}, b""))
+        values, refused = _mutations(row.fields[field])
+        with ServiceClient(port=srv.port, timeout=DEADLINE_S) as c:
+            if srv.store is not None:
+                c.store_put(_MUTANT, FIELD, "sz14", n_tiles=2)
+            sock = c._sock
+            for case, value in values.items():
+                header = {"op": op, **base, field: value}
+                if value is _MISSING:
+                    del header[field]
+                resp, _ = c._roundtrip(header, body)
+                if not resp["ok"]:
+                    assert resp["error"] and resp["detail"], case
+                if case in refused:
+                    assert resp["ok"] is False, case
+                    if runnable:
+                        assert resp["error"] == "ServiceError", case
+                        assert repr(field) in resp["detail"], case
+                        assert resp["op"] == op, case
+                assert c.ping()["ok"] and c._sock is sock, case
+            assert c.retries == 0
+
+
+class TestSliceBounds:
+    """A window bound that is not an integer is the ``ShapeError`` a
+    local ``read_slice`` raises, not a dropped connection or a silently
+    truncated window."""
+
+    @pytest.mark.parametrize("window", [[(1, "z")], [(1.7, 5)], [None, (True, 4)]])
+    @pytest.mark.parametrize("which", ["compression", "gateway"])
+    def test_refused_over_tcp(self, which, window, request):
+        srv = request.getfixturevalue(which)
+        with ServiceClient(port=srv.port, timeout=DEADLINE_S) as c:
+            c.store_put("bounds.ts", FIELD, "sz14", n_tiles=2)
+            with pytest.raises(ShapeError, match="slice bound"):
+                c.store_slice("bounds.ts", window)
+            assert c.ping()["ok"] and c.retries == 0
+
+    @pytest.mark.parametrize("window", [[(1, "z")], [(1.7, 5)]])
+    def test_refused_in_process(self, tmp_path, window):
+        store = ArrayStore(tmp_path)
+        store.put("bounds.ts", FIELD, "sz14", n_tiles=2)
+        with pytest.raises(ShapeError, match="axis 0: slice bound"):
+            store.read_slice("bounds.ts", window)
 
 
 # -- the field codec -----------------------------------------------------------

@@ -33,6 +33,17 @@ class TestJobValidation:
         with pytest.raises(ConfigError, match="bound"):
             make_job("sz14", smooth2d, eb=0.0)
 
+    @pytest.mark.parametrize("eb", [float("inf"), float("nan"), 10**400],
+                             ids=["inf", "nan", "huge-int"])
+    def test_non_finite_bound_rejected(self, smooth2d, eb):
+        with pytest.raises(ConfigError, match="positive finite"):
+            make_job("wavesz", smooth2d, eb=eb)
+
+    def test_tile_count_the_field_cannot_hold_rejected(self):
+        field = np.zeros((24, 32), dtype=np.float32)
+        with pytest.raises(ShapeError, match="at most 12 tiles fit"):
+            make_job("wavesz-dp", field, n_tiles=10**9)
+
     def test_bad_deadline_rejected(self, smooth2d):
         with pytest.raises(ConfigError, match="deadline"):
             make_job("sz14", smooth2d, deadline_s=-1.0)

@@ -127,6 +127,19 @@ class TestNormalizeSlices:
         with pytest.raises(ShapeError):
             normalize_slices((10,), window)
 
+    @pytest.mark.parametrize("bound", ["z", 1.7, True])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_integer_bound_raises_naming_the_axis(self, bound, axis):
+        window = [None, None]
+        window[axis] = (bound, 5)
+        with pytest.raises(ShapeError, match=f"axis {axis}: slice bound"):
+            normalize_slices((10, 20), window)
+
+    def test_numpy_integer_bounds_accepted(self):
+        assert normalize_slices((10, 20), [(np.int64(1), np.int32(4))]) == (
+            slice(1, 4), slice(0, 20)
+        )
+
     def test_too_many_axes(self):
         with pytest.raises(ShapeError, match="slice axes"):
             normalize_slices((10,), (None, None, None))
