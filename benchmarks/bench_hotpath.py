@@ -49,6 +49,11 @@ shares):
   small-job streams (24-60 lanes) and on ``lib_fields``' 2 048-lane
   ``cesm.TS`` stream, alternated stream by stream, best of the passes:
   ms per stream for each twin and the decode/encode ratio;
+* **sweep plan memory**: the plans ``lib_fields``' six sweeps ask for
+  and the ``sz14`` plan of ``svc_large_fields``' PSL field — bytes the
+  plan cache keeps per interior point (a count, so it holds on any
+  runner) and the fast compress / decompress sweep ms on a seeded field
+  of that shape;
 * **end-to-end** compress/decompress of 1D/2D/3D fields with per-stage
   attribution from ``measure_compressor(stage_timing=True)``.
 
@@ -63,7 +68,8 @@ below 2x of its oracle, the clean speculative sweep below 1.3x of its
 checked path, the packer above 64 minor page faults per call, any
 losing gzip attempt on the small-job fields reaching the parse or the
 small-job rANS decode above 2.2x the CPU of its encode twin (a ratio in
-one run, so it holds on any runner)** — the CI perf gate.
+one run, so it holds on any runner) or a sweep plan above 9 bytes per
+interior point on a 2D shape or 65 on a 3D one** — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
 from repro.rans import coder as rans_coder
 from repro.store import compress_field_tiles
-from repro.sz.pqd import pqd_compress
+from repro.data.fields import gaussian_random_field
+from repro.sz.pqd import pqd_compress, pqd_decompress
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
@@ -104,6 +111,11 @@ import inputs as e2e_inputs  # noqa: E402
 import spec as e2e_spec  # noqa: E402
 from tests.lanes import SINGLE_STEPS, lane_constants, own_region_steps  # noqa: E402
 from tests.property.test_prop_deflate import _reconstruct_oracle  # noqa: E402
+from tests.unit.test_plan_cache import (  # noqa: E402
+    PLAN_BYTES_PER_POINT_GATE,
+    PLAN_SWEEPS,
+    plan_bytes_per_point,
+)
 
 deflate_module = importlib.import_module("repro.lossless.deflate")
 
@@ -651,6 +663,32 @@ def _speculation_on_and_off(repeats: int) -> dict:
     return rows
 
 
+def _plan_memory(repeats: int) -> dict:
+    """Plan bytes per interior point and fast sweep ms, per plan shape."""
+    quant = QuantizerConfig()
+    rows = {}
+    for shape, border in PLAN_SWEEPS.items():
+        pad = 1 if border == "padded" else 0
+        field_shape = tuple(n - pad for n in shape)
+        field = gaussian_random_field(field_shape, seed=1).astype(np.float32)
+        bound = resolve_error_bound(field, EB, MODE).absolute
+        with forced("fast"):
+            res = pqd_compress(field, bound, quant, border=border)
+            c_ms = _best(lambda: pqd_compress(field, bound, quant, border=border), repeats)
+            d_ms = _best(lambda: pqd_decompress(
+                res.codes, res.border_values, res.outlier_values,
+                precision=bound, quant=quant, dtype=field.dtype, border=border,
+            ), repeats)
+        rows["x".join(map(str, shape))] = {
+            "border": border,
+            "bytes_per_point": plan_bytes_per_point(shape),
+            "gate": PLAN_BYTES_PER_POINT_GATE[len(shape)],
+            "compress_ms": c_ms * 1e3,
+            "decompress_ms": d_ms * 1e3,
+        }
+    return rows
+
+
 def _end_to_end(field: np.ndarray, repeats: int) -> dict:
     codec = get_codec(CODEC)
     out: dict = {}
@@ -701,6 +739,7 @@ def run(smoke: bool = False) -> dict:
     sweep_rows = _speculation_on_and_off(repeats)
     small_jobs = _small_jobs(repeats)
     rans_twins = _rans_decode_vs_encode(repeats)
+    plan_rows = _plan_memory(repeats)
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
 
     report = {
@@ -719,6 +758,7 @@ def run(smoke: bool = False) -> dict:
         "narrow_sweep": sweep_rows,
         "small_jobs": small_jobs,
         "rans_decode_vs_encode": rans_twins,
+        "plan_memory": plan_rows,
         "end_to_end": e2e,
     }
 
@@ -834,6 +874,19 @@ def run(smoke: bool = False) -> dict:
             widths_r,
         ))
     lines.append(f"(gate: small-job decode <= {RANS_RATIO_GATE}x encode CPU)")
+    widths_p = (14, 10, 8, 8, 12, 14)
+    lines += [
+        "",
+        "sweep plans: bytes kept per interior point, fast sweep ms",
+        fmt_row(("plan shape", "border", "B/point", "gate", "compress ms",
+                 "decompress ms"), widths_p),
+    ]
+    for name, r in plan_rows.items():
+        lines.append(fmt_row(
+            (name, r["border"], f"{r['bytes_per_point']:.2f}", r["gate"],
+             r["compress_ms"], r["decompress_ms"]),
+            widths_p,
+        ))
     lines += ["", "end to end (byte-identical payloads verified)"]
     widths_e = (24, 10, 10, 8, 10, 10, 8)
     lines.append(fmt_row(
@@ -927,6 +980,12 @@ def run(smoke: bool = False) -> dict:
                 f"small-job rANS decode {ratio:.2f}x the encode CPU "
                 f"(gate {RANS_RATIO_GATE}x)"
             )
+        for name, r in plan_rows.items():
+            if r["bytes_per_point"] > r["gate"]:
+                failures.append(
+                    f"the {name} sweep plan keeps {r['bytes_per_point']:.2f} "
+                    f"bytes per interior point (gate {r['gate']})"
+                )
         if failures:
             raise AssertionError("perf gate: " + "; ".join(failures))
     return report
@@ -947,8 +1006,9 @@ if __name__ == "__main__":
         "per-band decode, the bulk reconstruct < 2x of its oracle, the "
         "speculative sweep < 1.3x of its checked path, the packer > 64 "
         "minor page faults per call, a losing gzip attempt on the "
-        "small-job fields reaches the LZ77 parse or the small-job rANS "
-        "decode takes > 2.2x the CPU of its encode twin",
+        "small-job fields reaches the LZ77 parse, the small-job rANS "
+        "decode takes > 2.2x the CPU of its encode twin or a sweep plan "
+        "keeps > 9 bytes per interior point on a 2D shape (65 on 3D)",
     )
     args = ap.parse_args()
     try:

@@ -92,6 +92,15 @@ class QuantizerConfig:
         return self.capacity >> 1
 
 
+def _positive_finite(value) -> bool:
+    """``value > 0`` and finite as a float; an integer beyond float range
+    is not (``math.isfinite`` would raise ``OverflowError`` on it)."""
+    try:
+        return value > 0 and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ErrorBound:
     """A user-set error bound plus its resolution against a dataset.
@@ -109,9 +118,9 @@ class ErrorBound:
     exponent: int | None = None
 
     def __post_init__(self) -> None:
-        if not (self.value > 0 and math.isfinite(self.value)):
+        if not _positive_finite(self.value):
             raise ConfigError(f"error bound must be positive finite, got {self.value}")
-        if not (self.absolute > 0 and math.isfinite(self.absolute)):
+        if not _positive_finite(self.absolute):
             raise ConfigError(
                 f"resolved absolute bound must be positive finite, got {self.absolute}"
             )
@@ -145,7 +154,7 @@ def resolve_error_bound(
             mode = ErrorBoundMode(mode)
         except ValueError as exc:
             raise ConfigError(f"unknown error bound mode: {mode!r}") from exc
-    if not (value > 0 and math.isfinite(value)):
+    if not _positive_finite(value):
         raise ConfigError(f"error bound must be positive finite, got {value}")
 
     if mode is ErrorBoundMode.ABS:

@@ -15,7 +15,6 @@ keeps SZ-1.4's compression ratio (unlike GhostSZ's decorrelation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,14 +59,24 @@ class WavefrontLayout:
         return inv
 
 
-@lru_cache(maxsize=32)
 def build_layout(shape: tuple[int, int]) -> WavefrontLayout:
-    """Construct (and cache) the wavefront layout for a 2D shape."""
+    """The wavefront layout for a 2D shape.
+
+    Kept beside the sweep plans, under their byte bound
+    (:func:`repro.kernels.pqd_fast.shape_constant`): building one costs
+    milliseconds, and it holds 8 bytes a point.
+    """
     if len(shape) != 2:
         raise ShapeError(f"wavefront layout is defined for 2D shapes, got {shape}")
     d0, d1 = shape
     if d0 < 1 or d1 < 1:
         raise ShapeError(f"degenerate shape {shape}")
+    from ..kernels.pqd_fast import shape_constant  # importing the CLI loads no kernel
+
+    return shape_constant(("layout", shape), lambda: _build_layout(d0, d1))
+
+
+def _build_layout(d0: int, d1: int) -> tuple[WavefrontLayout, int]:
     n_cols = d0 + d1 - 1
     cols: list[np.ndarray] = []
     starts = np.zeros(n_cols + 1, dtype=np.int64)
@@ -77,11 +86,12 @@ def build_layout(shape: tuple[int, int]) -> WavefrontLayout:
         i = np.arange(i_lo, i_hi + 1, dtype=np.int64)
         cols.append(i * d1 + (t - i))
         starts[t + 1] = starts[t] + i.size
-    return WavefrontLayout(
+    layout = WavefrontLayout(
         shape=(d0, d1),
         flat_order=np.concatenate(cols),
         col_starts=starts,
     )
+    return layout, layout.flat_order.nbytes + starts.nbytes
 
 
 def to_wavefront(data: np.ndarray) -> tuple[np.ndarray, WavefrontLayout]:

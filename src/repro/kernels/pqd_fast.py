@@ -7,9 +7,15 @@ wavefront on 1D chains — so per-call dispatch overhead dominates the
 arithmetic.  This kernel keeps the arithmetic identical but
 restructures the loop around it:
 
-* a cached per-shape *plan* (concatenated wavefront indices, the
-  ``(N, m)`` neighbour-gather matrix, segment bounds) hoists every
-  shape-derived computation out of the loop;
+* a cached per-shape *plan* hoists every shape-derived computation out
+  of the loop.  On a 2D field a front is an arithmetic progression of
+  flat indices with stride ``n1 - 1`` (§3.1), and so is each of its
+  stencil neighbours, shifted by the neighbour's offset: the sweep reads
+  them and writes the front through strided views of the field, and the
+  plan keeps only the concatenated front indices (the codes' gather and
+  scatter) and the front bounds, 8 bytes a point.  A 3D front is a union
+  of progressions, so a 3D plan also keeps the ``(N, m)``
+  neighbour-gather matrix.  A 1D chain needs no plan at all;
 * scratch lives in preallocated buffers reused across wavefronts
   (``out=`` everywhere; no ``np.where`` / ``.all()``, which cost ~3x a
   basic ufunc call at wavefront sizes);
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from struct import pack, unpack
+from typing import Callable, Hashable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -62,7 +69,7 @@ from ..lru import BoundedLRU
 from ..sz.lorenzo import neighbor_offsets
 from ..sz.wavefront_index import interior_wavefronts
 
-__all__ = ["compress_sweep", "decompress_sweep"]
+__all__ = ["compress_sweep", "decompress_sweep", "shape_constant"]
 
 # Speculation policy of the multi-D compress sweep (module docstring).
 # Fixed by the cost model, not knobs: verifying a chunk costs about one
@@ -75,56 +82,134 @@ _SPEC_POINTS = 1 << 15  # scratch bound: points per chunk
 
 
 _PLAN_BYTES = 128 << 20  # bound on the bytes the cached plans hold
-# Python objects a wavefront adds to a plan besides its index data: its
-# index array and gather view (~120 + ~128 bytes), their list slots and
-# its segment bound.  On a 1D plan, one front per point, they are most
-# of it (measured with tracemalloc: ~300 bytes a front).
-_FRONT_BYTES = 300
+# Python objects of one plan besides its arrays' data: the tuple, four
+# or five array headers, the key (measured with tracemalloc: < 1 KB).
+_PLAN_OBJECT_BYTES = 1024
 
+T = TypeVar("T")
 
-def _build_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
-    """Shape-derived constants of a sweep and the bytes they hold.
-
-    The plan is ``(offsets, signs, fronts, all_idx, bounds, gblocks,
-    max_n)`` where ``gblocks[k]`` is the ``(n, m)`` neighbour-gather
-    index block of the k-th wavefront, a view of one gather matrix.
-    """
-    offsets, signs = neighbor_offsets(eff_shape, layers)
-    fronts = interior_wavefronts(eff_shape, margin)
-    sizes = [f.size for f in fronts]
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    all_idx = (
-        np.concatenate(fronts) if fronts else np.empty(0, dtype=np.int64)
-    )
-    gidx = all_idx[:, None] - offsets
-    # Per-front views of the gather matrix, so the loop never re-slices.
-    gblocks = [gidx[a:b] for a, b in zip(bounds, bounds[1:])]
-    held = sum(a.nbytes for a in (offsets, signs, all_idx, gidx, *fronts))
-    held += _FRONT_BYTES * len(fronts)
-    plan = offsets, signs, fronts, all_idx, bounds, gblocks, max(sizes, default=0)
-    return plan, held
-
-
-#: ``(eff_shape, margin, layers) -> plan``, bounded by the bytes the plans
-#: hold.  A bound on entries thrashes on a mix of many small shapes (the
-#: small-job workload cycles 16 through the sweep) while letting a few
-#: large ones pin hundreds of MB; a bound on bytes keeps every small plan
-#: and no more large ones than fit.  A plan larger than the whole bound
-#: is built and not kept.
+#: Every shape-derived per-point constant the codecs keep — the sweep
+#: plans and the wavefront layouts of :mod:`repro.core.wavefront` —
+#: bounded by the bytes it holds.  A bound on entries thrashes on a mix
+#: of many small shapes (the small-job workload cycles 16 through the
+#: sweep) while letting a few large ones pin hundreds of MB; a bound on
+#: bytes keeps every small plan and no more large ones than fit.  A value
+#: larger than the whole bound is built and not kept.
 _plans = BoundedLRU(max_cost=_PLAN_BYTES)
 
 
-def _sweep_plan(eff_shape: tuple[int, ...], margin: int, layers: int):
-    """The shape-derived constants of a sweep, from :data:`_plans` or
-    built outside its lock (a racing build of the same key is harmless)."""
-    key = (eff_shape, margin, layers)
-    plan = _plans.get(key)
-    if plan is None:
-        plan, size = _build_plan(eff_shape, margin, layers)
-        _plans.put(key, plan, size)
-    return plan
+def shape_constant(key: Hashable, build: Callable[[], tuple[T, int]]) -> T:
+    """The value ``build()`` returns with its byte count, from
+    :data:`_plans` or built outside its lock (a racing build of the same
+    key is harmless)."""
+    value = _plans.get(key)
+    if value is None:
+        value, size = build()
+        _plans.put(key, value, size + _PLAN_OBJECT_BYTES)
+    return value
+
+
+class _Plan(NamedTuple):
+    """Shape-derived constants of a multi-D sweep.
+
+    Front ``k`` is ``all_idx[bounds[k]:bounds[k + 1]]``.  On a 2D shape
+    its points are ``step`` apart in the flat field and ``gidx`` is
+    ``None``; on a 3D shape ``gidx`` is the ``(N, m)`` neighbour-gather
+    matrix, ``gidx[j, m] = all_idx[j] - offsets[m]``.
+    """
+
+    offsets: np.ndarray
+    signs: np.ndarray
+    all_idx: np.ndarray
+    bounds: np.ndarray
+    max_n: int
+    step: int
+    gidx: np.ndarray | None
+
+    @property
+    def n_fronts(self) -> int:
+        return self.bounds.size - 1
+
+
+def _build_plan(
+    eff_shape: tuple[int, ...], margin: int, layers: int
+) -> tuple[_Plan, int]:
+    """The plan of a 2D or 3D sweep and the bytes its arrays hold."""
+    offsets, signs = neighbor_offsets(eff_shape, layers)
+    fronts = interior_wavefronts(eff_shape, margin)
+    sizes = np.array([f.size for f in fronts], dtype=np.int64)
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    all_idx = (
+        np.concatenate(fronts) if fronts else np.empty(0, dtype=np.int64)
+    )
+    del fronts  # the per-front arrays are not kept; free them before gidx
+    gidx = None
+    if len(eff_shape) == 3:
+        gidx = all_idx[:, None] - offsets
+    plan = _Plan(
+        offsets, signs, all_idx, bounds, int(sizes.max(initial=0)),
+        eff_shape[-1] - 1, gidx,
+    )
+    held = sum(a.nbytes for a in (offsets, signs, all_idx, bounds))
+    return plan, held + (0 if gidx is None else gidx.nbytes)
+
+
+def _sweep_plan(eff_shape: tuple[int, ...], margin: int, layers: int) -> _Plan:
+    """The plan of a multi-D sweep, kept in :data:`_plans`."""
+    return shape_constant(
+        (eff_shape, margin, layers),
+        lambda: _build_plan(eff_shape, margin, layers),
+    )
+
+
+def _front_predictor(plan: _Plan, work_flat: np.ndarray, bounds: list[int]):
+    """``predict(k, p_) -> index``: writes front ``k``'s Lorenzo
+    prediction from ``work_flat`` to ``p_`` and returns the index the
+    front is written through.
+
+    Accumulation is in stencil order with the ``±1`` coefficients folded
+    into add/subtract (module docstring); the fast path's stencils are
+    the 1-layer ones, so ``signs[0] == signs[1] == +1``.
+    """
+    if plan.gidx is None:
+        # The 2D stencil W + N - NW.  Base m at ``f - far`` is
+        # ``work_flat[f - offsets[m]]``, so one strided slice of each
+        # base is a front's m-th operand.
+        st = plan.step
+        starts = plan.all_idx[plan.bounds[:-1]]
+        spans = ((np.diff(plan.bounds) - 1) * st + 1).tolist()
+        far = int(plan.offsets.max())
+        w, n, nw = (work_flat[far - o :] for o in plan.offsets.tolist())
+        at_far = (starts - far).tolist()
+        starts = starts.tolist()
+
+        def strided(k: int, p_: np.ndarray) -> slice:
+            span = spans[k]
+            a = at_far[k]
+            at = slice(a, a + span, st)
+            np.add(w[at], n[at], out=p_)
+            np.subtract(p_, nw[at], out=p_)
+            lo = starts[k]
+            return slice(lo, lo + span, st)
+
+        return strided
+    all_idx, gidx = plan.all_idx, plan.gidx
+    signs = plan.signs.tolist()
+    rest = range(2, len(signs))
+
+    def gathered(k: int, p_: np.ndarray) -> np.ndarray:
+        a, b = bounds[k], bounds[k + 1]
+        g = work_flat[gidx[a:b]]
+        np.add(g[:, 0], g[:, 1], out=p_)
+        for m in rest:
+            if signs[m] > 0:
+                np.add(p_, g[:, m], out=p_)
+            else:
+                np.subtract(p_, g[:, m], out=p_)
+        return all_idx[a:b]
+
+    return gathered
 
 
 def _round_scalar(dtype: np.dtype):
@@ -166,9 +251,7 @@ def compress_sweep(
     skip_first: bool,
 ) -> None:
     """Fused closed-loop PQD sweep; mutates ``work_flat``/``codes_flat``."""
-    plan = _sweep_plan(eff_shape, margin, layers)
-    signs, max_n = plan[1], plan[-1]
-    if not _fast_path_ok(signs, quant):
+    if not _fast_path_ok(neighbor_offsets(eff_shape, layers)[1], quant):
         from ..sz.pqd import _compress_sweep_reference
 
         _compress_sweep_reference(
@@ -185,12 +268,10 @@ def compress_sweep(
             skip_first=skip_first,
         )
         return
-    if max_n == 0:
-        return
     if len(eff_shape) == 1:
         # The all-scalar chain needs the 1D layout (contiguous interior,
-        # single previous-point neighbor); a multi-D field whose fronts
-        # happen to be single points must still use the scatter path.
+        # single previous-point neighbor) and no plan; a multi-D field
+        # whose fronts happen to be single points still sweeps by front.
         _compress_scalar_chain(
             work_flat,
             orig_flat,
@@ -203,7 +284,9 @@ def compress_sweep(
             skip_first=skip_first,
         )
         return
-
+    plan = _sweep_plan(eff_shape, margin, layers)
+    if plan.max_n == 0:
+        return
     _speculative_sweep(
         work_flat,
         orig_flat,
@@ -222,7 +305,7 @@ def _speculative_sweep(
     orig_flat: np.ndarray,
     codes_flat: np.ndarray,
     *,
-    plan,
+    plan: _Plan,
     precision: float,
     quant,
     dtype: np.dtype,
@@ -234,13 +317,14 @@ def _speculative_sweep(
     Returns the number of front evaluations issued: the number of fronts
     plus whatever failed chunks had issued past their failing front.
     """
-    offsets, signs, fronts, all_idx, bounds, gblocks, max_n = plan
+    all_idx, max_n = plan.all_idx, plan.max_n
+    bounds = plan.bounds.tolist()
+    predict = _front_predictor(plan, work_flat, bounds)
     r = quant.radius
     rf = float(r)
     twop = 2.0 * precision
     d_all = orig_flat[all_idx]
-    nf = len(fronts)
-    n_off = offsets.size
+    nf = plan.n_fronts
     # Scratch holds one chunk: never less than the widest front, never
     # more than the field (a 33 x 64 job must not map megabytes).
     room = max(max_n, min(_SPEC_POINTS, bounds[-1]))
@@ -272,23 +356,15 @@ def _speculative_sweep(
             )
         return v
 
-    def issue(j: int, a: int, b: int, hs_: np.ndarray, w_: np.ndarray) -> None:
-        """Front ``j`` without any check: halves -> hs_, feedback -> w_."""
+    def issue(j: int, a: int, b: int, hs_: np.ndarray, w_: np.ndarray):
+        """Front ``j`` without any check: halves -> hs_, feedback -> w_.
+        Returns the index the front is written through."""
         n = b - a
         v = front_views.get(n)
         if v is None:
             v = front_views[n] = (pred[:n], tq[:n], th[:n], r32[:n])
         p_, t_, h_, r32_ = v
-        g = work_flat[gblocks[j]]
-        if n_off == 1:
-            np.copyto(p_, g[:, 0])  # signs[0] == +1 checked above
-        else:
-            np.add(g[:, 0], g[:, 1], out=p_)
-            for m in range(2, n_off):
-                if signs[m] > 0:
-                    np.add(p_, g[:, m], out=p_)
-                else:
-                    np.subtract(p_, g[:, m], out=p_)
+        idx = predict(j, p_)
         np.subtract(d_all[a:b], p_, out=t_)
         np.divide(t_, precision, out=t_)
         np.trunc(t_, out=t_)  # t = ±fq, fq = floor(|diff| / p)
@@ -301,6 +377,7 @@ def _speculative_sweep(
         np.add(t_, p_, out=t_)  # d_re = pred + 2*(code_dot - r)*p
         r32_[...] = t_  # round to storage dtype, like astype
         w_[...] = r32_  # widen back: the feedback / overbound value
+        return idx
 
     def verify(m: int, at: int) -> bool:
         """The reference's two comparisons over ``m`` issued points.
@@ -330,7 +407,7 @@ def _speculative_sweep(
         w_[fail] = transform(d_all[at : at + e - o][fail])
         return w_
 
-    def commit(m: int, idx: np.ndarray) -> None:
+    def commit(m: int, idx) -> None:
         """Codes of the first ``m`` scratch points, all settled, to ``idx``."""
         hs_m, _, _, _, _, ci = scratch(m)
         np.copyto(ci, hs_m, casting="unsafe")  # exact on ±half
@@ -339,19 +416,22 @@ def _speculative_sweep(
 
     k = 0
     if skip_first:
-        idx = fronts[0]
+        idx = all_idx[: bounds[1]]
         work_flat[idx] = transform(orig_flat[idx]).astype(np.float64)
         k = 1
     chunk = min(_SPEC_START, _SPEC_FRONTS)
     streak = 0  # clean fronts in a row on the checked path
     issued = nf - k
+    # The index each issued front of the chunk was written through, so a
+    # failing front is rewritten without rebuilding it.
+    written: list = []
     while k < nf:
         a = bounds[k]
         if chunk == 1:
             # Checked per-front path: nothing is issued past a failure.
             n = bounds[k + 1] - a
             hs_, w_ = scratch(n)[:2]
-            issue(k, a, a + n, hs_, w_)
+            idx = issue(k, a, a + n, hs_, w_)
             if verify(n, a):
                 streak += 1
                 if streak >= _SPEC_REARM:
@@ -359,19 +439,21 @@ def _speculative_sweep(
             else:
                 patch(k, 0)
                 streak = 0
-            work_flat[fronts[k]] = w_
-            commit(n, fronts[k])
+            work_flat[idx] = w_
+            commit(n, idx)
             k += 1
             continue
         k1 = min(k + chunk, nf)
         while bounds[k1] - a > room:
             k1 -= 1
+        written.clear()
         for j in range(k, k1):
             o = bounds[j] - a
             e = bounds[j + 1] - a
             w_ = w_c[o:e]
-            issue(j, a + o, a + e, hs_c[o:e], w_)
-            work_flat[fronts[j]] = w_
+            idx = issue(j, a + o, a + e, hs_c[o:e], w_)
+            work_flat[idx] = w_
+            written.append(idx)
         m = bounds[k1] - a
         if verify(m, a):
             chunk = min(2 * chunk, _SPEC_FRONTS)
@@ -379,7 +461,7 @@ def _speculative_sweep(
             # Fronts before the first failing one are final; the ones
             # after it were issued on feedback that is about to change.
             f = bisect_right(bounds, a + int(np.argmin(ok_c[:m]))) - 1
-            work_flat[fronts[f]] = patch(f, bounds[f] - a)
+            work_flat[written[f - k]] = patch(f, bounds[f] - a)
             issued += k1 - f - 1
             k1 = f + 1
             m = bounds[k1] - a
@@ -448,10 +530,7 @@ def decompress_sweep(
     dtype: np.dtype,
 ) -> None:
     """Fused reconstruction sweep; mutates ``work_flat`` in place."""
-    offsets, signs, fronts, all_idx, bounds, gblocks, max_n = _sweep_plan(
-        eff_shape, margin, layers
-    )
-    if not _fast_path_ok(signs, quant):
+    if not _fast_path_ok(neighbor_offsets(eff_shape, layers)[1], quant):
         from ..sz.pqd import _decompress_sweep_reference
 
         _decompress_sweep_reference(
@@ -465,49 +544,46 @@ def decompress_sweep(
             dtype=dtype,
         )
         return
-    if max_n == 0:
-        return
 
     r = quant.radius
+    if len(eff_shape) == 1:
+        # Same 1D-layout requirement as the compress-side scalar chain;
+        # the interior is the contiguous tail, so no plan either.
+        c_all = codes_flat[margin:]
+        if c_all.size:
+            scaled = (2.0 * (c_all - r)) * precision
+            _decompress_scalar_chain(
+                work_flat, c_all, scaled, margin=margin, dtype=dtype
+            )
+        return
+    plan = _sweep_plan(eff_shape, margin, layers)
+    if plan.max_n == 0:
+        return
+    all_idx, max_n = plan.all_idx, plan.max_n
+    bounds = plan.bounds.tolist()
+    predict = _front_predictor(plan, work_flat, bounds)
     c_all = codes_flat[all_idx]
     # Elementwise identical to the reference's per-wavefront
     # (2.0 * (c - r) * precision), just computed for all fronts at once.
     scaled = (2.0 * (c_all - r)) * precision
 
-    if len(eff_shape) == 1:
-        # Same 1D-layout requirement as the compress-side scalar chain.
-        _decompress_scalar_chain(
-            work_flat, c_all, scaled, margin=margin, dtype=dtype
-        )
-        return
-
     # Points with code 0 keep their preset (border/outlier) values: the
-    # sweep scatters whole wavefronts, then restores the presets saved
+    # sweep writes whole wavefronts, then restores the presets saved
     # before the loop — cheaper than masking every front.
     zrel = np.flatnonzero(c_all == 0)
     zpos = all_idx[zrel]
     zvals = work_flat[zpos]
-    zbounds = np.searchsorted(zrel, bounds).tolist()
+    zbounds = np.searchsorted(zrel, plan.bounds).tolist()
 
     pred = np.empty(max_n)
     r32 = np.empty(max_n, dtype=dtype)
     w64 = np.empty(max_n)
-    n_off = offsets.size
-    a = 0
-    for k, idx in enumerate(fronts):
-        n = idx.size
-        b = a + n
-        g = work_flat[gblocks[k]]
+    for k in range(plan.n_fronts):
+        a = bounds[k]
+        b = bounds[k + 1]
+        n = b - a
         p_ = pred[:n]
-        if n_off == 1:
-            np.copyto(p_, g[:, 0])
-        else:
-            np.add(g[:, 0], g[:, 1], out=p_)
-            for m in range(2, n_off):
-                if signs[m] > 0:
-                    np.add(p_, g[:, m], out=p_)
-                else:
-                    np.subtract(p_, g[:, m], out=p_)
+        idx = predict(k, p_)
         np.add(p_, scaled[a:b], out=p_)
         r32_ = r32[:n]
         r32_[...] = p_  # round to storage dtype
@@ -518,7 +594,6 @@ def decompress_sweep(
         zb = zbounds[k + 1]
         if zb > za:
             work_flat[zpos[za:zb]] = zvals[za:zb]
-        a = b
 
 
 def _decompress_scalar_chain(

@@ -52,8 +52,8 @@ def neighbor_offsets(
     k-th finite difference, so k = 2 is exact on per-axis-quadratic
     surfaces (SZ-1.4's multi-layer option).
 
-    Cached per ``(shape, layers)`` like ``interior_wavefronts``: the PQD
-    loop asks for the same stencil once per wavefront sweep, and blockwise
+    Cached per ``(shape, layers)`` (a few bytes an entry): the PQD loop
+    asks for the same stencil once per wavefront sweep, and blockwise
     codecs once per block.  The returned arrays are read-only.
     """
     ndim = len(shape)

@@ -177,9 +177,7 @@ def pqd_compress(
         decompressed=decompressed,
         border_mask=border_mask,
         outlier_mask=outlier_mask,
-        border_values=flat[border_indices(shape)]
-        if border != "padded"
-        else np.empty(0, dtype=dtype),
+        border_values=flat[border_idx],  # none when padded
         outlier_values=flat[out_idx],
     )
 

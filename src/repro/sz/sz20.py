@@ -22,6 +22,7 @@ Huffman → gzip code path come from :mod:`repro.codec.stages`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -102,6 +103,7 @@ def _lorenzo_block(
     dtype: np.dtype,
     *,
     origin_verbatim: bool,
+    fronts,
 ) -> np.ndarray:
     """Closed-loop Lorenzo over one block; halo from decompressed
     neighbours (zero outside the field).  Returns outlier originals in
@@ -120,7 +122,7 @@ def _lorenzo_block(
     offsets, signs = neighbor_offsets(ext_shape)
     outliers: list[np.ndarray] = []
 
-    for k, idx in enumerate(interior_wavefronts(ext_shape)):
+    for k, idx in enumerate(fronts(ext_shape)):
         if origin_verbatim and k == 0:
             # The field origin is stored verbatim (see pqd.py).
             lwork_flat[idx] = lorig_flat[idx]
@@ -151,6 +153,7 @@ def _lorenzo_block_decode(
     dtype: np.dtype,
     outliers: np.ndarray,
     out_pos: int,
+    fronts,
 ) -> int:
     bshape = bcodes.shape
     ext_shape = tuple(n + 1 for n in bshape)
@@ -178,7 +181,7 @@ def _lorenzo_block_decode(
         ].astype(np.float64)
         out_pos += n_fail
 
-    for idx in interior_wavefronts(ext_shape):
+    for idx in fronts(ext_shape):
         c = lcodes_flat[idx]
         sel = c != 0
         if not sel.any():
@@ -224,6 +227,8 @@ class _BlockHybridStage:
         coeff_rows: list[np.ndarray] = []
         outliers: list[np.ndarray] = []
         first_block = True
+        # a field's blocks share a few shapes; kept for this call only
+        fronts = functools.cache(interior_wavefronts)
 
         for sl in _block_grid(data.shape, bs):
             block = orig[sl]
@@ -249,7 +254,7 @@ class _BlockHybridStage:
                 types.append(_LORENZO)
                 out_vals = _lorenzo_block(
                     orig, work, codes, sl, p, self.quant, dtype,
-                    origin_verbatim=first_block,
+                    origin_verbatim=first_block, fronts=fronts,
                 )
                 if out_vals.size:
                     outliers.append(out_vals)
@@ -281,6 +286,7 @@ class _BlockHybridStage:
         work = np.zeros(shape, dtype=np.float64)
         reg_i = 0
         out_pos = 0
+        fronts = functools.cache(interior_wavefronts)  # as in forward
         for b, sl in enumerate(_block_grid(shape, bs)):
             bshape = tuple(s.stop - s.start for s in sl)
             bcodes = codes[sl]
@@ -300,7 +306,7 @@ class _BlockHybridStage:
                 work[sl] = block_out
             else:
                 out_pos = _lorenzo_block_decode(
-                    work, bcodes, sl, p, quant, dtype, outliers, out_pos
+                    work, bcodes, sl, p, quant, dtype, outliers, out_pos, fronts
                 )
         ctx.out = work.astype(dtype)
 

@@ -14,13 +14,13 @@ Index sets are arithmetic progressions:
 * 3D ``(n0, n1, n2)``: for fixed ``i``, point ``(i, j, s-i-j)`` flattens to
   ``i*n1*n2 + (s-i) + j*(n2-1)`` — one progression per ``(s, i)`` pair.
 
-Results are cached per shape (the engines call this for every field of a
-dataset with identical dims).
+Nothing here is cached: a shape's per-point index arrays are retained
+only by the byte-bounded plan cache of :mod:`repro.kernels.pqd_fast`,
+which keeps what the fast sweeps need of them (on a 2D shape only the
+concatenated indices — each front is a strided view of the field).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..errors import ShapeError
 __all__ = ["interior_wavefronts", "border_indices", "manhattan_grid"]
 
 
-@lru_cache(maxsize=64)
 def interior_wavefronts(
     shape: tuple[int, ...], margin: int = 1
 ) -> tuple[np.ndarray, ...]:
@@ -88,7 +87,6 @@ def interior_wavefronts(
     raise ShapeError(f"wavefront iteration supports 1-3 dimensions, got {ndim}")
 
 
-@lru_cache(maxsize=32)
 def border_indices(shape: tuple[int, ...]) -> np.ndarray:
     """Flat indices of border points (any coordinate == 0), in raster order.
 
@@ -96,9 +94,10 @@ def border_indices(shape: tuple[int, ...]) -> np.ndarray:
     model marks them unpredictable (SZ: truncation analysis; waveSZ:
     verbatim to gzip).
     """
-    grid = np.indices(shape)
-    mask = (grid == 0).any(axis=0)
-    return np.flatnonzero(mask.reshape(-1)).astype(np.int64)
+    mask = np.zeros(shape, dtype=bool)
+    for axis in range(len(shape)):
+        mask[(slice(None),) * axis + (0,)] = True
+    return np.flatnonzero(mask.reshape(-1))
 
 
 def manhattan_grid(shape: tuple[int, ...]) -> np.ndarray:

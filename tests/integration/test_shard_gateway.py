@@ -187,8 +187,13 @@ class TestTypedErrors:
 class TestDegradedWriteConvergence:
     def test_outage_put_acks_degraded_then_reconverges(self, cluster, field):
         data = np.roll(field, 7, axis=0) * np.float32(0.5)
-        vi = 1
-        victim_sid = cluster.shard_id(vi)
+        # The outage must hit an owner of what the put writes: the ring
+        # places names by the shards' (ephemeral) ports, and a shard that
+        # owns none of the four tiles and not the manifest leaves the put
+        # fully replicated.  The manifest's primary owner always qualifies.
+        with cluster.gateway() as gw:
+            victim_sid = gw.ring.owners(manifest_key("conv.ts"), 2)[0]
+        vi = _shard_index(cluster, victim_sid)
         cluster.stop_shard(vi)
         try:
             with cluster.gateway() as gw:
@@ -213,10 +218,9 @@ class TestDegradedWriteConvergence:
                 assert (vroot / "objects" / d).exists(), (
                     f"tile {d[:12]}... not restored to shard {vi}"
                 )
-        if victim_sid in ring.owners(manifest_key("conv.ts"), 2):
-            mpath = vroot / "manifests" / "conv.ts.json"
-            assert mpath.exists()
-            assert json.loads(mpath.read_text())["version"] == acked.version
+        mpath = vroot / "manifests" / "conv.ts.json"
+        assert mpath.exists()
+        assert json.loads(mpath.read_text())["version"] == acked.version
 
 
 class TestReadRepair:

@@ -726,7 +726,7 @@ def _counting_sweep(monkeypatch):
 
     def spy(*args, **kwargs):
         out = sweep(*args, **kwargs)
-        issued.append((out, len(kwargs["plan"][2]) - kwargs["skip_first"]))
+        issued.append((out, kwargs["plan"].n_fronts - kwargs["skip_first"]))
         return out
 
     monkeypatch.setattr(pqd_fast, "_speculative_sweep", spy)

@@ -74,6 +74,26 @@ class TestResolveErrorBound:
             with pytest.raises(ConfigError):
                 resolve_error_bound(np.array([0.0, 1.0]), bad, "abs")
 
+    @pytest.mark.parametrize("mode", ["abs", "vr_rel", "pw_rel"])
+    def test_integer_beyond_float_range_rejected(self, mode):
+        # math.isfinite(10**400) raises OverflowError; the bound check
+        # names the value instead, as it does for -10**400
+        for bad in (10**400, -(10**400)):
+            with pytest.raises(ConfigError, match="positive finite"):
+                resolve_error_bound(np.array([0.0, 1.0]), bad, mode)
+
+    def test_integer_beyond_float_range_rejected_by_codec_and_store(self, tmp_path):
+        from repro.codec.registry import get_codec
+        from repro.store import ArrayStore
+
+        field = np.linspace(0, 1, 64, dtype=np.float32).reshape(8, 8)
+        with pytest.raises(ConfigError, match="positive finite"):
+            get_codec("wavesz-dp").compress(field, 10**400, "abs")
+        store = ArrayStore(tmp_path / "s")
+        with pytest.raises(ConfigError, match="positive finite"):
+            store.put("a", field, "sz14", 10**400)
+        assert store.ls() == []
+
     def test_base2_tightens_to_power_of_two(self):
         data = np.array([0.0, 1.0])
         b = resolve_error_bound(data, 1e-3, "vr_rel", base2=True)
@@ -111,6 +131,11 @@ class TestResolveErrorBound:
 
 
 class TestErrorBoundDataclass:
+    def test_integer_beyond_float_range_rejected(self):
+        for value, absolute in ((10**400, 1e-3), (1e-3, 10**400)):
+            with pytest.raises(ConfigError, match="positive finite"):
+                ErrorBound(mode=ErrorBoundMode.ABS, value=value, absolute=absolute)
+
     def test_base2_requires_exponent(self):
         with pytest.raises(ConfigError):
             ErrorBound(mode=ErrorBoundMode.ABS, value=1e-3, absolute=2**-10, base2=True)

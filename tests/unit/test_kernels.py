@@ -247,7 +247,7 @@ class TestPQDSweepDispatch:
     """Regression shapes for the fused sweep's dispatch conditions."""
 
     # (2, 24) has single-point wavefronts but a non-contiguous 2D
-    # interior — it must take the scatter path, not the 1D scalar chain.
+    # interior — it must sweep front by front, not take the 1D scalar chain.
     SHAPES = [(2, 24), (2, 2), (40,), (6, 7), (3, 4, 5)]
 
     @pytest.mark.parametrize("shape", SHAPES)

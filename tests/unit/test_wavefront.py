@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.wavefront import build_layout, from_wavefront, to_wavefront
 from repro.errors import ShapeError
+from repro.kernels import pqd_fast
+from repro.lru import BoundedLRU
 from repro.sz.wavefront_index import manhattan_grid
 
 
@@ -77,5 +79,17 @@ class TestLayout:
         with pytest.raises(ShapeError):
             from_wavefront(np.zeros(8), layout)
 
-    def test_caching(self):
-        assert build_layout((5, 6)) is build_layout((5, 6))
+    def test_kept_under_the_plan_cache_bound(self, monkeypatch):
+        """The layout is kept beside the sweep plans, under their byte
+        bound: a hit while it fits, rebuilt (equal) when it does not."""
+        cache = BoundedLRU(max_cost=1 << 20)
+        monkeypatch.setattr(pqd_fast, "_plans", cache)
+        layout = build_layout((5, 6))
+        assert build_layout((5, 6)) is layout
+        assert (cache.hits, cache.misses) == (1, 1)
+        held = layout.flat_order.nbytes + layout.col_starts.nbytes
+        assert cache.cost == held + pqd_fast._PLAN_OBJECT_BYTES
+        monkeypatch.setattr(pqd_fast, "_plans", BoundedLRU(max_cost=held))
+        again = build_layout((5, 6))
+        assert again is not build_layout((5, 6))
+        assert (again.flat_order == layout.flat_order).all()

@@ -70,10 +70,14 @@ class TestInteriorWavefronts:
         with pytest.raises(ShapeError):
             interior_wavefronts((2, 2, 2, 2))
 
-    def test_caching_returns_same_object(self):
+    def test_nothing_is_kept_between_calls(self):
+        # a shape's index arrays are retained only by the byte-bounded
+        # plan cache of repro.kernels.pqd_fast
         a = interior_wavefronts((5, 6))
         b = interior_wavefronts((5, 6))
-        assert a is b
+        assert a is not b and not hasattr(interior_wavefronts, "cache_info")
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
+        assert not hasattr(border_indices, "cache_info")
 
 
 class TestBorderIndices:
@@ -92,6 +96,11 @@ class TestBorderIndices:
     def test_raster_ordered(self):
         idx = border_indices((5, 5))
         assert (np.diff(idx) > 0).all()
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 2), (3, 4), (4, 5, 6), (2, 9, 3)])
+    def test_matches_the_coordinate_definition(self, shape):
+        on_border = (np.indices(shape) == 0).any(axis=0).reshape(-1)
+        assert border_indices(shape).tolist() == np.flatnonzero(on_border).tolist()
 
 
 class TestManhattanGrid:
