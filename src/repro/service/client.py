@@ -109,8 +109,9 @@ class ServiceClient:
         self._connect()
         self._sock.sendall(wire.pack(header, body))
 
-    def _receive(self, deadline: float) -> tuple[dict, bytes]:
-        """Read the one reply the last :meth:`_send` is owed."""
+    def _receive(self, deadline: float) -> tuple[dict, bytearray]:
+        """Read the one reply the last :meth:`_send` is owed; its body is
+        the buffer it was received into."""
         reply = wire.recv_frame(self._sock, deadline)
         # an application-level error still proves the server is alive —
         # the breaker only tracks transport outcomes.
@@ -119,7 +120,7 @@ class ServiceClient:
 
     def _once(
         self, header: dict, body: bytes, deadline: float
-    ) -> tuple[dict, bytes]:
+    ) -> tuple[dict, bytearray]:
         """One wire attempt: its two halves back to back.  (The shard
         gateway runs them apart: it sends to every shard before it
         receives from any.)  When either half raises, the caller must
@@ -129,7 +130,7 @@ class ServiceClient:
 
     def _roundtrip(
         self, header: dict, body: bytes = b"", *, spent: int = 0
-    ) -> tuple[dict, bytes]:
+    ) -> tuple[dict, bytearray]:
         """One request under the retry budget.  ``spent`` is how many of
         the budget's attempts the caller already made and lost itself
         (the shard gateway's burst is the first try of its requests)."""
@@ -170,7 +171,7 @@ class ServiceClient:
 
     def _call(
         self, op: str, body: bytes = b"", **fields: Any
-    ) -> tuple[dict, bytes]:
+    ) -> tuple[dict, bytearray]:
         """One checked round trip: the ``ok`` response header and body."""
         resp, rbody = self._roundtrip({"op": op, **fields}, body)
         return self._check(resp), rbody
@@ -213,7 +214,7 @@ class ServiceClient:
             shape=list(data.shape), dtype=str(data.dtype),
             priority=priority, deadline_s=deadline_s, tiles=tiles,
         )
-        return payload, resp
+        return bytes(payload), resp
 
     def decompress(self, payload: bytes) -> np.ndarray:
         return wire.decode_field(*self._call("decompress", payload))

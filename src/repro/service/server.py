@@ -34,10 +34,12 @@ from .scheduler import BatchScheduler
 __all__ = ["WireServer", "CompressionServer", "ServiceClient", "serve", "run_until_sigterm"]
 
 #: Completed responses remembered per request id — big enough that any
-#: sane retry window replays from cache, small enough to never matter.
-#: The byte cap is what keeps that true for field-sized responses: 512
-#: decompressed 2 MB fields would be a gigabyte, growing with every
-#: request served.
+#: sane retry window replays from cache.  Field-sized responses make it
+#: real memory: without the byte cap 512 decompressed 2 MB fields would
+#: be a gigabyte, and at the cap it still holds 64 MiB of frames (on
+#: ``svc_large_fields`` it grows ``wavesz serve`` from 40 to ~120 MB,
+#: more than either worker).  The ``stats`` gauges
+#: ``server.replay_bytes`` / ``server.replay_entries`` show what it holds.
 _IDEM_CACHE = 512
 _IDEM_CACHE_BYTES = 64 << 20
 
@@ -64,6 +66,13 @@ class WireServer:
         # concurrent replays, completed entries answer late ones.  An
         # entry costs the bytes of its response, nothing while in flight.
         self._idem = BoundedLRU(max_entries=_IDEM_CACHE, max_cost=_IDEM_CACHE_BYTES)
+        self._replay_gauges()
+
+    def _replay_gauges(self) -> None:
+        self.metrics.set_gauges({
+            "server.replay_bytes": self._idem.cost,
+            "server.replay_entries": len(self._idem),
+        })
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -186,6 +195,7 @@ class WireServer:
             response = await self._answer(op, header, body)
         except BaseException as exc:
             self._idem.pop(req_id)  # do not cache a non-answer
+            self._replay_gauges()
             if not fut.done():
                 fut.set_exception(exc)
                 fut.exception()  # consumed: avoid the never-retrieved log
@@ -194,6 +204,7 @@ class WireServer:
             fut.set_result(response)
             if self._idem.get(req_id) is fut:
                 self._idem.put(req_id, fut, len(response))
+        self._replay_gauges()
         return response
 
     async def _answer(self, op: Op | None, header: dict, body: Any) -> bytes:
@@ -362,6 +373,41 @@ async def run_until_sigterm(server: WireServer, **stop_kwargs: Any) -> None:
         await server.stop(**stop_kwargs)
 
 
+#: Freed heap a serving process keeps for its next request.  Every
+#: field-sized temporary (codec work arrays, entropy streams, pickles,
+#: received bodies) is allocated below it from the heap instead of a
+#: fresh mapping, and the heap's free top is returned to the system only
+#: past it: without it each request faults its temporaries in again.
+#: Serving 1.6-2.3 MB fields, one worker still takes ~6 K faults per ten
+#: requests at 16 MiB, and reads run 1-7 % faster at 64 MiB than at
+#: 32 MiB (docs/PERF.md, "A served field is faulted in once").
+_HEAP_KEEP_BYTES = 64 << 20
+
+
+def _keep_freed_heap(bound: int = _HEAP_KEEP_BYTES) -> bool:
+    """Have glibc's malloc keep up to ``bound`` bytes of freed heap in
+    this process (and in every worker it forks later): allocations
+    below ``bound`` come from the heap, and the heap's free top is
+    returned once it reaches ``bound``.  False where there is no
+    ``mallopt`` (not glibc) — the allocator is left as it is.
+
+    Only the ``serve`` entry points call this: a program that embeds a
+    server keeps its own allocator policy.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    m_trim_threshold, m_top_pad, m_mmap_threshold = -1, -2, -3
+    return all(mallopt(option, value) == 1 for option, value in (
+        (m_mmap_threshold, bound),
+        (m_trim_threshold, bound),
+        (m_top_pad, bound // 4),
+    ))
+
+
 #: How long ``serve`` lets in-flight jobs finish after SIGTERM before it
 #: fails the stragglers: a supervisor follows its terminate with a kill
 #: after a grace period (30 s is the common default), and a drain that
@@ -376,6 +422,7 @@ async def serve(host: str = "127.0.0.1", port: int = 8123, **kwargs: Any) -> Non
     jobs for up to ``_DRAIN_DEADLINE_S``, then exit — so a supervisor's
     ordinary terminate never drops an acked job.
     """
+    _keep_freed_heap()  # before the pool forks: the workers inherit it
     server = CompressionServer(host, port, **kwargs)
     await server.start()
     store_note = (

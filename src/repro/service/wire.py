@@ -37,7 +37,7 @@ from ..errors import (
     ShapeError,
     StoreError,
 )
-from ..streams import MAX_FIELD_POINTS, values_from_bytes, values_to_bytes
+from ..streams import MAX_FIELD_POINTS
 
 __all__ = [
     "pack", "read_header", "read_frame", "recv_exact", "recv_frame",
@@ -74,11 +74,10 @@ def _parse_header(raw: bytes) -> tuple[dict, int]:
     if not isinstance(header, dict):
         raise ServiceError("frame header is not a JSON object")
     body_len = header.get("body_len", 0)
-    if body_len and (
-        not isinstance(body_len, int) or not 0 < body_len <= MAX_BODY
-    ):
+    # a JSON integer only: ``true`` is an int to isinstance, not a length
+    if type(body_len) is not int or not 0 <= body_len <= MAX_BODY:
         raise ServiceError(f"frame body length {body_len!r} out of range")
-    return header, int(body_len or 0)
+    return header, body_len
 
 
 async def read_header(reader: asyncio.StreamReader) -> tuple[dict, int]:
@@ -93,7 +92,7 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes]:
     return header, body
 
 
-def recv_exact(sock: Any, n: int, deadline: float) -> bytes:
+def recv_exact(sock: Any, n: int, deadline: float) -> bytearray:
     """Read exactly ``n`` bytes from a blocking socket, spending at most
     the time left until ``deadline`` — the timeout is re-armed before
     *every* recv so a byte-dripping peer cannot stretch one request past
@@ -101,9 +100,11 @@ def recv_exact(sock: Any, n: int, deadline: float) -> bytes:
 
     Uses ``recv_into`` against one preallocated buffer, so a large body
     lands in place instead of accumulating per-chunk ``bytes`` objects
-    joined at the end.  Socket doubles without ``recv_into`` (the chaos
-    seam's :class:`~repro.faults.netsim.FlakyConnection`) fall back to
-    plain ``recv``.
+    joined at the end — and that buffer is what is returned, uncopied
+    (:func:`decode_field` wraps it as a writable array).  Socket doubles
+    without ``recv_into`` (the chaos seam's
+    :class:`~repro.faults.netsim.FlakyConnection`) fall back to plain
+    ``recv``.
     """
     buf = bytearray(n)
     view = memoryview(buf)
@@ -127,11 +128,12 @@ def recv_exact(sock: Any, n: int, deadline: float) -> bytes:
         if not k:
             raise ConnectionResetError("peer closed the connection mid-frame")
         got += k
-    return bytes(buf)
+    return buf
 
 
-def recv_frame(sock: Any, deadline: float) -> tuple[dict, bytes]:
-    """The blocking twin of :func:`read_frame`, under one deadline."""
+def recv_frame(sock: Any, deadline: float) -> tuple[dict, bytearray]:
+    """The blocking twin of :func:`read_frame`, under one deadline; the
+    body is the buffer it was received into."""
     hlen = _header_len(recv_exact(sock, _LEN.size, deadline))
     header, body_len = _parse_header(recv_exact(sock, hlen, deadline))
     return header, recv_exact(sock, body_len, deadline)
@@ -140,9 +142,14 @@ def recv_frame(sock: Any, deadline: float) -> tuple[dict, bytes]:
 # -- fields ------------------------------------------------------------------
 
 
-def encode_field(data: np.ndarray) -> bytes:
-    """A field's wire body: its values, C order, little-endian."""
-    return values_to_bytes(data)
+def encode_field(data: np.ndarray) -> memoryview:
+    """A field's wire body: its values, C order, little-endian — a view
+    of ``data`` itself when it is laid out that way already, else of the
+    one copy that lays it out."""
+    wire_order = np.ascontiguousarray(data).astype(
+        data.dtype.newbyteorder("<"), copy=False
+    )
+    return memoryview(wire_order.reshape(-1).view(np.uint8))
 
 
 def check_field(
@@ -169,10 +176,16 @@ def check_field(
     return shape, dtype
 
 
-def decode_field(header: dict, body: bytes) -> np.ndarray:
-    """The inverse of :func:`encode_field` against the frame's header."""
+def decode_field(header: dict, body: Any) -> np.ndarray:
+    """The inverse of :func:`encode_field` against the frame's header: a
+    writable array, over ``body`` itself when that is a writable buffer
+    (what :func:`recv_frame` returns) already in the declared byte
+    order, else over one copy."""
     shape, dtype = check_field(header, len(body))
-    return values_from_bytes(body, len(body) // dtype.itemsize, dtype).reshape(shape)
+    values = np.frombuffer(body, dtype=dtype.newbyteorder("<"))
+    if not values.flags.writeable or values.dtype != dtype:
+        values = values.astype(dtype)
+    return values.reshape(shape)
 
 
 # -- the error envelope ------------------------------------------------------

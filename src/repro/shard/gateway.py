@@ -580,7 +580,8 @@ class ShardGateway(TileStore):
                     try:
                         if isinstance(r, BaseException):
                             raise r
-                        good[d] = open_tile_blob(d, r[1]), r[1]
+                        blob = bytes(r[1])  # kept, and re-sent, immutable
+                        good[d] = open_tile_blob(d, blob), blob
                         if rank:
                             self._note_failover(owners[d][0])
                     except StoreError:

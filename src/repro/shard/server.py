@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable
 
-from ..service.server import WireServer, run_until_sigterm
+from ..service.server import WireServer, _keep_freed_heap, run_until_sigterm
 from .gateway import ShardGateway
 
 __all__ = ["GatewayServer", "serve_gateway"]
@@ -70,6 +70,7 @@ async def serve_gateway(
 ) -> None:
     """Run a gateway server until cancelled (the ``wavesz shard serve``
     body); SIGTERM closes the listener and the per-shard clients."""
+    _keep_freed_heap()
     server = GatewayServer(gateway, host, port)
     await server.start()
     print(

@@ -347,6 +347,11 @@ MALFORMED = {
         json.dumps({"op": "ping", "body_len": -1}).encode()),
     "string-body-len": _framed(
         json.dumps({"op": "ping", "body_len": "many"}).encode()),
+    # a bool is an int to isinstance: ``true`` must not read as 1 byte
+    "bool-body-len": _framed(
+        json.dumps({"op": "ping", "body_len": True}).encode()),
+    "float-body-len": _framed(
+        json.dumps({"op": "ping", "body_len": 1.0}).encode()),
     "oversized-body-len": _framed(
         json.dumps({"op": "compress", "body_len": 1 << 40}).encode()),
 }
@@ -384,6 +389,21 @@ class TestMalformedFrames:
         assert _resident(srv) == 0
         with ServiceClient(port=srv.port, timeout=DEADLINE_S) as c:
             assert c.ping()["ok"]  # and the server itself is unharmed
+
+
+class TestBodyLength:
+    @pytest.mark.parametrize("body_len", [True, 1.0, -1, "1", None])
+    def test_only_a_json_integer_is_a_length(self, body_len):
+        raw = json.dumps({"op": "ping", "body_len": body_len}).encode()
+        with pytest.raises(ServiceError, match="body length .* out of range"):
+            wire._parse_header(raw)
+
+    @pytest.mark.parametrize("header,n", [
+        ({"op": "ping"}, 0), ({"op": "ping", "body_len": 0}, 0),
+        ({"op": "ping", "body_len": 7}, 7),
+    ])
+    def test_integer_lengths_are_read(self, header, n):
+        assert wire._parse_header(json.dumps(header).encode()) == (header, n)
 
 
 class TestBadShapeIsAnsweredOnEveryTransport:
