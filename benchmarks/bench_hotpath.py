@@ -49,6 +49,15 @@ shares):
   small-job streams (24-60 lanes) and on ``lib_fields``' 2 048-lane
   ``cesm.TS`` stream, alternated stream by stream, best of the passes:
   ms per stream for each twin and the decode/encode ratio;
+* **the small request**: server and client CPU per tiny (8 x 8
+  ``wavesz-dp``) ``decompress`` and per ``ping`` against a subprocess
+  ``wavesz serve --workers 2`` (the server's from its threads'
+  ``/proc`` schedstat, the client's from this process), alternated in
+  rounds, and what one tiny ``decompress`` costs the event loop of an
+  in-process server with a 2-worker process pool: loop passes,
+  self-pipe writes, ``call_soon_threadsafe`` calls and
+  ``multiprocessing.connection`` selectors (counts, so they hold on any
+  runner);
 * **sweep plan memory**: the plans ``lib_fields``' six sweeps ask for
   and the ``sz14`` plan of ``svc_large_fields``' PSL field — bytes the
   plan cache keeps per interior point (a count, so it holds on any
@@ -66,10 +75,12 @@ the lanes take more than 0.5 own-region steps per symbol on a fixed
 batch below 1.2x of the per-band decode, the bulk reconstruct
 below 2x of its oracle, the clean speculative sweep below 1.3x of its
 checked path, the packer above 64 minor page faults per call, any
-losing gzip attempt on the small-job fields reaching the parse or the
+losing gzip attempt on the small-job fields reaching the parse, the
 small-job rANS decode above 2.2x the CPU of its encode twin (a ratio in
-one run, so it holds on any runner) or a sweep plan above 9 bytes per
-interior point on a 2D shape or 65 on a 3D one** — the CI perf gate.
+one run, so it holds on any runner), a sweep plan above 9 bytes per
+interior point on a 2D shape or 65 on a 3D one, or a tiny served
+``decompress`` writing the loop's self-pipe or building a selector for
+its reply** — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -77,8 +88,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
+import re
 import resource
+import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter, defaultdict
 from contextlib import ExitStack
@@ -101,6 +116,7 @@ from repro.lossless.deflate import deflate, inflate
 from repro.lossless.lz77 import LZ77Encoder
 from repro.perf import measure_compressor
 from repro.rans import coder as rans_coder
+from repro.service import CompressionServer, ServiceClient
 from repro.store import compress_field_tiles
 from repro.data.fields import gaussian_random_field
 from repro.sz.pqd import pqd_compress, pqd_decompress
@@ -109,6 +125,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 import inputs as e2e_inputs  # noqa: E402
 import spec as e2e_spec  # noqa: E402
+from tests.dispatch import loop_counts, serving, tiny_payload  # noqa: E402
 from tests.lanes import SINGLE_STEPS, lane_constants, own_region_steps  # noqa: E402
 from tests.property.test_prop_deflate import _reconstruct_oracle  # noqa: E402
 from tests.unit.test_plan_cache import (  # noqa: E402
@@ -140,6 +157,9 @@ RANS_LIB_FIELD = "cesm.TS"  # lib_fields' field with a 2 048-lane stream
 RANS_LIB_LANES = 2048
 OBD_SEED = 3
 OBD_SYMBOLS = 200_000
+#: self-pipe writes and reply selectors one tiny served decompress may cost
+WAKEUP_GATE = 0
+SELECTOR_GATE = 0
 
 FIELDS = {
     "1d CESM.TS.flat": lambda: load_field("CESM-ATM", "TS").reshape(-1),
@@ -663,6 +683,73 @@ def _speculation_on_and_off(repeats: int) -> dict:
     return rows
 
 
+def _cpu_s(pid: int) -> float:
+    """CPU seconds of every thread of process ``pid`` (Linux schedstat,
+    nanoseconds)."""
+    task = Path(f"/proc/{pid}/task")
+    return sum(int((t / "schedstat").read_text().split()[0]) for t in task.iterdir()) / 1e9
+
+
+def _small_request(requests: int, rounds: int) -> dict:
+    """Server and client CPU per tiny decompress and per ping against a
+    subprocess ``wavesz serve --workers 2``, median of ``rounds``
+    alternated rounds of ``requests`` each; then the loop counts of one
+    tiny decompress on an in-process server with a 2-worker process
+    pool."""
+    payload = tiny_payload()
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    row: dict = {"requests": requests, "rounds": rounds}
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "serve.log"
+        with open(log, "wb") as sink:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "2"],
+                stdout=sink, stderr=subprocess.STDOUT, stdin=subprocess.DEVNULL, env=env,
+            )
+        per = _small_request_cpu(proc, log, payload, requests, rounds)
+    for op, samples in per.items():
+        row[op] = {k: float(np.median(v)) for k, v in samples.items()}
+    srv = CompressionServer(port=0, workers=2, pool_kind="process", batch_bytes=32768)
+    with serving(srv) as loop, ServiceClient(port=srv.port) as client:
+        for _ in range(20):
+            client.decompress(payload)
+        with loop_counts(loop) as counts:
+            for _ in range(requests):
+                client.decompress(payload)
+    row["per_decompress"] = {k: n / requests for k, n in counts.items()}
+    return row
+
+
+def _small_request_cpu(proc, log: Path, payload: bytes, requests: int, rounds: int) -> dict:
+    """CPU samples per request, server and client, by op; stops ``proc``."""
+    try:
+        deadline = time.monotonic() + 30
+        banner = None
+        while banner is None and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.02)
+            banner = re.search(r"listening on [\w.]+:(\d+)", log.read_text())
+        if banner is None:
+            raise AssertionError(f"wavesz serve did not start: {log.read_text()}")
+        with ServiceClient(port=int(banner.group(1))) as client:
+            ops = {"decompress": lambda: client.decompress(payload), "ping": client.ping}
+            for _ in range(20):  # both workers forked and warm
+                ops["decompress"]()
+            per: dict = {op: {"server_us": [], "client_us": []} for op in ops}
+            for _ in range(rounds):
+                for op, call in ops.items():
+                    server0, client0 = _cpu_s(proc.pid), time.process_time()
+                    for _ in range(requests):
+                        call()
+                    per[op]["server_us"].append((_cpu_s(proc.pid) - server0) / requests * 1e6)
+                    per[op]["client_us"].append((time.process_time() - client0) / requests * 1e6)
+    finally:
+        proc.terminate()
+        proc.wait(30)
+    return per
+
+
 def _plan_memory(repeats: int) -> dict:
     """Plan bytes per interior point and fast sweep ms, per plan shape."""
     quant = QuantizerConfig()
@@ -740,6 +827,7 @@ def run(smoke: bool = False) -> dict:
     small_jobs = _small_jobs(repeats)
     rans_twins = _rans_decode_vs_encode(repeats)
     plan_rows = _plan_memory(repeats)
+    small_request = _small_request(200 if smoke else 500, 3)
     e2e = {name: _end_to_end(FIELDS[name](), repeats) for name in field_names}
 
     report = {
@@ -759,6 +847,7 @@ def run(smoke: bool = False) -> dict:
         "small_jobs": small_jobs,
         "rans_decode_vs_encode": rans_twins,
         "plan_memory": plan_rows,
+        "small_request": small_request,
         "end_to_end": e2e,
     }
 
@@ -887,6 +976,19 @@ def run(smoke: bool = False) -> dict:
              r["compress_ms"], r["decompress_ms"]),
             widths_p,
         ))
+    counts = small_request["per_decompress"]
+    lines += [
+        "",
+        f"small request: wavesz serve --workers 2, median of "
+        f"{small_request['rounds']} rounds x {small_request['requests']} requests",
+        fmt_row(("request", "server us", "client us"), (16, 10, 10)),
+        *(fmt_row((op, small_request[op]["server_us"], small_request[op]["client_us"]),
+                  (16, 10, 10)) for op in ("decompress", "ping")),
+        f"per tiny decompress, in-process server: {counts['passes']:.2f} loop passes, "
+        f"{counts['self_pipe']:.2f} self-pipe writes (gate {WAKEUP_GATE}), "
+        f"{counts['threadsafe']:.2f} call_soon_threadsafe, "
+        f"{counts['selectors']:.2f} selectors (gate {SELECTOR_GATE})",
+    ]
     lines += ["", "end to end (byte-identical payloads verified)"]
     widths_e = (24, 10, 10, 8, 10, 10, 8)
     lines.append(fmt_row(
@@ -986,6 +1088,16 @@ def run(smoke: bool = False) -> dict:
                     f"the {name} sweep plan keeps {r['bytes_per_point']:.2f} "
                     f"bytes per interior point (gate {r['gate']})"
                 )
+        if counts["self_pipe"] > WAKEUP_GATE or counts["threadsafe"] > WAKEUP_GATE:
+            failures.append(
+                f"a tiny served decompress wrote the loop's self-pipe "
+                f"{counts['self_pipe']:.2f} times (gate {WAKEUP_GATE})"
+            )
+        if counts["selectors"] > SELECTOR_GATE:
+            failures.append(
+                f"a tiny served decompress built {counts['selectors']:.2f} "
+                f"selectors for its reply (gate {SELECTOR_GATE})"
+            )
         if failures:
             raise AssertionError("perf gate: " + "; ".join(failures))
     return report
@@ -1007,8 +1119,10 @@ if __name__ == "__main__":
         "speculative sweep < 1.3x of its checked path, the packer > 64 "
         "minor page faults per call, a losing gzip attempt on the "
         "small-job fields reaches the LZ77 parse, the small-job rANS "
-        "decode takes > 2.2x the CPU of its encode twin or a sweep plan "
-        "keeps > 9 bytes per interior point on a 2D shape (65 on 3D)",
+        "decode takes > 2.2x the CPU of its encode twin, a sweep plan "
+        "keeps > 9 bytes per interior point on a 2D shape (65 on 3D), or "
+        "a tiny served decompress writes the loop's self-pipe or builds "
+        "a selector for its reply",
     )
     args = ap.parse_args()
     try:

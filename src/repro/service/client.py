@@ -7,9 +7,9 @@ socket, one typed method per op (the op table is in ``docs/API.md``).
 
 from __future__ import annotations
 
+import os
 import socket
 import time
-import uuid
 from typing import Any, Callable
 
 import numpy as np
@@ -31,7 +31,8 @@ def stamped(header: dict) -> dict:
     server's replay cache execute it at most once."""
     row = lookup(header)
     if row is not None and row.idempotent and "req_id" not in header:
-        return {**header, "req_id": uuid.uuid4().hex}
+        # 128 random bits: a uuid4's worth, without building the UUID
+        return {**header, "req_id": os.urandom(16).hex()}
     return header
 
 
@@ -211,7 +212,7 @@ class ServiceClient:
         resp, payload = self._call(
             "compress", wire.encode_field(data),
             codec=codec, eb=eb, mode=mode,
-            shape=list(data.shape), dtype=str(data.dtype),
+            shape=list(data.shape), dtype=wire.dtype_name(data.dtype),
             priority=priority, deadline_s=deadline_s, tiles=tiles,
         )
         return bytes(payload), resp
@@ -236,7 +237,7 @@ class ServiceClient:
         return self._call(
             "store_put", wire.encode_field(data),
             name=name, codec=codec, eb=eb, mode=mode, n_tiles=n_tiles,
-            shape=list(data.shape), dtype=str(data.dtype),
+            shape=list(data.shape), dtype=wire.dtype_name(data.dtype),
         )[0]
 
     def store_read(

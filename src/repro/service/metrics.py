@@ -139,9 +139,10 @@ class MetricsRegistry:
         self._last_completion: float | None = None
 
     def _codec(self, codec: str) -> dict[str, int]:
-        return self._counters.setdefault(
-            codec, {k: 0 for k in _COUNTER_KEYS}
-        )
+        counters = self._counters.get(codec)
+        if counters is None:  # built once per codec, not on every bump
+            counters = self._counters[codec] = dict.fromkeys(_COUNTER_KEYS, 0)
+        return counters
 
     def count(self, codec: str, event: str, n: int = 1) -> None:
         """Bump one per-codec counter (event ∈ ``_COUNTER_KEYS``)."""
@@ -191,9 +192,10 @@ class MetricsRegistry:
         now = time.monotonic()
         with self._lock:
             self._codec(codec)["completed"] += 1
-            self._latency.setdefault(codec, deque(maxlen=_RESERVOIR)).append(
-                latency_s
-            )
+            samples = self._latency.get(codec)
+            if samples is None:
+                samples = self._latency[codec] = deque(maxlen=_RESERVOIR)
+            samples.append(latency_s)
             self._bytes_in += bytes_in
             self._bytes_out += bytes_out
             if self._first_completion is None:

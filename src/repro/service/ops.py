@@ -35,7 +35,7 @@ import numpy as np
 from ..codec.registry import REGISTRY
 from ..errors import ServiceError
 from .jobs import make_job
-from .wire import decode_field, encode_field, pack, refusal_frame
+from .wire import decode_field, dtype_name, encode_field, pack, refusal_frame
 
 __all__ = ["Op", "OPS", "lookup"]
 
@@ -145,8 +145,7 @@ async def _compress(
         {"shape": shape, "dtype": dtype}, body)
     job = make_job(codec, data, eb=eb, mode=mode, priority=priority,
                    deadline_s=deadline_s, n_tiles=tiles)
-    handle = await srv.scheduler.submit(job)  # raises QueueFullError
-    result = await srv.scheduler.wait(handle)
+    result = await srv.scheduler.run(job)  # raises QueueFullError
     assert isinstance(result.output, bytes)
     s = result.stats
     return pack(
@@ -165,9 +164,7 @@ async def _compress(
 async def _decompress(srv: Any, body: Any) -> bytes:
     if not body:
         raise ServiceError("decompress needs a payload body")
-    job = make_job("auto", op="decompress", payload=body)
-    handle = await srv.scheduler.submit(job)
-    result = await srv.scheduler.wait(handle)
+    result = await srv.scheduler.run(make_job("auto", op="decompress", payload=body))
     out = result.output
     assert isinstance(out, np.ndarray)
     return pack(
@@ -175,7 +172,7 @@ async def _decompress(srv: Any, body: Any) -> bytes:
             "ok": True,
             "job_id": result.job_id,
             "shape": list(out.shape),
-            "dtype": str(out.dtype),
+            "dtype": dtype_name(out.dtype),
             "latency_s": result.total_s,
         },
         encode_field(out),
@@ -210,7 +207,7 @@ def _pack_read(result: Any) -> bytes:
         {
             "ok": True,
             "shape": list(out.shape),
-            "dtype": str(out.dtype),
+            "dtype": dtype_name(out.dtype),
             "tiles": list(result.tile_indices),
             "damaged": list(result.damaged_tiles),
         },

@@ -37,7 +37,6 @@ class BoundedJobQueue:
         self.maxsize = maxsize
         self._heap: list[tuple[int, int, JobHandle]] = []
         self._seq = itertools.count()
-        self._has_items = asyncio.Event()
         self._has_space = asyncio.Event()
         self._has_space.set()
         self._closed = False
@@ -57,12 +56,15 @@ class BoundedJobQueue:
     def full(self) -> bool:
         return len(self._heap) >= self.maxsize
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def _push(self, handle: JobHandle) -> None:
         heapq.heappush(
             self._heap, (-handle.job.priority, next(self._seq), handle)
         )
         self.high_water = max(self.high_water, len(self._heap))
-        self._has_items.set()
         if self.full:
             self._has_space.clear()
 
@@ -88,25 +90,9 @@ class BoundedJobQueue:
             raise ServiceError("queue is closed")
         self._push(handle)
 
-    async def get(self) -> JobHandle:
-        """Dequeue the highest-priority job, waiting while empty.
-
-        Raises :class:`ServiceError` once the queue is closed *and* empty,
-        which is how dispatcher loops learn to exit.
-        """
-        while not self._heap:
-            if self._closed:
-                raise ServiceError("queue is closed")
-            self._has_items.clear()
-            await self._has_items.wait()
-        _, _, handle = heapq.heappop(self._heap)
-        if not self._heap:
-            self._has_items.clear()
-        self._has_space.set()
-        return handle
-
     def peek(self) -> JobHandle | None:
-        """The handle :meth:`get` would return next, without removing it.
+        """The handle :meth:`get_nowait` would return next, without
+        removing it.
 
         The micro-batcher's lookahead: a dispatcher that just pulled a
         small job peeks at the head to decide whether the next job can
@@ -115,22 +101,21 @@ class BoundedJobQueue:
         return self._heap[0][2] if self._heap else None
 
     def get_nowait(self) -> JobHandle | None:
-        """Dequeue the head immediately, or ``None`` when empty.
+        """Dequeue the highest-priority job, or ``None`` when empty —
+        closed or not, so a closed queue still drains.
 
-        Safe to interleave with :meth:`get`: all consumers run on one
-        event loop, so a peek-then-get_nowait pair is atomic between
-        awaits — the batch collector relies on that.
+        Every consumer runs on one event loop, so a peek-then-get_nowait
+        pair is atomic between awaits — the batch collector relies on
+        that.
         """
         if not self._heap:
             return None
         _, _, handle = heapq.heappop(self._heap)
-        if not self._heap:
-            self._has_items.clear()
         self._has_space.set()
         return handle
 
     def close(self) -> None:
-        """Close the queue and wake every waiter (drain-then-stop)."""
+        """Close the queue to new jobs and wake every blocked
+        :meth:`put` (drain-then-stop)."""
         self._closed = True
-        self._has_items.set()
         self._has_space.set()

@@ -2,11 +2,13 @@
 
 The control plane of the service.  Jobs enter through :meth:`BatchScheduler.
 submit` (fail-fast or blocking backpressure against the bounded queue),
-dispatcher coroutines — one per worker slot — pull by priority and run
-each job on the :class:`~repro.service.workers.WorkerPool`, and failures
-retry with exponential backoff *only* when :func:`repro.faults.is_transient`
-says retrying can help.  Every transition lands in the
-:class:`~repro.service.metrics.MetricsRegistry`.
+a dispatcher per busy worker slot pulls them by priority and runs each
+on the :class:`~repro.service.workers.WorkerPool`, and failures retry
+with exponential backoff *only* when :func:`repro.faults.is_transient`
+says retrying can help.  :meth:`BatchScheduler.run` is submit-and-wait
+in one call: a job that finds a slot free and nothing queued runs in
+the caller's own task, with no dispatcher in between.  Every transition
+lands in the :class:`~repro.service.metrics.MetricsRegistry`.
 
 The synchronous convenience :func:`run_batch` wraps the whole lifecycle
 (start → submit all → drain → stop) for CLI batch mode, benches and tests.
@@ -87,9 +89,18 @@ class BatchScheduler:
         self.batch_bytes = batch_bytes
         self._batch_dispatches = 0
         self._batch_jobs = 0
-        self._dispatchers: list[asyncio.Task] = []
-        #: Dispatchers waiting on the queue, i.e. idle worker slots.
-        self._parked = 0
+        self._started = False
+        #: Worker slots with no job and no dispatcher about to take one.
+        self._free = 0
+        #: Dispatchers started for queued jobs that have taken none yet.
+        self._waiting = 0
+        #: The tasks holding a slot: dispatchers, and callers of
+        #: :meth:`run` executing their own job.
+        self._runners: set[asyncio.Task] = set()
+        self._vacant = asyncio.Event()
+        self._vacant.set()
+        #: Set once :meth:`stop` gave up waiting and cancelled the runners.
+        self._abandoned = False
         self._in_flight = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -124,44 +135,73 @@ class BatchScheduler:
             raise
         handle.state = JobState.QUEUED
         self._idle.clear()
+        self._fill()
         return handle
+
+    async def run(self, job: CompressionJob) -> JobResult:
+        """:meth:`submit` (fail-fast) then :meth:`wait`, in one call.
+
+        A job that finds a worker slot free and nothing queued skips the
+        queue: it runs right here, in the caller's task, through the same
+        attempt loop a dispatcher would run it through.  Everything else
+        queues and waits its turn.
+        """
+        if not self._free or self.queue.depth or self.queue.closed:
+            return await self.wait(await self.submit(job))
+        handle = JobHandle(job)
+        self.metrics.count(job.metrics_key, "submitted")
+        handle.state = JobState.QUEUED
+        self._free -= 1
+        self._in_flight += 1
+        self._idle.clear()
+        runner = self._hold(asyncio.current_task())
+        try:
+            await self._run_one(handle)
+        except asyncio.CancelledError:
+            if not self._abandoned:
+                raise
+            # stop() gave up on this job: fail it like a dispatcher's,
+            # and keep the caller, which is not stop()'s to cancel
+            getattr(runner, "uncancel", lambda: 0)()
+            self._fail_at_deadline([handle])
+        finally:
+            self._in_flight -= 1
+            self._free += 1
+            self._fill()
+            self._settled()
+            self._release(runner)
+        return self._outcome(handle)
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn one dispatcher per worker slot on the running loop."""
-        if self._dispatchers:
+        """Give every worker slot a dispatcher on the running loop: each
+        takes what is queued by then and frees its slot once the queue
+        is empty."""
+        if self._started:
             return
-        self._dispatchers = [
-            asyncio.get_running_loop().create_task(
-                self._dispatch_loop(), name=f"repro-dispatch-{i}"
-            )
-            for i in range(self.pool.size)
-        ]
+        self._started = True
+        for _ in range(self.pool.size):
+            self._spawn(waiting=False)
 
     async def stop(self, *, deadline_s: float | None = None) -> None:
         """Graceful shutdown: close intake, drain in-flight, bounded.
 
         Queued and running jobs finish normally (their callers get real
         results) — intake is closed so nothing new enters.  With a
-        ``deadline_s``, dispatchers that have not exited by then are
-        cancelled and any job caught mid-run fails with a
-        :class:`JobFailedError` so no waiter hangs forever.
+        ``deadline_s``, the dispatchers and :meth:`run` callers still
+        running a job by then are cancelled and each such job fails
+        with a :class:`JobFailedError` so no waiter hangs forever.
         """
         self.queue.close()
         abandoned = False
-        pending = [t for t in self._dispatchers if not t.done()]
-        if pending:
-            _, not_done = await asyncio.wait(pending, timeout=deadline_s)
-            abandoned = bool(not_done)
-            for t in not_done:
-                t.cancel()
-            for t in not_done:
-                try:
-                    await t
-                except asyncio.CancelledError:
-                    pass
-        self._dispatchers = []
+        try:
+            await asyncio.wait_for(self._vacant.wait(), deadline_s)
+        except asyncio.TimeoutError:
+            abandoned = self._abandoned = True
+            for task in self._runners:
+                task.cancel()
+            await self._vacant.wait()
         # a blown deadline means some worker is stuck mid-job; joining it
         # would re-introduce the unbounded wait the deadline exists to cap
         self.pool.shutdown(wait=not abandoned)
@@ -185,43 +225,75 @@ class BatchScheduler:
 
     # -- dispatch --------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            self._parked += 1
-            try:
-                handle = await self.queue.get()
-            except ServiceError:
-                return  # queue closed and drained
-            finally:
-                self._parked -= 1
-            self._in_flight += 1
-            group = [handle]
-            try:
-                if self._route(handle.job) == "batch":
-                    group = self._collect_group(handle)
-                if len(group) == 1:
-                    await self._run_one(handle)
-                else:
-                    await self._run_group(group)
-            except asyncio.CancelledError:
-                # shutdown deadline expired mid-run: fail the handles so
-                # their waiters are released, then let the cancellation
-                # win.
-                for h in group:
-                    if h.result is None and h.error is None:
-                        h.finish(
-                            JobState.FAILED,
-                            error=JobFailedError(
-                                f"job {h.job.job_id!r} cancelled at "
-                                "shutdown deadline"
-                            ),
-                        )
-                        self.metrics.count(h.job.metrics_key, "failed")
-                raise
-            finally:
-                self._in_flight -= len(group)
-                if not self._in_flight and not self.queue.depth:
-                    self._idle.set()
+    def _fill(self) -> None:
+        """Start a dispatcher for each queued job a free slot can take."""
+        while self._free and self._waiting < self.queue.depth and not self._abandoned:
+            self._free -= 1
+            self._spawn(waiting=True)
+
+    def _spawn(self, *, waiting: bool) -> None:
+        """Start a dispatcher.  From :meth:`_fill` (``waiting``) it holds
+        a slot taken off ``_free`` for a queued job, and until it runs
+        that job is its own, not part of another dispatcher's batch.
+        From :meth:`start` it holds one of the slots no job has used."""
+        self._waiting += waiting
+        task = asyncio.get_running_loop().create_task(
+            self._dispatch_loop(waiting), name="repro-dispatch"
+        )
+        task.add_done_callback(self._release)
+        self._hold(task)
+
+    def _hold(self, runner: asyncio.Task) -> asyncio.Task:
+        self._runners.add(runner)
+        self._vacant.clear()
+        return runner
+
+    def _release(self, runner: asyncio.Task) -> None:
+        self._runners.discard(runner)
+        if not self._runners:
+            self._vacant.set()
+
+    def _settled(self) -> None:
+        if not self._in_flight and not self.queue.depth:
+            self._idle.set()
+
+    async def _dispatch_loop(self, waiting: bool) -> None:
+        """One slot's dispatcher: run queued jobs by priority until none
+        is left, then free the slot."""
+        self._waiting -= waiting
+        try:
+            while (handle := self.queue.get_nowait()) is not None:
+                self._in_flight += 1
+                group = [handle]
+                try:
+                    if self._route(handle.job) == "batch":
+                        group = self._collect_group(handle)
+                    if len(group) == 1:
+                        await self._run_one(handle)
+                    else:
+                        await self._run_group(group)
+                except asyncio.CancelledError:
+                    # shutdown deadline expired mid-run: fail the handles
+                    # so their waiters are released, then let the
+                    # cancellation win.
+                    self._fail_at_deadline(group)
+                    raise
+                finally:
+                    self._in_flight -= len(group)
+                    self._settled()
+        finally:
+            self._free += 1
+
+    def _fail_at_deadline(self, handles: list[JobHandle]) -> None:
+        for h in handles:
+            if h.result is None and h.error is None:
+                h.finish(
+                    JobState.FAILED,
+                    error=JobFailedError(
+                        f"job {h.job.job_id!r} cancelled at shutdown deadline"
+                    ),
+                )
+                self.metrics.count(h.job.metrics_key, "failed")
 
     def _route(self, job: CompressionJob) -> str:
         """How a job reaches a worker — decided once, here.
@@ -258,15 +330,15 @@ class BatchScheduler:
         """Coalesce the small jobs that queued behind ``first`` while
         every worker slot was busy.
 
-        The dispatcher holding ``first`` owns an idle slot, so it never
-        waits for company, and while another dispatcher is parked on
-        the queue the next job is that idle slot's to take.  What is
-        left — the backlog of a saturated pool — is the batch: no
-        timer, the queue decides.  A non-batchable head stops
+        The dispatcher holding ``first`` owns a slot, so it never waits
+        for company, and while another slot is free (or its dispatcher
+        has not taken a job yet) the next job is that slot's to take.
+        What is left — the backlog of a saturated pool — is the batch:
+        no timer, the queue decides.  A non-batchable head stops
         collection and stays queued for another dispatcher.
         """
         group = [first]
-        while len(group) < _BATCH_MAX_JOBS and not self._parked:
+        while len(group) < _BATCH_MAX_JOBS and not (self._free or self._waiting):
             nxt = self.queue.peek()
             if nxt is None or self._route(nxt.job) != "batch":
                 break
@@ -467,6 +539,10 @@ class BatchScheduler:
         """Await a handle's terminal state; raise its error on failure."""
         assert handle._done is not None, "handle was not submitted"
         await handle._done.wait()
+        return self._outcome(handle)
+
+    @staticmethod
+    def _outcome(handle: JobHandle) -> JobResult:
         if handle.result is not None:
             return handle.result
         assert handle.error is not None

@@ -13,7 +13,9 @@ on both transports (a segment would move them no fewer times).
     or unlinks one.  Segments are leased per job, released (and pooled
     or unlinked) when the job settles, and unconditionally unlinked at
     :meth:`ShmArena.close` and interpreter exit.  Workers only attach,
-    so a worker killed mid-lease cannot strand ``/dev/shm``.
+    so a worker killed mid-lease cannot strand ``/dev/shm``.  A segment
+    name carries its owner's pid, so what a killed owner left behind is
+    unlinked by the next process that opens an arena.
 
 :class:`FieldRef`
     The picklable descriptor that crosses the pool instead of the array:
@@ -45,6 +47,8 @@ on both transports (a segment would move them no fewer times).
 from __future__ import annotations
 
 import atexit
+import os
+import re
 import secrets
 import threading
 from dataclasses import dataclass
@@ -82,6 +86,40 @@ _POOL_MAX_BYTES = 256 * 1024 * 1024
 #: Worker-side attachment cache (name → SharedMemory).  Pooled segments
 #: keep their names across jobs, so workers re-map the same segment once.
 _ATTACH_CACHE_SLOTS = 16
+
+
+#: Where Linux lists POSIX shared memory, and the name of a segment an
+#: arena made: ``wsz<owner pid>_<arena token>-<seq>``.
+_SHM_DIR = "/dev/shm"
+_OWNED = re.compile(r"wsz(\d+)_[0-9a-f]+-\d+")
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True  # exists, owned by someone else
+    return True
+
+
+def _reclaim_dead_owners() -> None:
+    """Unlink every arena segment whose owner process is gone — what a
+    SIGKILLed server leaves in ``/dev/shm``.  A live owner's segments
+    are never touched.  Nothing to do where shared memory is not listed
+    under ``/dev/shm``."""
+    try:
+        names = os.listdir(_SHM_DIR)
+    except OSError:
+        return
+    for name in names:
+        m = _OWNED.fullmatch(name)
+        if m is not None and not _alive(int(m.group(1))):
+            try:
+                os.unlink(os.path.join(_SHM_DIR, name))
+            except OSError:
+                pass  # another process reclaimed it first
 
 
 def _size_class(nbytes: int) -> int:
@@ -135,12 +173,18 @@ class ShmArena:
     """
 
     _available: bool | None = None
+    #: The process that has swept dead owners' segments already.
+    _reclaimed_by: int | None = None
 
     def __init__(self, *, metrics: Any = None) -> None:
         # Unique per-arena namespace: segments are named
-        # ``wsz<token>-<seq>``, so leaked segments are findable by
-        # prefix and names are never reused within an arena.
-        self.prefix = f"wsz{secrets.token_hex(4)}"
+        # ``wsz<pid>_<token>-<seq>``, so leaked segments are findable by
+        # prefix, their owner is known, and names are never reused
+        # within an arena.
+        self.prefix = f"wsz{os.getpid()}_{secrets.token_hex(4)}"
+        if ShmArena._reclaimed_by != os.getpid():
+            ShmArena._reclaimed_by = os.getpid()
+            _reclaim_dead_owners()
         self.metrics = metrics
         self._lock = threading.Lock()
         self._segments: dict[str, _Segment] = {}

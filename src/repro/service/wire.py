@@ -20,7 +20,9 @@ client — goes through this module, so a malformed frame is the same
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import math
 import struct
 import time
 from typing import Any
@@ -41,7 +43,7 @@ from ..streams import MAX_FIELD_POINTS
 
 __all__ = [
     "pack", "read_header", "read_frame", "recv_exact", "recv_frame",
-    "encode_field", "decode_field", "check_field",
+    "encode_field", "decode_field", "check_field", "dtype_name",
     "error_frame", "refusal_frame", "check_response",
 ]
 
@@ -152,6 +154,13 @@ def encode_field(data: np.ndarray) -> memoryview:
     return memoryview(wire_order.reshape(-1).view(np.uint8))
 
 
+@functools.lru_cache(maxsize=64)
+def dtype_name(dtype: np.dtype) -> str:
+    """A field's ``dtype`` header value, ``str(dtype)``, which numpy
+    builds anew on every call — kept here per dtype."""
+    return str(dtype)
+
+
 def check_field(
     header: dict, body_len: int
 ) -> tuple[tuple[int, ...], np.dtype]:
@@ -159,13 +168,13 @@ def check_field(
     refused unless ``body_len`` bytes hold exactly that field (whether a
     codec takes it, e.g. an empty one, is the field contract's call)."""
     try:
-        shape = tuple(int(d) for d in header.get("shape", ()))
+        shape = tuple(map(int, header.get("shape", ())))
         dtype = np.dtype(str(header.get("dtype", "float32")))
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"bad field shape/dtype in header: {exc}") from exc
     if dtype.hasobject:
         raise ServiceError(f"field dtype {dtype} holds objects, not values")
-    n = int(np.prod(shape, dtype=np.int64))
+    n = math.prod(shape)
     if any(d < 0 for d in shape) or n > MAX_FIELD_POINTS:
         raise ServiceError(f"bad field shape {shape!r}")
     if body_len != n * dtype.itemsize:

@@ -26,15 +26,19 @@ pickles it and writes it to an idle worker's pipe; a reply is read by
 whoever is waiting for it — the event loop :meth:`WorkerPool.run`
 registered the pipes with, or the thread inside ``result()`` of a
 :meth:`WorkerPool.submit` future — and that reader hands the worker its
-next job.
+next job.  A job :meth:`WorkerPool.run` awaits is an ``asyncio`` future
+of that loop, which the loop's reader settles in place: no
+``concurrent.futures`` future, no cross-thread wake-up.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import pickle
 import signal
+import struct
 import threading
 import time
 import traceback
@@ -43,7 +47,7 @@ from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as wait_readable
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Union
 
 from ..codec.registry import get_codec
 from ..errors import ServiceError, WorkerDiedError
@@ -158,6 +162,67 @@ def _serve(conn: Connection, inherited: list[Connection]) -> None:
             return  # the parent is gone, or has closed this worker's pipe
 
 
+#: ``Connection.send_bytes``' framing: a 4-byte big-endian length, or
+#: -1 and an 8-byte one from 2 GiB up.
+_LENGTH = struct.Struct("!i")
+_BIG_LENGTH = struct.Struct("!Q")
+#: The pool's reply buffer: its first read takes up to this much, so a
+#: small reply arrives in one ``readv``; a larger reply grows it, and
+#: it is kept up to ``_INBOX_MAX_BYTES``.
+_INBOX_BYTES = 1 << 16
+_INBOX_MAX_BYTES = 16 << 20
+
+
+class _Inbox:
+    """Where a pool receives its workers' replies: one kept buffer.
+
+    ``Connection.recv_bytes`` reads a message in chunks, each a fresh
+    ``bytes`` copied into a growing ``BytesIO``, so every reply of a
+    field-sized result allocated and freed a field-sized buffer or
+    more.  Here the reply lands in place, read straight from the pipe.
+    A worker has at most one job in flight, so its pipe never holds
+    more than the reply being read: a read cannot take the next one's
+    bytes.  The caller holds the pool's lock.
+    """
+
+    def __init__(self) -> None:
+        self._buf = bytearray(_INBOX_BYTES)
+
+    def receive(self, conn: Connection) -> memoryview:
+        """The next message on ``conn``, valid until the next call."""
+        fd, buf = conn.fileno(), self._buf
+        got = _read_into(fd, memoryview(buf))
+        start = _LENGTH.size
+        got = _read_until(fd, buf, got, start)
+        (size,) = _LENGTH.unpack_from(buf)
+        if size == -1:
+            got = _read_until(fd, buf, got, start + _BIG_LENGTH.size)
+            (size,) = _BIG_LENGTH.unpack_from(buf, start)
+            start += _BIG_LENGTH.size
+        if start + size > len(buf):
+            buf = bytearray(start + size)
+            buf[:got] = memoryview(self._buf)[:got]
+            if len(buf) <= _INBOX_MAX_BYTES:
+                self._buf = buf
+        _read_until(fd, buf, got, start + size)
+        return memoryview(buf)[start:start + size]
+
+
+def _read_into(fd: int, view: memoryview) -> int:
+    n = os.readv(fd, [view])
+    if not n:
+        raise EOFError
+    return n
+
+
+def _read_until(fd: int, buf: bytearray, got: int, want: int) -> int:
+    """Read until ``buf`` holds ``want`` bytes; returns how many it holds."""
+    with memoryview(buf) as view:
+        while got < want:
+            got += _read_into(fd, view[got:want])
+    return got
+
+
 def _read_reply(reply: bytes) -> tuple[bool, Any]:
     """``(ok, value | exception)`` out of a worker's reply."""
     try:
@@ -172,6 +237,12 @@ def _read_reply(reply: bytes) -> tuple[bool, Any]:
     return ok, value
 
 
+#: A job's future: a :class:`_PipeFuture` from :meth:`WorkerPool.submit`,
+#: or an ``asyncio`` future of the registered loop from
+#: :meth:`WorkerPool.run`.
+_JobFuture = Union[Future, asyncio.Future]
+
+
 @dataclass(eq=False)
 class _Worker:
     """One forked worker: its process, our end of its pipe, and the
@@ -179,7 +250,40 @@ class _Worker:
 
     proc: Any
     conn: Connection
-    future: Future | None = None
+    future: _JobFuture | None = None
+    #: A pump read this pipe last, so a readable report the loop made
+    #: before that may be stale: the loop's next call checks first.
+    pumped: bool = False
+
+
+def _settle(future: _JobFuture, ok: bool, value: Any) -> None:
+    """Settle one job's future, unless it was cancelled in flight (the
+    reply then has no taker).  An ``asyncio`` future is settled on its
+    own loop: in place on that loop's thread, else through the loop."""
+    if isinstance(future, asyncio.Future) and not _running(future.get_loop()):
+        try:
+            future.get_loop().call_soon_threadsafe(_settle_here, future, ok, value)
+        except RuntimeError:
+            pass  # the loop is closed: nobody awaits the future
+        return
+    _settle_here(future, ok, value)
+
+
+def _settle_here(future: _JobFuture, ok: bool, value: Any) -> None:
+    if future.done():
+        return
+    try:
+        (future.set_result if ok else future.set_exception)(value)
+    except InvalidStateError:
+        pass  # cancelled by another thread meanwhile
+
+
+def _running(loop: asyncio.AbstractEventLoop) -> bool:
+    """Whether ``loop`` is the loop running on this thread."""
+    try:
+        return asyncio.get_running_loop() is loop
+    except RuntimeError:
+        return False
 
 
 class _PipeFuture(Future):
@@ -231,23 +335,21 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._workers: list[_Worker] = []
         #: Jobs beyond ``size`` in flight, oldest first: (future, pickle).
-        self._backlog: deque[tuple[Future, bytes]] = deque()
+        self._backlog: deque[tuple[_JobFuture, bytes]] = deque()
         #: The loop whose readers watch the pipes, once run() was used.
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._inbox = _Inbox()
 
     @contextmanager
-    def _locked(self) -> Iterator[list[tuple[Future, bool, Any]]]:
+    def _locked(self) -> Iterator[list[tuple[_JobFuture, bool, Any]]]:
         """Hold the lock; settle the ``(future, ok, value | exception)``
         triples the block collected once it is released — done-callbacks
         are the caller's code."""
-        settled: list[tuple[Future, bool, Any]] = []
+        settled: list[tuple[_JobFuture, bool, Any]] = []
         with self._lock:
             yield settled
-        for future, ok, value in settled:
-            try:
-                (future.set_result if ok else future.set_exception)(value)
-            except InvalidStateError:
-                pass  # cancelled while in flight: the reply has no taker
+        for triple in settled:
+            _settle(*triple)
 
     def worker_pids(self) -> list[int]:
         """The live worker processes (none for thread / inline pools, and
@@ -274,19 +376,7 @@ class WorkerPool:
             return f
         if self.kind == "thread":
             return self._thread_executor().submit(fn, *args)
-        future = _PipeFuture(self)
-        try:
-            request = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001 - pickle raises several
-            future.set_exception(ServiceError(
-                f"a job for {getattr(fn, '__name__', fn)!r} does not "
-                f"pickle: {type(exc).__name__}: {exc}"
-            ))
-            return future
-        with self._locked() as settled:
-            self._backlog.append((future, request))
-            self._feed(settled)
-        return future
+        return self._enqueue(_PipeFuture(self), fn, args)
 
     async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Await ``fn(*args)`` on the pool from the event loop."""
@@ -301,11 +391,29 @@ class WorkerPool:
                 self._thread_executor(), fn, *args
             )
         # The job is written to a worker's pipe right here and this
-        # loop's reader takes the reply: no thread anywhere in between.
+        # loop's reader settles its future: no thread anywhere in between.
         self._watch(loop)
-        return await asyncio.wrap_future(self.submit(fn, *args))
+        return await self._enqueue(loop.create_future(), fn, args)
 
     # -- process kind: hand-off and replies ------------------------------
+
+    def _enqueue(
+        self, future: _JobFuture, fn: Callable[..., Any], args: tuple
+    ) -> _JobFuture:
+        """Pickle ``fn(*args)`` and hand it to an idle worker, or queue
+        it behind the busy ones; ``future`` takes its outcome."""
+        try:
+            request = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - pickle raises several
+            future.set_exception(ServiceError(
+                f"a job for {getattr(fn, '__name__', fn)!r} does not "
+                f"pickle: {type(exc).__name__}: {exc}"
+            ))
+            return future
+        with self._locked() as settled:
+            self._backlog.append((future, request))
+            self._feed(settled)
+        return future
 
     def _feed(self, settled: list) -> None:
         """Hand waiting jobs to idle workers, forking one while the pool
@@ -348,7 +456,7 @@ class WorkerPool:
         worker = _Worker(proc, ours)
         self._workers.append(worker)
         if self._loop is not None and not self._loop.is_closed():
-            self._loop.add_reader(ours.fileno(), self._on_readable, worker)
+            self._loop.add_reader(ours.fileno(), self._on_readable, worker, True)
         return worker
 
     def _bury(self, worker: _Worker, settled: list) -> None:
@@ -365,15 +473,22 @@ class WorkerPool:
                 f"worker pid {worker.proc.pid} died with a job in flight"
             )))
 
-    def _on_readable(self, worker: _Worker) -> None:
+    def _on_readable(self, worker: _Worker, by_loop: bool = False) -> None:
         """The one reply handler, for the loop's readers and the pump
         alike: take the reply (or the EOF) off ``worker``'s pipe, then
-        hand the freed slot the oldest waiting job."""
+        hand the freed slot the oldest waiting job.
+
+        The loop calls it (``by_loop``) right after its selector saw the
+        pipe readable, so the pipe is asked again only if a pump read it
+        since; a pump's own report may have been taken by another reader.
+        """
         with self._locked() as settled:
-            if worker not in self._workers or not worker.conn.poll(0):
+            stale = worker.pumped or not by_loop
+            worker.pumped = not by_loop
+            if worker not in self._workers or (stale and not worker.conn.poll(0)):
                 return  # another reader got here first
             try:
-                reply = worker.conn.recv_bytes()
+                reply = self._inbox.receive(worker.conn)
             except (EOFError, OSError):
                 self._bury(worker, settled)
                 self.restarts += 1
@@ -391,7 +506,7 @@ class WorkerPool:
             for w in self._workers:
                 if self._loop is not None:
                     self._loop.remove_reader(w.conn.fileno())
-                loop.add_reader(w.conn.fileno(), self._on_readable, w)
+                loop.add_reader(w.conn.fileno(), self._on_readable, w, True)
             self._loop = loop
 
     def _pump(self, timeout: float | None) -> bool:

@@ -20,9 +20,7 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +29,7 @@ import pytest
 from repro.service import CompressionServer, ServiceClient
 from repro.service import server as server_module
 from repro.service.server import _IDEM_CACHE_BYTES
+from tests.dispatch import serving
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 GLIBC_LINUX = (
@@ -189,31 +188,6 @@ class TestTheBoundHolds:
         assert m["after"] <= bound, m       # freed past it: returned
 
 
-@contextmanager
-def _running(srv):
-    """``srv`` started on a background event loop, stopped on exit."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def runner():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(srv.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    try:
-        assert started.wait(10), "server failed to start"
-        yield srv
-    finally:
-        asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        assert not thread.is_alive()
-        loop.close()
-
-
 class TestEmbeddingIsUntouched:
     def test_an_in_process_server_calls_no_mallopt(self, monkeypatch):
         looked_up = []
@@ -232,7 +206,7 @@ class TestEmbeddingIsUntouched:
 
         monkeypatch.setattr(ctypes, "CDLL", Spy)
         srv = CompressionServer(port=0, workers=1, pool_kind="process")
-        with _running(srv), ServiceClient(port=srv.port) as client:
+        with serving(srv), ServiceClient(port=srv.port) as client:
             payload, _ = client.compress(FIELD[:128], "sz14")
             client.decompress(payload)
         assert looked_up == []
@@ -264,7 +238,7 @@ class TestEmbeddingIsUntouched:
 class TestReplayCacheGauges:
     def test_stats_show_what_the_replay_cache_holds(self):
         srv = CompressionServer(port=0, workers=0)
-        with _running(srv), ServiceClient(port=srv.port) as client:
+        with serving(srv), ServiceClient(port=srv.port) as client:
             gauges = client.stats()["gauges"]
             assert gauges["server.replay_bytes"] == 0
             assert gauges["server.replay_entries"] == 0

@@ -35,7 +35,7 @@ class TestBackpressure:
             putter = asyncio.ensure_future(q.put(_handle()))
             await asyncio.sleep(0)
             assert not putter.done()  # backpressure: waiting, not growing
-            await q.get()
+            q.get_nowait()
             await asyncio.wait_for(putter, 1.0)
             assert q.depth == 1
 
@@ -48,42 +48,32 @@ class TestBackpressure:
 
 class TestOrdering:
     def test_priority_order_then_fifo(self):
-        async def main():
-            q = BoundedJobQueue(maxsize=8)
-            low1, low2 = _handle(0), _handle(0)
-            high = _handle(5)
-            q.put_nowait(low1)
-            q.put_nowait(low2)
-            q.put_nowait(high)
-            assert await q.get() is high
-            assert await q.get() is low1
-            assert await q.get() is low2
-
-        asyncio.run(main())
-
-    def test_get_waits_for_put(self):
-        async def main():
-            q = BoundedJobQueue(maxsize=2)
-            getter = asyncio.ensure_future(q.get())
-            await asyncio.sleep(0)
-            assert not getter.done()
-            h = _handle()
-            q.put_nowait(h)
-            assert await asyncio.wait_for(getter, 1.0) is h
-
-        asyncio.run(main())
+        q = BoundedJobQueue(maxsize=8)
+        low1, low2 = _handle(0), _handle(0)
+        high = _handle(5)
+        q.put_nowait(low1)
+        q.put_nowait(low2)
+        q.put_nowait(high)
+        assert q.peek() is high
+        assert q.get_nowait() is high
+        assert q.get_nowait() is low1
+        assert q.get_nowait() is low2
+        assert q.get_nowait() is None
 
 
 class TestClose:
     def test_close_drains_then_raises(self):
         async def main():
-            q = BoundedJobQueue(maxsize=2)
+            q = BoundedJobQueue(maxsize=1)
             h = _handle()
             q.put_nowait(h)
-            q.close()
-            assert await q.get() is h  # closed queues still drain
+            putter = asyncio.ensure_future(q.put(_handle()))
+            await asyncio.sleep(0)
+            q.close()  # wakes the blocked put, which is refused
             with pytest.raises(ServiceError, match="closed"):
-                await q.get()
+                await asyncio.wait_for(putter, 1.0)
+            assert q.get_nowait() is h  # closed queues still drain
+            assert q.get_nowait() is None
             with pytest.raises(ServiceError, match="closed"):
                 q.put_nowait(_handle())
 

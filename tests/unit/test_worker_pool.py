@@ -6,6 +6,7 @@ failure of one job (or one worker) does to everything else.
 """
 
 import asyncio
+import faulthandler
 import os
 import signal
 import sys
@@ -20,6 +21,7 @@ from repro.errors import ServiceError, ShapeError, WorkerDiedError
 from repro.faults import is_transient
 from repro.service import workers
 from repro.service.workers import WorkerPool
+from tests.dispatch import loop_counts
 
 
 def _square(x):
@@ -43,6 +45,10 @@ def _local_function():
 def _sleep(seconds):
     time.sleep(seconds)
     return os.getpid()
+
+
+def _blob(n):
+    return bytes(range(256)) * (n // 256) + bytes(n % 256)
 
 
 def _touch(path):
@@ -196,6 +202,59 @@ class TestProcessPool:
         out, before, after = asyncio.run(main())
         assert out == [i * i for i in range(20)]
         assert before == after
+
+    def test_replies_of_every_size_arrive_whole(self, pool):
+        """Replies land in the pool's kept buffer: around its first read,
+        past it, and past what it keeps, through both doors."""
+        sizes = [0, 1, 65_400, 65_536, 70_000, 1 << 20, (16 << 20) + 1, 300]
+
+        async def main():
+            return [await pool.run(_blob, n) for n in sizes]
+
+        for n in sizes:
+            assert pool.submit(_blob, n).result(30) == _blob(n)
+        assert asyncio.run(main()) == [_blob(n) for n in sizes]
+
+    def test_a_loop_reply_needs_no_wake_up_and_no_selector(self, pool):
+        """The loop's reader settles the loop's own future: no
+        ``call_soon_threadsafe`` (no self-pipe write) and no
+        ``Connection.poll`` selector per reply."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            await asyncio.gather(*(pool.run(_square, i) for i in range(4)))
+            with loop_counts(loop) as counts:
+                out = [await pool.run(_square, i) for i in range(20)]
+                out += await asyncio.gather(*(pool.run(_square, i) for i in range(8)))
+            return out, counts
+
+        out, counts = asyncio.run(main())
+        assert out == [i * i for i in range(20)] + [i * i for i in range(8)]
+        assert counts["threadsafe"] == counts["self_pipe"] == 0, counts
+        assert counts["selectors"] == 0, counts
+
+    def test_a_pump_on_the_loop_thread_leaves_no_stale_reader(self, pool):
+        """The loop's selector sees a reply, then a blocking ``result()``
+        earlier in the same pass reads it: the reader call the loop makes
+        next must find the pipe empty, not block on it."""
+
+        async def main():
+            await asyncio.gather(*(pool.run(_square, i) for i in range(2)))
+            for i in range(5):
+                running = asyncio.ensure_future(pool.run(_sleep, 0))
+                await asyncio.sleep(0)  # the job is on its way
+                time.sleep(0.05)  # the loop is blocked: the reply waits
+                await asyncio.sleep(0)  # the next pass sees it readable...
+                # ...and runs this step before its reader: the pump takes it
+                assert pool.submit(_square, i).result(10) == i * i
+                assert await running in pool.worker_pids()
+            return await pool.run(_square, 12)
+
+        faulthandler.dump_traceback_later(60, exit=True)  # a hang fails
+        try:
+            assert asyncio.run(main()) == 144
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
     def test_run_gathers_past_the_pool_size_and_relays_errors(self, pool):
         async def main():
